@@ -8,7 +8,7 @@
 // The master↔worker request path is an asynchronous batching pipeline:
 // requests are tagged with IDs and multiplexed over a small connection pool
 // per worker (-pool), and partial-KSP pair requests from different concurrent
-// queries coalesce into shared batches (-batch-pairs / -batch-age) with
+// queries coalesce into shared batches (up to -batch-pairs pairs each) with
 // cross-query deduplication.  -transport selects the legacy serialized
 // transport, the multiplexed pipelined one, or the full batched pipeline
 // (default).
@@ -124,7 +124,6 @@ func main() {
 		hedgeAfter = flag.Duration("hedge-after", 0, "duplicate a partial-KSP batch to a replica when the primary is silent this long (master mode, needs -replicas > 1; 0 disables)")
 		pingEvery  = flag.Duration("ping-every", 500*time.Millisecond, "worker health-check probe interval (master mode with -replicas > 1; 0 leaves detection to the data path)")
 		batchPairs = flag.Int("batch-pairs", 0, "flush a coalesced partial-KSP batch at this many pairs (batched transport, 0 = default 64)")
-		batchAge   = flag.Duration("batch-age", 0, "flush a coalesced batch when its oldest pair waited this long (batched transport, 0 = default 200µs)")
 		dataDir    = flag.String("data-dir", "", "persistence directory for index snapshots and the update WAL")
 		saveIndex  = flag.Bool("save-index", false, "force a fresh snapshot in -data-dir after a warm start (cold starts with -data-dir always snapshot; master mode)")
 		loadIndex  = flag.Bool("load-index", false, "warm-start from the newest snapshot in -data-dir instead of deriving the dataset from flags")
@@ -208,7 +207,7 @@ func main() {
 			replicas:   *replicas,
 			hedgeAfter: *hedgeAfter,
 			pingEvery:  *pingEvery,
-			batch:      rpcbatch.Options{MaxPairs: *batchPairs, MaxDelay: *batchAge},
+			batch:      rpcbatch.Options{MaxPairs: *batchPairs},
 			dataDir:    *dataDir,
 			saveIndex:  *saveIndex,
 			loadIndex:  *loadIndex,

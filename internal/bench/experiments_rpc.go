@@ -128,7 +128,6 @@ func (s *Suite) runRPCMode(mode string, parallelism int) (time.Duration, serve.S
 		// The memo is opted in explicitly: these workers resolve epoch pins,
 		// so an epoch-pinned answer really is immutable.
 		bp = cluster.NewBatchedRemoteProvider(remotes, rpcbatch.Options{
-			MaxDelay:      time.Millisecond,
 			CacheCapacity: 4096,
 		})
 		provider = bp

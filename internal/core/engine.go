@@ -541,14 +541,15 @@ func (e *Engine) buildAugmentedSkeleton(iv *dtlp.IndexView, s, t graph.VertexID)
 	skel := iv.Skeleton()
 	aug := newAugmentedSkeleton(iv.SkeletonWeights())
 
-	extraGlobal := make(map[graph.VertexID]graph.VertexID) // augmented id -> global id
+	nSkel := aug.NumVertices()
+	extraGlobal := make([]graph.VertexID, 0, 2) // global id of augmented vertex nSkel+i
 
 	resolve := func(v graph.VertexID, bounds map[graph.VertexID]float64) (graph.VertexID, error) {
 		if id, ok := skel.SkelID(v); ok {
 			return id, nil
 		}
 		id := aug.addVertex()
-		extraGlobal[id] = v
+		extraGlobal = append(extraGlobal, v)
 		attached := 0
 		for bv, d := range bounds {
 			if sb, ok := skel.SkelID(bv); ok && !math.IsInf(d, 1) {
@@ -568,7 +569,7 @@ func (e *Engine) buildAugmentedSkeleton(iv *dtlp.IndexView, s, t graph.VertexID)
 		tAug = id
 	} else {
 		id := aug.addVertex()
-		extraGlobal[id] = t
+		extraGlobal = append(extraGlobal, t)
 		for bv, d := range iv.BoundaryLowerBoundsTo(t) {
 			if sb, ok := skel.SkelID(bv); ok && !math.IsInf(d, 1) {
 				// Edge direction boundary -> t for directed graphs; for
@@ -590,8 +591,8 @@ func (e *Engine) buildAugmentedSkeleton(iv *dtlp.IndexView, s, t graph.VertexID)
 
 	toGlobal := func(p graph.Path, buf []graph.VertexID) []graph.VertexID {
 		for _, v := range p.Vertices {
-			if g, ok := extraGlobal[v]; ok {
-				buf = append(buf, g)
+			if int(v) >= nSkel {
+				buf = append(buf, extraGlobal[int(v)-nSkel])
 			} else {
 				buf = append(buf, skel.GlobalID(v))
 			}

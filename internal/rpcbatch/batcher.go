@@ -9,9 +9,11 @@
 // reference paths overlap recompute identical (s,t) pairs on the workers.  A
 // Batcher sits between the engines and one worker's transport and:
 //
-//   - buffers incoming pair requests, flushing a batch when it reaches
-//     Options.MaxPairs or when the oldest buffered pair has waited
-//     Options.MaxDelay (size/age trigger, like a NIC's interrupt coalescing);
+//   - ships a pair request at once while none of its batches is on the wire,
+//     and otherwise lets requests accumulate until an in-flight batch returns
+//     (group commit: the wire's own round trip is the coalescing window, so
+//     it widens under load and vanishes when idle), the forming batch holds
+//     Options.MaxPairs, or it has waited maxAge;
 //   - never mixes incompatible requests: batches are keyed by (k, epoch), so
 //     a flushed batch is answerable by one worker call and epoch-pinned
 //     queries keep snapshot isolation even when different epochs are in
@@ -48,17 +50,17 @@ import (
 // concurrent use.
 type Sender func(ctx context.Context, pairs []core.PairRequest, k int, epoch uint64, hasEpoch bool) (paths map[core.PairRequest][]graph.Path, pinned bool, err error)
 
-// Options tunes the flush triggers.
+// maxAge caps how long a forming batch waits behind in-flight ones.  It is a
+// backstop, not a tuning knob: the flush rule adapts to the worker's actual
+// round trip on its own, and the cap only keeps one slow batch (a heavy pair,
+// a reconnect) from holding up unrelated queries for its whole duration.
+const maxAge = 200 * time.Microsecond
+
+// Options configures a Batcher.
 type Options struct {
 	// MaxPairs flushes a batch as soon as it holds this many distinct pairs.
 	// Zero means 64.
 	MaxPairs int
-	// MaxDelay flushes a batch when its oldest pair has been buffered this
-	// long.  The age trigger only governs contended periods: when a single
-	// caller is active the batch flushes immediately (there is no one to
-	// coalesce with, so lingering would be pure added latency).  Zero means
-	// 200µs.
-	MaxDelay time.Duration
 	// CacheCapacity bounds the memo of answered epoch-pinned pairs.  A pair
 	// result pinned to an epoch is immutable — the epoch's weights are frozen
 	// — so it can be replayed to any later query at the same epoch, extending
@@ -77,9 +79,6 @@ type Options struct {
 func (o Options) withDefaults() Options {
 	if o.MaxPairs <= 0 {
 		o.MaxPairs = 64
-	}
-	if o.MaxDelay <= 0 {
-		o.MaxDelay = 200 * time.Microsecond
 	}
 	if o.CacheCapacity == 0 {
 		o.CacheCapacity = 4096
@@ -170,8 +169,7 @@ func (w *waiter) recordBatch(id uint64) {
 }
 
 // resolvePairLocked records one pair outcome for a waiter, delivering the
-// combined result (and retiring the waiter from the active count) once the
-// last pair lands.  Callers hold b.mu.
+// combined result once the last pair lands.  Callers hold b.mu.
 func (b *Batcher) resolvePairLocked(w *waiter, pr core.PairRequest, paths []graph.Path, err error) {
 	if err != nil {
 		if w.err == nil {
@@ -182,7 +180,6 @@ func (b *Batcher) resolvePairLocked(w *waiter, pr core.PairRequest, paths []grap
 	}
 	w.missing--
 	if w.missing == 0 {
-		b.active--
 		if w.span != nil {
 			w.span.SetAttrInt("memo_hits", int64(w.memoHits))
 			w.span.SetAttrInt("dedup_hits", int64(w.dedupHits))
@@ -214,7 +211,8 @@ type entry struct {
 }
 
 // bucket is one forming batch: the distinct pairs buffered for one batchKey
-// since the last flush, with the age timer that bounds their wait.
+// since the last flush, with the age timer that bounds their wait (nil until
+// the bucket has to wait at all).
 type bucket struct {
 	key     batchKey
 	id      uint64 // batch id, for trace attribution
@@ -229,10 +227,13 @@ type bucket struct {
 type Batcher struct {
 	send Sender
 	opts Options
+	// ageCap is maxAge; a field only so that tests of the other flush
+	// triggers can take the clock out of the picture.
+	ageCap time.Duration
 
 	mu       sync.Mutex
 	closed   bool
-	active   int // callers submitted but not yet fully answered
+	onWire   int // batches shipped and not yet answered
 	buckets  map[batchKey]*bucket
 	inflight map[flightKey]*entry
 	cache    map[flightKey][]graph.Path
@@ -252,6 +253,7 @@ func New(send Sender, opts Options) *Batcher {
 	b := &Batcher{
 		send:     send,
 		opts:     opts.withDefaults(),
+		ageCap:   maxAge,
 		buckets:  make(map[batchKey]*bucket),
 		inflight: make(map[flightKey]*entry),
 	}
@@ -302,10 +304,8 @@ func (b *Batcher) DoAsyncCtx(ctx context.Context, pairs []core.PairRequest, k in
 		return done
 	}
 	// missing is preset before any pair resolves so a cache hit on an early
-	// pair cannot deliver the waiter while later pairs are still unfiled;
-	// the caller is active until its last pair resolves.
+	// pair cannot deliver the waiter while later pairs are still unfiled.
 	w.missing = len(distinct)
-	b.active++
 	contributed := false
 	for _, pr := range distinct {
 		b.enqueued.Add(1)
@@ -330,7 +330,6 @@ func (b *Batcher) DoAsyncCtx(ctx context.Context, pairs []core.PairRequest, k in
 		if bu == nil {
 			bu = &bucket{key: bk, id: b.batchSeq.Add(1), entries: make(map[core.PairRequest]*entry)}
 			b.buckets[bk] = bu
-			bu.timer = time.AfterFunc(b.opts.MaxDelay, func() { b.flushAged(bk, bu) })
 		}
 		if bu.owner == nil {
 			bu.owner = w.span
@@ -355,12 +354,16 @@ func (b *Batcher) DoAsyncCtx(ctx context.Context, pairs []core.PairRequest, k in
 			contributed = false // pairs beyond MaxPairs start a new bucket
 		}
 	}
-	// A lone caller has no one to coalesce with: lingering for the age
-	// trigger would trade pure latency for nothing, so its bucket ships
-	// immediately.  With other callers active the bucket waits (bounded by
-	// MaxDelay) for their pairs.
-	if bu := b.buckets[bk]; bu != nil && b.active <= 1 {
-		b.flushLocked(bu)
+	// An idle link has nothing to coalesce behind: waiting would trade pure
+	// latency for nothing, so the bucket ships now.  While a batch is out, the
+	// bucket collects whatever arrives until that batch returns (the flush
+	// goroutine ships it then) or maxAge passes.
+	if bu := b.buckets[bk]; bu != nil {
+		if b.onWire == 0 {
+			b.flushLocked(bu)
+		} else if bu.timer == nil {
+			bu.timer = time.AfterFunc(b.ageCap, func() { b.flushAged(bk, bu) })
+		}
 	}
 	b.mu.Unlock()
 	return done
@@ -386,7 +389,10 @@ func (b *Batcher) flushAged(bk batchKey, bu *bucket) {
 // the replies back to every attached waiter.  Callers hold b.mu.
 func (b *Batcher) flushLocked(bu *bucket) {
 	delete(b.buckets, bu.key)
-	bu.timer.Stop()
+	if bu.timer != nil {
+		bu.timer.Stop()
+	}
+	b.onWire++
 	for _, pr := range bu.order {
 		b.inflight[flightKey{pair: pr, batchKey: bu.key}] = bu.entries[pr]
 	}
@@ -418,6 +424,7 @@ func (b *Batcher) flushLocked(bu *bucket) {
 		}
 		bspan.Finish()
 		b.mu.Lock()
+		b.onWire--
 		for _, pr := range bu.order {
 			fk := flightKey{pair: pr, batchKey: bu.key}
 			// Only answers the worker actually froze at the requested epoch
@@ -436,6 +443,9 @@ func (b *Batcher) flushLocked(bu *bucket) {
 				}
 			}
 		}
+		// What formed while this batch was out has had its coalescing
+		// window; it leaves as the next batch.
+		b.flushAllLocked()
 		b.mu.Unlock()
 	}()
 }
@@ -457,12 +467,17 @@ func (b *Batcher) cacheStoreLocked(fk flightKey, paths []graph.Path) {
 	b.cache[fk] = paths
 }
 
-// Flush ships every forming bucket immediately (age trigger forced).
-func (b *Batcher) Flush() {
-	b.mu.Lock()
+// flushAllLocked ships every forming bucket.  Callers hold b.mu.
+func (b *Batcher) flushAllLocked() {
 	for _, bu := range b.buckets {
 		b.flushLocked(bu)
 	}
+}
+
+// Flush ships every forming bucket immediately.
+func (b *Batcher) Flush() {
+	b.mu.Lock()
+	b.flushAllLocked()
 	b.mu.Unlock()
 }
 
@@ -476,9 +491,7 @@ func (b *Batcher) Close() {
 		return
 	}
 	b.closed = true
-	for _, bu := range b.buckets {
-		b.flushLocked(bu)
-	}
+	b.flushAllLocked()
 	b.mu.Unlock()
 	b.flushes.Wait()
 }

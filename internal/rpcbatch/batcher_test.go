@@ -13,38 +13,76 @@ import (
 	"kspdg/internal/graph"
 )
 
-// recordingSender counts calls and returns a one-path answer per pair whose
-// distance encodes the epoch, so tests can tell which epoch served a pair.
-type recordingSender struct {
-	mu       sync.Mutex
-	calls    [][]core.PairRequest
-	err      error
-	delay    time.Duration
-	unpinned bool // report answers as not epoch-frozen
+// fakeSender answers every pair with one path whose distance encodes the
+// epoch, so tests can tell which epoch served a pair.  When gated, each batch
+// announces itself on arrived and stays "on the wire" until the test releases
+// it, which makes every flush decision observable without a sleep.
+type fakeSender struct {
+	arrived  chan *wireBatch // nil: batches return at once
+	drain    chan struct{}   // closed when the test ends: held batches return
+	unpinned bool            // report answers as not epoch-frozen
 }
 
-func (rs *recordingSender) send(_ context.Context, pairs []core.PairRequest, k int, epoch uint64, hasEpoch bool) (map[core.PairRequest][]graph.Path, bool, error) {
-	if rs.delay > 0 {
-		time.Sleep(rs.delay)
-	}
-	rs.mu.Lock()
-	rs.calls = append(rs.calls, append([]core.PairRequest(nil), pairs...))
-	err := rs.err
-	rs.mu.Unlock()
-	if err != nil {
-		return nil, false, err
+// wireBatch is one batch held at the gate.
+type wireBatch struct {
+	pairs   []core.PairRequest
+	release chan error // send nil to answer the batch, an error to fail it
+}
+
+// newGated returns a batcher over a gated sender, with the age cap out of
+// reach so that only the trigger under test can ship a batch.  When the test
+// ends — passed or failed — the gate opens and the batcher is closed, so a
+// failed assertion never leaves a batch on the wire for Close to wait on.
+func newGated(t *testing.T, opts Options) (*fakeSender, *Batcher) {
+	fs := &fakeSender{arrived: make(chan *wireBatch, 64), drain: make(chan struct{})}
+	b := New(fs.send, opts)
+	b.ageCap = time.Hour
+	t.Cleanup(b.Close)
+	t.Cleanup(func() { close(fs.drain) }) // runs first: cleanups are LIFO
+	return fs, b
+}
+
+func (fs *fakeSender) send(_ context.Context, pairs []core.PairRequest, k int, epoch uint64, hasEpoch bool) (map[core.PairRequest][]graph.Path, bool, error) {
+	if fs.arrived != nil {
+		wb := &wireBatch{pairs: append([]core.PairRequest(nil), pairs...), release: make(chan error, 1)}
+		fs.arrived <- wb
+		select {
+		case err := <-wb.release:
+			if err != nil {
+				return nil, false, err
+			}
+		case <-fs.drain:
+		}
 	}
 	out := make(map[core.PairRequest][]graph.Path, len(pairs))
 	for _, pr := range pairs {
 		out[pr] = []graph.Path{{Vertices: []graph.VertexID{pr.A, pr.B}, Dist: float64(epoch)}}
 	}
-	return out, hasEpoch && !rs.unpinned, nil
+	return out, hasEpoch && !fs.unpinned, nil
 }
 
-func (rs *recordingSender) batches() [][]core.PairRequest {
-	rs.mu.Lock()
-	defer rs.mu.Unlock()
-	return append([][]core.PairRequest(nil), rs.calls...)
+// next waits for the next batch to reach the wire.
+func (fs *fakeSender) next(t *testing.T) *wireBatch {
+	t.Helper()
+	select {
+	case wb := <-fs.arrived:
+		return wb
+	case <-time.After(10 * time.Second):
+		t.Fatal("no batch reached the wire")
+		return nil
+	}
+}
+
+// await waits for a caller's result.
+func await(t *testing.T, ch <-chan Result) Result {
+	t.Helper()
+	select {
+	case r := <-ch:
+		return r
+	case <-time.After(10 * time.Second):
+		t.Fatal("caller never got its result")
+		return Result{}
+	}
 }
 
 func pairsN(n int) []core.PairRequest {
@@ -55,47 +93,116 @@ func pairsN(n int) []core.PairRequest {
 	return out
 }
 
-func TestFlushBySize(t *testing.T) {
-	rs := &recordingSender{}
-	b := New(rs.send, Options{MaxPairs: 4, MaxDelay: time.Hour})
-	defer b.Close()
-	paths, err := b.Do(pairsN(4), 2, 1, true)
-	if err != nil {
-		t.Fatal(err)
+// An idle link ships at once, however many callers are mid-query: a closed
+// loop of two clients must not pay an age timer on rounds that find the link
+// free.  The flush decision is made inside DoAsync, so Stats shows it as soon
+// as the call returns.
+func TestIdleLinkShipsAtOnce(t *testing.T) {
+	fs, b := newGated(t, Options{MaxPairs: 1 << 20, CacheCapacity: -1})
+	// Caller A's round has come back (it is now busy with its filter step);
+	// caller B arrives to a free link, A returns to find B's batch out.
+	a := b.DoAsync(pairsN(1), 2, 1, true)
+	fs.next(t).release <- nil
+	if r := await(t, a); r.Err != nil || len(r.Paths) != 1 {
+		t.Fatalf("caller A: %+v", r)
 	}
-	if len(paths) != 4 {
-		t.Fatalf("got %d pair results, want 4", len(paths))
+	bb := b.DoAsync(pairsN(3)[1:], 2, 1, true)
+	if got := b.Stats().Batches; got != 2 {
+		t.Fatalf("second caller found an idle link but %d batches shipped, want 2", got)
 	}
-	if got := rs.batches(); len(got) != 1 || len(got[0]) != 4 {
-		t.Fatalf("expected one 4-pair batch, got %v", got)
+	held := fs.next(t)
+	a = b.DoAsync(pairsN(4)[3:], 2, 1, true)
+	if got := b.Stats().Batches; got != 2 {
+		t.Fatalf("%d batches shipped while B's was out, want 2", got)
+	}
+	held.release <- nil
+	if r := await(t, bb); r.Err != nil || len(r.Paths) != 2 {
+		t.Fatalf("caller B: %+v", r)
+	}
+	fs.next(t).release <- nil
+	if r := await(t, a); r.Err != nil || len(r.Paths) != 1 {
+		t.Fatalf("caller A, second round: %+v", r)
+	}
+}
+
+// Pairs submitted while a batch is in flight wait for it and leave together,
+// as one batch, the moment it returns.
+func TestInFlightReturnShipsOneBatch(t *testing.T) {
+	fs, b := newGated(t, Options{MaxPairs: 1 << 20, CacheCapacity: -1})
+	first := b.DoAsync([]core.PairRequest{{A: 100, B: 101}}, 2, 1, true)
+	held := fs.next(t)
+
+	const callers = 5
+	var waiting []<-chan Result
+	for c := 0; c < callers; c++ {
+		// Caller c asks for pair c and pair c+1: neighbours overlap.
+		waiting = append(waiting, b.DoAsync(pairsN(c + 2)[c:], 2, 1, true))
+	}
+	if got := b.Stats().Batches; got != 1 {
+		t.Fatalf("%d batches shipped while the link was busy, want 1", got)
+	}
+	held.release <- nil
+	second := fs.next(t)
+	if len(second.pairs) != callers+1 {
+		t.Fatalf("batch after the return carries %d pairs, want the %d distinct ones", len(second.pairs), callers+1)
+	}
+	second.release <- nil
+	if r := await(t, first); r.Err != nil {
+		t.Fatal(r.Err)
+	}
+	for c, ch := range waiting {
+		if r := await(t, ch); r.Err != nil || len(r.Paths) != 2 {
+			t.Fatalf("caller %d: %+v", c, r)
+		}
 	}
 	st := b.Stats()
-	if st.Batches != 1 || st.PairsSent != 4 || st.Enqueued != 4 {
+	if st.Batches != 2 || st.PairsSent != callers+2 || st.DedupHits != callers-1 || st.Coalesced != callers+1 {
 		t.Errorf("stats %+v", st)
 	}
 }
 
-func TestFlushByAge(t *testing.T) {
-	// The age trigger governs contended periods: a first caller's flush is
-	// held in flight by the sender delay, so the second caller's bucket
-	// (size bound unreachable) can only ship via the MaxDelay timer.
-	rs := &recordingSender{delay: 50 * time.Millisecond}
-	b := New(rs.send, Options{MaxPairs: 1 << 20, MaxDelay: time.Millisecond, CacheCapacity: -1})
-	defer b.Close()
-	first := b.DoAsync(pairsN(1), 3, 7, true)
-	time.Sleep(2 * time.Millisecond) // let the first flush get in flight
-	start := time.Now()
-	paths, err := b.Do(pairsN(2)[1:], 3, 7, true)
-	if err != nil {
-		t.Fatal(err)
+func TestFlushBySize(t *testing.T) {
+	fs, b := newGated(t, Options{MaxPairs: 4, CacheCapacity: -1})
+	first := b.DoAsync([]core.PairRequest{{A: 100, B: 101}}, 2, 1, true)
+	held := fs.next(t)
+	// The link is busy, yet a full bucket does not wait for it.
+	full := b.DoAsync(pairsN(4), 2, 1, true)
+	if got := b.Stats().Batches; got != 2 {
+		t.Fatalf("a full bucket must ship by size: %d batches, want 2", got)
 	}
-	if len(paths) != 1 {
-		t.Fatalf("got %d results, want 1", len(paths))
+	if wb := fs.next(t); len(wb.pairs) != 4 {
+		t.Fatalf("size-triggered batch carries %d pairs, want 4", len(wb.pairs))
+	} else {
+		wb.release <- nil
 	}
-	if waited := time.Since(start); waited > 2*time.Second {
-		t.Errorf("age flush took %v", waited)
+	if r := await(t, full); r.Err != nil || len(r.Paths) != 4 {
+		t.Fatalf("full caller: %+v", r)
 	}
-	if r := <-first; r.Err != nil {
+	held.release <- nil
+	if r := await(t, first); r.Err != nil {
+		t.Fatal(r.Err)
+	}
+	st := b.Stats()
+	if st.Batches != 2 || st.PairsSent != 5 || st.Enqueued != 5 {
+		t.Errorf("stats %+v", st)
+	}
+}
+
+// The age cap is the backstop for a bucket stuck behind a slow batch.
+func TestAgeCapReleasesStuckBucket(t *testing.T) {
+	fs, b := newGated(t, Options{MaxPairs: 1 << 20, CacheCapacity: -1})
+	b.ageCap = maxAge
+	slow := b.DoAsync(pairsN(1), 3, 7, true)
+	held := fs.next(t)
+	stuck := b.DoAsync(pairsN(2)[1:], 3, 7, true)
+	// The slow batch is never released before this arrives: only the age
+	// timer can have shipped it.
+	fs.next(t).release <- nil
+	if r := await(t, stuck); r.Err != nil || len(r.Paths) != 1 {
+		t.Fatalf("stuck caller: %+v", r)
+	}
+	held.release <- nil
+	if r := await(t, slow); r.Err != nil {
 		t.Fatal(r.Err)
 	}
 	if b.Stats().Batches != 2 {
@@ -103,36 +210,14 @@ func TestFlushByAge(t *testing.T) {
 	}
 }
 
-func TestLoneCallerFlushesImmediately(t *testing.T) {
-	rs := &recordingSender{}
-	// MaxDelay far beyond the test timeout: a lone caller must not wait it.
-	b := New(rs.send, Options{MaxPairs: 1 << 20, MaxDelay: time.Hour})
-	defer b.Close()
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		if _, err := b.Do(pairsN(3), 2, 1, true); err != nil {
-			t.Errorf("do: %v", err)
-		}
-	}()
-	select {
-	case <-done:
-	case <-time.After(5 * time.Second):
-		t.Fatal("lone caller waited for the age trigger")
-	}
-}
-
 func TestDedupAcrossCallers(t *testing.T) {
-	// The sender delay keeps the first caller's flush in flight so the
-	// second caller's identical pair dedups onto it.
-	rs := &recordingSender{delay: 20 * time.Millisecond}
-	b := New(rs.send, Options{MaxPairs: 8, MaxDelay: 5 * time.Millisecond, CacheCapacity: -1})
-	defer b.Close()
+	fs, b := newGated(t, Options{MaxPairs: 8, CacheCapacity: -1})
 	pr := core.PairRequest{A: 1, B: 2}
 	ch1 := b.DoAsync([]core.PairRequest{pr}, 2, 3, true)
-	time.Sleep(2 * time.Millisecond)
-	ch2 := b.DoAsync([]core.PairRequest{pr}, 2, 3, true)
-	r1, r2 := <-ch1, <-ch2
+	held := fs.next(t)
+	ch2 := b.DoAsync([]core.PairRequest{pr}, 2, 3, true) // attaches to the pair on the wire
+	held.release <- nil
+	r1, r2 := await(t, ch1), await(t, ch2)
 	if r1.Err != nil || r2.Err != nil {
 		t.Fatalf("errors: %v %v", r1.Err, r2.Err)
 	}
@@ -140,20 +225,24 @@ func TestDedupAcrossCallers(t *testing.T) {
 		t.Fatalf("both callers should receive the shared pair result")
 	}
 	st := b.Stats()
-	if st.PairsSent != 1 || st.DedupHits != 1 {
+	if st.Batches != 1 || st.PairsSent != 1 || st.DedupHits != 1 {
 		t.Errorf("expected the second submission to dedup, stats %+v", st)
 	}
 }
 
 func TestEpochsNeverShareABatch(t *testing.T) {
-	rs := &recordingSender{}
-	b := New(rs.send, Options{MaxPairs: 64, MaxDelay: 2 * time.Millisecond, CacheCapacity: -1})
-	defer b.Close()
+	fs, b := newGated(t, Options{MaxPairs: 64, CacheCapacity: -1})
 	pr := core.PairRequest{A: 4, B: 5}
 	ch1 := b.DoAsync([]core.PairRequest{pr}, 2, 1, true)
+	held := fs.next(t)
+	// Both form while epoch 1's batch is out, and both leave when it returns
+	// — in two batches, because their keys differ.
 	ch2 := b.DoAsync([]core.PairRequest{pr}, 2, 2, true)
 	ch3 := b.DoAsync([]core.PairRequest{pr}, 2, 0, false) // live weights
-	r1, r2, r3 := <-ch1, <-ch2, <-ch3
+	held.release <- nil
+	fs.next(t).release <- nil
+	fs.next(t).release <- nil
+	r1, r2, r3 := await(t, ch1), await(t, ch2), await(t, ch3)
 	if r1.Err != nil || r2.Err != nil || r3.Err != nil {
 		t.Fatalf("errors: %v %v %v", r1.Err, r2.Err, r3.Err)
 	}
@@ -172,8 +261,8 @@ func TestEpochsNeverShareABatch(t *testing.T) {
 }
 
 func TestEpochPinnedCache(t *testing.T) {
-	rs := &recordingSender{}
-	b := New(rs.send, Options{MaxPairs: 8, MaxDelay: time.Millisecond})
+	fs := &fakeSender{}
+	b := New(fs.send, Options{MaxPairs: 8})
 	defer b.Close()
 	pr := core.PairRequest{A: 8, B: 9}
 	if _, err := b.Do([]core.PairRequest{pr}, 2, 5, true); err != nil {
@@ -208,13 +297,12 @@ func TestEpochPinnedCache(t *testing.T) {
 }
 
 func TestSenderErrorPropagates(t *testing.T) {
-	rs := &recordingSender{err: errors.New("worker down"), delay: 20 * time.Millisecond}
-	b := New(rs.send, Options{MaxPairs: 2, MaxDelay: time.Millisecond})
-	defer b.Close()
+	fs, b := newGated(t, Options{MaxPairs: 2})
 	ch1 := b.DoAsync(pairsN(1), 2, 1, true)
-	time.Sleep(2 * time.Millisecond)
+	held := fs.next(t)
 	ch2 := b.DoAsync(pairsN(1), 2, 1, true) // dedups onto the in-flight pair
-	r1, r2 := <-ch1, <-ch2
+	held.release <- errors.New("worker down")
+	r1, r2 := await(t, ch1), await(t, ch2)
 	if r1.Err == nil || r2.Err == nil {
 		t.Fatalf("both callers must see the batch error, got %v / %v", r1.Err, r2.Err)
 	}
@@ -224,8 +312,8 @@ func TestUnpinnedAnswersAreNotMemoized(t *testing.T) {
 	// A worker that cannot honour the epoch pin (evicted epoch, standalone
 	// process) reports pinned=false: its answers must never enter the memo,
 	// even with the cache enabled.
-	rs := &recordingSender{unpinned: true}
-	b := New(rs.send, Options{MaxPairs: 8, MaxDelay: time.Millisecond})
+	fs := &fakeSender{unpinned: true}
+	b := New(fs.send, Options{MaxPairs: 8})
 	defer b.Close()
 	pr := core.PairRequest{A: 30, B: 31}
 	for i := 0; i < 2; i++ {
@@ -239,31 +327,54 @@ func TestUnpinnedAnswersAreNotMemoized(t *testing.T) {
 	}
 }
 
-func TestCloseFlushesAndRejects(t *testing.T) {
-	// Two active callers: the first's flush is held in flight by the sender
-	// delay, the second's bucket is still forming (hour-long age trigger)
-	// when Close runs — Close must force it out.
-	rs := &recordingSender{delay: 30 * time.Millisecond}
-	b := New(rs.send, Options{MaxPairs: 1 << 20, MaxDelay: time.Hour, CacheCapacity: -1})
+// Close with one batch on the wire and a bucket still forming behind it must
+// ship the bucket, deliver every waiter, and only then return.
+func TestCloseDeliversEveryWaiter(t *testing.T) {
+	fs, b := newGated(t, Options{MaxPairs: 1 << 20, CacheCapacity: -1})
 	first := b.DoAsync(pairsN(1), 2, 1, true)
-	time.Sleep(2 * time.Millisecond)
-	ch := b.DoAsync(pairsN(4)[1:], 2, 1, true)
-	b.Close() // must force the buffered pairs out
-	if r := <-first; r.Err != nil {
-		t.Fatal(r.Err)
+	held := fs.next(t)
+	forming := b.DoAsync(pairsN(4)[1:], 2, 1, true)
+	closed := make(chan struct{})
+	go func() {
+		b.Close()
+		close(closed)
+	}()
+	// Close puts the forming bucket on the wire while the first batch is
+	// still held.
+	second := fs.next(t)
+	if len(second.pairs) != 3 {
+		t.Fatalf("forming bucket shipped %d pairs, want 3", len(second.pairs))
 	}
-	r := <-ch
-	if r.Err != nil || len(r.Paths) != 3 {
-		t.Fatalf("close should flush the forming batch: %+v", r)
+	select {
+	case <-closed:
+		t.Fatal("Close returned with two batches still on the wire")
+	default:
 	}
-	if res := <-b.DoAsync(pairsN(1), 2, 1, true); !errors.Is(res.Err, ErrClosed) {
+	second.release <- nil
+	held.release <- nil
+	if r := await(t, first); r.Err != nil || len(r.Paths) != 1 {
+		t.Fatalf("in-flight waiter: %+v", r)
+	}
+	if r := await(t, forming); r.Err != nil || len(r.Paths) != 3 {
+		t.Fatalf("forming waiter: %+v", r)
+	}
+	select {
+	case <-closed:
+	case <-time.After(10 * time.Second):
+		t.Fatal("Close never returned")
+	}
+	if res := await(t, b.DoAsync(pairsN(1), 2, 1, true)); !errors.Is(res.Err, ErrClosed) {
 		t.Fatalf("post-close submissions must fail with ErrClosed, got %v", res.Err)
+	}
+	st := b.Stats()
+	if st.Enqueued != st.PairsSent+st.DedupHits+st.CacheHits {
+		t.Errorf("accounting broken: %+v", st)
 	}
 }
 
 func TestEmptyRequest(t *testing.T) {
-	rs := &recordingSender{}
-	b := New(rs.send, Options{})
+	fs := &fakeSender{}
+	b := New(fs.send, Options{})
 	defer b.Close()
 	paths, err := b.Do(nil, 2, 1, true)
 	if err != nil || len(paths) != 0 {
@@ -278,8 +389,8 @@ func TestEmptyRequest(t *testing.T) {
 // several epochs and checks the conservation law: every enqueued pair is
 // either shipped, deduped onto a pending pair, or answered from the memo.
 func TestConcurrentAccounting(t *testing.T) {
-	rs := &recordingSender{delay: 100 * time.Microsecond}
-	b := New(rs.send, Options{MaxPairs: 16, MaxDelay: 200 * time.Microsecond})
+	fs := &fakeSender{}
+	b := New(fs.send, Options{MaxPairs: 16})
 	defer b.Close()
 	var wg sync.WaitGroup
 	var failures atomic.Int64
@@ -288,7 +399,7 @@ func TestConcurrentAccounting(t *testing.T) {
 		go func(seed int64) {
 			defer wg.Done()
 			rng := rand.New(rand.NewSource(seed))
-			for i := 0; i < 50; i++ {
+			for i := 0; i < 200; i++ {
 				var pairs []core.PairRequest
 				for j := 0; j < 1+rng.Intn(4); j++ {
 					pairs = append(pairs, core.PairRequest{
@@ -320,4 +431,26 @@ func TestConcurrentAccounting(t *testing.T) {
 		t.Errorf("accounting broken: enqueued %d != sent %d + dedup %d + cache %d",
 			st.Enqueued, st.PairsSent, st.DedupHits, st.CacheHits)
 	}
+}
+
+// BenchmarkBatcherRound is one provider round as a closed loop of two
+// queries pays it: submit a pair, wait for the answer, over a loopback sender
+// that answers at once — what remains is the batcher's own dispatch.
+func BenchmarkBatcherRound(b *testing.B) {
+	fs := &fakeSender{unpinned: true} // nothing memoized: every round ships
+	bt := New(fs.send, Options{})
+	defer bt.Close()
+	b.ReportAllocs()
+	b.SetParallelism(1)
+	var caller atomic.Int32
+	b.RunParallel(func(pb *testing.PB) {
+		id := graph.VertexID(caller.Add(1) * 1000)
+		pairs := []core.PairRequest{{A: id, B: id + 1}}
+		for pb.Next() {
+			if _, err := bt.Do(pairs, 3, 1, true); err != nil {
+				b.Error(err)
+				return
+			}
+		}
+	})
 }

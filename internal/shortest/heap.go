@@ -12,13 +12,6 @@ type vertexHeap struct {
 	ps []float64
 }
 
-func newVertexHeap(capHint int) *vertexHeap {
-	return &vertexHeap{
-		vs: make([]graph.VertexID, 0, capHint),
-		ps: make([]float64, 0, capHint),
-	}
-}
-
 func (h *vertexHeap) len() int { return len(h.vs) }
 
 // reset empties the heap while keeping its backing arrays for reuse.

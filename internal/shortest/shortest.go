@@ -13,6 +13,7 @@ package shortest
 
 import (
 	"math"
+	"slices"
 	"sync"
 
 	"kspdg/internal/graph"
@@ -43,12 +44,22 @@ func (o *Options) weightFn(v graph.WeightedView) WeightFunc {
 	return v.Weight
 }
 
-func (o *Options) vertexForbidden(u graph.VertexID) bool {
-	return o != nil && o.ForbiddenVertices != nil && o.ForbiddenVertices[u]
-}
-
-func (o *Options) edgeForbidden(e graph.EdgeID) bool {
-	return o != nil && o.ForbiddenEdges != nil && o.ForbiddenEdges[e]
+// searchWeight returns the metric a search relaxes arcs with: weightFn with
+// the caller's forbidden edges priced at +Inf.  An arc of infinite weight can
+// never lower a distance, so it is excluded exactly as if it had been skipped,
+// and searches without forbidden edges pay nothing for the feature.
+func (o *Options) searchWeight(v graph.WeightedView) WeightFunc {
+	weight := o.weightFn(v)
+	if o == nil || len(o.ForbiddenEdges) == 0 {
+		return weight
+	}
+	forbidden := o.ForbiddenEdges
+	return func(e graph.EdgeID) float64 {
+		if forbidden[e] {
+			return math.Inf(1)
+		}
+		return weight(e)
+	}
 }
 
 // Tree is a shortest path tree rooted at Source, as produced by Dijkstra.
@@ -87,7 +98,22 @@ func (t *Tree) PathTo(v graph.VertexID) (graph.Path, bool) {
 
 // Dijkstra computes the full shortest path tree from source s under opts.
 func Dijkstra(v graph.WeightedView, s graph.VertexID, opts *Options) *Tree {
-	return dijkstra(v, s, graph.NoVertex, opts)
+	n := v.NumVertices()
+	sc := search(v, s, graph.NoVertex, opts)
+	t := &Tree{
+		Source:     s,
+		Dist:       make([]float64, n),
+		Parent:     make([]graph.VertexID, n),
+		ParentEdge: make([]graph.EdgeID, n),
+	}
+	for u := range t.Dist {
+		t.Dist[u], t.Parent[u], t.ParentEdge[u] = math.Inf(1), graph.NoVertex, graph.NoEdge
+		if st := &sc.v[u]; st.reached == sc.search {
+			t.Dist[u], t.Parent[u], t.ParentEdge[u] = st.dist, st.parent, st.parentEdge
+		}
+	}
+	putScratch(sc)
+	return t
 }
 
 // ShortestPath computes one shortest path from s to t under opts.  The search
@@ -98,11 +124,14 @@ func ShortestPath(v graph.WeightedView, s, t graph.VertexID, opts *Options) (gra
 	if s == t {
 		return graph.Path{Vertices: []graph.VertexID{s}}, true
 	}
-	sc := getScratch(v.NumVertices())
-	sc.run(v, s, t, opts)
-	p, ok := sc.pathTo(s, t)
+	sc := search(v, s, t, opts)
+	verts, ok := sc.appendPath(nil, s, t)
+	d := sc.distTo(t)
 	putScratch(sc)
-	return p, ok
+	if !ok {
+		return graph.Path{}, false
+	}
+	return graph.Path{Vertices: verts, Dist: d}, true
 }
 
 // ShortestDistance returns only the shortest distance from s to t, or +Inf if
@@ -112,118 +141,168 @@ func ShortestDistance(v graph.WeightedView, s, t graph.VertexID, opts *Options) 
 	if s == t {
 		return 0
 	}
-	sc := getScratch(v.NumVertices())
-	sc.run(v, s, t, opts)
-	d := sc.dist[t]
+	sc := search(v, s, t, opts)
+	d := sc.distTo(t)
 	putScratch(sc)
 	return d
 }
 
-// dijkstra runs Dijkstra's algorithm from s into a freshly allocated Tree.
-// If target is a valid vertex the search terminates once target is settled
-// (its distance is then exact); distances of unsettled vertices are upper
-// bounds in that case.
-func dijkstra(v graph.WeightedView, s, target graph.VertexID, opts *Options) *Tree {
-	sc := getScratch(v.NumVertices())
-	sc.run(v, s, target, opts)
-	t := &Tree{
-		Source:     s,
-		Dist:       append([]float64(nil), sc.dist...),
-		Parent:     append([]graph.VertexID(nil), sc.parent...),
-		ParentEdge: append([]graph.EdgeID(nil), sc.parentEdge...),
-	}
-	putScratch(sc)
-	return t
+// search runs one search from s under opts alone on pooled scratch state,
+// which the caller reads the outcome from and hands back with putScratch.
+func search(v graph.WeightedView, s, target graph.VertexID, opts *Options) *searchScratch {
+	sc := getScratch(v.NumVertices(), 2) // one ban set, one search
+	sc.banCaller(opts)
+	sc.run(v, s, target, opts.searchWeight(v), nil)
+	return sc
 }
 
-// searchScratch is the reusable working state of one Dijkstra search.  Yen's
-// algorithm runs O(k·len) searches per call and the engine's refine step runs
-// Yen per subgraph per pair, so allocating this state per search dominated
-// the query path's allocation profile; a sync.Pool amortises it to zero in
-// steady state.
+// vertexState is everything a search knows about one vertex.  The three
+// stamps make the state self-invalidating: a field group is live only while
+// its stamp equals the scratch's current generation, so starting a search or
+// a ban set costs one counter increment instead of a refill of n entries, and
+// one relaxation touches one cache line.
+type vertexState struct {
+	dist       float64
+	parent     graph.VertexID
+	parentEdge graph.EdgeID
+	reached    uint32 // search that last wrote dist/parent/parentEdge
+	settled    uint32 // search that settled the vertex
+	banned     uint32 // ban set that excludes the vertex
+}
+
+// searchScratch is the reusable working state of Dijkstra searches.  Yen's
+// algorithm runs one search per spur vertex and the engine's refine step runs
+// Yen per subgraph per pair, so this state is pooled and — because it is
+// generation-stamped — never cleared between searches.  A ban set (the
+// caller's forbidden vertices plus, inside Yen, the root path) outlives the
+// searches run under it: newBans starts one, ban adds to it.
 type searchScratch struct {
-	dist       []float64
-	parent     []graph.VertexID
-	parentEdge []graph.EdgeID
-	settled    []bool
-	heap       vertexHeap
+	v      []vertexState
+	gen    uint32 // last generation handed out; stamps are never 0
+	search uint32 // generation of the latest run
+	bans   uint32 // generation of the current ban set
+	heap   vertexHeap
 }
 
 var scratchPool = sync.Pool{New: func() interface{} { return new(searchScratch) }}
 
-func getScratch(n int) *searchScratch {
+// getScratch returns scratch state for a graph of n vertices on which gens
+// generations (searches plus ban sets) can be started before the counter
+// wraps.  Stamps left behind by earlier users are all below the counter and
+// therefore dead, whatever graph they were written for.
+func getScratch(n, gens int) *searchScratch {
 	sc := scratchPool.Get().(*searchScratch)
-	if cap(sc.dist) < n {
-		sc.dist = make([]float64, n)
-		sc.parent = make([]graph.VertexID, n)
-		sc.parentEdge = make([]graph.EdgeID, n)
-		sc.settled = make([]bool, n)
-	}
-	sc.dist = sc.dist[:n]
-	sc.parent = sc.parent[:n]
-	sc.parentEdge = sc.parentEdge[:n]
-	sc.settled = sc.settled[:n]
-	inf := math.Inf(1)
-	for i := 0; i < n; i++ {
-		sc.dist[i] = inf
-		sc.parent[i] = graph.NoVertex
-		sc.parentEdge[i] = graph.NoEdge
-		sc.settled[i] = false
-	}
-	sc.heap.reset()
+	sc.reserve(n, gens)
 	return sc
+}
+
+func (sc *searchScratch) reserve(n, gens int) {
+	if len(sc.v) < n {
+		sc.v = make([]vertexState, n)
+	}
+	if uint64(sc.gen)+uint64(gens) > math.MaxUint32 {
+		clear(sc.v)
+		sc.gen = 0
+	}
 }
 
 func putScratch(sc *searchScratch) { scratchPool.Put(sc) }
 
-// run executes the Dijkstra loop over the scratch arrays.
-func (sc *searchScratch) run(v graph.WeightedView, s, target graph.VertexID, opts *Options) {
-	weight := opts.weightFn(v)
-	sc.dist[s] = 0
-	pq := &sc.heap
-	pq.push(s, 0)
-	for pq.len() > 0 {
-		u, du := pq.pop()
-		if sc.settled[u] {
-			continue
-		}
-		sc.settled[u] = true
-		if u == target {
-			break
-		}
-		for _, a := range v.Neighbors(u) {
-			if sc.settled[a.To] || opts.vertexForbidden(a.To) || opts.edgeForbidden(a.Edge) {
-				continue
-			}
-			nd := du + weight(a.Edge)
-			if nd < sc.dist[a.To] {
-				sc.dist[a.To] = nd
-				sc.parent[a.To] = u
-				sc.parentEdge[a.To] = a.Edge
-				pq.push(a.To, nd)
-			}
+// newBans starts an empty ban set; earlier bans stop applying.
+func (sc *searchScratch) newBans() {
+	sc.gen++
+	sc.bans = sc.gen
+}
+
+// ban excludes u from searches until the next newBans: it can be neither
+// visited nor relaxed.  A search's own source is never excluded.
+func (sc *searchScratch) ban(u graph.VertexID) { sc.v[u].banned = sc.bans }
+
+// banCaller starts a ban set holding the caller's forbidden vertices.
+func (sc *searchScratch) banCaller(opts *Options) {
+	sc.newBans()
+	if opts == nil {
+		return
+	}
+	for u, forbidden := range opts.ForbiddenVertices {
+		if forbidden && uint(u) < uint(len(sc.v)) {
+			sc.ban(u)
 		}
 	}
 }
 
-// pathTo reconstructs the shortest path from s to t out of the scratch
-// arrays, allocating exactly the returned vertex slice.
-func (sc *searchScratch) pathTo(s, t graph.VertexID) (graph.Path, bool) {
-	if math.IsInf(sc.dist[t], 1) {
-		return graph.Path{}, false
-	}
-	depth := 0
-	for u := t; u != graph.NoVertex; u = sc.parent[u] {
-		depth++
-		if u == s {
+// run executes Dijkstra's algorithm from s under the current ban set.  If
+// target is a valid vertex the search stops once target is settled (its
+// distance is then exact; distances of unsettled vertices are upper bounds).
+// sourceBans lists edges that may not be taken out of s: Yen's deviation
+// edges all leave the spur vertex, so they are consulted only while s — the
+// first vertex settled — is expanded, not on every relaxed arc.
+func (sc *searchScratch) run(v graph.WeightedView, s, target graph.VertexID, weight WeightFunc, sourceBans []graph.EdgeID) {
+	sc.gen++
+	gen, bans := sc.gen, sc.bans
+	sc.search = gen
+	inf := math.Inf(1)
+	st := sc.v
+	st[s].dist, st[s].parent, st[s].parentEdge, st[s].reached = 0, graph.NoVertex, graph.NoEdge, gen
+	pq := &sc.heap
+	pq.reset()
+	pq.push(s, 0)
+	for pq.len() > 0 {
+		u, du := pq.pop()
+		if st[u].settled == gen {
+			continue
+		}
+		st[u].settled = gen
+		if u == target {
 			break
 		}
+		for _, a := range v.Neighbors(u) {
+			to := &st[a.To]
+			if to.settled == gen || to.banned == bans {
+				continue
+			}
+			if len(sourceBans) != 0 && slices.Contains(sourceBans, a.Edge) {
+				continue
+			}
+			nd := du + weight(a.Edge)
+			cur := inf
+			if to.reached == gen {
+				cur = to.dist
+			}
+			if nd < cur {
+				to.dist, to.parent, to.parentEdge, to.reached = nd, u, a.Edge, gen
+				pq.push(a.To, nd)
+			}
+		}
+		sourceBans = nil
 	}
-	verts := make([]graph.VertexID, depth)
-	i := depth - 1
-	for u := t; i >= 0; u = sc.parent[u] {
-		verts[i] = u
+}
+
+// distTo returns the latest run's distance to t, +Inf if it never reached t.
+func (sc *searchScratch) distTo(t graph.VertexID) float64 {
+	if st := &sc.v[t]; st.reached == sc.search {
+		return st.dist
+	}
+	return math.Inf(1)
+}
+
+// appendPath appends the latest run's shortest path from s to t to buf,
+// growing buf at most once.  It reports false if the run never reached t.
+func (sc *searchScratch) appendPath(buf []graph.VertexID, s, t graph.VertexID) ([]graph.VertexID, bool) {
+	if sc.v[t].reached != sc.search {
+		return buf, false
+	}
+	depth := 1
+	for u := t; u != s; u = sc.v[u].parent {
+		depth++
+	}
+	buf = slices.Grow(buf, depth)[:len(buf)+depth]
+	i := len(buf) - 1
+	for u := t; ; u = sc.v[u].parent {
+		buf[i] = u
+		if u == s {
+			return buf, true
+		}
 		i--
 	}
-	return graph.Path{Vertices: verts, Dist: sc.dist[t]}, true
 }

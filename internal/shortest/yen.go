@@ -1,200 +1,28 @@
 package shortest
 
 import (
-	"container/heap"
-	"sync"
-
 	"kspdg/internal/graph"
 )
 
-// yenScratch is the reusable per-call working state of Yen's deviation loop:
-// the ban maps rebuilt for every spur vertex, the candidate vertex buffer, and
-// the dedup set.  Reusing it turns the former per-spur map and key-string
-// allocations into cleared-map writes.
-type yenScratch struct {
-	banVerts   map[graph.VertexID]bool
-	banEdges   map[graph.EdgeID]bool
-	seen       graph.PathSet
-	totalBuf   []graph.VertexID
-	prefixDist []float64
-}
-
-func newYenScratch() *yenScratch {
-	return &yenScratch{
-		banVerts: make(map[graph.VertexID]bool),
-		banEdges: make(map[graph.EdgeID]bool),
-	}
-}
-
-// yenScratchPool recycles scratch state across Yen calls.  Parallel partial
-// searches (one goroutine per pair or per subgraph) each Get their own
-// scratch, so no two in-flight searches ever share buffers.  The ban maps are
-// cleared by resetBans at every spur iteration and the vertex buffers
-// self-truncate, so only the dedup set needs an explicit reset on reuse.
-var yenScratchPool = sync.Pool{New: func() interface{} { return newYenScratch() }}
-
-// resetBans clears the ban maps and seeds them from the caller's options.
-func (ys *yenScratch) resetBans(opts *Options) {
-	clear(ys.banVerts)
-	clear(ys.banEdges)
-	if opts != nil {
-		for u := range opts.ForbiddenVertices {
-			ys.banVerts[u] = true
-		}
-		for e := range opts.ForbiddenEdges {
-			ys.banEdges[e] = true
-		}
-	}
-}
-
-// fillPrefixDist computes the cumulative distance of every prefix of verts
-// under the search metric, so each spur iteration reads its root distance in
-// O(1) instead of re-walking the root path.
-func (ys *yenScratch) fillPrefixDist(v graph.WeightedView, verts []graph.VertexID, opts *Options) {
-	weight := opts.weightFn(v)
-	ys.prefixDist = append(ys.prefixDist[:0], 0)
-	for i := 0; i+1 < len(verts); i++ {
-		d := ys.prefixDist[i]
-		if e, ok := v.EdgeBetween(verts[i], verts[i+1]); ok {
-			d += weight(e)
-		}
-		ys.prefixDist = append(ys.prefixDist, d)
-	}
-}
-
-// deviate runs one round of Yen's deviation step: for every spur vertex of
-// prev, search a spur path avoiding the produced paths' deviation edges, and
-// push every new simple candidate onto the heap.  produced must contain prev
-// as its last element.
-func (ys *yenScratch) deviate(v graph.WeightedView, t graph.VertexID, produced []graph.Path, opts *Options, candidates *pathHeap) {
-	prev := produced[len(produced)-1]
-	ys.fillPrefixDist(v, prev.Vertices, opts)
-	spurOpts := &Options{ForbiddenVertices: ys.banVerts, ForbiddenEdges: ys.banEdges}
-	if opts != nil {
-		spurOpts.Weight = opts.Weight
-	}
-	for j := 0; j < prev.Len(); j++ {
-		spur := prev.Vertices[j]
-		rootVerts := prev.Vertices[:j+1]
-
-		ys.resetBans(opts)
-		// Ban the edge that each already-accepted path with the same root
-		// prefix takes out of the spur node, and the root vertices (except
-		// the spur node) so the spur path cannot loop back into the root.
-		for _, p := range produced {
-			if p.Len() > j && samePrefix(p.Vertices, rootVerts) {
-				if e, ok := v.EdgeBetween(p.Vertices[j], p.Vertices[j+1]); ok {
-					ys.banEdges[e] = true
-				}
-			}
-		}
-		for _, u := range rootVerts[:j] {
-			ys.banVerts[u] = true
-		}
-
-		spurPath, ok := ShortestPath(v, spur, t, spurOpts)
-		if !ok {
-			continue
-		}
-		// The root vertices (minus the spur node) were forbidden during the
-		// spur search, so the joined path is simple by construction; the scan
-		// is a cheap guard that costs no allocation, unlike the map-backed
-		// IsSimple it replaces.
-		if seqIntersects(rootVerts[:j], spurPath.Vertices) {
-			continue
-		}
-		ys.totalBuf = append(ys.totalBuf[:0], rootVerts...)
-		ys.totalBuf = append(ys.totalBuf, spurPath.Vertices[1:]...)
-		// Dedup before allocating: a duplicate candidate costs nothing.
-		if !ys.seen.AddSeq(ys.totalBuf) {
-			continue
-		}
-		total := graph.Path{
-			Vertices: append([]graph.VertexID(nil), ys.totalBuf...),
-			Dist:     ys.prefixDist[j] + spurPath.Dist,
-		}
-		heap.Push(candidates, total)
-	}
-}
-
 // Yen computes up to k shortest loopless (simple) paths from s to t in
 // ascending order of distance, following Yen's classic deviation algorithm
-// [Yen 1971].  Fewer than k paths are returned if the graph does not contain
-// k distinct simple paths from s to t.
+// [Yen 1971] with Lawler's rule (see Generator).  Fewer than k paths are
+// returned if the graph does not contain k distinct simple paths from s to t.
 //
 // opts applies to every underlying shortest path search: a custom weight
 // function affects the metric the paths are ranked by, and forbidden
 // vertices/edges are excluded everywhere (in addition to Yen's own deviation
 // bans).
 func Yen(v graph.WeightedView, s, t graph.VertexID, k int, opts *Options) []graph.Path {
-	if k <= 0 {
-		return nil
-	}
-	if s == t {
-		return []graph.Path{{Vertices: []graph.VertexID{s}}}
-	}
-	first, ok := ShortestPath(v, s, t, opts)
-	if !ok {
-		return nil
-	}
-	result := []graph.Path{first}
-	ys := yenScratchPool.Get().(*yenScratch)
-	ys.seen.Reset()
-	defer yenScratchPool.Put(ys)
-	ys.seen.Add(first)
-	candidates := &pathHeap{}
-	heap.Init(candidates)
-
-	for len(result) < k {
-		ys.deviate(v, t, result, opts, candidates)
-		if candidates.Len() == 0 {
+	g := pooledGenerator(v, s, t, opts)
+	for len(g.produced) < k {
+		if _, ok := g.Next(); !ok {
 			break
 		}
-		next := heap.Pop(candidates).(graph.Path)
-		result = append(result, next)
 	}
+	result := append([]graph.Path(nil), g.produced...)
+	g.recycle()
 	return result
-}
-
-// samePrefix reports whether p begins with exactly the vertices of prefix.
-func samePrefix(p, prefix []graph.VertexID) bool {
-	if len(p) < len(prefix) {
-		return false
-	}
-	for i := range prefix {
-		if p[i] != prefix[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// seqIntersects reports whether any vertex of a appears in b.  Paths are
-// short (tens of vertices), so the quadratic scan beats building a set.
-func seqIntersects(a, b []graph.VertexID) bool {
-	for _, u := range a {
-		for _, w := range b {
-			if u == w {
-				return true
-			}
-		}
-	}
-	return false
-}
-
-// pathHeap is a min-heap of candidate paths ordered by ComparePaths.
-type pathHeap []graph.Path
-
-func (h pathHeap) Len() int            { return len(h) }
-func (h pathHeap) Less(i, j int) bool  { return graph.ComparePaths(h[i], h[j]) < 0 }
-func (h pathHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *pathHeap) Push(x interface{}) { *h = append(*h, x.(graph.Path)) }
-func (h *pathHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	p := old[n-1]
-	*h = old[:n-1]
-	return p
 }
 
 // KShortestDistinctLengths returns the shortest paths from s to t whose
@@ -215,10 +43,14 @@ func KShortestDistinctLengths(v graph.WeightedView, s, t graph.VertexID, limit, 
 	if maxEnumerate < limit {
 		maxEnumerate = limit
 	}
-	all := Yen(v, s, t, maxEnumerate, opts)
+	g := pooledGenerator(v, s, t, opts)
 	var out []graph.Path
 	seen := make(map[int64]bool, limit)
-	for _, p := range all {
+	for len(g.produced) < maxEnumerate {
+		p, ok := g.Next()
+		if !ok {
+			break
+		}
 		// Path lengths under the vfrag metric are sums of integer initial
 		// weights; rounding guards against floating point noise.
 		key := int64(p.Dist*1000 + 0.5)
@@ -230,5 +62,6 @@ func KShortestDistinctLengths(v graph.WeightedView, s, t graph.VertexID, limit, 
 		}
 		out = append(out, p)
 	}
+	g.recycle()
 	return out
 }
