@@ -10,7 +10,7 @@
 //	kspbench -exp rpc -cpuprofile cpu.pprof -memprofile alloc.pprof
 //
 // Each experiment prints a plain-text table whose rows correspond to the
-// series the paper plots; EXPERIMENTS.md records a captured run.
+// series the paper plots.
 //
 // -check is the CI regression gate: it re-runs the experiment recorded in a
 // committed BENCH_<name>.json baseline with the baseline's exact parameters

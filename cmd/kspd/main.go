@@ -9,9 +9,7 @@
 // requests are tagged with IDs and multiplexed over a small connection pool
 // per worker (-pool), and partial-KSP pair requests from different concurrent
 // queries coalesce into shared batches (up to -batch-pairs pairs each) with
-// cross-query deduplication.  -transport selects the legacy serialized
-// transport, the multiplexed pipelined one, or the full batched pipeline
-// (default).
+// cross-query deduplication.
 //
 // Processes either derive the dataset and partition deterministically from
 // the shared flags, or — with -data-dir and -load-index — warm-start from a
@@ -118,12 +116,11 @@ func main() {
 		conc       = flag.Int("concurrency", 0, "query worker pool size (0 = GOMAXPROCS)")
 		maxIter    = flag.Int("max-iterations", 0, "hard cap on reference paths examined per query (0 = default 10000; master mode)")
 		stallWin   = flag.Int("stall-window", 0, "adaptive iteration budget: terminate a query near-exactly (reporting its bound gap) after this many iterations without bound-gap progress (0 = default 64, negative disables; master mode)")
-		transport  = flag.String("transport", "batched", "master-worker transport: serialized (legacy lock-step), pipelined (multiplexed, per-query fan-out), or batched (multiplexed + cross-query pair batching)")
-		pool       = flag.Int("pool", 2, "TCP connections per worker (pipelined and batched transports)")
-		replicas   = flag.Int("replicas", 1, "workers hosting each subgraph; >1 enables health-checked failover on the batched transport (must match between master and workers)")
+		pool       = flag.Int("pool", 2, "TCP connections per worker (master mode)")
+		replicas   = flag.Int("replicas", 1, "workers hosting each subgraph; >1 enables health-checked failover (must match between master and workers)")
 		hedgeAfter = flag.Duration("hedge-after", 0, "duplicate a partial-KSP batch to a replica when the primary is silent this long (master mode, needs -replicas > 1; 0 disables)")
 		pingEvery  = flag.Duration("ping-every", 500*time.Millisecond, "worker health-check probe interval (master mode with -replicas > 1; 0 leaves detection to the data path)")
-		batchPairs = flag.Int("batch-pairs", 0, "flush a coalesced partial-KSP batch at this many pairs (batched transport, 0 = default 64)")
+		batchPairs = flag.Int("batch-pairs", 0, "flush a coalesced partial-KSP batch at this many pairs (0 = default 64; master mode)")
 		dataDir    = flag.String("data-dir", "", "persistence directory for index snapshots and the update WAL")
 		saveIndex  = flag.Bool("save-index", false, "force a fresh snapshot in -data-dir after a warm start (cold starts with -data-dir always snapshot; master mode)")
 		loadIndex  = flag.Bool("load-index", false, "warm-start from the newest snapshot in -data-dir instead of deriving the dataset from flags")
@@ -202,7 +199,6 @@ func main() {
 			conc:       *conc,
 			maxIter:    *maxIter,
 			stallWin:   *stallWin,
-			transport:  *transport,
 			pool:       *pool,
 			replicas:   *replicas,
 			hedgeAfter: *hedgeAfter,
@@ -320,7 +316,6 @@ type masterConfig struct {
 	conc           int
 	maxIter        int
 	stallWin       int
-	transport      string
 	pool           int
 	replicas       int
 	hedgeAfter     time.Duration
@@ -445,17 +440,13 @@ func runMaster(cfg masterConfig) {
 	var broadcastTopo func(graph.TopologyUpdate) error
 	var member *cluster.Membership
 	if cfg.connect != "" {
-		copts := cluster.ClientOptions{PoolSize: cfg.pool}
-		if cfg.transport == "serialized" {
-			copts = cluster.ClientOptions{Serialize: true}
-		}
 		var remotes []*cluster.RemoteWorker
 		for _, addr := range strings.Split(cfg.connect, ",") {
 			addr = strings.TrimSpace(addr)
 			if addr == "" {
 				continue
 			}
-			rw, err := cluster.DialPool(addr, copts)
+			rw, err := cluster.DialPool(addr, cluster.ClientOptions{PoolSize: cfg.pool})
 			if err != nil {
 				fatal(err)
 			}
@@ -466,40 +457,6 @@ func runMaster(cfg masterConfig) {
 		if len(remotes) == 0 {
 			fatal(fmt.Errorf("-connect %q contains no worker addresses", cfg.connect))
 		}
-		switch cfg.transport {
-		case "serialized", "pipelined":
-			if cfg.replicas > 1 {
-				fatal(fmt.Errorf("-replicas %d needs the batched transport, not %q", cfg.replicas, cfg.transport))
-			}
-			provider = cluster.NewRemoteProvider(remotes)
-		case "batched":
-			if cfg.replicas > 1 {
-				table, err := cluster.AssignReplicas(part, len(remotes), cfg.replicas)
-				if err != nil {
-					fatal(err)
-				}
-				rp, err := cluster.NewReplicatedRemoteProvider(remotes, part, table, cluster.ReplicatedOptions{
-					Batch:      cfg.batch,
-					HedgeAfter: cfg.hedgeAfter,
-					PingEvery:  cfg.pingEvery,
-				})
-				if err != nil {
-					fatal(err)
-				}
-				defer rp.Close()
-				provider = rp
-				member = rp.Membership()
-				lg.Info("replication enabled", "factor", table.Factor(),
-					"hedge_after", cfg.hedgeAfter, "ping_every", cfg.pingEvery)
-			} else {
-				bp := cluster.NewBatchedRemoteProvider(remotes, cfg.batch)
-				defer bp.Close()
-				provider = bp
-			}
-		default:
-			fatal(fmt.Errorf("unknown -transport %q (want serialized, pipelined, or batched)", cfg.transport))
-		}
-		lg.Info("transport ready", "transport", cfg.transport, "pool", remotes[0].PoolSize())
 		broadcast = func(batch []graph.WeightUpdate) error {
 			for _, rw := range remotes {
 				if _, err := rw.ApplyUpdates(batch); err != nil {
@@ -509,6 +466,23 @@ func runMaster(cfg masterConfig) {
 			return nil
 		}
 		if cfg.replicas > 1 {
+			table, err := cluster.AssignReplicas(part, len(remotes), cfg.replicas)
+			if err != nil {
+				fatal(err)
+			}
+			rp, err := cluster.NewReplicatedRemoteProvider(remotes, part, table, cluster.ReplicatedOptions{
+				Batch:      cfg.batch,
+				HedgeAfter: cfg.hedgeAfter,
+				PingEvery:  cfg.pingEvery,
+			})
+			if err != nil {
+				fatal(err)
+			}
+			defer rp.Close()
+			provider = rp
+			member = rp.Membership()
+			lg.Info("replication enabled", "factor", table.Factor(),
+				"hedge_after", cfg.hedgeAfter, "ping_every", cfg.pingEvery)
 			// The replica table routes partial-KSP batches by subgraph; it is
 			// derived once from the pre-topology partition and failover-aware
 			// extension is not wired up yet, so topology mutations are
@@ -517,6 +491,9 @@ func runMaster(cfg masterConfig) {
 				return fmt.Errorf("kspd: topology updates over a replicated transport (-replicas > 1) are not supported; restart the fleet on the new graph instead")
 			}
 		} else {
+			bp := cluster.NewBatchedRemoteProvider(remotes, cfg.batch)
+			defer bp.Close()
+			provider = bp
 			nw := len(remotes)
 			broadcastTopo = func(up graph.TopologyUpdate) error {
 				req := cluster.TopologyUpdateRequest{Update: up, NumWorkers: nw, Factor: 1}

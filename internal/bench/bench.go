@@ -2,11 +2,10 @@
 // figure of the paper's evaluation (Section 6) against the scale-model
 // datasets.  Each experiment produces a Table whose rows mirror the series
 // the paper plots; absolute numbers differ from the paper (the substrate is a
-// laptop-scale simulator, see DESIGN.md), but the shapes — who wins, by what
-// factor, where the crossovers are — are expected to match.
+// laptop-scale simulator), but the shapes — who wins, by what factor, where
+// the crossovers are — are expected to match.
 //
-// The cmd/kspbench binary exposes every experiment on the command line;
-// EXPERIMENTS.md records a captured run next to the paper's reported trends.
+// The cmd/kspbench binary exposes every experiment on the command line.
 package bench
 
 import (
@@ -151,12 +150,12 @@ var registry = []experiment{
 	{"fig45", "Scalability comparison vs number of servers (NY, Figure 45)", (*Suite).Fig45},
 	{"fig46", "Relative speedups vs number of servers (Figure 46)", (*Suite).Fig46},
 	{"loadbalance", "Per-worker load spread (Section 6.6)", (*Suite).LoadBalance},
-	{"rpc", "Serialized vs pipelined vs batched master-worker transport", (*Suite).RPCTransports},
+	{"rpc", "Batched master-worker request pipeline over TCP", (*Suite).RPCPipeline},
 	{"scaling", "Queries/s vs worker parallelism on the batched rpc workload", (*Suite).Scaling},
 	{"gateway", "HTTP gateway latency percentiles under open-loop Poisson load", (*Suite).GatewayBench},
-	{"ablation-vfrag", "Ablation: vfrag bound vs edge-count bound (DESIGN.md #1)", (*Suite).AblationVfrag},
-	{"ablation-mfptree", "Ablation: EP-Index vs MFP-tree compression (DESIGN.md #3)", (*Suite).AblationMFPTree},
-	{"ablation-paircache", "Ablation: partial-path reuse across reference paths (DESIGN.md #4)", (*Suite).AblationPairCache},
+	{"ablation-vfrag", "Ablation: vfrag bound vs edge-count bound", (*Suite).AblationVfrag},
+	{"ablation-mfptree", "Ablation: EP-Index vs MFP-tree compression", (*Suite).AblationMFPTree},
+	{"ablation-paircache", "Ablation: partial-path reuse across reference paths", (*Suite).AblationPairCache},
 }
 
 // Experiments lists the available experiment names in report order.

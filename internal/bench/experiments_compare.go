@@ -44,7 +44,7 @@ func (s *Suite) comparisonVsNq(name, fig string) (*Table, error) {
 		t.AddRow(nq, kspdgTime, findTime, yenTime)
 	}
 	t.Notes = append(t.Notes,
-		fmt.Sprintf("k=%d, ξ=%d; the paper reports KSP-DG winning with the flattest growth — the crossover needs large networks, see EXPERIMENTS.md (Figures 35-38)", s.K, s.Xi))
+		fmt.Sprintf("k=%d, ξ=%d; the paper reports KSP-DG winning with the flattest growth — the crossover needs large networks (Figures 35-38)", s.K, s.Xi))
 	return t, nil
 }
 
@@ -89,7 +89,7 @@ func (s *Suite) Fig39() (*Table, error) {
 		}
 		t.AddRow(k, kspdgTime, findTime, yenTime)
 	}
-	t.Notes = append(t.Notes, "paper: Yen grows fastest with k while KSP-DG and FindKSP grow slowly; at small scales the centralized baselines keep a lower absolute cost (Figure 39, see EXPERIMENTS.md)")
+	t.Notes = append(t.Notes, "paper: Yen grows fastest with k while KSP-DG and FindKSP grow slowly; at small scales the centralized baselines keep a lower absolute cost (Figure 39)")
 	return t, nil
 }
 
@@ -117,7 +117,7 @@ func (s *Suite) Fig40() (*Table, error) {
 		}
 		t.AddRow(name, kspdgTime, candsTime)
 	}
-	t.Notes = append(t.Notes, "paper: CANDS's exact shortest-path index wins k=1 queries, while its maintenance loses badly (Figures 40-41); see EXPERIMENTS.md for how this reproduction differs at small scale")
+	t.Notes = append(t.Notes, "paper: CANDS's exact shortest-path index wins k=1 queries, while its maintenance loses badly (Figures 40-41); this reproduction differs at small scale")
 	return t, nil
 }
 

@@ -24,7 +24,7 @@ func (s *Suite) Table1() (*Table, error) {
 		t.AddRow(name, st.ds.Graph.NumVertices(), st.ds.Graph.NumEdges(), st.ds.DefaultZ,
 			pstats.NumSubgraphs, pstats.SubgraphsWithOver5Bnd, xstats.SkeletonVertices)
 	}
-	t.Notes = append(t.Notes, "scale-model datasets; paper sizes are 264K-14M vertices (see DESIGN.md substitutions)")
+	t.Notes = append(t.Notes, "scale-model datasets; paper sizes are 264K-14M vertices")
 	return t, nil
 }
 

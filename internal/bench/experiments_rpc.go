@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"kspdg/internal/cluster"
-	"kspdg/internal/core"
 	"kspdg/internal/dtlp"
 	"kspdg/internal/partition"
 	"kspdg/internal/rpcbatch"
@@ -13,54 +12,42 @@ import (
 	"kspdg/internal/workload"
 )
 
-// rpcInflight is the depth of the concurrent query pool the transport
-// comparison runs under — the regime where cross-query batching pays.
+// rpcInflight is the depth of the concurrent query pool the rpc experiment
+// runs under — the regime where cross-query batching pays.
 const rpcInflight = 8
 
-// RPCTransports compares the three master↔worker transports on the same
-// concurrent mixed workload, served by real TCP worker servers on loopback:
-//
-//   - serialized: the legacy transport — one connection per worker, one
-//     request at a time, every query fanning its pairs out alone;
-//   - pipelined: multiplexed request-ID framing over a small connection pool,
-//     many requests in flight per worker, still per-query fan-out;
-//   - batched: the pipelined transport plus per-worker rpcbatch queues that
-//     coalesce and dedupe pair requests across concurrent queries.
+// RPCPipeline measures the shipped master↔worker request path on a concurrent
+// mixed workload, served by real TCP worker servers on loopback: multiplexed
+// request-ID framing over a small connection pool per worker, with per-worker
+// rpcbatch queues that coalesce and dedupe pair requests across concurrent
+// queries.
 //
 // The workload is the serve layer's concurrent path: a pool of rpcInflight
 // query workers drains randomized queries while weight-update batches are
 // broadcast to the workers in between.
-func (s *Suite) RPCTransports() (*Table, error) {
+func (s *Suite) RPCPipeline() (*Table, error) {
 	table := &Table{
-		Columns: []string{"transport", "elapsed", "queries/s", "rpc_batches", "pairs_coalesced", "dedup_hits", "pair_cache_hits"},
+		Columns: []string{"elapsed", "queries/s", "rpc_batches", "pairs_coalesced", "dedup_hits", "pair_cache_hits"},
 	}
-	elapsed := make(map[string]time.Duration)
-	for _, mode := range []string{"serialized", "pipelined", "batched"} {
-		// Parallelism 0: each worker's executor defaults to GOMAXPROCS, the
-		// deployment default (see the scaling experiment for the sweep).
-		el, st, err := s.runRPCMode(mode, 0)
-		if err != nil {
-			return nil, fmt.Errorf("transport %s: %w", mode, err)
-		}
-		table.AddRow(mode, el, float64(s.Nq)/el.Seconds(), st.RPCBatches, st.PairsCoalesced, st.DedupHits, st.PairCacheHits)
-		elapsed[mode] = el
+	// Parallelism 0: each worker's executor defaults to GOMAXPROCS, the
+	// deployment default (see the scaling experiment for the sweep).
+	el, st, err := s.runRPC(0)
+	if err != nil {
+		return nil, err
 	}
+	table.AddRow(el, float64(s.Nq)/el.Seconds(), st.RPCBatches, st.PairsCoalesced, st.DedupHits, st.PairCacheHits)
 	table.Notes = append(table.Notes,
 		fmt.Sprintf("%d TCP workers on loopback, %d-deep query pool, mixed hotspot workload: %d queries (k=%d) + 3 update batches",
 			s.Workers, rpcInflight, s.Nq, s.K),
-		fmt.Sprintf("speedup over serialized: pipelined %.2fx, batched %.2fx",
-			elapsed["serialized"].Seconds()/elapsed["pipelined"].Seconds(),
-			elapsed["serialized"].Seconds()/elapsed["batched"].Seconds()),
-		"pipelining alone pays on multi-core hosts and real networks (it removes head-of-line blocking);",
-		"batching pays everywhere: coalesced flushes amortise the wire and the epoch-pinned pair memo",
-		"removes the repeated subgraph searches that overlapping queries would otherwise recompute.")
+		"coalesced flushes amortise the wire and the epoch-pinned pair memo removes the repeated",
+		"subgraph searches that overlapping queries would otherwise recompute.")
 	return table, nil
 }
 
-// runRPCMode deploys one transport mode end to end and replays the workload.
+// runRPC deploys the TCP pipeline end to end and replays the workload.
 // parallelism is each worker's partial-KSP executor width and the index's
 // update sharding width (0 = GOMAXPROCS).
-func (s *Suite) runRPCMode(mode string, parallelism int) (time.Duration, serve.Stats, error) {
+func (s *Suite) runRPC(parallelism int) (time.Duration, serve.Stats, error) {
 	ds, err := workload.BuiltinDataset("NY", s.Scale)
 	if err != nil {
 		return 0, serve.Stats{}, err
@@ -68,7 +55,7 @@ func (s *Suite) runRPCMode(mode string, parallelism int) (time.Duration, serve.S
 	// Large subgraphs put the deployment in the paper's query-cost regime:
 	// the skeleton (filter step) shrinks while each partial-KSP search
 	// (refine step) grows, so the master↔worker request path dominates query
-	// cost — exactly the traffic the transports differ on.
+	// cost.
 	z := ds.DefaultZ * 4
 	part, err := partition.PartitionGraph(ds.Graph, z)
 	if err != nil {
@@ -82,7 +69,7 @@ func (s *Suite) runRPCMode(mode string, parallelism int) (time.Duration, serve.S
 	// One TCP worker server per slot, each owning a round-robin share of the
 	// subgraphs.  The workers resolve epoch pins against the master's
 	// retained views (like the in-process cluster), so epoch-pinned requests
-	// are answered exactly and the batched transport may memoize them.
+	// are answered exactly and the provider may memoize them.
 	var servers []*cluster.Server
 	var remotes []*cluster.RemoteWorker
 	shutdown := func() {
@@ -110,28 +97,17 @@ func (s *Suite) runRPCMode(mode string, parallelism int) (time.Duration, serve.S
 		}
 		servers = append(servers, srv)
 	}
-	copts := cluster.ClientOptions{PoolSize: 2}
-	if mode == "serialized" {
-		copts = cluster.ClientOptions{Serialize: true}
-	}
 	for _, srv := range servers {
-		rw, err := cluster.DialPool(srv.Addr(), copts)
+		rw, err := cluster.DialPool(srv.Addr(), cluster.ClientOptions{PoolSize: 2})
 		if err != nil {
 			shutdown()
 			return 0, serve.Stats{}, err
 		}
 		remotes = append(remotes, rw)
 	}
-	var provider core.PartialProvider = cluster.NewRemoteProvider(remotes)
-	var bp *cluster.BatchedRemoteProvider
-	if mode == "batched" {
-		// The memo is opted in explicitly: these workers resolve epoch pins,
-		// so an epoch-pinned answer really is immutable.
-		bp = cluster.NewBatchedRemoteProvider(remotes, rpcbatch.Options{
-			CacheCapacity: 4096,
-		})
-		provider = bp
-	}
+	// The memo is opted in explicitly: these workers resolve epoch pins, so an
+	// epoch-pinned answer really is immutable.
+	provider := cluster.NewBatchedRemoteProvider(remotes, rpcbatch.Options{CacheCapacity: 4096})
 	server := serve.New(index, provider, serve.Options{
 		Workers: rpcInflight,
 		Engine:  s.engineOpts(),
@@ -140,7 +116,7 @@ func (s *Suite) runRPCMode(mode string, parallelism int) (time.Duration, serve.S
 	// Commute-shaped skew: many distinct sources head for a few hub
 	// destinations, so concurrent queries share refine pairs without being
 	// identical (identical queries would be absorbed by the serve layer's
-	// query cache in every mode).
+	// query cache).
 	queries := workload.NewQueryGenerator(ds.Graph.NumVertices(), s.Seed).HotspotBatch(s.Nq, 8, 0.9)
 	sc := workload.GenerateMixedWith(ds.Graph, queries, 3, s.K, 0.2, 0.3, s.Seed)
 	report, err := server.RunScenario(sc)
@@ -151,9 +127,7 @@ func (s *Suite) runRPCMode(mode string, parallelism int) (time.Duration, serve.S
 	}
 	stats := server.Stats()
 	server.Close()
-	if bp != nil {
-		bp.Close()
-	}
+	provider.Close()
 	shutdown()
 	if err != nil {
 		return 0, serve.Stats{}, err

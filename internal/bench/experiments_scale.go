@@ -131,7 +131,7 @@ func (s *Suite) Fig45() (*Table, error) {
 		}
 		t.AddRow(servers, kspdgTime, findTime, yenTime)
 	}
-	t.Notes = append(t.Notes, "paper: KSP-DG stays fastest for every cluster size; all three curves fall as servers are added (Figure 45, see EXPERIMENTS.md for the small-scale caveat)")
+	t.Notes = append(t.Notes, "paper: KSP-DG stays fastest for every cluster size; all three curves fall as servers are added (Figure 45; small scales keep the centralized baselines closer)")
 	return t, nil
 }
 

@@ -20,7 +20,7 @@ func (s *Suite) Scaling() (*Table, error) {
 	}
 	var base time.Duration
 	for _, par := range []int{1, 2, 4, 8} {
-		el, _, err := s.runRPCMode("batched", par)
+		el, _, err := s.runRPC(par)
 		if err != nil {
 			return nil, fmt.Errorf("parallelism %d: %w", par, err)
 		}

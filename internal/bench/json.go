@@ -14,8 +14,8 @@ import (
 // Metrics is the machine-readable record of one experiment run, written as
 // BENCH_<name>.json so the perf trajectory can be tracked across commits
 // instead of living only in captured plain-text tables.  Reference runs are
-// committed at the repository root (e.g. BENCH_rpc.json, the transport
-// comparison recorded by `kspbench -exp rpc -json .`); CI re-exercises the
+// committed at the repository root (e.g. BENCH_rpc.json, the TCP request
+// pipeline recorded by `kspbench -exp rpc -json .`); CI re-exercises the
 // emitter with tiny sizes on every push.  The naming is load-bearing: the
 // BENCH_ prefix is what downstream tooling greps for, so new experiments
 // should record their artifacts the same way.

@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"context"
-	"sort"
 	"sync"
 
 	"kspdg/internal/core"
@@ -12,54 +11,39 @@ import (
 	"kspdg/internal/trace"
 )
 
-// mergeSeenPool recycles the dedup sets used while merging partial paths
-// collected from several workers.
-var mergeSeenPool = sync.Pool{New: func() interface{} { return new(graph.PathSet) }}
-
-// mergePairPaths merges the partial paths collected for one pair (possibly
-// from several workers with replicated subgraph boundaries) into the k
-// shortest distinct paths.  The merge is in place: paths must be owned by the
-// caller and is clobbered.
-func mergePairPaths(paths []graph.Path, k int) []graph.Path {
-	sort.Slice(paths, func(i, j int) bool { return graph.ComparePaths(paths[i], paths[j]) < 0 })
-	seen := mergeSeenPool.Get().(*graph.PathSet)
-	seen.Reset()
-	defer mergeSeenPool.Put(seen)
-	dedup := paths[:0]
-	for _, p := range paths {
-		if !seen.Add(p) {
-			continue
+// tracedSender adapts one worker's partial-KSP call to the rpcbatch transport:
+// each batch is stamped with the context's trace identity, runs under an
+// "rpc" span naming worker w, and has the worker's execution spans grafted
+// back under it.  The returned paths alias the response's decoded arrays (see
+// DecodePaths) and must be treated as immutable.
+func tracedSender(w int, call func(PartialKSPRequest) (PartialKSPResponse, error)) rpcbatch.Sender {
+	return func(ctx context.Context, pairs []core.PairRequest, k int, epoch uint64, hasEpoch bool) (map[core.PairRequest][]graph.Path, bool, error) {
+		req := PartialKSPRequest{Pairs: pairs, K: k, Epoch: epoch, HasEpoch: hasEpoch}
+		s, _ := trace.StartSpan(ctx, "rpc")
+		s.SetAttrInt("worker", int64(w))
+		req.TraceID = s.Trace().ID()
+		resp, err := call(req)
+		if err != nil {
+			s.SetAttr("error", err.Error())
+			s.Finish()
+			return nil, false, err
 		}
-		dedup = append(dedup, p)
-		if len(dedup) == k {
-			break
+		s.Graft(resp.Spans)
+		s.Finish()
+		decoded := resp.DecodePaths()
+		out := make(map[core.PairRequest][]graph.Path, len(pairs))
+		for i, pr := range pairs[:min(len(pairs), len(decoded))] {
+			out[pr] = decoded[i]
 		}
+		return out, resp.ServedEpoch, nil
 	}
-	return dedup
 }
 
-// responseToMap converts a wire response back into per-pair path lists.  The
-// returned paths alias the response's decoded arrays (see DecodePaths) and
-// must be treated as immutable.
-func responseToMap(pairs []core.PairRequest, resp PartialKSPResponse) map[core.PairRequest][]graph.Path {
-	out := make(map[core.PairRequest][]graph.Path, len(pairs))
-	decoded := resp.DecodePaths()
-	for i, pr := range pairs {
-		if i >= len(decoded) {
-			continue
-		}
-		out[pr] = decoded[i]
-	}
-	return out
-}
-
-// batchedProvider is the asynchronous batching refine-step provider: pairs
-// are routed to per-worker rpcbatch queues where they coalesce with pairs
-// from other concurrent queries (same k and epoch) before travelling as one
-// PartialKSPRequest, and the scattered replies are merged per pair.  It
-// implements core.PartialProvider, core.ViewProvider and
-// core.AsyncPartialProvider, so engines overlap the next filter step with the
-// in-flight refine.
+// batchedProvider is the refine-step provider of every deployment with
+// workers: pairs are routed to per-worker rpcbatch queues where they coalesce
+// with pairs from other concurrent queries (same k and epoch) before
+// travelling as one PartialKSPRequest, and the scattered replies are merged
+// per pair.  It implements core.PartialProvider.
 type batchedProvider struct {
 	batchers []*rpcbatch.Batcher
 	// route returns the worker indices that must be asked about a pair.
@@ -75,37 +59,17 @@ func newBatchedProvider(senders []rpcbatch.Sender, route func(core.PairRequest) 
 	return bp
 }
 
-// PartialKSP implements core.PartialProvider against the workers' live
-// weights.
-func (bp *batchedProvider) PartialKSP(pairs []core.PairRequest, k int) (map[core.PairRequest][]graph.Path, error) {
-	reply := <-bp.async(context.Background(), pairs, k, 0, false)
-	return reply.Paths, reply.Err
-}
-
-// PartialKSPView implements core.ViewProvider: requests are pinned to the
-// query's epoch, and only coalesce with other requests for the same epoch.
-func (bp *batchedProvider) PartialKSPView(iv *dtlp.IndexView, pairs []core.PairRequest, k int) (map[core.PairRequest][]graph.Path, error) {
-	reply := <-bp.async(context.Background(), pairs, k, iv.Epoch(), true)
-	return reply.Paths, reply.Err
-}
-
-// PartialKSPAsync implements core.AsyncPartialProvider.
-func (bp *batchedProvider) PartialKSPAsync(iv *dtlp.IndexView, pairs []core.PairRequest, k int) <-chan core.AsyncPartialReply {
-	return bp.PartialKSPAsyncCtx(context.Background(), iv, pairs, k)
-}
-
-// PartialKSPAsyncCtx implements core.CtxAsyncPartialProvider: the context's
-// trace span (if any) owns the coalesce-wait and batch spans the request
-// produces downstream.  Cancellation is not consumed here — the engine already
-// stops between iterations, and shipped pairs may serve other queries.
+// PartialKSPAsyncCtx implements core.PartialProvider.  Requests with a view
+// are pinned to its epoch and only coalesce with other requests for the same
+// epoch.  The context's trace span (if any) owns the coalesce-wait and batch
+// spans the request produces downstream; cancellation is not consumed here —
+// the engine already stops between iterations, and shipped pairs may serve
+// other queries.
 func (bp *batchedProvider) PartialKSPAsyncCtx(ctx context.Context, iv *dtlp.IndexView, pairs []core.PairRequest, k int) <-chan core.AsyncPartialReply {
-	if iv == nil {
-		return bp.async(ctx, pairs, k, 0, false)
+	var epoch uint64
+	if iv != nil {
+		epoch = iv.Epoch()
 	}
-	return bp.async(ctx, pairs, k, iv.Epoch(), true)
-}
-
-func (bp *batchedProvider) async(ctx context.Context, pairs []core.PairRequest, k int, epoch uint64, hasEpoch bool) <-chan core.AsyncPartialReply {
 	out := make(chan core.AsyncPartialReply, 1)
 	result := make(map[core.PairRequest][]graph.Path, len(pairs))
 	perWorker := make(map[int][]core.PairRequest)
@@ -125,10 +89,10 @@ func (bp *batchedProvider) async(ctx context.Context, pairs []core.PairRequest, 
 	}
 	var replies []pendingReply
 	for w, prs := range perWorker {
-		replies = append(replies, pendingReply{pairs: prs, ch: bp.batchers[w].DoAsyncCtx(ctx, prs, k, epoch, hasEpoch)})
+		replies = append(replies, pendingReply{pairs: prs, ch: bp.batchers[w].DoAsyncCtx(ctx, prs, k, epoch, iv != nil)})
 	}
 	go func() {
-		collected := make(map[core.PairRequest][]graph.Path, len(pairs))
+		collected := make(map[core.PairRequest][]graph.Path, len(result))
 		var firstErr error
 		for _, pend := range replies {
 			res := <-pend.ch
@@ -148,7 +112,7 @@ func (bp *batchedProvider) async(ctx context.Context, pairs []core.PairRequest, 
 		}
 		for pr, paths := range collected {
 			if len(paths) > 0 {
-				result[pr] = mergePairPaths(paths, k)
+				result[pr] = core.MergePaths(paths, k)
 			}
 		}
 		out <- core.AsyncPartialReply{Paths: result}
@@ -178,10 +142,11 @@ func (bp *batchedProvider) Close() {
 	wg.Wait()
 }
 
-// BatchedRemoteProvider is the batched transport over TCP workers: one
-// rpcbatch queue per RemoteWorker, with every pair broadcast to all workers
-// (each answers for the subgraphs it owns, mirroring RemoteProvider).  On top
-// of the multiplexed connections this turns the request path into a full
+// BatchedRemoteProvider is the refine-step provider over TCP workers: one
+// rpcbatch queue per RemoteWorker, with every pair broadcast to all workers —
+// each answers for the subgraphs it owns, mirroring how the Storm deployment
+// broadcasts the reference path to all SubgraphBolts (Section 6.1, Step 2).
+// On top of the multiplexed connections this makes the request path a full
 // asynchronous pipeline: concurrent queries' pairs coalesce into shared
 // batches, identical pairs are deduplicated, and many batches are in flight
 // per worker at once.
@@ -206,23 +171,7 @@ func NewBatchedRemoteProvider(workers []*RemoteWorker, opts rpcbatch.Options) *B
 	}
 	senders := make([]rpcbatch.Sender, len(workers))
 	for i, rw := range workers {
-		i, rw := i, rw
-		senders[i] = func(ctx context.Context, pairs []core.PairRequest, k int, epoch uint64, hasEpoch bool) (map[core.PairRequest][]graph.Path, bool, error) {
-			req := PartialKSPRequest{Pairs: pairs, K: k, Epoch: epoch, HasEpoch: hasEpoch}
-			s, _ := trace.StartSpan(ctx, "rpc")
-			s.SetAttrInt("worker", int64(i))
-			req.TraceID = s.Trace().ID()
-			req.SpanID = s.ID()
-			resp, err := rw.PartialKSP(req)
-			if err != nil {
-				s.SetAttr("error", err.Error())
-				s.Finish()
-				return nil, false, err
-			}
-			s.Graft(resp.Spans)
-			s.Finish()
-			return responseToMap(pairs, resp), resp.ServedEpoch, nil
-		}
+		senders[i] = tracedSender(i, rw.PartialKSP)
 	}
 	all := make([]int, len(workers))
 	for i := range all {

@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"bytes"
-	"context"
 	"encoding/gob"
 	"fmt"
 	"sync"
@@ -13,7 +12,6 @@ import (
 	"kspdg/internal/graph"
 	"kspdg/internal/partition"
 	"kspdg/internal/rpcbatch"
-	"kspdg/internal/trace"
 	"kspdg/internal/workload"
 )
 
@@ -126,29 +124,17 @@ func New(index *dtlp.Index, cfg Config) (*Cluster, error) {
 	// this cluster: pair requests from different concurrent queries (same
 	// epoch) coalesce into one PartialKSPRequest per flush.
 	senders := make([]rpcbatch.Sender, cfg.NumWorkers)
-	for w := 0; w < cfg.NumWorkers; w++ {
-		senders[w] = c.workerSender(w)
+	for w, worker := range c.workers {
+		// The same message accounting the TCP deployment would incur.
+		senders[w] = tracedSender(w, func(req PartialKSPRequest) (PartialKSPResponse, error) {
+			c.account(req)
+			resp := worker.HandlePartialKSP(req)
+			c.account(resp)
+			return resp, nil
+		})
 	}
 	c.provider = newBatchedProvider(senders, c.routePair, cfg.Batch)
 	return c, nil
-}
-
-// workerSender adapts one in-process worker to the rpcbatch transport, with
-// the same message accounting the TCP deployment would incur.
-func (c *Cluster) workerSender(w int) rpcbatch.Sender {
-	return func(ctx context.Context, pairs []core.PairRequest, k int, epoch uint64, hasEpoch bool) (map[core.PairRequest][]graph.Path, bool, error) {
-		req := PartialKSPRequest{Pairs: pairs, K: k, Epoch: epoch, HasEpoch: hasEpoch}
-		s, _ := trace.StartSpan(ctx, "rpc")
-		s.SetAttrInt("worker", int64(w))
-		req.TraceID = s.Trace().ID()
-		req.SpanID = s.ID()
-		c.account(req)
-		resp := c.workers[w].HandlePartialKSP(req)
-		c.account(resp)
-		s.Graft(resp.Spans)
-		s.Finish()
-		return responseToMap(pairs, resp), resp.ServedEpoch, nil
-	}
 }
 
 // routePair returns the primary worker of every subgraph containing both
@@ -188,8 +174,7 @@ func (c *Cluster) ReplicaTable() *ReplicaTable { return c.table }
 // from different concurrent queries coalesce (and dedupe) before being
 // shipped to the workers owning the relevant subgraphs.  The provider is
 // shared across all engines built on this cluster — that sharing is what
-// makes cross-query batching possible.  It implements core.PartialProvider,
-// core.ViewProvider and core.AsyncPartialProvider.
+// makes cross-query batching possible.
 func (c *Cluster) Provider() core.PartialProvider { return c.provider }
 
 // Engine builds a KSP-DG engine whose refine step runs on this cluster.

@@ -9,6 +9,7 @@ import (
 	"kspdg/internal/dtlp"
 	"kspdg/internal/graph"
 	"kspdg/internal/partition"
+	"kspdg/internal/rpcbatch"
 	"kspdg/internal/testutil"
 	"kspdg/internal/workload"
 )
@@ -232,7 +233,7 @@ func TestRemoteWorkerRoundTrip(t *testing.T) {
 	}
 	defer srv.Close()
 
-	rw, err := Dial(srv.Addr())
+	rw, err := DialPool(srv.Addr(), ClientOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -274,12 +275,13 @@ func TestRemoteProviderQueryMatchesOracle(t *testing.T) {
 	}{
 		{"pool1", ClientOptions{}},
 		{"pool3", ClientOptions{PoolSize: 3}},
-		{"serialized", ClientOptions{Serialize: true}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			x, remotes, cleanup := remoteOracleDeployment(t, tc.opts)
 			defer cleanup()
-			engine := core.NewEngine(x, NewRemoteProvider(remotes), core.Options{})
+			bp := NewBatchedRemoteProvider(remotes, rpcbatch.Options{})
+			defer bp.Close()
+			engine := core.NewEngine(x, bp, core.Options{})
 			res, err := engine.Query(testutil.V1, testutil.V19, 3)
 			if err != nil {
 				t.Fatal(err)

@@ -76,11 +76,11 @@ type ReplicatedOptions struct {
 // reachable replica.
 type ReplicatedRemoteProvider struct {
 	*batchedProvider
-	callers []partialCaller
-	part    *partition.Partition
-	table   *ReplicaTable
-	member  *Membership
-	opts    ReplicatedOptions
+	calls  []rpcbatch.Sender // one traced transport call per worker
+	part   *partition.Partition
+	table  *ReplicaTable
+	member *Membership
+	opts   ReplicatedOptions
 
 	failovers atomic.Int64
 	hedged    atomic.Int64
@@ -114,10 +114,9 @@ func newReplicatedProvider(callers []partialCaller, part *partition.Partition, t
 		opts.Batch.CacheCapacity = -1
 	}
 	rp := &ReplicatedRemoteProvider{
-		callers: callers,
-		part:    part,
-		table:   table,
-		opts:    opts,
+		part:  part,
+		table: table,
+		opts:  opts,
 	}
 	rp.member = NewMembership(len(callers), MembershipOptions{
 		SuspectAfter: opts.SuspectAfter,
@@ -126,7 +125,8 @@ func newReplicatedProvider(callers []partialCaller, part *partition.Partition, t
 		Ping:         ping,
 	})
 	senders := make([]rpcbatch.Sender, len(callers))
-	for w := range callers {
+	for w, c := range callers {
+		rp.calls = append(rp.calls, tracedSender(w, c.PartialKSP))
 		senders[w] = rp.sender(w)
 	}
 	rp.batchedProvider = newBatchedProvider(senders, rp.route, opts.Batch)
@@ -215,26 +215,16 @@ func (rp *ReplicatedRemoteProvider) sender(w int) rpcbatch.Sender {
 	}
 }
 
-// callWorker performs one transport call and feeds the failure detector.  A
-// traced context stamps the request with the trace identity and grafts the
-// worker's execution spans under a per-call "rpc" span.
+// callWorker performs one traced transport call (see tracedSender) and feeds
+// the failure detector.
 func (rp *ReplicatedRemoteProvider) callWorker(ctx context.Context, w int, pairs []core.PairRequest, k int, epoch uint64, hasEpoch bool) (map[core.PairRequest][]graph.Path, bool, error) {
-	req := PartialKSPRequest{Pairs: pairs, K: k, Epoch: epoch, HasEpoch: hasEpoch}
-	s, _ := trace.StartSpan(ctx, "rpc")
-	s.SetAttrInt("worker", int64(w))
-	req.TraceID = s.Trace().ID()
-	req.SpanID = s.ID()
-	resp, err := rp.callers[w].PartialKSP(req)
+	paths, pinned, err := rp.calls[w](ctx, pairs, k, epoch, hasEpoch)
 	if err != nil {
-		s.SetAttr("error", err.Error())
-		s.Finish()
 		rp.member.ReportFailure(w)
-		return nil, false, err
+	} else {
+		rp.member.ReportSuccess(w)
 	}
-	s.Graft(resp.Spans)
-	s.Finish()
-	rp.member.ReportSuccess(w)
-	return responseToMap(pairs, resp), resp.ServedEpoch, nil
+	return paths, pinned, err
 }
 
 // outcome is one dispatch attempt's result in a hedge race.
@@ -379,7 +369,7 @@ func (rp *ReplicatedRemoteProvider) replicaDispatch(ctx context.Context, pairs [
 		wg.Wait()
 		// A retried pair is re-covered across ALL its common subgraphs, not
 		// just the failed worker's share, so a second failure mid-failover
-		// can recompute subgraphs that already answered (mergePairPaths
+		// can recompute subgraphs that already answered (core.MergePaths
 		// dedups them).  Tracking per-(pair, subgraph) coverage would avoid
 		// the duplicate work but only pays on the double-failure path.
 		retry := make(map[core.PairRequest]bool)
@@ -403,7 +393,7 @@ func (rp *ReplicatedRemoteProvider) replicaDispatch(ctx context.Context, pairs [
 	}
 	for pr, ps := range merged {
 		if len(ps) > 0 {
-			merged[pr] = mergePairPaths(ps, k)
+			merged[pr] = core.MergePaths(ps, k)
 		}
 	}
 	return merged, pinned, nil

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math"
@@ -117,10 +118,18 @@ func samePaths(t *testing.T, got, want map[core.PairRequest][]graph.Path) {
 // so the provider's merged answer must equal the local computation).
 func referenceAnswers(part *partition.Partition, pairs []core.PairRequest, k int) map[core.PairRequest][]graph.Path {
 	want := make(map[core.PairRequest][]graph.Path, len(pairs))
+	part, weights := core.RefineSource(part, nil)
 	for _, pr := range pairs {
-		want[pr] = core.PartialKSPForPair(part, pr, k)
+		want[pr] = core.RefinePair(part, pr, k, weights, nil, 1)
 	}
 	return want
+}
+
+// refine issues one refine request and waits for its reply (a nil view asks
+// for the live weights).
+func refine(p core.PartialProvider, iv *dtlp.IndexView, pairs []core.PairRequest, k int) (map[core.PairRequest][]graph.Path, error) {
+	reply := <-p.PartialKSPAsyncCtx(context.Background(), iv, pairs, k)
+	return reply.Paths, reply.Err
 }
 
 func TestReplicatedProviderFailsOverWhenWorkerDies(t *testing.T) {
@@ -130,7 +139,7 @@ func TestReplicatedProviderFailsOverWhenWorkerDies(t *testing.T) {
 	pairs := somePairs(t, part, 4)
 	want := referenceAnswers(part, pairs, 3)
 
-	got, err := rp.PartialKSP(pairs, 3)
+	got, err := refine(rp, nil, pairs, 3)
 	if err != nil {
 		t.Fatalf("healthy deployment: %v", err)
 	}
@@ -138,7 +147,7 @@ func TestReplicatedProviderFailsOverWhenWorkerDies(t *testing.T) {
 
 	// Kill worker 0: every pair must still be answered, via the replica.
 	fakes[0].setFail(true)
-	got, err = rp.PartialKSP(pairs, 3)
+	got, err = refine(rp, nil, pairs, 3)
 	if err != nil {
 		t.Fatalf("with worker 0 dead: %v", err)
 	}
@@ -152,7 +161,7 @@ func TestReplicatedProviderFailsOverWhenWorkerDies(t *testing.T) {
 
 	// Later batches route around the suspected worker: answers keep flowing
 	// without growing the failover count per call indefinitely.
-	got, err = rp.PartialKSP(pairs, 3)
+	got, err = refine(rp, nil, pairs, 3)
 	if err != nil {
 		t.Fatalf("steady state with worker 0 dead: %v", err)
 	}
@@ -160,7 +169,7 @@ func TestReplicatedProviderFailsOverWhenWorkerDies(t *testing.T) {
 
 	// Worker 0 rejoins; one successful call restores it.
 	fakes[0].setFail(false)
-	if _, err := rp.PartialKSP(pairs, 3); err != nil {
+	if _, err := refine(rp, nil, pairs, 3); err != nil {
 		t.Fatalf("after rejoin: %v", err)
 	}
 }
@@ -178,7 +187,7 @@ func TestReplicatedProviderAllReplicasDownFailsFast(t *testing.T) {
 	}
 	done := make(chan result, 1)
 	go func() {
-		_, err := rp.PartialKSP(pairs, 2)
+		_, err := refine(rp, nil, pairs, 2)
 		done <- result{err: err}
 	}()
 	select {
@@ -203,7 +212,7 @@ func TestReplicatedProviderHedgedRequestBothAnswer(t *testing.T) {
 	// Both workers answer, worker 0 slowly: batches to worker 0 hedge onto
 	// worker 1, the fast copy wins, and the slow copy's reply is dropped.
 	fakes[0].setDelay(40 * time.Millisecond)
-	got, err := rp.PartialKSP(pairs, 3)
+	got, err := refine(rp, nil, pairs, 3)
 	if err != nil {
 		t.Fatalf("hedged query: %v", err)
 	}
@@ -212,7 +221,7 @@ func TestReplicatedProviderHedgedRequestBothAnswer(t *testing.T) {
 	// Accounting stays conserved after the race: a fresh request still gets
 	// exactly one correct answer per pair.
 	fakes[0].setDelay(0)
-	got, err = rp.PartialKSP(pairs, 3)
+	got, err = refine(rp, nil, pairs, 3)
 	if err != nil {
 		t.Fatalf("query after hedge race: %v", err)
 	}
@@ -252,12 +261,12 @@ func TestReplicatedProviderStaleEpochRejoinDoesNotPoisonMemo(t *testing.T) {
 
 	// Healthy phase: pinned answers come from resolving workers and are
 	// memoized — the second identical request never hits the wire.
-	first, err := rp.PartialKSPView(iv, p1, 2)
+	first, err := refine(rp, iv, p1, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	wireBefore := fakes[0].calls.Load() + fakes[1].calls.Load()
-	second, err := rp.PartialKSPView(iv, p1, 2)
+	second, err := refine(rp, iv, p1, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -275,7 +284,7 @@ func TestReplicatedProviderStaleEpochRejoinDoesNotPoisonMemo(t *testing.T) {
 	fakes[0].setWorker(NewWorker(0, part, rt.OwnedBy(0)))
 
 	hitsBefore := rp.BatchStats().CacheHits
-	r1, err := rp.PartialKSPView(iv, p2, 2)
+	r1, err := refine(rp, iv, p2, 2)
 	if err != nil {
 		t.Fatalf("pinned request against the rejoined worker: %v", err)
 	}
@@ -286,7 +295,7 @@ func TestReplicatedProviderStaleEpochRejoinDoesNotPoisonMemo(t *testing.T) {
 	// The unpinned fallback answer must NOT have been memoized as if it were
 	// frozen at the epoch: the identical request goes to the wire again.
 	wireBefore = fakes[0].calls.Load()
-	r2, err := rp.PartialKSPView(iv, p2, 2)
+	r2, err := refine(rp, iv, p2, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -346,7 +355,7 @@ func TestReplicatedProviderConcurrentChurn(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for j := 0; j < 8; j++ {
-				got, err := rp.PartialKSP(pairs, 2)
+				got, err := refine(rp, nil, pairs, 2)
 				if err != nil {
 					continue // clean failure under churn is acceptable
 				}
@@ -378,7 +387,7 @@ func TestReplicatedProviderConcurrentChurn(t *testing.T) {
 	for _, f := range fakes {
 		f.setFail(false)
 	}
-	got, err := rp.PartialKSP(pairs, 2)
+	got, err := refine(rp, nil, pairs, 2)
 	if err != nil {
 		t.Fatalf("after churn: %v", err)
 	}

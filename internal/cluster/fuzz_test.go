@@ -22,7 +22,7 @@ func FuzzWireRoundTrip(f *testing.F) {
 	f.Add("stats", int64(0), int32(0), int32(0), uint64(0), false, 0.0, uint8(0))
 	f.Add("shutdown", int64(0), int32(0), int32(0), uint64(0), false, 0.0, uint8(0))
 	f.Fuzz(func(t *testing.T, kind string, k int64, a, b int32, epoch uint64, hasEpoch bool, dist float64, n uint8) {
-		env := envelope{Kind: kind}
+		env := envelope{ID: epoch}
 		switch kind {
 		case "partial":
 			req := &PartialKSPRequest{K: int(k), Epoch: epoch, HasEpoch: hasEpoch}
@@ -60,9 +60,13 @@ func FuzzWireRoundTrip(f *testing.F) {
 		}
 
 		rep := replyEnvelope{
-			Partial: &PartialKSPResponse{Results: [][]PathMsg{{
-				{Vertices: []graph.VertexID{graph.VertexID(a), graph.VertexID(b)}, Dist: dist},
-			}}},
+			ID: epoch,
+			Partial: &PartialKSPResponse{Flat: &FlatPaths{
+				Verts:  []graph.VertexID{graph.VertexID(a), graph.VertexID(b)},
+				Lens:   []int32{2},
+				Dists:  []float64{dist},
+				Counts: []int32{1},
+			}},
 			Update: &WeightUpdateResponse{PathsTouched: int(n)},
 			Stats:  &StatsResponse{Worker: int(a), Subgraphs: int(n), PairsServed: int(k)},
 		}
@@ -74,7 +78,7 @@ func FuzzWireRoundTrip(f *testing.F) {
 		if err != nil {
 			t.Fatalf("unmarshal reply: %v", err)
 		}
-		if !reflect.DeepEqual(normalizeReply(rep), normalizeReply(rgot)) {
+		if !reflect.DeepEqual(rep, rgot) {
 			t.Fatalf("reply round trip changed the message:\n sent %+v\n got  %+v", rep, rgot)
 		}
 	})
@@ -99,17 +103,6 @@ func normalizeEnvelope(e envelope) envelope {
 	return e
 }
 
-func normalizeReply(r replyEnvelope) replyEnvelope {
-	if r.Partial != nil {
-		p := *r.Partial
-		if len(p.Results) == 0 {
-			p.Results = nil
-		}
-		r.Partial = &p
-	}
-	return r
-}
-
 // FuzzFramedEnvelope attacks the request-ID framing from the reply side: the
 // client's demultiplexing reader is fed adversarial reply streams — valid
 // replies with reordered IDs, duplicate IDs, IDs that were never registered,
@@ -122,9 +115,14 @@ func FuzzFramedEnvelope(f *testing.F) {
 		var buf bytes.Buffer
 		enc := gob.NewEncoder(&buf)
 		for _, id := range ids {
-			_ = enc.Encode(replyEnvelope{ID: id, Partial: &PartialKSPResponse{
-				Results: [][]PathMsg{{{Vertices: []graph.VertexID{1, 2}, Dist: 1.5}}},
-			}})
+			// Lens overruns Verts: a truncated Flat must decode to its
+			// well-formed prefix, never panic (see DecodePaths).
+			_ = enc.Encode(replyEnvelope{ID: id, Partial: &PartialKSPResponse{Flat: &FlatPaths{
+				Verts:  []graph.VertexID{1, 2},
+				Lens:   []int32{2, 3},
+				Dists:  []float64{1.5},
+				Counts: []int32{1, 1},
+			}}})
 		}
 		return buf.Bytes()
 	}
@@ -132,6 +130,7 @@ func FuzzFramedEnvelope(f *testing.F) {
 	f.Add(mkStream(3, 2, 1), uint8(3), uint16(7))  // reordered, truncated tail
 	f.Add(mkStream(2, 2, 1), uint8(2), uint16(0))  // duplicate ID
 	f.Add(mkStream(9, 0, 12), uint8(4), uint16(3)) // unknown and zero IDs
+	f.Add(mkStream(0), uint8(1), uint16(0))        // a lone zero-ID envelope: no call owns it
 	f.Add([]byte{0x00, 0x01, 0xff, 0xfe}, uint8(2), uint16(0))
 	f.Fuzz(func(t *testing.T, stream []byte, nReg uint8, cut uint16) {
 		if len(stream) > 0 {
@@ -159,6 +158,9 @@ func FuzzFramedEnvelope(f *testing.F) {
 				if res.err == nil && res.rep.ID != id {
 					t.Fatalf("call %d received reply with ID %d", id, res.rep.ID)
 				}
+				if res.err == nil && res.rep.Partial != nil {
+					_ = res.rep.Partial.DecodePaths() // adversarial arrays must not panic
+				}
 			default:
 				t.Fatalf("call %d has no outcome after teardown", id)
 			}
@@ -176,11 +178,12 @@ func FuzzFramedEnvelope(f *testing.F) {
 // re-encode and decode to the same message (no lossy acceptance).
 func FuzzEnvelopeDecode(f *testing.F) {
 	for _, env := range []envelope{
-		{Kind: "partial", Partial: &PartialKSPRequest{K: 2, Pairs: []core.PairRequest{{A: 1, B: 2}}}},
-		{Kind: "partial", Partial: &PartialKSPRequest{K: 1, Epoch: 7, HasEpoch: true}},
-		{Kind: "update", Update: &WeightUpdateRequest{Updates: []graph.WeightUpdate{{Edge: 3, NewWeight: 1.5}}}},
-		{Kind: "stats", Stats: &StatsRequest{}},
-		{Kind: "shutdown", Shutdown: true},
+		{ID: 1, Partial: &PartialKSPRequest{K: 2, Pairs: []core.PairRequest{{A: 1, B: 2}}}},
+		{ID: 2, Partial: &PartialKSPRequest{K: 1, Epoch: 7, HasEpoch: true}},
+		{ID: 3, Update: &WeightUpdateRequest{Updates: []graph.WeightUpdate{{Edge: 3, NewWeight: 1.5}}}},
+		{ID: 4, Stats: &StatsRequest{}},
+		{ID: 5, Shutdown: true},
+		{Ping: true}, // zero ID: not special on the wire
 	} {
 		data, err := marshalEnvelope(env)
 		if err != nil {

@@ -5,16 +5,18 @@
 // indexes), and QueryBolts (workers holding a replica of the skeleton graph
 // and driving the filter/refine iterations of their assigned queries).
 //
-// This package reproduces that topology with two interchangeable transports:
+// This package reproduces that topology in two deployments of the same
+// workers:
 //
 //   - an in-process cluster (Cluster) where workers are goroutine-backed
 //     nodes exchanging the same messages through direct calls, used by the
 //     benchmarks to study scaling with the number of workers; and
-//   - a TCP transport (Serve / RemoteWorker) with gob-encoded messages, used
+//   - a TCP deployment (Serve / RemoteWorker) with gob-encoded messages, used
 //     by cmd/kspd to run real worker processes on a network.
 //
-// Both transports serve the refine step through core.PartialProvider, so the
-// KSP-DG engine is oblivious to where the subgraphs live.
+// Both serve the refine step through core.PartialProvider behind per-worker
+// rpcbatch queues, so the KSP-DG engine is oblivious to where the subgraphs
+// live.
 package cluster
 
 import (
@@ -25,20 +27,6 @@ import (
 	"kspdg/internal/graph"
 	"kspdg/internal/trace"
 )
-
-// PathMsg is the wire representation of a path.
-type PathMsg struct {
-	Vertices []graph.VertexID
-	Dist     float64
-}
-
-func toPathMsg(p graph.Path) PathMsg {
-	return PathMsg{Vertices: p.Vertices, Dist: p.Dist}
-}
-
-func fromPathMsg(m PathMsg) graph.Path {
-	return graph.Path{Vertices: m.Vertices, Dist: m.Dist}
-}
 
 // PartialKSPRequest asks a worker for partial k shortest paths for the pairs
 // it owns subgraphs for.
@@ -54,13 +42,11 @@ type PartialKSPRequest struct {
 	// consistent behaviour of the paper's Storm deployment.
 	Epoch    uint64
 	HasEpoch bool
-	// TraceID/SpanID carry the master-side trace identity so the worker's
+	// TraceID carries the master-side trace identity so the worker's
 	// execution spans stitch into the same trace (see internal/trace).  A
 	// zero TraceID means the request is untraced and the worker records
-	// nothing; legacy peers never set the fields (gob tolerates additions),
-	// which decodes as exactly that.
+	// nothing.
 	TraceID uint64
-	SpanID  uint64
 }
 
 // FlatPaths is the copy-free wire encoding of a response's paths: every
@@ -68,8 +54,8 @@ type PartialKSPRequest struct {
 // parallel per-path Lens and Dists arrays, with Counts giving the number of
 // paths per request pair.  A flat response decodes into paths that subslice
 // the single gob-allocated Verts array — instead of one slice header and one
-// vertex array per path as in the legacy [][]PathMsg layout — which removes
-// the dominant per-path allocations from the master's refine hot path.
+// vertex array per path — which removes the dominant per-path allocations
+// from the master's refine hot path.
 type FlatPaths struct {
 	Verts  []graph.VertexID
 	Lens   []int32
@@ -87,62 +73,42 @@ func (f *FlatPaths) appendPath(p graph.Path) {
 // PartialKSPResponse carries the partial paths a worker computed, keyed by
 // pair index into the request (to keep gob encoding simple and compact).
 type PartialKSPResponse struct {
-	// Results[i] holds the paths for request pair i (possibly empty).  Legacy
-	// encoding: current workers send Flat instead, but decoders accept both,
-	// so responses from older peers (and hand-built test fixtures) still work.
-	Results [][]PathMsg
-	// Flat is the flat encoding of the same per-pair paths; when non-nil it
-	// takes precedence over Results.  gob omits the field entirely for legacy
-	// senders, decoding as nil — the safe fallback.
+	// Flat holds the paths of every request pair (see FlatPaths); Counts[i]
+	// is the number of paths for request pair i (possibly zero).
 	Flat *FlatPaths
 	// ServedEpoch reports that the request's epoch pin was honoured: every
 	// path was computed from the frozen weights of the requested epoch.
 	// False when the worker cannot resolve epochs (standalone processes),
 	// when the epoch was evicted from the retention window, or when the
 	// request carried no pin.  Consumers must not treat an unpinned answer
-	// as immutable (see rpcbatch's epoch memo); legacy workers never set
-	// the field, which decodes as false — the safe default.
+	// as immutable (see rpcbatch's epoch memo).
 	ServedEpoch bool
 	// Spans are the worker-side execution spans recorded when the request
 	// carried a nonzero TraceID: one aggregate span for the whole request
 	// plus bounded per-pair Yen spans, with durations relative to request
-	// receipt.  The master grafts them under its RPC span.  Legacy workers
-	// leave the field nil.
+	// receipt.  The master grafts them under its RPC span.
 	Spans []trace.SpanMsg
 }
 
 // NumPairs returns the number of request pair slots the response answers.
 func (r *PartialKSPResponse) NumPairs() int {
-	if r.Flat != nil {
-		return len(r.Flat.Counts)
+	if r.Flat == nil {
+		return 0
 	}
-	return len(r.Results)
+	return len(r.Flat.Counts)
 }
 
-// DecodePaths expands the response into per-pair path lists, accepting either
-// encoding.  A flat response decodes with two allocations total (the per-pair
-// slice-of-slices and one shared path-header array); every decoded path's
-// vertex slice aliases the response's Verts array, so callers must treat the
-// paths as immutable.  Malformed flat responses (lengths that overrun the
-// arrays) decode to as many well-formed leading pairs as the data supports —
-// the same shape a short legacy Results array produces.
+// DecodePaths expands the response into per-pair path lists with two
+// allocations total (the per-pair slice-of-slices and one shared path-header
+// array); every decoded path's vertex slice aliases the response's Verts
+// array, so callers must treat the paths as immutable.  The arrays come off
+// the wire, so nothing about them is trusted: a response whose lengths
+// overrun its arrays decodes to its well-formed prefix — as many leading
+// pairs as the data supports, the rest empty — and never panics.
 func (r *PartialKSPResponse) DecodePaths() [][]graph.Path {
 	f := r.Flat
 	if f == nil {
-		out := make([][]graph.Path, len(r.Results))
-		total := 0
-		for _, msgs := range r.Results {
-			total += len(msgs)
-		}
-		hdrs := make([]graph.Path, 0, total)
-		for i, msgs := range r.Results {
-			start := len(hdrs)
-			for _, m := range msgs {
-				hdrs = append(hdrs, fromPathMsg(m))
-			}
-			out[i] = hdrs[start:len(hdrs):len(hdrs)]
-		}
-		return out
+		return nil
 	}
 	out := make([][]graph.Path, len(f.Counts))
 	hdrs := make([]graph.Path, 0, len(f.Lens))
@@ -194,7 +160,7 @@ type TopologyUpdateRequest struct {
 	// NumWorkers and Factor let a standalone worker derive ownership of the
 	// subgraphs this batch opens without coordination: new subgraph s is
 	// hosted by workers (s+r) mod NumWorkers for replica ranks r < Factor.
-	// A zero NumWorkers (legacy master) assigns nothing new.
+	// A zero NumWorkers assigns nothing new.
 	NumWorkers int
 	Factor     int
 }
@@ -225,21 +191,19 @@ type StatsResponse struct {
 	PairsServed     int
 	RequestsServed  int
 	UpdatesReceived int
-	// TopologyBatches counts topology broadcasts received.  Legacy workers
-	// never set the field; it decodes as zero.
+	// TopologyBatches counts topology broadcasts received.
 	TopologyBatches int
+	// Panics counts requests that panicked while being served and were
+	// answered with an error reply instead of taking the process down.
+	Panics int
 }
 
 // envelope is the tagged union used on the TCP wire.
 //
-// ID is the request tag of the multiplexed transport.  A zero ID marks a
-// legacy lock-step request: the server answers it inline and in order, which
-// keeps the pre-multiplexing framing decodable by both sides (gob tolerates
-// the added field, and old clients never set it).  A nonzero ID lets the
-// server process the request concurrently and reply out of order; the client
-// demultiplexes replies by matching IDs.
+// ID is the request tag: the server processes envelopes concurrently and
+// replies out of order, echoing the ID, and the client demultiplexes replies
+// by matching IDs.  No value is special.
 type envelope struct {
-	Kind     string
 	ID       uint64
 	Partial  *PartialKSPRequest
 	Update   *WeightUpdateRequest
@@ -247,14 +211,12 @@ type envelope struct {
 	Stats    *StatsRequest
 	Shutdown bool
 	// Ping is a health-check probe: the server answers with Pong and does no
-	// work.  Old servers decode the field (gob tolerates additions) but treat
-	// the envelope as empty and reply with an error, which the failure
-	// detector counts the same as an unreachable worker — safe either way.
+	// work.
 	Ping bool
 }
 
 type replyEnvelope struct {
-	// ID echoes the request's ID (zero for legacy lock-step requests).
+	// ID echoes the request's ID.
 	ID       uint64
 	Err      string
 	Partial  *PartialKSPResponse

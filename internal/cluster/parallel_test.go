@@ -89,13 +89,13 @@ func TestLocalProviderParallelMatchesSequential(t *testing.T) {
 	if len(pairs) == 0 {
 		t.Skip("no co-located boundary pairs")
 	}
-	want, err := core.NewLocalProvider(p, 1).PartialKSP(pairs, 3)
+	want, err := refine(core.NewLocalProvider(p, 1), nil, pairs, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, par := range []int{2, 8} {
 		for _, sub := range [][]core.PairRequest{pairs, pairs[:1]} {
-			got, err := core.NewLocalProvider(p, par).PartialKSP(sub, 3)
+			got, err := refine(core.NewLocalProvider(p, par), nil, sub, 3)
 			if err != nil {
 				t.Fatal(err)
 			}

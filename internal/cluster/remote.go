@@ -4,12 +4,13 @@ import (
 	"encoding/gob"
 	"errors"
 	"fmt"
+	"log"
 	"net"
+	"runtime/debug"
 	"sync"
 	"sync/atomic"
 	"time"
 
-	"kspdg/internal/core"
 	"kspdg/internal/graph"
 )
 
@@ -23,9 +24,9 @@ const maxInflightPerConn = 64
 // network deployment of a SubgraphBolt host: cmd/kspd wraps it in a worker
 // process, and a master process reaches it through RemoteWorker.
 //
-// Requests tagged with a nonzero ID (the multiplexed transport) are executed
-// concurrently and answered out of order; untagged requests keep the legacy
-// lock-step behaviour of one inline reply per request, in order.
+// Every request envelope is executed on a bounded per-connection goroutine
+// pool and answered — possibly out of order — with its ID echoed.  A panic
+// while serving one request fails that request alone (see dispatch).
 type Server struct {
 	worker   *Worker
 	listener net.Listener
@@ -142,28 +143,30 @@ func (s *Server) handleConn(conn net.Conn) {
 			_ = write(replyEnvelope{ID: env.ID})
 			return
 		}
-		if env.ID == 0 {
-			// Legacy lock-step framing: answer inline, in order.
-			if err := write(s.dispatch(env)); err != nil {
-				return
-			}
-			continue
-		}
 		slots <- struct{}{}
 		requests.Add(1)
 		go func(env envelope) {
 			defer requests.Done()
-			reply := s.dispatch(env)
-			reply.ID = env.ID
-			_ = write(reply)
-			<-slots
+			defer func() { <-slots }()
+			_ = write(s.dispatch(env))
 		}(env)
 	}
 }
 
-// dispatch executes one request envelope against the worker.
-func (s *Server) dispatch(env envelope) replyEnvelope {
-	var reply replyEnvelope
+// dispatch executes one request envelope against the worker and echoes its
+// ID.  A panic in the handler (one pair's search hitting a bug, a resolver
+// blowing up) is contained to this request: the caller gets an error reply,
+// the stack is logged once, and the worker's Panics counter is bumped, while
+// the connection and every other request on it carry on.
+func (s *Server) dispatch(env envelope) (reply replyEnvelope) {
+	defer func() {
+		if r := recover(); r != nil {
+			s.worker.panics.Add(1)
+			log.Printf("cluster: worker %d: panic serving request %d: %v\n%s", s.worker.id, env.ID, r, debug.Stack())
+			reply = replyEnvelope{Err: fmt.Sprintf("cluster: worker panic: %v", r)}
+		}
+		reply.ID = env.ID
+	}()
 	switch {
 	case env.Partial != nil:
 		resp := s.worker.HandlePartialKSP(*env.Partial)
@@ -191,10 +194,6 @@ type ClientOptions struct {
 	// Zero means 1.  Even with one connection the client is pipelined: many
 	// requests can be in flight concurrently, demultiplexed by request ID.
 	PoolSize int
-	// Serialize reverts to the legacy lock-step transport: one connection,
-	// one request at a time, no request IDs, no reconnection.  It exists as
-	// the baseline of the transport benchmarks.
-	Serialize bool
 	// MaxAttempts is the number of tries per request across reconnects.
 	// Zero means 4.
 	MaxAttempts int
@@ -206,9 +205,6 @@ type ClientOptions struct {
 
 func (o ClientOptions) withDefaults() ClientOptions {
 	if o.PoolSize <= 0 {
-		o.PoolSize = 1
-	}
-	if o.Serialize {
 		o.PoolSize = 1
 	}
 	if o.MaxAttempts <= 0 {
@@ -411,7 +407,7 @@ type RemoteWorker struct {
 	addr string
 	opts ClientOptions
 
-	ids    atomic.Uint64 // request ID source (IDs are nonzero)
+	ids    atomic.Uint64 // request ID source
 	next   atomic.Uint64 // round-robin cursor over the pool
 	closed atomic.Bool
 	conns  []*clientConn
@@ -422,18 +418,6 @@ type RemoteWorker struct {
 	// write: a half-dead connection that swallows requests without answering
 	// must keep backing off instead of retrying at full speed.
 	failStreak atomic.Uint64
-
-	// serial mode state (ClientOptions.Serialize)
-	serialMu sync.Mutex
-	serial   net.Conn
-	senc     *gob.Encoder
-	sdec     *gob.Decoder
-}
-
-// Dial connects to a worker server with default options (one pipelined
-// multiplexed connection).
-func Dial(addr string) (*RemoteWorker, error) {
-	return DialPool(addr, ClientOptions{})
 }
 
 // DialPool connects to a worker server with an explicit transport
@@ -442,16 +426,6 @@ func Dial(addr string) (*RemoteWorker, error) {
 func DialPool(addr string, opts ClientOptions) (*RemoteWorker, error) {
 	opts = opts.withDefaults()
 	rw := &RemoteWorker{addr: addr, opts: opts}
-	if opts.Serialize {
-		conn, err := net.Dial("tcp", addr)
-		if err != nil {
-			return nil, fmt.Errorf("cluster: dial %s: %w", addr, err)
-		}
-		rw.serial = conn
-		rw.senc = gob.NewEncoder(conn)
-		rw.sdec = gob.NewDecoder(conn)
-		return rw, nil
-	}
 	for i := 0; i < opts.PoolSize; i++ {
 		cc := &clientConn{addr: addr}
 		cc.mu.Lock()
@@ -471,22 +445,11 @@ func DialPool(addr string, opts ClientOptions) (*RemoteWorker, error) {
 // Close closes every pooled connection; pending requests fail.
 func (rw *RemoteWorker) Close() error {
 	rw.closed.Store(true)
-	if rw.opts.Serialize {
-		rw.serialMu.Lock()
-		defer rw.serialMu.Unlock()
-		return rw.serial.Close()
-	}
 	for _, cc := range rw.conns {
 		cc.close(errClientClosed)
 	}
 	return nil
 }
-
-// Addr returns the remote address.
-func (rw *RemoteWorker) Addr() string { return rw.addr }
-
-// PoolSize returns the number of pooled connections.
-func (rw *RemoteWorker) PoolSize() int { return rw.opts.PoolSize }
 
 // backoffDelay derives the pre-attempt delay from the client's persistent
 // failure streak: BackoffBase doubled per recorded failure, capped at
@@ -513,9 +476,6 @@ func (rw *RemoteWorker) backoffDelay() time.Duration {
 // that accepts writes but never answers keeps being treated as failing.
 // Application-level errors (reply.Err) are returned without retry.
 func (rw *RemoteWorker) roundTrip(env envelope) (replyEnvelope, error) {
-	if rw.opts.Serialize {
-		return rw.serialRoundTrip(env)
-	}
 	var lastErr error
 	for attempt := 0; attempt < rw.opts.MaxAttempts; attempt++ {
 		// The delay applies before the first attempt too: with a nonzero
@@ -548,23 +508,6 @@ func (rw *RemoteWorker) roundTrip(env envelope) (replyEnvelope, error) {
 		return res.rep, nil
 	}
 	return replyEnvelope{}, fmt.Errorf("cluster: %s unreachable after %d attempts: %w", rw.addr, rw.opts.MaxAttempts, lastErr)
-}
-
-// serialRoundTrip is the legacy lock-step transport (see ClientOptions).
-func (rw *RemoteWorker) serialRoundTrip(env envelope) (replyEnvelope, error) {
-	rw.serialMu.Lock()
-	defer rw.serialMu.Unlock()
-	if err := rw.senc.Encode(env); err != nil {
-		return replyEnvelope{}, err
-	}
-	var reply replyEnvelope
-	if err := rw.sdec.Decode(&reply); err != nil {
-		return replyEnvelope{}, err
-	}
-	if reply.Err != "" {
-		return replyEnvelope{}, errors.New(reply.Err)
-	}
-	return reply, nil
 }
 
 // PartialKSP sends a partial-KSP request to the remote worker.
@@ -608,7 +551,7 @@ func (rw *RemoteWorker) ApplyTopology(req TopologyUpdateRequest) (TopologyUpdate
 		return TopologyUpdateResponse{}, err
 	}
 	if reply.Topology == nil {
-		return TopologyUpdateResponse{}, errors.New("cluster: missing topology response (pre-topology worker?)")
+		return TopologyUpdateResponse{}, errors.New("cluster: missing topology response")
 	}
 	if reply.Topology.Err != "" {
 		return *reply.Topology, fmt.Errorf("cluster: worker failed to apply topology batch: %s", reply.Topology.Err)
@@ -638,7 +581,7 @@ func (rw *RemoteWorker) Ping() error {
 		return err
 	}
 	if !reply.Pong {
-		return fmt.Errorf("cluster: %s did not acknowledge ping (pre-ping server?)", rw.addr)
+		return fmt.Errorf("cluster: %s did not acknowledge ping", rw.addr)
 	}
 	return nil
 }
@@ -647,65 +590,4 @@ func (rw *RemoteWorker) Ping() error {
 func (rw *RemoteWorker) Shutdown() error {
 	_, err := rw.roundTrip(envelope{Shutdown: true})
 	return err
-}
-
-// RemoteProvider is a core.PartialProvider backed by remote workers reached
-// over TCP.  Every worker is assumed to be able to serve any pair whose
-// subgraphs it owns; pairs are broadcast to all workers and the replies
-// merged, mirroring how the Storm deployment broadcasts the reference path to
-// all SubgraphBolts (Section 6.1, Step 2).  Each query fans its pairs out
-// alone; see NewBatchedRemoteProvider for the transport that additionally
-// coalesces pairs across concurrent queries.
-type RemoteProvider struct {
-	workers []*RemoteWorker
-}
-
-// NewRemoteProvider builds a provider over the given worker connections.
-func NewRemoteProvider(workers []*RemoteWorker) *RemoteProvider {
-	return &RemoteProvider{workers: workers}
-}
-
-// PartialKSP implements core.PartialProvider.
-func (rp *RemoteProvider) PartialKSP(pairs []core.PairRequest, k int) (map[core.PairRequest][]graph.Path, error) {
-	out := make(map[core.PairRequest][]graph.Path, len(pairs))
-	if len(pairs) == 0 {
-		return out, nil
-	}
-	req := PartialKSPRequest{Pairs: pairs, K: k}
-	type reply struct {
-		resp PartialKSPResponse
-		err  error
-	}
-	replies := make([]reply, len(rp.workers))
-	var wg sync.WaitGroup
-	for i, w := range rp.workers {
-		wg.Add(1)
-		go func(i int, w *RemoteWorker) {
-			defer wg.Done()
-			resp, err := w.PartialKSP(req)
-			replies[i] = reply{resp: resp, err: err}
-		}(i, w)
-	}
-	wg.Wait()
-	merged := make(map[core.PairRequest][]graph.Path)
-	for _, r := range replies {
-		if r.err != nil {
-			return nil, r.err
-		}
-		decoded := r.resp.DecodePaths()
-		for i, pr := range pairs {
-			if i < len(decoded) {
-				merged[pr] = append(merged[pr], decoded[i]...)
-			}
-		}
-	}
-	for pr, paths := range merged {
-		out[pr] = mergePairPaths(paths, k)
-	}
-	for _, pr := range pairs {
-		if _, ok := out[pr]; !ok {
-			out[pr] = nil
-		}
-	}
-	return out, nil
 }

@@ -86,7 +86,7 @@ func TestRemoteWorkerTopology(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	rw, err := Dial(srv.Addr())
+	rw, err := DialPool(srv.Addr(), ClientOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

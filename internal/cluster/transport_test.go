@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -245,26 +246,96 @@ func TestRemoteWorkerKillServerMidBatch(t *testing.T) {
 	}
 }
 
-// TestSerializedTransportStillServed covers the legacy lock-step framing
-// (zero request IDs) against the concurrent server: old clients keep working.
-func TestSerializedTransportStillServed(t *testing.T) {
-	srv, p := buildServedWorker(t)
+// TestZeroPairRequestOverTCP sends the smallest malformed request — no pairs —
+// to a worker whose executor is wider than one lane.  It must be answered
+// with an empty response; the fan-out once divided by the pair count.
+func TestZeroPairRequestOverTCP(t *testing.T) {
+	g := testutil.PaperGraph(t)
+	p, err := partition.PartitionGraph(g, 6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	worker := NewWorker(0, p, []partition.SubgraphID{0})
+	worker.SetParallelism(4)
+	srv, err := Serve("127.0.0.1:0", worker)
+	if err != nil {
+		t.Fatal(err)
+	}
 	defer srv.Close()
-	rw, err := DialPool(srv.Addr(), ClientOptions{Serialize: true})
+	rw, err := DialPool(srv.Addr(), ClientOptions{MaxAttempts: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rw.Close()
+	resp, err := rw.PartialKSP(PartialKSPRequest{K: 2})
+	if err != nil {
+		t.Fatalf("zero-pair request: %v", err)
+	}
+	if resp.NumPairs() != 0 {
+		t.Fatalf("zero-pair request answered %d slots", resp.NumPairs())
+	}
+}
+
+// TestPanicFailsOneRequestNotTheWorker makes the view resolver panic for one
+// epoch: the request pinned to it gets an error reply, an unpinned request on
+// the same connection is then answered normally, the panic is counted, and
+// the server still shuts down cleanly.
+func TestPanicFailsOneRequestNotTheWorker(t *testing.T) {
+	g := testutil.PaperGraph(t)
+	p, err := partition.PartitionGraph(g, 6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var owned []partition.SubgraphID
+	for i := 0; i < p.NumSubgraphs(); i++ {
+		owned = append(owned, partition.SubgraphID(i))
+	}
+	const cursed = 7
+	worker := NewWorker(0, p, owned)
+	worker.SetViewResolver(func(epoch uint64) *dtlp.IndexView {
+		if epoch == cursed {
+			panic("resolver blew up")
+		}
+		return nil
+	})
+	srv, err := Serve("127.0.0.1:0", worker)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rw, err := DialPool(srv.Addr(), ClientOptions{PoolSize: 1, MaxAttempts: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer rw.Close()
 	pairs := somePairs(t, p, 2)
+
+	_, err = rw.PartialKSP(PartialKSPRequest{Pairs: pairs, K: 2, Epoch: cursed, HasEpoch: true})
+	if err == nil || !strings.Contains(err.Error(), "cluster: worker panic: resolver blew up") {
+		t.Fatalf("pinned request returned %v, want the worker-panic error", err)
+	}
 	resp, err := rw.PartialKSP(PartialKSPRequest{Pairs: pairs, K: 2})
+	if err != nil {
+		t.Fatalf("request after the panic on the same connection: %v", err)
+	}
+	if resp.NumPairs() != len(pairs) {
+		t.Fatalf("request after the panic answered %d slots, want %d", resp.NumPairs(), len(pairs))
+	}
+	st, err := rw.Stats()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if resp.NumPairs() != len(pairs) {
-		t.Fatalf("results %d, want %d", resp.NumPairs(), len(pairs))
+	if st.Panics != 1 {
+		t.Fatalf("Panics = %d, want 1", st.Panics)
 	}
-	if _, err := rw.Stats(); err != nil {
-		t.Fatal(err)
+	closed := make(chan error, 1)
+	go func() { closed <- srv.Close() }()
+	select {
+	case err := <-closed:
+		if err != nil {
+			t.Fatalf("close: %v", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("Server.Close hung after a contained panic")
 	}
 }
 

@@ -4,7 +4,6 @@ import (
 	"runtime"
 	"sort"
 	"strconv"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -12,7 +11,6 @@ import (
 	"kspdg/internal/dtlp"
 	"kspdg/internal/graph"
 	"kspdg/internal/partition"
-	"kspdg/internal/shortest"
 	"kspdg/internal/trace"
 )
 
@@ -45,6 +43,7 @@ type Worker struct {
 	pairsServed     atomic.Int64
 	updatesReceived atomic.Int64
 	topologyBatches atomic.Int64
+	panics          atomic.Int64 // requests failed by a contained panic (see Server.dispatch)
 }
 
 // workerState bundles the partition and the ownership set so a topology
@@ -59,17 +58,8 @@ type workerState struct {
 // NewWorker creates a worker owning the given subgraphs of part.
 func NewWorker(id int, part *partition.Partition, owned []partition.SubgraphID) *Worker {
 	w := &Worker{id: id}
-	w.installState(part, owned)
+	w.SetPartition(part, owned)
 	return w
-}
-
-// installState builds and publishes a workerState from an ownership list.
-func (w *Worker) installState(part *partition.Partition, owned []partition.SubgraphID) {
-	m := make(map[partition.SubgraphID]bool, len(owned))
-	for _, sg := range owned {
-		m[sg] = true
-	}
-	w.state.Store(&workerState{part: part, owned: m})
 }
 
 // SetPartition atomically replaces the worker's partition and ownership set.
@@ -77,7 +67,11 @@ func (w *Worker) installState(part *partition.Partition, owned []partition.Subgr
 // already derived the new partition, and the worker only needs to route
 // future requests against it (and any subgraphs the batch newly assigned).
 func (w *Worker) SetPartition(part *partition.Partition, owned []partition.SubgraphID) {
-	w.installState(part, owned)
+	m := make(map[partition.SubgraphID]bool, len(owned))
+	for _, sg := range owned {
+		m[sg] = true
+	}
+	w.state.Store(&workerState{part: part, owned: m})
 }
 
 // ID returns the worker's identifier.
@@ -196,10 +190,15 @@ func (r *pairSpanRecorder) msgs(w *Worker, req PartialKSPRequest, width int) []t
 // pair, restricted to the subgraphs this worker owns.  Pairs whose common
 // subgraphs are all hosted elsewhere produce empty results.
 //
-// With parallelism > 1 the pairs fan out across a bounded goroutine pool;
-// each pair's paths land in a result slot indexed by its request position and
-// are appended to the flat encoding serially in request order, so the
-// response is byte-identical to the sequential one.
+// With a resolvable epoch pin the searches read that epoch's frozen weights
+// over the partition of its generation (topology batches replace the
+// partition, so a pin freezes structure as well as weights); otherwise they
+// read the worker's live state.
+//
+// The pairs fan out across the executor width (see core.FanOut); each pair's
+// paths land in a result slot indexed by its request position and are
+// appended to the flat encoding serially in request order, so the response is
+// byte-identical at any width.
 //
 // Requests carrying a nonzero TraceID additionally get worker-side execution
 // spans in the response (see PartialKSPResponse.Spans); untraced requests pay
@@ -213,70 +212,26 @@ func (w *Worker) HandlePartialKSP(req PartialKSPRequest) PartialKSPResponse {
 	if req.TraceID != 0 {
 		rec = newPairSpanRecorder(len(req.Pairs))
 	}
+	st := w.state.Load()
+	part, weights := core.RefineSource(st.part, view)
+	owns := func(id partition.SubgraphID) bool { return st.owned[id] }
+	results := make([][]graph.Path, len(req.Pairs))
+	width := core.FanOut(len(req.Pairs), w.parallelism(), func(i, inner int) {
+		results[i] = rec.timePair(i, func() []graph.Path {
+			return core.RefinePair(part, req.Pairs[i], req.K, weights, owns, inner)
+		})
+	})
 	resp := PartialKSPResponse{
-		// Responses travel flat-encoded; see FlatPaths.  Decoders fall back
-		// to the legacy Results field only for old peers.
 		Flat: &FlatPaths{Counts: make([]int32, len(req.Pairs))},
 		// A nil view means the pin was absent or could not be honoured
 		// (unknown or evicted epoch): the answer reads live weights and must
 		// not be treated as frozen at the requested epoch.
 		ServedEpoch: view != nil,
 	}
-	par := w.parallelism()
-	width := 1
-	if par <= 1 {
-		for i, pr := range req.Pairs {
-			i, pr := i, pr
-			paths := rec.timePair(i, func() []graph.Path { return w.partialForPair(view, pr, req.K, 1) })
-			resp.Flat.Counts[i] = int32(len(paths))
-			for _, p := range paths {
-				resp.Flat.appendPath(p)
-			}
-		}
-	} else {
-		// Split the budget: pairs get the outer lanes, and whatever width is
-		// left over per pair goes to its per-subgraph searches.  A request
-		// with fewer pairs than lanes pushes the surplus inward, so a single
-		// heavy pair still uses the whole budget.
-		inner := par / len(req.Pairs)
-		if inner < 1 {
-			inner = 1
-		}
-		outer := par
-		if outer > len(req.Pairs) {
-			outer = len(req.Pairs)
-		}
-		width = outer
-		results := make([][]graph.Path, len(req.Pairs))
-		if outer <= 1 {
-			for i, pr := range req.Pairs {
-				i, pr := i, pr
-				results[i] = rec.timePair(i, func() []graph.Path { return w.partialForPair(view, pr, req.K, inner) })
-			}
-		} else {
-			jobs := make(chan int)
-			var wg sync.WaitGroup
-			for g := 0; g < outer; g++ {
-				wg.Add(1)
-				go func() {
-					defer wg.Done()
-					for i := range jobs {
-						i := i
-						results[i] = rec.timePair(i, func() []graph.Path { return w.partialForPair(view, req.Pairs[i], req.K, inner) })
-					}
-				}()
-			}
-			for i := range req.Pairs {
-				jobs <- i
-			}
-			close(jobs)
-			wg.Wait()
-		}
-		for i, paths := range results {
-			resp.Flat.Counts[i] = int32(len(paths))
-			for _, p := range paths {
-				resp.Flat.appendPath(p)
-			}
+	for i, paths := range results {
+		resp.Flat.Counts[i] = int32(len(paths))
+		for _, p := range paths {
+			resp.Flat.appendPath(p)
 		}
 	}
 	if rec != nil {
@@ -285,139 +240,6 @@ func (w *Worker) HandlePartialKSP(req PartialKSPRequest) PartialKSPResponse {
 	w.requestsServed.Add(1)
 	w.pairsServed.Add(int64(len(req.Pairs)))
 	return resp
-}
-
-// partialForPair mirrors core.PartialKSPForPair but only searches subgraphs
-// owned by this worker.  With a non-nil view the searches read the epoch's
-// frozen weights over the partition of that epoch's generation (topology
-// batches replace the partition, so an epoch pin freezes structure as well
-// as weights); otherwise they read the worker's live state.  inner is
-// the width available for this pair's per-subgraph searches; results are
-// merged in subgraph-id order through the same dedup set and sort as the
-// sequential path, so the answer is identical either way.
-func (w *Worker) partialForPair(view *dtlp.IndexView, pr core.PairRequest, k, inner int) []graph.Path {
-	if pr.A == pr.B {
-		return []graph.Path{{Vertices: []graph.VertexID{pr.A}}}
-	}
-	st := w.state.Load()
-	part := st.part
-	if view != nil {
-		part = view.Partition()
-	}
-	ids := part.CommonSubgraphs(pr.A, pr.B)
-	nOwned := 0
-	for _, id := range ids {
-		if st.owned[id] {
-			nOwned++
-		}
-	}
-	if inner > 1 && nOwned > 1 {
-		return w.partialForPairParallel(view, part, st.owned, pr, k, inner, ids, nOwned)
-	}
-	var merged []graph.Path
-	var seen graph.PathSet
-	// One Yen call already emits sorted, duplicate-free paths; only results
-	// merged from several owned subgraphs need the dedup set and the sort.
-	dedup := nOwned > 1
-	for _, id := range ids {
-		if !st.owned[id] {
-			continue
-		}
-		sub := part.Subgraph(id)
-		la, okA := sub.ToLocal(pr.A)
-		lb, okB := sub.ToLocal(pr.B)
-		if !okA || !okB {
-			continue
-		}
-		var weights graph.WeightedView = sub.Local
-		if view != nil {
-			weights = view.SubgraphWeights(id)
-		}
-		for _, lp := range shortest.Yen(weights, la, lb, k, nil) {
-			gp := sub.GlobalPath(lp)
-			if dedup && !seen.Add(gp) {
-				continue
-			}
-			merged = append(merged, gp)
-		}
-	}
-	if dedup {
-		sort.Slice(merged, func(i, j int) bool { return graph.ComparePaths(merged[i], merged[j]) < 0 })
-	}
-	if len(merged) > k {
-		merged = merged[:k]
-	}
-	return merged
-}
-
-// partialForPairParallel fans the pair's owned-subgraph Yen searches across
-// up to inner goroutines.  Each search fills a slot indexed by the subgraph's
-// position in ids; the slots are then merged sequentially in that order
-// through the dedup set, which is exactly the order the sequential loop
-// visits — and since cross-subgraph duplicates are byte-identical paths, the
-// merged result matches the sequential one bit for bit.
-func (w *Worker) partialForPairParallel(view *dtlp.IndexView, part *partition.Partition, owned map[partition.SubgraphID]bool, pr core.PairRequest, k, inner int, ids []partition.SubgraphID, nOwned int) []graph.Path {
-	ownedIDs := make([]partition.SubgraphID, 0, nOwned)
-	for _, id := range ids {
-		if owned[id] {
-			ownedIDs = append(ownedIDs, id)
-		}
-	}
-	perSub := make([][]graph.Path, len(ownedIDs))
-	searchOne := func(j int) {
-		id := ownedIDs[j]
-		sub := part.Subgraph(id)
-		la, okA := sub.ToLocal(pr.A)
-		lb, okB := sub.ToLocal(pr.B)
-		if !okA || !okB {
-			return
-		}
-		var weights graph.WeightedView = sub.Local
-		if view != nil {
-			weights = view.SubgraphWeights(id)
-		}
-		lps := shortest.Yen(weights, la, lb, k, nil)
-		gps := make([]graph.Path, 0, len(lps))
-		for _, lp := range lps {
-			gps = append(gps, sub.GlobalPath(lp))
-		}
-		perSub[j] = gps
-	}
-	g := inner
-	if g > len(ownedIDs) {
-		g = len(ownedIDs)
-	}
-	jobs := make(chan int)
-	var wg sync.WaitGroup
-	for i := 0; i < g; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for j := range jobs {
-				searchOne(j)
-			}
-		}()
-	}
-	for j := range ownedIDs {
-		jobs <- j
-	}
-	close(jobs)
-	wg.Wait()
-	var merged []graph.Path
-	var seen graph.PathSet
-	for _, gps := range perSub {
-		for _, gp := range gps {
-			if !seen.Add(gp) {
-				continue
-			}
-			merged = append(merged, gp)
-		}
-	}
-	sort.Slice(merged, func(i, j int) bool { return graph.ComparePaths(merged[i], merged[j]) < 0 })
-	if len(merged) > k {
-		merged = merged[:k]
-	}
-	return merged
 }
 
 // EnableLocalApply makes HandleWeightUpdate apply incoming batches to the
@@ -511,5 +333,6 @@ func (w *Worker) HandleStats(StatsRequest) StatsResponse {
 		RequestsServed:  int(w.requestsServed.Load()),
 		UpdatesReceived: int(w.updatesReceived.Load()),
 		TopologyBatches: int(w.topologyBatches.Load()),
+		Panics:          int(w.panics.Load()),
 	}
 }

@@ -73,6 +73,75 @@ func TestWorkerPartialKSPRestrictedToOwnedSubgraphs(t *testing.T) {
 	if st.RequestsServed != 1 || st.PairsServed != 1 {
 		t.Errorf("stats = %+v", st)
 	}
+
+	// Requests come off the wire, so degenerate ones must be answered — one
+	// (possibly empty) slot per pair — at any executor width, never crash.
+	outside := graph.VertexID(g.NumVertices() + 100)
+	for _, tc := range []struct {
+		name  string
+		req   PartialKSPRequest
+		paths []int // paths per slot
+	}{
+		{"zero pairs", PartialKSPRequest{K: 2}, nil},
+		{"k zero", PartialKSPRequest{Pairs: []core.PairRequest{{A: a, B: b}, {A: b, B: a}}, K: 0}, []int{0, 0}},
+		{"k negative", PartialKSPRequest{Pairs: []core.PairRequest{{A: a, B: b}}, K: -1}, []int{0}},
+		{"vertex outside the partition", PartialKSPRequest{Pairs: []core.PairRequest{{A: a, B: outside}, {A: outside, B: outside + 1}}, K: 2}, []int{0, 0}},
+	} {
+		for _, width := range []int{1, 4} {
+			w := NewWorker(0, p, subs)
+			w.SetParallelism(width)
+			resp := w.HandlePartialKSP(tc.req)
+			got := resp.DecodePaths()
+			if resp.NumPairs() != len(tc.paths) || len(got) != len(tc.paths) {
+				t.Errorf("%s, width %d: %d slots, want %d", tc.name, width, resp.NumPairs(), len(tc.paths))
+				continue
+			}
+			for i, n := range tc.paths {
+				if len(got[i]) != n {
+					t.Errorf("%s, width %d: slot %d holds %d paths, want %d", tc.name, width, i, len(got[i]), n)
+				}
+			}
+		}
+	}
+}
+
+// TestDecodePathsWellFormedPrefix pins the wire invariant the master relies
+// on: a Flat response whose lengths overrun its arrays decodes to its
+// well-formed prefix — leading pairs intact, the rest empty — and never
+// panics.
+func TestDecodePathsWellFormedPrefix(t *testing.T) {
+	verts := []graph.VertexID{1, 2, 3, 4, 5}
+	for _, tc := range []struct {
+		name  string
+		flat  *FlatPaths
+		paths []int // decoded paths per slot
+	}{
+		{"nil", nil, nil},
+		{"well formed", &FlatPaths{Verts: verts, Lens: []int32{2, 3}, Dists: []float64{1, 2}, Counts: []int32{1, 1}}, []int{1, 1}},
+		{"length overruns verts", &FlatPaths{Verts: verts, Lens: []int32{2, 9}, Dists: []float64{1, 2}, Counts: []int32{1, 1}}, []int{1, 0}},
+		{"negative length", &FlatPaths{Verts: verts, Lens: []int32{-1, 2}, Dists: []float64{1, 2}, Counts: []int32{1, 1}}, []int{0, 0}},
+		{"dists too short", &FlatPaths{Verts: verts, Lens: []int32{2, 3}, Dists: []float64{1}, Counts: []int32{1, 1}}, []int{1, 0}},
+		{"count overruns paths", &FlatPaths{Verts: verts, Lens: []int32{2, 3}, Dists: []float64{1, 2}, Counts: []int32{1, 5, 1}}, []int{1, 0, 0}},
+		{"negative count", &FlatPaths{Verts: verts, Lens: []int32{2, 3}, Dists: []float64{1, 2}, Counts: []int32{-2, 1}}, []int{0, 0}},
+	} {
+		resp := PartialKSPResponse{Flat: tc.flat}
+		got := resp.DecodePaths()
+		if len(got) != len(tc.paths) || resp.NumPairs() != len(tc.paths) {
+			t.Errorf("%s: %d slots (NumPairs %d), want %d", tc.name, len(got), resp.NumPairs(), len(tc.paths))
+			continue
+		}
+		for i, n := range tc.paths {
+			if len(got[i]) != n {
+				t.Errorf("%s: slot %d holds %d paths, want %d", tc.name, i, len(got[i]), n)
+			}
+		}
+	}
+	resp := PartialKSPResponse{Flat: &FlatPaths{Verts: verts, Lens: []int32{2, 3}, Dists: []float64{1.5, 2.5}, Counts: []int32{2}}}
+	got := resp.DecodePaths()[0]
+	want := []graph.Path{{Vertices: []graph.VertexID{1, 2}, Dist: 1.5}, {Vertices: []graph.VertexID{3, 4, 5}, Dist: 2.5}}
+	if !pathsEqual(got, want) {
+		t.Errorf("decoded %v, want %v", got, want)
+	}
 }
 
 func TestWorkerWeightUpdateAccounting(t *testing.T) {
@@ -121,13 +190,5 @@ func TestWorkerWeightUpdateAccounting(t *testing.T) {
 	bare := NewWorker(1, p, nil)
 	if resp := bare.HandleWeightUpdate(WeightUpdateRequest{Updates: updates}); resp.PathsTouched != 0 {
 		t.Errorf("counterless PathsTouched = %d, want 0", resp.PathsTouched)
-	}
-}
-
-func TestPathMsgRoundTrip(t *testing.T) {
-	p := graph.Path{Vertices: []graph.VertexID{1, 2, 3}, Dist: 4.5}
-	back := fromPathMsg(toPathMsg(p))
-	if !back.Equal(p) || back.Dist != p.Dist {
-		t.Errorf("round trip mismatch: %v vs %v", back, p)
 	}
 }

@@ -160,9 +160,8 @@ func (e *Engine) Query(s, t graph.VertexID, k int) (Result, error) {
 
 // QueryView answers q(s, t) against a specific epoch view of the index.  The
 // whole query — reference path generation on the skeleton, endpoint
-// attachment, and the refine step (when the provider is view-aware) — reads
-// the weights frozen in the view, so concurrent ApplyUpdates calls cannot
-// tear the result.
+// attachment, and the refine step — reads the weights frozen in the view, so
+// concurrent ApplyUpdates calls cannot tear the result.
 func (e *Engine) QueryView(iv *dtlp.IndexView, s, t graph.VertexID, k int) (Result, error) {
 	return e.queryView(context.Background(), iv, s, t, k, nil)
 }
@@ -379,10 +378,6 @@ func (e *Engine) queryView(ctx context.Context, iv *dtlp.IndexView, s, t graph.V
 		res.Converged = true
 		return res, nil
 	}
-	// A context-aware async provider is preferred so the trace span follows
-	// the refine request into the batching transport and onto the wire.
-	ctxAsyncProvider, _ := e.provider.(CtxAsyncPartialProvider)
-	asyncProvider, _ := e.provider.(AsyncPartialProvider)
 	maxIter := e.opts.maxIterations()
 	stallWindow := e.opts.stallWindow()
 	minImprove := e.opts.stallImprovement()
@@ -399,34 +394,17 @@ func (e *Engine) queryView(ctx context.Context, iv *dtlp.IndexView, s, t graph.V
 		seq := sc.seqBuf
 		missing := e.missingPairs(sc, seq)
 
-		// Refine: with an asynchronous provider the request is issued first
-		// and the next iteration's filter step (reference-path generation on
-		// the skeleton) runs while it is in flight; synchronous providers
-		// fetch inline, preserving the lock-step behaviour.
+		// Refine: the request is issued first and the next iteration's filter
+		// step (reference-path generation on the skeleton) runs while it is in
+		// flight.
 		var pending <-chan AsyncPartialReply
 		if len(missing) > 0 {
-			if ctxAsyncProvider != nil {
-				pending = ctxAsyncProvider.PartialKSPAsyncCtx(ctx, iv, missing, k)
-			} else if asyncProvider != nil {
-				pending = asyncProvider.PartialKSPAsync(iv, missing, k)
-			} else {
-				rspan := qspan.Child("refine")
-				rspan.SetAttrInt("iter", int64(iter))
-				rspan.SetAttrInt("pairs", int64(len(missing)))
-				partials, err := e.partialKSP(iv, missing, k)
-				rspan.Finish()
-				if err != nil {
-					return res, err
-				}
-				for _, pr := range missing {
-					sc.pairCache[pr] = partials[pr]
-				}
-			}
+			pending = e.provider.PartialKSPAsyncCtx(ctx, iv, missing, k)
 			res.PairsRefined += len(missing)
 		}
 
 		// Filter of iteration i+1, overlapped with the in-flight refine of
-		// iteration i whenever the provider is asynchronous.
+		// iteration i.
 		fspan := qspan.Child("filter")
 		fspan.SetAttrInt("iter", int64(iter))
 		next, okNext := gen.Next()
@@ -678,13 +656,4 @@ func (e *Engine) joinCandidates(sc *engineScratch, seq []graph.VertexID, k int, 
 		current = current[:k]
 	}
 	return current
-}
-
-// partialKSP dispatches the refine step to the provider, preferring the
-// epoch-consistent path when the provider supports it.
-func (e *Engine) partialKSP(iv *dtlp.IndexView, pairs []PairRequest, k int) (map[PairRequest][]graph.Path, error) {
-	if vp, ok := e.provider.(ViewProvider); ok && iv != nil {
-		return vp.PartialKSPView(iv, pairs, k)
-	}
-	return e.provider.PartialKSP(pairs, k)
 }

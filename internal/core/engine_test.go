@@ -221,63 +221,6 @@ func TestQueryWithExplicitLocalProviderParallel(t *testing.T) {
 	assertMatchesOracle(t, g, e, testutil.V1, testutil.V19, 4)
 }
 
-func TestPartialKSPForPair(t *testing.T) {
-	g := testutil.PaperGraph(t)
-	p, err := partition.PartitionGraph(g, 6)
-	if err != nil {
-		t.Fatal(err)
-	}
-	boundary := p.BoundaryVertices()
-	var a, b graph.VertexID = graph.NoVertex, graph.NoVertex
-	for i := 0; i < len(boundary) && a == graph.NoVertex; i++ {
-		for j := i + 1; j < len(boundary); j++ {
-			if len(p.CommonSubgraphs(boundary[i], boundary[j])) > 0 {
-				a, b = boundary[i], boundary[j]
-				break
-			}
-		}
-	}
-	if a == graph.NoVertex {
-		t.Skip("no co-located boundary pair")
-	}
-	paths := PartialKSPForPair(p, PairRequest{A: a, B: b}, 3)
-	if len(paths) == 0 {
-		t.Fatal("expected partial paths")
-	}
-	for i, path := range paths {
-		if path.Source() != a || path.Target() != b {
-			t.Errorf("partial path %d endpoints wrong: %v", i, path)
-		}
-		if err := path.Validate(g); err != nil {
-			t.Errorf("partial path %d invalid: %v", i, err)
-		}
-		if i > 0 && paths[i-1].Dist > path.Dist+1e-9 {
-			t.Errorf("partial paths not sorted")
-		}
-	}
-	// Same-vertex pair yields the trivial path.
-	trivial := PartialKSPForPair(p, PairRequest{A: a, B: a}, 2)
-	if len(trivial) != 1 || trivial[0].Len() != 0 {
-		t.Errorf("same-vertex pair should return trivial path, got %v", trivial)
-	}
-}
-
-func TestLocalProviderValidation(t *testing.T) {
-	g := testutil.PaperGraph(t)
-	p, err := partition.PartitionGraph(g, 6)
-	if err != nil {
-		t.Fatal(err)
-	}
-	lp := NewLocalProvider(p, 0)
-	if _, err := lp.PartialKSP([]PairRequest{{A: 0, B: 1}}, 0); err == nil {
-		t.Errorf("k=0 should be rejected")
-	}
-	out, err := lp.PartialKSP(nil, 2)
-	if err != nil || len(out) != 0 {
-		t.Errorf("empty request should return empty map, got %v, %v", out, err)
-	}
-}
-
 func TestQueryDirectedGraph(t *testing.T) {
 	// Directed ring + chords.
 	b := graph.NewBuilder(12, true)

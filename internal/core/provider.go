@@ -3,8 +3,11 @@ package core
 import (
 	"context"
 	"fmt"
+	"runtime/debug"
+	"slices"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"kspdg/internal/dtlp"
 	"kspdg/internal/graph"
@@ -19,57 +22,34 @@ type PairRequest struct {
 	A, B graph.VertexID
 }
 
-// PartialProvider supplies partial k shortest paths for boundary pairs.  The
-// refine step of KSP-DG is expressed against this interface so that the same
-// engine code runs both locally (LocalProvider) and on a cluster where the
-// pairs are fanned out to the workers owning the relevant subgraphs
-// (cluster.Provider).
-type PartialProvider interface {
-	// PartialKSP returns, for every requested pair, up to k shortest paths
-	// between the pair's endpoints restricted to single subgraphs containing
-	// both, expressed in global vertex ids and sorted by distance.
-	PartialKSP(pairs []PairRequest, k int) (map[PairRequest][]graph.Path, error)
-}
-
-// ViewProvider is implemented by providers that can answer the refine step
-// against a specific index epoch.  The engine prefers this interface when
-// present, which is what gives in-flight queries snapshot isolation from
-// concurrent weight updates; providers without it (e.g. remote workers that
-// always serve their latest applied state) fall back to PartialKSP.
-type ViewProvider interface {
-	// PartialKSPView is PartialKSP with all subgraph searches running over
-	// the weights frozen in the given epoch view.
-	PartialKSPView(iv *dtlp.IndexView, pairs []PairRequest, k int) (map[PairRequest][]graph.Path, error)
-}
-
-// AsyncPartialReply carries the outcome of an asynchronous refine request:
-// the partial paths for every requested pair, or the error that failed the
-// batch they travelled in.
+// AsyncPartialReply carries the outcome of a refine request: the partial
+// paths for every requested pair, or the error that failed the batch they
+// travelled in.
 type AsyncPartialReply struct {
 	Paths map[PairRequest][]graph.Path
 	Err   error
 }
 
-// AsyncPartialProvider is implemented by providers that can issue the refine
-// step without blocking the caller: PartialKSPAsync returns immediately with
-// a channel that later receives the reply.  The engine prefers this interface
-// when present and uses the gap to run the next iteration's filter step
-// (reference-path generation on the skeleton) while the refine is in flight —
-// with a batching transport the request may additionally coalesce with pairs
-// from other concurrent queries while it waits.  A nil view requests the live
-// weights, mirroring PartialKSP.
-type AsyncPartialProvider interface {
-	PartialKSPAsync(iv *dtlp.IndexView, pairs []PairRequest, k int) <-chan AsyncPartialReply
-}
-
-// CtxAsyncPartialProvider is AsyncPartialProvider with a context parameter.
-// The engine prefers this interface over AsyncPartialProvider when both are
-// present and passes its query context through, so a context-carried trace
-// span (see internal/trace) follows the refine request into the batching
-// transport and onto the wire.  Implementations must treat the context as
-// trace carrier only — refine requests may coalesce with other queries'
-// pairs, so per-query cancellation must not abort a shipped batch.
-type CtxAsyncPartialProvider interface {
+// PartialProvider supplies partial k shortest paths for boundary pairs.  The
+// refine step of KSP-DG is expressed against this interface so that the same
+// engine code runs both locally (LocalProvider) and on a cluster where the
+// pairs are fanned out to the workers owning the relevant subgraphs (the
+// cluster package's batched providers).
+type PartialProvider interface {
+	// PartialKSPAsyncCtx issues the refine step without blocking the caller:
+	// it returns immediately with a buffered channel that later receives, for
+	// every requested pair, up to k shortest paths between the pair's
+	// endpoints restricted to single subgraphs containing both, in global
+	// vertex ids and ascending distance.  The engine uses the gap to run the
+	// next iteration's filter step while the refine is in flight.
+	//
+	// Every subgraph search reads the weights frozen in the epoch view iv,
+	// over the partition of that epoch's generation; a nil view requests the
+	// live weights.  pairs is only valid until the call returns —
+	// implementations that keep working afterwards copy it.  The context is a
+	// trace carrier only (see internal/trace): refine requests may coalesce
+	// with other queries' pairs, so per-query cancellation must not abort a
+	// shipped batch.
 	PartialKSPAsyncCtx(ctx context.Context, iv *dtlp.IndexView, pairs []PairRequest, k int) <-chan AsyncPartialReply
 }
 
@@ -87,203 +67,178 @@ func NewLocalProvider(part *partition.Partition, parallelism int) *LocalProvider
 	return &LocalProvider{part: part, Parallelism: parallelism}
 }
 
-// PartialKSP implements PartialProvider against the live subgraph weights of
-// the partition the provider was constructed over.
-func (lp *LocalProvider) PartialKSP(pairs []PairRequest, k int) (map[PairRequest][]graph.Path, error) {
-	return lp.partialKSP(lp.part, pairs, k, liveSubgraphWeights(lp.part))
-}
-
-// PartialKSPView implements ViewProvider: every subgraph search reads the
-// weights frozen in the epoch view, over the partition of that epoch's
-// generation (topology updates replace the partition, so the view's own
-// partition — not the construction-time one — is authoritative).
-func (lp *LocalProvider) PartialKSPView(iv *dtlp.IndexView, pairs []PairRequest, k int) (map[PairRequest][]graph.Path, error) {
-	return lp.partialKSP(iv.Partition(), pairs, k, iv.SubgraphWeights)
-}
-
-// subgraphWeightsFn resolves the weighted view a subgraph search should run
-// over: either the live local graph or an epoch snapshot of it.
-type subgraphWeightsFn func(partition.SubgraphID) *graph.Snapshot
-
-// liveSubgraphWeights reads the subgraph weights as of the moment of the
-// call.  Unlike an epoch view, consecutive calls may observe different
-// weights when updates are applied concurrently.
-func liveSubgraphWeights(part *partition.Partition) subgraphWeightsFn {
-	return func(id partition.SubgraphID) *graph.Snapshot {
-		return part.Subgraph(id).Local.Snapshot()
-	}
-}
-
-func (lp *LocalProvider) partialKSP(part *partition.Partition, pairs []PairRequest, k int, weights subgraphWeightsFn) (map[PairRequest][]graph.Path, error) {
+// PartialKSPAsyncCtx implements PartialProvider.  The answer is computed on a
+// goroutine of its own, so the engine overlaps its next filter step with the
+// local refine exactly as it does with a remote one.
+func (lp *LocalProvider) PartialKSPAsyncCtx(_ context.Context, iv *dtlp.IndexView, pairs []PairRequest, k int) <-chan AsyncPartialReply {
+	out := make(chan AsyncPartialReply, 1)
 	if k <= 0 {
-		return nil, fmt.Errorf("core: k must be positive, got %d", k)
+		out <- AsyncPartialReply{Err: fmt.Errorf("core: k must be positive, got %d", k)}
+		return out
 	}
-	out := make(map[PairRequest][]graph.Path, len(pairs))
-	if len(pairs) == 0 {
-		return out, nil
-	}
-	par := lp.Parallelism
-	if par <= 1 {
-		for _, pr := range pairs {
-			out[pr] = partialKSPForPairInner(part, pr, k, weights, 1)
+	pairs = append([]PairRequest(nil), pairs...)
+	go func() {
+		part, weights := RefineSource(lp.part, iv)
+		results := make([][]graph.Path, len(pairs))
+		FanOut(len(pairs), lp.Parallelism, func(i, inner int) {
+			results[i] = RefinePair(part, pairs[i], k, weights, nil, inner)
+		})
+		paths := make(map[PairRequest][]graph.Path, len(pairs))
+		for i, pr := range pairs {
+			paths[pr] = results[i]
 		}
-		return out, nil
+		out <- AsyncPartialReply{Paths: paths}
+	}()
+	return out
+}
+
+// RefineSource resolves what a refine request searches: the partition and
+// frozen subgraph weights of the epoch view, or — for a nil view — the live
+// state of part.  Topology updates replace the partition, so a view's own
+// partition (not the one a provider was built over) is authoritative for its
+// epoch.  Live reads observe concurrent weight updates as they land.
+func RefineSource(part *partition.Partition, iv *dtlp.IndexView) (*partition.Partition, func(partition.SubgraphID) graph.WeightedView) {
+	if iv == nil {
+		return part, func(id partition.SubgraphID) graph.WeightedView { return part.Subgraph(id).Local }
 	}
-	// Split the budget like cluster.Worker: pairs take the outer lanes, and
-	// the leftover width per pair fans out that pair's per-subgraph searches,
-	// so a single heavy pair still uses the whole budget.
-	inner := par / len(pairs)
-	if inner < 1 {
-		inner = 1
+	return iv.Partition(), func(id partition.SubgraphID) graph.WeightedView { return iv.SubgraphWeights(id) }
+}
+
+// FanOut calls fn(i, inner) once for every i in [0, n) on up to width
+// goroutines and returns the number of lanes it used: outer = min(width, n)
+// indices run concurrently, and each call is handed the leftover budget
+// inner = max(width/n, 1) for a nested FanOut, so a request with fewer items
+// than lanes pushes the surplus inward (a single heavy pair still uses the
+// whole budget).  Callers write results into slots indexed by i, which keeps
+// the output independent of scheduling.  width <= 1 runs everything on the
+// calling goroutine; n == 0 returns at once.
+//
+// A panic in fn on a lane goroutine is re-raised on the calling goroutine
+// once every lane has finished, so whoever contains panics around the caller
+// (see cluster.Server) contains the lanes' too.
+func FanOut(n, width int, fn func(i, inner int)) (outer int) {
+	if n == 0 {
+		return 0
 	}
-	if len(pairs) == 1 {
-		out[pairs[0]] = partialKSPForPairInner(part, pairs[0], k, weights, inner)
-		return out, nil
+	inner := max(width/n, 1)
+	outer = max(min(width, n), 1)
+	if outer == 1 {
+		for i := 0; i < n; i++ {
+			fn(i, inner)
+		}
+		return outer
 	}
-	var mu sync.Mutex
-	var wg sync.WaitGroup
-	jobs := make(chan PairRequest)
-	for w := 0; w < par; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for pr := range jobs {
-				paths := partialKSPForPairInner(part, pr, k, weights, inner)
-				mu.Lock()
-				out[pr] = paths
-				mu.Unlock()
+	var lanePanic atomic.Pointer[string]
+	run := func(i int) {
+		defer func() {
+			if r := recover(); r != nil {
+				msg := fmt.Sprintf("%v\n%s", r, debug.Stack())
+				lanePanic.CompareAndSwap(nil, &msg)
 			}
 		}()
-	}
-	for _, pr := range pairs {
-		jobs <- pr
-	}
-	close(jobs)
-	wg.Wait()
-	return out, nil
-}
-
-// PartialKSPForPair computes up to k shortest paths between the pair's
-// endpoints, searching each subgraph that contains both endpoints and merging
-// the per-subgraph results (Algorithm 4, lines 3-8).  Paths are returned in
-// global vertex ids sorted by distance.
-func PartialKSPForPair(part *partition.Partition, pr PairRequest, k int) []graph.Path {
-	return partialKSPForPair(part, pr, k, liveSubgraphWeights(part))
-}
-
-// PartialKSPForPairView is PartialKSPForPair over the weights of one epoch.
-func PartialKSPForPairView(iv *dtlp.IndexView, pr PairRequest, k int) []graph.Path {
-	return partialKSPForPair(iv.Partition(), pr, k, iv.SubgraphWeights)
-}
-
-// pairSeenPool recycles the dedup sets used when a pair's endpoints share
-// more than one subgraph; the common single-subgraph case skips dedup (and
-// the merge sort) entirely, since one Yen call cannot produce duplicates and
-// already emits in ascending order.
-var pairSeenPool = sync.Pool{New: func() interface{} { return new(graph.PathSet) }}
-
-func partialKSPForPair(part *partition.Partition, pr PairRequest, k int, weights subgraphWeightsFn) []graph.Path {
-	return partialKSPForPairInner(part, pr, k, weights, 1)
-}
-
-// partialKSPForPairInner is partialKSPForPair with an inner-parallelism
-// budget: when inner > 1 and the endpoints share several subgraphs, the
-// per-subgraph Yen searches fan out across up to inner goroutines.  Results
-// fill slots indexed by the subgraph's position in CommonSubgraphs and merge
-// sequentially in that order through the same dedup set and sort as the
-// serial loop, so the answer is bit-identical either way.
-func partialKSPForPairInner(part *partition.Partition, pr PairRequest, k int, weights subgraphWeightsFn, inner int) []graph.Path {
-	if pr.A == pr.B {
-		return []graph.Path{{Vertices: []graph.VertexID{pr.A}}}
-	}
-	ids := part.CommonSubgraphs(pr.A, pr.B)
-	if inner > 1 && len(ids) > 1 {
-		return partialKSPForPairParallel(part, pr, k, weights, inner, ids)
-	}
-	var merged []graph.Path
-	var seen *graph.PathSet
-	if len(ids) > 1 {
-		seen = pairSeenPool.Get().(*graph.PathSet)
-		seen.Reset()
-		defer pairSeenPool.Put(seen)
-	}
-	for _, id := range ids {
-		sub := part.Subgraph(id)
-		la, okA := sub.ToLocal(pr.A)
-		lb, okB := sub.ToLocal(pr.B)
-		if !okA || !okB {
-			continue
-		}
-		for _, lp := range shortest.Yen(weights(id), la, lb, k, nil) {
-			gp := sub.GlobalPath(lp)
-			if seen != nil && !seen.Add(gp) {
-				continue
-			}
-			merged = append(merged, gp)
-		}
-	}
-	if len(ids) > 1 {
-		sort.Slice(merged, func(i, j int) bool { return graph.ComparePaths(merged[i], merged[j]) < 0 })
-	}
-	if len(merged) > k {
-		merged = merged[:k]
-	}
-	return merged
-}
-
-// partialKSPForPairParallel runs one pair's per-subgraph searches on up to
-// inner goroutines (see partialKSPForPairInner for the determinism argument).
-func partialKSPForPairParallel(part *partition.Partition, pr PairRequest, k int, weights subgraphWeightsFn, inner int, ids []partition.SubgraphID) []graph.Path {
-	perSub := make([][]graph.Path, len(ids))
-	searchOne := func(j int) {
-		sub := part.Subgraph(ids[j])
-		la, okA := sub.ToLocal(pr.A)
-		lb, okB := sub.ToLocal(pr.B)
-		if !okA || !okB {
-			return
-		}
-		lps := shortest.Yen(weights(ids[j]), la, lb, k, nil)
-		gps := make([]graph.Path, 0, len(lps))
-		for _, lp := range lps {
-			gps = append(gps, sub.GlobalPath(lp))
-		}
-		perSub[j] = gps
-	}
-	g := inner
-	if g > len(ids) {
-		g = len(ids)
+		fn(i, inner)
 	}
 	jobs := make(chan int)
 	var wg sync.WaitGroup
-	for i := 0; i < g; i++ {
+	for g := 0; g < outer; g++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for j := range jobs {
-				searchOne(j)
+			for i := range jobs {
+				run(i)
 			}
 		}()
 	}
-	for j := range ids {
-		jobs <- j
+	for i := 0; i < n; i++ {
+		jobs <- i
 	}
 	close(jobs)
 	wg.Wait()
-	seen := pairSeenPool.Get().(*graph.PathSet)
+	if msg := lanePanic.Load(); msg != nil {
+		panic("core: fan-out lane panicked: " + *msg)
+	}
+	return outer
+}
+
+// RefinePair computes up to k shortest paths between the pair's endpoints:
+// one Yen search in every subgraph that contains both endpoints (and, with a
+// non-nil owns, that the caller hosts), merged into the k shortest distinct
+// paths (Algorithm 4, lines 3-8).  Paths are returned in global vertex ids
+// sorted by distance.  weights resolves the view each subgraph is searched
+// over (see RefineSource); inner is the width available for the pair's
+// per-subgraph searches.
+//
+// Each search fills a slot indexed by its subgraph's position and the slots
+// pass through MergePaths, so the answer is identical at any width, and the
+// union of per-owner answers merges to the answer of a single owner of
+// everything — which is what lets a master merge replies from workers with
+// any ownership split.
+func RefinePair(part *partition.Partition, pr PairRequest, k int, weights func(partition.SubgraphID) graph.WeightedView, owns func(partition.SubgraphID) bool, inner int) []graph.Path {
+	if pr.A == pr.B {
+		return []graph.Path{{Vertices: []graph.VertexID{pr.A}}}
+	}
+	if k <= 0 {
+		return nil
+	}
+	ids := part.CommonSubgraphs(pr.A, pr.B)
+	if owns != nil {
+		ids = slices.DeleteFunc(ids, func(id partition.SubgraphID) bool { return !owns(id) })
+	}
+	switch len(ids) {
+	case 0:
+		return nil
+	case 1:
+		// One Yen call already emits sorted, duplicate-free paths; only
+		// results from several subgraphs need the merge.
+		return searchSubgraph(part.Subgraph(ids[0]), pr, k, weights(ids[0]))
+	}
+	perSub := make([][]graph.Path, len(ids))
+	FanOut(len(ids), inner, func(j, _ int) {
+		perSub[j] = searchSubgraph(part.Subgraph(ids[j]), pr, k, weights(ids[j]))
+	})
+	var all []graph.Path
+	for _, paths := range perSub {
+		all = append(all, paths...)
+	}
+	return MergePaths(all, k)
+}
+
+// searchSubgraph runs the pair's Yen search inside one subgraph and returns
+// the paths in global vertex ids.
+func searchSubgraph(sub *partition.Subgraph, pr PairRequest, k int, weights graph.WeightedView) []graph.Path {
+	la, okA := sub.ToLocal(pr.A)
+	lb, okB := sub.ToLocal(pr.B)
+	if !okA || !okB {
+		return nil
+	}
+	paths := shortest.Yen(weights, la, lb, k, nil)
+	for i, lp := range paths {
+		paths[i] = sub.GlobalPath(lp)
+	}
+	return paths
+}
+
+// mergeSeenPool recycles the dedup sets MergePaths uses.
+var mergeSeenPool = sync.Pool{New: func() interface{} { return new(graph.PathSet) }}
+
+// MergePaths merges partial paths collected for one pair — from several
+// subgraphs, or from several workers whose subgraphs share the pair — into
+// the k shortest distinct paths in ascending ComparePaths order.  Sorting
+// first makes the result independent of the order the inputs arrived in.  The
+// merge is in place: paths must be owned by the caller and is clobbered.
+func MergePaths(paths []graph.Path, k int) []graph.Path {
+	sort.Slice(paths, func(i, j int) bool { return graph.ComparePaths(paths[i], paths[j]) < 0 })
+	seen := mergeSeenPool.Get().(*graph.PathSet)
 	seen.Reset()
-	defer pairSeenPool.Put(seen)
-	var merged []graph.Path
-	for _, gps := range perSub {
-		for _, gp := range gps {
-			if !seen.Add(gp) {
-				continue
-			}
-			merged = append(merged, gp)
+	defer mergeSeenPool.Put(seen)
+	dedup := paths[:0]
+	for _, p := range paths {
+		if len(dedup) >= k {
+			break
+		}
+		if seen.Add(p) {
+			dedup = append(dedup, p)
 		}
 	}
-	sort.Slice(merged, func(i, j int) bool { return graph.ComparePaths(merged[i], merged[j]) < 0 })
-	if len(merged) > k {
-		merged = merged[:k]
-	}
-	return merged
+	return dedup
 }

@@ -325,25 +325,18 @@ func newGatedProvider(inner core.PartialProvider) *gatedProvider {
 	return &gatedProvider{inner: inner, gate: make(chan struct{}), entered: make(chan struct{}, 64)}
 }
 
-func (p *gatedProvider) PartialKSP(pairs []core.PairRequest, k int) (map[core.PairRequest][]graph.Path, error) {
-	select {
-	case p.entered <- struct{}{}:
-	default:
-	}
-	<-p.gate
-	return p.inner.PartialKSP(pairs, k)
-}
-
-func (p *gatedProvider) PartialKSPView(iv *dtlp.IndexView, pairs []core.PairRequest, k int) (map[core.PairRequest][]graph.Path, error) {
-	select {
-	case p.entered <- struct{}{}:
-	default:
-	}
-	<-p.gate
-	if vp, ok := p.inner.(core.ViewProvider); ok {
-		return vp.PartialKSPView(iv, pairs, k)
-	}
-	return p.inner.PartialKSP(pairs, k)
+func (p *gatedProvider) PartialKSPAsyncCtx(ctx context.Context, iv *dtlp.IndexView, pairs []core.PairRequest, k int) <-chan core.AsyncPartialReply {
+	pairs = append([]core.PairRequest(nil), pairs...)
+	out := make(chan core.AsyncPartialReply, 1)
+	go func() {
+		select {
+		case p.entered <- struct{}{}:
+		default:
+		}
+		<-p.gate
+		out <- <-p.inner.PartialKSPAsyncCtx(ctx, iv, pairs, k)
+	}()
+	return out
 }
 
 // gatedHarness is a single-slot gateway over the paper graph whose engine

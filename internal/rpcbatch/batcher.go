@@ -114,7 +114,7 @@ func (s *Stats) Add(other Stats) {
 	s.Coalesced += other.Coalesced
 }
 
-// Result is the outcome of one Do/DoAsync call: the partial paths for every
+// Result is the outcome of one DoAsyncCtx call: the partial paths for every
 // requested pair, or the first transport error that hit one of its batches.
 type Result struct {
 	Paths map[core.PairRequest][]graph.Path
@@ -137,7 +137,7 @@ type flightKey struct {
 	batchKey
 }
 
-// waiter is one Do/DoAsync call awaiting its pairs.
+// waiter is one DoAsyncCtx call awaiting its pairs.
 type waiter struct {
 	missing int
 	paths   map[core.PairRequest][]graph.Path
@@ -263,19 +263,17 @@ func New(send Sender, opts Options) *Batcher {
 	return b
 }
 
-// DoAsync submits the pairs and returns a channel that receives the combined
-// result once every pair has been answered.  The call returns immediately;
-// the pairs ride whatever batches their (k, epoch) class flushes into.
-func (b *Batcher) DoAsync(pairs []core.PairRequest, k int, epoch uint64, hasEpoch bool) <-chan Result {
-	return b.DoAsyncCtx(context.Background(), pairs, k, epoch, hasEpoch)
-}
-
-// DoAsyncCtx is DoAsync with a context that may carry a trace span.  The
-// span gets a child "rpc_wait" span measuring the coalesce wait (submit to
-// last-pair delivery) annotated with memo/dedup hits and the batch ids the
-// pairs rode; the first traced caller to contribute a pair to a forming batch
-// becomes that batch's trace owner.  Cancellation is deliberately NOT
-// honoured — a submitted pair may serve other queries' waiters.
+// DoAsyncCtx submits the pairs and returns a buffered channel that receives
+// the combined result once every pair has been answered.  The call returns
+// immediately; the pairs ride whatever batches their (k, epoch) class flushes
+// into.
+//
+// The context may carry a trace span, which gets a child "rpc_wait" span
+// measuring the coalesce wait (submit to last-pair delivery) annotated with
+// memo/dedup hits and the batch ids the pairs rode; the first traced caller
+// to contribute a pair to a forming batch becomes that batch's trace owner.
+// Cancellation is deliberately NOT honoured — a submitted pair may serve
+// other queries' waiters.
 func (b *Batcher) DoAsyncCtx(ctx context.Context, pairs []core.PairRequest, k int, epoch uint64, hasEpoch bool) <-chan Result {
 	done := make(chan Result, 1)
 	if len(pairs) == 0 {
@@ -367,12 +365,6 @@ func (b *Batcher) DoAsyncCtx(ctx context.Context, pairs []core.PairRequest, k in
 	}
 	b.mu.Unlock()
 	return done
-}
-
-// Do is DoAsync followed by a blocking wait.
-func (b *Batcher) Do(pairs []core.PairRequest, k int, epoch uint64, hasEpoch bool) (map[core.PairRequest][]graph.Path, error) {
-	res := <-b.DoAsyncCtx(context.Background(), pairs, k, epoch, hasEpoch)
-	return res.Paths, res.Err
 }
 
 // flushAged is the timer callback: flush the bucket if it is still forming.
@@ -472,13 +464,6 @@ func (b *Batcher) flushAllLocked() {
 	for _, bu := range b.buckets {
 		b.flushLocked(bu)
 	}
-}
-
-// Flush ships every forming bucket immediately.
-func (b *Batcher) Flush() {
-	b.mu.Lock()
-	b.flushAllLocked()
-	b.mu.Unlock()
 }
 
 // Close flushes buffered pairs, waits for in-flight batches to resolve, and

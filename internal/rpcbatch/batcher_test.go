@@ -29,6 +29,17 @@ type wireBatch struct {
 	release chan error // send nil to answer the batch, an error to fail it
 }
 
+// doAsync submits pairs untraced.
+func doAsync(b *Batcher, pairs []core.PairRequest, k int, epoch uint64, hasEpoch bool) <-chan Result {
+	return b.DoAsyncCtx(context.Background(), pairs, k, epoch, hasEpoch)
+}
+
+// do is doAsync followed by a blocking wait.
+func do(b *Batcher, pairs []core.PairRequest, k int, epoch uint64, hasEpoch bool) (map[core.PairRequest][]graph.Path, error) {
+	res := <-doAsync(b, pairs, k, epoch, hasEpoch)
+	return res.Paths, res.Err
+}
+
 // newGated returns a batcher over a gated sender, with the age cap out of
 // reach so that only the trigger under test can ship a batch.  When the test
 // ends — passed or failed — the gate opens and the batcher is closed, so a
@@ -95,23 +106,23 @@ func pairsN(n int) []core.PairRequest {
 
 // An idle link ships at once, however many callers are mid-query: a closed
 // loop of two clients must not pay an age timer on rounds that find the link
-// free.  The flush decision is made inside DoAsync, so Stats shows it as soon
+// free.  The flush decision is made inside DoAsyncCtx, so Stats shows it as soon
 // as the call returns.
 func TestIdleLinkShipsAtOnce(t *testing.T) {
 	fs, b := newGated(t, Options{MaxPairs: 1 << 20, CacheCapacity: -1})
 	// Caller A's round has come back (it is now busy with its filter step);
 	// caller B arrives to a free link, A returns to find B's batch out.
-	a := b.DoAsync(pairsN(1), 2, 1, true)
+	a := doAsync(b, pairsN(1), 2, 1, true)
 	fs.next(t).release <- nil
 	if r := await(t, a); r.Err != nil || len(r.Paths) != 1 {
 		t.Fatalf("caller A: %+v", r)
 	}
-	bb := b.DoAsync(pairsN(3)[1:], 2, 1, true)
+	bb := doAsync(b, pairsN(3)[1:], 2, 1, true)
 	if got := b.Stats().Batches; got != 2 {
 		t.Fatalf("second caller found an idle link but %d batches shipped, want 2", got)
 	}
 	held := fs.next(t)
-	a = b.DoAsync(pairsN(4)[3:], 2, 1, true)
+	a = doAsync(b, pairsN(4)[3:], 2, 1, true)
 	if got := b.Stats().Batches; got != 2 {
 		t.Fatalf("%d batches shipped while B's was out, want 2", got)
 	}
@@ -129,14 +140,14 @@ func TestIdleLinkShipsAtOnce(t *testing.T) {
 // as one batch, the moment it returns.
 func TestInFlightReturnShipsOneBatch(t *testing.T) {
 	fs, b := newGated(t, Options{MaxPairs: 1 << 20, CacheCapacity: -1})
-	first := b.DoAsync([]core.PairRequest{{A: 100, B: 101}}, 2, 1, true)
+	first := doAsync(b, []core.PairRequest{{A: 100, B: 101}}, 2, 1, true)
 	held := fs.next(t)
 
 	const callers = 5
 	var waiting []<-chan Result
 	for c := 0; c < callers; c++ {
 		// Caller c asks for pair c and pair c+1: neighbours overlap.
-		waiting = append(waiting, b.DoAsync(pairsN(c + 2)[c:], 2, 1, true))
+		waiting = append(waiting, doAsync(b, pairsN(c + 2)[c:], 2, 1, true))
 	}
 	if got := b.Stats().Batches; got != 1 {
 		t.Fatalf("%d batches shipped while the link was busy, want 1", got)
@@ -163,10 +174,10 @@ func TestInFlightReturnShipsOneBatch(t *testing.T) {
 
 func TestFlushBySize(t *testing.T) {
 	fs, b := newGated(t, Options{MaxPairs: 4, CacheCapacity: -1})
-	first := b.DoAsync([]core.PairRequest{{A: 100, B: 101}}, 2, 1, true)
+	first := doAsync(b, []core.PairRequest{{A: 100, B: 101}}, 2, 1, true)
 	held := fs.next(t)
 	// The link is busy, yet a full bucket does not wait for it.
-	full := b.DoAsync(pairsN(4), 2, 1, true)
+	full := doAsync(b, pairsN(4), 2, 1, true)
 	if got := b.Stats().Batches; got != 2 {
 		t.Fatalf("a full bucket must ship by size: %d batches, want 2", got)
 	}
@@ -192,9 +203,9 @@ func TestFlushBySize(t *testing.T) {
 func TestAgeCapReleasesStuckBucket(t *testing.T) {
 	fs, b := newGated(t, Options{MaxPairs: 1 << 20, CacheCapacity: -1})
 	b.ageCap = maxAge
-	slow := b.DoAsync(pairsN(1), 3, 7, true)
+	slow := doAsync(b, pairsN(1), 3, 7, true)
 	held := fs.next(t)
-	stuck := b.DoAsync(pairsN(2)[1:], 3, 7, true)
+	stuck := doAsync(b, pairsN(2)[1:], 3, 7, true)
 	// The slow batch is never released before this arrives: only the age
 	// timer can have shipped it.
 	fs.next(t).release <- nil
@@ -213,9 +224,9 @@ func TestAgeCapReleasesStuckBucket(t *testing.T) {
 func TestDedupAcrossCallers(t *testing.T) {
 	fs, b := newGated(t, Options{MaxPairs: 8, CacheCapacity: -1})
 	pr := core.PairRequest{A: 1, B: 2}
-	ch1 := b.DoAsync([]core.PairRequest{pr}, 2, 3, true)
+	ch1 := doAsync(b, []core.PairRequest{pr}, 2, 3, true)
 	held := fs.next(t)
-	ch2 := b.DoAsync([]core.PairRequest{pr}, 2, 3, true) // attaches to the pair on the wire
+	ch2 := doAsync(b, []core.PairRequest{pr}, 2, 3, true) // attaches to the pair on the wire
 	held.release <- nil
 	r1, r2 := await(t, ch1), await(t, ch2)
 	if r1.Err != nil || r2.Err != nil {
@@ -233,12 +244,12 @@ func TestDedupAcrossCallers(t *testing.T) {
 func TestEpochsNeverShareABatch(t *testing.T) {
 	fs, b := newGated(t, Options{MaxPairs: 64, CacheCapacity: -1})
 	pr := core.PairRequest{A: 4, B: 5}
-	ch1 := b.DoAsync([]core.PairRequest{pr}, 2, 1, true)
+	ch1 := doAsync(b, []core.PairRequest{pr}, 2, 1, true)
 	held := fs.next(t)
 	// Both form while epoch 1's batch is out, and both leave when it returns
 	// — in two batches, because their keys differ.
-	ch2 := b.DoAsync([]core.PairRequest{pr}, 2, 2, true)
-	ch3 := b.DoAsync([]core.PairRequest{pr}, 2, 0, false) // live weights
+	ch2 := doAsync(b, []core.PairRequest{pr}, 2, 2, true)
+	ch3 := doAsync(b, []core.PairRequest{pr}, 2, 0, false) // live weights
 	held.release <- nil
 	fs.next(t).release <- nil
 	fs.next(t).release <- nil
@@ -265,10 +276,10 @@ func TestEpochPinnedCache(t *testing.T) {
 	b := New(fs.send, Options{MaxPairs: 8})
 	defer b.Close()
 	pr := core.PairRequest{A: 8, B: 9}
-	if _, err := b.Do([]core.PairRequest{pr}, 2, 5, true); err != nil {
+	if _, err := do(b, []core.PairRequest{pr}, 2, 5, true); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := b.Do([]core.PairRequest{pr}, 2, 5, true); err != nil {
+	if _, err := do(b, []core.PairRequest{pr}, 2, 5, true); err != nil {
 		t.Fatal(err)
 	}
 	st := b.Stats()
@@ -276,7 +287,7 @@ func TestEpochPinnedCache(t *testing.T) {
 		t.Errorf("second same-epoch request should hit the memo: %+v", st)
 	}
 	// A new epoch must miss: the weights may have changed.
-	if _, err := b.Do([]core.PairRequest{pr}, 2, 6, true); err != nil {
+	if _, err := do(b, []core.PairRequest{pr}, 2, 6, true); err != nil {
 		t.Fatal(err)
 	}
 	st = b.Stats()
@@ -284,10 +295,10 @@ func TestEpochPinnedCache(t *testing.T) {
 		t.Errorf("new-epoch request must not reuse the old epoch's answer: %+v", st)
 	}
 	// Live-weight requests are never cached.
-	if _, err := b.Do([]core.PairRequest{pr}, 2, 0, false); err != nil {
+	if _, err := do(b, []core.PairRequest{pr}, 2, 0, false); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := b.Do([]core.PairRequest{pr}, 2, 0, false); err != nil {
+	if _, err := do(b, []core.PairRequest{pr}, 2, 0, false); err != nil {
 		t.Fatal(err)
 	}
 	st = b.Stats()
@@ -298,9 +309,9 @@ func TestEpochPinnedCache(t *testing.T) {
 
 func TestSenderErrorPropagates(t *testing.T) {
 	fs, b := newGated(t, Options{MaxPairs: 2})
-	ch1 := b.DoAsync(pairsN(1), 2, 1, true)
+	ch1 := doAsync(b, pairsN(1), 2, 1, true)
 	held := fs.next(t)
-	ch2 := b.DoAsync(pairsN(1), 2, 1, true) // dedups onto the in-flight pair
+	ch2 := doAsync(b, pairsN(1), 2, 1, true) // dedups onto the in-flight pair
 	held.release <- errors.New("worker down")
 	r1, r2 := await(t, ch1), await(t, ch2)
 	if r1.Err == nil || r2.Err == nil {
@@ -317,7 +328,7 @@ func TestUnpinnedAnswersAreNotMemoized(t *testing.T) {
 	defer b.Close()
 	pr := core.PairRequest{A: 30, B: 31}
 	for i := 0; i < 2; i++ {
-		if _, err := b.Do([]core.PairRequest{pr}, 2, 9, true); err != nil {
+		if _, err := do(b, []core.PairRequest{pr}, 2, 9, true); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -331,9 +342,9 @@ func TestUnpinnedAnswersAreNotMemoized(t *testing.T) {
 // ship the bucket, deliver every waiter, and only then return.
 func TestCloseDeliversEveryWaiter(t *testing.T) {
 	fs, b := newGated(t, Options{MaxPairs: 1 << 20, CacheCapacity: -1})
-	first := b.DoAsync(pairsN(1), 2, 1, true)
+	first := doAsync(b, pairsN(1), 2, 1, true)
 	held := fs.next(t)
-	forming := b.DoAsync(pairsN(4)[1:], 2, 1, true)
+	forming := doAsync(b, pairsN(4)[1:], 2, 1, true)
 	closed := make(chan struct{})
 	go func() {
 		b.Close()
@@ -363,7 +374,7 @@ func TestCloseDeliversEveryWaiter(t *testing.T) {
 	case <-time.After(10 * time.Second):
 		t.Fatal("Close never returned")
 	}
-	if res := await(t, b.DoAsync(pairsN(1), 2, 1, true)); !errors.Is(res.Err, ErrClosed) {
+	if res := await(t, doAsync(b, pairsN(1), 2, 1, true)); !errors.Is(res.Err, ErrClosed) {
 		t.Fatalf("post-close submissions must fail with ErrClosed, got %v", res.Err)
 	}
 	st := b.Stats()
@@ -376,7 +387,7 @@ func TestEmptyRequest(t *testing.T) {
 	fs := &fakeSender{}
 	b := New(fs.send, Options{})
 	defer b.Close()
-	paths, err := b.Do(nil, 2, 1, true)
+	paths, err := do(b, nil, 2, 1, true)
 	if err != nil || len(paths) != 0 {
 		t.Fatalf("empty request: %v %v", paths, err)
 	}
@@ -408,7 +419,7 @@ func TestConcurrentAccounting(t *testing.T) {
 					})
 				}
 				epoch := uint64(rng.Intn(3))
-				paths, err := b.Do(pairs, 2, epoch, true)
+				paths, err := do(b, pairs, 2, epoch, true)
 				if err != nil {
 					failures.Add(1)
 					return
@@ -447,7 +458,7 @@ func BenchmarkBatcherRound(b *testing.B) {
 		id := graph.VertexID(caller.Add(1) * 1000)
 		pairs := []core.PairRequest{{A: id, B: id + 1}}
 		for pb.Next() {
-			if _, err := bt.Do(pairs, 3, 1, true); err != nil {
+			if _, err := do(bt, pairs, 3, 1, true); err != nil {
 				b.Error(err)
 				return
 			}

@@ -278,8 +278,9 @@ type task struct{ c *call }
 // New creates a server over the given index.  provider selects where the
 // refine step runs: nil uses a local provider with the server's worker
 // parallelism, anything else (e.g. a cluster provider) is passed through to
-// the engine.  Queries gain snapshot isolation on the refine step whenever
-// the provider implements core.ViewProvider.
+// the engine.  Every refine request carries the query's epoch view, so the
+// refine step is snapshot-isolated wherever the provider's workers can
+// resolve that epoch.
 func New(index *dtlp.Index, provider core.PartialProvider, opts Options) *Server {
 	opts = opts.withDefaults()
 	engOpts := opts.Engine

@@ -116,9 +116,14 @@ type slowProvider struct {
 	delay time.Duration
 }
 
-func (p slowProvider) PartialKSP(pairs []core.PairRequest, k int) (map[core.PairRequest][]graph.Path, error) {
-	time.Sleep(p.delay)
-	return p.inner.PartialKSP(pairs, k)
+func (p slowProvider) PartialKSPAsyncCtx(ctx context.Context, iv *dtlp.IndexView, pairs []core.PairRequest, k int) <-chan core.AsyncPartialReply {
+	pairs = append([]core.PairRequest(nil), pairs...)
+	out := make(chan core.AsyncPartialReply, 1)
+	go func() {
+		time.Sleep(p.delay)
+		out <- <-p.inner.PartialKSPAsyncCtx(ctx, iv, pairs, k)
+	}()
+	return out
 }
 
 func TestServerCoalescesIdenticalQueries(t *testing.T) {
@@ -363,25 +368,18 @@ func newBlockingProvider(inner core.PartialProvider) *blockingProvider {
 	return &blockingProvider{inner: inner, release: make(chan struct{}), entered: make(chan struct{}, 16)}
 }
 
-func (p *blockingProvider) PartialKSP(pairs []core.PairRequest, k int) (map[core.PairRequest][]graph.Path, error) {
-	select {
-	case p.entered <- struct{}{}:
-	default:
-	}
-	<-p.release
-	return p.inner.PartialKSP(pairs, k)
-}
-
-func (p *blockingProvider) PartialKSPView(iv *dtlp.IndexView, pairs []core.PairRequest, k int) (map[core.PairRequest][]graph.Path, error) {
-	select {
-	case p.entered <- struct{}{}:
-	default:
-	}
-	<-p.release
-	if vp, ok := p.inner.(core.ViewProvider); ok {
-		return vp.PartialKSPView(iv, pairs, k)
-	}
-	return p.inner.PartialKSP(pairs, k)
+func (p *blockingProvider) PartialKSPAsyncCtx(ctx context.Context, iv *dtlp.IndexView, pairs []core.PairRequest, k int) <-chan core.AsyncPartialReply {
+	pairs = append([]core.PairRequest(nil), pairs...)
+	out := make(chan core.AsyncPartialReply, 1)
+	go func() {
+		select {
+		case p.entered <- struct{}{}:
+		default:
+		}
+		<-p.release
+		out <- <-p.inner.PartialKSPAsyncCtx(ctx, iv, pairs, k)
+	}()
+	return out
 }
 
 func TestQueryCtxCancelStopsComputation(t *testing.T) {

@@ -8,8 +8,7 @@ import "time"
 // moment the worker began handling the request, DurNs the span's length.
 // Parent indexes another entry of the same slice; -1 attaches the span
 // directly under the master-side RPC span it is grafted onto.  The zero value
-// round-trips through encoding/gob, and legacy peers that predate the field
-// simply leave the slice nil.
+// round-trips through encoding/gob.
 type SpanMsg struct {
 	Name    string
 	Parent  int32 // index into the same []SpanMsg, or -1 for the graft root

@@ -241,7 +241,7 @@ const (
 // builtinSpecs returns the scale-model specs standing in for the four DIMACS
 // road networks of Table 1.  The relative sizes (NY < COL < FLA < CUSA) and
 // the default z progression follow the paper; absolute sizes are laptop
-// scale (see DESIGN.md, substitutions).
+// scale.
 func builtinSpecs(scale Scale) map[string]RoadNetworkSpec {
 	type dims struct{ w, h, z int }
 	var d map[string]dims
