@@ -70,7 +70,6 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"runtime"
 	"strings"
 	"syscall"
 	"time"
@@ -131,8 +130,6 @@ func main() {
 		httpRate   = flag.Float64("http-rate", 100, "per-API-key admission rate in requests/second on the HTTP API (negative disables)")
 		httpBurst  = flag.Int("http-burst", 0, "per-API-key token-bucket burst (0 = the rate)")
 		httpTmout  = flag.Duration("http-timeout", 30*time.Second, "default per-request deadline applied when clients send no Request-Timeout-Ms header (0 = none)")
-		workerPar  = flag.Int("worker-parallelism", 0, "partial-KSP executor width: goroutines one request's pairs (and heavy pairs' per-subgraph searches) fan out across on a worker, or in the master's local refine step (0 = GOMAXPROCS, 1 = sequential)")
-		updatePar  = flag.Int("update-parallelism", 0, "goroutines refreshing affected subgraphs per weight-update batch (0 = GOMAXPROCS, 1 = serial; master mode)")
 		logLevel   = flag.String("log-level", "info", "minimum log level: debug, info, warn, or error")
 		pprofOn    = flag.Bool("pprof", false, "mount Go's net/http/pprof profiling handlers under /debug/pprof/ on the -http listener (master mode)")
 		slowQuery  = flag.Duration("slow-query", 0, "log every query at least this slow with its trace id and per-stage breakdown; 0 logs only non-converged and budget-terminated outliers (master mode)")
@@ -180,7 +177,7 @@ func main() {
 			_, p := deriveDataset(*dataset, *scaleName, *z)
 			part = p
 		}
-		runWorker(part, *workerID, *numWorkers, *replicas, *listen, *workerPar)
+		runWorker(part, *workerID, *numWorkers, *replicas, *listen)
 	case "master":
 		runMaster(masterConfig{
 			dataset:    *dataset,
@@ -214,8 +211,6 @@ func main() {
 			httpRate:   *httpRate,
 			httpBurst:  *httpBurst,
 			httpTmout:  *httpTmout,
-			workerPar:  *workerPar,
-			updatePar:  *updatePar,
 			pprofOn:    *pprofOn,
 			slowQuery:  *slowQuery,
 			traceCap:   *traceCap,
@@ -264,7 +259,7 @@ func parseScale(name string) (workload.Scale, error) {
 // assignment), the shared replica table above that — every process derives
 // the same table from the same flags, so the master's failover routing and
 // the workers' ownership agree without coordination.
-func runWorker(part *partition.Partition, workerID, numWorkers, replicas int, listen string, parallelism int) {
+func runWorker(part *partition.Partition, workerID, numWorkers, replicas int, listen string) {
 	if numWorkers < 1 || workerID < 0 || workerID >= numWorkers {
 		fatal(fmt.Errorf("invalid worker id %d of %d", workerID, numWorkers))
 	}
@@ -286,14 +281,12 @@ func runWorker(part *partition.Partition, workerID, numWorkers, replicas int, li
 	// A standalone worker maintains its own copy of the weights; incoming
 	// update batches must be applied locally.
 	worker.EnableLocalApply()
-	worker.SetParallelism(parallelism)
 	srv, err := cluster.Serve(listen, worker)
 	if err != nil {
 		fatal(err)
 	}
 	lg.Info("worker serving",
-		"worker", workerID, "subgraphs", len(owned), "addr", srv.Addr(),
-		"parallelism", resolveParallelism(parallelism))
+		"worker", workerID, "subgraphs", len(owned), "addr", srv.Addr())
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, syscall.SIGINT, syscall.SIGTERM)
 	<-sig
@@ -331,8 +324,6 @@ type masterConfig struct {
 	httpRate       float64
 	httpBurst      int
 	httpTmout      time.Duration
-	workerPar      int
-	updatePar      int
 	pprofOn        bool
 	slowQuery      time.Duration
 	traceCap       int
@@ -400,9 +391,6 @@ func runMaster(cfg masterConfig) {
 		}
 		lg.Info("snapshot written", "dir", cfg.dataDir, "epoch", epoch)
 	}
-
-	// Sharded write-path maintenance (no-op at 0: GOMAXPROCS is the default).
-	index.SetUpdateParallelism(cfg.updatePar)
 
 	// Metrics shared between the batching transport and the HTTP gateway:
 	// every flushed partial-KSP batch feeds the per-pair latency histogram,
@@ -513,7 +501,7 @@ func runMaster(cfg masterConfig) {
 		Broadcast:          broadcast,
 		BroadcastTopology:  broadcastTopo,
 		SnapshotEvery:      cfg.snapEvery,
-		Engine:             core.Options{MaxIterations: cfg.maxIter, StallWindow: cfg.stallWin, Parallelism: cfg.workerPar},
+		Engine:             core.Options{MaxIterations: cfg.maxIter, StallWindow: cfg.stallWin},
 		Logger:             lg,
 		SlowQueryThreshold: cfg.slowQuery,
 	}
@@ -595,14 +583,13 @@ func runMaster(cfg masterConfig) {
 // restart loses neither queries nor durability.
 func runHTTP(cfg masterConfig, srv *serve.Server, index *dtlp.Index, st *store.Store, member *cluster.Membership, reg *metrics.Registry, tracer *trace.Tracer) {
 	gw := gateway.New(srv, gateway.Options{
-		Rate:              cfg.httpRate,
-		Burst:             cfg.httpBurst,
-		DefaultTimeout:    cfg.httpTmout,
-		Membership:        member,
-		Registry:          reg,
-		WorkerParallelism: resolveParallelism(cfg.workerPar),
-		Tracer:            tracer,
-		EnablePprof:       cfg.pprofOn,
+		Rate:           cfg.httpRate,
+		Burst:          cfg.httpBurst,
+		DefaultTimeout: cfg.httpTmout,
+		Membership:     member,
+		Registry:       reg,
+		Tracer:         tracer,
+		EnablePprof:    cfg.pprofOn,
 	})
 	ln, err := net.Listen("tcp", cfg.httpAddr)
 	if err != nil {
@@ -654,15 +641,6 @@ func runHTTP(cfg masterConfig, srv *serve.Server, index *dtlp.Index, st *store.S
 		}
 		lg.Info("final snapshot written", "dir", cfg.dataDir, "epoch", epoch)
 	}
-}
-
-// resolveParallelism reports the effective executor width for a configured
-// value (0 means GOMAXPROCS, matching Worker.SetParallelism).
-func resolveParallelism(n int) int {
-	if n > 0 {
-		return n
-	}
-	return runtime.GOMAXPROCS(0)
 }
 
 func bestDist(res core.Result) float64 {

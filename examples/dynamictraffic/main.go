@@ -33,7 +33,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	engine := core.NewEngine(index, nil, core.Options{Parallelism: 4, MaxIterations: 100})
+	engine := core.NewEngine(index, nil, core.Options{MaxIterations: 100})
 
 	// Baselines.
 	yen := baseline.NewYen(g)

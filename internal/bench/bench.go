@@ -150,9 +150,6 @@ var registry = []experiment{
 	{"fig45", "Scalability comparison vs number of servers (NY, Figure 45)", (*Suite).Fig45},
 	{"fig46", "Relative speedups vs number of servers (Figure 46)", (*Suite).Fig46},
 	{"loadbalance", "Per-worker load spread (Section 6.6)", (*Suite).LoadBalance},
-	{"rpc", "Batched master-worker request pipeline over TCP", (*Suite).RPCPipeline},
-	{"scaling", "Queries/s vs worker parallelism on the batched rpc workload", (*Suite).Scaling},
-	{"gateway", "HTTP gateway latency percentiles under open-loop Poisson load", (*Suite).GatewayBench},
 	{"ablation-vfrag", "Ablation: vfrag bound vs edge-count bound", (*Suite).AblationVfrag},
 	{"ablation-mfptree", "Ablation: EP-Index vs MFP-tree compression", (*Suite).AblationMFPTree},
 	{"ablation-paircache", "Ablation: partial-path reuse across reference paths", (*Suite).AblationPairCache},

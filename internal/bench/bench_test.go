@@ -2,9 +2,6 @@ package bench
 
 import (
 	"bytes"
-	"encoding/json"
-	"os"
-	"path/filepath"
 	"strconv"
 	"strings"
 	"testing"
@@ -86,7 +83,7 @@ func TestTableFormatting(t *testing.T) {
 // cheap cross-section runs; the full list stays in the non-race lane.
 func TestRepresentativeExperiments(t *testing.T) {
 	s := quickSuite()
-	names := []string{"table1", "table3", "fig15", "fig21", "fig24", "fig32", "fig35", "fig40", "fig41", "fig43", "loadbalance", "rpc", "ablation-vfrag", "ablation-mfptree", "ablation-paircache"}
+	names := []string{"table1", "table3", "fig15", "fig21", "fig24", "fig32", "fig35", "fig40", "fig41", "fig43", "loadbalance", "ablation-vfrag", "ablation-mfptree", "ablation-paircache"}
 	if testing.Short() {
 		names = []string{"table1", "table3", "fig15", "fig35", "fig41"}
 	}
@@ -146,37 +143,4 @@ func parseMs(t *testing.T, s string) float64 {
 		t.Fatalf("cannot parse duration %q: %v", s, err)
 	}
 	return v
-}
-
-func TestRunMeasuredWritesJSON(t *testing.T) {
-	s := quickSuite()
-	tbl, m, err := s.RunMeasured("table3")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.Name != "table3" || m.ElapsedNs <= 0 || m.NsPerOp <= 0 {
-		t.Fatalf("metrics not populated: %+v", m)
-	}
-	if len(m.Rows) != len(tbl.Rows) || len(m.Columns) != len(tbl.Columns) {
-		t.Fatalf("metrics table shape differs from the printed table")
-	}
-	dir := t.TempDir()
-	path, err := WriteJSON(dir, m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if filepath.Base(path) != "BENCH_table3.json" {
-		t.Fatalf("unexpected file name %s", path)
-	}
-	var back Metrics
-	if err := json.Unmarshal(data, &back); err != nil {
-		t.Fatalf("emitted JSON does not parse: %v", err)
-	}
-	if back.Name != m.Name || back.NsPerOp != m.NsPerOp || len(back.Rows) != len(m.Rows) {
-		t.Fatalf("round-tripped metrics differ: %+v vs %+v", back, m)
-	}
 }

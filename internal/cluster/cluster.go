@@ -4,11 +4,11 @@ import (
 	"bytes"
 	"encoding/gob"
 	"fmt"
-	"sync"
 	"sync/atomic"
 
 	"kspdg/internal/core"
 	"kspdg/internal/dtlp"
+	"kspdg/internal/fanout"
 	"kspdg/internal/graph"
 	"kspdg/internal/partition"
 	"kspdg/internal/rpcbatch"
@@ -37,12 +37,6 @@ type Config struct {
 	// Batch tunes the cross-query coalescing of partial-KSP requests (see
 	// rpcbatch.Options).  Zero values use the rpcbatch defaults.
 	Batch rpcbatch.Options
-	// Parallelism is each worker's partial-KSP executor width: the number of
-	// goroutines one request's pairs (and heavy pairs' per-subgraph
-	// searches) fan out across.  Zero means GOMAXPROCS; 1 forces the
-	// sequential path (right for 1-CPU hosts).  Results are identical at any
-	// width (see Worker.SetParallelism).
-	Parallelism int
 }
 
 // Stats aggregates the communication and load counters of a cluster run.
@@ -117,7 +111,6 @@ func New(index *dtlp.Index, cfg Config) (*Cluster, error) {
 		// EP-Index touched-path counts for update batches.
 		worker.SetViewResolver(index.ViewAt)
 		worker.SetTouchedCounter(index.PathsCrossing)
-		worker.SetParallelism(cfg.Parallelism)
 		c.workers = append(c.workers, worker)
 	}
 	// One outbound batching queue per worker, shared by every engine built on
@@ -265,27 +258,12 @@ func (c *Cluster) BroadcastTopology(up graph.TopologyUpdate) error {
 func (c *Cluster) ProcessBatch(queries []workload.Query, k int, opts core.Options) ([]core.Result, error) {
 	results := make([]core.Result, len(queries))
 	errs := make([]error, len(queries))
-	jobs := make(chan int)
-	var wg sync.WaitGroup
-	for b := 0; b < c.cfg.QueryBolts; b++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			engine := c.Engine(opts)
-			for i := range jobs {
-				q := queries[i]
-				res, err := engine.Query(q.Source, q.Target, k)
-				results[i] = res
-				errs[i] = err
-				c.queries.Add(1)
-			}
-		}()
-	}
-	for i := range queries {
-		jobs <- i
-	}
-	close(jobs)
-	wg.Wait()
+	engine := c.Engine(opts)
+	fanout.Do(len(queries), c.cfg.QueryBolts, func(i int) {
+		q := queries[i]
+		results[i], errs[i] = engine.Query(q.Source, q.Target, k)
+		c.queries.Add(1)
+	})
 	for _, err := range errs {
 		if err != nil {
 			return results, err

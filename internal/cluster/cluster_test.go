@@ -262,9 +262,6 @@ func TestRemoteWorkerRoundTrip(t *testing.T) {
 	if stats.RequestsServed != 1 || stats.UpdatesReceived != 1 {
 		t.Errorf("remote stats = %+v", stats)
 	}
-	if err := rw.Shutdown(); err != nil {
-		t.Errorf("shutdown: %v", err)
-	}
 }
 
 func TestRemoteProviderQueryMatchesOracle(t *testing.T) {

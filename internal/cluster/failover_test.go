@@ -120,7 +120,7 @@ func referenceAnswers(part *partition.Partition, pairs []core.PairRequest, k int
 	want := make(map[core.PairRequest][]graph.Path, len(pairs))
 	part, weights := core.RefineSource(part, nil)
 	for _, pr := range pairs {
-		want[pr] = core.RefinePair(part, pr, k, weights, nil, 1)
+		want[pr] = core.RefinePair(part, pr, k, weights, nil)
 	}
 	return want
 }

@@ -20,7 +20,7 @@ func FuzzWireRoundTrip(f *testing.F) {
 	f.Add("partial", int64(8), int32(40), int32(41), uint64(12), true, 1.25, uint8(5))
 	f.Add("update", int64(1), int32(0), int32(9), uint64(3), true, 0.5, uint8(1))
 	f.Add("stats", int64(0), int32(0), int32(0), uint64(0), false, 0.0, uint8(0))
-	f.Add("shutdown", int64(0), int32(0), int32(0), uint64(0), false, 0.0, uint8(0))
+	f.Add("ping", int64(0), int32(0), int32(0), uint64(0), false, 0.0, uint8(0))
 	f.Fuzz(func(t *testing.T, kind string, k int64, a, b int32, epoch uint64, hasEpoch bool, dist float64, n uint8) {
 		env := envelope{ID: epoch}
 		switch kind {
@@ -45,7 +45,7 @@ func FuzzWireRoundTrip(f *testing.F) {
 		case "stats":
 			env.Stats = &StatsRequest{}
 		default:
-			env.Shutdown = true
+			env.Ping = true
 		}
 		data, err := marshalEnvelope(env)
 		if err != nil {
@@ -182,7 +182,6 @@ func FuzzEnvelopeDecode(f *testing.F) {
 		{ID: 2, Partial: &PartialKSPRequest{K: 1, Epoch: 7, HasEpoch: true}},
 		{ID: 3, Update: &WeightUpdateRequest{Updates: []graph.WeightUpdate{{Edge: 3, NewWeight: 1.5}}}},
 		{ID: 4, Stats: &StatsRequest{}},
-		{ID: 5, Shutdown: true},
 		{Ping: true}, // zero ID: not special on the wire
 	} {
 		data, err := marshalEnvelope(env)

@@ -209,7 +209,6 @@ type envelope struct {
 	Update   *WeightUpdateRequest
 	Topology *TopologyUpdateRequest
 	Stats    *StatsRequest
-	Shutdown bool
 	// Ping is a health-check probe: the server answers with Pong and does no
 	// work.
 	Ping bool

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 
@@ -12,8 +13,7 @@ import (
 )
 
 // TestWorkerParallelMatchesSequential requires the parallel executor to
-// produce byte-identical responses to the sequential path, for every
-// combination of pair fan-out and heavy-pair inner fan-out.
+// produce byte-identical responses to the sequential path at every width.
 func TestWorkerParallelMatchesSequential(t *testing.T) {
 	g := testutil.PaperGraph(t)
 	p, err := partition.PartitionGraph(g, 6)
@@ -29,8 +29,7 @@ func TestWorkerParallelMatchesSequential(t *testing.T) {
 		all[i] = partition.SubgraphID(i)
 	}
 	// Every co-located boundary pair, plus one trivial same-vertex pair:
-	// pairs sharing several subgraphs exercise the dedup merge and the inner
-	// per-subgraph fan-out.
+	// pairs sharing several subgraphs exercise the dedup merge.
 	boundary := p.BoundaryVertices()
 	var pairs []core.PairRequest
 	for i, a := range boundary {
@@ -49,28 +48,34 @@ func TestWorkerParallelMatchesSequential(t *testing.T) {
 	reqs := []PartialKSPRequest{
 		{Pairs: pairs, K: 3},
 		{Pairs: pairs, K: 3, Epoch: epoch, HasEpoch: true},
-		{Pairs: pairs[:1], K: 3}, // single heavy pair: whole budget goes inner
+		{Pairs: pairs[:1], K: 3}, // fewer pairs than lanes
 	}
-	newWorker := func(par int) *Worker {
-		w := NewWorker(0, p, all)
-		w.SetViewResolver(x.ViewAt)
-		w.SetParallelism(par)
-		return w
-	}
-	for _, req := range reqs {
-		want := newWorker(1).HandlePartialKSP(req)
-		for _, par := range []int{2, 4, 8} {
-			got := newWorker(par).HandlePartialKSP(req)
-			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("parallelism %d diverges on %d pairs (k=%d, pinned=%v):\n got %+v\nwant %+v",
-					par, len(req.Pairs), req.K, req.HasEpoch, got.Flat, want.Flat)
-			}
+	w := NewWorker(0, p, all)
+	w.SetViewResolver(x.ViewAt)
+	handleAll := func(t *testing.T, par int) []PartialKSPResponse {
+		testutil.SetGOMAXPROCS(t, par)
+		out := make([]PartialKSPResponse, len(reqs))
+		for i, req := range reqs {
+			out[i] = w.HandlePartialKSP(req)
 		}
+		return out
+	}
+	var want []PartialKSPResponse
+	t.Run("par=1", func(t *testing.T) { want = handleAll(t, 1) })
+	for _, par := range []int{2, 4, 8} {
+		t.Run(fmt.Sprintf("par=%d", par), func(t *testing.T) {
+			for i, got := range handleAll(t, par) {
+				if !reflect.DeepEqual(got, want[i]) {
+					t.Fatalf("diverges on %d pairs (k=%d, pinned=%v):\n got %+v\nwant %+v",
+						len(reqs[i].Pairs), reqs[i].K, reqs[i].HasEpoch, got.Flat, want[i].Flat)
+				}
+			}
+		})
 	}
 }
 
 // TestLocalProviderParallelMatchesSequential mirrors the worker check for the
-// single-process provider, including its inner per-subgraph fan-out.
+// single-process provider.
 func TestLocalProviderParallelMatchesSequential(t *testing.T) {
 	g := testutil.PaperGraph(t)
 	p, err := partition.PartitionGraph(g, 6)

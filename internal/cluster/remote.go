@@ -139,10 +139,6 @@ func (s *Server) handleConn(conn net.Conn) {
 		if err := dec.Decode(&env); err != nil {
 			return
 		}
-		if env.Shutdown {
-			_ = write(replyEnvelope{ID: env.ID})
-			return
-		}
 		slots <- struct{}{}
 		requests.Add(1)
 		go func(env envelope) {
@@ -584,10 +580,4 @@ func (rw *RemoteWorker) Ping() error {
 		return fmt.Errorf("cluster: %s did not acknowledge ping", rw.addr)
 	}
 	return nil
-}
-
-// Shutdown asks the remote worker connection to close after acknowledging.
-func (rw *RemoteWorker) Shutdown() error {
-	_, err := rw.roundTrip(envelope{Shutdown: true})
-	return err
 }

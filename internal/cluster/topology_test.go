@@ -156,7 +156,4 @@ func TestRemoteWorkerTopology(t *testing.T) {
 	}); err == nil || !strings.Contains(err.Error(), "already deleted") {
 		t.Fatalf("double delete error = %v, want 'already deleted'", err)
 	}
-	if err := rw.Shutdown(); err != nil {
-		t.Errorf("shutdown: %v", err)
-	}
 }

@@ -255,9 +255,8 @@ func TestZeroPairRequestOverTCP(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	worker := NewWorker(0, p, []partition.SubgraphID{0})
-	worker.SetParallelism(4)
-	srv, err := Serve("127.0.0.1:0", worker)
+	testutil.SetGOMAXPROCS(t, 4)
+	srv, err := Serve("127.0.0.1:0", NewWorker(0, p, []partition.SubgraphID{0}))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,6 +9,7 @@ import (
 
 	"kspdg/internal/core"
 	"kspdg/internal/dtlp"
+	"kspdg/internal/fanout"
 	"kspdg/internal/graph"
 	"kspdg/internal/partition"
 	"kspdg/internal/trace"
@@ -34,7 +35,6 @@ type Worker struct {
 	views      ViewResolver   // nil: serve live weights only
 	touched    TouchedCounter // nil: report zero paths touched
 	applyLocal bool           // standalone worker: apply updates to its own partition copy
-	par        int            // partial-KSP executor width; 0 = GOMAXPROCS
 
 	// Load counters are atomics: with the parallel executor several request
 	// goroutines bump them concurrently, and a shared mutex would serialize
@@ -104,21 +104,6 @@ func (w *Worker) SetViewResolver(r ViewResolver) { w.views = r }
 // SetTouchedCounter wires the EP-Index accounting used by HandleWeightUpdate
 // to report real paths-touched counts instead of zero.
 func (w *Worker) SetTouchedCounter(f TouchedCounter) { w.touched = f }
-
-// SetParallelism sets the width of the worker's partial-KSP executor: the
-// maximum number of goroutines one request's pairs (and, for heavy pairs,
-// their per-subgraph searches) fan out across.  Zero (the default) means
-// GOMAXPROCS; 1 forces the sequential path.  Not safe to call concurrently
-// with request handling.
-func (w *Worker) SetParallelism(n int) { w.par = n }
-
-// parallelism resolves the configured executor width.
-func (w *Worker) parallelism() int {
-	if w.par > 0 {
-		return w.par
-	}
-	return runtime.GOMAXPROCS(0)
-}
 
 // maxPairSpans bounds the per-pair Yen spans one traced request records, so a
 // wide batch cannot flood the master's bounded trace with hundreds of spans;
@@ -195,7 +180,7 @@ func (r *pairSpanRecorder) msgs(w *Worker, req PartialKSPRequest, width int) []t
 // partition, so a pin freezes structure as well as weights); otherwise they
 // read the worker's live state.
 //
-// The pairs fan out across the executor width (see core.FanOut); each pair's
+// The pairs fan out across GOMAXPROCS goroutines (see fanout.Do); each pair's
 // paths land in a result slot indexed by its request position and are
 // appended to the flat encoding serially in request order, so the response is
 // byte-identical at any width.
@@ -216,9 +201,9 @@ func (w *Worker) HandlePartialKSP(req PartialKSPRequest) PartialKSPResponse {
 	part, weights := core.RefineSource(st.part, view)
 	owns := func(id partition.SubgraphID) bool { return st.owned[id] }
 	results := make([][]graph.Path, len(req.Pairs))
-	width := core.FanOut(len(req.Pairs), w.parallelism(), func(i, inner int) {
+	width := fanout.Do(len(req.Pairs), runtime.GOMAXPROCS(0), func(i int) {
 		results[i] = rec.timePair(i, func() []graph.Path {
-			return core.RefinePair(part, req.Pairs[i], req.K, weights, owns, inner)
+			return core.RefinePair(part, req.Pairs[i], req.K, weights, owns)
 		})
 	})
 	resp := PartialKSPResponse{

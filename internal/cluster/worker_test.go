@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"fmt"
 	"testing"
 
 	"kspdg/internal/core"
@@ -88,19 +89,19 @@ func TestWorkerPartialKSPRestrictedToOwnedSubgraphs(t *testing.T) {
 		{"vertex outside the partition", PartialKSPRequest{Pairs: []core.PairRequest{{A: a, B: outside}, {A: outside, B: outside + 1}}, K: 2}, []int{0, 0}},
 	} {
 		for _, width := range []int{1, 4} {
-			w := NewWorker(0, p, subs)
-			w.SetParallelism(width)
-			resp := w.HandlePartialKSP(tc.req)
-			got := resp.DecodePaths()
-			if resp.NumPairs() != len(tc.paths) || len(got) != len(tc.paths) {
-				t.Errorf("%s, width %d: %d slots, want %d", tc.name, width, resp.NumPairs(), len(tc.paths))
-				continue
-			}
-			for i, n := range tc.paths {
-				if len(got[i]) != n {
-					t.Errorf("%s, width %d: slot %d holds %d paths, want %d", tc.name, width, i, len(got[i]), n)
+			t.Run(fmt.Sprintf("%s/width=%d", tc.name, width), func(t *testing.T) {
+				testutil.SetGOMAXPROCS(t, width)
+				resp := NewWorker(0, p, subs).HandlePartialKSP(tc.req)
+				got := resp.DecodePaths()
+				if resp.NumPairs() != len(tc.paths) || len(got) != len(tc.paths) {
+					t.Fatalf("%d slots, want %d", resp.NumPairs(), len(tc.paths))
 				}
-			}
+				for i, n := range tc.paths {
+					if len(got[i]) != n {
+						t.Errorf("slot %d holds %d paths, want %d", i, len(got[i]), n)
+					}
+				}
+			})
 		}
 	}
 }

@@ -51,9 +51,6 @@ type Options struct {
 	// StallImprovement is the minimum relative bound-gap improvement the
 	// stall detector counts as progress.  Zero means 1e-3.
 	StallImprovement float64
-	// Parallelism is passed to LocalProvider when the engine builds its own
-	// provider; it has no effect when a custom provider is supplied.
-	Parallelism int
 	// DisablePairCache turns off the reuse of partial k shortest paths across
 	// consecutive reference paths (the Section 5.2 optimisation).  Only used
 	// by the ablation benchmarks.
@@ -139,10 +136,10 @@ type Engine struct {
 }
 
 // NewEngine creates an engine over the given index.  If provider is nil a
-// LocalProvider over the index's partition is used.
+// serial LocalProvider over the index's partition is used.
 func NewEngine(index *dtlp.Index, provider PartialProvider, opts Options) *Engine {
 	if provider == nil {
-		provider = NewLocalProvider(index.Partition(), opts.Parallelism)
+		provider = NewLocalProvider(index.Partition(), 0)
 	}
 	return &Engine{index: index, provider: provider, opts: opts}
 }

@@ -3,13 +3,14 @@ package core
 import (
 	"context"
 	"fmt"
+	"log"
 	"runtime/debug"
 	"slices"
 	"sort"
 	"sync"
-	"sync/atomic"
 
 	"kspdg/internal/dtlp"
+	"kspdg/internal/fanout"
 	"kspdg/internal/graph"
 	"kspdg/internal/partition"
 	"kspdg/internal/shortest"
@@ -57,19 +58,21 @@ type PartialProvider interface {
 // partition, optionally using multiple goroutines.  It is the single-process
 // stand-in for the SubgraphBolts of the Storm deployment.
 type LocalProvider struct {
-	part *partition.Partition
-	// Parallelism is the number of worker goroutines; 0 or 1 means serial.
-	Parallelism int
+	part  *partition.Partition
+	width int
 }
 
-// NewLocalProvider returns a LocalProvider over the given partition.
+// NewLocalProvider returns a LocalProvider over the given partition whose
+// requests fan their pairs out over parallelism goroutines; 0 or 1 means
+// serial, which is right under a query pool that is already GOMAXPROCS wide.
 func NewLocalProvider(part *partition.Partition, parallelism int) *LocalProvider {
-	return &LocalProvider{part: part, Parallelism: parallelism}
+	return &LocalProvider{part: part, width: parallelism}
 }
 
 // PartialKSPAsyncCtx implements PartialProvider.  The answer is computed on a
 // goroutine of its own, so the engine overlaps its next filter step with the
-// local refine exactly as it does with a remote one.
+// local refine exactly as it does with a remote one.  A panic in a search
+// fails this request with an error reply instead of killing the process.
 func (lp *LocalProvider) PartialKSPAsyncCtx(_ context.Context, iv *dtlp.IndexView, pairs []PairRequest, k int) <-chan AsyncPartialReply {
 	out := make(chan AsyncPartialReply, 1)
 	if k <= 0 {
@@ -78,10 +81,16 @@ func (lp *LocalProvider) PartialKSPAsyncCtx(_ context.Context, iv *dtlp.IndexVie
 	}
 	pairs = append([]PairRequest(nil), pairs...)
 	go func() {
+		defer func() {
+			if r := recover(); r != nil {
+				log.Printf("core: panic in local refine of %d pairs: %v\n%s", len(pairs), r, debug.Stack())
+				out <- AsyncPartialReply{Err: fmt.Errorf("core: local refine panic: %v", r)}
+			}
+		}()
 		part, weights := RefineSource(lp.part, iv)
 		results := make([][]graph.Path, len(pairs))
-		FanOut(len(pairs), lp.Parallelism, func(i, inner int) {
-			results[i] = RefinePair(part, pairs[i], k, weights, nil, inner)
+		fanout.Do(len(pairs), lp.width, func(i int) {
+			results[i] = RefinePair(part, pairs[i], k, weights, nil)
 		})
 		paths := make(map[PairRequest][]graph.Path, len(pairs))
 		for i, pr := range pairs {
@@ -104,76 +113,17 @@ func RefineSource(part *partition.Partition, iv *dtlp.IndexView) (*partition.Par
 	return iv.Partition(), func(id partition.SubgraphID) graph.WeightedView { return iv.SubgraphWeights(id) }
 }
 
-// FanOut calls fn(i, inner) once for every i in [0, n) on up to width
-// goroutines and returns the number of lanes it used: outer = min(width, n)
-// indices run concurrently, and each call is handed the leftover budget
-// inner = max(width/n, 1) for a nested FanOut, so a request with fewer items
-// than lanes pushes the surplus inward (a single heavy pair still uses the
-// whole budget).  Callers write results into slots indexed by i, which keeps
-// the output independent of scheduling.  width <= 1 runs everything on the
-// calling goroutine; n == 0 returns at once.
-//
-// A panic in fn on a lane goroutine is re-raised on the calling goroutine
-// once every lane has finished, so whoever contains panics around the caller
-// (see cluster.Server) contains the lanes' too.
-func FanOut(n, width int, fn func(i, inner int)) (outer int) {
-	if n == 0 {
-		return 0
-	}
-	inner := max(width/n, 1)
-	outer = max(min(width, n), 1)
-	if outer == 1 {
-		for i := 0; i < n; i++ {
-			fn(i, inner)
-		}
-		return outer
-	}
-	var lanePanic atomic.Pointer[string]
-	run := func(i int) {
-		defer func() {
-			if r := recover(); r != nil {
-				msg := fmt.Sprintf("%v\n%s", r, debug.Stack())
-				lanePanic.CompareAndSwap(nil, &msg)
-			}
-		}()
-		fn(i, inner)
-	}
-	jobs := make(chan int)
-	var wg sync.WaitGroup
-	for g := 0; g < outer; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range jobs {
-				run(i)
-			}
-		}()
-	}
-	for i := 0; i < n; i++ {
-		jobs <- i
-	}
-	close(jobs)
-	wg.Wait()
-	if msg := lanePanic.Load(); msg != nil {
-		panic("core: fan-out lane panicked: " + *msg)
-	}
-	return outer
-}
-
 // RefinePair computes up to k shortest paths between the pair's endpoints:
 // one Yen search in every subgraph that contains both endpoints (and, with a
 // non-nil owns, that the caller hosts), merged into the k shortest distinct
 // paths (Algorithm 4, lines 3-8).  Paths are returned in global vertex ids
 // sorted by distance.  weights resolves the view each subgraph is searched
-// over (see RefineSource); inner is the width available for the pair's
-// per-subgraph searches.
+// over (see RefineSource).
 //
-// Each search fills a slot indexed by its subgraph's position and the slots
-// pass through MergePaths, so the answer is identical at any width, and the
-// union of per-owner answers merges to the answer of a single owner of
-// everything — which is what lets a master merge replies from workers with
-// any ownership split.
-func RefinePair(part *partition.Partition, pr PairRequest, k int, weights func(partition.SubgraphID) graph.WeightedView, owns func(partition.SubgraphID) bool, inner int) []graph.Path {
+// The per-subgraph results pass through MergePaths, so the union of per-owner
+// answers merges to the answer of a single owner of everything — which is
+// what lets a master merge replies from workers with any ownership split.
+func RefinePair(part *partition.Partition, pr PairRequest, k int, weights func(partition.SubgraphID) graph.WeightedView, owns func(partition.SubgraphID) bool) []graph.Path {
 	if pr.A == pr.B {
 		return []graph.Path{{Vertices: []graph.VertexID{pr.A}}}
 	}
@@ -192,13 +142,9 @@ func RefinePair(part *partition.Partition, pr PairRequest, k int, weights func(p
 		// results from several subgraphs need the merge.
 		return searchSubgraph(part.Subgraph(ids[0]), pr, k, weights(ids[0]))
 	}
-	perSub := make([][]graph.Path, len(ids))
-	FanOut(len(ids), inner, func(j, _ int) {
-		perSub[j] = searchSubgraph(part.Subgraph(ids[j]), pr, k, weights(ids[j]))
-	})
 	var all []graph.Path
-	for _, paths := range perSub {
-		all = append(all, paths...)
+	for _, id := range ids {
+		all = append(all, searchSubgraph(part.Subgraph(id), pr, k, weights(id))...)
 	}
 	return MergePaths(all, k)
 }

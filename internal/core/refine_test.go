@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"strings"
-	"sync/atomic"
 	"testing"
 
 	"kspdg/internal/graph"
@@ -49,7 +48,7 @@ func TestRefinePair(t *testing.T) {
 	}
 	part, weights := RefineSource(p, nil)
 	a, b := pairs[0].A, pairs[0].B
-	paths := RefinePair(part, pairs[0], 3, weights, nil, 1)
+	paths := RefinePair(part, pairs[0], 3, weights, nil)
 	if len(paths) == 0 {
 		t.Fatal("expected partial paths")
 	}
@@ -65,13 +64,13 @@ func TestRefinePair(t *testing.T) {
 		}
 	}
 	// Same-vertex pair yields the trivial path.
-	trivial := RefinePair(part, PairRequest{A: a, B: a}, 2, weights, nil, 1)
+	trivial := RefinePair(part, PairRequest{A: a, B: a}, 2, weights, nil)
 	if len(trivial) != 1 || trivial[0].Len() != 0 {
 		t.Errorf("same-vertex pair should return trivial path, got %v", trivial)
 	}
 	// k comes off the wire on a worker: non-positive values answer empty.
 	for _, k := range []int{0, -1} {
-		if got := RefinePair(part, pairs[0], k, weights, nil, 1); len(got) != 0 {
+		if got := RefinePair(part, pairs[0], k, weights, nil); len(got) != 0 {
 			t.Errorf("k=%d returned %v, want nothing", k, got)
 		}
 	}
@@ -80,7 +79,7 @@ func TestRefinePair(t *testing.T) {
 // TestRefinePairOwnershipSplit pins the invariant master-side merging relies
 // on: however the subgraphs are split between owners, merging the owners'
 // answers through MergePaths gives exactly the answer of one owner of
-// everything — at any inner width.
+// everything.
 func TestRefinePairOwnershipSplit(t *testing.T) {
 	g := testutil.PaperGraph(t)
 	p, err := partition.PartitionGraph(g, 6)
@@ -110,20 +109,18 @@ func TestRefinePairOwnershipSplit(t *testing.T) {
 	multi := 0
 	for _, split := range splits {
 		for _, k := range []int{1, 3} {
-			for _, inner := range []int{1, 4} {
-				for _, pr := range pairs {
-					if len(p.CommonSubgraphs(pr.A, pr.B)) > 1 {
-						multi++
-					}
-					want := RefinePair(part, pr, k, weights, nil, 1)
-					var union []graph.Path
-					for o := 0; o < split.owners; o++ {
-						owns := func(id partition.SubgraphID) bool { return split.owner(id) == o }
-						union = append(union, RefinePair(part, pr, k, weights, owns, inner)...)
-					}
-					if got := MergePaths(union, k); !samePaths(got, want) {
-						t.Fatalf("%s k=%d inner=%d pair %v:\n got %v\nwant %v", split.name, k, inner, pr, got, want)
-					}
+			for _, pr := range pairs {
+				if len(p.CommonSubgraphs(pr.A, pr.B)) > 1 {
+					multi++
+				}
+				want := RefinePair(part, pr, k, weights, nil)
+				var union []graph.Path
+				for o := 0; o < split.owners; o++ {
+					owns := func(id partition.SubgraphID) bool { return split.owner(id) == o }
+					union = append(union, RefinePair(part, pr, k, weights, owns)...)
+				}
+				if got := MergePaths(union, k); !samePaths(got, want) {
+					t.Fatalf("%s k=%d pair %v:\n got %v\nwant %v", split.name, k, pr, got, want)
 				}
 			}
 		}
@@ -151,58 +148,6 @@ func TestMergePaths(t *testing.T) {
 	}
 }
 
-func TestFanOut(t *testing.T) {
-	for _, tc := range []struct{ n, width, outer, inner int }{
-		{0, 4, 0, 0},
-		{0, 1, 0, 0},
-		{5, 0, 1, 1},
-		{5, 1, 1, 1},
-		{1, 4, 1, 4},
-		{2, 8, 2, 4},
-		{5, 4, 4, 1},
-		{3, 3, 3, 1},
-	} {
-		var calls atomic.Int64
-		seen := make([]int, tc.n)
-		outer := FanOut(tc.n, tc.width, func(i, inner int) {
-			calls.Add(1)
-			seen[i] = inner
-		})
-		if outer != tc.outer || int(calls.Load()) != tc.n {
-			t.Errorf("FanOut(%d, %d): outer %d (want %d), %d calls", tc.n, tc.width, outer, tc.outer, calls.Load())
-		}
-		for i, inner := range seen {
-			if inner != tc.inner {
-				t.Errorf("FanOut(%d, %d): index %d got inner %d, want %d", tc.n, tc.width, i, inner, tc.inner)
-			}
-		}
-	}
-}
-
-// TestFanOutReraisesLanePanic requires a panic on a lane goroutine to surface
-// on the caller (where a server can contain it) after every other index ran.
-func TestFanOutReraisesLanePanic(t *testing.T) {
-	var ran atomic.Int64
-	defer func() {
-		r := recover()
-		if r == nil {
-			t.Fatal("lane panic was swallowed")
-		}
-		if msg, _ := r.(string); !strings.Contains(msg, "boom") {
-			t.Fatalf("re-raised panic %v does not carry the cause", r)
-		}
-		if ran.Load() != 7 {
-			t.Fatalf("%d of 7 healthy indices ran", ran.Load())
-		}
-	}()
-	FanOut(8, 4, func(i, _ int) {
-		if i == 3 {
-			panic("boom")
-		}
-		ran.Add(1)
-	})
-}
-
 func TestLocalProviderValidation(t *testing.T) {
 	g := testutil.PaperGraph(t)
 	p, err := partition.PartitionGraph(g, 6)
@@ -216,5 +161,19 @@ func TestLocalProviderValidation(t *testing.T) {
 	reply := <-lp.PartialKSPAsyncCtx(context.Background(), nil, nil, 2)
 	if reply.Err != nil || len(reply.Paths) != 0 {
 		t.Errorf("empty request should return empty map, got %v, %v", reply.Paths, reply.Err)
+	}
+	// A provider without a partition stands in for a bug in a search: the
+	// panic must fail that request alone — raised on the answering goroutine
+	// (serial) or re-raised from a fan-out lane — and leave the provider
+	// answering requests that do not hit it.
+	for _, width := range []int{0, 4} {
+		broken := NewLocalProvider(nil, width)
+		pairs := []PairRequest{{A: 3, B: 3}, {A: 0, B: 1}, {A: 1, B: 2}}
+		if reply := <-broken.PartialKSPAsyncCtx(context.Background(), nil, pairs, 2); reply.Err == nil || !strings.Contains(reply.Err.Error(), "panic") {
+			t.Errorf("width %d: panicking search replied %v, want a panic error", width, reply.Err)
+		}
+		if reply := <-broken.PartialKSPAsyncCtx(context.Background(), nil, pairs[:1], 2); reply.Err != nil || len(reply.Paths) != 1 {
+			t.Errorf("width %d: provider did not survive the panic: %v, %v", width, reply.Paths, reply.Err)
+		}
 	}
 }

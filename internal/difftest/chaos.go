@@ -45,9 +45,6 @@ type ChaosParams struct {
 	OutageWindow time.Duration
 	// HedgeAfter enables hedged sends in the provider (0 = off).
 	HedgeAfter time.Duration
-	// Parallelism is every worker's partial-KSP executor width, applied to
-	// restarted workers too.  Zero means GOMAXPROCS (the worker default).
-	Parallelism int
 	// K, Xi, N, Extra, Z and Directed mirror Params.
 	K, Xi, N, Extra, Z int
 	Directed           bool
@@ -61,7 +58,6 @@ type chaosDeployment struct {
 	index  *dtlp.Index
 	table  *cluster.ReplicaTable
 	outage time.Duration
-	par    int
 
 	mu      sync.Mutex
 	servers []*cluster.Server
@@ -93,7 +89,6 @@ func (d *chaosDeployment) apply(ev workload.ChaosEvent) error {
 		time.Sleep(d.outage)
 		worker := cluster.NewWorker(w, d.part, d.table.OwnedBy(w))
 		worker.SetViewResolver(d.index.ViewAt)
-		worker.SetParallelism(d.par)
 		// The old port may linger briefly after the close; retry the rebind.
 		var srv *cluster.Server
 		var err error
@@ -154,7 +149,7 @@ func CheckChaos(tb testing.TB, cp ChaosParams) {
 	if err != nil {
 		tb.Fatalf("partition: %v", err)
 	}
-	x, err := dtlp.Build(part, dtlp.Config{Xi: p.Xi, UpdateParallelism: cp.Parallelism})
+	x, err := dtlp.Build(part, dtlp.Config{Xi: p.Xi})
 	if err != nil {
 		tb.Fatalf("dtlp build: %v", err)
 	}
@@ -168,14 +163,12 @@ func CheckChaos(tb testing.TB, cp ChaosParams) {
 		index:  x,
 		table:  table,
 		outage: cp.OutageWindow,
-		par:    cp.Parallelism,
 		killed: make([]bool, cp.Workers),
 	}
 	var remotes []*cluster.RemoteWorker
 	for w := 0; w < cp.Workers; w++ {
 		worker := cluster.NewWorker(w, part, table.OwnedBy(w))
 		worker.SetViewResolver(x.ViewAt)
-		worker.SetParallelism(cp.Parallelism)
 		srv, err := cluster.Serve("127.0.0.1:0", worker)
 		if err != nil {
 			tb.Fatalf("serve worker %d: %v", w, err)

@@ -62,10 +62,6 @@ type Params struct {
 	// adaptive iteration budget, whose near-exact claims the checks then
 	// audit against exact Yen.  The zero value runs the defaults.
 	Engine core.Options
-	// UpdateParallelism shards the index's per-batch bound maintenance
-	// across this many goroutines (see dtlp.Config.UpdateParallelism).
-	// Zero means GOMAXPROCS.
-	UpdateParallelism int
 }
 
 func (p Params) withDefaults() Params {
@@ -150,7 +146,7 @@ func Check(tb testing.TB, p Params) {
 	if err != nil {
 		tb.Fatalf("partition: %v", err)
 	}
-	x, err := dtlp.Build(part, dtlp.Config{Xi: p.Xi, UpdateParallelism: p.UpdateParallelism})
+	x, err := dtlp.Build(part, dtlp.Config{Xi: p.Xi})
 	if err != nil {
 		tb.Fatalf("dtlp build: %v", err)
 	}

@@ -32,8 +32,6 @@ type TopologyParams struct {
 	// recovered from snapshot + WAL and every audited query is re-run on the
 	// recovered index, requiring bit-identical distances to the live run.
 	Recover bool
-	// UpdateParallelism mirrors Params.UpdateParallelism.
-	UpdateParallelism int
 }
 
 // auditedQuery is one live-run outcome kept for the post-recovery replay.
@@ -69,7 +67,7 @@ func CheckTopology(tb testing.TB, p TopologyParams) {
 	if err != nil {
 		tb.Fatalf("partition: %v", err)
 	}
-	x, err := dtlp.Build(part, dtlp.Config{Xi: base.Xi, UpdateParallelism: p.UpdateParallelism})
+	x, err := dtlp.Build(part, dtlp.Config{Xi: base.Xi})
 	if err != nil {
 		tb.Fatalf("dtlp build: %v", err)
 	}

@@ -43,6 +43,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"kspdg/internal/fanout"
 	"kspdg/internal/graph"
 	"kspdg/internal/partition"
 	"kspdg/internal/shortest"
@@ -60,11 +61,6 @@ type Config struct {
 	// Parallelism is the number of goroutines used to index subgraphs during
 	// construction.  Zero means GOMAXPROCS.
 	Parallelism int
-	// UpdateParallelism is the number of goroutines ApplyUpdates uses to
-	// apply edge deltas and refresh bounds across affected subgraphs.  Zero
-	// means GOMAXPROCS; 1 forces the serial path.  Sharding happens inside
-	// the single-writer lock, so it changes wall-clock time, never results.
-	UpdateParallelism int
 }
 
 func (c Config) withDefaults() (Config, error) {
@@ -131,29 +127,6 @@ type Index struct {
 	view      atomic.Pointer[IndexView]
 	viewMu    sync.Mutex
 	recent    []*IndexView
-
-	// updatePar is the ApplyUpdates sharding width (see
-	// Config.UpdateParallelism); atomic so SetUpdateParallelism can retune a
-	// live index without racing the writer.
-	updatePar atomic.Int32
-}
-
-// SetUpdateParallelism retunes the ApplyUpdates sharding width at runtime
-// (recovered indexes are built without a Config, so the flag-driven knob in
-// cmd/kspd lands here).  n <= 0 restores the GOMAXPROCS default.
-func (x *Index) SetUpdateParallelism(n int) {
-	if n < 0 {
-		n = 0
-	}
-	x.updatePar.Store(int32(n))
-}
-
-// updateParallelism resolves the effective sharding width.
-func (x *Index) updateParallelism() int {
-	if n := int(x.updatePar.Load()); n > 0 {
-		return n
-	}
-	return runtime.GOMAXPROCS(0)
 }
 
 // Build constructs the DTLP index for the given partition.  Subgraphs are
@@ -165,39 +138,18 @@ func Build(part *partition.Partition, cfg Config) (*Index, error) {
 		return nil, err
 	}
 	x := &Index{cfg: cfg}
-	x.SetUpdateParallelism(cfg.UpdateParallelism)
 	g := &generation{
 		part: part,
 		subs: make([]*SubgraphIndex, part.NumSubgraphs()),
 	}
 
 	// Index each subgraph (first level): bounding paths, EP-Index, LBDs.
-	type job struct{ id partition.SubgraphID }
-	jobs := make(chan job)
-	var wg sync.WaitGroup
-	errOnce := sync.Once{}
-	var buildErr error
-	for w := 0; w < cfg.Parallelism; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for j := range jobs {
-				si, err := buildSubgraphIndex(part.Subgraph(j.id), cfg)
-				if err != nil {
-					errOnce.Do(func() { buildErr = err })
-					continue
-				}
-				g.subs[j.id] = si
-			}
-		}()
+	all := make([]partition.SubgraphID, part.NumSubgraphs())
+	for i := range all {
+		all[i] = partition.SubgraphID(i)
 	}
-	for id := 0; id < part.NumSubgraphs(); id++ {
-		jobs <- job{id: partition.SubgraphID(id)}
-	}
-	close(jobs)
-	wg.Wait()
-	if buildErr != nil {
-		return nil, buildErr
+	if err := buildSubgraphIndexes(g.subs, part, all, cfg, cfg.Parallelism); err != nil {
+		return nil, err
 	}
 
 	// Record which subgraphs contribute to each boundary pair, then build the
@@ -208,6 +160,21 @@ func Build(part *partition.Partition, cfg Config) (*Index, error) {
 	x.gen.Store(g)
 	x.publishView(nil) // epoch 0: the construction-time weights
 	return x, nil
+}
+
+// buildSubgraphIndexes builds the first-level index of every listed subgraph
+// of part into its slot of subs, on up to width goroutines.
+func buildSubgraphIndexes(subs []*SubgraphIndex, part *partition.Partition, ids []partition.SubgraphID, cfg Config, width int) error {
+	errs := make([]error, len(ids))
+	fanout.Do(len(ids), width, func(i int) {
+		subs[ids[i]], errs[i] = buildSubgraphIndex(part.Subgraph(ids[i]), cfg)
+	})
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // finishStructure derives the generation state that is a pure function of the
@@ -425,7 +392,7 @@ type UpdateStats struct {
 // Maintenance is sharded: edge deltas are grouped per subgraph (preserving
 // batch order within each group, so floating-point accumulation matches the
 // serial path exactly) and the per-subgraph applyEdgeDelta+refreshBounds work
-// runs on up to UpdateParallelism goroutines — each subgraph's first-level
+// runs on up to GOMAXPROCS goroutines — each subgraph's first-level
 // state is independent, which is what the paper exploits by assigning
 // subgraphs to different SubgraphBolts.  Skeleton weights are then recomputed
 // serially from the deterministically sorted union of changed pairs; since
@@ -475,7 +442,7 @@ func (x *Index) ApplyUpdatesStats(batch []graph.WeightUpdate) (UpdateStats, erro
 	// reads the already-updated local weights), so the shards are disjoint.
 	changed := make([][]PairKey, len(affectedIDs))
 	touchedPer := make([]int, len(affectedIDs))
-	refreshOne := func(i int) {
+	fanout.Do(len(affectedIDs), runtime.GOMAXPROCS(0), func(i int) {
 		si := g.subs[affectedIDs[i]]
 		touched := 0
 		for _, d := range perSub[affectedIDs[i]] {
@@ -483,32 +450,7 @@ func (x *Index) ApplyUpdatesStats(batch []graph.WeightUpdate) (UpdateStats, erro
 		}
 		touchedPer[i] = touched
 		changed[i] = si.refreshBounds()
-	}
-	if par := x.updateParallelism(); par <= 1 || len(affectedIDs) <= 1 {
-		for i := range affectedIDs {
-			refreshOne(i)
-		}
-	} else {
-		if par > len(affectedIDs) {
-			par = len(affectedIDs)
-		}
-		jobs := make(chan int)
-		var wg sync.WaitGroup
-		for g := 0; g < par; g++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for i := range jobs {
-					refreshOne(i)
-				}
-			}()
-		}
-		for i := range affectedIDs {
-			jobs <- i
-		}
-		close(jobs)
-		wg.Wait()
-	}
+	})
 	st := UpdateStats{SubgraphsAffected: len(affectedIDs)}
 	for _, t := range touchedPer {
 		st.PathsTouched += t

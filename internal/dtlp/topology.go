@@ -1,7 +1,7 @@
 package dtlp
 
 import (
-	"sync"
+	"runtime"
 
 	"kspdg/internal/graph"
 	"kspdg/internal/partition"
@@ -50,7 +50,7 @@ func (x *Index) ApplyTopologyEpoch(up graph.TopologyUpdate) (uint64, error) {
 
 // ApplyTopologyStats is ApplyTopology returning per-batch maintenance
 // statistics.  Touched-subgraph rebuilds are sharded across up to
-// UpdateParallelism goroutines; each rebuild is independent of the others, so
+// GOMAXPROCS goroutines; each rebuild is independent of the others, so
 // the sharding changes wall-clock time, never results.
 func (x *Index) ApplyTopologyStats(up graph.TopologyUpdate) (TopologyStats, error) {
 	if up.IsZero() {
@@ -74,43 +74,8 @@ func (x *Index) ApplyTopologyStats(up graph.TopologyUpdate) (TopologyStats, erro
 	// corresponding *Subgraph values, so the old indexes stay valid).
 	subs := make([]*SubgraphIndex, newPart.NumSubgraphs())
 	copy(subs, old.subs)
-	var rebuildErr error
-	var errOnce sync.Once
-	rebuild := func(id partition.SubgraphID) {
-		si, err := buildSubgraphIndex(newPart.Subgraph(id), x.cfg)
-		if err != nil {
-			errOnce.Do(func() { rebuildErr = err })
-			return
-		}
-		subs[id] = si
-	}
-	if par := x.updateParallelism(); par <= 1 || len(touched) <= 1 {
-		for _, id := range touched {
-			rebuild(id)
-		}
-	} else {
-		if par > len(touched) {
-			par = len(touched)
-		}
-		jobs := make(chan partition.SubgraphID)
-		var wg sync.WaitGroup
-		for w := 0; w < par; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for id := range jobs {
-					rebuild(id)
-				}
-			}()
-		}
-		for _, id := range touched {
-			jobs <- id
-		}
-		close(jobs)
-		wg.Wait()
-	}
-	if rebuildErr != nil {
-		return TopologyStats{}, rebuildErr
+	if err := buildSubgraphIndexes(subs, newPart, touched, x.cfg, runtime.GOMAXPROCS(0)); err != nil {
+		return TopologyStats{}, err
 	}
 
 	// Boundary membership and cross-subgraph minima can shift globally, so

@@ -2,6 +2,8 @@ package dtlp
 
 import (
 	"math/rand"
+	"reflect"
+	"slices"
 	"testing"
 
 	"kspdg/internal/graph"
@@ -41,52 +43,79 @@ func TestApplyUpdatesStatsTouchedCount(t *testing.T) {
 	}
 }
 
-// TestApplyUpdatesShardedMatchesSerial drives two identical indexes — one
-// refreshing serially, one with a wide shard pool — through the same update
-// rounds and requires identical maintenance stats, LBDs and MBDs after every
-// round.
+// TestApplyUpdatesShardedMatchesSerial drives the same index through the
+// same weight-update rounds and a closing topology batch twice — maintenance
+// fanned out over one lane, then over eight — and requires identical
+// UpdateStats, TopologyStats, LBDs and MBDs after every batch.
 func TestApplyUpdatesShardedMatchesSerial(t *testing.T) {
-	build := func(par int) (*graph.Graph, *Index) {
-		rng := rand.New(rand.NewSource(7))
-		g := testutil.RandomConnected(rng, 120, 80)
+	type outcome struct {
+		updates []UpdateStats
+		topo    TopologyStats
+		bounds  [][]float64 // after every batch: each boundary pair's MBD, then its per-subgraph LBDs
+	}
+	run := func(t *testing.T, par int) (out outcome) {
+		testutil.SetGOMAXPROCS(t, par)
+		g := testutil.RandomConnected(rand.New(rand.NewSource(7)), 120, 80)
 		p, err := partition.PartitionGraph(g, 8)
 		if err != nil {
 			t.Fatal(err)
 		}
-		x, err := Build(p, Config{Xi: 2, UpdateParallelism: par})
+		x, err := Build(p, Config{Xi: 2})
 		if err != nil {
 			t.Fatal(err)
 		}
-		return g, x
-	}
-	gSerial, serial := build(1)
-	gPar, par := build(8)
-
-	rng := rand.New(rand.NewSource(99))
-	for round := 0; round < 4; round++ {
-		batch := testutil.PerturbWeights(t, gSerial, rng, 0.4, 0.6, 0.05)
-		if err := gPar.ApplyUpdates(batch); err != nil {
-			t.Fatal(err)
-		}
-		stS, err := serial.ApplyUpdatesStats(batch)
-		if err != nil {
-			t.Fatal(err)
-		}
-		stP, err := par.ApplyUpdatesStats(batch)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if stS != stP {
-			t.Fatalf("round %d: stats diverge: serial %+v, sharded %+v", round, stS, stP)
-		}
-		boundary := serial.Partition().BoundaryVertices()
-		for i, a := range boundary {
-			for _, b := range boundary[i+1:] {
-				mS, mP := serial.MBD(a, b), par.MBD(a, b)
-				if mS != mP {
-					t.Fatalf("round %d: MBD(%d,%d) diverges: serial %v, sharded %v", round, a, b, mS, mP)
+		record := func() {
+			part := x.Partition()
+			boundary := part.BoundaryVertices()
+			var b []float64
+			for i, u := range boundary {
+				for _, v := range boundary[i+1:] {
+					b = append(b, x.MBD(u, v))
+					for _, id := range part.CommonSubgraphs(u, v) {
+						b = append(b, x.LBD(id, u, v))
+					}
 				}
 			}
+			out.bounds = append(out.bounds, b)
 		}
+		rng := rand.New(rand.NewSource(99))
+		for round := 0; round < 4; round++ {
+			st, err := x.ApplyUpdatesStats(testutil.PerturbWeights(t, g, rng, 0.4, 0.6, 0.05))
+			if err != nil {
+				t.Fatal(err)
+			}
+			out.updates = append(out.updates, st)
+			record()
+		}
+		n := graph.VertexID(g.NumVertices())
+		out.topo, err = x.ApplyTopologyStats(graph.TopologyUpdate{
+			AddVertices: 1,
+			InsertEdges: []graph.Edge{{U: 5, V: 90, Weight: 2.5}, {U: 33, V: 110, Weight: 1.5}, {U: n, V: 7, Weight: 3}},
+			DeleteEdges: []graph.EdgeID{3, 77, 140},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if out.topo.SubgraphsRebuilt < 2 {
+			t.Fatalf("topology batch rebuilt %d subgraphs: the sharded rebuild was not exercised", out.topo.SubgraphsRebuilt)
+		}
+		record()
+		return out
 	}
+	var serial outcome
+	t.Run("par=1", func(t *testing.T) { serial = run(t, 1) })
+	t.Run("par=8", func(t *testing.T) {
+		sharded := run(t, 8)
+		if !reflect.DeepEqual(sharded.updates, serial.updates) {
+			t.Errorf("update stats diverge:\n serial  %+v\n sharded %+v", serial.updates, sharded.updates)
+		}
+		if !reflect.DeepEqual(sharded.topo, serial.topo) {
+			t.Errorf("topology stats diverge:\n serial  %+v\n sharded %+v", serial.topo, sharded.topo)
+		}
+		for i := range serial.bounds {
+			if !slices.Equal(sharded.bounds[i], serial.bounds[i]) {
+				t.Errorf("LBDs/MBDs diverge after batch %d", i)
+			}
+		}
+	})
 }

@@ -88,11 +88,6 @@ type Options struct {
 	// Membership, when set, exports worker health states on /healthz and
 	// /metrics (kspd passes the replicated provider's failure detector).
 	Membership *cluster.Membership
-	// WorkerParallelism, when positive, is exported as the
-	// kspd_worker_parallelism gauge: the partial-KSP executor width the
-	// deployment runs its workers at (kspd passes the resolved
-	// -worker-parallelism value).
-	WorkerParallelism int
 	// Tracer, when set, traces every admitted request and serves the retained
 	// traces on GET /debug/traces.  Nil disables tracing entirely (requests
 	// pay one context lookup per stage and nothing else).
@@ -881,6 +876,9 @@ func (g *Gateway) registerMetrics() {
 	r.CounterFunc("kspd_canceled_queries_total",
 		"Queries abandoned by cancellation or deadline expiry.",
 		stats(func(s serve.Stats) int64 { return s.Canceled }))
+	r.CounterFunc("kspd_panics_total",
+		"Queries failed by a panic contained on a query pool worker (stack in the process log).",
+		stats(func(s serve.Stats) int64 { return s.Panics }))
 	r.CounterFunc("kspd_update_batches_total", "Weight-update batches applied.",
 		stats(func(s serve.Stats) int64 { return s.UpdateBatches }))
 	r.CounterFunc("kspd_updates_applied_total", "Individual edge-weight updates applied.",
@@ -908,12 +906,6 @@ func (g *Gateway) registerMetrics() {
 		stats(func(s serve.Stats) int64 { return s.HedgeWins }))
 	r.CounterFunc("kspd_hedge_drops_total", "Duplicate hedge-race replies discarded.",
 		stats(func(s serve.Stats) int64 { return s.HedgeDrops }))
-	if g.opts.WorkerParallelism > 0 {
-		par := float64(g.opts.WorkerParallelism)
-		r.GaugeFunc("kspd_worker_parallelism",
-			"Partial-KSP executor width per worker (goroutines one request fans out across).",
-			func() float64 { return par })
-	}
 	if g.opts.Membership != nil {
 		r.GaugeVecFunc("kspd_workers", "Worker count by membership health state.",
 			"state", []string{"up", "suspect", "down"}, func() []float64 {

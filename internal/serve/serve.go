@@ -19,8 +19,10 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"log"
 	"math"
 	"runtime"
+	"runtime/debug"
 	"sort"
 	"strconv"
 	"sync"
@@ -151,7 +153,10 @@ type Stats struct {
 	// context was canceled or blew its deadline (including queued queries
 	// whose last waiter hung up before a worker picked them up).
 	Canceled int64
-	Epoch    uint64
+	// Panics counts queries failed by a panic contained on a pool worker
+	// (see execute); the stack of each is in the process log.
+	Panics int64
+	Epoch  uint64
 	// RPCBatches, PairsCoalesced and DedupHits mirror the provider's
 	// cross-query batching counters (see rpcbatch.Stats) when the refine step
 	// runs on a batching transport; they stay zero for local providers.
@@ -214,6 +219,7 @@ type Server struct {
 	budgetTerminated atomic.Int64
 	maxBoundGap      atomic.Uint64 // math.Float64bits, monotonic max
 	canceled         atomic.Int64
+	panics           atomic.Int64
 }
 
 type queryKey struct {
@@ -276,22 +282,16 @@ func newCall(ctx context.Context, key queryKey) *call {
 type task struct{ c *call }
 
 // New creates a server over the given index.  provider selects where the
-// refine step runs: nil uses a local provider with the server's worker
-// parallelism, anything else (e.g. a cluster provider) is passed through to
-// the engine.  Every refine request carries the query's epoch view, so the
-// refine step is snapshot-isolated wherever the provider's workers can
-// resolve that epoch.
+// refine step runs: nil uses a serial local provider (queries already run
+// concurrently on the pool), anything else (e.g. a cluster provider) is
+// passed through to the engine.  Every refine request carries the query's
+// epoch view, so the refine step is snapshot-isolated wherever the provider's
+// workers can resolve that epoch.
 func New(index *dtlp.Index, provider core.PartialProvider, opts Options) *Server {
 	opts = opts.withDefaults()
-	engOpts := opts.Engine
-	if provider == nil && engOpts.Parallelism == 0 {
-		// Queries already run concurrently on the pool; keep each refine
-		// step serial by default so pool workers do not oversubscribe CPUs.
-		engOpts.Parallelism = 1
-	}
 	s := &Server{
 		index:    index,
-		engine:   core.NewEngine(index, provider, engOpts),
+		engine:   core.NewEngine(index, provider, opts.Engine),
 		provider: provider,
 		opts:     opts,
 		tasks:    make(chan *task, opts.QueueDepth),
@@ -324,25 +324,38 @@ func (s *Server) worker() {
 			s.finish(c, core.Result{}, err)
 			continue
 		}
-		view := c.view
-		if view == nil {
-			view = s.index.CurrentView()
-		}
-		// The execute span is injected into the call's detached context so the
-		// engine (and the batching transport beneath it) hang their iteration
-		// and rpc spans under the creator's trace.
-		exec := c.reqSpan.Child("execute")
-		ctx := trace.NewContext(c.ctx, exec)
-		var res core.Result
-		var err error
-		if c.yield != nil {
-			res, err = s.engine.StreamView(ctx, view, c.key.s, c.key.t, c.key.k, c.yield)
-		} else {
-			res, err = s.engine.QueryViewCtx(ctx, view, c.key.s, c.key.t, c.key.k)
-		}
-		exec.Finish()
+		res, err := s.execute(c)
 		s.finish(c, res, err)
 	}
+}
+
+// execute answers one call on the calling pool worker.  A panic anywhere in
+// the query (the engine, a provider called on this goroutine, a stream's
+// yield) fails this call with an error — its waiters and coalesced joiners
+// are released by finish like any other failure — and the worker keeps
+// draining; the stack is logged once and counted in Stats.Panics.
+func (s *Server) execute(c *call) (res core.Result, err error) {
+	view := c.view
+	if view == nil {
+		view = s.index.CurrentView()
+	}
+	// The execute span is injected into the call's detached context so the
+	// engine (and the batching transport beneath it) hang their iteration
+	// and rpc spans under the creator's trace.
+	exec := c.reqSpan.Child("execute")
+	defer exec.Finish()
+	defer func() {
+		if r := recover(); r != nil {
+			s.panics.Add(1)
+			log.Printf("serve: panic answering query (%d,%d) k=%d: %v\n%s", c.key.s, c.key.t, c.key.k, r, debug.Stack())
+			res, err = core.Result{}, fmt.Errorf("serve: query panic: %v", r)
+		}
+	}()
+	ctx := trace.NewContext(c.ctx, exec)
+	if c.yield != nil {
+		return s.engine.StreamView(ctx, view, c.key.s, c.key.t, c.key.k, c.yield)
+	}
+	return s.engine.QueryViewCtx(ctx, view, c.key.s, c.key.t, c.key.k)
 }
 
 // finish completes a call: publishes the result to all joined waiters and,
@@ -807,6 +820,7 @@ func (s *Server) Stats() Stats {
 		SubgraphsRebuilt: s.subgraphsRebuilt.Load(),
 		NonConverged:     s.nonConverged.Load(),
 		Canceled:         s.canceled.Load(),
+		Panics:           s.panics.Load(),
 		Epoch:            s.index.CurrentView().Epoch(),
 
 		BudgetTerminated: s.budgetTerminated.Load(),

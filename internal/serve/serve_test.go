@@ -5,7 +5,9 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -353,6 +355,61 @@ func TestServerCloseRejectsNewQueries(t *testing.T) {
 	s.Close() // idempotent
 	if _, err := s.Query(testutil.V1, testutil.V9, 1); err == nil {
 		t.Fatal("query after Close should fail")
+	}
+}
+
+// panicOnceProvider panics on the calling (pool worker) goroutine the first
+// time it is asked to refine, then answers normally.
+type panicOnceProvider struct {
+	inner    core.PartialProvider
+	panicked atomic.Bool
+}
+
+func (p *panicOnceProvider) PartialKSPAsyncCtx(ctx context.Context, iv *dtlp.IndexView, pairs []core.PairRequest, k int) <-chan core.AsyncPartialReply {
+	if p.panicked.CompareAndSwap(false, true) {
+		panic("provider blew up")
+	}
+	return p.inner.PartialKSPAsyncCtx(ctx, iv, pairs, k)
+}
+
+// TestPanicFailsOneQueryNotTheServer makes one query panic on its pool
+// worker: that query must come back as an error and be counted, the worker
+// must keep draining (the pool has a single worker, so the next query proves
+// it), and Close must still return.
+func TestPanicFailsOneQueryNotTheServer(t *testing.T) {
+	g := testutil.PaperGraph(t)
+	p, err := partition.PartitionGraph(g, 6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	x, err := dtlp.Build(p, dtlp.Config{Xi: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := New(x, &panicOnceProvider{inner: core.NewLocalProvider(p, 0)}, Options{Workers: 1})
+	if _, err := s.Query(testutil.V1, testutil.V19, 2); err == nil || !strings.Contains(err.Error(), "provider blew up") {
+		t.Fatalf("panicking query returned %v, want the contained panic as an error", err)
+	}
+	if st := s.Stats(); st.Panics != 1 {
+		t.Errorf("Panics = %d, want 1", st.Panics)
+	}
+	got, err := s.Query(testutil.V1, testutil.V19, 2)
+	if err != nil {
+		t.Fatalf("query after the panic: %v", err)
+	}
+	want, err := core.NewEngine(x, nil, core.Options{}).Query(testutil.V1, testutil.V19, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got.Paths) != len(want.Paths) || got.Paths[0].Dist != want.Paths[0].Dist {
+		t.Errorf("query after the panic answered %v, want %v", got.Paths, want.Paths)
+	}
+	closed := make(chan struct{})
+	go func() { s.Close(); close(closed) }()
+	select {
+	case <-closed:
+	case <-time.After(5 * time.Second):
+		t.Fatal("Close hung after a contained panic")
 	}
 }
 

@@ -7,6 +7,7 @@ package testutil
 
 import (
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"kspdg/internal/graph"
@@ -230,4 +231,14 @@ func RandomStronglyConnected(rng *rand.Rand, n, extra int) *graph.Graph {
 		addArc(graph.VertexID(rng.Intn(n)), graph.VertexID(rng.Intn(n)), 1+rng.Float64()*9)
 	}
 	return b.Build()
+}
+
+// SetGOMAXPROCS runs the rest of the test at GOMAXPROCS n and restores the
+// previous value on cleanup.  The worker executor and DTLP maintenance size
+// their fan-out with GOMAXPROCS, so this is how a test proves their output
+// does not depend on the width.  Process-wide: safe only because no test in
+// the tree uses t.Parallel.
+func SetGOMAXPROCS(tb testing.TB, n int) {
+	prev := runtime.GOMAXPROCS(n)
+	tb.Cleanup(func() { runtime.GOMAXPROCS(prev) })
 }

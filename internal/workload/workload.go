@@ -14,7 +14,6 @@ import (
 	"os"
 	"strconv"
 	"strings"
-	"time"
 
 	"kspdg/internal/graph"
 )
@@ -570,7 +569,7 @@ func InjectRoadEvents(g *graph.Graph, sc MixedScenario, cfg RoadEventsConfig) Mi
 	at := func(i int) int {
 		return (i + 1) * numQueries / (total + 1)
 	}
-	// Weight tracking mirrors GenerateMixedWith so incident spikes compose
+	// Weight tracking mirrors GenerateMixed so incident spikes compose
 	// with the weight batches already in the scenario.
 	weights := make(map[graph.EdgeID]float64)
 	weightOf := func(e graph.EdgeID) float64 {
@@ -668,13 +667,6 @@ func InjectRoadEvents(g *graph.Graph, sc MixedScenario, cfg RoadEventsConfig) Mi
 // batches of the scenario had been applied in order.
 func GenerateMixed(g *graph.Graph, numQueries, numBatches, k int, alpha, tau float64, seed int64) MixedScenario {
 	queries := NewQueryGenerator(g.NumVertices(), seed+1).Batch(numQueries)
-	return GenerateMixedWith(g, queries, numBatches, k, alpha, tau, seed)
-}
-
-// GenerateMixedWith is GenerateMixed over an explicit query stream (e.g. a
-// hotspot-skewed one from HotspotBatch) instead of uniform random queries.
-func GenerateMixedWith(g *graph.Graph, queries []Query, numBatches, k int, alpha, tau float64, seed int64) MixedScenario {
-	numQueries := len(queries)
 	sc := MixedScenario{K: k}
 
 	tm := NewTrafficModel(alpha, tau, seed)
@@ -722,38 +714,6 @@ func GenerateMixedWith(g *graph.Graph, queries []Query, numBatches, k int, alpha
 	return sc
 }
 
-// OpenLoopArrival is one request of an open-loop workload: a query and the
-// offset from the start of the run at which it arrives, regardless of whether
-// earlier requests have completed.
-type OpenLoopArrival struct {
-	// At is the arrival offset from the start of the replay.
-	At    time.Duration
-	Query Query
-}
-
-// GenerateOpenLoop builds a seeded open-loop query stream: n queries whose
-// arrival times follow a Poisson process with the given mean rate (queries
-// per second; inter-arrival gaps are exponentially distributed).  Unlike the
-// closed-loop scenarios — where a fixed worker pool issues the next query
-// only when one completes, so the offered load adapts to the server — an
-// open-loop client keeps firing on schedule while the server falls behind,
-// which is what exposes queueing delay and admission behaviour under
-// overload.  The same (n, rate, seed) always produces the same stream.
-func GenerateOpenLoop(g *graph.Graph, n int, rate float64, seed int64) []OpenLoopArrival {
-	if rate <= 0 {
-		rate = 1
-	}
-	queries := NewQueryGenerator(g.NumVertices(), seed+1).Batch(n)
-	rng := rand.New(rand.NewSource(seed))
-	out := make([]OpenLoopArrival, n)
-	var at time.Duration
-	for i := range out {
-		at += time.Duration(rng.ExpFloat64() / rate * float64(time.Second))
-		out[i] = OpenLoopArrival{At: at, Query: queries[i]}
-	}
-	return out
-}
-
 // QueryGenerator draws random (source, target) pairs with distinct endpoints.
 type QueryGenerator struct {
 	n   int
@@ -771,37 +731,6 @@ func (qg *QueryGenerator) Batch(count int) []Query {
 	for len(out) < count {
 		s := graph.VertexID(qg.rng.Intn(qg.n))
 		t := graph.VertexID(qg.rng.Intn(qg.n))
-		if s == t {
-			continue
-		}
-		out = append(out, Query{Source: s, Target: t})
-	}
-	return out
-}
-
-// HotspotBatch returns count queries whose targets concentrate on a few hub
-// vertices — the commute-shaped skew of real road traffic, where many
-// distinct sources head for the same popular destinations.  Each query's
-// target is one of `hubs` fixed vertices with probability share (sources
-// stay uniform), the rest are fully random.
-func (qg *QueryGenerator) HotspotBatch(count, hubs int, share float64) []Query {
-	if hubs < 1 {
-		hubs = 1
-	}
-	hubIDs := make([]graph.VertexID, hubs)
-	for i := range hubIDs {
-		hubIDs[i] = graph.VertexID(qg.rng.Intn(qg.n))
-	}
-	out := make([]Query, 0, count)
-	for len(out) < count {
-		s := graph.VertexID(qg.rng.Intn(qg.n))
-		t := graph.VertexID(qg.rng.Intn(qg.n))
-		if qg.rng.Float64() < share {
-			t = hubIDs[qg.rng.Intn(hubs)]
-		}
-		if qg.rng.Float64() < share/2 {
-			s = hubIDs[qg.rng.Intn(hubs)]
-		}
 		if s == t {
 			continue
 		}

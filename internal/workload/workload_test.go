@@ -6,7 +6,6 @@ import (
 	"strings"
 	"testing"
 	"testing/quick"
-	"time"
 
 	"kspdg/internal/graph"
 	"kspdg/internal/shortest"
@@ -355,52 +354,5 @@ func TestInjectChaos(t *testing.T) {
 func TestChaosActionString(t *testing.T) {
 	if ChaosKillWorker.String() != "kill" || ChaosRestartWorker.String() != "restart" {
 		t.Fatalf("chaos action names: %q %q", ChaosKillWorker, ChaosRestartWorker)
-	}
-}
-
-func TestGenerateOpenLoop(t *testing.T) {
-	ds, err := BuiltinDataset("NY", ScaleTiny)
-	if err != nil {
-		t.Fatal(err)
-	}
-	arr := GenerateOpenLoop(ds.Graph, 200, 500, 7)
-	if len(arr) != 200 {
-		t.Fatalf("got %d arrivals, want 200", len(arr))
-	}
-	n := ds.Graph.NumVertices()
-	var prev time.Duration
-	for i, a := range arr {
-		if a.At < prev {
-			t.Fatalf("arrival %d at %v before predecessor %v (must be non-decreasing)", i, a.At, prev)
-		}
-		prev = a.At
-		if int(a.Query.Source) >= n || int(a.Query.Target) >= n || a.Query.Source == a.Query.Target {
-			t.Fatalf("arrival %d has bad query %+v", i, a.Query)
-		}
-	}
-	// Mean inter-arrival should be in the ballpark of 1/rate (2ms at 500/s):
-	// with 200 samples the sample mean stays well within a factor of two.
-	mean := arr[len(arr)-1].At / time.Duration(len(arr))
-	if mean < 1*time.Millisecond || mean > 4*time.Millisecond {
-		t.Errorf("mean inter-arrival %v implausible for rate 500/s", mean)
-	}
-
-	// Determinism: same seed, same stream; different seed, different stream.
-	again := GenerateOpenLoop(ds.Graph, 200, 500, 7)
-	for i := range arr {
-		if arr[i] != again[i] {
-			t.Fatalf("arrival %d differs across identical seeds", i)
-		}
-	}
-	other := GenerateOpenLoop(ds.Graph, 200, 500, 8)
-	same := true
-	for i := range arr {
-		if arr[i] != other[i] {
-			same = false
-			break
-		}
-	}
-	if same {
-		t.Error("different seeds produced identical streams")
 	}
 }
