@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"testing"
 
 	"kspdg/internal/graph"
@@ -118,5 +119,37 @@ func TestQueryRespectsMaxIterations(t *testing.T) {
 	}
 	if len(res.Paths) == 0 {
 		t.Errorf("even one iteration should produce candidate paths on a grid")
+	}
+}
+
+// Query endpoints attach to the skeleton in boundary-vertex order, not map
+// order: arc order decides which of two equally keyed vertices a search
+// settles first, and with it the bits of an answer's Dist, which must be the
+// same every time a query runs against an epoch.
+func TestAugmentedSkeletonIsDeterministic(t *testing.T) {
+	g := testutil.GridGraph(8, 8, 1)
+	_, x, e := buildEngine(t, g, 12, 2)
+	iv := x.CurrentView()
+	var ends []graph.VertexID
+	for v := graph.VertexID(0); int(v) < g.NumVertices() && len(ends) < 2; v++ {
+		if _, boundary := iv.Skeleton().SkelID(v); !boundary && len(iv.BoundaryLowerBounds(v)) >= 3 {
+			ends = append(ends, v)
+		}
+	}
+	if len(ends) < 2 {
+		t.Fatal("grid has no two interior vertices with three boundary bounds")
+	}
+	arcs := func() [][]graph.Arc {
+		view, sAug, tAug, _, err := e.buildAugmentedSkeleton(iv, ends[0], ends[1])
+		if err != nil {
+			t.Fatal(err)
+		}
+		return [][]graph.Arc{view.Neighbors(sAug), view.Neighbors(tAug)}
+	}
+	want := arcs()
+	for i := 0; i < 20; i++ {
+		if got := arcs(); !slices.Equal(got[0], want[0]) || !slices.Equal(got[1], want[1]) {
+			t.Fatalf("build %d attached %v, first build %v", i, got, want)
+		}
 	}
 }

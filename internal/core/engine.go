@@ -16,7 +16,9 @@ package core
 import (
 	"context"
 	"fmt"
+	"maps"
 	"math"
+	"slices"
 	"sort"
 	"strconv"
 	"sync"
@@ -525,11 +527,13 @@ func (e *Engine) buildAugmentedSkeleton(iv *dtlp.IndexView, s, t graph.VertexID)
 		}
 		id := aug.addVertex()
 		extraGlobal = append(extraGlobal, v)
-		attached := 0
-		for bv, d := range bounds {
-			if sb, ok := skel.SkelID(bv); ok && !math.IsInf(d, 1) {
-				aug.addEdge(id, sb, d)
-				attached++
+		// Attach in vertex order, here and for t: map order would shuffle the
+		// arcs from query to query, and with them which of two equally keyed
+		// vertices an A* search settles first — so the bits of an answer's
+		// Dist, which must be a function of the epoch alone.
+		for _, bv := range slices.Sorted(maps.Keys(bounds)) {
+			if sb, ok := skel.SkelID(bv); ok && !math.IsInf(bounds[bv], 1) {
+				aug.addEdge(id, sb, bounds[bv])
 			}
 		}
 		return id, nil
@@ -545,11 +549,12 @@ func (e *Engine) buildAugmentedSkeleton(iv *dtlp.IndexView, s, t graph.VertexID)
 	} else {
 		id := aug.addVertex()
 		extraGlobal = append(extraGlobal, t)
-		for bv, d := range iv.BoundaryLowerBoundsTo(t) {
-			if sb, ok := skel.SkelID(bv); ok && !math.IsInf(d, 1) {
+		bounds := iv.BoundaryLowerBoundsTo(t)
+		for _, bv := range slices.Sorted(maps.Keys(bounds)) {
+			if sb, ok := skel.SkelID(bv); ok && !math.IsInf(bounds[bv], 1) {
 				// Edge direction boundary -> t for directed graphs; for
 				// undirected graphs addEdge installs both directions anyway.
-				aug.addEdge(sb, id, d)
+				aug.addEdge(sb, id, bounds[bv])
 			}
 		}
 		tAug = id

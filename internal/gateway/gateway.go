@@ -877,7 +877,7 @@ func (g *Gateway) registerMetrics() {
 		"Queries abandoned by cancellation or deadline expiry.",
 		stats(func(s serve.Stats) int64 { return s.Canceled }))
 	r.CounterFunc("kspd_panics_total",
-		"Queries failed by a panic contained on a query pool worker (stack in the process log).",
+		"Panics contained on a query pool worker (one query failed) or in a refine batch sender (that batch's queries failed); stack in the process log.",
 		stats(func(s serve.Stats) int64 { return s.Panics }))
 	r.CounterFunc("kspd_update_batches_total", "Weight-update batches applied.",
 		stats(func(s serve.Stats) int64 { return s.UpdateBatches }))

@@ -29,6 +29,9 @@ package rpcbatch
 import (
 	"context"
 	"errors"
+	"fmt"
+	"log"
+	"runtime/debug"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -102,6 +105,9 @@ type Stats struct {
 	// Coalesced counts shipped pairs that travelled in a batch fed by more
 	// than one caller — the cross-query sharing the batcher exists for.
 	Coalesced int64
+	// Panics counts batches failed by a panic in the Sender (see ship); the
+	// stack of each is in the process log.
+	Panics int64
 }
 
 // Add accumulates other into s (for aggregating per-worker batchers).
@@ -112,6 +118,7 @@ func (s *Stats) Add(other Stats) {
 	s.DedupHits += other.DedupHits
 	s.CacheHits += other.CacheHits
 	s.Coalesced += other.Coalesced
+	s.Panics += other.Panics
 }
 
 // Result is the outcome of one DoAsyncCtx call: the partial paths for every
@@ -246,6 +253,7 @@ type Batcher struct {
 	dedup     atomic.Int64
 	cacheHits atomic.Int64
 	coalesced atomic.Int64
+	panics    atomic.Int64
 }
 
 // New creates a batcher shipping batches through send.
@@ -407,7 +415,7 @@ func (b *Batcher) flushLocked(bu *bucket) {
 		if b.opts.Observe != nil {
 			start = time.Now()
 		}
-		paths, pinned, err := b.send(sctx, bu.order, bu.key.k, bu.key.epoch, bu.key.hasEpoch)
+		paths, pinned, err := b.ship(sctx, bu)
 		if b.opts.Observe != nil {
 			b.opts.Observe(len(bu.order), time.Since(start))
 		}
@@ -440,6 +448,21 @@ func (b *Batcher) flushLocked(bu *bucket) {
 		b.flushAllLocked()
 		b.mu.Unlock()
 	}()
+}
+
+// ship hands one batch to the Sender.  A panic in the Sender fails this
+// batch's pairs like a transport error — the flush goroutine then releases the
+// batch's wire slot and in-flight entries as usual — instead of taking the
+// process down; the stack is logged once and counted in Stats.Panics.
+func (b *Batcher) ship(ctx context.Context, bu *bucket) (paths map[core.PairRequest][]graph.Path, pinned bool, err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			b.panics.Add(1)
+			log.Printf("rpcbatch: panic shipping batch %d (%d pairs, k=%d): %v\n%s", bu.id, len(bu.order), bu.key.k, r, debug.Stack())
+			paths, pinned, err = nil, false, fmt.Errorf("rpcbatch: sender panic: %v", r)
+		}
+	}()
+	return b.send(ctx, bu.order, bu.key.k, bu.key.epoch, bu.key.hasEpoch)
 }
 
 // cacheStoreLocked memoizes one answered epoch-pinned pair, evicting pairs
@@ -490,5 +513,6 @@ func (b *Batcher) Stats() Stats {
 		DedupHits: b.dedup.Load(),
 		CacheHits: b.cacheHits.Load(),
 		Coalesced: b.coalesced.Load(),
+		Panics:    b.panics.Load(),
 	}
 }

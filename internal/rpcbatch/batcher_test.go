@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"math/rand"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -316,6 +317,40 @@ func TestSenderErrorPropagates(t *testing.T) {
 	r1, r2 := await(t, ch1), await(t, ch2)
 	if r1.Err == nil || r2.Err == nil {
 		t.Fatalf("both callers must see the batch error, got %v / %v", r1.Err, r2.Err)
+	}
+}
+
+// A panic in the Sender fails the batch it was shipping, not the process: the
+// caller gets an error, the wire slot and the in-flight pair are released so
+// the next request for the same pair is answered, and Close returns.
+func TestSenderPanicFailsOneBatch(t *testing.T) {
+	fs := &fakeSender{}
+	var panicked atomic.Bool
+	b := New(func(ctx context.Context, pairs []core.PairRequest, k int, epoch uint64, hasEpoch bool) (map[core.PairRequest][]graph.Path, bool, error) {
+		if panicked.CompareAndSwap(false, true) {
+			panic("search bug")
+		}
+		return fs.send(ctx, pairs, k, epoch, hasEpoch)
+	}, Options{CacheCapacity: -1})
+	pr := pairsN(1)
+	if r := await(t, doAsync(b, pr, 2, 1, true)); r.Err == nil || !strings.Contains(r.Err.Error(), "rpcbatch: sender panic: search bug") {
+		t.Fatalf("panicking batch: err = %v, want the sender panic", r.Err)
+	}
+	if r := await(t, doAsync(b, pr, 2, 1, true)); r.Err != nil || len(r.Paths) != 1 {
+		t.Fatalf("request after the panic: %+v", r)
+	}
+	if st := b.Stats(); st.Panics != 1 || st.Batches != 2 || st.DedupHits != 0 {
+		t.Errorf("stats %+v: want 1 panic over 2 batches, no dedup onto the failed pair", st)
+	}
+	closed := make(chan struct{})
+	go func() {
+		b.Close()
+		close(closed)
+	}()
+	select {
+	case <-closed:
+	case <-time.After(10 * time.Second):
+		t.Fatal("Close never returned after a sender panic")
 	}
 }
 

@@ -5,8 +5,10 @@ import (
 	"testing"
 
 	"kspdg/internal/cluster"
+	"kspdg/internal/core"
 	"kspdg/internal/dtlp"
 	"kspdg/internal/partition"
+	"kspdg/internal/rpcbatch"
 	"kspdg/internal/testutil"
 	"kspdg/internal/workload"
 )
@@ -52,3 +54,27 @@ func TestStatsExposeBatchCounters(t *testing.T) {
 		t.Errorf("queries served = %d, want %d", st.QueriesServed, len(queries))
 	}
 }
+
+// A panic contained in a batching transport's sender counts in serve.Stats
+// beside those contained on pool workers, so kspd_panics_total sees it.
+func TestStatsCountBatchSenderPanics(t *testing.T) {
+	g := testutil.PaperGraph(t)
+	p, err := partition.PartitionGraph(g, 6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	x, err := dtlp.Build(p, dtlp.Config{Xi: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := New(x, senderPanicsProvider{core.NewLocalProvider(p, 0)}, Options{Workers: 1})
+	defer s.Close()
+	if st := s.Stats(); st.Panics != 3 {
+		t.Errorf("Panics = %d, want the transport's 3", st.Panics)
+	}
+}
+
+// senderPanicsProvider reports three contained sender panics.
+type senderPanicsProvider struct{ core.PartialProvider }
+
+func (senderPanicsProvider) BatchStats() rpcbatch.Stats { return rpcbatch.Stats{Panics: 3} }

@@ -153,8 +153,10 @@ type Stats struct {
 	// context was canceled or blew its deadline (including queued queries
 	// whose last waiter hung up before a worker picked them up).
 	Canceled int64
-	// Panics counts queries failed by a panic contained on a pool worker
-	// (see execute); the stack of each is in the process log.
+	// Panics counts panics contained without taking the process down: on a
+	// pool worker, which fails one query (see execute), and in the refine
+	// transport's batch sender, which fails the queries waiting on that batch
+	// (rpcbatch.Stats.Panics).  The stack of each is in the process log.
 	Panics int64
 	Epoch  uint64
 	// RPCBatches, PairsCoalesced and DedupHits mirror the provider's
@@ -832,6 +834,7 @@ func (s *Server) Stats() Stats {
 		st.PairsCoalesced = bst.Coalesced
 		st.DedupHits = bst.DedupHits
 		st.PairCacheHits = bst.CacheHits
+		st.Panics += bst.Panics
 	}
 	if fp, ok := s.provider.(failoverStatsProvider); ok {
 		fst := fp.FailoverStats()

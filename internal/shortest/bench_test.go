@@ -1,7 +1,6 @@
 package shortest
 
 import (
-	"fmt"
 	"math/rand"
 	"testing"
 
@@ -65,14 +64,20 @@ func BenchmarkGeneratorNext(b *testing.B) {
 }
 
 // BenchmarkYenSubgraph is a worker's partial KSP: Yen corner to corner on an
-// 80-vertex grid subgraph.
+// 80-vertex grid subgraph (z = 80, as on local-closed) and, at k = 8, on a
+// 200-vertex one (z = 200, as on coarse-closed).
 func BenchmarkYenSubgraph(b *testing.B) {
-	g := gridForBench(10, 8).Snapshot()
-	for _, k := range []int{3, 8} {
-		b.Run(fmt.Sprintf("k%d", k), func(b *testing.B) {
+	for _, c := range []struct {
+		name string
+		w, h int
+		k    int
+	}{{"k3", 10, 8, 3}, {"k8", 10, 8, 8}, {"v200/k8", 20, 10, 8}} {
+		g := gridForBench(c.w, c.h).Snapshot()
+		t := graph.VertexID(c.w*c.h - 1)
+		b.Run(c.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				benchSink += len(Yen(g, 0, 79, k, nil))
+				benchSink += len(Yen(g, 0, t, c.k, nil))
 			}
 		})
 	}

@@ -1,6 +1,8 @@
 package shortest
 
 import (
+	"math"
+	"slices"
 	"sync"
 
 	"kspdg/internal/graph"
@@ -14,30 +16,44 @@ import (
 // all of them up front would be wasted work.
 //
 // The Generator is the one deviation kernel of the package — Yen drives a
-// pooled Generator — and it holds three invariants:
+// pooled Generator — and it holds four invariants:
 //
-//   - Output.  Paths come out in the order, with the vertex sequences and the
-//     Dist bits, of textbook Yen (one spur search per vertex of the previous
-//     path, bans kept in maps); the reference implementation in the tests
-//     pins this element for element.
+//   - Output.  The Dist sequence is textbook Yen's (one spur search per
+//     vertex of the previous path, bans kept in maps): exactly in exact
+//     arithmetic, and up to rounding in floating point, where A* may settle a
+//     vertex over a route a few ulps longer (see run).  Every path is a simple
+//     s–t path whose Dist is its own length.  Which of two equally long paths
+//     comes first may differ, since goal direction changes the order searches
+//     settle ties in; the reference implementation in the tests pins the
+//     sequence bit for bit on integer and on random real weights, and the
+//     paths element for element where the weights are real-valued.
 //   - Lawler's rule.  A candidate remembers the index it deviated at, and a
 //     produced path spurs only from that index on.  At a smaller index the
-//     root and the banned edges are those of a search already run when an
+//     root and the banned hops are those of a search already run when an
 //     earlier path with that root was deviated, so textbook Yen finds a
 //     candidate there that its dedup set rejects; skipping the search changes
 //     the cost, never the output.
 //   - Bans.  Root vertices (and the caller's forbidden vertices) are stamps in
-//     the search scratch; the deviation edges of a spur vertex are the
-//     children of the root's node in a trie over the produced paths, handed to
-//     the search as a short list it reads only while expanding the spur
-//     vertex.  The deviation index travels beside the paths, never inside
-//     graph.Path storage, which callers retain.
+//     the search scratch; the hops banned at a spur vertex are the next
+//     vertices of the children of the root's node in a trie over the produced
+//     paths, handed to the search as a short list it reads only while
+//     expanding the spur vertex.  Banning the next vertex rather than an edge
+//     id bans every parallel arc of the hop.  The deviation index travels
+//     beside the paths, never inside graph.Path storage, which callers retain.
+//   - Goal direction.  Every spur search is A* towards t (see first): on an
+//     undirected view the search that finds the first path is rooted at t, so
+//     it leaves behind the distance to t of every vertex it settled, and
+//     those, truncated at the first path's length, are a consistent
+//     heuristic at the price of one fill.  It is a lower bound only for the
+//     weights it was taken under: on a view whose weights change between
+//     searches (a live graph under updates) the spur searches fall back to
+//     Dijkstra's once its Version moves.  Directed views have no in-arcs to
+//     search from t, so their searches stay Dijkstra's.
 type Generator struct {
 	view   graph.WeightedView
 	s, t   graph.VertexID
 	opts   *Options
-	metric WeightFunc // ranks paths
-	search WeightFunc // metric, with the caller's forbidden edges at +Inf
+	search WeightFunc // the metric, with the caller's forbidden edges at +Inf
 
 	produced   []graph.Path
 	prevDev    int // deviation index of the last produced path
@@ -45,21 +61,29 @@ type Generator struct {
 	seen       graph.PathSet
 	trie       []trieNode
 	nodeAt     []int32 // trie node of every prefix of the path being deviated
-	edgeBans   []graph.EdgeID
+	nextBans   []graph.VertexID
 	buf        []graph.VertexID
 	searches   int // spur searches run so far; read by tests only
 	exhausted  bool
+
+	h        []float64 // A*'s heuristic for the spur searches; nil on directed views
+	hbuf     []float64 // storage of h, kept across pooled reuse
+	live     versioned // the view, if it reports a weight version
+	hVersion uint64    // live's weight version when h was taken
 }
 
-// trieNode stands for one prefix of a produced path: the prefix's last
-// vertex, the edge EdgeBetween reports from the parent prefix's last vertex
-// (NoEdge if it reports none), and the prefix's length under the metric along
-// those edges.  Node 0 is the root [s]; it is nobody's child, so 0 doubles as
-// "none" in the child and sibling links.
+// versioned is a view whose weights can change between searches; Version
+// moves with every change.  graph.Graph is one, and graph.Snapshot one whose
+// Version never moves.
+type versioned interface{ Version() uint64 }
+
+// trieNode stands for one prefix of a produced path: the prefix's last vertex
+// and its length, each hop priced by its cheapest arc under the search metric
+// — the arc the search that found the hop took.  Node 0 is the root [s]; it
+// is nobody's child, so 0 doubles as "none" in the child and sibling links.
 type trieNode struct {
 	dist    float64
 	vertex  graph.VertexID
-	edge    graph.EdgeID
 	child   int32
 	sibling int32
 }
@@ -93,19 +117,20 @@ func pooledGenerator(v graph.WeightedView, s, t graph.VertexID, opts *Options) *
 // reset points g at a new query, keeping its buffers.
 func (g *Generator) reset(v graph.WeightedView, s, t graph.VertexID, opts *Options) {
 	g.view, g.s, g.t, g.opts = v, s, t, opts
-	g.metric, g.search = opts.weightFn(v), opts.searchWeight(v)
+	g.search = opts.searchWeight(v)
 	g.produced = g.produced[:0]
 	g.candidates = g.candidates[:0]
 	g.seen.Reset()
 	g.trie = g.trie[:0]
 	g.prevDev, g.searches = 0, 0
 	g.exhausted = false
+	g.h, g.live = nil, nil
 }
 
 // recycle returns g to the pool, dropping every reference it holds into its
 // last query so that it pins neither the view nor the paths it handed out.
 func (g *Generator) recycle() {
-	g.view, g.opts, g.metric, g.search = nil, nil, nil, nil
+	g.view, g.opts, g.search, g.h, g.live = nil, nil, nil, nil, nil
 	clear(g.produced)
 	clear(g.candidates) // pop zeroes the slots it vacates
 	generatorPool.Put(g)
@@ -121,7 +146,7 @@ func (g *Generator) Next() (graph.Path, bool) {
 		return graph.Path{}, false
 	}
 	if len(g.produced) == 0 {
-		first, ok := ShortestPath(g.view, g.s, g.t, g.opts)
+		first, ok := g.first()
 		if !ok {
 			g.exhausted = true
 			return graph.Path{}, false
@@ -146,7 +171,7 @@ func (g *Generator) Next() (graph.Path, bool) {
 
 // deviate runs Yen's deviation step on the last produced path: one spur
 // search per vertex from its deviation index on, each avoiding the root
-// before it and the edges produced paths with the same root take out of it,
+// before it and the hops produced paths with the same root take out of it,
 // and pushes every new candidate onto the heap.
 func (g *Generator) deviate() {
 	prev := g.produced[len(g.produced)-1].Vertices
@@ -162,12 +187,12 @@ func (g *Generator) deviate() {
 			sc.ban(prev[j-1])
 		}
 		root := &g.trie[g.nodeAt[j]]
-		g.edgeBans = g.edgeBans[:0]
+		g.nextBans = g.nextBans[:0]
 		for c := root.child; c != 0; c = g.trie[c].sibling {
-			g.edgeBans = append(g.edgeBans, g.trie[c].edge)
+			g.nextBans = append(g.nextBans, g.trie[c].vertex)
 		}
 		g.searches++
-		sc.run(g.view, prev[j], g.t, g.search, g.edgeBans)
+		sc.run(g.view, prev[j], g.t, g.search, g.heuristic(), g.nextBans)
 		// The root is banned from the spur search, so root + spur path is
 		// simple by construction.
 		var ok bool
@@ -187,13 +212,74 @@ func (g *Generator) deviate() {
 	putScratch(sc)
 }
 
+// first finds the shortest path.  On an undirected view it searches from t
+// until s settles, which finds the path (read from s along the parents) and
+// leaves behind the distance d to t of every vertex closer to t than s; the
+// rest are at least R, the path's length, away.  h = min(d, R) is then a
+// consistent lower bound on the distance to t in every spur search: d(u) ≤ w
+// + d(v) on every arc, min(·, R) keeps the inequality, and a spur search bans
+// at least what this search banned, which only lengthens distances.  This
+// search bans the caller's forbidden vertices but s: a search's own source is
+// never excluded, so a spur search from a forbidden s may leave it, and paths
+// through s must count.
+func (g *Generator) first() (graph.Path, bool) {
+	if g.view.Directed() || g.s == g.t {
+		return ShortestPath(g.view, g.s, g.t, g.opts)
+	}
+	if live, ok := g.view.(versioned); ok {
+		g.live, g.hVersion = live, live.Version()
+	}
+	n := g.view.NumVertices()
+	sc := getScratch(n, 2)
+	defer putScratch(sc)
+	sc.banCaller(g.opts)
+	if sc.v[g.t].banned == sc.bans {
+		return graph.Path{}, false // a forbidden target is never reached
+	}
+	sc.v[g.s].banned = 0
+	sc.run(g.view, g.t, g.s, g.search, nil, nil)
+	verts, ok := sc.appendPath(nil, g.t, g.s)
+	if !ok {
+		return graph.Path{}, false
+	}
+	slices.Reverse(verts)
+	// The search summed the path from t; Dist sums it from s, as a search
+	// from s does, so that it has the bits of the plain algorithm's.
+	dist := 0.0
+	for i := 1; i < len(verts); i++ {
+		dist += g.hop(verts[i-1], verts[i])
+	}
+
+	r := sc.v[g.s].dist
+	g.hbuf = slices.Grow(g.hbuf[:0], n)[:n]
+	for u := range g.hbuf {
+		g.hbuf[u] = r
+		if st := &sc.v[u]; st.settled == sc.search {
+			g.hbuf[u] = st.dist
+		}
+	}
+	g.h = g.hbuf
+	return graph.Path{Vertices: verts, Dist: dist}, true
+}
+
+// heuristic returns h while it is still a lower bound.  Once the view's
+// weights have changed since first took h, a lowered weight may have made
+// some distance to t shorter than h says, and A* over h could miss the
+// shortest spur path, so the remaining spur searches are Dijkstra's.
+func (g *Generator) heuristic() []float64 {
+	if g.h != nil && g.live != nil && g.live.Version() != g.hVersion {
+		g.h = nil
+	}
+	return g.h
+}
+
 // insert adds a produced path to the prefix trie and records in nodeAt the
 // node of each of its prefixes.  Every produced path is in the trie before it
 // is deviated, so the children of nodeAt[j] are exactly the continuations
-// that produced paths sharing p[:j+1] take — the edges Yen bans at spur j.
+// that produced paths sharing p[:j+1] take — the hops Yen bans at spur j.
 func (g *Generator) insert(p []graph.VertexID) {
 	if len(g.trie) == 0 {
-		g.trie = append(g.trie, trieNode{vertex: p[0], edge: graph.NoEdge})
+		g.trie = append(g.trie, trieNode{vertex: p[0]})
 	}
 	g.nodeAt = append(g.nodeAt[:0], 0)
 	cur := int32(0)
@@ -203,11 +289,7 @@ func (g *Generator) insert(p []graph.VertexID) {
 			c = g.trie[c].sibling
 		}
 		if c == 0 {
-			n := trieNode{vertex: p[i], edge: graph.NoEdge, dist: g.trie[cur].dist, sibling: g.trie[cur].child}
-			if e, ok := g.view.EdgeBetween(p[i-1], p[i]); ok {
-				n.edge = e
-				n.dist += g.metric(e)
-			}
+			n := trieNode{vertex: p[i], dist: g.trie[cur].dist + g.hop(p[i-1], p[i]), sibling: g.trie[cur].child}
 			c = int32(len(g.trie))
 			g.trie = append(g.trie, n)
 			g.trie[cur].child = c
@@ -215,6 +297,18 @@ func (g *Generator) insert(p []graph.VertexID) {
 		g.nodeAt = append(g.nodeAt, c)
 		cur = c
 	}
+}
+
+// hop returns the length of the cheapest arc from u to w under the search
+// metric; on a multigraph that is the arc a search crossing the hop took.
+func (g *Generator) hop(u, w graph.VertexID) float64 {
+	d := math.Inf(1)
+	for _, a := range g.view.Neighbors(u) {
+		if a.To == w {
+			d = min(d, g.search(a.Edge))
+		}
+	}
+	return d
 }
 
 // candidateHeap is a binary min-heap of candidates ordered by ComparePaths,

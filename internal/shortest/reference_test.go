@@ -1,14 +1,18 @@
 package shortest
 
 // Textbook Yen, kept as the reference the kernel is compared against: one
-// spur search per vertex of the previous path (no Lawler start index), bans
-// in maps consulted on every relaxed arc, a fresh O(n) search state per
-// search, a linear scan over the produced paths per spur vertex, and
-// container/heap for the candidates.  It is the implementation Yen and
-// Generator shipped before the kernel was rebuilt, so "identical to refYen"
-// means "identical to what callers got before" — with one correction: a key a
-// caller maps to false in Forbidden* is not forbidden, as the first-path
-// search always had it; the old spur searches banned every key.
+// spur search per vertex of the previous path (no Lawler start index), plain
+// Dijkstra, bans in maps consulted on every relaxed arc, a fresh O(n) search
+// state per search, a linear scan over the produced paths per spur vertex,
+// and container/heap for the candidates.  It is the implementation Yen and
+// Generator shipped before the kernel was rebuilt, with two corrections: a
+// key a caller maps to false in Forbidden* is not forbidden, as the
+// first-path search always had it (the old spur searches banned every key);
+// and a spur search bans the next vertices of the produced paths sharing its
+// root, not the edge ids EdgeBetween reports for those hops, pricing each
+// root hop by its cheapest parallel arc — on a multigraph an edge-id ban let
+// a parallel arc re-find the banned hop, and the dedup set then threw away
+// the candidate that should have been found instead.
 
 import (
 	"container/heap"
@@ -25,9 +29,22 @@ func refEdgeForbidden(o *Options, e graph.EdgeID) bool {
 	return o != nil && o.ForbiddenEdges != nil && o.ForbiddenEdges[e]
 }
 
-// refShortestPath is Dijkstra with early exit at t on freshly filled arrays.
-// refSearches, when non-nil, counts the calls.
-func refShortestPath(v graph.WeightedView, s, t graph.VertexID, opts *Options, refSearches *int) (graph.Path, bool) {
+// refHop is the length of the cheapest arc from u to w the caller allows.
+func refHop(v graph.WeightedView, u, w graph.VertexID, opts *Options) float64 {
+	weight := opts.weightFn(v)
+	d := math.Inf(1)
+	for _, a := range v.Neighbors(u) {
+		if a.To == w && !refEdgeForbidden(opts, a.Edge) && weight(a.Edge) < d {
+			d = weight(a.Edge)
+		}
+	}
+	return d
+}
+
+// refShortestPath is Dijkstra with early exit at t on freshly filled arrays;
+// it does not enter the vertices in spurNext directly from s.  refSearches,
+// when non-nil, counts the calls.
+func refShortestPath(v graph.WeightedView, s, t graph.VertexID, opts *Options, spurNext map[graph.VertexID]bool, refSearches *int) (graph.Path, bool) {
 	if refSearches != nil {
 		*refSearches++
 	}
@@ -56,7 +73,7 @@ func refShortestPath(v graph.WeightedView, s, t graph.VertexID, opts *Options, r
 			break
 		}
 		for _, a := range v.Neighbors(u) {
-			if settled[a.To] || refVertexForbidden(opts, a.To) || refEdgeForbidden(opts, a.Edge) {
+			if settled[a.To] || refVertexForbidden(opts, a.To) || refEdgeForbidden(opts, a.Edge) || (u == s && spurNext[a.To]) {
 				continue
 			}
 			nd := du + weight(a.Edge)
@@ -88,14 +105,9 @@ func refShortestPath(v graph.WeightedView, s, t graph.VertexID, opts *Options, r
 // the last produced path.
 func refDeviate(v graph.WeightedView, t graph.VertexID, produced []graph.Path, opts *Options, seen map[string]bool, candidates *refPathHeap, refSearches *int) {
 	prev := produced[len(produced)-1]
-	weight := opts.weightFn(v)
 	prefixDist := []float64{0}
 	for i := 0; i+1 < len(prev.Vertices); i++ {
-		d := prefixDist[i]
-		if e, ok := v.EdgeBetween(prev.Vertices[i], prev.Vertices[i+1]); ok {
-			d += weight(e)
-		}
-		prefixDist = append(prefixDist, d)
+		prefixDist = append(prefixDist, prefixDist[i]+refHop(v, prev.Vertices[i], prev.Vertices[i+1], opts))
 	}
 	for j := 0; j < prev.Len(); j++ {
 		spur := prev.Vertices[j]
@@ -103,6 +115,7 @@ func refDeviate(v graph.WeightedView, t graph.VertexID, produced []graph.Path, o
 
 		banVerts := make(map[graph.VertexID]bool)
 		banEdges := make(map[graph.EdgeID]bool)
+		banNext := make(map[graph.VertexID]bool)
 		spurOpts := &Options{ForbiddenVertices: banVerts, ForbiddenEdges: banEdges}
 		if opts != nil {
 			spurOpts.Weight = opts.Weight
@@ -119,16 +132,14 @@ func refDeviate(v graph.WeightedView, t graph.VertexID, produced []graph.Path, o
 		}
 		for _, p := range produced {
 			if p.Len() > j && refSamePrefix(p.Vertices, rootVerts) {
-				if e, ok := v.EdgeBetween(p.Vertices[j], p.Vertices[j+1]); ok {
-					banEdges[e] = true
-				}
+				banNext[p.Vertices[j+1]] = true
 			}
 		}
 		for _, u := range rootVerts[:j] {
 			banVerts[u] = true
 		}
 
-		spurPath, ok := refShortestPath(v, spur, t, spurOpts, refSearches)
+		spurPath, ok := refShortestPath(v, spur, t, spurOpts, banNext, refSearches)
 		if !ok {
 			continue
 		}
@@ -156,7 +167,7 @@ func refYen(v graph.WeightedView, s, t graph.VertexID, k int, opts *Options) (pa
 	if s == t {
 		return []graph.Path{{Vertices: []graph.VertexID{s}}}, 0
 	}
-	first, ok := refShortestPath(v, s, t, opts, nil)
+	first, ok := refShortestPath(v, s, t, opts, nil, nil)
 	if !ok {
 		return nil, 0
 	}

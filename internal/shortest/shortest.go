@@ -1,8 +1,9 @@
-// Package shortest implements single-source shortest path search (Dijkstra)
-// and Yen's algorithm for k shortest loopless paths.  These are the
-// sequential building blocks that both the DTLP index construction and the
-// KSP-DG refine step (partial k shortest paths within a subgraph) rely on, as
-// well as the centralized baselines evaluated in the paper.
+// Package shortest implements single-source shortest path search (Dijkstra,
+// and A* where a distance-to-target heuristic is at hand) and Yen's algorithm
+// for k shortest loopless paths.  These are the sequential building blocks
+// that both the DTLP index construction and the KSP-DG refine step (partial k
+// shortest paths within a subgraph) rely on, as well as the centralized
+// baselines evaluated in the paper.
 //
 // All algorithms operate on a graph.WeightedView, so they work on live
 // graphs, snapshots, and partitioned subgraphs alike.  An Options value can
@@ -152,7 +153,7 @@ func ShortestDistance(v graph.WeightedView, s, t graph.VertexID, opts *Options) 
 func search(v graph.WeightedView, s, target graph.VertexID, opts *Options) *searchScratch {
 	sc := getScratch(v.NumVertices(), 2) // one ban set, one search
 	sc.banCaller(opts)
-	sc.run(v, s, target, opts.searchWeight(v), nil)
+	sc.run(v, s, target, opts.searchWeight(v), nil, nil)
 	return sc
 }
 
@@ -231,13 +232,19 @@ func (sc *searchScratch) banCaller(opts *Options) {
 	}
 }
 
-// run executes Dijkstra's algorithm from s under the current ban set.  If
-// target is a valid vertex the search stops once target is settled (its
-// distance is then exact; distances of unsettled vertices are upper bounds).
-// sourceBans lists edges that may not be taken out of s: Yen's deviation
-// edges all leave the spur vertex, so they are consulted only while s — the
-// first vertex settled — is expanded, not on every relaxed arc.
-func (sc *searchScratch) run(v graph.WeightedView, s, target graph.VertexID, weight WeightFunc, sourceBans []graph.EdgeID) {
+// run executes one best-first search from s under the current ban set.  With
+// h nil it is Dijkstra's algorithm.  Otherwise it is A*: a vertex is keyed by
+// its distance plus h, a consistent lower bound on its distance to target, so
+// target settles sooner and — in exact arithmetic — every vertex still
+// settles with its exact distance.  In floating point the keys of two routes
+// to a vertex a few ulps apart can round equal, and the worse may settle it:
+// A*'s distances then match Dijkstra's up to rounding, not always bit for
+// bit.  If target is a valid vertex the search stops once target is settled
+// (distances of unsettled vertices are then upper bounds).  nextBans
+// lists vertices that may not be entered from s: Yen's deviation hops all
+// leave the spur vertex, so they are consulted only while s — the first
+// vertex settled — is expanded, not on every relaxed arc.
+func (sc *searchScratch) run(v graph.WeightedView, s, target graph.VertexID, weight WeightFunc, h []float64, nextBans []graph.VertexID) {
 	sc.gen++
 	gen, bans := sc.gen, sc.bans
 	sc.search = gen
@@ -248,20 +255,22 @@ func (sc *searchScratch) run(v graph.WeightedView, s, target graph.VertexID, wei
 	pq.reset()
 	pq.push(s, 0)
 	for pq.len() > 0 {
-		u, du := pq.pop()
-		if st[u].settled == gen {
+		u, _ := pq.pop()
+		su := &st[u]
+		if su.settled == gen {
 			continue
 		}
-		st[u].settled = gen
+		su.settled = gen
 		if u == target {
 			break
 		}
+		du := su.dist
 		for _, a := range v.Neighbors(u) {
 			to := &st[a.To]
 			if to.settled == gen || to.banned == bans {
 				continue
 			}
-			if len(sourceBans) != 0 && slices.Contains(sourceBans, a.Edge) {
+			if len(nextBans) != 0 && slices.Contains(nextBans, a.To) {
 				continue
 			}
 			nd := du + weight(a.Edge)
@@ -271,10 +280,14 @@ func (sc *searchScratch) run(v graph.WeightedView, s, target graph.VertexID, wei
 			}
 			if nd < cur {
 				to.dist, to.parent, to.parentEdge, to.reached = nd, u, a.Edge, gen
-				pq.push(a.To, nd)
+				if h == nil {
+					pq.push(a.To, nd)
+				} else {
+					pq.push(a.To, nd+h[a.To])
+				}
 			}
 		}
-		sourceBans = nil
+		nextBans = nil
 	}
 }
 
