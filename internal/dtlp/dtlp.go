@@ -20,6 +20,19 @@
 // (Algorithm 2).  The optional MFP-tree compression of the EP-Index lives in
 // package mfptree.
 //
+// # Layout
+//
+// The index is flat.  Within a subgraph, pairs are sorted and bounding paths
+// have dense ids, so distances, vfrag counts and LBDs are plain slices, a
+// path's vertices and edges are ranges of one array each, and the EP-Index
+// is in compressed sparse row form (SubgraphIndex).  Bounds are computed
+// once per distinct vfrag count, not once per path.  Across subgraphs, each
+// generation numbers the global pairs in sorted order and keeps, per pair,
+// its LBD slots and its skeleton edge, so an update batch reaches the
+// skeleton by index, without maps or sorting (generation).  Maintenance over
+// this layout produces the same bits as recomputing every path's bound and
+// every pair's MBD from scratch.
+//
 // # Snapshot / epoch model
 //
 // The index supports snapshot-isolated concurrent querying through immutable
@@ -37,9 +50,11 @@
 package dtlp
 
 import (
+	"cmp"
 	"fmt"
+	"math"
 	"runtime"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -92,16 +107,39 @@ func MakePairKey(a, b graph.VertexID, directed bool) PairKey {
 
 // generation bundles the structural state of the index that a topology
 // mutation replaces wholesale: the partition, the per-subgraph first-level
-// indexes, the skeleton graph, and the pair->subgraph map.  All four are
-// immutable in structure once a generation is published (weight updates
-// mutate weights inside them, but never the structure), so readers pin a
-// generation with a single atomic load and epoch views keep their generation
-// alive for as long as they are referenced.
+// indexes, the skeleton graph, and the tables that tie local pairs to global
+// pairs and skeleton edges.  All of it is immutable in structure once a
+// generation is published (weight updates mutate weights, distances and
+// bounds inside it, but never the structure), so readers pin a generation
+// with a single atomic load and epoch views keep their generation alive for
+// as long as they are referenced.
+//
+// The pair tables live here, not on SubgraphIndex, because ApplyTopology
+// shares every SubgraphIndex a batch did not touch with the next generation,
+// whose global pairs are numbered differently.
 type generation struct {
 	part     *partition.Partition
 	subs     []*SubgraphIndex
 	skeleton *Skeleton
-	pairSubs map[PairKey][]partition.SubgraphID // subgraphs contributing a finite LBD for the pair
+
+	// pairs are the global boundary pairs indexed by some subgraph, sorted by
+	// (A, B).  Global pair i takes its MBD over the LBD slots
+	// contrib[contribOff[i]:contribOff[i+1]], in subgraph-id order, and its
+	// weight lives on skeleton edge pairEdge[i] (graph.NoEdge if it has
+	// none).  globalPair[s][j] is the global pair of local pair j of
+	// subgraph s.
+	pairs      []PairKey
+	contribOff []int32
+	contrib    []lbdSlot
+	pairEdge   []graph.EdgeID
+	globalPair [][]int32
+}
+
+// lbdSlot names one subgraph's LBD of a pair: SubgraphIndex.lbd[pair] of
+// subgraph sub.
+type lbdSlot struct {
+	sub  partition.SubgraphID
+	pair int32
 }
 
 // Index is the DTLP index over a partitioned graph.
@@ -178,29 +216,70 @@ func buildSubgraphIndexes(subs []*SubgraphIndex, part *partition.Partition, ids 
 }
 
 // finishStructure derives the generation state that is a pure function of the
-// partition and the per-subgraph indexes: the pair->subgraph map and the
-// skeleton graph.  Registration iterates pairs in sorted order so the derived
-// structures are deterministic.
+// partition and the per-subgraph indexes: the global pair tables and the
+// skeleton graph.  Everything is laid out in sorted pair order, so the
+// derived structures are deterministic.
 func (g *generation) finishStructure() error {
 	directed := g.part.Parent().Directed()
-	g.pairSubs = make(map[PairKey][]partition.SubgraphID)
+	type keyed struct {
+		key  PairKey
+		slot lbdSlot
+	}
+	var all []keyed
+	g.globalPair = make([][]int32, len(g.subs))
 	for _, si := range g.subs {
-		keys := make([]PairKey, 0, len(si.pairs))
-		for k := range si.pairs {
-			keys = append(keys, k)
-		}
-		sortPairKeys(keys)
-		for _, key := range keys {
-			gk := si.globalPairKey(key, directed)
-			g.pairSubs[gk] = append(g.pairSubs[gk], si.sub.ID)
+		g.globalPair[si.sub.ID] = make([]int32, len(si.pairKeys))
+		for j, k := range si.pairKeys {
+			all = append(all, keyed{si.globalPairKey(k, directed), lbdSlot{si.sub.ID, int32(j)}})
 		}
 	}
-	skel, err := buildSkeleton(g.part, g.mbdAll(), directed)
+	slices.SortFunc(all, func(x, y keyed) int {
+		if c := comparePairKeys(x.key, y.key); c != 0 {
+			return c
+		}
+		return cmp.Compare(x.slot.sub, y.slot.sub)
+	})
+	g.contrib = make([]lbdSlot, len(all))
+	for i, kd := range all {
+		if i == 0 || kd.key != all[i-1].key {
+			g.pairs = append(g.pairs, kd.key)
+			g.contribOff = append(g.contribOff, int32(i))
+		}
+		g.contrib[i] = kd.slot
+		g.globalPair[kd.slot.sub][kd.slot.pair] = int32(len(g.pairs) - 1)
+	}
+	g.contribOff = append(g.contribOff, int32(len(all)))
+	mbd := make([]float64, len(g.pairs))
+	for i := range mbd {
+		mbd[i] = g.mbdOf(i)
+	}
+	skel, pairEdge, err := buildSkeleton(g.part, g.pairs, mbd, directed)
 	if err != nil {
 		return err
 	}
-	g.skeleton = skel
+	g.skeleton, g.pairEdge = skel, pairEdge
 	return nil
+}
+
+// mbdOf computes the MBD of global pair i: the minimum of its subgraphs'
+// LBDs, taken in subgraph-id order.
+func (g *generation) mbdOf(i int) float64 {
+	best := infValue
+	for _, c := range g.contrib[g.contribOff[i]:g.contribOff[i+1]] {
+		if d := g.subs[c.sub].lbd[c.pair]; d < best {
+			best = d
+		}
+	}
+	return best
+}
+
+// approxBytes is the memory the generation's pair tables hold.
+func (g *generation) approxBytes() int64 {
+	b := int64(len(g.pairs))*8 + int64(len(g.contribOff)+len(g.pairEdge))*4 + int64(len(g.contrib))*8
+	for _, gp := range g.globalPair {
+		b += int64(len(gp)) * 4
+	}
+	return b
 }
 
 // Config returns the configuration the index was built with.
@@ -233,31 +312,11 @@ func (x *Index) MBD(a, b graph.VertexID) float64 {
 // mbd computes the minimum lower bound distance of one boundary pair within
 // this generation.
 func (g *generation) mbd(a, b graph.VertexID) float64 {
-	key := MakePairKey(a, b, g.part.Parent().Directed())
-	best := inf()
-	for _, id := range g.pairSubs[key] {
-		if d := g.subs[id].LBDGlobal(a, b); d < best {
-			best = d
-		}
+	i, ok := slices.BinarySearchFunc(g.pairs, MakePairKey(a, b, g.part.Parent().Directed()), comparePairKeys)
+	if !ok {
+		return infValue
 	}
-	return best
-}
-
-// mbdAll computes the MBD of every indexed boundary pair.
-func (g *generation) mbdAll() map[PairKey]float64 {
-	out := make(map[PairKey]float64)
-	for key, subs := range g.pairSubs {
-		best := inf()
-		for _, id := range subs {
-			if d := g.subs[id].LBDGlobal(key.A, key.B); d < best {
-				best = d
-			}
-		}
-		if best < inf() {
-			out[key] = best
-		}
-	}
-	return out
+	return g.mbdOf(i)
 }
 
 // weightsAt resolves the weighted view a subgraph computation runs over: the
@@ -329,7 +388,7 @@ func (x *Index) WithinSubgraphDistance(s, t graph.VertexID) float64 {
 }
 
 func (g *generation) withinSubgraphDistance(s, t graph.VertexID, at weightsAt) float64 {
-	best := inf()
+	best := infValue
 	for _, id := range g.part.CommonSubgraphs(s, t) {
 		sub := g.part.Subgraph(id)
 		ls, okS := sub.ToLocal(s)
@@ -389,16 +448,18 @@ type UpdateStats struct {
 // statistics (published epoch, bounding paths touched, subgraphs refreshed,
 // skeleton pairs recomputed).
 //
-// Maintenance is sharded: edge deltas are grouped per subgraph (preserving
-// batch order within each group, so floating-point accumulation matches the
-// serial path exactly) and the per-subgraph applyEdgeDelta+refreshBounds work
-// runs on up to GOMAXPROCS goroutines — each subgraph's first-level
-// state is independent, which is what the paper exploits by assigning
-// subgraphs to different SubgraphBolts.  Skeleton weights are then recomputed
-// serially from the deterministically sorted union of changed pairs; since
-// every subgraph whose LBD changed reports the pair itself, computing MBDs
-// after all refreshes yields the same final weights as the serial
-// interleaving.  Epoch publication stays atomic and single-writer.
+// A batch CheckUpdates rejects changes nothing.  Otherwise maintenance is
+// sharded: edge deltas are grouped per subgraph (preserving batch order
+// within each group, so every path distance accumulates its deltas in batch
+// order) and the per-subgraph applyEdgeDelta+refreshBounds work runs on up to
+// GOMAXPROCS goroutines — each subgraph's first-level state is independent,
+// which is what the paper exploits by assigning subgraphs to different
+// SubgraphBolts.  The skeleton is then maintained by index: the changed local
+// pairs mark their global pairs, and one sweep in pair order recomputes each
+// marked pair's MBD from its LBD slots and writes all new skeleton weights in
+// one graph.ApplyUpdates.  Since every subgraph whose LBD changed marks the
+// pair itself, computing MBDs after all refreshes yields the same weights as
+// the serial interleaving.  Epoch publication stays atomic and single-writer.
 func (x *Index) ApplyUpdatesStats(batch []graph.WeightUpdate) (UpdateStats, error) {
 	if len(batch) == 0 {
 		return UpdateStats{Epoch: x.CurrentView().Epoch()}, nil
@@ -406,6 +467,9 @@ func (x *Index) ApplyUpdatesStats(batch []graph.WeightUpdate) (UpdateStats, erro
 	x.writeMu.Lock()
 	defer x.writeMu.Unlock()
 	g := x.gen.Load()
+	if err := g.checkUpdates(batch); err != nil {
+		return UpdateStats{}, err
+	}
 	// Capture pre-update weights to derive the deltas used for incremental
 	// bounding path distance maintenance, grouped per owning subgraph in
 	// batch order.
@@ -413,16 +477,9 @@ func (x *Index) ApplyUpdatesStats(batch []graph.WeightUpdate) (UpdateStats, erro
 		local graph.EdgeID
 		delta float64
 	}
-	perSub := make(map[partition.SubgraphID][]pendingDelta)
-	numEdges := g.part.Parent().NumEdges()
+	perSub := make([][]pendingDelta, len(g.subs))
 	for _, u := range batch {
-		if u.Edge < 0 || int(u.Edge) >= numEdges {
-			return UpdateStats{}, fmt.Errorf("dtlp: update for edge %d outside [0,%d)", u.Edge, numEdges)
-		}
 		loc := g.part.Locate(u.Edge)
-		if loc.Subgraph == partition.NoSubgraph {
-			return UpdateStats{}, fmt.Errorf("dtlp: update for edge %d not covered by partition", u.Edge)
-		}
 		old := g.part.Subgraph(loc.Subgraph).Local.Weight(loc.LocalEdge)
 		if delta := u.NewWeight - old; delta != 0 {
 			perSub[loc.Subgraph] = append(perSub[loc.Subgraph], pendingDelta{local: loc.LocalEdge, delta: delta})
@@ -432,15 +489,16 @@ func (x *Index) ApplyUpdatesStats(batch []graph.WeightUpdate) (UpdateStats, erro
 	if _, err := g.part.ApplyUpdates(batch); err != nil {
 		return UpdateStats{}, err
 	}
-	affectedIDs := make([]partition.SubgraphID, 0, len(perSub))
-	for id := range perSub {
-		affectedIDs = append(affectedIDs, id)
+	var affectedIDs []partition.SubgraphID
+	for id, ds := range perSub {
+		if len(ds) > 0 {
+			affectedIDs = append(affectedIDs, partition.SubgraphID(id))
+		}
 	}
-	sort.Slice(affectedIDs, func(i, j int) bool { return affectedIDs[i] < affectedIDs[j] })
 	// Shard the EP-Index distance adjustments and bound refreshes across the
-	// affected subgraphs.  refreshOne touches only subgraph-local state (and
+	// affected subgraphs.  Each shard touches only its subgraph's state (and
 	// reads the already-updated local weights), so the shards are disjoint.
-	changed := make([][]PairKey, len(affectedIDs))
+	changed := make([][]int32, len(affectedIDs))
 	touchedPer := make([]int, len(affectedIDs))
 	fanout.Do(len(affectedIDs), runtime.GOMAXPROCS(0), func(i int) {
 		si := g.subs[affectedIDs[i]]
@@ -455,33 +513,34 @@ func (x *Index) ApplyUpdatesStats(batch []graph.WeightUpdate) (UpdateStats, erro
 	for _, t := range touchedPer {
 		st.PathsTouched += t
 	}
-	// Recompute the skeleton weights for every pair whose LBD changed in some
-	// subgraph.  The union is sorted (and deduplicated) so the write order is
-	// deterministic regardless of which goroutine finished first; the MBDs
-	// themselves are order-independent minima over the refreshed LBDs.
-	directed := g.part.Parent().Directed()
-	var changedPairs []PairKey
+	// Recompute the skeleton weight of every global pair whose LBD changed in
+	// some subgraph, in pair order, and validate every new weight before
+	// writing any.
+	marked := make([]bool, len(g.pairs))
 	for i, id := range affectedIDs {
-		si := g.subs[id]
-		for _, localPair := range changed[i] {
-			changedPairs = append(changedPairs, si.globalPairKey(localPair, directed))
+		globalPair := g.globalPair[id]
+		for _, j := range changed[i] {
+			marked[globalPair[j]] = true
 		}
 	}
-	sort.Slice(changedPairs, func(i, j int) bool {
-		if changedPairs[i].A != changedPairs[j].A {
-			return changedPairs[i].A < changedPairs[j].A
-		}
-		return changedPairs[i].B < changedPairs[j].B
-	})
-	var prev PairKey
-	for i, gk := range changedPairs {
-		if i > 0 && gk == prev {
+	var ups []graph.WeightUpdate
+	for i, m := range marked {
+		if !m {
 			continue
 		}
-		prev = gk
 		st.PairsChanged++
-		mbd := g.mbd(gk.A, gk.B)
-		if err := g.skeleton.SetWeight(gk, mbd); err != nil {
+		e := g.pairEdge[i]
+		if e == graph.NoEdge {
+			continue // no skeleton edge: unreachable in every subgraph, which weights cannot change
+		}
+		mbd := g.mbdOf(i)
+		if mbd < 0 || mbd == infValue {
+			return UpdateStats{}, fmt.Errorf("dtlp: invalid skeleton weight %g for pair (%d,%d)", mbd, g.pairs[i].A, g.pairs[i].B)
+		}
+		ups = append(ups, graph.WeightUpdate{Edge: e, NewWeight: mbd})
+	}
+	if len(ups) > 0 {
+		if err := g.skeleton.g.ApplyUpdates(ups); err != nil {
 			return UpdateStats{}, err
 		}
 	}
@@ -494,6 +553,35 @@ func (x *Index) ApplyUpdatesStats(batch []graph.WeightUpdate) (UpdateStats, erro
 	nv := x.publishView(affected)
 	st.Epoch = nv.epoch
 	return st, nil
+}
+
+// CheckUpdates returns the error ApplyUpdates would fail batch with, without
+// applying anything: an edge outside the graph, deleted, or owned by no
+// subgraph, or a weight that is negative, NaN or infinite.  Callers that log
+// a batch before applying it (serve's writer) check it first, so the log
+// never holds a batch the index refuses.
+func (x *Index) CheckUpdates(batch []graph.WeightUpdate) error {
+	return x.gen.Load().checkUpdates(batch)
+}
+
+func (g *generation) checkUpdates(batch []graph.WeightUpdate) error {
+	parent := g.part.Parent()
+	numEdges := parent.NumEdges()
+	for _, u := range batch {
+		if u.Edge < 0 || int(u.Edge) >= numEdges {
+			return fmt.Errorf("dtlp: update for edge %d outside [0,%d)", u.Edge, numEdges)
+		}
+		if !parent.EdgeAlive(u.Edge) {
+			return fmt.Errorf("dtlp: weight update on deleted edge %d", u.Edge)
+		}
+		if g.part.Locate(u.Edge).Subgraph == partition.NoSubgraph {
+			return fmt.Errorf("dtlp: update for edge %d not covered by partition", u.Edge)
+		}
+		if !(u.NewWeight >= 0) || math.IsInf(u.NewWeight, 1) {
+			return fmt.Errorf("dtlp: invalid weight %g for edge %d", u.NewWeight, u.Edge)
+		}
+	}
+	return nil
 }
 
 // PathsCrossing counts the EP-Index entries of the batch's edges: the number
@@ -514,7 +602,8 @@ func (x *Index) PathsCrossing(batch []graph.WeightUpdate) int {
 		if loc.Subgraph == partition.NoSubgraph {
 			continue
 		}
-		n += len(g.subs[loc.Subgraph].epIndex[loc.LocalEdge])
+		si := g.subs[loc.Subgraph]
+		n += int(si.epOff[loc.LocalEdge+1] - si.epOff[loc.LocalEdge])
 	}
 	return n
 }
@@ -541,12 +630,16 @@ func (x *Index) Stats() Stats {
 		SkeletonEdges:       g.skeleton.NumEdges(),
 	}
 	for _, si := range g.subs {
-		st.NumBoundingPaths += si.numPaths
-		st.EPIndexEntries += si.epEntries
+		st.NumBoundingPaths += si.NumBoundingPaths()
+		st.EPIndexEntries += si.EPIndexEntries()
 		st.ApproxBytes += si.approxBytes()
 	}
-	st.ApproxBytes += int64(st.SkeletonEdges) * 24
+	// A skeleton edge holds its endpoints, initial and current weight, and
+	// an adjacency arc per direction of travel.
+	arcs := int64(2)
+	if g.skeleton.Directed() {
+		arcs = 1
+	}
+	st.ApproxBytes += int64(st.SkeletonEdges)*(24+8*arcs) + g.approxBytes()
 	return st
 }
-
-func inf() float64 { return infValue }

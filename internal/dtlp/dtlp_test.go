@@ -280,11 +280,12 @@ func TestApplyUpdatesBoundingPathDistances(t *testing.T) {
 	}
 	// Bounding path distances must equal re-evaluating the path on the
 	// subgraph's current weights.
-	for _, entry := range si.pairs {
-		for _, bp := range entry.paths {
+	sub := si.Subgraph()
+	for e := graph.EdgeID(0); int(e) < sub.Local.NumEdges(); e++ {
+		for _, bp := range si.PathsThroughEdge(e) {
 			want := 0.0
 			for _, e := range bp.Edges {
-				want += si.sub.Local.Weight(e)
+				want += sub.Local.Weight(e)
 			}
 			if math.Abs(bp.Dist-want) > 1e-9 {
 				t.Errorf("path %d incremental dist %g != recomputed %g", bp.ID, bp.Dist, want)
@@ -352,7 +353,7 @@ func TestVfragBoundDistanceExample(t *testing.T) {
 	// co-locates it, otherwise fall back to the first indexed pair.
 	var si *SubgraphIndex
 	var la, lb graph.VertexID
-	var paths []*BoundingPath
+	var paths []BoundingPath
 	for _, id := range p.CommonSubgraphs(testutil.V13, testutil.V14) {
 		cand := x.SubgraphIndex(id)
 		a, _ := cand.Subgraph().ToLocal(testutil.V13)

@@ -1,10 +1,14 @@
 package dtlp
 
 import (
+	"errors"
 	"fmt"
 	"math"
+	"runtime"
+	"slices"
 	"sync/atomic"
 
+	"kspdg/internal/fanout"
 	"kspdg/internal/graph"
 	"kspdg/internal/partition"
 )
@@ -65,19 +69,14 @@ func (x *Index) ExportState(fn func(st ExportedState) error) error {
 		View:  view,
 		Paths: func(visit func(sub partition.SubgraphID, rec PathRecord) error) error {
 			for id, si := range view.gen.subs {
-				keys := make([]PairKey, 0, len(si.pairs))
-				for k := range si.pairs {
-					keys = append(keys, k)
-				}
-				sortPairKeys(keys)
-				for _, k := range keys {
-					for _, bp := range si.pairs[k].paths {
+				for i, key := range si.pairKeys {
+					for p := si.pairOff[i]; p < si.pairOff[i+1]; p++ {
 						rec := PathRecord{
-							Pair:     k,
-							Vertices: bp.Vertices,
-							Edges:    bp.Edges,
-							Vfrags:   bp.Vfrags,
-							Dist:     bp.Dist,
+							Pair:     key,
+							Vertices: si.pathVerts(p),
+							Edges:    si.pathEdges(p),
+							Vfrags:   si.vfrags[p],
+							Dist:     si.dist[p],
 						}
 						if err := visit(partition.SubgraphID(id), rec); err != nil {
 							return err
@@ -93,18 +92,34 @@ func (x *Index) ExportState(fn func(st ExportedState) error) error {
 
 // Importer reassembles an Index from previously exported path records
 // without enumerating bounding paths — the expensive step of Build.  Records
-// are streamed in via Add (in any order) and Finish derives everything that
-// is a pure function of them: bound distances, LBDs, the pair->subgraph map,
-// and the skeleton graph with its MBD weights.
+// are streamed in via Add (in any order) and Finish lays them out and derives
+// everything that is a pure function of them: bound distances, LBDs, the
+// global pair tables, and the skeleton graph with its MBD weights.
 //
 // The partition's local weights must already reflect the weight snapshot the
 // records were exported with (the store loads weights before paths).
 type Importer struct {
 	part     *partition.Partition
 	cfg      Config
-	subs     []*SubgraphIndex
-	nextID   []int
+	staged   []importStage
 	finished bool
+}
+
+// importStage holds one subgraph's records in arrival order until Finish
+// lays them out.
+type importStage struct {
+	recs  []stagedPath
+	verts []graph.VertexID
+	edges []graph.EdgeID
+}
+
+// stagedPath is one record; its vertices are verts[vert:vert+n] of its stage
+// and its edges edges[edge:edge+n-1].
+type stagedPath struct {
+	pair         PairKey
+	vert, edge   int32
+	n            int32
+	vfrags, dist float64
 }
 
 // NewImporter prepares an import over the given partition.  cfg must carry
@@ -115,36 +130,24 @@ func NewImporter(part *partition.Partition, cfg Config) (*Importer, error) {
 	if err != nil {
 		return nil, err
 	}
-	imp := &Importer{
+	return &Importer{
 		part:   part,
 		cfg:    cfg,
-		subs:   make([]*SubgraphIndex, part.NumSubgraphs()),
-		nextID: make([]int, part.NumSubgraphs()),
-	}
-	for i := range imp.subs {
-		imp.subs[i] = &SubgraphIndex{
-			sub:        part.Subgraph(partition.SubgraphID(i)),
-			cfg:        cfg,
-			pairs:      make(map[PairKey]*pairEntry),
-			epIndex:    make(map[graph.EdgeID][]*BoundingPath),
-			unitsDirty: true,
-		}
-	}
-	return imp, nil
+		staged: make([]importStage, part.NumSubgraphs()),
+	}, nil
 }
 
-// Add installs one bounding path record into the owning subgraph index.  It
-// validates the record against the partition topology so that corrupted
-// snapshots surface as errors, never as silently wrong indexes.
+// Add stages one bounding path record for the owning subgraph.  It validates
+// the record against the partition topology so that corrupted snapshots
+// surface as errors, never as silently wrong indexes.
 func (imp *Importer) Add(id partition.SubgraphID, rec PathRecord) error {
 	if imp.finished {
 		return fmt.Errorf("dtlp: import already finished")
 	}
-	if int(id) < 0 || int(id) >= len(imp.subs) {
-		return fmt.Errorf("dtlp: import record for subgraph %d outside [0,%d)", id, len(imp.subs))
+	if int(id) < 0 || int(id) >= len(imp.staged) {
+		return fmt.Errorf("dtlp: import record for subgraph %d outside [0,%d)", id, len(imp.staged))
 	}
-	si := imp.subs[id]
-	local := si.sub.Local
+	local := imp.part.Subgraph(id).Local
 	directed := local.Directed()
 	nv, ne := local.NumVertices(), local.NumEdges()
 	if len(rec.Vertices) < 2 || len(rec.Edges) != len(rec.Vertices)-1 {
@@ -177,32 +180,47 @@ func (imp *Importer) Add(id partition.SubgraphID, rec PathRecord) error {
 	if math.IsNaN(rec.Dist) || math.IsInf(rec.Dist, 0) || rec.Dist < 0 {
 		return fmt.Errorf("dtlp: import path with invalid distance %g", rec.Dist)
 	}
-	entry, ok := si.pairs[rec.Pair]
-	if !ok {
-		entry = &pairEntry{key: rec.Pair, lbd: infValue}
-		si.pairs[rec.Pair] = entry
-	}
-	// Construction keeps every enumerated path among the first ξ distinct
-	// vfrag lengths, so MaxEnumerate (not ξ) bounds the per-pair path count.
-	if len(entry.paths) >= imp.cfg.MaxEnumerate {
-		return fmt.Errorf("dtlp: import pair (%d,%d) has more than %d paths", rec.Pair.A, rec.Pair.B, imp.cfg.MaxEnumerate)
-	}
-	bp := &BoundingPath{
-		ID:       imp.nextID[id],
-		Pair:     rec.Pair,
-		Vertices: append([]graph.VertexID(nil), rec.Vertices...),
-		Edges:    append([]graph.EdgeID(nil), rec.Edges...),
-		Vfrags:   rec.Vfrags,
-		Dist:     rec.Dist,
-	}
-	imp.nextID[id]++
-	for _, e := range bp.Edges {
-		si.epIndex[e] = append(si.epIndex[e], bp)
-		si.epEntries++
-	}
-	entry.paths = append(entry.paths, bp)
-	si.numPaths++
+	st := &imp.staged[id]
+	st.recs = append(st.recs, stagedPath{
+		pair:   rec.Pair,
+		vert:   int32(len(st.verts)),
+		edge:   int32(len(st.edges)),
+		n:      int32(len(rec.Vertices)),
+		vfrags: rec.Vfrags,
+		dist:   rec.Dist,
+	})
+	st.verts = append(st.verts, rec.Vertices...)
+	st.edges = append(st.edges, rec.Edges...)
 	return nil
+}
+
+// layout builds subgraph id's index from its staged records: pairs in sorted
+// order, each pair's paths in arrival order.
+func (imp *Importer) layout(id partition.SubgraphID) (*SubgraphIndex, error) {
+	st := &imp.staged[id]
+	slices.SortStableFunc(st.recs, func(x, y stagedPath) int { return comparePairKeys(x.pair, y.pair) })
+	numPairs := 0
+	for i, r := range st.recs {
+		if i == 0 || r.pair != st.recs[i-1].pair {
+			numPairs++
+		}
+	}
+	si := newSubgraphIndex(imp.part.Subgraph(id), numPairs, len(st.recs), len(st.verts))
+	run := 0
+	for i, r := range st.recs {
+		if i == 0 || r.pair != st.recs[i-1].pair {
+			si.addPair(r.pair)
+			run = 0
+		}
+		// Construction keeps every enumerated path among the first ξ distinct
+		// vfrag lengths, so MaxEnumerate (not ξ) bounds the per-pair path count.
+		if run++; run > imp.cfg.MaxEnumerate {
+			return nil, fmt.Errorf("dtlp: import pair (%d,%d) has more than %d paths", r.pair.A, r.pair.B, imp.cfg.MaxEnumerate)
+		}
+		si.addPath(st.verts[r.vert:r.vert+r.n], st.edges[r.edge:r.edge+r.n-1], r.vfrags, r.dist)
+	}
+	si.finish()
+	return si, nil
 }
 
 // Finish derives the remaining index state (bounds, LBDs, skeleton) and
@@ -214,14 +232,19 @@ func (imp *Importer) Finish(epoch uint64) (*Index, error) {
 		return nil, fmt.Errorf("dtlp: import already finished")
 	}
 	imp.finished = true
-	x := &Index{cfg: imp.cfg}
-	g := &generation{part: imp.part, subs: imp.subs}
-	for _, si := range g.subs {
-		si.refreshBounds()
+	g := &generation{part: imp.part, subs: make([]*SubgraphIndex, len(imp.staged))}
+	errs := make([]error, len(g.subs))
+	fanout.Do(len(g.subs), runtime.GOMAXPROCS(0), func(i int) {
+		g.subs[i], errs[i] = imp.layout(partition.SubgraphID(i))
+		imp.staged[i] = importStage{}
+	})
+	if err := errors.Join(errs...); err != nil {
+		return nil, err
 	}
 	if err := g.finishStructure(); err != nil {
 		return nil, err
 	}
+	x := &Index{cfg: imp.cfg}
 	x.gen.Store(g)
 	x.epochBase = epoch
 	x.publishView(nil)

@@ -1,9 +1,8 @@
 package dtlp
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
-	"sync"
 
 	"kspdg/internal/graph"
 	"kspdg/internal/partition"
@@ -17,8 +16,9 @@ import (
 //
 // The skeleton's topology is fixed once built (bounding paths, and hence
 // reachability within subgraphs, do not depend on weights); only the edge
-// weights change as the underlying graph evolves.  A Skeleton is safe for
-// concurrent readers with a single writer (the index maintenance path).
+// weights change as the underlying graph evolves, written by the index's
+// single writer in one graph.ApplyUpdates per batch.  A Skeleton is safe for
+// concurrent readers.
 type Skeleton struct {
 	directed bool
 	// g is the skeleton graph over compact skeleton vertex ids.
@@ -26,53 +26,50 @@ type Skeleton struct {
 	// globals maps skeleton vertex id -> global boundary vertex id.
 	globals []graph.VertexID
 	toSkel  map[graph.VertexID]graph.VertexID
-
-	mu       sync.RWMutex
-	pairEdge map[PairKey]graph.EdgeID // global pair -> skeleton edge
 }
 
-// buildSkeleton constructs the skeleton graph from the per-pair MBDs.
-func buildSkeleton(part *partition.Partition, mbd map[PairKey]float64, directed bool) (*Skeleton, error) {
+// buildSkeleton constructs the skeleton graph from the global boundary pairs,
+// sorted by (A, B), and their MBDs: one edge per pair with a finite MBD, in
+// pair order.  It returns each pair's skeleton edge, graph.NoEdge for the
+// pairs without one.
+func buildSkeleton(part *partition.Partition, pairs []PairKey, mbd []float64, directed bool) (*Skeleton, []graph.EdgeID, error) {
 	boundary := part.BoundaryVertices()
 	s := &Skeleton{
 		directed: directed,
 		globals:  append([]graph.VertexID(nil), boundary...),
 		toSkel:   make(map[graph.VertexID]graph.VertexID, len(boundary)),
-		pairEdge: make(map[PairKey]graph.EdgeID, len(mbd)),
 	}
 	for i, v := range s.globals {
 		s.toSkel[v] = graph.VertexID(i)
 	}
 	b := graph.NewBuilder(len(s.globals), directed)
-	// Deterministic edge order: iterate pairs sorted by (A, B).
-	keys := make([]PairKey, 0, len(mbd))
-	for k := range mbd {
-		keys = append(keys, k)
-	}
-	sortPairKeys(keys)
-	for _, k := range keys {
+	pairEdge := make([]graph.EdgeID, len(pairs))
+	for i, k := range pairs {
+		pairEdge[i] = graph.NoEdge
+		if mbd[i] == infValue {
+			continue
+		}
 		sa, okA := s.toSkel[k.A]
 		sb, okB := s.toSkel[k.B]
 		if !okA || !okB {
-			return nil, fmt.Errorf("dtlp: pair (%d,%d) references non-boundary vertex", k.A, k.B)
+			return nil, nil, fmt.Errorf("dtlp: pair (%d,%d) references non-boundary vertex", k.A, k.B)
 		}
-		e, err := b.AddEdge(sa, sb, mbd[k])
+		e, err := b.AddEdge(sa, sb, mbd[i])
 		if err != nil {
-			return nil, fmt.Errorf("dtlp: building skeleton: %w", err)
+			return nil, nil, fmt.Errorf("dtlp: building skeleton: %w", err)
 		}
-		s.pairEdge[k] = e
+		pairEdge[i] = e
 	}
 	s.g = b.Build()
-	return s, nil
+	return s, pairEdge, nil
 }
 
-func sortPairKeys(keys []PairKey) {
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].A != keys[j].A {
-			return keys[i].A < keys[j].A
-		}
-		return keys[i].B < keys[j].B
-	})
+// comparePairKeys orders pair keys by (A, B).
+func comparePairKeys(x, y PairKey) int {
+	if c := cmp.Compare(x.A, y.A); c != 0 {
+		return c
+	}
+	return cmp.Compare(x.B, y.B)
 }
 
 // Graph returns the underlying skeleton graph (vertices are skeleton ids).
@@ -108,31 +105,16 @@ func (s *Skeleton) GlobalPath(p graph.Path) graph.Path {
 // Weight returns the current MBD weight of the skeleton edge between the
 // global boundary vertices a and b, or +Inf if no such edge exists.
 func (s *Skeleton) Weight(a, b graph.VertexID) float64 {
-	key := MakePairKey(a, b, s.directed)
-	s.mu.RLock()
-	e, ok := s.pairEdge[key]
-	s.mu.RUnlock()
+	sa, okA := s.toSkel[a]
+	sb, okB := s.toSkel[b]
+	if !okA || !okB {
+		return infValue
+	}
+	e, ok := s.g.EdgeBetween(sa, sb)
 	if !ok {
 		return infValue
 	}
 	return s.g.Weight(e)
-}
-
-// SetWeight updates the skeleton edge weight for the global pair key to the
-// new MBD.  Pairs without a skeleton edge are ignored (they were unreachable
-// within every subgraph at construction time, which cannot change).
-func (s *Skeleton) SetWeight(key PairKey, mbd float64) error {
-	s.mu.RLock()
-	e, ok := s.pairEdge[key]
-	s.mu.RUnlock()
-	if !ok {
-		return nil
-	}
-	if mbd < 0 || mbd == infValue {
-		return fmt.Errorf("dtlp: invalid skeleton weight %g for pair (%d,%d)", mbd, key.A, key.B)
-	}
-	_, err := s.g.UpdateWeight(e, mbd)
-	return err
 }
 
 // Snapshot returns a consistent snapshot of the skeleton graph weights for

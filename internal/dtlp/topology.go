@@ -48,6 +48,23 @@ func (x *Index) ApplyTopologyEpoch(up graph.TopologyUpdate) (uint64, error) {
 	return st.Epoch, err
 }
 
+// CheckTopology returns the error ApplyTopology would fail up with, without
+// applying anything: it derives the new graph and partition copy-on-write
+// and discards them.  Callers that log a batch before applying it (serve's
+// writer) check it first, so the log never holds a batch the index refuses.
+func (x *Index) CheckTopology(up graph.TopologyUpdate) error {
+	if up.IsZero() {
+		return nil
+	}
+	old := x.gen.Load()
+	newParent, inserted, deleted, err := old.part.Parent().ApplyTopology(up)
+	if err != nil {
+		return err
+	}
+	_, _, err = old.part.ApplyTopology(newParent, up, inserted, deleted)
+	return err
+}
+
 // ApplyTopologyStats is ApplyTopology returning per-batch maintenance
 // statistics.  Touched-subgraph rebuilds are sharded across up to
 // GOMAXPROCS goroutines; each rebuild is independent of the others, so

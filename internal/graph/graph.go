@@ -206,6 +206,16 @@ func (g *Graph) Weight(e EdgeID) float64 {
 	return w
 }
 
+// CopyWeights copies the current weight of every edge into dst, growing it
+// when it is too short, and returns it: one read lock for the whole array
+// where a loop over Weight would take one per edge.
+func (g *Graph) CopyWeights(dst []float64) []float64 {
+	g.mu.RLock()
+	dst = append(dst[:0], g.weights...)
+	g.mu.RUnlock()
+	return dst
+}
+
 // Version returns the current weight version.  The version increases by one
 // for every successful UpdateWeight or ApplyUpdates call.
 func (g *Graph) Version() uint64 {

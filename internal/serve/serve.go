@@ -10,9 +10,9 @@
 //     while it runs.  Identical concurrent queries are coalesced, and results
 //     are cached per (source, target, k) until the epoch they were computed
 //     on is superseded.
-//   - Weight updates go through a single writer that applies each batch to
-//     the master graph and the index, then publishes the next epoch
-//     atomically.
+//   - Weight updates go through a single writer that logs each batch to the
+//     write-ahead log, applies it to the master graph and the index, which
+//     publishes the next epoch atomically, and then broadcasts it.
 package serve
 
 import (
@@ -48,10 +48,13 @@ var ErrEpochEvicted = errors.New("serve: epoch evicted from the retention window
 // *store.Store implements it; serve depends only on this interface so the
 // persistence subsystem stays optional.
 type Persister interface {
-	// AppendBatch logs one applied weight batch under the epoch it produced.
+	// AppendBatch logs one weight batch, before it is applied, under the
+	// epoch it will publish.  The writer reuses the epoch after a failed
+	// append, and resynchronises the log with SaveSnapshot first.
 	AppendBatch(epoch uint64, batch []graph.WeightUpdate) error
-	// AppendTopology logs one applied topology batch under the epoch it
-	// produced, interleaved with weight batches in epoch order.
+	// AppendTopology logs one topology batch, before it is applied, under
+	// the epoch it will publish, interleaved with weight batches in epoch
+	// order.
 	AppendTopology(epoch uint64, up graph.TopologyUpdate) error
 	// SaveSnapshot persists the index at its current epoch and returns that
 	// epoch.
@@ -81,10 +84,14 @@ type Options struct {
 	// routing) because an insert or delete can reshape routing anywhere; its
 	// error fails the ApplyTopology call that triggered it.
 	BroadcastTopology func(up graph.TopologyUpdate) error
-	// Store, when set, makes every applied batch durable: ApplyUpdates
-	// appends the batch to the write-ahead log under its exact epoch before
-	// returning, and a WAL append failure fails the call (the batch is
-	// already applied in memory, but the caller learns durability was lost).
+	// Store, when set, makes every batch durable before it is visible:
+	// ApplyUpdates appends the batch to the write-ahead log under the epoch
+	// it will publish before applying it, and a WAL append failure fails the
+	// call with nothing applied, published or broadcast.  After such a
+	// failure (or an apply that fails once its batch is logged) the writer
+	// saves a snapshot, which drops whatever record the refused batch may
+	// have left in the log; while that snapshot keeps failing, writes are
+	// refused.
 	Store Persister
 	// SnapshotEvery, when positive together with Store, writes a fresh index
 	// snapshot after every SnapshotEvery applied batches, rotating the WAL
@@ -208,6 +215,9 @@ type Server struct {
 	// published and periodic snapshots observe a quiescent writer.
 	writeMu       sync.Mutex
 	sinceSnapshot int
+	// logAhead is set while the write-ahead log may hold a batch the index
+	// did not apply; every write first retries the snapshot that clears it.
+	logAhead bool
 
 	queries          atomic.Int64
 	hits             atomic.Int64
@@ -631,13 +641,15 @@ func (s *Server) await(ctx context.Context, c *call) (core.Result, error) {
 	}
 }
 
-// ApplyUpdates applies one batch of edge weight updates: first to the master
-// copy of the road network, then to the index, which publishes the next
-// epoch.  Batches from concurrent callers are serialized; queries already in
-// flight keep their epoch.  When a Store is configured the batch is appended
-// to the write-ahead log under the epoch it produced before ApplyUpdates
-// returns, and every Options.SnapshotEvery batches a fresh snapshot is
-// written (rotating the WAL).
+// ApplyUpdates applies one batch of edge weight updates.  Batches from
+// concurrent callers are serialized, and each is durable before it is
+// visible: it is checked, appended to the write-ahead log (when a Store is
+// configured) under the epoch it is about to publish, applied to the master
+// copy of the road network and to the index, which publishes that epoch, and
+// only then broadcast to workers.  A batch the log refuses is neither
+// applied nor acknowledged.  Queries already in flight keep their epoch, and
+// every Options.SnapshotEvery batches a fresh snapshot is written (rotating
+// the WAL).
 func (s *Server) ApplyUpdates(batch []graph.WeightUpdate) error {
 	_, err := s.ApplyUpdatesEpoch(batch)
 	return err
@@ -654,7 +666,7 @@ func (s *Server) ApplyUpdatesEpoch(batch []graph.WeightUpdate) (uint64, error) {
 }
 
 // ApplyUpdatesEpochCtx is ApplyUpdatesEpoch under a context: a trace span
-// carried by ctx gains rebuild/wal/broadcast/snapshot child spans covering the
+// carried by ctx gains wal/rebuild/broadcast/snapshot child spans covering the
 // write path's phases.  The context is a trace carrier only — the write path
 // does not consume cancellation (a half-applied batch is worse than a late
 // one).
@@ -665,57 +677,63 @@ func (s *Server) ApplyUpdatesEpochCtx(ctx context.Context, batch []graph.WeightU
 	sp := trace.FromContext(ctx)
 	s.writeMu.Lock()
 	defer s.writeMu.Unlock()
+	if err := s.logInStepLocked(); err != nil {
+		return 0, err
+	}
+	// The check is the index's own, and it covers the master graph's too (the
+	// master graph is the index's parent), so the log never holds a batch
+	// the apply below would refuse.  writeMu makes serve the index's only
+	// writer, so the batch will publish the current epoch + 1.
+	if err := s.index.CheckUpdates(batch); err != nil {
+		return 0, err
+	}
+	epoch := s.index.CurrentView().Epoch() + 1
+	if s.opts.Store != nil {
+		ws := sp.Child("wal")
+		err := s.opts.Store.AppendBatch(epoch, batch)
+		ws.Finish()
+		if err != nil {
+			return 0, s.resyncLogLocked(fmt.Errorf("serve: logging update batch for epoch %d: %w", epoch, err))
+		}
+	}
 	rs := sp.Child("rebuild")
 	rs.SetAttrInt("updates", int64(len(batch)))
 	// The master graph is resolved through the index each time: topology
 	// batches replace it copy-on-write, so a pointer cached at construction
 	// would go stale after the first insert or delete.
-	if err := s.index.Partition().Parent().ApplyUpdates(batch); err != nil {
-		rs.Finish()
-		return 0, err
+	err := s.index.Partition().Parent().ApplyUpdates(batch)
+	published := epoch
+	if err == nil {
+		published, err = s.index.ApplyUpdatesEpoch(batch)
 	}
-	epoch, err := s.index.ApplyUpdatesEpoch(batch)
 	rs.Finish()
 	if err != nil {
-		return 0, err
+		return 0, s.resyncLogLocked(fmt.Errorf("serve: applying update batch logged for epoch %d: %w", epoch, err))
 	}
-	// The WAL append and the worker broadcast are independent obligations:
-	// a durability failure must not leave the (already updated) master and
-	// the standalone workers with diverged weights, so the broadcast runs
-	// regardless and the errors are joined.
-	var errs []error
-	if s.opts.Store != nil {
-		ws := sp.Child("wal")
-		if err := s.opts.Store.AppendBatch(epoch, batch); err != nil {
-			errs = append(errs, fmt.Errorf("serve: logging update batch for epoch %d: %w", epoch, err))
-		}
-		ws.Finish()
+	if published != epoch {
+		return published, s.resyncLogLocked(fmt.Errorf("serve: update batch logged for epoch %d published epoch %d: the index has a writer besides serve", epoch, published))
 	}
 	if s.opts.Broadcast != nil {
 		bs := sp.Child("broadcast")
-		if err := s.opts.Broadcast(batch); err != nil {
-			errs = append(errs, fmt.Errorf("serve: broadcasting update batch: %w", err))
-		}
+		err := s.opts.Broadcast(batch)
 		bs.Finish()
-	}
-	if len(errs) > 0 {
-		return epoch, errors.Join(errs...)
+		if err != nil {
+			return epoch, fmt.Errorf("serve: broadcasting update batch: %w", err)
+		}
 	}
 	s.batches.Add(1)
 	s.updates.Add(int64(len(batch)))
 	ss := sp.Child("snapshot")
 	err = s.maybeSnapshotLocked(epoch)
 	ss.Finish()
-	if err != nil {
-		return epoch, err
-	}
-	return epoch, nil
+	return epoch, err
 }
 
 // ApplyTopology applies one batch of topology mutations (edge/vertex inserts
 // and deletes): the index derives the new master graph and partition
 // copy-on-write, rebuilds only the touched subgraphs, and publishes the next
-// epoch exactly like a weight batch.  Topology and weight batches from
+// epoch exactly like a weight batch — and like a weight batch, it is checked
+// and logged before it is applied.  Topology and weight batches from
 // concurrent callers serialize on the same writer lock, so WAL records land
 // in epoch order regardless of kind.
 func (s *Server) ApplyTopology(up graph.TopologyUpdate) error {
@@ -741,7 +759,7 @@ func (s *Server) ApplyTopologyStats(up graph.TopologyUpdate) (dtlp.TopologyStats
 
 // ApplyTopologyStatsCtx is ApplyTopologyStats under a context; like
 // ApplyUpdatesEpochCtx, the context carries an optional trace span (which
-// gains rebuild/wal/broadcast/snapshot children) and nothing else.
+// gains wal/rebuild/broadcast/snapshot children) and nothing else.
 func (s *Server) ApplyTopologyStatsCtx(ctx context.Context, up graph.TopologyUpdate) (dtlp.TopologyStats, error) {
 	if up.IsZero() {
 		return dtlp.TopologyStats{Epoch: s.index.CurrentView().Epoch()}, nil
@@ -749,6 +767,24 @@ func (s *Server) ApplyTopologyStatsCtx(ctx context.Context, up graph.TopologyUpd
 	sp := trace.FromContext(ctx)
 	s.writeMu.Lock()
 	defer s.writeMu.Unlock()
+	if err := s.logInStepLocked(); err != nil {
+		return dtlp.TopologyStats{}, err
+	}
+	// Durable before visible, as for weight batches: check by deriving the
+	// new graph and partition once, log under the epoch the batch will
+	// publish, then apply.
+	if err := s.index.CheckTopology(up); err != nil {
+		return dtlp.TopologyStats{}, err
+	}
+	epoch := s.index.CurrentView().Epoch() + 1
+	if s.opts.Store != nil {
+		ws := sp.Child("wal")
+		err := s.opts.Store.AppendTopology(epoch, up)
+		ws.Finish()
+		if err != nil {
+			return dtlp.TopologyStats{}, s.resyncLogLocked(fmt.Errorf("serve: logging topology batch for epoch %d: %w", epoch, err))
+		}
+	}
 	rs := sp.Child("rebuild")
 	// Unlike the weight path, the index applies the mutation to the master
 	// graph itself (the new graph and partition are one atomic generation),
@@ -757,35 +793,25 @@ func (s *Server) ApplyTopologyStatsCtx(ctx context.Context, up graph.TopologyUpd
 	rs.SetAttrInt("subgraphs_rebuilt", int64(st.SubgraphsRebuilt))
 	rs.Finish()
 	if err != nil {
-		return st, err
+		return st, s.resyncLogLocked(fmt.Errorf("serve: applying topology batch logged for epoch %d: %w", epoch, err))
 	}
-	var errs []error
-	if s.opts.Store != nil {
-		ws := sp.Child("wal")
-		if err := s.opts.Store.AppendTopology(st.Epoch, up); err != nil {
-			errs = append(errs, fmt.Errorf("serve: logging topology batch for epoch %d: %w", st.Epoch, err))
-		}
-		ws.Finish()
+	if st.Epoch != epoch {
+		return st, s.resyncLogLocked(fmt.Errorf("serve: topology batch logged for epoch %d published epoch %d: the index has a writer besides serve", epoch, st.Epoch))
 	}
 	if s.opts.BroadcastTopology != nil {
 		bs := sp.Child("broadcast")
-		if err := s.opts.BroadcastTopology(up); err != nil {
-			errs = append(errs, fmt.Errorf("serve: broadcasting topology batch: %w", err))
-		}
+		err := s.opts.BroadcastTopology(up)
 		bs.Finish()
-	}
-	if len(errs) > 0 {
-		return st, errors.Join(errs...)
+		if err != nil {
+			return st, fmt.Errorf("serve: broadcasting topology batch: %w", err)
+		}
 	}
 	s.topoBatches.Add(1)
 	s.subgraphsRebuilt.Add(int64(st.SubgraphsRebuilt))
 	ss := sp.Child("snapshot")
 	err = s.maybeSnapshotLocked(st.Epoch)
 	ss.Finish()
-	if err != nil {
-		return st, err
-	}
-	return st, nil
+	return st, err
 }
 
 // maybeSnapshotLocked advances the shared snapshot cadence (weight and
@@ -802,6 +828,42 @@ func (s *Server) maybeSnapshotLocked(epoch uint64) error {
 	if _, err := s.opts.Store.SaveSnapshot(s.index); err != nil {
 		return fmt.Errorf("serve: periodic snapshot at epoch %d: %w", epoch, err)
 	}
+	s.sinceSnapshot = 0
+	s.snapshots.Add(1)
+	return nil
+}
+
+// resyncLogLocked ends a write whose batch was refused after its append was
+// attempted, failing it with err.  The log may hold the batch although the
+// index did not apply it: a failed append whose rollback failed leaves its
+// record behind, an apply that fails follows a successful append, and either
+// way the next batch must be able to log under the same epoch and a restart
+// must not replay the refused one.  A snapshot of the index supersedes the
+// whole log, so writing one resynchronises the two; if that fails too, every
+// later write retries it first and is refused until it succeeds.  Callers
+// must hold writeMu.
+func (s *Server) resyncLogLocked(err error) error {
+	if s.opts.Store == nil {
+		return err
+	}
+	s.logAhead = true
+	if rerr := s.logInStepLocked(); rerr != nil {
+		return fmt.Errorf("%w; the batch may reappear after a restart: %w", err, rerr)
+	}
+	return err
+}
+
+// logInStepLocked writes the snapshot that resynchronises the log with the
+// index when a refused batch may have left a record behind.  Callers must
+// hold writeMu.
+func (s *Server) logInStepLocked() error {
+	if !s.logAhead {
+		return nil
+	}
+	if _, err := s.opts.Store.SaveSnapshot(s.index); err != nil {
+		return fmt.Errorf("serve: resynchronising the write-ahead log, which may hold a batch that was not applied: %w", err)
+	}
+	s.logAhead = false
 	s.sinceSnapshot = 0
 	s.snapshots.Add(1)
 	return nil

@@ -2,6 +2,8 @@ package serve
 
 import (
 	"errors"
+	"math"
+	"slices"
 	"strings"
 	"testing"
 
@@ -16,10 +18,15 @@ type recordingPersister struct {
 	kinds     []string // "w" or "t", in append order
 	epochs    []uint64
 	snapshots int
+	failBatch error
 	failTopo  error
+	failSnap  error
 }
 
 func (p *recordingPersister) AppendBatch(epoch uint64, batch []graph.WeightUpdate) error {
+	if p.failBatch != nil {
+		return p.failBatch
+	}
 	p.kinds = append(p.kinds, "w")
 	p.epochs = append(p.epochs, epoch)
 	return nil
@@ -35,6 +42,9 @@ func (p *recordingPersister) AppendTopology(epoch uint64, up graph.TopologyUpdat
 }
 
 func (p *recordingPersister) SaveSnapshot(index *dtlp.Index) (uint64, error) {
+	if p.failSnap != nil {
+		return 0, p.failSnap
+	}
 	p.snapshots++
 	return index.CurrentView().Epoch(), nil
 }
@@ -147,11 +157,118 @@ func TestServerTopologyBroadcastAndWAL(t *testing.T) {
 		t.Fatalf("broadcast hook saw %d batches, want exactly the topology one", len(broadcasts))
 	}
 
-	// A WAL append failure must surface to the caller even though the batch
-	// is already applied in memory.
+	// A WAL append failure must surface to the caller.
 	p.failTopo = errors.New("disk full")
 	err := s.ApplyTopology(graph.TopologyUpdate{DeleteEdges: []graph.EdgeID{0}})
 	if err == nil || !strings.Contains(err.Error(), "disk full") {
 		t.Fatalf("WAL failure not surfaced: %v", err)
+	}
+}
+
+// A batch is durable before it is visible: one the WAL refuses is neither
+// applied nor acknowledged — the epoch, the weights and the published view
+// stay as they were and no worker hears of it — and the next batch that logs
+// publishes the epoch the refused one had reserved.  Batches the index would
+// reject never reach the log.
+func TestWALFailureLeavesBatchInvisible(t *testing.T) {
+	g := testutil.PaperGraph(t)
+	p := &recordingPersister{}
+	broadcasts := 0
+	x, s := buildServer(t, g, 6, 2, Options{
+		Workers:           1,
+		Store:             p,
+		Broadcast:         func([]graph.WeightUpdate) error { broadcasts++; return nil },
+		BroadcastTopology: func(graph.TopologyUpdate) error { broadcasts++; return nil },
+	})
+	defer s.Close()
+	view := x.CurrentView()
+	const edge = 1
+	w0 := x.Partition().Parent().Weight(edge)
+	loc := x.Partition().Locate(edge)
+	localWeight := func() float64 { return x.Partition().Subgraph(loc.Subgraph).Local.Weight(loc.LocalEdge) }
+	batch := []graph.WeightUpdate{{Edge: edge, NewWeight: w0 + 4}}
+	topo := graph.TopologyUpdate{DeleteEdges: []graph.EdgeID{0}}
+
+	for _, bad := range [][]graph.WeightUpdate{
+		{{Edge: graph.EdgeID(g.NumEdges()), NewWeight: 1}},
+		{{Edge: edge, NewWeight: -1}},
+		{{Edge: edge, NewWeight: math.NaN()}},
+	} {
+		if err := s.ApplyUpdates(bad); err == nil {
+			t.Errorf("batch %v accepted", bad)
+		}
+	}
+	if err := s.ApplyTopology(graph.TopologyUpdate{DeleteEdges: []graph.EdgeID{graph.EdgeID(g.NumEdges())}}); err == nil {
+		t.Error("out-of-range delete accepted")
+	}
+	if len(p.kinds) != 0 {
+		t.Fatalf("rejected batches reached the WAL: %v", p.kinds)
+	}
+
+	p.failBatch = errors.New("disk full")
+	p.failTopo = errors.New("disk full")
+	if _, err := s.ApplyUpdatesEpoch(batch); err == nil || !strings.Contains(err.Error(), "disk full") {
+		t.Fatalf("weight batch: WAL failure not surfaced: %v", err)
+	}
+	if _, err := s.ApplyTopologyStats(topo); err == nil || !strings.Contains(err.Error(), "disk full") {
+		t.Fatalf("topology batch: WAL failure not surfaced: %v", err)
+	}
+	if x.CurrentView() != view {
+		t.Fatalf("a batch the WAL refused was published: epoch %d", x.CurrentView().Epoch())
+	}
+	if got := x.Partition().Parent().Weight(edge); got != w0 {
+		t.Errorf("master weight = %g after a refused batch, want %g", got, w0)
+	}
+	if got := localWeight(); got != w0 {
+		t.Errorf("index weight = %g after a refused batch, want %g", got, w0)
+	}
+	if !x.Partition().Parent().EdgeAlive(0) {
+		t.Error("a refused topology batch deleted edge 0")
+	}
+	if broadcasts != 0 {
+		t.Errorf("refused batches were broadcast %d times", broadcasts)
+	}
+	if st := s.Stats(); st.UpdateBatches != 0 || st.TopologyBatches != 0 || st.Epoch != view.Epoch() {
+		t.Errorf("refused batches counted: %+v", st)
+	}
+	// Each refused append resynchronised the log with a snapshot.
+	if p.snapshots != 2 {
+		t.Errorf("%d resync snapshots after two refused appends, want 2", p.snapshots)
+	}
+
+	// While the resync snapshot fails too, the caller learns the batch may
+	// come back after a restart, and every later write is refused before it
+	// reaches the log.
+	p.failSnap = errors.New("snapshot dir gone")
+	if err := s.ApplyUpdates(batch); err == nil || !strings.Contains(err.Error(), "disk full") || !strings.Contains(err.Error(), "snapshot dir gone") {
+		t.Fatalf("failed resync not surfaced: %v", err)
+	}
+	p.failBatch, p.failTopo = nil, nil
+	if err := s.ApplyUpdates(batch); err == nil || !strings.Contains(err.Error(), "snapshot dir gone") {
+		t.Fatalf("write with the log out of step: %v", err)
+	}
+	if err := s.ApplyTopology(topo); err == nil || !strings.Contains(err.Error(), "snapshot dir gone") {
+		t.Fatalf("topology write with the log out of step: %v", err)
+	}
+	if len(p.kinds) != 0 || x.CurrentView() != view || broadcasts != 0 {
+		t.Fatalf("writes went through with the log out of step: WAL %v, epoch %d, %d broadcasts", p.kinds, x.CurrentView().Epoch(), broadcasts)
+	}
+	p.failSnap = nil
+	epoch, err := s.ApplyUpdatesEpoch(batch)
+	if err != nil || epoch != view.Epoch()+1 {
+		t.Fatalf("next weight batch: epoch %d err %v, want %d", epoch, err, view.Epoch()+1)
+	}
+	if got := localWeight(); got != w0+4 {
+		t.Errorf("index weight = %g, want %g", got, w0+4)
+	}
+	st, err := s.ApplyTopologyStats(topo)
+	if err != nil || st.Epoch != epoch+1 {
+		t.Fatalf("next topology batch: epoch %d err %v, want %d", st.Epoch, err, epoch+1)
+	}
+	if want := []uint64{epoch, epoch + 1}; !slices.Equal(p.epochs, want) || broadcasts != 2 {
+		t.Errorf("WAL epochs %v, broadcasts %d; want %v, 2", p.epochs, broadcasts, want)
+	}
+	if p.snapshots != 3 {
+		t.Errorf("%d snapshots, want the resync that let the writes through as the third", p.snapshots)
 	}
 }

@@ -16,13 +16,24 @@
 //	                    batches (edge/vertex inserts and deletes) interleave
 //	                    in epoch order.
 //
-// serve.Server appends each applied batch through AppendBatch (the
-// WAL-on-apply hook) and periodically calls SaveSnapshot, which rotates the
-// WAL and deletes the previous generation.  Recover loads the newest valid
-// snapshot, replays the WAL in epoch order, and returns an index whose epoch
-// counter continues exactly where the crashed process stopped — queries
-// against the recovered index are indistinguishable from queries against a
-// process that never crashed.
+// serve.Server appends each batch through AppendBatch before applying it
+// (the batch is durable before it is visible) and periodically calls
+// SaveSnapshot, which rotates the WAL and deletes the previous generation.
+// An append that returns an error leaves nothing logged: a failed write or
+// fsync is truncated away, so the caller may log another batch under the
+// same epoch.  Where that rollback itself fails, or the caller could not
+// apply a batch it had logged, SaveSnapshot of the unchanged index
+// resynchronises the log: it replaces the segment and drops the record.
+// Recover loads the newest valid snapshot, replays the WAL in epoch order,
+// and returns an index whose epoch counter continues exactly where the
+// crashed process stopped — queries against the recovered index are
+// indistinguishable from queries against a process that never crashed.
+//
+// Replay refuses a weight record with a NaN or infinite weight, exactly as
+// the index refuses such a batch; the error names the record's epoch.
+// Writers that checked only for negative weights could log one, and a data
+// directory holding such a record needs a cold start (rebuild the index and
+// write a fresh snapshot).
 //
 // # Format versioning
 //
@@ -38,6 +49,7 @@ package store
 
 import (
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"sort"
@@ -163,17 +175,20 @@ func (s *Store) SaveSnapshot(x *dtlp.Index) (uint64, error) {
 	syncDir(s.dir)
 
 	// Rotate the WAL so it starts at the snapshot epoch, then drop every
-	// other file: the snapshot supersedes the whole directory.  Reusing an
-	// existing wal-<epoch> file here would be wrong — the active segment
-	// never matches the snapshot epoch in this branch, so such a file can
-	// only be left over from an earlier run (possibly one whose epoch
-	// counter restarted from 0 in the same directory), and its records must
-	// not survive into the new generation.
-	if s.wal == nil || s.wal.startEpoch != epoch {
-		if s.wal != nil {
-			if err := s.wal.close(); err != nil {
-				return epoch, err
-			}
+	// other file: the snapshot supersedes the whole directory.  The active
+	// segment is kept only when it already starts at the snapshot epoch and
+	// holds nothing past it; a poisoned segment, or one holding a record for
+	// a batch the index never applied, is replaced — this is how the log's
+	// owner resynchronises it after a failed append.  Reusing any other
+	// existing wal-<epoch> file here would be wrong: it can only be left over
+	// from an earlier run (possibly one whose epoch counter restarted from 0
+	// in the same directory), and its records must not survive into the new
+	// generation.
+	if w := s.wal; w == nil || w.startEpoch != epoch || w.last != epoch || w.broken {
+		if w != nil {
+			// The snapshot is durable, so the segment is superseded: an
+			// error closing it (a poisoned file's fsync) loses nothing.
+			_ = w.close()
 			s.wal = nil
 		}
 		path := s.walPath(epoch)
@@ -219,10 +234,14 @@ func (s *Store) compactLocked(keepEpoch uint64) {
 			}
 		}
 	}
+	// Make the removals durable: an older segment that outlived a crash
+	// could hold a record past the snapshot epoch for a batch that was never
+	// applied, which recovery would replay.
+	syncDir(s.dir)
 }
 
-// AppendBatch logs one applied weight-update batch under the epoch it
-// produced (dtlp.Index.ApplyUpdatesEpoch).  The first append after Open
+// AppendBatch logs one weight-update batch under the epoch it publishes
+// (dtlp.Index.ApplyUpdatesEpoch).  The first append after Open
 // attaches to the newest existing WAL segment (truncating any torn tail) or
 // creates one starting at epoch-1.  Epochs must be appended in increasing
 // order.
@@ -235,7 +254,7 @@ func (s *Store) AppendBatch(epoch uint64, batch []graph.WeightUpdate) error {
 	return s.wal.append(epoch, batch, s.opts.SyncEvery)
 }
 
-// AppendTopology logs one applied topology batch under the epoch it produced
+// AppendTopology logs one topology batch under the epoch it publishes
 // (dtlp.Index.ApplyTopologyEpoch).  Topology records interleave with weight
 // records in the same WAL, in epoch order; replay re-derives the same edge
 // ids and partition routing deterministically, so a recovered process is
@@ -441,6 +460,11 @@ func recoverState(dir string, topologyOnly bool) (*Recovered, error) {
 				rec.Epoch = r.Epoch
 				rec.ReplayedBatches++
 				continue
+			}
+			for _, u := range r.Batch {
+				if math.IsNaN(u.NewWeight) || math.IsInf(u.NewWeight, 0) {
+					return nil, fmt.Errorf("store: WAL record for epoch %d sets edge %d to weight %g, which the index refuses; the data directory needs a cold start", r.Epoch, u.Edge, u.NewWeight)
+				}
 			}
 			if err := rec.Graph.ApplyUpdates(r.Batch); err != nil {
 				return nil, fmt.Errorf("store: replaying epoch %d: %w", r.Epoch, err)

@@ -53,9 +53,18 @@ type walRecord struct {
 	Topo  *graph.TopologyUpdate
 }
 
+// walFile is the part of *os.File a walWriter uses; tests substitute one
+// that fails on demand.
+type walFile interface {
+	io.Writer
+	Sync() error
+	Truncate(size int64) error
+	Close() error
+}
+
 // walWriter appends records to one WAL segment file.
 type walWriter struct {
-	f          *os.File
+	f          walFile
 	startEpoch uint64
 	last       uint64 // epoch of the last appended (or recovered) record
 	off        int64  // length of the valid record prefix written so far
@@ -129,10 +138,12 @@ func (b *recBuf) f64(v float64) { b.u64(math.Float64bits(v)) }
 
 // append writes one weight record and flushes it to the OS.  syncEvery
 // batches fsyncs: 1 syncs every record, n > 1 every n records (the rest ride
-// along).  A failed write is rolled back by truncating the file to the last
-// valid record, so later appends stay recoverable; if even the rollback
-// fails the writer is poisoned and every subsequent append errors (silently
-// appending after torn bytes would make recovery drop the new records).
+// along).  A failed append — its write or its fsync — is rolled back by
+// truncating the file to the last valid record, so an append that returns an
+// error leaves nothing logged and the caller may log another batch under the
+// same epoch.  If even the rollback fails the writer is poisoned: every
+// subsequent append errors (silently appending after torn bytes would make
+// recovery drop the new records) until SaveSnapshot replaces the segment.
 func (w *walWriter) append(epoch uint64, batch []graph.WeightUpdate, syncEvery int) error {
 	buf := make(recBuf, 0, 13+len(batch)*12+4)
 	buf.u64(epoch)
@@ -174,30 +185,41 @@ func (w *walWriter) commit(epoch uint64, buf recBuf, syncEvery int) error {
 	if w.broken {
 		return fmt.Errorf("store: WAL writer unusable after an unrecoverable append failure")
 	}
-	// Epochs must be contiguous: if an earlier append failed (its batch is
-	// applied in memory but not logged), accepting later epochs would record
-	// a permanent gap that recovery rejects wholesale — refusing here keeps
-	// the failure visible until a snapshot resynchronises the log.
+	// Epochs must be contiguous: a skipped epoch would record a permanent gap
+	// that recovery rejects wholesale, so refusing here keeps the log's owner
+	// honest until a snapshot resynchronises the log.
 	if epoch != w.last+1 {
-		return fmt.Errorf("store: WAL expects epoch %d next, got %d (a snapshot is needed to resynchronise after a lost append)", w.last+1, epoch)
+		return fmt.Errorf("store: WAL expects epoch %d next, got %d (a snapshot is needed to resynchronise the log)", w.last+1, epoch)
 	}
 	buf.u32(crc32.Checksum(buf, crcTable))
 	if _, err := w.f.Write(buf); err != nil {
-		if terr := w.f.Truncate(w.off); terr != nil {
-			w.broken = true
-		}
+		w.rollback()
 		return err
 	}
-	w.off += int64(len(buf))
-	w.last = epoch
-	w.pending++
-	if syncEvery <= 1 || w.pending >= syncEvery {
+	if syncEvery <= 1 || w.pending+1 >= syncEvery {
 		if err := w.f.Sync(); err != nil {
+			// The caller treats the batch as refused, so the record must not
+			// survive to be replayed.  Records of earlier appends that rode
+			// along since the last good fsync stay: their batches were
+			// acknowledged.
+			w.rollback()
 			return err
 		}
 		w.pending = 0
+	} else {
+		w.pending++
 	}
+	w.off += int64(len(buf))
+	w.last = epoch
 	return nil
+}
+
+// rollback truncates the segment back to the last committed record,
+// poisoning the writer if it cannot.
+func (w *walWriter) rollback() {
+	if err := w.f.Truncate(w.off); err != nil {
+		w.broken = true
+	}
 }
 
 // close fsyncs outstanding records and closes the segment.
