@@ -6,6 +6,7 @@
 package kspdg_test
 
 import (
+	"context"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -121,12 +122,9 @@ func BenchmarkFig19to23DTLPMaintenance(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
-		batch, err := tm.Step(s.ds.Graph)
-		if err != nil {
-			b.Fatal(err)
-		}
+		batch := tm.Derive(s.ds.Graph.NumEdges(), s.ds.Graph.Directed(), s.ds.Graph.Weight)
 		b.StartTimer()
-		if err := s.index.ApplyUpdates(batch); err != nil {
+		if _, err := s.index.ApplyUpdates(batch); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -141,10 +139,7 @@ func BenchmarkFig21UpdateThroughput(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		e := graph.EdgeID(i % g.NumEdges())
 		w := g.Weight(e)*1.1 + 0.1
-		if _, err := g.UpdateWeight(e, w); err != nil {
-			b.Fatal(err)
-		}
-		if err := s.index.ApplyUpdates([]graph.WeightUpdate{{Edge: e, NewWeight: w}}); err != nil {
+		if _, err := s.index.ApplyUpdates([]graph.WeightUpdate{{Edge: e, NewWeight: w}}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -159,7 +154,7 @@ func BenchmarkFig24to27Iterations(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		q := qs[i%len(qs)]
-		if _, err := engine.Query(q.Source, q.Target, 6); err != nil {
+		if _, err := engine.QueryViewCtx(context.Background(), nil, q.Source, q.Target, 6); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -176,7 +171,7 @@ func BenchmarkFig28to32Query(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				q := qs[i%len(qs)]
-				if _, err := engine.Query(q.Source, q.Target, 2); err != nil {
+				if _, err := engine.QueryViewCtx(context.Background(), nil, q.Source, q.Target, 2); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -204,7 +199,7 @@ func BenchmarkFig33to34XiTau(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		q := qs[i%len(qs)]
-		if _, err := engine.Query(q.Source, q.Target, 4); err != nil {
+		if _, err := engine.QueryViewCtx(context.Background(), nil, q.Source, q.Target, 4); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -221,7 +216,7 @@ func BenchmarkFig35to39Baselines(b *testing.B) {
 	b.Run("KSP-DG", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			q := qs[i%len(qs)]
-			if _, err := engine.Query(q.Source, q.Target, 2); err != nil {
+			if _, err := engine.QueryViewCtx(context.Background(), nil, q.Source, q.Target, 2); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -265,7 +260,7 @@ func BenchmarkFig40to41CANDS(b *testing.B) {
 	b.Run("KSP-DG-query-k1", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			q := qs[i%len(qs)]
-			if _, err := engine.Query(q.Source, q.Target, 1); err != nil {
+			if _, err := engine.QueryViewCtx(context.Background(), nil, q.Source, q.Target, 1); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -274,8 +269,8 @@ func BenchmarkFig40to41CANDS(b *testing.B) {
 	b.Run("CANDS-maintenance", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			b.StopTimer()
-			batch, err := tm.Step(s.ds.Graph)
-			if err != nil {
+			batch := tm.Derive(s.ds.Graph.NumEdges(), s.ds.Graph.Directed(), s.ds.Graph.Weight)
+			if err := s.ds.Graph.ApplyUpdates(batch); err != nil {
 				b.Fatal(err)
 			}
 			b.StartTimer()
@@ -287,12 +282,9 @@ func BenchmarkFig40to41CANDS(b *testing.B) {
 	b.Run("KSP-DG-maintenance", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			b.StopTimer()
-			batch, err := tm.Step(s.ds.Graph)
-			if err != nil {
-				b.Fatal(err)
-			}
+			batch := tm.Derive(s.ds.Graph.NumEdges(), s.ds.Graph.Directed(), s.ds.Graph.Weight)
 			b.StartTimer()
-			if err := s.index.ApplyUpdates(batch); err != nil {
+			if _, err := s.index.ApplyUpdates(batch); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -371,7 +363,7 @@ func BenchmarkAblationPairCache(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				q := qs[i%len(qs)]
-				if _, err := engine.Query(q.Source, q.Target, 6); err != nil {
+				if _, err := engine.QueryViewCtx(context.Background(), nil, q.Source, q.Target, 6); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -419,12 +411,8 @@ func BenchmarkConcurrentQueries(b *testing.B) {
 			case <-done:
 				return
 			case <-tick.C:
-				batch, err := tm.Step(ds.Graph)
-				if err != nil {
-					b.Error(err)
-					return
-				}
-				if err := srv.ApplyUpdates(batch); err != nil {
+				batch := tm.Derive(ds.Graph.NumEdges(), ds.Graph.Directed(), ds.Graph.Weight)
+				if _, err := srv.ApplyUpdates(context.Background(), batch); err != nil {
 					b.Error(err)
 					return
 				}
@@ -437,7 +425,7 @@ func BenchmarkConcurrentQueries(b *testing.B) {
 	b.RunParallel(func(pb *testing.PB) {
 		for pb.Next() {
 			q := qs[int(next.Add(1))%len(qs)]
-			if _, err := srv.Query(q.Source, q.Target, 4); err != nil {
+			if _, err := srv.Query(context.Background(), serve.Request{Src: q.Source, Dst: q.Target, K: 4}); err != nil {
 				b.Error(err)
 				return
 			}

@@ -5,6 +5,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"time"
@@ -48,13 +49,10 @@ func main() {
 	const k = 2
 
 	for round := 1; round <= 2; round++ {
-		batch, err := traffic.Step(g)
-		if err != nil {
-			log.Fatal(err)
-		}
+		batch := traffic.Derive(g.NumEdges(), g.Directed(), g.Weight)
 		// Index maintenance under the update batch.
 		t0 := time.Now()
-		if err := index.ApplyUpdates(batch); err != nil {
+		if _, err := index.ApplyUpdates(batch); err != nil {
 			log.Fatal(err)
 		}
 		dtlpMaint := time.Since(t0)
@@ -69,7 +67,7 @@ func main() {
 		// Query batch with each algorithm.
 		t0 = time.Now()
 		for _, q := range queries {
-			if _, err := engine.Query(q.Source, q.Target, k); err != nil {
+			if _, err := engine.QueryViewCtx(context.Background(), nil, q.Source, q.Target, k); err != nil {
 				log.Fatal(err)
 			}
 		}

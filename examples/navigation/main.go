@@ -50,10 +50,7 @@ func main() {
 	queries := workload.NewQueryGenerator(g.NumVertices(), 99)
 	const k = 3
 	for minute := 1; minute <= 3; minute++ {
-		batch, err := traffic.Step(g)
-		if err != nil {
-			log.Fatal(err)
-		}
+		batch := traffic.Derive(g.NumEdges(), g.Directed(), g.Weight)
 		maintStart := time.Now()
 		if err := c.ApplyUpdates(batch); err != nil {
 			log.Fatal(err)

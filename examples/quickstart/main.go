@@ -4,6 +4,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -47,7 +48,7 @@ func main() {
 	// 3. Answer a query: top-3 shortest routes from the north-west corner to
 	//    the south-east corner.
 	engine := core.NewEngine(index, nil, core.Options{})
-	res, err := engine.Query(id(0, 0), id(width-1, height-1), 3)
+	res, err := engine.QueryViewCtx(context.Background(), nil, id(0, 0), id(width-1, height-1), 3)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -60,13 +61,10 @@ func main() {
 	//    and the next query reflects the new travel times.
 	e, _ := g.EdgeBetween(id(1, 1), id(2, 1))
 	batch := []graph.WeightUpdate{{Edge: e, NewWeight: 10}}
-	if err := g.ApplyUpdates(batch); err != nil {
+	if _, err := index.ApplyUpdates(batch); err != nil {
 		log.Fatal(err)
 	}
-	if err := index.ApplyUpdates(batch); err != nil {
-		log.Fatal(err)
-	}
-	res, err = engine.Query(id(0, 0), id(width-1, height-1), 3)
+	res, err = engine.QueryViewCtx(context.Background(), nil, id(0, 0), id(width-1, height-1), 3)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"math/rand"
@@ -67,12 +68,12 @@ func main() {
 			continue
 		}
 		// Pickup leg: single best route to the passenger.
-		pickup, err := engine.Query(m.Driver, m.Passenger, 1)
+		pickup, err := engine.QueryViewCtx(context.Background(), nil, m.Driver, m.Passenger, 1)
 		if err != nil {
 			log.Fatal(err)
 		}
 		// Trip leg: three alternatives so the driver can choose.
-		trip, err := engine.Query(m.Passenger, m.Dropoff, 3)
+		trip, err := engine.QueryViewCtx(context.Background(), nil, m.Passenger, m.Dropoff, 3)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -96,10 +97,7 @@ func main() {
 	// Traffic changes between dispatch waves; the index absorbs the update
 	// without recomputing any bounding path.
 	traffic := workload.NewTrafficModel(0.35, 0.3, 23)
-	batch, err := traffic.Step(g)
-	if err != nil {
-		log.Fatal(err)
-	}
+	batch := traffic.Derive(g.NumEdges(), g.Directed(), g.Weight)
 	maintStart := time.Now()
 	if err := c.ApplyUpdates(batch); err != nil {
 		log.Fatal(err)

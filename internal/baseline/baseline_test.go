@@ -161,7 +161,10 @@ func TestCANDSMaintenance(t *testing.T) {
 	}
 	before := c.RecomputedPairs
 	rng := rand.New(rand.NewSource(11))
-	batch := testutil.PerturbWeights(t, g, rng, 0.5, 0.5, 0.1)
+	batch := testutil.PerturbWeights(g, rng, 0.5, 0.5, 0.1)
+	if err := g.ApplyUpdates(batch); err != nil {
+		t.Fatal(err)
+	}
 	if err := c.ApplyUpdates(batch); err != nil {
 		t.Fatal(err)
 	}
@@ -259,7 +262,10 @@ func TestPropertyCANDSEqualsDijkstra(t *testing.T) {
 			return false
 		}
 		if rng.Intn(2) == 1 {
-			batch := testutil.PerturbWeights(t, g, rng, 0.5, 0.5, 0.05)
+			batch := testutil.PerturbWeights(g, rng, 0.5, 0.5, 0.05)
+			if err := g.ApplyUpdates(batch); err != nil {
+				return false
+			}
 			if err := c.ApplyUpdates(batch); err != nil {
 				return false
 			}

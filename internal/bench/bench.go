@@ -9,6 +9,7 @@
 package bench
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"strings"
@@ -252,7 +253,7 @@ func runBatchLocal(engine *core.Engine, queries []workload.Query, k int) (time.D
 	start := time.Now()
 	results := make([]core.Result, len(queries))
 	for i, q := range queries {
-		res, err := engine.Query(q.Source, q.Target, k)
+		res, err := engine.QueryViewCtx(context.TODO(), nil, q.Source, q.Target, k)
 		if err != nil {
 			return 0, nil, err
 		}
@@ -280,10 +281,10 @@ func avgIterations(results []core.Result) float64 {
 	return float64(total) / float64(len(results))
 }
 
-// perturb runs one traffic snapshot on the graph and returns the batch.
-func (s *Suite) perturb(g *graph.Graph, alpha, tau float64, seed int64) ([]graph.WeightUpdate, error) {
-	tm := workload.NewTrafficModel(alpha, tau, seed)
-	return tm.Step(g)
+// perturb derives one traffic snapshot from the graph's current weights; the
+// index maintenance the caller runs writes it to the graph.
+func (s *Suite) perturb(g *graph.Graph, alpha, tau float64, seed int64) []graph.WeightUpdate {
+	return workload.NewTrafficModel(alpha, tau, seed).Derive(g.NumEdges(), g.Directed(), g.Weight)
 }
 
 // spread returns (max-min)/max over a slice of ints, or 0 for empty input.

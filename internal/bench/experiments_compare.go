@@ -134,12 +134,9 @@ func (s *Suite) Fig41() (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		batch, err := s.perturb(st.ds.Graph, 0.5, 0.5, s.Seed)
-		if err != nil {
-			return nil, err
-		}
+		batch := s.perturb(st.ds.Graph, 0.5, 0.5, s.Seed)
 		start := time.Now()
-		if err := st.index.ApplyUpdates(batch); err != nil {
+		if _, err := st.index.ApplyUpdates(batch); err != nil {
 			return nil, err
 		}
 		kspdgTime := time.Since(start)

@@ -158,12 +158,9 @@ func (s *Suite) Fig19() (*Table, error) {
 		}
 		tm := workload.NewTrafficModel(0.5, 0.5, s.Seed)
 		tm.MirrorDirected = true
-		batch, err := tm.Step(ds.Graph)
-		if err != nil {
-			return nil, err
-		}
+		batch := tm.Derive(ds.Graph.NumEdges(), ds.Graph.Directed(), ds.Graph.Weight)
 		start := time.Now()
-		if err := index.ApplyUpdates(batch); err != nil {
+		if _, err := index.ApplyUpdates(batch); err != nil {
 			return nil, err
 		}
 		t.AddRow(v.label, ds.DefaultZ, len(batch), time.Since(start))
@@ -198,12 +195,9 @@ func (s *Suite) Fig20() (*Table, error) {
 			return nil, err
 		}
 		buildTime := time.Since(start)
-		batch, err := s.perturb(ds.Graph, 0.5, 0.5, s.Seed)
-		if err != nil {
-			return nil, err
-		}
+		batch := s.perturb(ds.Graph, 0.5, 0.5, s.Seed)
 		start = time.Now()
-		if err := index.ApplyUpdates(batch); err != nil {
+		if _, err := index.ApplyUpdates(batch); err != nil {
 			return nil, err
 		}
 		t.AddRow(ds.Graph.NumVertices(), buildTime, time.Since(start))
@@ -242,12 +236,9 @@ func (s *Suite) Fig21() (*Table, error) {
 		totalUpdates := 0
 		var totalTime time.Duration
 		for r := 0; r < rounds; r++ {
-			batch, err := tm.Step(ds.Graph)
-			if err != nil {
-				return nil, err
-			}
+			batch := tm.Derive(ds.Graph.NumEdges(), ds.Graph.Directed(), ds.Graph.Weight)
 			start := time.Now()
-			if err := index.ApplyUpdates(batch); err != nil {
+			if _, err := index.ApplyUpdates(batch); err != nil {
 				return nil, err
 			}
 			totalTime += time.Since(start)
@@ -281,12 +272,9 @@ func (s *Suite) Fig22() (*Table, error) {
 			if err != nil {
 				return nil, err
 			}
-			batch, err := s.perturb(ds.Graph, 0.5, 0.5, s.Seed+int64(xi))
-			if err != nil {
-				return nil, err
-			}
+			batch := s.perturb(ds.Graph, 0.5, 0.5, s.Seed+int64(xi))
 			start := time.Now()
-			if err := index.ApplyUpdates(batch); err != nil {
+			if _, err := index.ApplyUpdates(batch); err != nil {
 				return nil, err
 			}
 			t.AddRow(name, xi, index.Stats().NumBoundingPaths, time.Since(start))
@@ -306,12 +294,9 @@ func (s *Suite) Fig23() (*Table, error) {
 			if err != nil {
 				return nil, err
 			}
-			batch, err := s.perturb(st.ds.Graph, alpha, 0.5, s.Seed)
-			if err != nil {
-				return nil, err
-			}
+			batch := s.perturb(st.ds.Graph, alpha, 0.5, s.Seed)
 			start := time.Now()
-			if err := st.index.ApplyUpdates(batch); err != nil {
+			if _, err := st.index.ApplyUpdates(batch); err != nil {
 				return nil, err
 			}
 			t.AddRow(name, fmt.Sprintf("%.0f%%", alpha*100), len(batch), time.Since(start))

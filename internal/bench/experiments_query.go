@@ -15,11 +15,8 @@ func (s *Suite) iterationSweep(name string, xi int, alpha, tau float64, k, nq in
 	}
 	// Apply one traffic snapshot so lower bounds are no longer exact.
 	if alpha > 0 {
-		batch, err := s.perturb(st.ds.Graph, alpha, tau, s.Seed)
-		if err != nil {
-			return 0, err
-		}
-		if err := st.index.ApplyUpdates(batch); err != nil {
+		batch := s.perturb(st.ds.Graph, alpha, tau, s.Seed)
+		if _, err := st.index.ApplyUpdates(batch); err != nil {
 			return 0, err
 		}
 	}
@@ -174,11 +171,8 @@ func (s *Suite) Fig33() (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		batch, err := s.perturb(st.ds.Graph, 0.3, 0.9, s.Seed)
-		if err != nil {
-			return nil, err
-		}
-		if err := st.index.ApplyUpdates(batch); err != nil {
+		batch := s.perturb(st.ds.Graph, 0.3, 0.9, s.Seed)
+		if _, err := st.index.ApplyUpdates(batch); err != nil {
 			return nil, err
 		}
 		queries := s.queries(st.ds.Graph, nq)
@@ -204,11 +198,8 @@ func (s *Suite) Fig34() (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		batch, err := s.perturb(st.ds.Graph, 0.3, tau, s.Seed)
-		if err != nil {
-			return nil, err
-		}
-		if err := st.index.ApplyUpdates(batch); err != nil {
+		batch := s.perturb(st.ds.Graph, 0.3, tau, s.Seed)
+		if _, err := st.index.ApplyUpdates(batch); err != nil {
 			return nil, err
 		}
 		queries := s.queries(st.ds.Graph, nq)

@@ -241,11 +241,8 @@ func (s *Suite) AblationVfrag() (*Table, error) {
 		return nil, err
 	}
 	// Perturb weights so bounds separate from exact distances.
-	batch, err := s.perturb(st.ds.Graph, 0.5, 0.6, s.Seed)
-	if err != nil {
-		return nil, err
-	}
-	if err := st.index.ApplyUpdates(batch); err != nil {
+	batch := s.perturb(st.ds.Graph, 0.5, 0.6, s.Seed)
+	if _, err := st.index.ApplyUpdates(batch); err != nil {
 		return nil, err
 	}
 	var vfragRatios, edgeRatios []float64
@@ -365,11 +362,8 @@ func (s *Suite) AblationPairCache() (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	batch, err := s.perturb(st.ds.Graph, 0.4, 0.7, s.Seed)
-	if err != nil {
-		return nil, err
-	}
-	if err := st.index.ApplyUpdates(batch); err != nil {
+	batch := s.perturb(st.ds.Graph, 0.4, 0.7, s.Seed)
+	if _, err := st.index.ApplyUpdates(batch); err != nil {
 		return nil, err
 	}
 	queries := s.queries(st.ds.Graph, s.Nq/2)

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"bytes"
+	"context"
 	"encoding/gob"
 	"fmt"
 	"sync/atomic"
@@ -176,8 +177,8 @@ func (c *Cluster) Engine(opts core.Options) *core.Engine {
 }
 
 // ApplyUpdates routes a batch of weight updates to the owning workers (for
-// load accounting) and performs the index maintenance.  The caller must have
-// already applied the batch to the master's copy of the graph.
+// load accounting) and performs the index maintenance, which also writes the
+// master's copy of the graph.
 func (c *Cluster) ApplyUpdates(batch []graph.WeightUpdate) error {
 	if len(batch) == 0 {
 		return nil
@@ -202,7 +203,8 @@ func (c *Cluster) ApplyUpdates(batch []graph.WeightUpdate) error {
 		c.workers[w].HandleWeightUpdate(req)
 		c.updates.Add(int64(len(ups)))
 	}
-	return c.index.ApplyUpdates(batch)
+	_, err := c.index.ApplyUpdates(batch)
+	return err
 }
 
 // ApplyTopology applies a batch of topology mutations (edge and vertex
@@ -214,7 +216,7 @@ func (c *Cluster) ApplyUpdates(batch []graph.WeightUpdate) error {
 // no per-subgraph addressing.  Each worker then has the new partition and
 // its (possibly grown) ownership installed atomically.
 func (c *Cluster) ApplyTopology(up graph.TopologyUpdate) (dtlp.TopologyStats, error) {
-	st, err := c.index.ApplyTopologyStats(up)
+	st, err := c.index.ApplyTopology(up)
 	if err != nil {
 		return st, err
 	}
@@ -261,7 +263,7 @@ func (c *Cluster) ProcessBatch(queries []workload.Query, k int, opts core.Option
 	engine := c.Engine(opts)
 	fanout.Do(len(queries), c.cfg.QueryBolts, func(i int) {
 		q := queries[i]
-		results[i], errs[i] = engine.Query(q.Source, q.Target, k)
+		results[i], errs[i] = engine.QueryViewCtx(context.TODO(), nil, q.Source, q.Target, k)
 		c.queries.Add(1)
 	})
 	for _, err := range errs {

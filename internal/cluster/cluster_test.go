@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -78,7 +79,7 @@ func TestClusterQueryMatchesOracle(t *testing.T) {
 		{testutil.V2, testutil.V17, 4},
 	}
 	for _, cse := range cases {
-		res, err := engine.Query(cse.s, cse.t, cse.k)
+		res, err := engine.QueryViewCtx(context.Background(), nil, cse.s, cse.t, cse.k)
 		if err != nil {
 			t.Fatalf("Query: %v", err)
 		}
@@ -136,7 +137,7 @@ func TestClusterApplyUpdates(t *testing.T) {
 	g := testutil.PaperGraph(t)
 	_, c := buildCluster(t, g, 6, 2, 2)
 	rng := rand.New(rand.NewSource(1))
-	batch := testutil.PerturbWeights(t, g, rng, 0.5, 0.4, 0.1)
+	batch := testutil.PerturbWeights(g, rng, 0.5, 0.4, 0.1)
 	if err := c.ApplyUpdates(batch); err != nil {
 		t.Fatal(err)
 	}
@@ -153,7 +154,7 @@ func TestClusterApplyUpdates(t *testing.T) {
 	}
 	// Queries remain exact after distributed maintenance.
 	engine := c.Engine(core.Options{})
-	res, err := engine.Query(testutil.V1, testutil.V19, 2)
+	res, err := engine.QueryViewCtx(context.Background(), nil, testutil.V1, testutil.V19, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,7 +176,7 @@ func TestClusterStatsBytes(t *testing.T) {
 		t.Fatal(err)
 	}
 	engine := c.Engine(core.Options{})
-	if _, err := engine.Query(testutil.V1, testutil.V19, 2); err != nil {
+	if _, err := engine.QueryViewCtx(context.Background(), nil, testutil.V1, testutil.V19, 2); err != nil {
 		t.Fatal(err)
 	}
 	st := c.Stats()
@@ -279,7 +280,7 @@ func TestRemoteProviderQueryMatchesOracle(t *testing.T) {
 			bp := NewBatchedRemoteProvider(remotes, rpcbatch.Options{})
 			defer bp.Close()
 			engine := core.NewEngine(x, bp, core.Options{})
-			res, err := engine.Query(testutil.V1, testutil.V19, 3)
+			res, err := engine.QueryViewCtx(context.Background(), nil, testutil.V1, testutil.V19, 3)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -348,8 +349,8 @@ func TestClusterReplicatedMatchesSingleCopy(t *testing.T) {
 		if s == d {
 			continue
 		}
-		r1, err1 := e1.Query(s, d, 3)
-		r2, err2 := e2.Query(s, d, 3)
+		r1, err1 := e1.QueryViewCtx(context.Background(), nil, s, d, 3)
+		r2, err2 := e2.QueryViewCtx(context.Background(), nil, s, d, 3)
 		if (err1 == nil) != (err2 == nil) {
 			t.Fatalf("query(%d,%d): errs %v vs %v", s, d, err1, err2)
 		}

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"context"
 	"math"
 	"strings"
 	"testing"
@@ -36,7 +37,7 @@ func TestClusterApplyTopology(t *testing.T) {
 	// Queries remain exact against the post-topology parent graph.
 	cur := x.Partition().Parent()
 	engine := c.Engine(core.Options{})
-	res, err := engine.Query(testutil.V1, testutil.V19, 2)
+	res, err := engine.QueryViewCtx(context.Background(), nil, testutil.V1, testutil.V19, 2)
 	if err != nil {
 		t.Fatal(err)
 	}

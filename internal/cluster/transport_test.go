@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"runtime"
@@ -406,7 +407,7 @@ func TestBatchedRemoteProviderMatchesOracle(t *testing.T) {
 			wg.Add(1)
 			go func(s, tt graph.VertexID, k int) {
 				defer wg.Done()
-				res, err := engine.Query(s, tt, k)
+				res, err := engine.QueryViewCtx(context.Background(), nil, s, tt, k)
 				if err != nil {
 					errCh <- err
 					return

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"slices"
 	"testing"
 
@@ -110,7 +111,7 @@ func TestQueryRespectsMaxIterations(t *testing.T) {
 	g := testutil.GridGraph(6, 6, 1)
 	_, _, e := buildEngine(t, g, 8, 1)
 	limited := NewEngine(e.Index(), nil, Options{MaxIterations: 1})
-	res, err := limited.Query(0, graph.VertexID(g.NumVertices()-1), 3)
+	res, err := limited.QueryViewCtx(context.Background(), nil, 0, graph.VertexID(g.NumVertices()-1), 3)
 	if err != nil {
 		t.Fatal(err)
 	}

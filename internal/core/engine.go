@@ -149,27 +149,16 @@ func NewEngine(index *dtlp.Index, provider PartialProvider, opts Options) *Engin
 // Index returns the engine's DTLP index.
 func (e *Engine) Index() *dtlp.Index { return e.index }
 
-// Query answers q(s, t) with the given k, returning up to k shortest loopless
-// paths from s to t under the most recently published index epoch.  It is
-// shorthand for QueryView(e.Index().CurrentView(), s, t, k) and is safe to
-// call concurrently with index maintenance.
-func (e *Engine) Query(s, t graph.VertexID, k int) (Result, error) {
-	return e.QueryView(e.index.CurrentView(), s, t, k)
-}
-
-// QueryView answers q(s, t) against a specific epoch view of the index.  The
-// whole query — reference path generation on the skeleton, endpoint
-// attachment, and the refine step — reads the weights frozen in the view, so
-// concurrent ApplyUpdates calls cannot tear the result.
-func (e *Engine) QueryView(iv *dtlp.IndexView, s, t graph.VertexID, k int) (Result, error) {
-	return e.queryView(context.Background(), iv, s, t, k, nil)
-}
-
-// QueryViewCtx is QueryView under a context: the iteration loop aborts as
-// soon as ctx is done, including while a refine request is in flight (the
-// abandoned reply lands in a buffered channel, so nothing leaks).  This is
-// what lets a serving layer stop burning worker capacity for a client that
-// already hung up or blew its deadline.
+// QueryViewCtx answers q(s, t) with the given k, returning up to k shortest
+// loopless paths from s to t against one epoch view of the index; a nil iv
+// means the most recently published epoch.  The whole query — reference path
+// generation on the skeleton, endpoint attachment, and the refine step —
+// reads the weights frozen in the view, so concurrent index maintenance
+// cannot tear the result.  The iteration loop aborts as soon as ctx is done,
+// including while a refine request is in flight (the abandoned reply lands in
+// a buffered channel, so nothing leaks).  This is what lets a serving layer
+// stop burning worker capacity for a client that already hung up or blew its
+// deadline.
 func (e *Engine) QueryViewCtx(ctx context.Context, iv *dtlp.IndexView, s, t graph.VertexID, k int) (Result, error) {
 	return e.queryView(ctx, iv, s, t, k, nil)
 }

@@ -32,7 +32,7 @@ func buildEngine(t testing.TB, g *graph.Graph, z, xi int) (*partition.Partition,
 // exactly match the brute-force oracle for the query.
 func assertMatchesOracle(t *testing.T, g *graph.Graph, e *Engine, s, tt graph.VertexID, k int) {
 	t.Helper()
-	res, err := e.Query(s, tt, k)
+	res, err := e.QueryViewCtx(context.Background(), nil, s, tt, k)
 	if err != nil {
 		t.Fatalf("Query(%d,%d,%d): %v", s, tt, k, err)
 	}
@@ -133,17 +133,17 @@ outer:
 func TestQueryTrivialAndErrorCases(t *testing.T) {
 	g := testutil.PaperGraph(t)
 	_, _, e := buildEngine(t, g, 6, 1)
-	res, err := e.Query(3, 3, 2)
+	res, err := e.QueryViewCtx(context.Background(), nil, 3, 3, 2)
 	if err != nil || len(res.Paths) != 1 || res.Paths[0].Len() != 0 {
 		t.Errorf("s==t should return the trivial path, got %v, %v", res.Paths, err)
 	}
-	if _, err := e.Query(0, 1, 0); err == nil {
+	if _, err := e.QueryViewCtx(context.Background(), nil, 0, 1, 0); err == nil {
 		t.Errorf("k=0 should error")
 	}
-	if _, err := e.Query(0, graph.VertexID(g.NumVertices()+3), 1); err == nil {
+	if _, err := e.QueryViewCtx(context.Background(), nil, 0, graph.VertexID(g.NumVertices()+3), 1); err == nil {
 		t.Errorf("out-of-range target should error")
 	}
-	if _, err := e.Query(-1, 0, 1); err == nil {
+	if _, err := e.QueryViewCtx(context.Background(), nil, -1, 0, 1); err == nil {
 		t.Errorf("negative source should error")
 	}
 }
@@ -158,7 +158,7 @@ func TestQueryDisconnectedGraph(t *testing.T) {
 	b.AddEdge(6, 7, 1)
 	g := b.Build()
 	_, _, e := buildEngine(t, g, 3, 1)
-	res, err := e.Query(0, 7, 2)
+	res, err := e.QueryViewCtx(context.Background(), nil, 0, 7, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,8 +173,8 @@ func TestQueryAfterWeightUpdates(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	boundary := p.BoundaryVertices()
 	for round := 0; round < 10; round++ {
-		batch := testutil.PerturbWeights(t, g, rng, 0.35, 0.3, 0.1)
-		if err := x.ApplyUpdates(batch); err != nil {
+		batch := testutil.PerturbWeights(g, rng, 0.35, 0.3, 0.1)
+		if _, err := x.ApplyUpdates(batch); err != nil {
 			t.Fatal(err)
 		}
 		s := boundary[rng.Intn(len(boundary))]
@@ -189,7 +189,7 @@ func TestQueryAfterWeightUpdates(t *testing.T) {
 func TestQueryStatsPopulated(t *testing.T) {
 	g := testutil.PaperGraph(t)
 	_, _, e := buildEngine(t, g, 6, 2)
-	res, err := e.Query(testutil.V1, testutil.V19, 3)
+	res, err := e.QueryViewCtx(context.Background(), nil, testutil.V1, testutil.V19, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -232,7 +232,7 @@ func TestQueryDirectedGraph(t *testing.T) {
 	b.AddEdge(9, 2, 5)
 	g := b.Build()
 	_, _, e := buildEngine(t, g, 5, 2)
-	res, err := e.Query(0, 7, 3)
+	res, err := e.QueryViewCtx(context.Background(), nil, 0, 7, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -250,7 +250,7 @@ func TestQueryDirectedGraph(t *testing.T) {
 func TestQueryOnGrid(t *testing.T) {
 	g := testutil.GridGraph(6, 6, 1)
 	_, _, e := buildEngine(t, g, 8, 2)
-	res, err := e.Query(0, graph.VertexID(g.NumVertices()-1), 3)
+	res, err := e.QueryViewCtx(context.Background(), nil, 0, graph.VertexID(g.NumVertices()-1), 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -288,8 +288,8 @@ func TestPropertyKSPDGMatchesOracle(t *testing.T) {
 		e := NewEngine(x, nil, Options{})
 		// Optionally perturb weights.
 		if rng.Intn(2) == 1 {
-			batch := testutil.PerturbWeights(t, g, rng, 0.4, 0.5, 0.05)
-			if err := x.ApplyUpdates(batch); err != nil {
+			batch := testutil.PerturbWeights(g, rng, 0.4, 0.5, 0.05)
+			if _, err := x.ApplyUpdates(batch); err != nil {
 				return false
 			}
 		}
@@ -300,7 +300,7 @@ func TestPropertyKSPDGMatchesOracle(t *testing.T) {
 				continue
 			}
 			k := 1 + rng.Intn(4)
-			res, err := e.Query(s, tt, k)
+			res, err := e.QueryViewCtx(context.Background(), nil, s, tt, k)
 			if err != nil {
 				return false
 			}
@@ -334,7 +334,7 @@ func TestResultConverged(t *testing.T) {
 	g := testutil.PaperGraph(t)
 	_, x, e := buildEngine(t, g, 6, 2)
 
-	res, err := e.Query(testutil.V1, testutil.V19, 4)
+	res, err := e.QueryViewCtx(context.Background(), nil, testutil.V1, testutil.V19, 4)
 	if err != nil {
 		t.Fatalf("Query: %v", err)
 	}
@@ -349,7 +349,7 @@ func TestResultConverged(t *testing.T) {
 	}
 
 	capped := NewEngine(x, nil, Options{MaxIterations: res.Iterations - 1})
-	cres, err := capped.Query(testutil.V1, testutil.V19, 4)
+	cres, err := capped.QueryViewCtx(context.Background(), nil, testutil.V1, testutil.V19, 4)
 	if err != nil {
 		t.Fatalf("capped Query: %v", err)
 	}
@@ -364,7 +364,7 @@ func TestResultConverged(t *testing.T) {
 	}
 
 	// Trivial cases are exact by construction.
-	same, err := e.Query(testutil.V5, testutil.V5, 3)
+	same, err := e.QueryViewCtx(context.Background(), nil, testutil.V5, testutil.V5, 3)
 	if err != nil {
 		t.Fatal(err)
 	}

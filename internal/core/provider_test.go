@@ -47,11 +47,11 @@ func TestCustomProviderMatchesDefault(t *testing.T) {
 		{testutil.V1, testutil.V1, 2},
 	}
 	for _, cse := range cases {
-		want, err := defaultEngine.Query(cse.s, cse.t, cse.k)
+		want, err := defaultEngine.QueryViewCtx(context.Background(), nil, cse.s, cse.t, cse.k)
 		if err != nil {
 			t.Fatalf("default query(%d,%d,%d): %v", cse.s, cse.t, cse.k, err)
 		}
-		got, err := customEngine.Query(cse.s, cse.t, cse.k)
+		got, err := customEngine.QueryViewCtx(context.Background(), nil, cse.s, cse.t, cse.k)
 		if err != nil {
 			t.Fatalf("custom query(%d,%d,%d): %v", cse.s, cse.t, cse.k, err)
 		}

@@ -14,6 +14,7 @@
 package difftest
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"sort"
@@ -166,7 +167,7 @@ func Check(tb testing.TB, p Params) {
 			if s == t {
 				continue
 			}
-			got, err := engine.Query(s, t, p.K)
+			got, err := engine.QueryViewCtx(context.Background(), nil, s, t, p.K)
 			if err != nil {
 				tb.Fatalf("%s: KSP-DG query(%d,%d,%d): %v", label, s, t, p.K, err)
 			}
@@ -209,8 +210,8 @@ func Check(tb testing.TB, p Params) {
 
 	round("initial")
 	for r := 1; r <= p.UpdateRounds; r++ {
-		batch := testutil.PerturbWeights(tb, g, rng, 0.35, 0.45, 0.1)
-		if err := x.ApplyUpdates(batch); err != nil {
+		batch := testutil.PerturbWeights(g, rng, 0.35, 0.45, 0.1)
+		if _, err := x.ApplyUpdates(batch); err != nil {
 			tb.Fatalf("round %d: ApplyUpdates: %v", r, err)
 		}
 		round("after-updates")
@@ -295,7 +296,7 @@ func CheckConcurrent(tb testing.TB, cp ConcurrentParams) {
 				if s == t {
 					continue
 				}
-				res, err := srv.Query(s, t, p.K)
+				res, err := srv.Query(context.Background(), serve.Request{Src: s, Dst: t, K: p.K})
 				if err != nil {
 					tb.Errorf("query(%d,%d,%d): %v", s, t, p.K, err)
 					continue
@@ -320,7 +321,7 @@ func CheckConcurrent(tb testing.TB, cp ConcurrentParams) {
 					batch = append(batch, graph.WeightUpdate{Edge: graph.EdgeID(e), NewWeight: w})
 				}
 			}
-			if err := srv.ApplyUpdates(batch); err != nil {
+			if _, err := srv.ApplyUpdates(context.Background(), batch); err != nil {
 				tb.Errorf("ApplyUpdates batch %d: %v", b, err)
 			}
 		}

@@ -1,6 +1,7 @@
 package difftest
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -85,11 +86,11 @@ func TestAdaptiveBudgetStall(t *testing.T) {
 			if s == tt {
 				continue
 			}
-			bres, err := budgeted.Query(s, tt, p.K)
+			bres, err := budgeted.QueryViewCtx(context.Background(), nil, s, tt, p.K)
 			if err != nil {
 				t.Fatalf("budgeted query(%d,%d): %v", s, tt, err)
 			}
-			eres, err := exact.Query(s, tt, p.K)
+			eres, err := exact.QueryViewCtx(context.Background(), nil, s, tt, p.K)
 			if err != nil {
 				t.Fatalf("exact query(%d,%d): %v", s, tt, err)
 			}

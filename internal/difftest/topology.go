@@ -1,6 +1,7 @@
 package difftest
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -107,7 +108,7 @@ func CheckTopology(tb testing.TB, p TopologyParams) {
 		pairs = append(pairs, targeted...)
 		for _, pr := range pairs {
 			s, t := pr[0], pr[1]
-			got, err := srv.Query(s, t, base.K)
+			got, err := srv.Query(context.Background(), serve.Request{Src: s, Dst: t, K: base.K})
 			if err != nil {
 				tb.Fatalf("%s: KSP-DG query(%d,%d,%d): %v", label, s, t, base.K, err)
 			}
@@ -145,17 +146,17 @@ func CheckTopology(tb testing.TB, p TopologyParams) {
 	for s0 == t0 {
 		t0 = graph.VertexID(rng.Intn(base.N))
 	}
-	pre, err := srv.Query(s0, t0, base.K)
+	pre, err := srv.Query(context.Background(), serve.Request{Src: s0, Dst: t0, K: base.K})
 	if err != nil || len(pre.Paths) == 0 {
 		tb.Fatalf("pre-delete query(%d,%d,%d): %v (paths %d)", s0, t0, base.K, err, len(pre.Paths))
 	}
-	if err := srv.ApplyUpdates(testutil.PerturbWeights(tb, x.Partition().Parent(), rng, 0.3, 0.4, 0.1)); err != nil {
+	if _, err := srv.ApplyUpdates(context.Background(), testutil.PerturbWeights(x.Partition().Parent(), rng, 0.3, 0.4, 0.1)); err != nil {
 		tb.Fatalf("interleaved weight batch: %v", err)
 	}
 	top := pre.Paths[0]
 	cur := x.Partition().Parent()
 	sever := severingEdge(cur, top)
-	if err := srv.ApplyTopology(graph.TopologyUpdate{DeleteEdges: []graph.EdgeID{sever}}); err != nil {
+	if _, err := srv.ApplyTopology(context.Background(), graph.TopologyUpdate{DeleteEdges: []graph.EdgeID{sever}}); err != nil {
 		tb.Fatalf("severing delete: %v", err)
 	}
 	audit("after-severing-delete", [2]graph.VertexID{s0, t0})
@@ -167,12 +168,12 @@ func CheckTopology(tb testing.TB, p TopologyParams) {
 	if shortcut <= 0 {
 		shortcut = 0.25
 	}
-	if err := srv.ApplyTopology(graph.TopologyUpdate{
+	if _, err := srv.ApplyTopology(context.Background(), graph.TopologyUpdate{
 		InsertEdges: []graph.Edge{{U: s0, V: t0, Weight: shortcut}},
 	}); err != nil {
 		tb.Fatalf("shortcut insert: %v", err)
 	}
-	res, err := srv.Query(s0, t0, base.K)
+	res, err := srv.Query(context.Background(), serve.Request{Src: s0, Dst: t0, K: base.K})
 	if err != nil || len(res.Paths) == 0 {
 		tb.Fatalf("post-insert query(%d,%d,%d): %v", s0, t0, base.K, err)
 	}
@@ -185,11 +186,11 @@ func CheckTopology(tb testing.TB, p TopologyParams) {
 	// batch so both WAL record kinds keep interleaving.
 	for e := 0; e < p.ExtraEpochs; e++ {
 		up := randomTopologyBatch(rng, x.Partition().Parent())
-		if err := srv.ApplyTopology(up); err != nil {
+		if _, err := srv.ApplyTopology(context.Background(), up); err != nil {
 			tb.Fatalf("random topology epoch %d: %v", e, err)
 		}
-		if batch := testutil.PerturbWeights(tb, x.Partition().Parent(), rng, 0.25, 0.4, 0.1); len(batch) > 0 {
-			if err := srv.ApplyUpdates(batch); err != nil {
+		if batch := testutil.PerturbWeights(x.Partition().Parent(), rng, 0.25, 0.4, 0.1); len(batch) > 0 {
+			if _, err := srv.ApplyUpdates(context.Background(), batch); err != nil {
 				tb.Fatalf("weight batch after topology epoch %d: %v", e, err)
 			}
 		}
@@ -220,7 +221,7 @@ func CheckTopology(tb testing.TB, p TopologyParams) {
 	srv2 := serve.New(rec.Index, nil, serve.Options{Workers: 2})
 	defer srv2.Close()
 	for _, aq := range audited {
-		res, err := srv2.Query(aq.s, aq.t, base.K)
+		res, err := srv2.Query(context.Background(), serve.Request{Src: aq.s, Dst: aq.t, K: base.K})
 		if err != nil {
 			tb.Fatalf("recovered query(%d,%d,%d): %v", aq.s, aq.t, base.K, err)
 		}

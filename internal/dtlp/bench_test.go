@@ -61,7 +61,7 @@ func BenchmarkBuild(b *testing.B) {
 	}
 }
 
-// BenchmarkApplyUpdates is the dtlp layer of the write path: ApplyUpdatesStats
+// BenchmarkApplyUpdates is the dtlp layer of the write path: ApplyUpdates
 // on the end-to-end benchmark's road network, after the α = 1 warm-up batch,
 // cycling through 40 pre-derived batches at the shares of edges the
 // benchmark's workloads move (α 0.05 everywhere, 0.2 on rush-mixed).
@@ -80,14 +80,14 @@ func BenchmarkApplyUpdates(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			if err := x.ApplyUpdates(trafficBatches(g, 1, 1, 2)[0]); err != nil {
+			if _, err := x.ApplyUpdates(trafficBatches(g, 1, 1, 2)[0]); err != nil {
 				b.Fatal(err)
 			}
 			batches := trafficBatches(g, c.alpha, 40, 3)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := x.ApplyUpdatesStats(batches[i%len(batches)]); err != nil {
+				if _, err := x.ApplyUpdates(batches[i%len(batches)]); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -36,9 +36,10 @@
 // # Snapshot / epoch model
 //
 // The index supports snapshot-isolated concurrent querying through immutable
-// epoch views (IndexView).  ApplyUpdates is the single writer: it mutates the
-// subgraph weights, bounding path distances and skeleton weights under an
-// internal write lock and then atomically publishes a new IndexView — a
+// epoch views (IndexView).  ApplyUpdates and ApplyTopology are the single
+// writer: ApplyUpdates mutates the master graph's and subgraphs' weights,
+// bounding path distances and skeleton weights under an internal write lock
+// and then atomically publishes a new IndexView — a
 // copy-on-write bundle of the skeleton weight snapshot plus one weight
 // snapshot per subgraph, sharing the snapshots of all subgraphs the batch did
 // not touch with the previous epoch.  Queries obtain a view via CurrentView
@@ -403,31 +404,6 @@ func (g *generation) withinSubgraphDistance(s, t graph.VertexID, at weightsAt) f
 	return best
 }
 
-// ApplyUpdates ingests a batch of global edge weight updates: it propagates
-// the new weights to the owning subgraphs' local graphs, refreshes the
-// affected bounding path distances via the EP-Index, recomputes lower bound
-// distances, and updates the skeleton graph edge weights (Algorithm 2).
-//
-// The parent graph itself is not modified; callers that also track the full
-// graph (the master node) apply the same batch there.
-//
-// ApplyUpdates is the index's single writer: concurrent calls are serialized
-// internally, and once a call returns a new epoch view reflecting the whole
-// batch has been published atomically (see CurrentView).  Queries running
-// against previously obtained views are unaffected.
-func (x *Index) ApplyUpdates(batch []graph.WeightUpdate) error {
-	_, err := x.ApplyUpdatesStats(batch)
-	return err
-}
-
-// ApplyUpdatesEpoch is ApplyUpdates returning the epoch published for the
-// batch (or the current epoch for an empty batch).  The persistence layer
-// uses it to tag WAL records with the exact epoch their batch produced.
-func (x *Index) ApplyUpdatesEpoch(batch []graph.WeightUpdate) (uint64, error) {
-	st, err := x.ApplyUpdatesStats(batch)
-	return st.Epoch, err
-}
-
 // UpdateStats reports the maintenance work one update batch performed.
 type UpdateStats struct {
 	// Epoch is the epoch published for the batch (or the current epoch for
@@ -444,23 +420,35 @@ type UpdateStats struct {
 	PairsChanged int
 }
 
-// ApplyUpdatesStats is ApplyUpdates returning per-batch maintenance
-// statistics (published epoch, bounding paths touched, subgraphs refreshed,
-// skeleton pairs recomputed).
+// ApplyUpdates ingests a batch of global edge weight updates: it writes the
+// new weights to the master graph (the partition's parent) and to the owning
+// subgraphs' local graphs, refreshes the affected bounding path distances via
+// the EP-Index, recomputes lower bound distances, and updates the skeleton
+// graph edge weights (Algorithm 2).  It returns the published epoch (the
+// current epoch for an empty batch) and the maintenance work performed.
 //
-// A batch CheckUpdates rejects changes nothing.  Otherwise maintenance is
-// sharded: edge deltas are grouped per subgraph (preserving batch order
-// within each group, so every path distance accumulates its deltas in batch
-// order) and the per-subgraph applyEdgeDelta+refreshBounds work runs on up to
-// GOMAXPROCS goroutines — each subgraph's first-level state is independent,
-// which is what the paper exploits by assigning subgraphs to different
-// SubgraphBolts.  The skeleton is then maintained by index: the changed local
-// pairs mark their global pairs, and one sweep in pair order recomputes each
-// marked pair's MBD from its LBD slots and writes all new skeleton weights in
-// one graph.ApplyUpdates.  Since every subgraph whose LBD changed marks the
-// pair itself, computing MBDs after all refreshes yields the same weights as
-// the serial interleaving.  Epoch publication stays atomic and single-writer.
-func (x *Index) ApplyUpdatesStats(batch []graph.WeightUpdate) (UpdateStats, error) {
+// An edge named more than once in a batch takes its last weight: updates
+// are read and written in batch order, so each delta is taken from the
+// weight the previous update of the same edge left behind.
+//
+// ApplyUpdates is the index's single writer, shared with ApplyTopology:
+// concurrent calls are serialized internally, and once a call returns a new
+// epoch view reflecting the whole batch has been published atomically (see
+// CurrentView).  Queries running against previously obtained views are
+// unaffected.  A batch CheckUpdates rejects changes nothing.
+//
+// Maintenance is sharded: edge deltas are grouped per subgraph (preserving
+// batch order within each group, so every path distance accumulates its
+// deltas in batch order) and the per-subgraph applyEdgeDelta+refreshBounds
+// work runs on up to GOMAXPROCS goroutines — each subgraph's first-level
+// state is independent, which is what the paper exploits by assigning
+// subgraphs to different SubgraphBolts.  The skeleton is then maintained by
+// index: the changed local pairs mark their global pairs, and one sweep in
+// pair order recomputes each marked pair's MBD from its LBD slots and writes
+// all new skeleton weights in one graph.ApplyUpdates.  Since every subgraph
+// whose LBD changed marks the pair itself, computing MBDs after all
+// refreshes yields the same weights as the serial interleaving.
+func (x *Index) ApplyUpdates(batch []graph.WeightUpdate) (UpdateStats, error) {
 	if len(batch) == 0 {
 		return UpdateStats{Epoch: x.CurrentView().Epoch()}, nil
 	}
@@ -470,9 +458,12 @@ func (x *Index) ApplyUpdatesStats(batch []graph.WeightUpdate) (UpdateStats, erro
 	if err := g.checkUpdates(batch); err != nil {
 		return UpdateStats{}, err
 	}
-	// Capture pre-update weights to derive the deltas used for incremental
-	// bounding path distance maintenance, grouped per owning subgraph in
-	// batch order.
+	if err := g.part.Parent().ApplyUpdates(batch); err != nil {
+		return UpdateStats{}, err
+	}
+	// Write each new weight into its subgraph's local graph, taking the delta
+	// that drives incremental bounding path maintenance from the weight it
+	// replaces, grouped per owning subgraph in batch order.
 	type pendingDelta struct {
 		local graph.EdgeID
 		delta float64
@@ -480,14 +471,13 @@ func (x *Index) ApplyUpdatesStats(batch []graph.WeightUpdate) (UpdateStats, erro
 	perSub := make([][]pendingDelta, len(g.subs))
 	for _, u := range batch {
 		loc := g.part.Locate(u.Edge)
-		old := g.part.Subgraph(loc.Subgraph).Local.Weight(loc.LocalEdge)
-		if delta := u.NewWeight - old; delta != 0 {
+		delta, err := g.part.Subgraph(loc.Subgraph).Local.UpdateWeight(loc.LocalEdge, u.NewWeight)
+		if err != nil {
+			return UpdateStats{}, err
+		}
+		if delta != 0 {
 			perSub[loc.Subgraph] = append(perSub[loc.Subgraph], pendingDelta{local: loc.LocalEdge, delta: delta})
 		}
-	}
-	// Push new weights into the subgraph local graphs.
-	if _, err := g.part.ApplyUpdates(batch); err != nil {
-		return UpdateStats{}, err
 	}
 	var affectedIDs []partition.SubgraphID
 	for id, ds := range perSub {
@@ -556,10 +546,11 @@ func (x *Index) ApplyUpdatesStats(batch []graph.WeightUpdate) (UpdateStats, erro
 }
 
 // CheckUpdates returns the error ApplyUpdates would fail batch with, without
-// applying anything: an edge outside the graph, deleted, or owned by no
-// subgraph, or a weight that is negative, NaN or infinite.  Callers that log
-// a batch before applying it (serve's writer) check it first, so the log
-// never holds a batch the index refuses.
+// applying anything: an edge outside the graph, deleted (wrapping
+// graph.ErrEdgeDeleted), or owned by no subgraph, or a weight that is
+// negative, NaN or infinite.  Callers that log a batch before applying it
+// (serve's writer) check it first, so the log never holds a batch the index
+// refuses.
 func (x *Index) CheckUpdates(batch []graph.WeightUpdate) error {
 	return x.gen.Load().checkUpdates(batch)
 }
@@ -572,7 +563,7 @@ func (g *generation) checkUpdates(batch []graph.WeightUpdate) error {
 			return fmt.Errorf("dtlp: update for edge %d outside [0,%d)", u.Edge, numEdges)
 		}
 		if !parent.EdgeAlive(u.Edge) {
-			return fmt.Errorf("dtlp: weight update on deleted edge %d", u.Edge)
+			return fmt.Errorf("dtlp: weight update on edge %d: %w", u.Edge, graph.ErrEdgeDeleted)
 		}
 		if g.part.Locate(u.Edge).Subgraph == partition.NoSubgraph {
 			return fmt.Errorf("dtlp: update for edge %d not covered by partition", u.Edge)

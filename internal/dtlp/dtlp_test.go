@@ -216,10 +216,7 @@ func TestApplyUpdatesMaintainsInvariants(t *testing.T) {
 				batch = append(batch, graph.WeightUpdate{Edge: e, NewWeight: w})
 			}
 		}
-		if err := g.ApplyUpdates(batch); err != nil {
-			t.Fatal(err)
-		}
-		if err := x.ApplyUpdates(batch); err != nil {
+		if _, err := x.ApplyUpdates(batch); err != nil {
 			t.Fatal(err)
 		}
 		// Subgraph local weights must mirror the parent graph.
@@ -267,10 +264,7 @@ func TestApplyUpdatesBoundingPathDistances(t *testing.T) {
 	}
 	old := g.Weight(target)
 	batch := []graph.WeightUpdate{{Edge: target, NewWeight: old + 5}}
-	if err := g.ApplyUpdates(batch); err != nil {
-		t.Fatal(err)
-	}
-	if err := x.ApplyUpdates(batch); err != nil {
+	if _, err := x.ApplyUpdates(batch); err != nil {
 		t.Fatal(err)
 	}
 	for _, bp := range si.PathsThroughEdge(loc.LocalEdge) {
@@ -294,13 +288,59 @@ func TestApplyUpdatesBoundingPathDistances(t *testing.T) {
 	}
 }
 
+// An edge named more than once in one batch takes its last weight, and each
+// of its deltas is taken from the weight the previous update left, so every
+// bounding path crossing it ends at the sum of its edges' final weights.
+func TestApplyUpdatesRepeatedEdgeLastWriteWins(t *testing.T) {
+	g, p, x := buildPaperIndex(t, 2)
+	var crossed []graph.EdgeID
+	for e := graph.EdgeID(0); int(e) < g.NumEdges() && len(crossed) < 2; e++ {
+		l := p.Locate(e)
+		if len(x.SubgraphIndex(l.Subgraph).PathsThroughEdge(l.LocalEdge)) > 0 {
+			crossed = append(crossed, e)
+		}
+	}
+	if len(crossed) < 2 {
+		t.Fatal("fewer than two edges covered by bounding paths")
+	}
+	a, b := crossed[0], crossed[1]
+	wa, wb := g.Weight(a), g.Weight(b)
+	batch := []graph.WeightUpdate{
+		{Edge: a, NewWeight: wa + 4},    // a: up,
+		{Edge: b, NewWeight: wb * 0.5},  // b: down,
+		{Edge: a, NewWeight: wa * 0.25}, // a: down, last
+		{Edge: b, NewWeight: wb + 7},    // b: up,
+		{Edge: b, NewWeight: wb + 2},    // b: down, last
+	}
+	if _, err := x.ApplyUpdates(batch); err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []graph.WeightUpdate{{Edge: a, NewWeight: wa * 0.25}, {Edge: b, NewWeight: wb + 2}} {
+		l := p.Locate(want.Edge)
+		sub := p.Subgraph(l.Subgraph).Local
+		if g.Weight(want.Edge) != want.NewWeight || sub.Weight(l.LocalEdge) != want.NewWeight {
+			t.Errorf("edge %d: master weight %g, subgraph weight %g, want the last write %g",
+				want.Edge, g.Weight(want.Edge), sub.Weight(l.LocalEdge), want.NewWeight)
+		}
+		for _, bp := range x.SubgraphIndex(l.Subgraph).PathsThroughEdge(l.LocalEdge) {
+			sum := 0.0
+			for _, e := range bp.Edges {
+				sum += sub.Weight(e)
+			}
+			if math.Abs(bp.Dist-sum) > 1e-12*sum {
+				t.Errorf("edge %d: bounding path %d Dist %g, its edges sum to %g", want.Edge, bp.ID, bp.Dist, sum)
+			}
+		}
+	}
+}
+
 func TestApplyUpdatesUnknownEdge(t *testing.T) {
 	g, _, x := buildPaperIndex(t, 1)
 	bad := []graph.WeightUpdate{{Edge: graph.EdgeID(g.NumEdges() + 10), NewWeight: 1}}
-	if err := x.ApplyUpdates(bad); err == nil {
+	if _, err := x.ApplyUpdates(bad); err == nil {
 		t.Errorf("expected error for unknown edge")
 	}
-	if err := x.ApplyUpdates(nil); err != nil {
+	if _, err := x.ApplyUpdates(nil); err != nil {
 		t.Errorf("empty batch should be a no-op, got %v", err)
 	}
 }
@@ -395,10 +435,7 @@ func TestVfragBoundDistanceExample(t *testing.T) {
 	for _, ge := range si.Subgraph().GlobalEdges {
 		batch = append(batch, graph.WeightUpdate{Edge: ge, NewWeight: g.Weight(ge) / 3})
 	}
-	if err := g.ApplyUpdates(batch); err != nil {
-		t.Fatal(err)
-	}
-	if err := x.ApplyUpdates(batch); err != nil {
+	if _, err := x.ApplyUpdates(batch); err != nil {
 		t.Fatal(err)
 	}
 	for _, bp := range si.BoundingPaths(la, lb) {
@@ -485,8 +522,8 @@ func TestPropertyMaintenanceSoundness(t *testing.T) {
 			return false
 		}
 		for round := 0; round < 3; round++ {
-			batch := testutil.PerturbWeights(t, g, rng, 0.5, 0.6, 0.05)
-			if err := x.ApplyUpdates(batch); err != nil {
+			batch := testutil.PerturbWeights(g, rng, 0.5, 0.6, 0.05)
+			if _, err := x.ApplyUpdates(batch); err != nil {
 				return false
 			}
 		}

@@ -194,7 +194,7 @@ func (r *refIndex) apply(t *testing.T, batch []graph.WeightUpdate) (want, got Up
 			}
 		}
 	}
-	got, err := r.x.ApplyUpdatesStats(batch)
+	got, err := r.x.ApplyUpdates(batch)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -379,7 +379,7 @@ func TestFlatMaintenanceMatchesPerPathRecompute(t *testing.T) {
 							if g.Directed() {
 								up.InsertEdges = append(up.InsertEdges, graph.Edge{U: 7, V: n, Weight: 3})
 							}
-							if _, err := x.ApplyTopologyStats(up); err != nil {
+							if _, err := x.ApplyTopology(up); err != nil {
 								t.Fatal(err)
 							}
 							refs[0].resync()

@@ -25,29 +25,6 @@ type TopologyStats struct {
 	SubgraphsTotal int
 }
 
-// ApplyTopology ingests a batch of topology mutations: it derives a new
-// parent graph and partition (copy-on-write; see graph.Graph.ApplyTopology
-// and partition.Partition.ApplyTopology), re-enumerates bounding paths and
-// EP-Index entries only for the subgraphs the batch touched, rebuilds the
-// skeleton graph, and publishes the result as a normal epoch so the
-// snapshot-isolated read path observes it exactly like a weight batch.
-// Queries running against earlier epochs keep the old generation alive and
-// are completely unaffected.
-//
-// ApplyTopology shares the single-writer lock with ApplyUpdates, so topology
-// and weight batches serialize against each other in arrival order.
-func (x *Index) ApplyTopology(up graph.TopologyUpdate) error {
-	_, err := x.ApplyTopologyStats(up)
-	return err
-}
-
-// ApplyTopologyEpoch is ApplyTopology returning the epoch published for the
-// batch (or the current epoch for an empty batch).
-func (x *Index) ApplyTopologyEpoch(up graph.TopologyUpdate) (uint64, error) {
-	st, err := x.ApplyTopologyStats(up)
-	return st.Epoch, err
-}
-
 // CheckTopology returns the error ApplyTopology would fail up with, without
 // applying anything: it derives the new graph and partition copy-on-write
 // and discards them.  Callers that log a batch before applying it (serve's
@@ -65,11 +42,22 @@ func (x *Index) CheckTopology(up graph.TopologyUpdate) error {
 	return err
 }
 
-// ApplyTopologyStats is ApplyTopology returning per-batch maintenance
-// statistics.  Touched-subgraph rebuilds are sharded across up to
-// GOMAXPROCS goroutines; each rebuild is independent of the others, so
-// the sharding changes wall-clock time, never results.
-func (x *Index) ApplyTopologyStats(up graph.TopologyUpdate) (TopologyStats, error) {
+// ApplyTopology ingests a batch of topology mutations: it derives a new
+// parent graph and partition (copy-on-write; see graph.Graph.ApplyTopology
+// and partition.Partition.ApplyTopology), re-enumerates bounding paths and
+// EP-Index entries only for the subgraphs the batch touched, rebuilds the
+// skeleton graph, and publishes the result as a normal epoch so the
+// snapshot-isolated read path observes it exactly like a weight batch.  It
+// returns the published epoch (the current epoch for an empty batch) and the
+// maintenance work performed.  Queries running against earlier epochs keep
+// the old generation alive and are completely unaffected.
+//
+// ApplyTopology shares the single-writer lock with ApplyUpdates, so topology
+// and weight batches serialize against each other in arrival order.
+// Touched-subgraph rebuilds are sharded across up to GOMAXPROCS goroutines;
+// each rebuild is independent of the others, so the sharding changes
+// wall-clock time, never results.
+func (x *Index) ApplyTopology(up graph.TopologyUpdate) (TopologyStats, error) {
 	if up.IsZero() {
 		return TopologyStats{Epoch: x.CurrentView().Epoch()}, nil
 	}

@@ -13,7 +13,7 @@ func TestApplyTopologyInsertDelete(t *testing.T) {
 	_, p, x := buildPaperIndex(t, 2)
 	v0 := x.CurrentView()
 
-	st, err := x.ApplyTopologyStats(graph.TopologyUpdate{
+	st, err := x.ApplyTopology(graph.TopologyUpdate{
 		InsertEdges: []graph.Edge{{U: 0, V: 9, Weight: 2.5}},
 		DeleteEdges: []graph.EdgeID{0},
 	})
@@ -59,7 +59,7 @@ func TestApplyTopologyInsertDelete(t *testing.T) {
 	}
 
 	// Weight updates on the deleted edge must now be rejected.
-	if err := x.ApplyUpdates([]graph.WeightUpdate{{Edge: 0, NewWeight: 9}}); err == nil {
+	if _, err := x.ApplyUpdates([]graph.WeightUpdate{{Edge: 0, NewWeight: 9}}); err == nil {
 		t.Errorf("weight update on deleted edge accepted")
 	}
 }
@@ -67,7 +67,7 @@ func TestApplyTopologyInsertDelete(t *testing.T) {
 func TestApplyTopologyIncrementalRebuild(t *testing.T) {
 	_, p, x := buildPaperIndex(t, 2)
 	before := SubgraphBuildCount()
-	st, err := x.ApplyTopologyStats(graph.TopologyUpdate{DeleteEdges: []graph.EdgeID{1}})
+	st, err := x.ApplyTopology(graph.TopologyUpdate{DeleteEdges: []graph.EdgeID{1}})
 	if err != nil {
 		t.Fatalf("ApplyTopology: %v", err)
 	}
@@ -84,9 +84,9 @@ func TestApplyTopologyIncrementalRebuild(t *testing.T) {
 func TestApplyTopologyEmptyBatch(t *testing.T) {
 	_, _, x := buildPaperIndex(t, 2)
 	e0 := x.CurrentView().Epoch()
-	epoch, err := x.ApplyTopologyEpoch(graph.TopologyUpdate{})
-	if err != nil || epoch != e0 {
-		t.Errorf("empty batch: epoch %d err %v, want %d nil", epoch, err, e0)
+	st, err := x.ApplyTopology(graph.TopologyUpdate{})
+	if err != nil || st.Epoch != e0 {
+		t.Errorf("empty batch: epoch %d err %v, want %d nil", st.Epoch, err, e0)
 	}
 }
 
@@ -103,7 +103,7 @@ func TestApplyTopologyDeleteLastEdgeOfVertex(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Vertex 0's only edge is edge 0 (0-1).
-	if _, err := x.ApplyTopologyStats(graph.TopologyUpdate{DeleteEdges: []graph.EdgeID{0}}); err != nil {
+	if _, err := x.ApplyTopology(graph.TopologyUpdate{DeleteEdges: []graph.EdgeID{0}}); err != nil {
 		t.Fatalf("ApplyTopology: %v", err)
 	}
 	np := x.Partition()
@@ -114,7 +114,7 @@ func TestApplyTopologyDeleteLastEdgeOfVertex(t *testing.T) {
 		t.Errorf("vertex 0 still has arcs")
 	}
 	// Deleting the edge again must fail (already dead).
-	if err := x.ApplyTopology(graph.TopologyUpdate{DeleteEdges: []graph.EdgeID{0}}); err == nil {
+	if _, err := x.ApplyTopology(graph.TopologyUpdate{DeleteEdges: []graph.EdgeID{0}}); err == nil {
 		t.Errorf("double delete accepted")
 	}
 	checkLowerBounds(t, np, x)
@@ -129,7 +129,7 @@ func TestApplyTopologyDeleteBoundaryVertex(t *testing.T) {
 		t.Fatal("paper partition has no boundary vertices")
 	}
 	bv := bvs[0]
-	if _, err := x.ApplyTopologyStats(graph.TopologyUpdate{DeleteVertices: []graph.VertexID{bv}}); err != nil {
+	if _, err := x.ApplyTopology(graph.TopologyUpdate{DeleteVertices: []graph.VertexID{bv}}); err != nil {
 		t.Fatalf("ApplyTopology: %v", err)
 	}
 	np := x.Partition()
@@ -171,7 +171,7 @@ func TestApplyTopologyInsertIntoEmptySubgraph(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Empty out subgraph 0 (vertices 0 and 1).
-	if _, err := x.ApplyTopologyStats(graph.TopologyUpdate{DeleteVertices: []graph.VertexID{0, 1}}); err != nil {
+	if _, err := x.ApplyTopology(graph.TopologyUpdate{DeleteVertices: []graph.VertexID{0, 1}}); err != nil {
 		t.Fatalf("delete: %v", err)
 	}
 	if n := x.Partition().Subgraph(0).NumVertices(); n != 0 {
@@ -179,7 +179,7 @@ func TestApplyTopologyInsertIntoEmptySubgraph(t *testing.T) {
 	}
 	// Insert an edge between two new vertices: must land in subgraph 0.
 	nv := graph.VertexID(g.NumVertices())
-	st, err := x.ApplyTopologyStats(graph.TopologyUpdate{
+	st, err := x.ApplyTopology(graph.TopologyUpdate{
 		AddVertices: 2,
 		InsertEdges: []graph.Edge{{U: nv, V: nv + 1, Weight: 1}},
 	})
@@ -216,7 +216,7 @@ func TestApplyTopologyInsertOpensNewSubgraph(t *testing.T) {
 	}
 	before := p.NumSubgraphs()
 	// 0 and 3 live in different full (z=2) subgraphs with no room.
-	st, err := x.ApplyTopologyStats(graph.TopologyUpdate{
+	st, err := x.ApplyTopology(graph.TopologyUpdate{
 		InsertEdges: []graph.Edge{{U: 0, V: 3, Weight: 5}},
 	})
 	if err != nil {
@@ -253,7 +253,7 @@ func TestApplyTopologyConcurrentWithWeights(t *testing.T) {
 		for i := 0; i < topoBatches; i++ {
 			// Insert parallel-free fresh vertices so batches never conflict.
 			nv := graph.VertexID(g.NumVertices() + 2*i)
-			if err := x.ApplyTopology(graph.TopologyUpdate{
+			if _, err := x.ApplyTopology(graph.TopologyUpdate{
 				AddVertices: 2,
 				InsertEdges: []graph.Edge{{U: u, V: nv, Weight: 3}, {U: nv, V: nv + 1, Weight: 4}},
 			}); err != nil {
@@ -265,7 +265,7 @@ func TestApplyTopologyConcurrentWithWeights(t *testing.T) {
 		defer wg.Done()
 		for i := 0; i < weightBatches; i++ {
 			// Edge 2 of the paper graph is never deleted here.
-			if err := x.ApplyUpdates([]graph.WeightUpdate{{Edge: 2, NewWeight: float64(i + 1)}}); err != nil {
+			if _, err := x.ApplyUpdates([]graph.WeightUpdate{{Edge: 2, NewWeight: float64(i + 1)}}); err != nil {
 				errs <- err
 			}
 		}

@@ -25,7 +25,7 @@ func TestApplyUpdatesStatsTouchedCount(t *testing.T) {
 	if want <= 0 {
 		t.Fatalf("PathsCrossing = %d, want > 0", want)
 	}
-	st, err := x.ApplyUpdatesStats(batch)
+	st, err := x.ApplyUpdates(batch)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,7 +80,7 @@ func TestApplyUpdatesShardedMatchesSerial(t *testing.T) {
 		}
 		rng := rand.New(rand.NewSource(99))
 		for round := 0; round < 4; round++ {
-			st, err := x.ApplyUpdatesStats(testutil.PerturbWeights(t, g, rng, 0.4, 0.6, 0.05))
+			st, err := x.ApplyUpdates(testutil.PerturbWeights(g, rng, 0.4, 0.6, 0.05))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -88,7 +88,7 @@ func TestApplyUpdatesShardedMatchesSerial(t *testing.T) {
 			record()
 		}
 		n := graph.VertexID(g.NumVertices())
-		out.topo, err = x.ApplyTopologyStats(graph.TopologyUpdate{
+		out.topo, err = x.ApplyTopology(graph.TopologyUpdate{
 			AddVertices: 1,
 			InsertEdges: []graph.Edge{{U: 5, V: 90, Weight: 2.5}, {U: 33, V: 110, Weight: 1.5}, {U: n, V: 7, Weight: 3}},
 			DeleteEdges: []graph.EdgeID{3, 77, 140},

@@ -27,10 +27,10 @@
 // breakdown to the JSON response.
 //
 // Status codes: 400 malformed/out-of-range input, 404 unknown route, 409 a
-// topology delete referenced an already-deleted edge, 410 a pinned epoch aged
-// out of the retention window, 429 rate limited (with Retry-After), 503
-// admission queue full, 504 deadline expired (shed while queued, or
-// mid-execution).
+// topology delete or weight update referenced a deleted edge, 410 a pinned
+// epoch aged out of the retention window, 429 rate limited (with
+// Retry-After), 503 admission queue full, 504 deadline expired (shed while
+// queued, or mid-execution).
 package gateway
 
 import (
@@ -42,7 +42,6 @@ import (
 	"net/http"
 	"net/http/pprof"
 	"strconv"
-	"strings"
 	"time"
 
 	"kspdg/internal/cluster"
@@ -367,6 +366,14 @@ type queryRequest struct {
 	Epoch  *uint64 `json:"epoch,omitempty"`
 }
 
+// request is the serve request for q, streaming through yield when it is set.
+func (q queryRequest) request(yield func(graph.Path) error) serve.Request {
+	return serve.Request{
+		Src: graph.VertexID(q.Source), Dst: graph.VertexID(q.Target), K: q.K,
+		Epoch: q.Epoch, Yield: yield,
+	}
+}
+
 type queryResponse struct {
 	Paths     []pathJSON `json:"paths"`
 	Epoch     uint64     `json:"epoch"`
@@ -416,6 +423,17 @@ func writeError(w http.ResponseWriter, code int, msg string) {
 	writeJSON(w, code, errorResponse{Error: msg})
 }
 
+// writeApplyError maps a refused write onto its HTTP status: a batch naming
+// an edge a topology batch already deleted is a state conflict, not
+// malformed input (409); anything else is the server's failure.
+func writeApplyError(w http.ResponseWriter, err error) {
+	if errors.Is(err, graph.ErrEdgeDeleted) {
+		writeError(w, http.StatusConflict, err.Error())
+		return
+	}
+	writeError(w, http.StatusInternalServerError, err.Error())
+}
+
 // ---- route handlers ----
 
 // validateQuery bounds-checks the query against the graph so malformed input
@@ -459,13 +477,7 @@ func (g *Gateway) handleQuery(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	var res core.Result
-	var err error
-	if q.Epoch != nil {
-		res, err = g.srv.QueryAt(r.Context(), *q.Epoch, graph.VertexID(q.Source), graph.VertexID(q.Target), q.K)
-	} else {
-		res, err = g.srv.QueryCtx(r.Context(), graph.VertexID(q.Source), graph.VertexID(q.Target), q.K)
-	}
+	res, err := g.srv.Query(r.Context(), q.request(nil))
 	if err != nil {
 		g.finishQueryError(w, r, err)
 		return
@@ -551,7 +563,7 @@ func (g *Gateway) handleStream(w http.ResponseWriter, r *http.Request) {
 	enc := json.NewEncoder(w)
 	yield := func(p graph.Path) error {
 		// yield runs on the pool worker executing the query while this
-		// handler goroutine blocks in StreamQuery, so writes never race.
+		// handler goroutine blocks in Query, so writes never race.
 		if err := enc.Encode(pathLine{Path: toPathJSON(p)}); err != nil {
 			return fmt.Errorf("gateway: client write failed: %w", err)
 		}
@@ -561,12 +573,7 @@ func (g *Gateway) handleStream(w http.ResponseWriter, r *http.Request) {
 		g.streamed.Inc()
 		return nil
 	}
-	var res core.Result
-	if q.Epoch != nil {
-		res, err = g.srv.StreamQueryAt(r.Context(), *q.Epoch, graph.VertexID(q.Source), graph.VertexID(q.Target), q.K, yield)
-	} else {
-		res, err = g.srv.StreamQuery(r.Context(), graph.VertexID(q.Source), graph.VertexID(q.Target), q.K, yield)
-	}
+	res, err := g.srv.Query(r.Context(), q.request(yield))
 	if err != nil {
 		if errors.Is(err, context.Canceled) {
 			g.disconnects.Inc()
@@ -649,9 +656,9 @@ func (g *Gateway) handleUpdates(w http.ResponseWriter, r *http.Request) {
 	// The epoch comes from the apply itself: a concurrent writer may publish
 	// further epochs before this response is written, and a client pinning
 	// follow-up reads to the returned epoch must get its own batch's weights.
-	epoch, err := g.srv.ApplyUpdatesEpochCtx(r.Context(), batch)
+	epoch, err := g.srv.ApplyUpdates(r.Context(), batch)
 	if err != nil {
-		writeError(w, http.StatusInternalServerError, err.Error())
+		writeApplyError(w, err)
 		return
 	}
 	writeJSON(w, http.StatusOK, updatesResponse{
@@ -756,15 +763,10 @@ func (g *Gateway) handleTopology(w http.ResponseWriter, r *http.Request) {
 	vspan.Finish()
 	// The epoch, edge-id assignments and rebuild count come from the apply
 	// itself, so a client interleaved with concurrent writers attributes its
-	// own batch exactly (mirrors /v1/updates).  Deleting an already-dead edge
-	// is a state conflict, not malformed input, so it surfaces as 409.
-	st, err := g.srv.ApplyTopologyStatsCtx(r.Context(), up)
+	// own batch exactly (mirrors /v1/updates).
+	st, err := g.srv.ApplyTopology(r.Context(), up)
 	if err != nil {
-		if strings.Contains(err.Error(), "already deleted") {
-			writeError(w, http.StatusConflict, err.Error())
-			return
-		}
-		writeError(w, http.StatusInternalServerError, err.Error())
+		writeApplyError(w, err)
 		return
 	}
 	ins := st.InsertedEdges

@@ -129,7 +129,7 @@ func TestQueryEndToEnd(t *testing.T) {
 	if view == nil {
 		t.Fatalf("epoch %d not retained", qr.Epoch)
 	}
-	want, err := h.engine().QueryView(view, 3, 100, 3)
+	want, err := h.engine().QueryViewCtx(context.Background(), view, 3, 100, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,7 +197,7 @@ func TestEpochPinnedReads(t *testing.T) {
 		t.Fatalf("pinned response reports epoch %d, want %d", pinned.Epoch, before.Epoch)
 	}
 	view := h.index.ViewAt(before.Epoch)
-	want, err := h.engine().QueryView(view, 5, 90, 2)
+	want, err := h.engine().QueryViewCtx(context.Background(), view, 5, 90, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -256,7 +256,7 @@ func TestStreamMatchesEngine(t *testing.T) {
 	if view == nil {
 		t.Fatalf("epoch %d not retained", final.Epoch)
 	}
-	want, err := h.engine().QueryView(view, 7, 120, 3)
+	want, err := h.engine().QueryViewCtx(context.Background(), view, 7, 120, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -787,5 +787,29 @@ func TestTopologyBatchSizeLimit(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("oversized batch status %d (%s), want 400", resp.StatusCode, data)
+	}
+}
+
+// A weight update on an edge a topology batch deleted is a state conflict
+// like a second delete: 409, and no epoch is published.
+func TestWeightUpdateOnDeletedEdgeConflicts(t *testing.T) {
+	h := newHarness(t, Options{Rate: -1})
+	post := func(route, body string) (*http.Response, []byte) {
+		resp, err := http.Post(h.ts.URL+route, "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		data, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		return resp, data
+	}
+	if resp, data := post("/v1/topology", `{"delete_edges":[5]}`); resp.StatusCode != http.StatusOK {
+		t.Fatalf("delete status %d (%s), want 200", resp.StatusCode, data)
+	}
+	if resp, data := post("/v1/updates", `{"updates":[{"edge":5,"weight":4.5}]}`); resp.StatusCode != http.StatusConflict {
+		t.Fatalf("update on a deleted edge: status %d (%s), want 409", resp.StatusCode, data)
+	}
+	if epoch := h.srv.Stats().Epoch; epoch != 1 {
+		t.Fatalf("refused update moved the epoch to %d, want 1", epoch)
 	}
 }

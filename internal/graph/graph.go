@@ -18,6 +18,7 @@
 package graph
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 	"sync"
@@ -35,6 +36,11 @@ const NoVertex VertexID = -1
 
 // NoEdge is a sentinel EdgeID meaning "none".
 const NoEdge EdgeID = -1
+
+// ErrEdgeDeleted is wrapped by every error that refuses an edge because a
+// topology batch already deleted it: a second delete, or a weight update.
+// Serving layers map it to a state conflict (the gateway returns 409).
+var ErrEdgeDeleted = errors.New("edge already deleted")
 
 // Arc is one directed adjacency entry: travelling from the owning vertex to
 // To uses edge Edge.
@@ -242,7 +248,7 @@ func (g *Graph) UpdateWeight(e EdgeID, w float64) (float64, error) {
 		return 0, fmt.Errorf("graph: edge %d out of range [0,%d)", e, len(g.ends))
 	}
 	if !g.EdgeAlive(e) {
-		return 0, fmt.Errorf("graph: weight update on deleted edge %d", e)
+		return 0, fmt.Errorf("graph: weight update on edge %d: %w", e, ErrEdgeDeleted)
 	}
 	g.mu.Lock()
 	delta := w - g.weights[e]
@@ -263,7 +269,7 @@ func (g *Graph) ApplyUpdates(batch []WeightUpdate) error {
 			return fmt.Errorf("graph: edge %d out of range [0,%d)", u.Edge, len(g.ends))
 		}
 		if !g.EdgeAlive(u.Edge) {
-			return fmt.Errorf("graph: weight update on deleted edge %d", u.Edge)
+			return fmt.Errorf("graph: weight update on edge %d: %w", u.Edge, ErrEdgeDeleted)
 		}
 	}
 	g.mu.Lock()

@@ -75,7 +75,7 @@ func (g *Graph) ApplyTopology(up TopologyUpdate) (ng *Graph, inserted, deleted [
 			return nil, nil, nil, fmt.Errorf("graph: delete of edge %d outside [0,%d)", e, oldNumE)
 		}
 		if !g.EdgeAlive(e) {
-			return nil, nil, nil, fmt.Errorf("graph: edge %d already deleted", e)
+			return nil, nil, nil, fmt.Errorf("graph: delete of edge %d: %w", e, ErrEdgeDeleted)
 		}
 		if explicit[e] {
 			return nil, nil, nil, fmt.Errorf("graph: duplicate delete of edge %d", e)

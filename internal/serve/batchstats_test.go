@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"context"
 	"sync"
 	"testing"
 
@@ -40,7 +41,7 @@ func TestStatsExposeBatchCounters(t *testing.T) {
 		wg.Add(1)
 		go func(q workload.Query) {
 			defer wg.Done()
-			if _, err := s.Query(q.Source, q.Target, 2); err != nil {
+			if _, err := s.Query(context.Background(), Request{Src: q.Source, Dst: q.Target, K: 2}); err != nil {
 				t.Errorf("query: %v", err)
 			}
 		}(q)

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"context"
 	"sync"
 	"time"
 
@@ -49,6 +50,7 @@ func (r ScenarioReport) Errs() []error {
 // production deployment exercises: RunScenario returns only after every
 // query has completed and every batch has been applied.
 func (s *Server) RunScenario(sc workload.MixedScenario) (ScenarioReport, error) {
+	ctx := context.TODO()
 	start := time.Now()
 	report := ScenarioReport{Results: make([]ScenarioResult, sc.NumQueries())}
 	var wg sync.WaitGroup
@@ -61,13 +63,13 @@ func (s *Server) RunScenario(sc workload.MixedScenario) (ScenarioReport, error) 
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				res, err := s.Query(q.Source, q.Target, sc.K)
+				res, err := s.Query(ctx, Request{Src: q.Source, Dst: q.Target, K: sc.K})
 				report.Results[slot] = ScenarioResult{Query: q, Result: res, Err: err}
 			}()
 			continue
 		}
 		if len(ev.Updates) > 0 {
-			if err := s.ApplyUpdates(ev.Updates); err != nil {
+			if _, err := s.ApplyUpdates(ctx, ev.Updates); err != nil {
 				wg.Wait()
 				report.Elapsed = time.Since(start)
 				return report, err
@@ -79,7 +81,7 @@ func (s *Server) RunScenario(sc workload.MixedScenario) (ScenarioReport, error) 
 			// Topology batches apply inline like weight batches: in-flight
 			// queries keep their pinned pre-mutation epoch while the next
 			// epoch's structure changes underneath them.
-			if err := s.ApplyTopology(*ev.Topology); err != nil {
+			if _, err := s.ApplyTopology(ctx, *ev.Topology); err != nil {
 				wg.Wait()
 				report.Elapsed = time.Since(start)
 				return report, err

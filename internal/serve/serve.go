@@ -10,9 +10,9 @@
 //     while it runs.  Identical concurrent queries are coalesced, and results
 //     are cached per (source, target, k) until the epoch they were computed
 //     on is superseded.
-//   - Weight updates go through a single writer that logs each batch to the
-//     write-ahead log, applies it to the master graph and the index, which
-//     publishes the next epoch atomically, and then broadcasts it.
+//   - Weight and topology batches go through one writer that logs each batch
+//     to the write-ahead log, applies it to the index, which writes the master
+//     graph and publishes the next epoch atomically, and then broadcasts it.
 package serve
 
 import (
@@ -39,9 +39,9 @@ import (
 	"kspdg/internal/workload"
 )
 
-// ErrEpochEvicted is returned (wrapped) by QueryAt and StreamQueryAt when the
-// requested epoch has aged out of the index's view retention window.  Serving
-// layers map it to a distinct status (the gateway returns 410 Gone).
+// ErrEpochEvicted is returned (wrapped) by Query when a request's Epoch has
+// aged out of the index's view retention window.  Serving layers map it to a
+// distinct status (the gateway returns 410 Gone).
 var ErrEpochEvicted = errors.New("serve: epoch evicted from the retention window")
 
 // Persister receives durability callbacks from the server's writer path.
@@ -73,8 +73,8 @@ type Options struct {
 	CacheCapacity int
 	// Engine configures the underlying KSP-DG engines.
 	Engine core.Options
-	// Broadcast, when set, is invoked with each update batch after it has
-	// been applied to the master graph and index.  Deployments use it to
+	// Broadcast, when set, is invoked with each update batch after the index
+	// has applied it and published its epoch.  Deployments use it to
 	// forward the batch to standalone workers that maintain their own weight
 	// copies; its error fails the ApplyUpdates call that triggered it.
 	Broadcast func(batch []graph.WeightUpdate) error
@@ -84,8 +84,8 @@ type Options struct {
 	// routing) because an insert or delete can reshape routing anywhere; its
 	// error fails the ApplyTopology call that triggered it.
 	BroadcastTopology func(up graph.TopologyUpdate) error
-	// Store, when set, makes every batch durable before it is visible:
-	// ApplyUpdates appends the batch to the write-ahead log under the epoch
+	// Store, when set, makes every batch durable before it is visible: the
+	// writer appends the batch to the write-ahead log under the epoch
 	// it will publish before applying it, and a WAL append failure fails the
 	// call with nothing applied, published or broadcast.  After such a
 	// failure (or an apply that fails once its batch is logged) the writer
@@ -210,8 +210,8 @@ type Server struct {
 	cache    map[queryKey]cacheEntry
 	inflight map[queryKey]*call
 
-	// writeMu serializes the whole writer path (graph + index + WAL +
-	// broadcast) so WAL records land in exactly the epoch order the index
+	// writeMu serializes the whole writer path (index + WAL + broadcast) so
+	// WAL records land in exactly the epoch order the index
 	// published and periodic snapshots observe a quiescent writer.
 	writeMu       sync.Mutex
 	sinceSnapshot int
@@ -269,7 +269,7 @@ type call struct {
 	// reqSpan is the creating caller's request span (nil for untraced
 	// callers).  The computation's queue/execute spans — and everything the
 	// engine and transport hang beneath them — belong to the creator's
-	// trace; joiners only record an annotation naming it (see QueryCtx).
+	// trace; joiners only record an annotation naming it (see join).
 	reqSpan   *trace.Span
 	queueSpan *trace.Span
 
@@ -486,128 +486,110 @@ func (s *Server) storeCacheLocked(key queryKey, e cacheEntry) {
 	s.cache[key] = e
 }
 
-// Query answers q(s, t) with the given k through the scheduler: cached
-// results for the current epoch are returned immediately, identical in-flight
-// queries are joined, and everything else waits for a pool worker.  Query
-// blocks until the result is available and is safe for unbounded concurrent
-// use; admission beyond the queue depth blocks callers (backpressure) rather
-// than growing an unbounded backlog.
-func (s *Server) Query(src, dst graph.VertexID, k int) (core.Result, error) {
-	return s.QueryCtx(context.Background(), src, dst, k)
+// Request is one KSP query: q(Src, Dst) with K paths.
+type Request struct {
+	Src, Dst graph.VertexID
+	K        int
+	// Epoch, when set, pins the query to that retained index epoch: the
+	// whole search runs against the epoch's frozen weights however many
+	// batches have landed since.  An epoch outside the retention window fails
+	// the query with an error wrapping ErrEpochEvicted.  Nil means the newest
+	// epoch available.
+	Epoch *uint64
+	// Yield, when set, receives the result paths incrementally, as the search
+	// settles them (see core.Engine.StreamView), on the pool worker executing
+	// the query; an error from it aborts the computation.
+	Yield func(graph.Path) error
 }
 
-// QueryCtx is Query under a context: once ctx is done the caller returns
-// immediately with ctx's error, and — when it was the computation's last
-// remaining waiter — the computation itself is canceled mid-iteration, so a
-// hung-up client stops consuming worker capacity.  A coalesced computation
-// with other live waiters keeps running for them.
-func (s *Server) QueryCtx(ctx context.Context, src, dst graph.VertexID, k int) (core.Result, error) {
+// Query answers r through the scheduler and blocks until the result is
+// available; it is safe for unbounded concurrent use, and admission beyond
+// the queue depth blocks callers (backpressure) rather than growing an
+// unbounded backlog.
+//
+// A request with neither Epoch nor Yield is shared: a result cached for the
+// current epoch is returned immediately, an identical in-flight query is
+// joined, and the answer lands in the cache.  Any other request is private
+// (pin answers are immutable but rare; stream yields belong to one client)
+// and bypasses the cache and coalescing, but still runs on the pool.
+//
+// Once ctx is done the caller returns immediately with ctx's error, and —
+// when it was the computation's last remaining waiter — the computation
+// itself is canceled mid-iteration, so a hung-up client stops consuming
+// worker capacity.  A coalesced computation with other live waiters keeps
+// running for them.
+func (s *Server) Query(ctx context.Context, r Request) (core.Result, error) {
 	if err := ctx.Err(); err != nil {
 		return core.Result{}, err
 	}
-	key := queryKey{s: src, t: dst, k: k}
+	var view *dtlp.IndexView
+	if r.Epoch != nil {
+		if view = s.index.ViewAt(*r.Epoch); view == nil {
+			return core.Result{}, fmt.Errorf("%w: epoch %d (current %d)",
+				ErrEpochEvicted, *r.Epoch, s.index.CurrentView().Epoch())
+		}
+	}
+	key := queryKey{s: r.Src, t: r.Dst, k: r.K}
+	shared := r.Epoch == nil && r.Yield == nil
 
 	s.mu.Lock()
+	if s.closed {
+		s.mu.Unlock()
+		return core.Result{}, fmt.Errorf("serve: server is closed")
+	}
 	// The epoch is read under s.mu so the cache/in-flight decisions below
 	// are made against a single consistent notion of "current": reading it
 	// earlier could evict an entry that is in fact newer than our reading.
 	epoch := s.index.CurrentView().Epoch()
-	if s.closed {
-		s.mu.Unlock()
-		return core.Result{}, fmt.Errorf("serve: server is closed")
-	}
-	if e, ok := s.cache[key]; ok {
-		if e.epoch == epoch {
+	if shared {
+		if e, ok := s.cache[key]; ok {
+			if e.epoch == epoch {
+				s.mu.Unlock()
+				s.queries.Add(1)
+				s.hits.Add(1)
+				return e.res, nil
+			}
+			delete(s.cache, key) // stale epoch: lazy invalidation
+		}
+		if c, ok := s.inflight[key]; ok && c.epoch == epoch {
+			c.waiters.Add(1)
 			s.mu.Unlock()
-			s.queries.Add(1)
-			s.hits.Add(1)
-			return e.res, nil
-		}
-		delete(s.cache, key) // stale epoch: lazy invalidation
-	}
-	if c, ok := s.inflight[key]; ok && c.epoch == epoch {
-		// An identical query for the same epoch is already running (or
-		// queued); share its outcome instead of computing it twice.  A traced
-		// joiner records which trace owns the computation it attached to, so
-		// its own trace explains where the time went.
-		c.waiters.Add(1)
-		s.mu.Unlock()
-		var jspan *trace.Span
-		if js := trace.FromContext(ctx); js != nil {
-			jspan = js.Child("coalesced")
-			jspan.SetAttr("owner_trace", trace.IDString(c.reqSpan.Trace().ID()))
-		}
-		select {
-		case <-c.done:
-			jspan.Finish()
-			s.queries.Add(1)
-			s.coalesced.Add(1)
-			return c.res, c.err
-		case <-ctx.Done():
-			jspan.Finish()
-			s.abandon(c)
-			return core.Result{}, ctx.Err()
+			return s.join(ctx, c)
 		}
 	}
 	c := newCall(ctx, key)
-	c.epoch = epoch
-	c.shared = true
-	s.inflight[key] = c
+	c.view, c.yield = view, r.Yield
+	if shared {
+		c.epoch = epoch
+		c.shared = true
+		s.inflight[key] = c
+	}
 	s.senders.Add(1)
 	s.mu.Unlock()
 	return s.await(ctx, c)
 }
 
-// QueryAt answers the query pinned to a specific retained index epoch: the
-// whole search runs against that epoch's frozen weights regardless of how
-// many updates have landed since.  Pinned queries bypass the cache and
-// coalescing (the current-epoch bookkeeping does not apply) but still run on
-// the worker pool.  A request for an epoch outside the retention window
-// fails with an error wrapping ErrEpochEvicted.
-func (s *Server) QueryAt(ctx context.Context, epoch uint64, src, dst graph.VertexID, k int) (core.Result, error) {
-	view := s.index.ViewAt(epoch)
-	if view == nil {
-		return core.Result{}, fmt.Errorf("%w: epoch %d (current %d)",
-			ErrEpochEvicted, epoch, s.index.CurrentView().Epoch())
+// join waits, as one more waiter, for an identical query for the same epoch
+// that is already running (or queued), sharing its outcome instead of
+// computing it twice.  A traced joiner records which trace owns the
+// computation it attached to, so its own trace explains where the time went.
+func (s *Server) join(ctx context.Context, c *call) (core.Result, error) {
+	var jspan *trace.Span
+	if js := trace.FromContext(ctx); js != nil {
+		jspan = js.Child("coalesced")
+		jspan.SetAttr("owner_trace", trace.IDString(c.reqSpan.Trace().ID()))
 	}
-	return s.submit(ctx, queryKey{s: src, t: dst, k: k}, view, nil)
-}
-
-// StreamQuery answers the query against the newest epoch available at
-// execution, emitting settled result paths incrementally through yield (see
-// core.Engine.StreamView) from the pool worker executing the query.  The
-// caller blocks until the query completes; yield errors abort the
-// computation.  Streaming queries bypass the cache and coalescing.
-func (s *Server) StreamQuery(ctx context.Context, src, dst graph.VertexID, k int, yield func(graph.Path) error) (core.Result, error) {
-	return s.submit(ctx, queryKey{s: src, t: dst, k: k}, nil, yield)
-}
-
-// StreamQueryAt is StreamQuery pinned to a retained epoch.
-func (s *Server) StreamQueryAt(ctx context.Context, epoch uint64, src, dst graph.VertexID, k int, yield func(graph.Path) error) (core.Result, error) {
-	view := s.index.ViewAt(epoch)
-	if view == nil {
-		return core.Result{}, fmt.Errorf("%w: epoch %d (current %d)",
-			ErrEpochEvicted, epoch, s.index.CurrentView().Epoch())
+	select {
+	case <-c.done:
+		jspan.Finish()
+		s.queries.Add(1)
+		s.coalesced.Add(1)
+		return c.res, c.err
+	case <-ctx.Done():
+		jspan.Finish()
+		s.abandon(c)
+		return core.Result{}, ctx.Err()
 	}
-	return s.submit(ctx, queryKey{s: src, t: dst, k: k}, view, yield)
-}
-
-// submit schedules a private (uncached, uncoalesced) call on the pool.
-func (s *Server) submit(ctx context.Context, key queryKey, view *dtlp.IndexView, yield func(graph.Path) error) (core.Result, error) {
-	if err := ctx.Err(); err != nil {
-		return core.Result{}, err
-	}
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return core.Result{}, fmt.Errorf("serve: server is closed")
-	}
-	c := newCall(ctx, key)
-	c.view = view
-	c.yield = yield
-	s.senders.Add(1)
-	s.mu.Unlock()
-	return s.await(ctx, c)
 }
 
 // await enqueues the freshly created call and waits for its outcome as its
@@ -641,128 +623,54 @@ func (s *Server) await(ctx context.Context, c *call) (core.Result, error) {
 	}
 }
 
-// ApplyUpdates applies one batch of edge weight updates.  Batches from
-// concurrent callers are serialized, and each is durable before it is
-// visible: it is checked, appended to the write-ahead log (when a Store is
-// configured) under the epoch it is about to publish, applied to the master
-// copy of the road network and to the index, which publishes that epoch, and
-// only then broadcast to workers.  A batch the log refuses is neither
-// applied nor acknowledged.  Queries already in flight keep their epoch, and
-// every Options.SnapshotEvery batches a fresh snapshot is written (rotating
-// the WAL).
-func (s *Server) ApplyUpdates(batch []graph.WeightUpdate) error {
-	_, err := s.ApplyUpdatesEpoch(batch)
-	return err
-}
-
-// ApplyUpdatesEpoch is ApplyUpdates returning the epoch the batch published,
-// so callers answering on behalf of one specific client (the gateway's
-// /v1/updates) can attribute the batch to its exact epoch instead of
-// re-reading the current epoch after the fact — under concurrent writers
-// those are not the same thing.  An empty batch publishes nothing and
-// returns the current epoch.
-func (s *Server) ApplyUpdatesEpoch(batch []graph.WeightUpdate) (uint64, error) {
-	return s.ApplyUpdatesEpochCtx(context.Background(), batch)
-}
-
-// ApplyUpdatesEpochCtx is ApplyUpdatesEpoch under a context: a trace span
-// carried by ctx gains wal/rebuild/broadcast/snapshot child spans covering the
-// write path's phases.  The context is a trace carrier only — the write path
-// does not consume cancellation (a half-applied batch is worse than a late
-// one).
-func (s *Server) ApplyUpdatesEpochCtx(ctx context.Context, batch []graph.WeightUpdate) (uint64, error) {
+// ApplyUpdates applies one batch of edge weight updates and returns the epoch
+// it published, so a caller answering for one client (the gateway's
+// /v1/updates) attributes the batch to its own epoch even under concurrent
+// writers.  An edge named twice takes its last weight.  An empty batch
+// publishes nothing and returns the current epoch.  See write for the
+// sequence every batch goes through.
+func (s *Server) ApplyUpdates(ctx context.Context, batch []graph.WeightUpdate) (uint64, error) {
 	if len(batch) == 0 {
 		return s.index.CurrentView().Epoch(), nil
 	}
-	sp := trace.FromContext(ctx)
-	s.writeMu.Lock()
-	defer s.writeMu.Unlock()
-	if err := s.logInStepLocked(); err != nil {
-		return 0, err
-	}
-	// The check is the index's own, and it covers the master graph's too (the
-	// master graph is the index's parent), so the log never holds a batch
-	// the apply below would refuse.  writeMu makes serve the index's only
-	// writer, so the batch will publish the current epoch + 1.
-	if err := s.index.CheckUpdates(batch); err != nil {
-		return 0, err
-	}
-	epoch := s.index.CurrentView().Epoch() + 1
-	if s.opts.Store != nil {
-		ws := sp.Child("wal")
-		err := s.opts.Store.AppendBatch(epoch, batch)
-		ws.Finish()
-		if err != nil {
-			return 0, s.resyncLogLocked(fmt.Errorf("serve: logging update batch for epoch %d: %w", epoch, err))
-		}
-	}
-	rs := sp.Child("rebuild")
-	rs.SetAttrInt("updates", int64(len(batch)))
-	// The master graph is resolved through the index each time: topology
-	// batches replace it copy-on-write, so a pointer cached at construction
-	// would go stale after the first insert or delete.
-	err := s.index.Partition().Parent().ApplyUpdates(batch)
-	published := epoch
-	if err == nil {
-		published, err = s.index.ApplyUpdatesEpoch(batch)
-	}
-	rs.Finish()
-	if err != nil {
-		return 0, s.resyncLogLocked(fmt.Errorf("serve: applying update batch logged for epoch %d: %w", epoch, err))
-	}
-	if published != epoch {
-		return published, s.resyncLogLocked(fmt.Errorf("serve: update batch logged for epoch %d published epoch %d: the index has a writer besides serve", epoch, published))
-	}
-	if s.opts.Broadcast != nil {
-		bs := sp.Child("broadcast")
-		err := s.opts.Broadcast(batch)
-		bs.Finish()
-		if err != nil {
-			return epoch, fmt.Errorf("serve: broadcasting update batch: %w", err)
-		}
-	}
-	s.batches.Add(1)
-	s.updates.Add(int64(len(batch)))
-	ss := sp.Child("snapshot")
-	err = s.maybeSnapshotLocked(epoch)
-	ss.Finish()
-	return epoch, err
+	st, err := s.write(ctx, batch, nil)
+	return st.Epoch, err
 }
 
 // ApplyTopology applies one batch of topology mutations (edge/vertex inserts
 // and deletes): the index derives the new master graph and partition
 // copy-on-write, rebuilds only the touched subgraphs, and publishes the next
-// epoch exactly like a weight batch — and like a weight batch, it is checked
-// and logged before it is applied.  Topology and weight batches from
-// concurrent callers serialize on the same writer lock, so WAL records land
-// in epoch order regardless of kind.
-func (s *Server) ApplyTopology(up graph.TopologyUpdate) error {
-	_, err := s.ApplyTopologyEpoch(up)
-	return err
-}
-
-// ApplyTopologyEpoch is ApplyTopology returning the epoch the batch
-// published (the current epoch for an empty batch).
-func (s *Server) ApplyTopologyEpoch(up graph.TopologyUpdate) (uint64, error) {
-	st, err := s.ApplyTopologyStats(up)
-	return st.Epoch, err
-}
-
-// ApplyTopologyStats is ApplyTopology returning the batch's maintenance
+// epoch exactly like a weight batch.  It returns the batch's maintenance
 // statistics: the epoch it published, the global ids assigned to inserted
 // edges, the sorted ids of all deleted edges, and the number of subgraphs
-// rebuilt.  Callers answering on behalf of one specific client (the
-// gateway's /v1/topology) use it to attribute the batch exactly.
-func (s *Server) ApplyTopologyStats(up graph.TopologyUpdate) (dtlp.TopologyStats, error) {
-	return s.ApplyTopologyStatsCtx(context.Background(), up)
-}
-
-// ApplyTopologyStatsCtx is ApplyTopologyStats under a context; like
-// ApplyUpdatesEpochCtx, the context carries an optional trace span (which
-// gains wal/rebuild/broadcast/snapshot children) and nothing else.
-func (s *Server) ApplyTopologyStatsCtx(ctx context.Context, up graph.TopologyUpdate) (dtlp.TopologyStats, error) {
+// rebuilt.  An empty batch publishes nothing.  See write for the sequence
+// every batch goes through.
+func (s *Server) ApplyTopology(ctx context.Context, up graph.TopologyUpdate) (dtlp.TopologyStats, error) {
 	if up.IsZero() {
 		return dtlp.TopologyStats{Epoch: s.index.CurrentView().Epoch()}, nil
+	}
+	return s.write(ctx, nil, &up)
+}
+
+// write is the writer path shared by both kinds of batch: a weight batch
+// when up is nil, a topology batch otherwise.  Batches from concurrent
+// callers serialize on writeMu, so WAL records land in epoch order
+// regardless of kind, and each batch is durable before it is visible: it is
+// checked, appended to the write-ahead log (when a Store is configured)
+// under the epoch it is about to publish, applied to the index — which
+// writes the master graph too and publishes that epoch — and only then
+// broadcast to workers.  A batch the log refuses is neither applied nor
+// acknowledged.  Queries already in flight keep their epoch, and every
+// Options.SnapshotEvery batches a fresh snapshot is written (rotating the
+// WAL).  For a weight batch only the returned Epoch is set.
+//
+// ctx is a trace carrier only: a span it carries gains wal, rebuild,
+// broadcast and snapshot children.  The write path does not consume
+// cancellation (a half-applied batch is worse than a late one).
+func (s *Server) write(ctx context.Context, batch []graph.WeightUpdate, up *graph.TopologyUpdate) (dtlp.TopologyStats, error) {
+	kind := "update"
+	if up != nil {
+		kind = "topology"
 	}
 	sp := trace.FromContext(ctx)
 	s.writeMu.Lock()
@@ -770,46 +678,73 @@ func (s *Server) ApplyTopologyStatsCtx(ctx context.Context, up graph.TopologyUpd
 	if err := s.logInStepLocked(); err != nil {
 		return dtlp.TopologyStats{}, err
 	}
-	// Durable before visible, as for weight batches: check by deriving the
-	// new graph and partition once, log under the epoch the batch will
-	// publish, then apply.
-	if err := s.index.CheckTopology(up); err != nil {
+	// The check is the index's own, so the log never holds a batch the apply
+	// below would refuse.  writeMu makes serve the index's only writer, so
+	// the batch will publish the current epoch + 1.
+	var err error
+	if up != nil {
+		err = s.index.CheckTopology(*up)
+	} else {
+		err = s.index.CheckUpdates(batch)
+	}
+	if err != nil {
 		return dtlp.TopologyStats{}, err
 	}
 	epoch := s.index.CurrentView().Epoch() + 1
 	if s.opts.Store != nil {
 		ws := sp.Child("wal")
-		err := s.opts.Store.AppendTopology(epoch, up)
+		if up != nil {
+			err = s.opts.Store.AppendTopology(epoch, *up)
+		} else {
+			err = s.opts.Store.AppendBatch(epoch, batch)
+		}
 		ws.Finish()
 		if err != nil {
-			return dtlp.TopologyStats{}, s.resyncLogLocked(fmt.Errorf("serve: logging topology batch for epoch %d: %w", epoch, err))
+			return dtlp.TopologyStats{}, s.resyncLogLocked(fmt.Errorf("serve: logging %s batch for epoch %d: %w", kind, epoch, err))
 		}
 	}
 	rs := sp.Child("rebuild")
-	// Unlike the weight path, the index applies the mutation to the master
-	// graph itself (the new graph and partition are one atomic generation),
-	// so there is no separate parent.ApplyTopology step here.
-	st, err := s.index.ApplyTopologyStats(up)
-	rs.SetAttrInt("subgraphs_rebuilt", int64(st.SubgraphsRebuilt))
+	var st dtlp.TopologyStats
+	if up != nil {
+		st, err = s.index.ApplyTopology(*up)
+		rs.SetAttrInt("subgraphs_rebuilt", int64(st.SubgraphsRebuilt))
+	} else {
+		var us dtlp.UpdateStats
+		us, err = s.index.ApplyUpdates(batch)
+		st.Epoch = us.Epoch
+		rs.SetAttrInt("updates", int64(len(batch)))
+	}
 	rs.Finish()
 	if err != nil {
-		return st, s.resyncLogLocked(fmt.Errorf("serve: applying topology batch logged for epoch %d: %w", epoch, err))
+		return st, s.resyncLogLocked(fmt.Errorf("serve: applying %s batch logged for epoch %d: %w", kind, epoch, err))
 	}
 	if st.Epoch != epoch {
-		return st, s.resyncLogLocked(fmt.Errorf("serve: topology batch logged for epoch %d published epoch %d: the index has a writer besides serve", epoch, st.Epoch))
+		return st, s.resyncLogLocked(fmt.Errorf("serve: %s batch logged for epoch %d published epoch %d: the index has a writer besides serve", kind, epoch, st.Epoch))
 	}
-	if s.opts.BroadcastTopology != nil {
+	var broadcast func() error
+	switch {
+	case up != nil && s.opts.BroadcastTopology != nil:
+		broadcast = func() error { return s.opts.BroadcastTopology(*up) }
+	case up == nil && s.opts.Broadcast != nil:
+		broadcast = func() error { return s.opts.Broadcast(batch) }
+	}
+	if broadcast != nil {
 		bs := sp.Child("broadcast")
-		err := s.opts.BroadcastTopology(up)
+		err := broadcast()
 		bs.Finish()
 		if err != nil {
-			return st, fmt.Errorf("serve: broadcasting topology batch: %w", err)
+			return st, fmt.Errorf("serve: broadcasting %s batch: %w", kind, err)
 		}
 	}
-	s.topoBatches.Add(1)
-	s.subgraphsRebuilt.Add(int64(st.SubgraphsRebuilt))
+	if up != nil {
+		s.topoBatches.Add(1)
+		s.subgraphsRebuilt.Add(int64(st.SubgraphsRebuilt))
+	} else {
+		s.batches.Add(1)
+		s.updates.Add(int64(len(batch)))
+	}
 	ss := sp.Child("snapshot")
-	err = s.maybeSnapshotLocked(st.Epoch)
+	err = s.maybeSnapshotLocked(epoch)
 	ss.Finish()
 	return st, err
 }

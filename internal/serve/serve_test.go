@@ -43,11 +43,11 @@ func TestServerMatchesEngine(t *testing.T) {
 		s, t graph.VertexID
 		k    int
 	}{{testutil.V1, testutil.V19, 3}, {testutil.V2, testutil.V14, 2}, {testutil.V5, testutil.V17, 4}} {
-		got, err := s.Query(q.s, q.t, q.k)
+		got, err := s.Query(context.Background(), Request{Src: q.s, Dst: q.t, K: q.k})
 		if err != nil {
 			t.Fatalf("server query: %v", err)
 		}
-		want, err := engine.Query(q.s, q.t, q.k)
+		want, err := engine.QueryViewCtx(context.Background(), nil, q.s, q.t, q.k)
 		if err != nil {
 			t.Fatalf("engine query: %v", err)
 		}
@@ -67,11 +67,11 @@ func TestServerCacheInvalidatedByEpoch(t *testing.T) {
 	_, s := buildServer(t, g, 6, 2, Options{Workers: 2})
 	defer s.Close()
 
-	r1, err := s.Query(testutil.V1, testutil.V19, 2)
+	r1, err := s.Query(context.Background(), Request{Src: testutil.V1, Dst: testutil.V19, K: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := s.Query(testutil.V1, testutil.V19, 2)
+	r2, err := s.Query(context.Background(), Request{Src: testutil.V1, Dst: testutil.V19, K: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,10 +93,10 @@ func TestServerCacheInvalidatedByEpoch(t *testing.T) {
 		}
 		batch = append(batch, graph.WeightUpdate{Edge: e, NewWeight: g.Weight(e) * 10})
 	}
-	if err := s.ApplyUpdates(batch); err != nil {
+	if _, err := s.ApplyUpdates(context.Background(), batch); err != nil {
 		t.Fatal(err)
 	}
-	r3, err := s.Query(testutil.V1, testutil.V19, 2)
+	r3, err := s.Query(context.Background(), Request{Src: testutil.V1, Dst: testutil.V19, K: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,7 +149,7 @@ func TestServerCoalescesIdenticalQueries(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if _, err := s.Query(testutil.V1, testutil.V19, 3); err != nil {
+			if _, err := s.Query(context.Background(), Request{Src: testutil.V1, Dst: testutil.V19, K: 3}); err != nil {
 				t.Errorf("query: %v", err)
 			}
 		}()
@@ -203,7 +203,7 @@ func TestServerConcurrentQueriesSnapshotIsolated(t *testing.T) {
 					continue
 				}
 				k := 1 + qrng.Intn(4)
-				res, err := s.Query(src, dst, k)
+				res, err := s.Query(context.Background(), Request{Src: src, Dst: dst, K: k})
 				if err != nil {
 					t.Errorf("query(%d,%d,%d): %v", src, dst, k, err)
 					continue
@@ -229,7 +229,7 @@ func TestServerConcurrentQueriesSnapshotIsolated(t *testing.T) {
 					batch = append(batch, graph.WeightUpdate{Edge: graph.EdgeID(e), NewWeight: w})
 				}
 			}
-			if err := s.ApplyUpdates(batch); err != nil {
+			if _, err := s.ApplyUpdates(context.Background(), batch); err != nil {
 				t.Errorf("ApplyUpdates: %v", err)
 			}
 		}
@@ -303,7 +303,7 @@ func TestServerWithClusterProvider(t *testing.T) {
 	}
 	s := New(x, cl.Provider(), Options{Workers: 4})
 	defer s.Close()
-	res, err := s.Query(testutil.V1, testutil.V19, 3)
+	res, err := s.Query(context.Background(), Request{Src: testutil.V1, Dst: testutil.V19, K: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -348,12 +348,12 @@ func TestServerRunScenario(t *testing.T) {
 func TestServerCloseRejectsNewQueries(t *testing.T) {
 	g := testutil.PaperGraph(t)
 	_, s := buildServer(t, g, 6, 1, Options{Workers: 2})
-	if _, err := s.Query(testutil.V1, testutil.V9, 1); err != nil {
+	if _, err := s.Query(context.Background(), Request{Src: testutil.V1, Dst: testutil.V9, K: 1}); err != nil {
 		t.Fatal(err)
 	}
 	s.Close()
 	s.Close() // idempotent
-	if _, err := s.Query(testutil.V1, testutil.V9, 1); err == nil {
+	if _, err := s.Query(context.Background(), Request{Src: testutil.V1, Dst: testutil.V9, K: 1}); err == nil {
 		t.Fatal("query after Close should fail")
 	}
 }
@@ -387,17 +387,17 @@ func TestPanicFailsOneQueryNotTheServer(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := New(x, &panicOnceProvider{inner: core.NewLocalProvider(p, 0)}, Options{Workers: 1})
-	if _, err := s.Query(testutil.V1, testutil.V19, 2); err == nil || !strings.Contains(err.Error(), "provider blew up") {
+	if _, err := s.Query(context.Background(), Request{Src: testutil.V1, Dst: testutil.V19, K: 2}); err == nil || !strings.Contains(err.Error(), "provider blew up") {
 		t.Fatalf("panicking query returned %v, want the contained panic as an error", err)
 	}
 	if st := s.Stats(); st.Panics != 1 {
 		t.Errorf("Panics = %d, want 1", st.Panics)
 	}
-	got, err := s.Query(testutil.V1, testutil.V19, 2)
+	got, err := s.Query(context.Background(), Request{Src: testutil.V1, Dst: testutil.V19, K: 2})
 	if err != nil {
 		t.Fatalf("query after the panic: %v", err)
 	}
-	want, err := core.NewEngine(x, nil, core.Options{}).Query(testutil.V1, testutil.V19, 2)
+	want, err := core.NewEngine(x, nil, core.Options{}).QueryViewCtx(context.Background(), nil, testutil.V1, testutil.V19, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -460,7 +460,7 @@ func TestQueryCtxCancelStopsComputation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	errCh := make(chan error, 1)
 	go func() {
-		_, err := s.QueryCtx(ctx, 3, 12, 2)
+		_, err := s.Query(ctx, Request{Src: 3, Dst: 12, K: 2})
 		errCh <- err
 	}()
 	<-bp.entered // the query reached the refine step
@@ -471,7 +471,7 @@ func TestQueryCtxCancelStopsComputation(t *testing.T) {
 			t.Fatalf("canceled query returned %v, want context.Canceled", err)
 		}
 	case <-time.After(5 * time.Second):
-		t.Fatal("QueryCtx did not return after cancel")
+		t.Fatal("Query did not return after cancel")
 	}
 
 	// The engine abandons the computation once the refine unblocks.
@@ -512,7 +512,7 @@ func TestCoalescedCancelKeepsOtherWaiters(t *testing.T) {
 	}
 	first := make(chan outcome, 1)
 	go func() {
-		res, err := s.QueryCtx(context.Background(), 3, 12, 2)
+		res, err := s.Query(context.Background(), Request{Src: 3, Dst: 12, K: 2})
 		first <- outcome{res, err}
 	}()
 	<-bp.entered // the computation is running
@@ -521,7 +521,7 @@ func TestCoalescedCancelKeepsOtherWaiters(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	second := make(chan outcome, 1)
 	go func() {
-		res, err := s.QueryCtx(ctx, 3, 12, 2)
+		res, err := s.Query(ctx, Request{Src: 3, Dst: 12, K: 2})
 		second <- outcome{res, err}
 	}()
 	deadline := time.Now().Add(5 * time.Second)
@@ -564,7 +564,7 @@ func TestQueryAtPinnedEpoch(t *testing.T) {
 	_, s := buildServer(t, g, 6, 2, Options{Workers: 2})
 	defer s.Close()
 
-	res0, err := s.Query(testutil.V1, testutil.V19, 2)
+	res0, err := s.Query(context.Background(), Request{Src: testutil.V1, Dst: testutil.V19, K: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -572,12 +572,12 @@ func TestQueryAtPinnedEpoch(t *testing.T) {
 	tm := workload.NewTrafficModel(0.5, 0.5, 5)
 	for i := 0; i < 3; i++ {
 		batch := tm.Derive(g.NumEdges(), g.Directed(), g.Weight)
-		if err := s.ApplyUpdates(batch); err != nil {
+		if _, err := s.ApplyUpdates(context.Background(), batch); err != nil {
 			t.Fatal(err)
 		}
 	}
 
-	pinned, err := s.QueryAt(context.Background(), res0.Epoch, testutil.V1, testutil.V19, 2)
+	pinned, err := s.Query(context.Background(), Request{Src: testutil.V1, Dst: testutil.V19, K: 2, Epoch: &res0.Epoch})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -593,7 +593,8 @@ func TestQueryAtPinnedEpoch(t *testing.T) {
 		}
 	}
 
-	if _, err := s.QueryAt(context.Background(), 10_000, testutil.V1, testutil.V19, 2); !errors.Is(err, ErrEpochEvicted) {
+	evicted := uint64(10_000)
+	if _, err := s.Query(context.Background(), Request{Src: testutil.V1, Dst: testutil.V19, K: 2, Epoch: &evicted}); !errors.Is(err, ErrEpochEvicted) {
 		t.Fatalf("unretained epoch returned %v, want ErrEpochEvicted", err)
 	}
 }
@@ -612,10 +613,10 @@ func TestStreamQueryMatchesQuery(t *testing.T) {
 		{testutil.V5, testutil.V12, 4},
 	} {
 		var streamed []graph.Path
-		res, err := s.StreamQuery(context.Background(), q.s, q.t, q.k, func(p graph.Path) error {
+		res, err := s.Query(context.Background(), Request{Src: q.s, Dst: q.t, K: q.k, Yield: func(p graph.Path) error {
 			streamed = append(streamed, p)
 			return nil
-		})
+		}})
 		if err != nil {
 			t.Fatalf("stream query(%d,%d,%d): %v", q.s, q.t, q.k, err)
 		}
@@ -647,7 +648,7 @@ func TestNonConvergedCounter(t *testing.T) {
 	// NonConverged); exactly one of the two counters must record it.
 	_, s := buildServer(t, g, 6, 2, Options{Workers: 2, Engine: core.Options{MaxIterations: 1}})
 	defer s.Close()
-	res, err := s.Query(testutil.V1, testutil.V19, 3)
+	res, err := s.Query(context.Background(), Request{Src: testutil.V1, Dst: testutil.V19, K: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -699,14 +700,14 @@ func TestAbandonedEnqueueStillServesJoiners(t *testing.T) {
 	// A occupies the only worker (blocked in its refine step).
 	a := make(chan outcome, 1)
 	go func() {
-		res, err := s.Query(3, 12, 2)
+		res, err := s.Query(context.Background(), Request{Src: 3, Dst: 12, K: 2})
 		a <- outcome{res, err}
 	}()
 	<-bp.entered
 	// B fills the one-slot task buffer.
 	b := make(chan outcome, 1)
 	go func() {
-		res, err := s.Query(0, 15, 2)
+		res, err := s.Query(context.Background(), Request{Src: 0, Dst: 15, K: 2})
 		b <- outcome{res, err}
 	}()
 	deadline := time.Now().Add(5 * time.Second)
@@ -722,7 +723,7 @@ func TestAbandonedEnqueueStillServesJoiners(t *testing.T) {
 	defer cancelC()
 	c := make(chan outcome, 1)
 	go func() {
-		res, err := s.QueryCtx(ctxC, 1, 16, 2)
+		res, err := s.Query(ctxC, Request{Src: 1, Dst: 16, K: 2})
 		c <- outcome{res, err}
 	}()
 	key := queryKey{s: 1, t: 16, k: 2}
@@ -739,7 +740,7 @@ func TestAbandonedEnqueueStillServesJoiners(t *testing.T) {
 	// ...and D joins C's in-flight call with no deadline of its own.
 	d := make(chan outcome, 1)
 	go func() {
-		res, err := s.QueryCtx(context.Background(), 1, 16, 2)
+		res, err := s.Query(context.Background(), Request{Src: 1, Dst: 16, K: 2})
 		d <- outcome{res, err}
 	}()
 	for call3.waiters.Load() < 2 {

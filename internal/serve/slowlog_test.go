@@ -47,7 +47,7 @@ func TestSlowQueryLogCarriesTraceAndStages(t *testing.T) {
 	tracer := trace.New(trace.Options{Capacity: 8, SampleRate: 1})
 	tr, root := tracer.StartTrace("request")
 	ctx := trace.NewContext(context.Background(), root)
-	if _, err := s.QueryCtx(ctx, testutil.V1, testutil.V19, 3); err != nil {
+	if _, err := s.Query(ctx, Request{Src: testutil.V1, Dst: testutil.V19, K: 3}); err != nil {
 		t.Fatal(err)
 	}
 	root.Finish()
@@ -81,7 +81,7 @@ func TestSlowQueryLogSilentUnderThreshold(t *testing.T) {
 		Logger:  logx.New(&buf, logx.LevelInfo),
 	})
 	defer s.Close()
-	if _, err := s.Query(testutil.V1, testutil.V19, 2); err != nil {
+	if _, err := s.Query(context.Background(), Request{Src: testutil.V1, Dst: testutil.V19, K: 2}); err != nil {
 		t.Fatal(err)
 	}
 	if got := buf.String(); strings.Contains(got, "slow query") {

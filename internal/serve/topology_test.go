@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"context"
 	"errors"
 	"math"
 	"slices"
@@ -54,18 +55,18 @@ func TestServerApplyTopology(t *testing.T) {
 	_, s := buildServer(t, g, 6, 2, Options{Workers: 2})
 	defer s.Close()
 
-	pre, err := s.Query(testutil.V1, testutil.V19, 3)
+	pre, err := s.Query(context.Background(), Request{Src: testutil.V1, Dst: testutil.V19, K: 3})
 	if err != nil || len(pre.Paths) == 0 {
 		t.Fatalf("pre-topology query: %v (%d paths)", err, len(pre.Paths))
 	}
 
 	// Epoch 1: weight batch; epoch 2: topology batch.  Both kinds share the
 	// epoch counter, so the topology stats must report epoch 2.
-	if err := s.ApplyUpdates([]graph.WeightUpdate{{Edge: 0, NewWeight: 5}}); err != nil {
+	if _, err := s.ApplyUpdates(context.Background(), []graph.WeightUpdate{{Edge: 0, NewWeight: 5}}); err != nil {
 		t.Fatalf("weight batch: %v", err)
 	}
 	nv := graph.VertexID(g.NumVertices())
-	st, err := s.ApplyTopologyStats(graph.TopologyUpdate{
+	st, err := s.ApplyTopology(context.Background(), graph.TopologyUpdate{
 		AddVertices: 1,
 		InsertEdges: []graph.Edge{{U: testutil.V1, V: nv, Weight: 1}, {U: nv, V: testutil.V19, Weight: 1}},
 	})
@@ -81,7 +82,7 @@ func TestServerApplyTopology(t *testing.T) {
 
 	// The server must answer against the post-topology parent: the two unit
 	// edges through the fresh vertex form a strictly shorter v1->v19 path.
-	post, err := s.Query(testutil.V1, testutil.V19, 3)
+	post, err := s.Query(context.Background(), Request{Src: testutil.V1, Dst: testutil.V19, K: 3})
 	if err != nil || len(post.Paths) == 0 {
 		t.Fatalf("post-topology query: %v", err)
 	}
@@ -99,7 +100,7 @@ func TestServerApplyTopology(t *testing.T) {
 	}
 
 	// An empty batch is a no-op that publishes nothing.
-	st2, err := s.ApplyTopologyStats(graph.TopologyUpdate{})
+	st2, err := s.ApplyTopology(context.Background(), graph.TopologyUpdate{})
 	if err != nil {
 		t.Fatalf("empty batch: %v", err)
 	}
@@ -111,7 +112,7 @@ func TestServerApplyTopology(t *testing.T) {
 	}
 
 	// An invalid batch must not publish an epoch or bump counters.
-	if err := s.ApplyTopology(graph.TopologyUpdate{DeleteEdges: []graph.EdgeID{graph.EdgeID(g.NumEdges() + 10)}}); err == nil {
+	if _, err := s.ApplyTopology(context.Background(), graph.TopologyUpdate{DeleteEdges: []graph.EdgeID{graph.EdgeID(g.NumEdges() + 10)}}); err == nil {
 		t.Fatal("out-of-range delete must fail")
 	}
 	if got := s.Stats().Epoch; got != 2 {
@@ -133,14 +134,14 @@ func TestServerTopologyBroadcastAndWAL(t *testing.T) {
 	})
 	defer s.Close()
 
-	if err := s.ApplyUpdates([]graph.WeightUpdate{{Edge: 1, NewWeight: 4}}); err != nil {
+	if _, err := s.ApplyUpdates(context.Background(), []graph.WeightUpdate{{Edge: 1, NewWeight: 4}}); err != nil {
 		t.Fatal(err)
 	}
 	up := graph.TopologyUpdate{InsertEdges: []graph.Edge{{U: testutil.V2, V: testutil.V7, Weight: 3}}}
-	if err := s.ApplyTopology(up); err != nil {
+	if _, err := s.ApplyTopology(context.Background(), up); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.ApplyUpdates([]graph.WeightUpdate{{Edge: 2, NewWeight: 7}}); err != nil {
+	if _, err := s.ApplyUpdates(context.Background(), []graph.WeightUpdate{{Edge: 2, NewWeight: 7}}); err != nil {
 		t.Fatal(err)
 	}
 
@@ -159,7 +160,7 @@ func TestServerTopologyBroadcastAndWAL(t *testing.T) {
 
 	// A WAL append failure must surface to the caller.
 	p.failTopo = errors.New("disk full")
-	err := s.ApplyTopology(graph.TopologyUpdate{DeleteEdges: []graph.EdgeID{0}})
+	_, err := s.ApplyTopology(context.Background(), graph.TopologyUpdate{DeleteEdges: []graph.EdgeID{0}})
 	if err == nil || !strings.Contains(err.Error(), "disk full") {
 		t.Fatalf("WAL failure not surfaced: %v", err)
 	}
@@ -194,11 +195,11 @@ func TestWALFailureLeavesBatchInvisible(t *testing.T) {
 		{{Edge: edge, NewWeight: -1}},
 		{{Edge: edge, NewWeight: math.NaN()}},
 	} {
-		if err := s.ApplyUpdates(bad); err == nil {
+		if _, err := s.ApplyUpdates(context.Background(), bad); err == nil {
 			t.Errorf("batch %v accepted", bad)
 		}
 	}
-	if err := s.ApplyTopology(graph.TopologyUpdate{DeleteEdges: []graph.EdgeID{graph.EdgeID(g.NumEdges())}}); err == nil {
+	if _, err := s.ApplyTopology(context.Background(), graph.TopologyUpdate{DeleteEdges: []graph.EdgeID{graph.EdgeID(g.NumEdges())}}); err == nil {
 		t.Error("out-of-range delete accepted")
 	}
 	if len(p.kinds) != 0 {
@@ -207,10 +208,10 @@ func TestWALFailureLeavesBatchInvisible(t *testing.T) {
 
 	p.failBatch = errors.New("disk full")
 	p.failTopo = errors.New("disk full")
-	if _, err := s.ApplyUpdatesEpoch(batch); err == nil || !strings.Contains(err.Error(), "disk full") {
+	if _, err := s.ApplyUpdates(context.Background(), batch); err == nil || !strings.Contains(err.Error(), "disk full") {
 		t.Fatalf("weight batch: WAL failure not surfaced: %v", err)
 	}
-	if _, err := s.ApplyTopologyStats(topo); err == nil || !strings.Contains(err.Error(), "disk full") {
+	if _, err := s.ApplyTopology(context.Background(), topo); err == nil || !strings.Contains(err.Error(), "disk full") {
 		t.Fatalf("topology batch: WAL failure not surfaced: %v", err)
 	}
 	if x.CurrentView() != view {
@@ -240,28 +241,28 @@ func TestWALFailureLeavesBatchInvisible(t *testing.T) {
 	// come back after a restart, and every later write is refused before it
 	// reaches the log.
 	p.failSnap = errors.New("snapshot dir gone")
-	if err := s.ApplyUpdates(batch); err == nil || !strings.Contains(err.Error(), "disk full") || !strings.Contains(err.Error(), "snapshot dir gone") {
+	if _, err := s.ApplyUpdates(context.Background(), batch); err == nil || !strings.Contains(err.Error(), "disk full") || !strings.Contains(err.Error(), "snapshot dir gone") {
 		t.Fatalf("failed resync not surfaced: %v", err)
 	}
 	p.failBatch, p.failTopo = nil, nil
-	if err := s.ApplyUpdates(batch); err == nil || !strings.Contains(err.Error(), "snapshot dir gone") {
+	if _, err := s.ApplyUpdates(context.Background(), batch); err == nil || !strings.Contains(err.Error(), "snapshot dir gone") {
 		t.Fatalf("write with the log out of step: %v", err)
 	}
-	if err := s.ApplyTopology(topo); err == nil || !strings.Contains(err.Error(), "snapshot dir gone") {
+	if _, err := s.ApplyTopology(context.Background(), topo); err == nil || !strings.Contains(err.Error(), "snapshot dir gone") {
 		t.Fatalf("topology write with the log out of step: %v", err)
 	}
 	if len(p.kinds) != 0 || x.CurrentView() != view || broadcasts != 0 {
 		t.Fatalf("writes went through with the log out of step: WAL %v, epoch %d, %d broadcasts", p.kinds, x.CurrentView().Epoch(), broadcasts)
 	}
 	p.failSnap = nil
-	epoch, err := s.ApplyUpdatesEpoch(batch)
+	epoch, err := s.ApplyUpdates(context.Background(), batch)
 	if err != nil || epoch != view.Epoch()+1 {
 		t.Fatalf("next weight batch: epoch %d err %v, want %d", epoch, err, view.Epoch()+1)
 	}
 	if got := localWeight(); got != w0+4 {
 		t.Errorf("index weight = %g, want %g", got, w0+4)
 	}
-	st, err := s.ApplyTopologyStats(topo)
+	st, err := s.ApplyTopology(context.Background(), topo)
 	if err != nil || st.Epoch != epoch+1 {
 		t.Fatalf("next topology batch: epoch %d err %v, want %d", st.Epoch, err, epoch+1)
 	}

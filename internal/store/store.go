@@ -241,7 +241,7 @@ func (s *Store) compactLocked(keepEpoch uint64) {
 }
 
 // AppendBatch logs one weight-update batch under the epoch it publishes
-// (dtlp.Index.ApplyUpdatesEpoch).  The first append after Open
+// (dtlp.Index.ApplyUpdates).  The first append after Open
 // attaches to the newest existing WAL segment (truncating any torn tail) or
 // creates one starting at epoch-1.  Epochs must be appended in increasing
 // order.
@@ -255,7 +255,7 @@ func (s *Store) AppendBatch(epoch uint64, batch []graph.WeightUpdate) error {
 }
 
 // AppendTopology logs one topology batch under the epoch it publishes
-// (dtlp.Index.ApplyTopologyEpoch).  Topology records interleave with weight
+// (dtlp.Index.ApplyTopology).  Topology records interleave with weight
 // records in the same WAL, in epoch order; replay re-derives the same edge
 // ids and partition routing deterministically, so a recovered process is
 // bit-identical to the crashed one.
@@ -433,60 +433,66 @@ func recoverState(dir string, topologyOnly bool) (*Recovered, error) {
 			if r.Epoch != rec.Epoch+1 {
 				return nil, fmt.Errorf("store: WAL gap: have epoch %d, next record is epoch %d", rec.Epoch, r.Epoch)
 			}
-			if r.Topo != nil {
-				// Topology record: the mutation is copy-on-write, so the
-				// recovered graph and partition pointers advance with it.
-				if topologyOnly {
-					ng, inserted, deleted, err := rec.Graph.ApplyTopology(*r.Topo)
-					if err != nil {
-						return nil, fmt.Errorf("store: replaying topology epoch %d: %w", r.Epoch, err)
-					}
-					np, _, err := rec.Partition.ApplyTopology(ng, *r.Topo, inserted, deleted)
-					if err != nil {
-						return nil, fmt.Errorf("store: replaying topology epoch %d: %w", r.Epoch, err)
-					}
-					rec.Graph, rec.Partition = ng, np
-				} else {
-					epoch, err := rec.Index.ApplyTopologyEpoch(*r.Topo)
-					if err != nil {
-						return nil, fmt.Errorf("store: replaying topology epoch %d: %w", r.Epoch, err)
-					}
-					if epoch != r.Epoch {
-						return nil, fmt.Errorf("store: replay produced epoch %d for WAL record %d", epoch, r.Epoch)
-					}
-					rec.Partition = rec.Index.Partition()
-					rec.Graph = rec.Partition.Parent()
-				}
-				rec.Epoch = r.Epoch
-				rec.ReplayedBatches++
-				continue
-			}
 			for _, u := range r.Batch {
 				if math.IsNaN(u.NewWeight) || math.IsInf(u.NewWeight, 0) {
 					return nil, fmt.Errorf("store: WAL record for epoch %d sets edge %d to weight %g, which the index refuses; the data directory needs a cold start", r.Epoch, u.Edge, u.NewWeight)
 				}
 			}
-			if err := rec.Graph.ApplyUpdates(r.Batch); err != nil {
-				return nil, fmt.Errorf("store: replaying epoch %d: %w", r.Epoch, err)
-			}
+			replay := rec.replay
 			if topologyOnly {
-				if _, err := rec.Partition.ApplyUpdates(r.Batch); err != nil {
-					return nil, fmt.Errorf("store: replaying epoch %d: %w", r.Epoch, err)
-				}
-			} else {
-				epoch, err := rec.Index.ApplyUpdatesEpoch(r.Batch)
-				if err != nil {
-					return nil, fmt.Errorf("store: replaying epoch %d: %w", r.Epoch, err)
-				}
-				if epoch != r.Epoch {
-					return nil, fmt.Errorf("store: replay produced epoch %d for WAL record %d", epoch, r.Epoch)
-				}
+				replay = rec.replayTopologyOnly
+			}
+			if err := replay(r); err != nil {
+				return nil, fmt.Errorf("store: replaying epoch %d: %w", r.Epoch, err)
 			}
 			rec.Epoch = r.Epoch
 			rec.ReplayedBatches++
 		}
 	}
 	return rec, nil
+}
+
+// replay applies one WAL record of either kind to the recovered index, which
+// writes the graph and, for a topology record, derives the new graph and
+// partition copy-on-write; the record must publish exactly its epoch.
+func (rec *Recovered) replay(r walRecord) error {
+	var err error
+	if r.Topo != nil {
+		_, err = rec.Index.ApplyTopology(*r.Topo)
+	} else {
+		_, err = rec.Index.ApplyUpdates(r.Batch)
+	}
+	if err != nil {
+		return err
+	}
+	if epoch := rec.Index.CurrentView().Epoch(); epoch != r.Epoch {
+		return fmt.Errorf("replay produced epoch %d for WAL record %d", epoch, r.Epoch)
+	}
+	rec.Partition = rec.Index.Partition()
+	rec.Graph = rec.Partition.Parent()
+	return nil
+}
+
+// replayTopologyOnly applies one WAL record to the recovered graph and
+// partition, for a recovery that assembles no index.
+func (rec *Recovered) replayTopologyOnly(r walRecord) error {
+	if r.Topo == nil {
+		if err := rec.Graph.ApplyUpdates(r.Batch); err != nil {
+			return err
+		}
+		_, err := rec.Partition.ApplyUpdates(r.Batch)
+		return err
+	}
+	ng, inserted, deleted, err := rec.Graph.ApplyTopology(*r.Topo)
+	if err != nil {
+		return err
+	}
+	np, _, err := rec.Partition.ApplyTopology(ng, *r.Topo, inserted, deleted)
+	if err != nil {
+		return err
+	}
+	rec.Graph, rec.Partition = ng, np
+	return nil
 }
 
 // loadSnapshotFile decodes one snapshot file.

@@ -1,6 +1,7 @@
 package store
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"os"
@@ -127,11 +128,11 @@ func requireIdenticalAnswers(tb testing.TB, want, got *dtlp.Index, n int, seed i
 		if s == t {
 			continue
 		}
-		wres, err := we.Query(s, t, k)
+		wres, err := we.QueryViewCtx(context.Background(), nil, s, t, k)
 		if err != nil {
 			tb.Fatalf("reference query(%d,%d): %v", s, t, err)
 		}
-		gres, err := ge.Query(s, t, k)
+		gres, err := ge.QueryViewCtx(context.Background(), nil, s, t, k)
 		if err != nil {
 			tb.Fatalf("recovered query(%d,%d): %v", s, t, err)
 		}
@@ -225,10 +226,10 @@ func TestRecoverEquivalence(t *testing.T) {
 		if len(ev.Updates) == 0 {
 			continue
 		}
-		if err := srvA.ApplyUpdates(ev.Updates); err != nil {
+		if _, err := srvA.ApplyUpdates(context.Background(), ev.Updates); err != nil {
 			t.Fatalf("reference ApplyUpdates: %v", err)
 		}
-		if err := srvB.ApplyUpdates(ev.Updates); err != nil {
+		if _, err := srvB.ApplyUpdates(context.Background(), ev.Updates); err != nil {
 			t.Fatalf("stored ApplyUpdates: %v", err)
 		}
 		applied++
@@ -274,10 +275,10 @@ func TestRecoverEquivalence(t *testing.T) {
 		if len(ev.Updates) == 0 {
 			continue
 		}
-		if err := srvA.ApplyUpdates(ev.Updates); err != nil {
+		if _, err := srvA.ApplyUpdates(context.Background(), ev.Updates); err != nil {
 			t.Fatal(err)
 		}
-		if err := srvC.ApplyUpdates(ev.Updates); err != nil {
+		if _, err := srvC.ApplyUpdates(context.Background(), ev.Updates); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -307,7 +308,7 @@ func TestRecoverTopology(t *testing.T) {
 	sc := workload.GenerateMixed(g, 0, 3, 2, 0.4, 0.5, seed)
 	for _, ev := range sc.Events {
 		if len(ev.Updates) > 0 {
-			if err := srv.ApplyUpdates(ev.Updates); err != nil {
+			if _, err := srv.ApplyUpdates(context.Background(), ev.Updates); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -356,7 +357,7 @@ func TestWALTornTail(t *testing.T) {
 	sc := workload.GenerateMixed(g, 0, 3, 2, 0.4, 0.5, seed)
 	for _, ev := range sc.Events {
 		if len(ev.Updates) > 0 {
-			if err := srv.ApplyUpdates(ev.Updates); err != nil {
+			if _, err := srv.ApplyUpdates(context.Background(), ev.Updates); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -416,7 +417,7 @@ func TestCompaction(t *testing.T) {
 	sc := workload.GenerateMixed(g, 0, 4, 2, 0.4, 0.5, seed)
 	for _, ev := range sc.Events {
 		if len(ev.Updates) > 0 {
-			if err := srv.ApplyUpdates(ev.Updates); err != nil {
+			if _, err := srv.ApplyUpdates(context.Background(), ev.Updates); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -496,7 +497,7 @@ func TestReusedDataDirColdStart(t *testing.T) {
 	sc := workload.GenerateMixed(g1, 0, 3, 2, 0.4, 0.5, 51)
 	for _, ev := range sc.Events {
 		if len(ev.Updates) > 0 {
-			if err := srv1.ApplyUpdates(ev.Updates); err != nil {
+			if _, err := srv1.ApplyUpdates(context.Background(), ev.Updates); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -524,7 +525,7 @@ func TestReusedDataDirColdStart(t *testing.T) {
 	sc2 := workload.GenerateMixed(g2, 0, 2, 2, 0.4, 0.5, 52)
 	for _, ev := range sc2.Events {
 		if len(ev.Updates) > 0 {
-			if err := srv2.ApplyUpdates(ev.Updates); err != nil {
+			if _, err := srv2.ApplyUpdates(context.Background(), ev.Updates); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -612,7 +613,7 @@ func TestAppendEpochGapRefused(t *testing.T) {
 	}
 	// A snapshot at the index's current epoch resynchronises: the rotated
 	// segment accepts the epoch after the snapshot's.
-	if _, err := x.ApplyUpdatesEpoch([]graph.WeightUpdate{{Edge: 0, NewWeight: 5}}); err != nil {
+	if _, err := x.ApplyUpdates([]graph.WeightUpdate{{Edge: 0, NewWeight: 5}}); err != nil {
 		t.Fatal(err)
 	}
 	epoch, err := st.SaveSnapshot(x)
@@ -661,19 +662,19 @@ func TestRecoverMixedKinds(t *testing.T) {
 
 	weights := func(ups ...graph.WeightUpdate) {
 		t.Helper()
-		if err := srvA.ApplyUpdates(ups); err != nil {
+		if _, err := srvA.ApplyUpdates(context.Background(), ups); err != nil {
 			t.Fatalf("reference ApplyUpdates: %v", err)
 		}
-		if err := srvB.ApplyUpdates(ups); err != nil {
+		if _, err := srvB.ApplyUpdates(context.Background(), ups); err != nil {
 			t.Fatalf("stored ApplyUpdates: %v", err)
 		}
 	}
 	topology := func(up graph.TopologyUpdate) {
 		t.Helper()
-		if err := srvA.ApplyTopology(up); err != nil {
+		if _, err := srvA.ApplyTopology(context.Background(), up); err != nil {
 			t.Fatalf("reference ApplyTopology: %v", err)
 		}
-		if err := srvB.ApplyTopology(up); err != nil {
+		if _, err := srvB.ApplyTopology(context.Background(), up); err != nil {
 			t.Fatalf("stored ApplyTopology: %v", err)
 		}
 	}
@@ -729,10 +730,10 @@ func TestRecoverMixedKinds(t *testing.T) {
 	srvC := serve.New(rec.Index, nil, serve.Options{Workers: 1, Store: st2})
 	defer srvC.Close()
 	more := graph.TopologyUpdate{InsertEdges: []graph.Edge{{U: 2, V: 9, Weight: 3.25}}}
-	if err := srvA.ApplyTopology(more); err != nil {
+	if _, err := srvA.ApplyTopology(context.Background(), more); err != nil {
 		t.Fatal(err)
 	}
-	if err := srvC.ApplyTopology(more); err != nil {
+	if _, err := srvC.ApplyTopology(context.Background(), more); err != nil {
 		t.Fatal(err)
 	}
 	if got := rec.Index.CurrentView().Epoch(); got != 6 {

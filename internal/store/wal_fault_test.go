@@ -1,6 +1,7 @@
 package store
 
 import (
+	"context"
 	"errors"
 	"math"
 	"strings"
@@ -87,20 +88,37 @@ func TestAppendFsyncFailureLeavesNothingLogged(t *testing.T) {
 }
 
 // A batch whose append fails is never replayed, whatever the failed append
-// left in the segment: serve resynchronises the log with a snapshot, the
-// next batch logs under the refused one's epoch, and recovery reproduces a
-// reference that never saw the refused batch, bit for bit.
+// left in the segment and whatever its kind: serve resynchronises the log
+// with a snapshot, the next batch logs under the refused one's epoch, and
+// recovery reproduces a reference that never saw the refused batch, bit for
+// bit — including a logged batch that names one edge twice.
 func TestServeRefusedBatchNeverRecovered(t *testing.T) {
 	const seed, n, z, xi = 83, 30, 7, 2
+	type write func(*serve.Server) error
+	weights := func(batch ...graph.WeightUpdate) write {
+		return func(s *serve.Server) error {
+			_, err := s.ApplyUpdates(context.Background(), batch)
+			return err
+		}
+	}
+	deleteEdge := func(e graph.EdgeID) write {
+		return func(s *serve.Server) error {
+			_, err := s.ApplyTopology(context.Background(), graph.TopologyUpdate{DeleteEdges: []graph.EdgeID{e}})
+			return err
+		}
+	}
 	for _, c := range []struct {
 		name              string
 		goodFirst         bool // log one batch before the failing append
 		rollbackFails     bool
 		wantSnapshotEpoch uint64
+		refused, next     write
 	}{
-		{"fsync fails", true, false, 1},
-		{"fsync and rollback fail", true, true, 1},
-		{"fsync and rollback fail on the segment's first record", false, true, 0},
+		{"fsync fails", true, false, 1, weights(graph.WeightUpdate{Edge: 1, NewWeight: 9.5}), weights(graph.WeightUpdate{Edge: 2, NewWeight: 3.75})},
+		{"fsync and rollback fail", true, true, 1, weights(graph.WeightUpdate{Edge: 1, NewWeight: 9.5}), weights(graph.WeightUpdate{Edge: 2, NewWeight: 3.75})},
+		{"fsync and rollback fail on the segment's first record", false, true, 0, weights(graph.WeightUpdate{Edge: 1, NewWeight: 9.5}), weights(graph.WeightUpdate{Edge: 2, NewWeight: 3.75})},
+		{"topology: fsync fails", true, false, 1, deleteEdge(1), deleteEdge(2)},
+		{"topology: fsync and rollback fail", true, true, 1, deleteEdge(1), deleteEdge(2)},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			_, xA := buildIndex(t, seed, n, z, xi)
@@ -116,21 +134,23 @@ func TestServeRefusedBatchNeverRecovered(t *testing.T) {
 			ref := serve.New(xA, nil, serve.Options{Workers: 1})
 			defer ref.Close()
 			srv := serve.New(xB, nil, serve.Options{Workers: 1, Store: st})
-			apply := func(batch ...graph.WeightUpdate) {
+			apply := func(w write) {
 				t.Helper()
-				if err := ref.ApplyUpdates(batch); err != nil {
+				if err := w(ref); err != nil {
 					t.Fatal(err)
 				}
-				if err := srv.ApplyUpdates(batch); err != nil {
+				if err := w(srv); err != nil {
 					t.Fatal(err)
 				}
 			}
 			if c.goodFirst {
-				apply(graph.WeightUpdate{Edge: 0, NewWeight: 7.25})
+				// Edge 0 twice: the WAL holds the repeat, and replay must land
+				// where the last write did.
+				apply(weights(graph.WeightUpdate{Edge: 0, NewWeight: 7.25}, graph.WeightUpdate{Edge: 3, NewWeight: 2}, graph.WeightUpdate{Edge: 0, NewWeight: 1.5}))
 			}
 			before := xB.CurrentView()
 			st.wal.f = &faultyFile{walFile: st.wal.f, failSync: true, failTruncate: c.rollbackFails}
-			if _, err := srv.ApplyUpdatesEpoch([]graph.WeightUpdate{{Edge: 1, NewWeight: 9.5}}); !errors.Is(err, errInjected) {
+			if err := c.refused(srv); !errors.Is(err, errInjected) {
 				t.Fatalf("failed append not surfaced: %v", err)
 			}
 			if xB.CurrentView() != before {
@@ -143,7 +163,7 @@ func TestServeRefusedBatchNeverRecovered(t *testing.T) {
 			if len(snaps) != 1 || snaps[0] != c.wantSnapshotEpoch || len(wals) != 1 || wals[0] != c.wantSnapshotEpoch {
 				t.Fatalf("after the refused batch: snapshots %v, segments %v; want one resync generation at epoch %d", snaps, wals, c.wantSnapshotEpoch)
 			}
-			apply(graph.WeightUpdate{Edge: 2, NewWeight: 3.75})
+			apply(c.next)
 			if got, want := xB.CurrentView().Epoch(), before.Epoch()+1; got != want {
 				t.Fatalf("next batch published epoch %d, want the refused one's %d", got, want)
 			}
@@ -160,6 +180,9 @@ func TestServeRefusedBatchNeverRecovered(t *testing.T) {
 				t.Fatalf("Recover: %v", err)
 			}
 			requireIdenticalIndexes(t, xA, rec.Index)
+			if got, want := rec.Graph.NumLiveEdges(), xA.Partition().Parent().NumLiveEdges(); got != want {
+				t.Fatalf("recovered graph has %d live edges, the reference %d", got, want)
+			}
 		})
 	}
 }

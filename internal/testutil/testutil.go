@@ -174,11 +174,11 @@ func sortPaths(ps []graph.Path) {
 	}
 }
 
-// PerturbWeights changes the weight of a fraction alpha of edges by a factor
-// uniform in [-tau, +tau], never letting a weight drop below minWeight.  It
-// returns the applied updates.  The mutation is applied to g.
-func PerturbWeights(tb testing.TB, g *graph.Graph, rng *rand.Rand, alpha, tau, minWeight float64) []graph.WeightUpdate {
-	tb.Helper()
+// PerturbWeights derives a batch that changes the weight of a fraction alpha
+// of g's live edges by a factor uniform in [-tau, +tau], never letting a
+// weight drop below minWeight.  It applies nothing: an index over g writes
+// the batch to g when it applies it (dtlp.Index.ApplyUpdates).
+func PerturbWeights(g *graph.Graph, rng *rand.Rand, alpha, tau, minWeight float64) []graph.WeightUpdate {
 	var batch []graph.WeightUpdate
 	for e := graph.EdgeID(0); int(e) < g.NumEdges(); e++ {
 		if rng.Float64() >= alpha {
@@ -193,11 +193,6 @@ func PerturbWeights(tb testing.TB, g *graph.Graph, rng *rand.Rand, alpha, tau, m
 			w = minWeight
 		}
 		batch = append(batch, graph.WeightUpdate{Edge: e, NewWeight: w})
-	}
-	if len(batch) > 0 {
-		if err := g.ApplyUpdates(batch); err != nil {
-			tb.Fatalf("testutil: perturbing weights: %v", err)
-		}
 	}
 	return batch
 }

@@ -316,9 +316,9 @@ func NewTrafficModel(alpha, tau float64, seed int64) *TrafficModel {
 }
 
 // Derive produces one snapshot's worth of weight updates, reading the
-// current weights through weightOf without applying anything.  It is the
-// single implementation of the traffic model, shared by Step (live graphs)
-// and GenerateMixed (scenario generation over an overlay).
+// current weights through weightOf without applying anything: index
+// maintenance (dtlp.Index.ApplyUpdates) writes the batch to the graph it
+// was derived from.  GenerateMixed derives over an overlay instead.
 func (tm *TrafficModel) Derive(numEdges int, directed bool, weightOf func(graph.EdgeID) float64) []graph.WeightUpdate {
 	minW := tm.MinWeight
 	if minW <= 0 {
@@ -344,19 +344,6 @@ func (tm *TrafficModel) Derive(numEdges int, directed bool, weightOf func(graph.
 		}
 	}
 	return batch
-}
-
-// Step produces (and applies to g) one snapshot worth of weight updates and
-// returns the batch so callers can feed it to index maintenance.
-func (tm *TrafficModel) Step(g *graph.Graph) ([]graph.WeightUpdate, error) {
-	batch := tm.Derive(g.NumEdges(), g.Directed(), g.Weight)
-	if len(batch) == 0 {
-		return nil, nil
-	}
-	if err := g.ApplyUpdates(batch); err != nil {
-		return nil, err
-	}
-	return batch, nil
 }
 
 // Query is one KSP query of a workload batch.
