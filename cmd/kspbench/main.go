@@ -89,20 +89,12 @@ func run() int {
 	}
 
 	suite := bench.DefaultSuite()
-	switch *scale {
-	case "tiny":
-		suite.Scale = workload.ScaleTiny
-		suite.Nq = 60
-	case "small":
-		suite.Scale = workload.ScaleSmall
-		suite.Nq = 150
-	case "medium":
-		suite.Scale = workload.ScaleMedium
-		suite.Nq = 300
-	default:
-		fmt.Fprintf(os.Stderr, "kspbench: unknown scale %q (want tiny, small, or medium)\n", *scale)
+	var err error
+	if suite.Scale, err = workload.ParseScale(*scale); err != nil {
+		fmt.Fprintf(os.Stderr, "kspbench: %v\n", err)
 		return 2
 	}
+	suite.Nq = map[workload.Scale]int{workload.ScaleTiny: 60, workload.ScaleSmall: 150, workload.ScaleMedium: 300}[suite.Scale]
 	if *nq > 0 {
 		suite.Nq = *nq
 	}

@@ -17,10 +17,9 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"time"
 
-	"kspdg/internal/dtlp"
-	"kspdg/internal/partition"
+	"kspdg/internal/deploy"
+	"kspdg/internal/logx"
 	"kspdg/internal/store"
 	"kspdg/internal/workload"
 )
@@ -44,15 +43,8 @@ func main() {
 	var err error
 	if *dataset != "" {
 		var sc workload.Scale
-		switch *scale {
-		case "tiny":
-			sc = workload.ScaleTiny
-		case "small":
-			sc = workload.ScaleSmall
-		case "medium":
-			sc = workload.ScaleMedium
-		default:
-			fmt.Fprintf(os.Stderr, "kspgen: unknown scale %q\n", *scale)
+		if sc, err = workload.ParseScale(*scale); err != nil {
+			fmt.Fprintf(os.Stderr, "kspgen: %v\n", err)
 			os.Exit(2)
 		}
 		ds, err = workload.BuiltinDataset(*dataset, sc)
@@ -86,26 +78,12 @@ func main() {
 	}
 
 	if *snapDir != "" {
-		if *z <= 0 {
-			*z = ds.DefaultZ
-		}
-		start := time.Now()
-		part, err := partition.PartitionGraph(ds.Graph, *z)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "kspgen: %v\n", err)
-			os.Exit(1)
-		}
-		index, err := dtlp.Build(part, dtlp.Config{Xi: *xi})
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "kspgen: %v\n", err)
-			os.Exit(1)
-		}
 		st, err := store.Open(*snapDir, store.Options{})
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "kspgen: %v\n", err)
 			os.Exit(1)
 		}
-		epoch, err := st.SaveSnapshot(index)
+		index, err := deploy.ColdIndex(ds, *z, *xi, st, logx.New(os.Stderr, logx.LevelInfo))
 		if err == nil {
 			err = st.Close()
 		}
@@ -114,7 +92,7 @@ func main() {
 			os.Exit(1)
 		}
 		stats := index.Stats()
-		fmt.Fprintf(os.Stderr, "kspgen: snapshot of %s at epoch %d in %s (%d subgraphs, %d bounding paths, built in %v)\n",
-			ds.Name, epoch, *snapDir, stats.NumSubgraphs, stats.NumBoundingPaths, time.Since(start).Round(time.Millisecond))
+		fmt.Fprintf(os.Stderr, "kspgen: snapshot of %s in %s (%d subgraphs, %d bounding paths)\n",
+			ds.Name, *snapDir, stats.NumSubgraphs, stats.NumBoundingPaths)
 	}
 }

@@ -134,8 +134,8 @@ func (r *PartialKSPResponse) DecodePaths() [][]graph.Path {
 	return out
 }
 
-// WeightUpdateRequest delivers edge weight updates to the worker owning the
-// affected subgraphs.  Edge ids are global; the worker translates them.
+// WeightUpdateRequest delivers a whole weight batch to a worker; masters send
+// it to every worker.  Edge ids are global; the worker translates them.
 type WeightUpdateRequest struct {
 	Updates []graph.WeightUpdate
 }
@@ -150,11 +150,9 @@ type WeightUpdateResponse struct {
 }
 
 // TopologyUpdateRequest delivers a batch of topology mutations (edge and
-// vertex inserts and deletes) to a worker.  Unlike weight updates, which are
-// routed only to the workers owning the affected subgraphs, topology batches
-// are broadcast to every worker: a batch can reshape the partition (move
-// boundary status, open subgraphs), and every worker must route future pairs
-// against the same structure.
+// vertex inserts and deletes) to every worker: a batch can reshape the
+// partition (move boundary status, open subgraphs), and every worker must
+// route future pairs against the same structure.
 type TopologyUpdateRequest struct {
 	Update graph.TopologyUpdate
 	// NumWorkers and Factor let a standalone worker derive ownership of the

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"maps"
 	"runtime"
 	"sort"
 	"strconv"
@@ -240,20 +241,32 @@ func (w *Worker) HandleWeightUpdate(req WeightUpdateRequest) WeightUpdateRespons
 // HandleTopologyUpdate ingests a topology batch.  Workers that share the
 // master's index only count it: the index applies the batch once and the
 // in-process cluster installs the derived partition via SetPartition.
-// Standalone workers (see EnableLocalApply)
-// derive the new graph and partition themselves, copy-on-write, and extend
-// their ownership to any subgraphs the batch opened using the deterministic
-// round-robin rule carried by the request: new subgraph s is hosted by
-// workers (s+r) mod NumWorkers for replica ranks r < Factor.  Every process
-// computes the same rule from the same batch, so the fleet's ownership stays
-// consistent without coordination.
+// Standalone workers (see EnableLocalApply) derive the new graph and
+// partition themselves, copy-on-write, and extend their ownership to any
+// subgraphs the batch opened using the deterministic round-robin rule carried
+// by the request: new subgraph s is hosted by workers (s+r) mod NumWorkers for
+// replica ranks r < Factor.  Every process computes the same rule from the
+// same batch, so the fleet's ownership stays consistent without coordination.
 func (w *Worker) HandleTopologyUpdate(req TopologyUpdateRequest) TopologyUpdateResponse {
 	w.topologyBatches.Add(1)
 	if !w.applyLocal {
 		return TopologyUpdateResponse{}
 	}
 	st := w.state.Load()
-	newParent, inserted, deleted, err := st.part.Parent().ApplyTopology(req.Update)
+	// Weight batches reach only the subgraphs' local graphs here, but the
+	// subgraphs this batch rebuilds take their weights from the parent: bring
+	// the parent up to date first, or they would revert to stale weights.
+	parent := st.part.Parent()
+	var current []graph.WeightUpdate
+	for _, sg := range st.part.Subgraphs {
+		for le, ge := range sg.GlobalEdges {
+			current = append(current, graph.WeightUpdate{Edge: ge, NewWeight: sg.Local.Weight(graph.EdgeID(le))})
+		}
+	}
+	if err := parent.ApplyUpdates(current); err != nil {
+		return TopologyUpdateResponse{Err: err.Error()}
+	}
+	newParent, inserted, deleted, err := parent.ApplyTopology(req.Update)
 	if err != nil {
 		return TopologyUpdateResponse{Err: err.Error()}
 	}
@@ -261,18 +274,9 @@ func (w *Worker) HandleTopologyUpdate(req TopologyUpdateRequest) TopologyUpdateR
 	if err != nil {
 		return TopologyUpdateResponse{Err: err.Error()}
 	}
-	owned := make(map[partition.SubgraphID]bool, len(st.owned))
-	for id := range st.owned {
-		owned[id] = true
-	}
+	owned := maps.Clone(st.owned)
 	if req.NumWorkers > 0 {
-		factor := req.Factor
-		if factor < 1 {
-			factor = 1
-		}
-		if factor > req.NumWorkers {
-			factor = req.NumWorkers
-		}
+		factor := min(max(req.Factor, 1), req.NumWorkers)
 		for sg := st.part.NumSubgraphs(); sg < newPart.NumSubgraphs(); sg++ {
 			for r := 0; r < factor; r++ {
 				if (sg+r)%req.NumWorkers == w.id {

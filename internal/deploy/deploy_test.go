@@ -1,26 +1,101 @@
-package gateway
+package deploy
 
 import (
 	"encoding/json"
 	"fmt"
 	"net/http"
-	"net/http/httptest"
 	"strings"
 	"testing"
 
 	"kspdg/internal/cluster"
-	"kspdg/internal/dtlp"
-	"kspdg/internal/partition"
-	"kspdg/internal/serve"
 	"kspdg/internal/trace"
-	"kspdg/internal/workload"
 )
 
-// tracesResponse mirrors handleTraces's JSON envelope.
+// startWorkers starts n standalone workers on loopback ports over NY tiny at
+// the given replication factor and returns their servers and the -connect
+// list naming them.
+func startWorkers(t *testing.T, n, replicas int) ([]*cluster.Server, string) {
+	t.Helper()
+	servers := make([]*cluster.Server, n)
+	list := make([]string, n)
+	for w := range servers {
+		srv, err := StartWorker(WorkerConfig{
+			Dataset: "NY", Scale: "tiny", WorkerID: w, NumWorkers: n, Replicas: replicas, Listen: "127.0.0.1:0",
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		servers[w], list[w] = srv, srv.Addr()
+	}
+	return servers, strings.Join(list, ",")
+}
+
+// TestStartRejectsInvalidConfig pins every config rule Start and StartWorker
+// enforce before they open anything.
+func TestStartRejectsInvalidConfig(t *testing.T) {
+	master := []struct {
+		name string
+		cfg  Config
+		want string
+	}{
+		{"cert without key", Config{HTTPAddr: ":0", TLSCert: "c.pem"}, "must be set together"},
+		{"key without cert", Config{HTTPAddr: ":0", TLSKey: "k.pem"}, "must be set together"},
+		{"tls without http", Config{TLSCert: "c.pem", TLSKey: "k.pem"}, "require -http"},
+		{"load-index without data-dir", Config{LoadIndex: true}, "-load-index requires -data-dir"},
+		{"save-index without data-dir", Config{SaveIndex: true}, "require -data-dir"},
+		{"snapshot-every without data-dir", Config{SnapshotEvery: 3}, "require -data-dir"},
+		{"connect without addresses", Config{Connect: " , ,"}, "contains no worker addresses"},
+	}
+	for _, tc := range master {
+		t.Run(tc.name, func(t *testing.T) {
+			m, err := Start(tc.cfg)
+			if err == nil {
+				m.Close()
+				t.Fatal("Start accepted an invalid config")
+			}
+			if !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("error %q does not mention %q", err, tc.want)
+			}
+		})
+	}
+	worker := []struct {
+		name string
+		cfg  WorkerConfig
+		want string
+	}{
+		{"load-index without data-dir", WorkerConfig{LoadIndex: true, NumWorkers: 1}, "-load-index requires -data-dir"},
+		{"negative worker id", WorkerConfig{WorkerID: -1, NumWorkers: 2}, "invalid worker id -1 of 2"},
+		{"worker id past the fleet", WorkerConfig{WorkerID: 2, NumWorkers: 2}, "invalid worker id 2 of 2"},
+		{"empty fleet", WorkerConfig{NumWorkers: 0}, "invalid worker id 0 of 0"},
+	}
+	for _, tc := range worker {
+		t.Run("worker/"+tc.name, func(t *testing.T) {
+			srv, err := StartWorker(tc.cfg)
+			if err == nil {
+				srv.Close()
+				t.Fatal("StartWorker accepted an invalid config")
+			}
+			if !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("error %q does not mention %q", err, tc.want)
+			}
+		})
+	}
+}
+
+// tracesResponse mirrors the gateway's /debug/traces JSON envelope.
 type tracesResponse struct {
 	Started  uint64            `json:"traces_started"`
 	Retained uint64            `json:"traces_retained"`
 	Traces   []trace.TraceView `json:"traces"`
+}
+
+// debugQueryResponse is the part of a /v1/ksp?debug=1 answer the trace test
+// reads.
+type debugQueryResponse struct {
+	Trace *struct {
+		ID     string             `json:"id"`
+		Stages map[string]float64 `json:"stages_ms"`
+	} `json:"trace"`
 }
 
 // TestEndToEndTraceWithFailover is the tracing acceptance path: a real TCP
@@ -31,56 +106,19 @@ type tracesResponse struct {
 // admission, queue wait, engine iterations, shipped rpc batches, the
 // failover leg, and the surviving worker's grafted execution spans.
 func TestEndToEndTraceWithFailover(t *testing.T) {
-	ds, err := workload.BuiltinDataset("NY", workload.ScaleTiny)
+	servers, connect := startWorkers(t, 2, 2)
+	m, err := Start(Config{
+		Dataset: "NY", Scale: "tiny", Xi: 2, Connect: connect, Pool: 2, Replicas: 2, Concurrency: 4,
+		HTTPAddr: "127.0.0.1:0", TraceCapacity: 64, TraceSample: 1,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	part, err := partition.PartitionGraph(ds.Graph, ds.DefaultZ)
-	if err != nil {
-		t.Fatal(err)
-	}
-	index, err := dtlp.Build(part, dtlp.Config{Xi: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	const workers = 2
-	table, err := cluster.AssignReplicas(part, workers, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	servers := make([]*cluster.Server, workers)
-	remotes := make([]*cluster.RemoteWorker, workers)
-	for w := 0; w < workers; w++ {
-		worker := cluster.NewWorker(w, part, table.OwnedBy(w))
-		worker.SetViewResolver(index.ViewAt)
-		srv, err := cluster.Serve("127.0.0.1:0", worker)
-		if err != nil {
-			t.Fatal(err)
-		}
-		servers[w] = srv
-		rw, err := cluster.DialPool(srv.Addr(), cluster.ClientOptions{PoolSize: 2})
-		if err != nil {
-			t.Fatal(err)
-		}
-		remotes[w] = rw
-	}
-	rp, err := cluster.NewReplicatedRemoteProvider(remotes, part, table, cluster.ReplicatedOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv := serve.New(index, rp, serve.Options{Workers: 4})
-	tracer := trace.New(trace.Options{Capacity: 64, SampleRate: 1})
-	gw := New(srv, Options{Tracer: tracer})
-	ts := httptest.NewServer(gw)
 	t.Cleanup(func() {
-		ts.Close()
-		srv.Close()
-		rp.Close()
-		for w := 1; w < workers; w++ {
-			remotes[w].Close()
-			servers[w].Close()
+		m.Close()
+		for _, srv := range servers[1:] {
+			srv.Close()
 		}
-		remotes[0].Close()
 	})
 
 	// Chaos: kill worker 0's listener and connections.  Factor 2 means every
@@ -96,12 +134,12 @@ func TestEndToEndTraceWithFailover(t *testing.T) {
 	pairs := [][2]int{{3, 100}, {5, 90}, {1, 50}, {7, 120}, {11, 33}, {42, 77}}
 	for _, pr := range pairs {
 		body := fmt.Sprintf(`{"source":%d,"target":%d,"k":3}`, pr[0], pr[1])
-		resp, err := http.Post(ts.URL+"/v1/ksp?debug=1", "application/json",
+		resp, err := http.Post(m.URL+"/v1/ksp?debug=1", "application/json",
 			strings.NewReader(body))
 		if err != nil {
 			t.Fatal(err)
 		}
-		var out queryResponse
+		var out debugQueryResponse
 		if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
 			t.Fatal(err)
 		}
@@ -115,18 +153,18 @@ func TestEndToEndTraceWithFailover(t *testing.T) {
 		if len(out.Trace.Stages) == 0 {
 			t.Fatalf("query %v: debug trace has no stage breakdown", pr)
 		}
-		if rp.FailoverStats().Failovers > 0 {
+		if m.Server.Stats().Failovers > 0 {
 			debugID = out.Trace.ID
 			break
 		}
 	}
 	if debugID == "" {
-		t.Fatalf("no query failed over with worker 0 dead (failover stats: %+v)", rp.FailoverStats())
+		t.Fatalf("no query failed over with worker 0 dead (failovers: %d)", m.Server.Stats().Failovers)
 	}
 
 	// Retrieve the failed-over query's trace from /debug/traces and check it
 	// covers every layer of the pipeline.
-	resp, err := http.Get(ts.URL + "/debug/traces?n=64")
+	resp, err := http.Get(m.URL + "/debug/traces?n=64")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -35,13 +35,15 @@ type httpQueryResponse struct {
 	Paths     []httpPath `json:"paths"`
 	Epoch     uint64     `json:"epoch"`
 	Converged bool       `json:"converged"`
+	BoundGap  float64    `json:"bound_gap"`
 }
 
 type httpStreamLine struct {
-	Path  *httpPath `json:"path"`
-	Done  bool      `json:"done"`
-	Epoch uint64    `json:"epoch"`
-	Error string    `json:"error"`
+	Path     *httpPath `json:"path"`
+	Done     bool      `json:"done"`
+	Epoch    uint64    `json:"epoch"`
+	BoundGap float64   `json:"bound_gap"`
+	Error    string    `json:"error"`
 }
 
 func toPaths(hp []httpPath) []graph.Path {
@@ -50,6 +52,58 @@ func toPaths(hp []httpPath) []graph.Path {
 		out[i] = graph.Path{Vertices: p.Vertices, Dist: p.Distance}
 	}
 	return out
+}
+
+// postJSON posts body as JSON to url and decodes the reply into out (when
+// non-nil), returning the status code.
+func postJSON(t *testing.T, url string, body, out interface{}) int {
+	t.Helper()
+	data, err := json.Marshal(body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.Post(url, "application/json", bytes.NewReader(data))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if out != nil && resp.StatusCode == http.StatusOK {
+		if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
+			t.Fatalf("decoding %s response: %v", url, err)
+		}
+	}
+	return resp.StatusCode
+}
+
+// streamKSP reads one /v1/ksp/stream answer: its paths and the epoch and
+// bound gap its final line reports.
+func streamKSP(t *testing.T, base string, s, tgt graph.VertexID, k int) ([]graph.Path, uint64, float64) {
+	t.Helper()
+	resp, err := http.Get(fmt.Sprintf("%s/v1/ksp/stream?source=%d&target=%d&k=%d", base, s, tgt, k))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("stream query(%d,%d): status %d", s, tgt, resp.StatusCode)
+	}
+	var paths []graph.Path
+	sc := bufio.NewScanner(resp.Body)
+	for sc.Scan() {
+		var line httpStreamLine
+		if err := json.Unmarshal(sc.Bytes(), &line); err != nil {
+			t.Fatalf("bad stream line %q: %v", sc.Text(), err)
+		}
+		if line.Done {
+			if line.Error != "" {
+				t.Fatalf("stream query(%d,%d): %s", s, tgt, line.Error)
+			}
+			return paths, line.Epoch, line.BoundGap
+		}
+		paths = append(paths, graph.Path{Vertices: line.Path.Vertices, Dist: line.Path.Distance})
+	}
+	t.Fatalf("stream query(%d,%d) ended without a done line (%v)", s, tgt, sc.Err())
+	return nil, 0, 0
 }
 
 func TestGatewayMatchesYen(t *testing.T) {
@@ -85,25 +139,6 @@ func TestGatewayMatchesYen(t *testing.T) {
 		}
 	}
 
-	postJSON := func(path string, body interface{}, out interface{}) int {
-		t.Helper()
-		data, err := json.Marshal(body)
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp, err := http.Post(ts.URL+path, "application/json", bytes.NewReader(data))
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer resp.Body.Close()
-		if out != nil {
-			if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
-				t.Fatalf("decoding %s response: %v", path, err)
-			}
-		}
-		return resp.StatusCode
-	}
-
 	audited := 0
 	var pinnedProbe *struct {
 		s, t  graph.VertexID
@@ -130,7 +165,7 @@ func TestGatewayMatchesYen(t *testing.T) {
 				// weight: the later write wins.
 				ups = append(ups, updateJSON{Edge: ups[0].Edge, Weight: ups[0].Weight*1.5 + 1})
 			}
-			if code := postJSON("/v1/updates", map[string]interface{}{"updates": ups}, nil); code != 200 {
+			if code := postJSON(t, ts.URL+"/v1/updates", map[string]interface{}{"updates": ups}, nil); code != 200 {
 				t.Fatalf("round %d: updates status %d", round, code)
 			}
 			last := ups[len(ups)-1]
@@ -143,7 +178,7 @@ func TestGatewayMatchesYen(t *testing.T) {
 		}
 		for _, q := range qgen.Batch(p.Queries) {
 			var qr httpQueryResponse
-			code := postJSON("/v1/ksp", map[string]interface{}{
+			code := postJSON(t, ts.URL+"/v1/ksp", map[string]interface{}{
 				"source": q.Source, "target": q.Target, "k": p.K,
 			}, &qr)
 			if code != 200 {
@@ -164,34 +199,7 @@ func TestGatewayMatchesYen(t *testing.T) {
 
 		// One streamed query per round, audited the same way.
 		q := qgen.Batch(1)[0]
-		resp, err := http.Get(fmt.Sprintf("%s/v1/ksp/stream?source=%d&target=%d&k=%d", ts.URL, q.Source, q.Target, p.K))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if resp.StatusCode != 200 {
-			t.Fatalf("round %d: stream status %d", round, resp.StatusCode)
-		}
-		var streamed []graph.Path
-		var epoch uint64
-		sc := bufio.NewScanner(resp.Body)
-		for sc.Scan() {
-			var line httpStreamLine
-			if err := json.Unmarshal(sc.Bytes(), &line); err != nil {
-				t.Fatalf("bad stream line %q: %v", sc.Text(), err)
-			}
-			if line.Done {
-				if line.Error != "" {
-					t.Fatalf("round %d: stream error %q", round, line.Error)
-				}
-				epoch = line.Epoch
-				break
-			}
-			streamed = append(streamed, graph.Path{Vertices: line.Path.Vertices, Dist: line.Path.Distance})
-		}
-		resp.Body.Close()
-		if err := sc.Err(); err != nil {
-			t.Fatal(err)
-		}
+		streamed, epoch, _ := streamKSP(t, ts.URL, q.Source, q.Target, p.K)
 		audit("stream", epoch, streamed, q.Source, q.Target)
 		audited++
 	}
@@ -204,7 +212,7 @@ func TestGatewayMatchesYen(t *testing.T) {
 			t.Fatalf("pinned epoch %d fell out of retention", pinnedProbe.epoch)
 		}
 		var qr httpQueryResponse
-		code := postJSON("/v1/ksp", map[string]interface{}{
+		code := postJSON(t, ts.URL+"/v1/ksp", map[string]interface{}{
 			"source": pinnedProbe.s, "target": pinnedProbe.t, "k": p.K, "epoch": pinnedProbe.epoch,
 		}, &qr)
 		if code != 200 {

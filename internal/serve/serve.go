@@ -78,10 +78,7 @@ type Options struct {
 	// forward the batch to standalone workers that maintain their own weight
 	// copies; its error fails the ApplyUpdates call that triggered it.
 	Broadcast func(batch []graph.WeightUpdate) error
-	// BroadcastTopology, when set, forwards each applied topology batch to
-	// the deployment's workers after the master index has published it.
-	// Topology batches reach every worker (unlike per-subgraph weight
-	// routing) because an insert or delete can reshape routing anywhere; its
+	// BroadcastTopology does the same for each applied topology batch; its
 	// error fails the ApplyTopology call that triggered it.
 	BroadcastTopology func(up graph.TopologyUpdate) error
 	// Store, when set, makes every batch durable before it is visible: the

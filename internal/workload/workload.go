@@ -237,6 +237,19 @@ const (
 	ScaleMedium
 )
 
+// ParseScale maps a scale name (tiny, small or medium) to its Scale.
+func ParseScale(name string) (Scale, error) {
+	switch name {
+	case "tiny":
+		return ScaleTiny, nil
+	case "small":
+		return ScaleSmall, nil
+	case "medium":
+		return ScaleMedium, nil
+	}
+	return 0, fmt.Errorf("unknown scale %q (want tiny, small, or medium)", name)
+}
+
 // builtinSpecs returns the scale-model specs standing in for the four DIMACS
 // road networks of Table 1.  The relative sizes (NY < COL < FLA < CUSA) and
 // the default z progression follow the paper; absolute sizes are laptop
