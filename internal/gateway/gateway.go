@@ -425,13 +425,17 @@ func writeError(w http.ResponseWriter, code int, msg string) {
 
 // writeApplyError maps a refused write onto its HTTP status: a batch naming
 // an edge a topology batch already deleted is a state conflict, not
-// malformed input (409); anything else is the server's failure.
+// malformed input (409); any other batch the index check refuses is the
+// client's error (400); anything else is the server's failure.
 func writeApplyError(w http.ResponseWriter, err error) {
-	if errors.Is(err, graph.ErrEdgeDeleted) {
+	switch {
+	case errors.Is(err, graph.ErrEdgeDeleted):
 		writeError(w, http.StatusConflict, err.Error())
-		return
+	case errors.Is(err, serve.ErrInvalidBatch):
+		writeError(w, http.StatusBadRequest, err.Error())
+	default:
+		writeError(w, http.StatusInternalServerError, err.Error())
 	}
-	writeError(w, http.StatusInternalServerError, err.Error())
 }
 
 // ---- route handlers ----

@@ -695,6 +695,7 @@ func TestTopologyEndpoint(t *testing.T) {
 		{"endpoint out of range", fmt.Sprintf(`{"insert_edges":[{"u":3,"v":%d,"weight":1}]}`, numV)},
 		{"delete edge out of range", fmt.Sprintf(`{"delete_edges":[%d]}`, numE)},
 		{"delete vertex out of range", fmt.Sprintf(`{"delete_vertices":[%d]}`, numV)},
+		{"duplicate delete", `{"delete_edges":[1,1]}`},
 	} {
 		if resp, data := postTopo(tc.body); resp.StatusCode != http.StatusBadRequest {
 			t.Errorf("%s: status %d (%s), want 400", tc.name, resp.StatusCode, data)

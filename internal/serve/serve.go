@@ -44,6 +44,12 @@ import (
 // distinct status (the gateway returns 410 Gone).
 var ErrEpochEvicted = errors.New("serve: epoch evicted from the retention window")
 
+// ErrInvalidBatch wraps the index's refusal of a write batch — an edge or
+// vertex the graph lacks, a repeated delete, an invalid weight — returned
+// before anything is logged or applied.  Serving layers map it to a client
+// error (the gateway returns 400).
+var ErrInvalidBatch = errors.New("serve: batch refused")
+
 // Persister receives durability callbacks from the server's writer path.
 // *store.Store implements it; serve depends only on this interface so the
 // persistence subsystem stays optional.
@@ -685,7 +691,7 @@ func (s *Server) write(ctx context.Context, batch []graph.WeightUpdate, up *grap
 		err = s.index.CheckUpdates(batch)
 	}
 	if err != nil {
-		return dtlp.TopologyStats{}, err
+		return dtlp.TopologyStats{}, fmt.Errorf("%w: %w", ErrInvalidBatch, err)
 	}
 	epoch := s.index.CurrentView().Epoch() + 1
 	if s.opts.Store != nil {

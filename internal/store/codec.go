@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"encoding/binary"
 	"fmt"
-	"hash"
 	"hash/crc32"
 	"io"
 	"math"
@@ -40,6 +39,11 @@ import (
 // The encoder streams straight to the writer (no in-memory image), so
 // snapshotting a large graph does not double peak memory.  Floats are stored
 // as IEEE-754 bits, so weights and path distances round-trip exactly.
+//
+// Both file formats follow one frame rule: a frame is its bytes followed by
+// the u32 CRC-32C of those bytes.  A snapshot file is one frame; a WAL
+// segment is a header outside any frame, then one frame per record.  enc and
+// dec below are the only code that reads or writes either format's bytes.
 
 const (
 	snapMagic = "KSPDSNP1"
@@ -49,292 +53,283 @@ const (
 	// package comment in store.go for the version policy.  Version 2 added
 	// edge tombstones to snapshots and topology records to the WAL.
 	FormatVersion = 2
+
+	encChunk = 1 << 16 // an enc with a writer flushes at this many bytes
 )
 
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
 
-// crcWriter tees writes into a CRC-32C accumulator.
-type crcWriter struct {
-	w   *bufio.Writer
-	crc hash.Hash32
-	buf [8]byte
+// enc appends little-endian fields to buf.  With a writer it flushes every
+// encChunk bytes; without one the caller takes buf.  The first write error
+// sticks, and flush returns it.
+type enc struct {
+	w    io.Writer
+	buf  []byte
+	mark int    // start in buf of the current frame's bytes not yet in crc
+	crc  uint32 // CRC-32C of the current frame's bytes before mark
+	err  error
 }
 
-func newCRCWriter(w io.Writer) *crcWriter {
-	return &crcWriter{w: bufio.NewWriterSize(w, 1<<16), crc: crc32.New(crcTable)}
-}
+func (e *enc) str(s string)  { e.buf = append(e.buf, s...); e.spill() }
+func (e *enc) u8(v uint8)    { e.buf = append(e.buf, v); e.spill() }
+func (e *enc) u32(v uint32)  { e.buf = binary.LittleEndian.AppendUint32(e.buf, v); e.spill() }
+func (e *enc) u64(v uint64)  { e.buf = binary.LittleEndian.AppendUint64(e.buf, v); e.spill() }
+func (e *enc) i32(v int32)   { e.u32(uint32(v)) }
+func (e *enc) f64(v float64) { e.u64(math.Float64bits(v)) }
+func (e *enc) count(n int)   { e.u32(uint32(n)) }
+func (e *enc) count64(n int) { e.u64(uint64(n)) }
 
-func (cw *crcWriter) writeBytes(p []byte) error {
-	if _, err := cw.w.Write(p); err != nil {
-		return err
+func (e *enc) bool(v bool) {
+	var b uint8
+	if v {
+		b = 1
 	}
-	cw.crc.Write(p)
-	return nil
+	e.u8(b)
 }
 
-func (cw *crcWriter) u8(v uint8) error { cw.buf[0] = v; return cw.writeBytes(cw.buf[:1]) }
-func (cw *crcWriter) u32(v uint32) error {
-	binary.LittleEndian.PutUint32(cw.buf[:4], v)
-	return cw.writeBytes(cw.buf[:4])
-}
-func (cw *crcWriter) u64(v uint64) error {
-	binary.LittleEndian.PutUint64(cw.buf[:8], v)
-	return cw.writeBytes(cw.buf[:8])
-}
-func (cw *crcWriter) i32(v int32) error   { return cw.u32(uint32(v)) }
-func (cw *crcWriter) f64(v float64) error { return cw.u64(math.Float64bits(v)) }
-
-// finish writes the CRC trailer (not itself checksummed) and flushes.
-func (cw *crcWriter) finish() error {
-	var buf [4]byte
-	binary.LittleEndian.PutUint32(buf[:], cw.crc.Sum32())
-	if _, err := cw.w.Write(buf[:]); err != nil {
-		return err
+func putIDs[T ~int32](e *enc, ids []T) {
+	for _, v := range ids {
+		e.i32(int32(v))
 	}
-	return cw.w.Flush()
 }
 
-// crcReader mirrors crcWriter: every read feeds the CRC accumulator, and
-// size bounds count fields so corrupted inputs cannot force huge allocations.
-type crcReader struct {
+func (e *enc) spill() {
+	if e.w != nil && len(e.buf) >= encChunk {
+		e.flush()
+	}
+}
+
+// frame ends a frame: it appends the CRC-32C of every byte since the
+// previous frame ended, or since the encoder started.
+func (e *enc) frame() {
+	sum := crc32.Update(e.crc, crcTable, e.buf[e.mark:])
+	e.buf = binary.LittleEndian.AppendUint32(e.buf, sum)
+	e.mark, e.crc = len(e.buf), 0
+}
+
+// flush writes buf to w, folding the current frame's part of it into crc.
+func (e *enc) flush() error {
+	e.crc = crc32.Update(e.crc, crcTable, e.buf[e.mark:])
+	if e.err == nil {
+		_, e.err = e.w.Write(e.buf)
+	}
+	e.buf, e.mark = e.buf[:0], 0
+	return e.err
+}
+
+// dec reads little-endian fields, keeping the CRC-32C of the current frame
+// and the count of bytes consumed.  The first error sticks: from then on
+// every field reads as zero and every count as 0, so callers check err once
+// per structure instead of once per field.
+type dec struct {
 	r    *bufio.Reader
-	crc  hash.Hash32
-	size int64 // total input size, used as a sanity bound on counts
+	size int64  // input length, bounding count fields
+	n    int64  // bytes consumed
+	crc  uint32 // CRC-32C of the current frame so far
+	err  error
 	buf  [8]byte
 }
 
-func newCRCReader(r io.Reader, size int64) *crcReader {
-	return &crcReader{r: bufio.NewReaderSize(r, 1<<16), crc: crc32.New(crcTable), size: size}
+func newDec(r io.Reader, size int64) *dec {
+	return &dec{r: bufio.NewReaderSize(r, encChunk), size: size}
 }
 
-func (cr *crcReader) readBytes(p []byte) error {
-	if _, err := io.ReadFull(cr.r, p); err != nil {
-		if err == io.EOF {
-			err = io.ErrUnexpectedEOF
+// failf records an error unless one is already recorded.
+func (d *dec) failf(format string, args ...any) {
+	if d.err == nil {
+		d.err = fmt.Errorf(format, args...)
+	}
+}
+
+func (d *dec) read(k int) []byte {
+	p := d.buf[:k]
+	if d.err == nil {
+		if _, err := io.ReadFull(d.r, p); err != nil {
+			d.failf("truncated input at byte %d: %w", d.n, err)
 		}
-		return fmt.Errorf("store: truncated input: %w", err)
 	}
-	cr.crc.Write(p)
-	return nil
+	if d.err != nil {
+		clear(p)
+		return p
+	}
+	d.crc = crc32.Update(d.crc, crcTable, p)
+	d.n += int64(k)
+	return p
 }
 
-func (cr *crcReader) u8() (uint8, error) {
-	if err := cr.readBytes(cr.buf[:1]); err != nil {
-		return 0, err
+func (d *dec) str(k int) string { return string(d.read(k)) }
+func (d *dec) u8() uint8        { return d.read(1)[0] }
+func (d *dec) u32() uint32      { return binary.LittleEndian.Uint32(d.read(4)) }
+func (d *dec) u64() uint64      { return binary.LittleEndian.Uint64(d.read(8)) }
+func (d *dec) i32() int32       { return int32(d.u32()) }
+func (d *dec) f64() float64     { return math.Float64frombits(d.u64()) }
+
+func (d *dec) bool() bool {
+	v := d.u8()
+	if v > 1 {
+		d.failf("flag %d at byte %d is neither 0 nor 1", v, d.n-1)
 	}
-	return cr.buf[0], nil
+	return v == 1
 }
 
-func (cr *crcReader) u32() (uint32, error) {
-	if err := cr.readBytes(cr.buf[:4]); err != nil {
-		return 0, err
+// count reads a u32 count of elements taking at least elem bytes each and
+// fails it when the rest of the input cannot hold them, so a corrupt count
+// cannot force a huge allocation.  A count of things the input does not
+// spell out element by element (vertices, z) passes elem 0 and is held to
+// the whole input's length instead, as a sanity cap.
+func (d *dec) count(elem int64) int { return d.bound(uint64(d.u32()), elem) }
+
+// count64 is count for a u64 count field.
+func (d *dec) count64(elem int64) int { return d.bound(d.u64(), elem) }
+
+func (d *dec) bound(v uint64, elem int64) int {
+	limit := d.size
+	if elem > 0 {
+		limit = (d.size - d.n) / elem
 	}
-	return binary.LittleEndian.Uint32(cr.buf[:4]), nil
+	if v > uint64(max(limit, 0)) || v > math.MaxInt32 {
+		d.failf("count %d before byte %d exceeds what the %d-byte input can hold", v, d.n, d.size)
+		return 0
+	}
+	return int(v)
 }
 
-func (cr *crcReader) u64() (uint64, error) {
-	if err := cr.readBytes(cr.buf[:8]); err != nil {
-		return 0, err
+func getIDs[T ~int32](d *dec, n int) []T {
+	ids := make([]T, n)
+	for i := range ids {
+		ids[i] = T(d.i32())
 	}
-	return binary.LittleEndian.Uint64(cr.buf[:8]), nil
+	return ids
 }
 
-func (cr *crcReader) i32() (int32, error) {
-	v, err := cr.u32()
-	return int32(v), err
+// frame ends a frame: it reads the CRC-32C trailer, checks it against the
+// bytes read since the previous frame ended, and starts the next frame.
+func (d *dec) frame() {
+	want := d.crc
+	if got := d.u32(); got != want {
+		d.failf("checksum mismatch at byte %d: stored %08x, computed %08x", d.n-4, got, want)
+	}
+	d.crc = 0
 }
 
-func (cr *crcReader) f64() (float64, error) {
-	v, err := cr.u64()
-	return math.Float64frombits(v), err
+// Weight-batch payload: u32 count | count × (i32 edge | f64 weight).
+func (e *enc) weights(batch []graph.WeightUpdate) {
+	e.count(len(batch))
+	for _, u := range batch {
+		e.i32(int32(u.Edge))
+		e.f64(u.NewWeight)
+	}
 }
 
-// count reads a u64 count field and rejects values that cannot possibly fit
-// in the input (each element needs at least one byte), bounding allocations
-// on corrupted snapshots.
-func (cr *crcReader) count(what string) (int, error) {
-	v, err := cr.u64()
-	if err != nil {
-		return 0, err
+func (d *dec) weights() []graph.WeightUpdate {
+	batch := make([]graph.WeightUpdate, d.count(12))
+	for i := range batch {
+		batch[i] = graph.WeightUpdate{Edge: graph.EdgeID(d.i32()), NewWeight: d.f64()}
 	}
-	if cr.size >= 0 && v > uint64(cr.size) {
-		return 0, fmt.Errorf("store: %s count %d exceeds input size %d", what, v, cr.size)
-	}
-	if v > math.MaxInt32 {
-		return 0, fmt.Errorf("store: %s count %d too large", what, v)
-	}
-	return int(v), nil
+	return batch
 }
 
-// count32 is count for u32-encoded fields.
-func (cr *crcReader) count32(what string) (int, error) {
-	v, err := cr.u32()
-	if err != nil {
-		return 0, err
+// Topology-batch payload: u32 addVertices
+// | u32 nIns,  nIns × (i32 u | i32 v | f64 weight)
+// | u32 nDelE, nDelE × i32 edge | u32 nDelV, nDelV × i32 vertex.
+func (e *enc) topology(up graph.TopologyUpdate) {
+	e.count(up.AddVertices)
+	e.count(len(up.InsertEdges))
+	for _, ed := range up.InsertEdges {
+		e.i32(int32(ed.U))
+		e.i32(int32(ed.V))
+		e.f64(ed.Weight)
 	}
-	if cr.size >= 0 && uint64(v) > uint64(cr.size) {
-		return 0, fmt.Errorf("store: %s count %d exceeds input size %d", what, v, cr.size)
-	}
-	return int(v), nil
+	e.count(len(up.DeleteEdges))
+	putIDs(e, up.DeleteEdges)
+	e.count(len(up.DeleteVertices))
+	putIDs(e, up.DeleteVertices)
 }
 
-// verify reads the CRC trailer and compares it against the accumulated sum.
-func (cr *crcReader) verify() error {
-	want := cr.crc.Sum32()
-	var buf [4]byte
-	if _, err := io.ReadFull(cr.r, buf[:]); err != nil {
-		return fmt.Errorf("store: truncated checksum trailer: %w", err)
+// Go evaluates the calls in a composite literal left to right, so fields are
+// read in the order they are written.
+func (d *dec) topology() *graph.TopologyUpdate {
+	up := &graph.TopologyUpdate{AddVertices: d.count(0)}
+	up.InsertEdges = make([]graph.Edge, d.count(16))
+	for i := range up.InsertEdges {
+		up.InsertEdges[i] = graph.Edge{U: graph.VertexID(d.i32()), V: graph.VertexID(d.i32()), Weight: d.f64()}
 	}
-	if got := binary.LittleEndian.Uint32(buf[:]); got != want {
-		return fmt.Errorf("store: snapshot checksum mismatch: file %08x, computed %08x", got, want)
-	}
-	return nil
+	up.DeleteEdges = getIDs[graph.EdgeID](d, d.count(4))
+	up.DeleteVertices = getIDs[graph.VertexID](d, d.count(4))
+	return up
 }
 
 // encodeSnapshot streams a consistent snapshot of the index to w and returns
 // the epoch it captured.  It must not race with update application outside
 // dtlp's writer lock (ExportState holds it for the whole encode).
 func encodeSnapshot(w io.Writer, x *dtlp.Index) (uint64, error) {
-	cw := newCRCWriter(w)
+	e := &enc{w: w}
 	var epoch uint64
 	err := x.ExportState(func(st dtlp.ExportedState) error {
 		epoch = st.Epoch
 		part := x.Partition()
 		parent := part.Parent()
 		cfg := x.Config()
-
-		if err := cw.writeBytes([]byte(snapMagic)); err != nil {
-			return err
-		}
-		if err := cw.u32(FormatVersion); err != nil {
-			return err
-		}
-		if err := cw.u64(st.Epoch); err != nil {
-			return err
-		}
-		if err := cw.u32(uint32(cfg.Xi)); err != nil {
-			return err
-		}
-		if err := cw.u32(uint32(cfg.MaxEnumerate)); err != nil {
-			return err
-		}
-		if err := cw.u64(uint64(part.Z)); err != nil {
-			return err
-		}
+		e.str(snapMagic)
+		e.u32(FormatVersion)
+		e.u64(st.Epoch)
+		e.u32(uint32(cfg.Xi))
+		e.u32(uint32(cfg.MaxEnumerate))
+		e.count64(part.Z)
 
 		// Graph topology, initial weights (vfrag counts), and the one weight
 		// snapshot: the weights frozen at st.Epoch.
-		directed := uint8(0)
-		if parent.Directed() {
-			directed = 1
-		}
-		if err := cw.u8(directed); err != nil {
-			return err
-		}
-		if err := cw.u64(uint64(parent.NumVertices())); err != nil {
-			return err
-		}
-		numE := parent.NumEdges()
-		if err := cw.u64(uint64(numE)); err != nil {
-			return err
-		}
-		for e := 0; e < numE; e++ {
-			id := graph.EdgeID(e)
+		e.bool(parent.Directed())
+		e.count64(parent.NumVertices())
+		e.count64(parent.NumEdges())
+		for id := graph.EdgeID(0); int(id) < parent.NumEdges(); id++ {
 			ends := parent.EdgeEndpoints(id)
-			if err := cw.i32(int32(ends.U)); err != nil {
-				return err
-			}
-			if err := cw.i32(int32(ends.V)); err != nil {
-				return err
-			}
-			initW := parent.InitialWeight(id)
-			if err := cw.f64(initW); err != nil {
-				return err
-			}
+			e.i32(int32(ends.U))
+			e.i32(int32(ends.V))
 			// Dead edges have no meaningful live weight; store the initial
 			// weight so the field always validates as finite.
+			initW, alive := parent.InitialWeight(id), parent.EdgeAlive(id)
 			curW := initW
-			alive := uint8(0)
-			if parent.EdgeAlive(id) {
+			if alive {
 				curW = st.View.GlobalWeight(id)
-				alive = 1
 			}
-			if err := cw.f64(curW); err != nil {
-				return err
-			}
-			if err := cw.u8(alive); err != nil {
-				return err
-			}
+			e.f64(initW)
+			e.f64(curW)
+			e.bool(alive)
 		}
 
 		// Partition assignment.
-		if err := cw.u64(uint64(part.NumSubgraphs())); err != nil {
-			return err
-		}
+		e.count64(part.NumSubgraphs())
 		for i := 0; i < part.NumSubgraphs(); i++ {
 			sg := part.Subgraph(partition.SubgraphID(i))
-			if err := cw.u64(uint64(len(sg.Globals))); err != nil {
-				return err
-			}
-			for _, v := range sg.Globals {
-				if err := cw.i32(int32(v)); err != nil {
-					return err
-				}
-			}
-			if err := cw.u64(uint64(len(sg.GlobalEdges))); err != nil {
-				return err
-			}
-			for _, e := range sg.GlobalEdges {
-				if err := cw.i32(int32(e)); err != nil {
-					return err
-				}
-			}
+			e.count64(len(sg.Globals))
+			putIDs(e, sg.Globals)
+			e.count64(len(sg.GlobalEdges))
+			putIDs(e, sg.GlobalEdges)
 		}
 
 		// The DTLP skeleton structure: every bounding path.
 		err := st.Paths(func(sub partition.SubgraphID, rec dtlp.PathRecord) error {
-			if err := cw.u8(1); err != nil {
-				return err
-			}
-			if err := cw.u32(uint32(sub)); err != nil {
-				return err
-			}
-			if err := cw.i32(int32(rec.Pair.A)); err != nil {
-				return err
-			}
-			if err := cw.i32(int32(rec.Pair.B)); err != nil {
-				return err
-			}
-			if err := cw.u32(uint32(len(rec.Vertices))); err != nil {
-				return err
-			}
-			for _, v := range rec.Vertices {
-				if err := cw.i32(int32(v)); err != nil {
-					return err
-				}
-			}
-			if err := cw.u32(uint32(len(rec.Edges))); err != nil {
-				return err
-			}
-			for _, e := range rec.Edges {
-				if err := cw.i32(int32(e)); err != nil {
-					return err
-				}
-			}
-			if err := cw.f64(rec.Vfrags); err != nil {
-				return err
-			}
-			return cw.f64(rec.Dist)
+			e.u8(1)
+			e.u32(uint32(sub))
+			e.i32(int32(rec.Pair.A))
+			e.i32(int32(rec.Pair.B))
+			e.count(len(rec.Vertices))
+			putIDs(e, rec.Vertices)
+			e.count(len(rec.Edges))
+			putIDs(e, rec.Edges)
+			e.f64(rec.Vfrags)
+			e.f64(rec.Dist)
+			return e.err
 		})
-		if err != nil {
-			return err
-		}
-		return cw.u8(0) // end of path stream
+		e.u8(0) // end of path stream
+		return err
 	})
 	if err != nil {
 		return 0, err
 	}
-	return epoch, cw.finish()
+	e.frame()
+	return epoch, e.flush()
 }
 
 // snapshotContents is the decoded state of a snapshot file.  Index is nil
@@ -346,244 +341,107 @@ type snapshotContents struct {
 	index     *dtlp.Index
 }
 
-// decodeSnapshot reads and validates a snapshot.  size is the input length
-// in bytes (used to bound allocations; pass -1 if unknown).  When
+// decodeSnapshot reads and validates a snapshot of size bytes.  When
 // topologyOnly is set the path records are validated and discarded and no
 // index is assembled.  Nothing is returned unless the checksum verifies.
 func decodeSnapshot(r io.Reader, size int64, topologyOnly bool) (*snapshotContents, error) {
-	cr := newCRCReader(r, size)
-	magic := make([]byte, len(snapMagic))
-	if err := cr.readBytes(magic); err != nil {
-		return nil, err
+	d := newDec(r, size)
+	if magic := d.str(len(snapMagic)); magic != snapMagic {
+		d.failf("not a snapshot file (magic %q)", magic)
 	}
-	if string(magic) != snapMagic {
-		return nil, fmt.Errorf("store: not a snapshot file (magic %q)", magic)
+	if v := d.u32(); v != FormatVersion {
+		d.failf("unsupported snapshot format version %d (supported: %d)", v, FormatVersion)
 	}
-	version, err := cr.u32()
-	if err != nil {
-		return nil, err
-	}
-	if version != FormatVersion {
-		return nil, fmt.Errorf("store: unsupported snapshot format version %d (supported: %d)", version, FormatVersion)
-	}
-	epoch, err := cr.u64()
-	if err != nil {
-		return nil, err
-	}
-	xi, err := cr.u32()
-	if err != nil {
-		return nil, err
-	}
-	maxEnum, err := cr.u32()
-	if err != nil {
-		return nil, err
-	}
+	epoch, xi, maxEnum := d.u64(), d.u32(), d.u32()
 	if xi == 0 || xi > math.MaxInt32 || maxEnum > math.MaxInt32 {
-		return nil, fmt.Errorf("store: invalid index config (xi=%d, maxEnumerate=%d)", xi, maxEnum)
+		d.failf("invalid index config (xi=%d, maxEnumerate=%d)", xi, maxEnum)
 	}
-	z, err := cr.count("partition z")
-	if err != nil {
-		return nil, err
-	}
+	z := d.count64(0)
 
 	// Graph.
-	directedB, err := cr.u8()
-	if err != nil {
-		return nil, err
-	}
-	if directedB > 1 {
-		return nil, fmt.Errorf("store: invalid directed flag %d", directedB)
-	}
-	directed := directedB == 1
-	numV, err := cr.count("vertex")
-	if err != nil {
-		return nil, err
-	}
-	numE, err := cr.count("edge")
-	if err != nil {
-		return nil, err
-	}
-	b := graph.NewBuilder(numV, directed)
-	curW := make([]float64, 0, min(numE, 1<<16))
-	dead := make([]bool, 0, min(numE, 1<<16))
-	for e := 0; e < numE; e++ {
-		u, err := cr.i32()
-		if err != nil {
-			return nil, err
-		}
-		v, err := cr.i32()
-		if err != nil {
-			return nil, err
-		}
-		w0, err := cr.f64()
-		if err != nil {
-			return nil, err
-		}
-		w, err := cr.f64()
-		if err != nil {
-			return nil, err
-		}
-		aliveB, err := cr.u8()
-		if err != nil {
-			return nil, err
-		}
-		if aliveB > 1 {
-			return nil, fmt.Errorf("store: edge %d has invalid alive flag %d", e, aliveB)
-		}
+	directed := d.bool()
+	b := graph.NewBuilder(d.count64(0), directed)
+	curW := make([]float64, d.count64(25))
+	for e := 0; e < len(curW) && d.err == nil; e++ {
+		u, v, w0, w, alive := d.i32(), d.i32(), d.f64(), d.f64(), d.bool()
 		if math.IsNaN(w0) || math.IsInf(w0, 0) || math.IsNaN(w) || math.IsInf(w, 0) || w < 0 {
-			return nil, fmt.Errorf("store: edge %d has invalid weights (%g, %g)", e, w0, w)
+			d.failf("edge %d has invalid weights (%g, %g)", e, w0, w)
 		}
 		id, err := b.AddEdge(graph.VertexID(u), graph.VertexID(v), w0)
+		if err == nil && !alive {
+			err = b.MarkDead(id)
+		}
 		if err != nil {
-			return nil, fmt.Errorf("store: snapshot graph: %w", err)
+			d.failf("snapshot graph: %w", err)
 		}
-		if aliveB == 0 {
-			if err := b.MarkDead(id); err != nil {
-				return nil, fmt.Errorf("store: snapshot graph: %w", err)
-			}
-		}
-		curW = append(curW, w)
-		dead = append(dead, aliveB == 0)
+		curW[e] = w
+	}
+	if d.err != nil {
+		return nil, d.err
 	}
 	g := b.Build()
 	var updates []graph.WeightUpdate
 	for e, w := range curW {
-		if !dead[e] && g.InitialWeight(graph.EdgeID(e)) != w {
-			updates = append(updates, graph.WeightUpdate{Edge: graph.EdgeID(e), NewWeight: w})
+		if id := graph.EdgeID(e); g.EdgeAlive(id) && g.InitialWeight(id) != w {
+			updates = append(updates, graph.WeightUpdate{Edge: id, NewWeight: w})
 		}
 	}
 	if len(updates) > 0 {
 		if err := g.ApplyUpdates(updates); err != nil {
-			return nil, fmt.Errorf("store: snapshot weights: %w", err)
+			return nil, fmt.Errorf("snapshot weights: %w", err)
 		}
 	}
 
 	// Partition.
-	numSubs, err := cr.count("subgraph")
-	if err != nil {
-		return nil, err
+	subVerts := make([][]graph.VertexID, d.count64(16))
+	subEdges := make([][]graph.EdgeID, len(subVerts))
+	for i := range subVerts {
+		subVerts[i] = getIDs[graph.VertexID](d, d.count64(4))
+		subEdges[i] = getIDs[graph.EdgeID](d, d.count64(4))
 	}
-	subVerts := make([][]graph.VertexID, 0, min(numSubs, 1<<16))
-	subEdges := make([][]graph.EdgeID, 0, min(numSubs, 1<<16))
-	for i := 0; i < numSubs; i++ {
-		nv, err := cr.count("subgraph vertex")
-		if err != nil {
-			return nil, err
-		}
-		verts := make([]graph.VertexID, 0, min(nv, 1<<16))
-		for j := 0; j < nv; j++ {
-			v, err := cr.i32()
-			if err != nil {
-				return nil, err
-			}
-			verts = append(verts, graph.VertexID(v))
-		}
-		ne, err := cr.count("subgraph edge")
-		if err != nil {
-			return nil, err
-		}
-		edges := make([]graph.EdgeID, 0, min(ne, 1<<16))
-		for j := 0; j < ne; j++ {
-			e, err := cr.i32()
-			if err != nil {
-				return nil, err
-			}
-			edges = append(edges, graph.EdgeID(e))
-		}
-		subVerts = append(subVerts, verts)
-		subEdges = append(subEdges, edges)
+	if d.err != nil {
+		return nil, d.err
 	}
 	part, err := partition.Assemble(g, z, subVerts, subEdges)
 	if err != nil {
-		return nil, fmt.Errorf("store: snapshot partition: %w", err)
+		return nil, fmt.Errorf("snapshot partition: %w", err)
 	}
 
 	// Bounding path records.
 	var imp *dtlp.Importer
 	if !topologyOnly {
-		imp, err = dtlp.NewImporter(part, dtlp.Config{Xi: int(xi), MaxEnumerate: int(maxEnum)})
-		if err != nil {
+		if imp, err = dtlp.NewImporter(part, dtlp.Config{Xi: int(xi), MaxEnumerate: int(maxEnum)}); err != nil {
 			return nil, err
 		}
 	}
-	for {
-		tag, err := cr.u8()
-		if err != nil {
-			return nil, err
-		}
-		if tag == 0 {
+	for tag := d.u8(); tag != 0; tag = d.u8() {
+		if tag != 1 {
+			d.failf("invalid path record tag %d", tag)
 			break
 		}
-		if tag != 1 {
-			return nil, fmt.Errorf("store: invalid path record tag %d", tag)
+		sub, pa, pb := d.u32(), d.i32(), d.i32()
+		rec := dtlp.PathRecord{ // read in field order, as in topology
+			Pair:     dtlp.PairKey{A: graph.VertexID(pa), B: graph.VertexID(pb)},
+			Vertices: getIDs[graph.VertexID](d, d.count(4)),
+			Edges:    getIDs[graph.EdgeID](d, d.count(4)),
+			Vfrags:   d.f64(),
+			Dist:     d.f64(),
 		}
-		sub, err := cr.u32()
-		if err != nil {
-			return nil, err
-		}
-		pa, err := cr.i32()
-		if err != nil {
-			return nil, err
-		}
-		pb, err := cr.i32()
-		if err != nil {
-			return nil, err
-		}
-		nVerts, err := cr.count32("path vertex")
-		if err != nil {
-			return nil, err
-		}
-		verts := make([]graph.VertexID, 0, min(nVerts, 1<<12))
-		for j := 0; j < nVerts; j++ {
-			v, err := cr.i32()
-			if err != nil {
-				return nil, err
-			}
-			verts = append(verts, graph.VertexID(v))
-		}
-		nEdges, err := cr.count32("path edge")
-		if err != nil {
-			return nil, err
-		}
-		edges := make([]graph.EdgeID, 0, min(nEdges, 1<<12))
-		for j := 0; j < nEdges; j++ {
-			e, err := cr.i32()
-			if err != nil {
-				return nil, err
-			}
-			edges = append(edges, graph.EdgeID(e))
-		}
-		vfrags, err := cr.f64()
-		if err != nil {
-			return nil, err
-		}
-		dist, err := cr.f64()
-		if err != nil {
-			return nil, err
-		}
-		if imp != nil {
-			rec := dtlp.PathRecord{
-				Pair:     dtlp.PairKey{A: graph.VertexID(pa), B: graph.VertexID(pb)},
-				Vertices: verts,
-				Edges:    edges,
-				Vfrags:   vfrags,
-				Dist:     dist,
-			}
+		if imp != nil && d.err == nil {
 			if err := imp.Add(partition.SubgraphID(sub), rec); err != nil {
-				return nil, fmt.Errorf("store: snapshot path record: %w", err)
+				d.failf("snapshot path record: %w", err)
 			}
 		}
 	}
-	if err := cr.verify(); err != nil {
-		return nil, err
+	d.frame()
+	if d.err != nil {
+		return nil, d.err
 	}
 	sc := &snapshotContents{epoch: epoch, graph: g, partition: part}
 	if imp != nil {
-		x, err := imp.Finish(epoch)
-		if err != nil {
-			return nil, fmt.Errorf("store: assembling index: %w", err)
+		if sc.index, err = imp.Finish(epoch); err != nil {
+			return nil, fmt.Errorf("assembling index: %w", err)
 		}
-		sc.index = x
 	}
 	return sc, nil
 }

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 
 	"kspdg/internal/dtlp"
@@ -13,10 +14,22 @@ import (
 	"kspdg/internal/testutil"
 )
 
-// fuzzSeedBytes produces a valid snapshot and a valid WAL segment to seed
-// the corpus, so the fuzzer mutates structurally plausible inputs instead of
-// only flailing at the magic bytes.
-func fuzzSeedBytes(tb testing.TB) (snap, wal []byte) {
+// seedRecords are the batches of the seed WAL: two weight batches, then a
+// topology batch that inserts an edge, deletes an edge and deletes a vertex,
+// so the corpus reaches both record kinds and the snapshot holds tombstones.
+var seedRecords = []walRecord{
+	{Epoch: 1, Batch: []graph.WeightUpdate{{Edge: 0, NewWeight: 2.5}, {Edge: 1, NewWeight: 7}}},
+	{Epoch: 2, Batch: []graph.WeightUpdate{{Edge: 2, NewWeight: 1.25}}},
+	{Epoch: 3, Topo: &graph.TopologyUpdate{
+		InsertEdges:    []graph.Edge{{U: 0, V: 17, Weight: 3.5}},
+		DeleteEdges:    []graph.EdgeID{3},
+		DeleteVertices: []graph.VertexID{5},
+	}},
+}
+
+// seedIndex builds the seed index (RandomConnected seed 9, 18 vertices,
+// z = 6, ξ = 2) and applies seedRecords to it.
+func seedIndex(tb testing.TB) *dtlp.Index {
 	tb.Helper()
 	rng := rand.New(rand.NewSource(9))
 	g := testutil.RandomConnected(rng, 18, 6)
@@ -28,30 +41,89 @@ func fuzzSeedBytes(tb testing.TB) (snap, wal []byte) {
 	if err != nil {
 		tb.Fatal(err)
 	}
+	for _, r := range seedRecords {
+		if r.Topo != nil {
+			_, err = x.ApplyTopology(*r.Topo)
+		} else {
+			_, err = x.ApplyUpdates(r.Batch)
+		}
+		if err != nil {
+			tb.Fatalf("seed epoch %d: %v", r.Epoch, err)
+		}
+	}
+	return x
+}
+
+// fuzzSeedBytes produces a valid snapshot of seedIndex and a valid WAL
+// segment holding seedRecords, to seed the corpus so the fuzzer mutates
+// structurally plausible inputs instead of only flailing at the magic bytes.
+func fuzzSeedBytes(tb testing.TB) (snap, wal []byte) {
+	tb.Helper()
 	var buf bytes.Buffer
-	if _, err := encodeSnapshot(&buf, x); err != nil {
+	if _, err := encodeSnapshot(&buf, seedIndex(tb)); err != nil {
 		tb.Fatal(err)
 	}
 
-	dir := tb.TempDir()
-	w, err := createWAL(filepath.Join(dir, "wal-0000000000000000.log"), 0)
+	path := filepath.Join(tb.TempDir(), "wal-0000000000000000.log")
+	w, err := createWAL(path, 0)
 	if err != nil {
 		tb.Fatal(err)
 	}
-	if err := w.append(1, []graph.WeightUpdate{{Edge: 0, NewWeight: 2.5}, {Edge: 1, NewWeight: 7}}, 1); err != nil {
-		tb.Fatal(err)
-	}
-	if err := w.append(2, []graph.WeightUpdate{{Edge: 2, NewWeight: 1.25}}, 1); err != nil {
-		tb.Fatal(err)
+	for _, r := range seedRecords {
+		if r.Topo != nil {
+			err = w.appendTopology(r.Epoch, *r.Topo, 1)
+		} else {
+			err = w.append(r.Epoch, r.Batch, 1)
+		}
+		if err != nil {
+			tb.Fatal(err)
+		}
 	}
 	if err := w.close(); err != nil {
 		tb.Fatal(err)
 	}
-	walBytes, err := os.ReadFile(filepath.Join(dir, "wal-0000000000000000.log"))
+	walBytes, err := os.ReadFile(path)
 	if err != nil {
 		tb.Fatal(err)
 	}
 	return buf.Bytes(), walBytes
+}
+
+// TestFormatGolden pins both byte formats to files an earlier build of the
+// codec wrote: encoding the seed state must reproduce them byte for byte, and
+// decoding them must give back the seed index and records.  A failure here
+// means the on-disk format changed, which needs a FormatVersion bump (see the
+// package comment).
+func TestFormatGolden(t *testing.T) {
+	snap, wal := fuzzSeedBytes(t)
+	goldenSnap, err := os.ReadFile(filepath.Join("testdata", "seed.snapshot"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	goldenWAL, err := os.ReadFile(filepath.Join("testdata", "seed.wal"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(snap, goldenSnap) {
+		t.Errorf("snapshot encoding differs from testdata/seed.snapshot (%d vs %d bytes)", len(snap), len(goldenSnap))
+	}
+	if !bytes.Equal(wal, goldenWAL) {
+		t.Errorf("WAL encoding differs from testdata/seed.wal (%d vs %d bytes)", len(wal), len(goldenWAL))
+	}
+
+	sc, err := decodeSnapshot(bytes.NewReader(goldenSnap), int64(len(goldenSnap)), false)
+	if err != nil {
+		t.Fatalf("decoding testdata/seed.snapshot: %v", err)
+	}
+	requireIdenticalIndexes(t, seedIndex(t), sc.index)
+	recs, start, validLen, err := decodeWAL(bytes.NewReader(goldenWAL), int64(len(goldenWAL)))
+	if err != nil {
+		t.Fatalf("decoding testdata/seed.wal: %v", err)
+	}
+	if start != 0 || validLen != int64(len(goldenWAL)) || !reflect.DeepEqual(recs, seedRecords) {
+		t.Fatalf("testdata/seed.wal decodes to start %d, %d of %d bytes, records %+v; want 0, all, %+v",
+			start, validLen, len(goldenWAL), recs, seedRecords)
+	}
 }
 
 // FuzzSnapshotDecode feeds arbitrary (seeded with valid, then mutated)
@@ -97,7 +169,7 @@ func TestFuzzSeedsDecode(t *testing.T) {
 	if _, err := decodeSnapshot(bytes.NewReader(snap), int64(len(snap)), false); err != nil {
 		t.Fatalf("pristine snapshot failed to decode: %v", err)
 	}
-	if recs, _, _, err := decodeWAL(bytes.NewReader(wal), int64(len(wal))); err != nil || len(recs) != 2 {
+	if recs, _, _, err := decodeWAL(bytes.NewReader(wal), int64(len(wal))); err != nil || len(recs) != 3 {
 		t.Fatalf("pristine WAL decode: %d records, err %v", len(recs), err)
 	}
 	for cut := 0; cut < len(snap); cut += 7 {

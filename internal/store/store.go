@@ -35,6 +35,13 @@
 // directory holding such a record needs a cold start (rebuild the index and
 // write a fresh snapshot).
 //
+// # Frames
+//
+// Both file formats follow one frame rule: a frame is its bytes followed by
+// the u32 CRC-32C of those bytes.  A snapshot file is a single frame; a WAL
+// segment is a header outside any frame, then one frame per record.  One
+// encoder and one decoder (codec.go) read and write every field of both.
+//
 // # Format versioning
 //
 // Every snapshot and WAL file records FormatVersion.  The policy is strict:
@@ -42,7 +49,8 @@
 // accept exactly the versions they were built for, failing loudly otherwise
 // (the fixed-width format has no tag/length framing to skip unknown fields).
 // A version bump therefore means a cold start: rebuild the index from the
-// dataset and write a fresh snapshot.  Snapshots are portable across
+// dataset and write a fresh snapshot.  TestFormatGolden pins both layouts to
+// files in testdata, so a layout change cannot slip in without one.  Snapshots are portable across
 // machines of any endianness (the encoding is explicitly little-endian) but
 // are not a general interchange format.
 package store

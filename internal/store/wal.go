@@ -1,11 +1,8 @@
 package store
 
 import (
-	"encoding/binary"
 	"fmt"
-	"hash/crc32"
 	"io"
-	"math"
 	"os"
 
 	"kspdg/internal/graph"
@@ -15,7 +12,7 @@ import (
 //
 //	header:  magic "KSPDWAL1" | u32 version | u64 startEpoch
 //	record:  u64 epoch | u8 kind | payload
-//	         | u32 CRC-32C of the record bytes above
+//	         | u32 CRC-32C of the record bytes above (one frame, see codec.go)
 //
 //	kind 0 (weights):  u32 count | count × (i32 edge | f64 weight)
 //	kind 1 (topology): u32 addVertices
@@ -33,10 +30,6 @@ import (
 // (bounding data loss on power failure).  Readers stop at the first record
 // that fails its CRC or is truncated: a torn tail from a crash mid-append is
 // expected and cleanly ignored.
-
-// maxWALBatch bounds the per-record element counts accepted by the reader,
-// so corrupted length fields cannot force huge allocations.
-const maxWALBatch = 1 << 24
 
 // WAL record kinds.
 const (
@@ -70,6 +63,7 @@ type walWriter struct {
 	off        int64  // length of the valid record prefix written so far
 	pending    int    // appends since the last fsync
 	broken     bool   // a failed append could not be rolled back
+	buf        []byte // record bytes, reused across appends
 }
 
 // createWAL creates a new segment for batches after startEpoch, fsyncing the
@@ -81,11 +75,8 @@ func createWAL(path string, startEpoch uint64) (*walWriter, error) {
 	if err != nil {
 		return nil, err
 	}
-	var hdr [20]byte
-	copy(hdr[:8], walMagic)
-	binary.LittleEndian.PutUint32(hdr[8:12], FormatVersion)
-	binary.LittleEndian.PutUint64(hdr[12:20], startEpoch)
-	if _, err := f.Write(hdr[:]); err != nil {
+	hdr := walHeader(startEpoch)
+	if _, err := f.Write(hdr); err != nil {
 		f.Close()
 		return nil, err
 	}
@@ -117,25 +108,6 @@ func openWALForAppend(path string) (*walWriter, uint64, error) {
 	return &walWriter{f: f, startEpoch: startEpoch, last: last, off: validLen}, last, nil
 }
 
-// recBuf accumulates one record's bytes before the single Write that commits
-// it.  Building the full record first keeps torn-tail semantics simple: a
-// record is either entirely in the file or (after rollback) entirely absent.
-type recBuf []byte
-
-func (b *recBuf) u8(v uint8) { *b = append(*b, v) }
-func (b *recBuf) u32(v uint32) {
-	var tmp [4]byte
-	binary.LittleEndian.PutUint32(tmp[:], v)
-	*b = append(*b, tmp[:]...)
-}
-func (b *recBuf) u64(v uint64) {
-	var tmp [8]byte
-	binary.LittleEndian.PutUint64(tmp[:], v)
-	*b = append(*b, tmp[:]...)
-}
-func (b *recBuf) i32(v int32)   { b.u32(uint32(v)) }
-func (b *recBuf) f64(v float64) { b.u64(math.Float64bits(v)) }
-
 // append writes one weight record and flushes it to the OS.  syncEvery
 // batches fsyncs: 1 syncs every record, n > 1 every n records (the rest ride
 // along).  A failed append — its write or its fsync — is rolled back by
@@ -145,54 +117,31 @@ func (b *recBuf) f64(v float64) { b.u64(math.Float64bits(v)) }
 // subsequent append errors (silently appending after torn bytes would make
 // recovery drop the new records) until SaveSnapshot replaces the segment.
 func (w *walWriter) append(epoch uint64, batch []graph.WeightUpdate, syncEvery int) error {
-	buf := make(recBuf, 0, 13+len(batch)*12+4)
-	buf.u64(epoch)
-	buf.u8(walKindWeights)
-	buf.u32(uint32(len(batch)))
-	for _, u := range batch {
-		buf.i32(int32(u.Edge))
-		buf.f64(u.NewWeight)
-	}
-	return w.commit(epoch, buf, syncEvery)
+	return w.commit(walRecord{Epoch: epoch, Batch: batch}, syncEvery)
 }
 
 // appendTopology writes one topology record; framing and failure handling
 // are identical to append.
 func (w *walWriter) appendTopology(epoch uint64, up graph.TopologyUpdate, syncEvery int) error {
-	buf := make(recBuf, 0, 25+len(up.InsertEdges)*16+len(up.DeleteEdges)*4+len(up.DeleteVertices)*4+4)
-	buf.u64(epoch)
-	buf.u8(walKindTopology)
-	buf.u32(uint32(up.AddVertices))
-	buf.u32(uint32(len(up.InsertEdges)))
-	for _, e := range up.InsertEdges {
-		buf.i32(int32(e.U))
-		buf.i32(int32(e.V))
-		buf.f64(e.Weight)
-	}
-	buf.u32(uint32(len(up.DeleteEdges)))
-	for _, e := range up.DeleteEdges {
-		buf.i32(int32(e))
-	}
-	buf.u32(uint32(len(up.DeleteVertices)))
-	for _, v := range up.DeleteVertices {
-		buf.i32(int32(v))
-	}
-	return w.commit(epoch, buf, syncEvery)
+	return w.commit(walRecord{Epoch: epoch, Topo: &up}, syncEvery)
 }
 
-// commit appends one framed record (checksummed here) to the segment.
-func (w *walWriter) commit(epoch uint64, buf recBuf, syncEvery int) error {
+// commit appends one record to the segment in a single Write, so a record is
+// either entirely in the file or (after rollback) entirely absent.
+func (w *walWriter) commit(rec walRecord, syncEvery int) error {
 	if w.broken {
 		return fmt.Errorf("store: WAL writer unusable after an unrecoverable append failure")
 	}
 	// Epochs must be contiguous: a skipped epoch would record a permanent gap
 	// that recovery rejects wholesale, so refusing here keeps the log's owner
 	// honest until a snapshot resynchronises the log.
-	if epoch != w.last+1 {
-		return fmt.Errorf("store: WAL expects epoch %d next, got %d (a snapshot is needed to resynchronise the log)", w.last+1, epoch)
+	if rec.Epoch != w.last+1 {
+		return fmt.Errorf("store: WAL expects epoch %d next, got %d (a snapshot is needed to resynchronise the log)", w.last+1, rec.Epoch)
 	}
-	buf.u32(crc32.Checksum(buf, crcTable))
-	if _, err := w.f.Write(buf); err != nil {
+	e := enc{buf: w.buf[:0]}
+	e.walRecord(rec)
+	w.buf = e.buf
+	if _, err := w.f.Write(e.buf); err != nil {
 		w.rollback()
 		return err
 	}
@@ -209,8 +158,8 @@ func (w *walWriter) commit(epoch uint64, buf recBuf, syncEvery int) error {
 	} else {
 		w.pending++
 	}
-	w.off += int64(len(buf))
-	w.last = epoch
+	w.off += int64(len(e.buf))
+	w.last = rec.Epoch
 	return nil
 }
 
@@ -245,185 +194,75 @@ func readWAL(path string) (recs []walRecord, startEpoch uint64, validLen int64, 
 		return nil, 0, 0, err
 	}
 	defer f.Close()
-	size := int64(-1)
-	if fi, err := f.Stat(); err == nil {
-		size = fi.Size()
+	fi, err := f.Stat()
+	if err == nil {
+		recs, startEpoch, validLen, err = decodeWAL(f, fi.Size())
 	}
-	recs, startEpoch, validLen, err = decodeWAL(f, size)
 	if err != nil {
 		return nil, 0, 0, fmt.Errorf("store: reading WAL %s: %w", path, err)
 	}
 	return recs, startEpoch, validLen, nil
 }
 
+// walHeader encodes a segment header, which lies outside every frame.
+func walHeader(startEpoch uint64) []byte {
+	var e enc
+	e.str(walMagic)
+	e.u32(FormatVersion)
+	e.u64(startEpoch)
+	return e.buf
+}
+
 // decodeWAL is the reader core, split out so the fuzz target can feed it
-// arbitrary bytes.  size bounds record counts (pass -1 if unknown) so a
-// corrupted length field cannot force a huge allocation.
+// arbitrary bytes; size is the input length.  The valid prefix ends at the
+// first record that is truncated, fails its checksum or is malformed — a
+// clean end, a torn tail and corruption are indistinguishable by design.
 func decodeWAL(r io.Reader, size int64) (recs []walRecord, startEpoch uint64, validLen int64, err error) {
-	var hdr [20]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return nil, 0, 0, fmt.Errorf("truncated header: %w", err)
+	d := newDec(r, size)
+	if magic := d.str(len(walMagic)); magic != walMagic {
+		d.failf("not a WAL file (magic %q)", magic)
 	}
-	if string(hdr[:8]) != walMagic {
-		return nil, 0, 0, fmt.Errorf("not a WAL file (magic %q)", hdr[:8])
+	if v := d.u32(); v != FormatVersion {
+		d.failf("unsupported WAL format version %d (supported: %d)", v, FormatVersion)
 	}
-	if v := binary.LittleEndian.Uint32(hdr[8:12]); v != FormatVersion {
-		return nil, 0, 0, fmt.Errorf("unsupported WAL format version %d (supported: %d)", v, FormatVersion)
+	startEpoch = d.u64()
+	if d.err != nil {
+		return nil, 0, 0, d.err
 	}
-	startEpoch = binary.LittleEndian.Uint64(hdr[12:20])
-	validLen = int64(len(hdr))
+	d.crc = 0 // the first frame starts after the header
 	for {
-		rec, n, ok := decodeWALRecord(r, size)
-		if !ok {
-			return recs, startEpoch, validLen, nil // clean end, torn or corrupt tail
+		validLen = d.n
+		rec := d.walRecord()
+		if d.err != nil {
+			return recs, startEpoch, validLen, nil
 		}
 		recs = append(recs, rec)
-		validLen += n
 	}
 }
 
-// walRecordReader reads one record's fields while retaining every byte read,
-// so the trailing CRC can be verified over exactly the bytes consumed.
-type walRecordReader struct {
-	r    io.Reader
-	read []byte
-	buf  [8]byte
-}
-
-func (rr *walRecordReader) bytes(n int) ([]byte, bool) {
-	p := rr.buf[:n]
-	if _, err := io.ReadFull(rr.r, p); err != nil {
-		return nil, false
+// walRecord encodes one record as a frame.
+func (e *enc) walRecord(r walRecord) {
+	e.u64(r.Epoch)
+	if r.Topo != nil {
+		e.u8(walKindTopology)
+		e.topology(*r.Topo)
+	} else {
+		e.u8(walKindWeights)
+		e.weights(r.Batch)
 	}
-	rr.read = append(rr.read, p...)
-	return p, true
+	e.frame()
 }
 
-func (rr *walRecordReader) u8() (uint8, bool) {
-	p, ok := rr.bytes(1)
-	if !ok {
-		return 0, false
-	}
-	return p[0], true
-}
-
-func (rr *walRecordReader) u32() (uint32, bool) {
-	p, ok := rr.bytes(4)
-	if !ok {
-		return 0, false
-	}
-	return binary.LittleEndian.Uint32(p), true
-}
-
-func (rr *walRecordReader) u64() (uint64, bool) {
-	p, ok := rr.bytes(8)
-	if !ok {
-		return 0, false
-	}
-	return binary.LittleEndian.Uint64(p), true
-}
-
-func (rr *walRecordReader) i32() (int32, bool) {
-	v, ok := rr.u32()
-	return int32(v), ok
-}
-
-func (rr *walRecordReader) f64() (float64, bool) {
-	v, ok := rr.u64()
-	return math.Float64frombits(v), ok
-}
-
-// countOK bounds a decoded element count: each element occupies at least
-// elemSize bytes, so counts implying more bytes than the input holds are
-// corrupt (treated as a torn tail by the caller).
-func countOK(count uint32, elemSize int64, size int64) bool {
-	if count > maxWALBatch {
-		return false
-	}
-	return size < 0 || int64(count) <= size/elemSize
-}
-
-// decodeWALRecord reads one record.  ok=false means the reader hit a clean
-// EOF, a torn tail, or corruption — indistinguishable by design, all ending
-// the valid prefix.  n is the record's byte length including the CRC.
-func decodeWALRecord(r io.Reader, size int64) (rec walRecord, n int64, ok bool) {
-	rr := &walRecordReader{r: r}
-	epoch, ok := rr.u64()
-	if !ok {
-		return walRecord{}, 0, false
-	}
-	kind, ok := rr.u8()
-	if !ok {
-		return walRecord{}, 0, false
-	}
-	rec.Epoch = epoch
-	switch kind {
+func (d *dec) walRecord() walRecord {
+	rec := walRecord{Epoch: d.u64()}
+	switch kind := d.u8(); kind {
 	case walKindWeights:
-		count, ok := rr.u32()
-		if !ok || !countOK(count, 12, size) {
-			return walRecord{}, 0, false
-		}
-		batch := make([]graph.WeightUpdate, count)
-		for i := range batch {
-			e, ok1 := rr.i32()
-			w, ok2 := rr.f64()
-			if !ok1 || !ok2 {
-				return walRecord{}, 0, false
-			}
-			batch[i] = graph.WeightUpdate{Edge: graph.EdgeID(e), NewWeight: w}
-		}
-		rec.Batch = batch
+		rec.Batch = d.weights()
 	case walKindTopology:
-		addV, ok := rr.u32()
-		if !ok || !countOK(addV, 1, size) {
-			return walRecord{}, 0, false
-		}
-		up := &graph.TopologyUpdate{AddVertices: int(addV)}
-		nIns, ok := rr.u32()
-		if !ok || !countOK(nIns, 16, size) {
-			return walRecord{}, 0, false
-		}
-		for i := uint32(0); i < nIns; i++ {
-			u, ok1 := rr.i32()
-			v, ok2 := rr.i32()
-			w, ok3 := rr.f64()
-			if !ok1 || !ok2 || !ok3 {
-				return walRecord{}, 0, false
-			}
-			up.InsertEdges = append(up.InsertEdges, graph.Edge{U: graph.VertexID(u), V: graph.VertexID(v), Weight: w})
-		}
-		nDelE, ok := rr.u32()
-		if !ok || !countOK(nDelE, 4, size) {
-			return walRecord{}, 0, false
-		}
-		for i := uint32(0); i < nDelE; i++ {
-			e, ok := rr.i32()
-			if !ok {
-				return walRecord{}, 0, false
-			}
-			up.DeleteEdges = append(up.DeleteEdges, graph.EdgeID(e))
-		}
-		nDelV, ok := rr.u32()
-		if !ok || !countOK(nDelV, 4, size) {
-			return walRecord{}, 0, false
-		}
-		for i := uint32(0); i < nDelV; i++ {
-			v, ok := rr.i32()
-			if !ok {
-				return walRecord{}, 0, false
-			}
-			up.DeleteVertices = append(up.DeleteVertices, graph.VertexID(v))
-		}
-		rec.Topo = up
+		rec.Topo = d.topology()
 	default:
-		return walRecord{}, 0, false // unknown kind: treat as torn tail
+		d.failf("unknown WAL record kind %d", kind)
 	}
-	var crcBuf [4]byte
-	if _, err := io.ReadFull(r, crcBuf[:]); err != nil {
-		return walRecord{}, 0, false
-	}
-	if binary.LittleEndian.Uint32(crcBuf[:]) != crc32.Checksum(rr.read, crcTable) {
-		return walRecord{}, 0, false
-	}
-	return rec, int64(len(rr.read)) + 4, true
+	d.frame()
+	return rec
 }
