@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"context"
+	"fmt"
 	"sync"
 
 	"kspdg/internal/core"
@@ -15,8 +16,9 @@ import (
 // tracedSender adapts one worker's partial-KSP call to the rpcbatch transport:
 // each batch is stamped with the context's trace identity, runs under an
 // "rpc" span naming worker w, and has the worker's execution spans grafted
-// back under it.  The returned paths alias the response's decoded arrays (see
-// DecodePaths) and must be treated as immutable.
+// back under it.  A reply that does not answer exactly the pairs asked about
+// fails the batch.  The returned paths alias the response's decoded arrays
+// (see DecodePaths) and must be treated as immutable.
 func tracedSender(w int, call func(PartialKSPRequest) (PartialKSPResponse, error)) rpcbatch.Sender {
 	return func(ctx context.Context, pairs []core.PairRequest, k int, epoch uint64, hasEpoch bool) (map[core.PairRequest][]graph.Path, bool, error) {
 		req := PartialKSPRequest{Pairs: pairs, K: k, Epoch: epoch, HasEpoch: hasEpoch}
@@ -30,10 +32,18 @@ func tracedSender(w int, call func(PartialKSPRequest) (PartialKSPResponse, error
 			return nil, false, err
 		}
 		s.Graft(resp.Spans)
+		// A reply must answer every pair asked about: a missing pair would
+		// read as "no partial paths", which the engine keeps as an answer.
+		if n := resp.NumPairs(); n != len(pairs) {
+			err := fmt.Errorf("cluster: worker %d answered %d pairs of %d", w, n, len(pairs))
+			s.SetAttr("error", err.Error())
+			s.Finish()
+			return nil, false, err
+		}
 		s.Finish()
 		decoded := resp.DecodePaths()
 		out := make(map[core.PairRequest][]graph.Path, len(pairs))
-		for i, pr := range pairs[:min(len(pairs), len(decoded))] {
+		for i, pr := range pairs {
 			out[pr] = decoded[i]
 		}
 		return out, resp.ServedEpoch, nil

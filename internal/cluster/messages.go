@@ -12,8 +12,9 @@
 //     nodes answering partial-KSP requests through direct calls over the
 //     master's index, used by the benchmarks to study scaling with the
 //     number of workers; and
-//   - a TCP deployment (Serve / RemoteWorker) with gob-encoded messages, used
-//     by cmd/kspd to run real worker processes on a network.
+//   - a TCP deployment (Serve / RemoteWorker) whose messages travel as
+//     CRC-checked binary frames (wire.go, built on internal/codec), used by
+//     cmd/kspd to run real worker processes on a network.
 //
 // Both serve the refine step through core.PartialProvider behind per-worker
 // rpcbatch queues, so the KSP-DG engine is oblivious to where the subgraphs
@@ -21,9 +22,6 @@
 package cluster
 
 import (
-	"bytes"
-	"encoding/gob"
-
 	"kspdg/internal/core"
 	"kspdg/internal/graph"
 	"kspdg/internal/trace"
@@ -54,9 +52,10 @@ type PartialKSPRequest struct {
 // path's vertex sequence is appended to one Verts array, described by the
 // parallel per-path Lens and Dists arrays, with Counts giving the number of
 // paths per request pair.  A flat response decodes into paths that subslice
-// the single gob-allocated Verts array — instead of one slice header and one
-// vertex array per path — which removes the dominant per-path allocations
-// from the master's refine hot path.
+// its one Verts array — instead of one slice header and one vertex array per
+// path — which removes the dominant per-path allocations from the master's
+// refine hot path.  The wire decoder allocates a fresh Verts per reply, since
+// the engine keeps the paths that alias it.
 type FlatPaths struct {
 	Verts  []graph.VertexID
 	Lens   []int32
@@ -72,7 +71,7 @@ func (f *FlatPaths) appendPath(p graph.Path) {
 }
 
 // PartialKSPResponse carries the partial paths a worker computed, keyed by
-// pair index into the request (to keep gob encoding simple and compact).
+// pair index into the request (so the wire carries no pair keys).
 type PartialKSPResponse struct {
 	// Flat holds the paths of every request pair (see FlatPaths); Counts[i]
 	// is the number of paths for request pair i (possibly zero).
@@ -196,7 +195,8 @@ type StatsResponse struct {
 	Panics int
 }
 
-// envelope is the tagged union used on the TCP wire.
+// envelope is the tagged union used on the TCP wire: exactly one of its
+// message fields is set (see wire.go for the byte layout).
 //
 // ID is the request tag: the server processes envelopes concurrently and
 // replies out of order, echoing the ID, and the client demultiplexes replies
@@ -221,41 +221,4 @@ type replyEnvelope struct {
 	Topology *TopologyUpdateResponse
 	Stats    *StatsResponse
 	Pong     bool
-}
-
-func init() {
-	gob.Register(envelope{})
-	gob.Register(replyEnvelope{})
-}
-
-// marshalEnvelope gob-encodes a request envelope to bytes (the same encoding
-// the TCP transport streams over a connection).
-func marshalEnvelope(env envelope) ([]byte, error) {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(env); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
-}
-
-// unmarshalEnvelope decodes a request envelope from bytes.
-func unmarshalEnvelope(data []byte) (envelope, error) {
-	var env envelope
-	err := gob.NewDecoder(bytes.NewReader(data)).Decode(&env)
-	return env, err
-}
-
-// marshalReply and unmarshalReply are the response-side counterparts.
-func marshalReply(rep replyEnvelope) ([]byte, error) {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(rep); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
-}
-
-func unmarshalReply(data []byte) (replyEnvelope, error) {
-	var rep replyEnvelope
-	err := gob.NewDecoder(bytes.NewReader(data)).Decode(&rep)
-	return rep, err
 }

@@ -1,9 +1,10 @@
 package cluster
 
 import (
-	"encoding/gob"
+	"bufio"
 	"errors"
 	"fmt"
+	"io"
 	"log"
 	"net"
 	"runtime/debug"
@@ -11,6 +12,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"kspdg/internal/codec"
 	"kspdg/internal/graph"
 )
 
@@ -20,13 +22,16 @@ import (
 // instead of growing an unbounded goroutine pile.
 const maxInflightPerConn = 64
 
-// Server exposes a Worker over TCP with gob-encoded messages.  It is the
-// network deployment of a SubgraphBolt host: cmd/kspd wraps it in a worker
-// process, and a master process reaches it through RemoteWorker.
+// Server exposes a Worker over TCP, one binary frame per message (see
+// wire.go).  It is the network deployment of a SubgraphBolt host: cmd/kspd
+// wraps it in a worker process, and a master process reaches it through
+// RemoteWorker.
 //
-// Every request envelope is executed on a bounded per-connection goroutine
-// pool and answered — possibly out of order — with its ID echoed.  A panic
-// while serving one request fails that request alone (see dispatch).
+// A connection opens with both sides' preambles; a peer whose preamble is
+// not this wire version's is logged and dropped.  Every request envelope is
+// executed on a bounded per-connection goroutine pool and answered — possibly
+// out of order — with its ID echoed.  A panic while serving one request fails
+// that request alone (see dispatch).
 type Server struct {
 	worker   *Worker
 	listener net.Listener
@@ -123,21 +128,44 @@ func (s *Server) handleConn(conn net.Conn) {
 		s.mu.Unlock()
 		conn.Close()
 	}()
-	dec := gob.NewDecoder(conn)
-	enc := gob.NewEncoder(conn)
+	br := bufio.NewReader(conn)
+	err := writePreamble(conn)
+	if err == nil {
+		err = readPreamble(br)
+	}
+	if err != nil {
+		if errors.Is(err, errWrongPeer) {
+			log.Printf("cluster: worker %d: dropping connection from %s: %v", s.worker.id, conn.RemoteAddr(), err)
+		}
+		return
+	}
 	// writeMu serialises reply writes: multiplexed replies come from
-	// concurrent request goroutines but the gob stream permits one writer.
+	// concurrent request goroutines, and each is encoded into the one reply
+	// buffer and written as a whole frame.
 	var writeMu sync.Mutex
+	var out []byte
 	write := func(reply replyEnvelope) error {
 		writeMu.Lock()
 		defer writeMu.Unlock()
-		return enc.Encode(reply)
+		var err error
+		if out, err = appendReply(out[:0], reply); err != nil {
+			// Every reply must reach its caller, or the caller waits forever.
+			out, _ = appendReply(out[:0], replyEnvelope{ID: reply.ID, Err: err.Error()})
+		}
+		_, err = conn.Write(out)
+		return err
 	}
 	slots := make(chan struct{}, maxInflightPerConn)
+	var frame []byte
 	for {
-		var env envelope
-		if err := dec.Decode(&env); err != nil {
+		body, err := codec.ReadSized(br, frame)
+		if err != nil {
 			return
+		}
+		frame = body
+		env, err := decodeEnvelope(body)
+		if err != nil {
+			return // a malformed request: the peer is not speaking the protocol
 		}
 		slots <- struct{}{}
 		requests.Add(1)
@@ -287,22 +315,30 @@ func (p *pendingCalls) failAll(err error) {
 	}
 }
 
-// readReplies decodes reply envelopes from dec and routes each to its pending
-// call until the stream ends, returning the terminating decode error.  It is
+// readReplies reads reply frames from r and routes each to its pending call
+// until the stream ends, returning the error that ended it: the end of the
+// input, a frame that fails its CRC, or a body that does not decode.  It is
 // the demultiplexing half of the framing; FuzzFramedEnvelope drives it with
 // adversarial streams.
-func readReplies(dec *gob.Decoder, pending *pendingCalls) error {
+func readReplies(r io.Reader, pending *pendingCalls) error {
+	var frame []byte
 	for {
-		var rep replyEnvelope
-		if err := dec.Decode(&rep); err != nil {
+		body, err := codec.ReadSized(r, frame)
+		if err != nil {
+			return err
+		}
+		frame = body
+		rep, err := decodeReply(body)
+		if err != nil {
 			return err
 		}
 		pending.deliver(rep)
 	}
 }
 
-// clientConn is one pooled connection of a RemoteWorker: a shared gob encoder
-// guarded by a mutex, and a reader goroutine demultiplexing replies by ID.
+// clientConn is one pooled connection of a RemoteWorker: a request buffer
+// and the connection's writes guarded by a mutex, and a reader goroutine
+// demultiplexing replies by ID.
 // When the connection breaks, pending calls fail (their callers retry through
 // the RemoteWorker backoff loop) and the next send re-dials.
 type clientConn struct {
@@ -311,7 +347,7 @@ type clientConn struct {
 	mu      sync.Mutex
 	closed  bool
 	conn    net.Conn
-	enc     *gob.Encoder
+	out     []byte // the last request's frame, reused by the next send
 	pending *pendingCalls
 }
 
@@ -325,17 +361,15 @@ func (cc *clientConn) ensureLocked() error {
 	if cc.conn != nil {
 		return nil
 	}
-	conn, err := net.Dial("tcp", cc.addr)
+	conn, br, err := dialWire(cc.addr)
 	if err != nil {
 		return fmt.Errorf("cluster: dial %s: %w", cc.addr, err)
 	}
 	cc.conn = conn
-	cc.enc = gob.NewEncoder(conn)
 	cc.pending = newPendingCalls()
 	pending := cc.pending
-	dec := gob.NewDecoder(conn)
 	go func() {
-		err := readReplies(dec, pending)
+		err := readReplies(br, pending)
 		pending.failAll(fmt.Errorf("cluster: connection to %s lost: %w", cc.addr, err))
 		cc.teardown(conn)
 	}()
@@ -353,7 +387,13 @@ func (cc *clientConn) send(env envelope) (chan callResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := cc.enc.Encode(env); err != nil {
+	out, err := appendEnvelope(cc.out[:0], env)
+	if err != nil {
+		cc.pending.drop(env.ID)
+		return nil, err
+	}
+	cc.out = out
+	if _, err := cc.conn.Write(out); err != nil {
 		cc.pending.drop(env.ID)
 		cc.conn.Close()
 		cc.conn = nil

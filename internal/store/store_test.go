@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 
 	"kspdg/internal/core"
@@ -397,6 +398,32 @@ func TestWALTornTail(t *testing.T) {
 	}
 	if len(recs) != 3 || recs[2].Epoch != 3 {
 		t.Fatalf("WAL after repair holds %d records, want 3 ending at epoch 3", len(recs))
+	}
+}
+
+// TestWALKeepsLargeAddVertices logs a topology record that adds more
+// vertices than the segment has bytes.  add_vertices sizes no allocation in
+// the decoder, so it must not be held to the input's length: the record once
+// read back as a torn tail and was silently dropped.
+func TestWALKeepsLargeAddVertices(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "wal-0000000000000000.log")
+	w, err := createWAL(path, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	up := graph.TopologyUpdate{AddVertices: 5000}
+	if err := w.appendTopology(1, up, 1); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.close(); err != nil {
+		t.Fatal(err)
+	}
+	recs, _, _, err := readWAL(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(recs) != 1 || recs[0].Topo == nil || !reflect.DeepEqual(*recs[0].Topo, up) {
+		t.Fatalf("read back %+v, want the one topology record %+v", recs, up)
 	}
 }
 

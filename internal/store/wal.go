@@ -5,6 +5,7 @@ import (
 	"io"
 	"os"
 
+	"kspdg/internal/codec"
 	"kspdg/internal/graph"
 )
 
@@ -12,7 +13,7 @@ import (
 //
 //	header:  magic "KSPDWAL1" | u32 version | u64 startEpoch
 //	record:  u64 epoch | u8 kind | payload
-//	         | u32 CRC-32C of the record bytes above (one frame, see codec.go)
+//	         | u32 CRC-32C of the record bytes above (one frame, see internal/codec)
 //
 //	kind 0 (weights):  u32 count | count × (i32 edge | f64 weight)
 //	kind 1 (topology): u32 addVertices
@@ -138,10 +139,11 @@ func (w *walWriter) commit(rec walRecord, syncEvery int) error {
 	if rec.Epoch != w.last+1 {
 		return fmt.Errorf("store: WAL expects epoch %d next, got %d (a snapshot is needed to resynchronise the log)", w.last+1, rec.Epoch)
 	}
-	e := enc{buf: w.buf[:0]}
-	e.walRecord(rec)
-	w.buf = e.buf
-	if _, err := w.f.Write(e.buf); err != nil {
+	var e codec.Encoder
+	e.Reset(w.buf[:0])
+	encodeWALRecord(&e, rec)
+	w.buf = e.Bytes()
+	if _, err := w.f.Write(w.buf); err != nil {
 		w.rollback()
 		return err
 	}
@@ -158,7 +160,7 @@ func (w *walWriter) commit(rec walRecord, syncEvery int) error {
 	} else {
 		w.pending++
 	}
-	w.off += int64(len(e.buf))
+	w.off += int64(len(w.buf))
 	w.last = rec.Epoch
 	return nil
 }
@@ -206,11 +208,11 @@ func readWAL(path string) (recs []walRecord, startEpoch uint64, validLen int64, 
 
 // walHeader encodes a segment header, which lies outside every frame.
 func walHeader(startEpoch uint64) []byte {
-	var e enc
-	e.str(walMagic)
-	e.u32(FormatVersion)
-	e.u64(startEpoch)
-	return e.buf
+	var e codec.Encoder
+	e.Raw(walMagic)
+	e.U32(FormatVersion)
+	e.U64(startEpoch)
+	return e.Bytes()
 }
 
 // decodeWAL is the reader core, split out so the fuzz target can feed it
@@ -218,51 +220,51 @@ func walHeader(startEpoch uint64) []byte {
 // first record that is truncated, fails its checksum or is malformed — a
 // clean end, a torn tail and corruption are indistinguishable by design.
 func decodeWAL(r io.Reader, size int64) (recs []walRecord, startEpoch uint64, validLen int64, err error) {
-	d := newDec(r, size)
-	if magic := d.str(len(walMagic)); magic != walMagic {
-		d.failf("not a WAL file (magic %q)", magic)
+	d := codec.NewDecoder(r, size)
+	if magic := d.Raw(len(walMagic)); magic != walMagic {
+		d.Failf("not a WAL file (magic %q)", magic)
 	}
-	if v := d.u32(); v != FormatVersion {
-		d.failf("unsupported WAL format version %d (supported: %d)", v, FormatVersion)
+	if v := d.U32(); v != FormatVersion {
+		d.Failf("unsupported WAL format version %d (supported: %d)", v, FormatVersion)
 	}
-	startEpoch = d.u64()
-	if d.err != nil {
-		return nil, 0, 0, d.err
+	startEpoch = d.U64()
+	if d.Err() != nil {
+		return nil, 0, 0, d.Err()
 	}
-	d.crc = 0 // the first frame starts after the header
+	d.BeginFrame() // the first frame starts after the header
 	for {
-		validLen = d.n
-		rec := d.walRecord()
-		if d.err != nil {
+		validLen = d.Offset()
+		rec := decodeWALRecord(d)
+		if d.Err() != nil {
 			return recs, startEpoch, validLen, nil
 		}
 		recs = append(recs, rec)
 	}
 }
 
-// walRecord encodes one record as a frame.
-func (e *enc) walRecord(r walRecord) {
-	e.u64(r.Epoch)
+// encodeWALRecord encodes one record as a frame.
+func encodeWALRecord(e *codec.Encoder, r walRecord) {
+	e.U64(r.Epoch)
 	if r.Topo != nil {
-		e.u8(walKindTopology)
-		e.topology(*r.Topo)
+		e.U8(walKindTopology)
+		e.Topology(*r.Topo)
 	} else {
-		e.u8(walKindWeights)
-		e.weights(r.Batch)
+		e.U8(walKindWeights)
+		e.Weights(r.Batch)
 	}
-	e.frame()
+	e.Frame()
 }
 
-func (d *dec) walRecord() walRecord {
-	rec := walRecord{Epoch: d.u64()}
-	switch kind := d.u8(); kind {
+func decodeWALRecord(d *codec.Decoder) walRecord {
+	rec := walRecord{Epoch: d.U64()}
+	switch kind := d.U8(); kind {
 	case walKindWeights:
-		rec.Batch = d.weights()
+		rec.Batch = d.Weights()
 	case walKindTopology:
-		rec.Topo = d.topology()
+		rec.Topo = d.Topology()
 	default:
-		d.failf("unknown WAL record kind %d", kind)
+		d.Failf("unknown WAL record kind %d", kind)
 	}
-	d.frame()
+	d.Frame()
 	return rec
 }

@@ -7,8 +7,8 @@ import "time"
 // durations relative to the request it served: StartNs is the offset from the
 // moment the worker began handling the request, DurNs the span's length.
 // Parent indexes another entry of the same slice; -1 attaches the span
-// directly under the master-side RPC span it is grafted onto.  The zero value
-// round-trips through encoding/gob.
+// directly under the master-side RPC span it is grafted onto.  The cluster's
+// wire codec carries every field, so the zero value round-trips too.
 type SpanMsg struct {
 	Name    string
 	Parent  int32 // index into the same []SpanMsg, or -1 for the graft root

@@ -309,7 +309,7 @@ type Span struct {
 }
 
 // Attr is one key=value annotation on a span.  Values are strings so the
-// type stays trivially encodable (JSON, gob) with no reflection surprises.
+// type stays trivially encodable (JSON, the cluster wire).
 type Attr struct {
 	Key   string `json:"k"`
 	Value string `json:"v"`
