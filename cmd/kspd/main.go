@@ -78,9 +78,9 @@ func main() {
 	flag.IntVar(&cfg.MaxIterations, "max-iterations", 0, "hard cap on reference paths examined per query (0 = default 10000; master mode)")
 	flag.IntVar(&cfg.StallWindow, "stall-window", 0, "adaptive iteration budget: terminate a query near-exactly (reporting its bound gap) after this many iterations without bound-gap progress (0 = default 64, negative disables; master mode)")
 	flag.IntVar(&cfg.Pool, "pool", 2, "TCP connections per worker (master mode)")
-	flag.IntVar(&cfg.Replicas, "replicas", 1, "workers hosting each subgraph; >1 enables health-checked failover (must match between master and workers)")
-	flag.DurationVar(&cfg.HedgeAfter, "hedge-after", 0, "duplicate a partial-KSP batch to a replica when the primary is silent this long (master mode, needs -replicas > 1; 0 disables)")
-	flag.DurationVar(&cfg.PingEvery, "ping-every", 500*time.Millisecond, "worker health-check probe interval (master mode with -replicas > 1; 0 leaves detection to the data path)")
+	flag.IntVar(&cfg.Replicas, "replicas", 1, "workers hosting each subgraph, placed on workers (subgraph + rank) mod num-workers; >1 lets queries fail over to a subgraph's other hosts (must match between master and workers)")
+	flag.DurationVar(&cfg.HedgeAfter, "hedge-after", 0, "route a partial-KSP share again to its subgraphs' other hosts when its worker is silent this long (master mode, needs -replicas > 1; 0 disables)")
+	flag.DurationVar(&cfg.PingEvery, "ping-every", 500*time.Millisecond, "worker health-check probe interval (master mode with workers, any -replicas; 0 leaves detection to the data path)")
 	flag.IntVar(&cfg.BatchPairs, "batch-pairs", 0, "flush a coalesced partial-KSP batch at this many pairs (0 = default 64; master mode)")
 	flag.StringVar(&cfg.DataDir, "data-dir", "", "persistence directory for index snapshots and the update WAL")
 	flag.BoolVar(&cfg.SaveIndex, "save-index", false, "force a fresh snapshot in -data-dir after a warm start (cold starts with -data-dir always snapshot; master mode)")

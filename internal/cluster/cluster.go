@@ -1,56 +1,53 @@
 package cluster
 
 import (
-	"slices"
+	"context"
+	"fmt"
 	"sync"
 
 	"kspdg/internal/core"
 	"kspdg/internal/dtlp"
 	"kspdg/internal/partition"
-	"kspdg/internal/rpcbatch"
 )
 
 // Cluster is the in-process deployment of the refine step: the subgraphs of
-// the index's partition are allocated to Workers by load (Section 5.2), and a
-// *Cluster is itself the core.PartialProvider that routes every pair to the
-// workers hosting its subgraphs, through one batching queue per worker.
+// the index's partition are placed on Workers by Owners at factor 1, and a
+// *Cluster is the core.PartialProvider over them — the one provider,
+// calling each worker directly instead of over TCP.
 //
 // The index is the cluster's only writer.  Weight batches need no message:
 // workers answer epoch pins from the index's retained views.  A topology
-// batch replaces the index's partition, and the next routing call installs
+// batch replaces the index's partition, and the next refine call installs
 // the new partition and ownership on every worker before it routes a pair,
 // so no published epoch can reach a worker that cannot serve it.
 type Cluster struct {
-	*batchedProvider
+	*BatchedRemoteProvider
 	index   *dtlp.Index
 	workers []*Worker
-	table   *ReplicaTable
 
 	mu   sync.Mutex
 	part *partition.Partition // the partition the workers were last given
 }
 
-// New builds an in-process cluster of numWorkers workers over index.  Its
-// subgraphs go to the least-loaded worker, biggest first (see
-// AssignReplicas).  Queries run through core.NewEngine(index, c, opts);
-// updates go to the index alone.
+// New builds an in-process cluster of numWorkers workers over index.
+// Queries run through core.NewEngine(index, c, opts); updates go to the
+// index alone.
 func New(index *dtlp.Index, numWorkers int) (*Cluster, error) {
-	part := index.Partition()
-	table, err := AssignReplicas(part, numWorkers, 1)
-	if err != nil {
-		return nil, err
+	if numWorkers < 1 {
+		return nil, fmt.Errorf("cluster: need at least 1 worker, got %d", numWorkers)
 	}
-	c := &Cluster{index: index, table: table, part: part}
-	senders := make([]rpcbatch.Sender, numWorkers)
-	for w := range senders {
-		worker := NewWorker(w, part, table.OwnedBy(w))
+	part := index.Partition()
+	c := &Cluster{index: index, part: part}
+	calls := make([]func(PartialKSPRequest) (PartialKSPResponse, error), numWorkers)
+	for w := range calls {
+		worker := NewWorker(w, part, OwnedBy(w, part.NumSubgraphs(), numWorkers, 1))
 		worker.SetViewResolver(index.ViewAt)
 		c.workers = append(c.workers, worker)
-		senders[w] = tracedSender(w, func(req PartialKSPRequest) (PartialKSPResponse, error) {
+		calls[w] = func(req PartialKSPRequest) (PartialKSPResponse, error) {
 			return worker.HandlePartialKSP(req), nil
-		})
+		}
 	}
-	c.batchedProvider = newBatchedProvider(senders, c.route, rpcbatch.Options{})
+	c.BatchedRemoteProvider = newProvider(calls, 1, ReplicatedOptions{}, nil)
 	return c, nil
 }
 
@@ -58,29 +55,18 @@ func New(index *dtlp.Index, numWorkers int) (*Cluster, error) {
 // Worker.HandleStats).
 func (c *Cluster) Workers() []*Worker { return c.workers }
 
-// route returns the worker hosting each subgraph of part that holds both
-// endpoints of the pair; a nil part (an unpinned request) means the index's
-// current partition.
-func (c *Cluster) route(part *partition.Partition, pr core.PairRequest) []int {
+// PartialKSPAsyncCtx implements core.PartialProvider: it catches the workers
+// up with the index's partition, then routes like any provider.
+func (c *Cluster) PartialKSPAsyncCtx(ctx context.Context, iv *dtlp.IndexView, pairs []core.PairRequest, k int) <-chan core.AsyncPartialReply {
 	c.follow()
-	if part == nil {
-		part = c.index.Partition()
-	}
-	var ws []int
-	for _, id := range part.CommonSubgraphs(pr.A, pr.B) {
-		if w := c.table.Primary(id); !slices.Contains(ws, w) {
-			ws = append(ws, w)
-		}
-	}
-	return ws
+	return c.BatchedRemoteProvider.PartialKSPAsyncCtx(ctx, iv, pairs, k)
 }
 
 // follow catches the workers up with the index's partition.  The index
 // installs a new partition before it publishes the epoch that reads it, so
-// after follow every subgraph of every pinned partition has a table row and
-// an owner.  Subgraphs a topology batch opened are assigned round-robin
-// (see ReplicaTable.Extend); ownership only grows, so workers still serve
-// older pins.
+// after follow every subgraph of every pinned partition has an owner.
+// Owners places opened subgraphs without moving old ones, so ownership only
+// grows and workers still serve older pins.
 func (c *Cluster) follow() {
 	cur := c.index.Partition()
 	c.mu.Lock()
@@ -88,9 +74,8 @@ func (c *Cluster) follow() {
 	if cur == c.part {
 		return
 	}
-	c.table.Extend(cur.NumSubgraphs())
 	for w, worker := range c.workers {
-		worker.SetPartition(cur, c.table.OwnedBy(w))
+		worker.SetPartition(cur, OwnedBy(w, cur.NumSubgraphs(), len(c.workers), 1))
 	}
 	c.part = cur
 }

@@ -16,7 +16,6 @@ import (
 	"kspdg/internal/graph"
 	"kspdg/internal/partition"
 	"kspdg/internal/rpcbatch"
-	"kspdg/internal/testutil"
 )
 
 // fakeCaller is an in-process stand-in for a RemoteWorker: a real Worker
@@ -63,32 +62,29 @@ func (f *fakeCaller) setWorker(w *Worker) {
 	f.mu.Unlock()
 }
 
-// fakeReplicatedDeployment builds a replicated provider over fake callers
-// backed by real workers that resolve epoch pins against the shared index.
-func fakeReplicatedDeployment(t *testing.T, workers, factor int, opts ReplicatedOptions) (*dtlp.Index, *ReplicaTable, []*fakeCaller, *ReplicatedRemoteProvider) {
+// fakeDeployment builds the provider at the given factor over fake callers
+// backed by real workers, placed by Owners, that resolve epoch pins against
+// the shared index.  The pair memo follows the remote convention: off unless
+// opts.Batch.CacheCapacity is positive.
+func fakeDeployment(t *testing.T, workers, factor int, opts ReplicatedOptions) (*dtlp.Index, []*fakeCaller, *BatchedRemoteProvider) {
 	t.Helper()
-	g := testutil.PaperGraph(t)
-	p, err := partition.PartitionGraph(g, 6)
-	if err != nil {
-		t.Fatal(err)
-	}
+	p := paperPartition(t)
 	x, err := dtlp.Build(p, dtlp.Config{Xi: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	rt, err := AssignReplicas(p, workers, factor)
-	if err != nil {
-		t.Fatal(err)
-	}
 	fakes := make([]*fakeCaller, workers)
-	callers := make([]partialCaller, workers)
+	calls := make([]func(PartialKSPRequest) (PartialKSPResponse, error), workers)
 	for w := 0; w < workers; w++ {
-		worker := NewWorker(w, p, rt.OwnedBy(w))
+		worker := NewWorker(w, p, OwnedBy(w, p.NumSubgraphs(), workers, factor))
 		worker.SetViewResolver(x.ViewAt)
 		fakes[w] = &fakeCaller{worker: worker}
-		callers[w] = fakes[w]
+		calls[w] = fakes[w].PartialKSP
 	}
-	return x, rt, fakes, newReplicatedProvider(callers, p, rt, opts, nil)
+	if opts.Batch.CacheCapacity == 0 {
+		opts.Batch.CacheCapacity = -1
+	}
+	return x, fakes, newProvider(calls, factor, opts, nil)
 }
 
 // samePaths requires two per-pair path maps to agree on distances.
@@ -125,21 +121,21 @@ func referenceAnswers(part *partition.Partition, pairs []core.PairRequest, k int
 	return want
 }
 
-// refine issues one refine request and waits for its reply (a nil view asks
-// for the live weights).
+// refine issues one refine request pinned to iv and waits for its reply.
 func refine(p core.PartialProvider, iv *dtlp.IndexView, pairs []core.PairRequest, k int) (map[core.PairRequest][]graph.Path, error) {
 	reply := <-p.PartialKSPAsyncCtx(context.Background(), iv, pairs, k)
 	return reply.Paths, reply.Err
 }
 
 func TestReplicatedProviderFailsOverWhenWorkerDies(t *testing.T) {
-	x, _, fakes, rp := fakeReplicatedDeployment(t, 2, 2, ReplicatedOptions{})
+	x, fakes, rp := fakeDeployment(t, 2, 2, ReplicatedOptions{})
 	defer rp.Close()
 	part := x.Partition()
+	iv := x.CurrentView()
 	pairs := somePairs(t, part, 4)
 	want := referenceAnswers(part, pairs, 3)
 
-	got, err := refine(rp, nil, pairs, 3)
+	got, err := refine(rp, iv, pairs, 3)
 	if err != nil {
 		t.Fatalf("healthy deployment: %v", err)
 	}
@@ -147,7 +143,7 @@ func TestReplicatedProviderFailsOverWhenWorkerDies(t *testing.T) {
 
 	// Kill worker 0: every pair must still be answered, via the replica.
 	fakes[0].setFail(true)
-	got, err = refine(rp, nil, pairs, 3)
+	got, err = refine(rp, iv, pairs, 3)
 	if err != nil {
 		t.Fatalf("with worker 0 dead: %v", err)
 	}
@@ -161,7 +157,7 @@ func TestReplicatedProviderFailsOverWhenWorkerDies(t *testing.T) {
 
 	// Later batches route around the suspected worker: answers keep flowing
 	// without growing the failover count per call indefinitely.
-	got, err = refine(rp, nil, pairs, 3)
+	got, err = refine(rp, iv, pairs, 3)
 	if err != nil {
 		t.Fatalf("steady state with worker 0 dead: %v", err)
 	}
@@ -169,15 +165,16 @@ func TestReplicatedProviderFailsOverWhenWorkerDies(t *testing.T) {
 
 	// Worker 0 rejoins; one successful call restores it.
 	fakes[0].setFail(false)
-	if _, err := refine(rp, nil, pairs, 3); err != nil {
+	if _, err := refine(rp, iv, pairs, 3); err != nil {
 		t.Fatalf("after rejoin: %v", err)
 	}
 }
 
 func TestReplicatedProviderAllReplicasDownFailsFast(t *testing.T) {
-	x, _, fakes, rp := fakeReplicatedDeployment(t, 2, 2, ReplicatedOptions{})
+	x, fakes, rp := fakeDeployment(t, 2, 2, ReplicatedOptions{})
 	defer rp.Close()
 	part := x.Partition()
+	iv := x.CurrentView()
 	pairs := somePairs(t, part, 2)
 	fakes[0].setFail(true)
 	fakes[1].setFail(true)
@@ -187,7 +184,7 @@ func TestReplicatedProviderAllReplicasDownFailsFast(t *testing.T) {
 	}
 	done := make(chan result, 1)
 	go func() {
-		_, err := refine(rp, nil, pairs, 2)
+		_, err := refine(rp, iv, pairs, 2)
 		done <- result{err: err}
 	}()
 	select {
@@ -204,15 +201,16 @@ func TestReplicatedProviderAllReplicasDownFailsFast(t *testing.T) {
 }
 
 func TestReplicatedProviderHedgedRequestBothAnswer(t *testing.T) {
-	x, _, fakes, rp := fakeReplicatedDeployment(t, 2, 2, ReplicatedOptions{HedgeAfter: 2 * time.Millisecond})
+	x, fakes, rp := fakeDeployment(t, 2, 2, ReplicatedOptions{HedgeAfter: 2 * time.Millisecond})
 	part := x.Partition()
+	iv := x.CurrentView()
 	pairs := somePairs(t, part, 4)
 	want := referenceAnswers(part, pairs, 3)
 
 	// Both workers answer, worker 0 slowly: batches to worker 0 hedge onto
 	// worker 1, the fast copy wins, and the slow copy's reply is dropped.
 	fakes[0].setDelay(40 * time.Millisecond)
-	got, err := refine(rp, nil, pairs, 3)
+	got, err := refine(rp, iv, pairs, 3)
 	if err != nil {
 		t.Fatalf("hedged query: %v", err)
 	}
@@ -221,7 +219,7 @@ func TestReplicatedProviderHedgedRequestBothAnswer(t *testing.T) {
 	// Accounting stays conserved after the race: a fresh request still gets
 	// exactly one correct answer per pair.
 	fakes[0].setDelay(0)
-	got, err = refine(rp, nil, pairs, 3)
+	got, err = refine(rp, iv, pairs, 3)
 	if err != nil {
 		t.Fatalf("query after hedge race: %v", err)
 	}
@@ -250,7 +248,7 @@ func TestReplicatedProviderHedgedRequestBothAnswer(t *testing.T) {
 }
 
 func TestReplicatedProviderStaleEpochRejoinDoesNotPoisonMemo(t *testing.T) {
-	x, rt, fakes, rp := fakeReplicatedDeployment(t, 2, 2, ReplicatedOptions{
+	x, fakes, rp := fakeDeployment(t, 2, 2, ReplicatedOptions{
 		Batch: rpcbatch.Options{CacheCapacity: 64},
 	})
 	defer rp.Close()
@@ -281,7 +279,7 @@ func TestReplicatedProviderStaleEpochRejoinDoesNotPoisonMemo(t *testing.T) {
 	// Worker 1 dies and worker 0 rejoins as a fresh process that no longer
 	// retains the pinned epoch (no view resolver — the stale-epoch rejoin).
 	fakes[1].setFail(true)
-	fakes[0].setWorker(NewWorker(0, part, rt.OwnedBy(0)))
+	fakes[0].setWorker(NewWorker(0, part, OwnedBy(0, part.NumSubgraphs(), 2, 2)))
 
 	hitsBefore := rp.BatchStats().CacheHits
 	r1, err := refine(rp, iv, p2, 2)
@@ -308,27 +306,15 @@ func TestReplicatedProviderStaleEpochRejoinDoesNotPoisonMemo(t *testing.T) {
 	}
 }
 
-func TestReplicatedRemoteProviderRejectsMismatchedTable(t *testing.T) {
-	p := paperPartition(t)
-	rt, err := AssignReplicas(p, 3, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := NewReplicatedRemoteProvider(nil, p, rt, ReplicatedOptions{}); err == nil {
-		t.Fatal("expected an error for 0 clients against a 3-worker table")
-	} else if !strings.Contains(err.Error(), "replica table") {
-		t.Fatalf("unexpected error: %v", err)
-	}
-}
-
 // TestReplicatedProviderConcurrentChurn hammers the provider from many
 // goroutines while a worker flaps up and down: every request must either
 // succeed with correct answers or fail cleanly, and the accounting must stay
 // conserved (exactly one outcome per request).
 func TestReplicatedProviderConcurrentChurn(t *testing.T) {
-	x, _, fakes, rp := fakeReplicatedDeployment(t, 3, 2, ReplicatedOptions{})
+	x, fakes, rp := fakeDeployment(t, 3, 2, ReplicatedOptions{})
 	defer rp.Close()
 	part := x.Partition()
+	iv := x.CurrentView()
 	pairs := somePairs(t, part, 3)
 	want := referenceAnswers(part, pairs, 2)
 
@@ -355,7 +341,7 @@ func TestReplicatedProviderConcurrentChurn(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for j := 0; j < 8; j++ {
-				got, err := refine(rp, nil, pairs, 2)
+				got, err := refine(rp, iv, pairs, 2)
 				if err != nil {
 					continue // clean failure under churn is acceptable
 				}
@@ -387,7 +373,7 @@ func TestReplicatedProviderConcurrentChurn(t *testing.T) {
 	for _, f := range fakes {
 		f.setFail(false)
 	}
-	got, err := refine(rp, nil, pairs, 2)
+	got, err := refine(rp, iv, pairs, 2)
 	if err != nil {
 		t.Fatalf("after churn: %v", err)
 	}

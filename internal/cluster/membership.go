@@ -32,14 +32,16 @@ func (s WorkerState) String() string {
 	}
 }
 
+// The failure detector's thresholds: a worker is suspected (routing prefers
+// its co-owners) at suspectAfter consecutive failures and declared down at
+// downAfter.
+const (
+	suspectAfter = 1
+	downAfter    = 3
+)
+
 // MembershipOptions tunes the failure detector.
 type MembershipOptions struct {
-	// SuspectAfter is the consecutive-failure count at which a worker is
-	// suspected (routing prefers other replicas).  Zero means 1.
-	SuspectAfter int
-	// DownAfter is the consecutive-failure count at which a worker is
-	// declared down.  Zero means 3.
-	DownAfter int
 	// PingEvery enables the background health-check loop: every interval each
 	// worker is probed through Ping and the outcome feeds the same suspicion
 	// counters the data path feeds.  Zero disables the loop (the data path
@@ -47,16 +49,6 @@ type MembershipOptions struct {
 	PingEvery time.Duration
 	// Ping probes one worker.  Required when PingEvery is set.
 	Ping func(worker int) error
-}
-
-func (o MembershipOptions) withDefaults() MembershipOptions {
-	if o.SuspectAfter <= 0 {
-		o.SuspectAfter = 1
-	}
-	if o.DownAfter < o.SuspectAfter {
-		o.DownAfter = o.SuspectAfter + 2
-	}
-	return o
 }
 
 // Membership is a lightweight phi-less failure detector over a fixed worker
@@ -81,7 +73,7 @@ type Membership struct {
 // starts the background ping loop when MembershipOptions.PingEvery is set.
 func NewMembership(n int, opts MembershipOptions) *Membership {
 	m := &Membership{
-		opts:     opts.withDefaults(),
+		opts:     opts,
 		failures: make([]int, n),
 		states:   make([]WorkerState, n),
 		probing:  make([]bool, n),
@@ -155,9 +147,9 @@ func (m *Membership) ReportFailure(w int) WorkerState {
 	defer m.mu.Unlock()
 	m.failures[w]++
 	switch {
-	case m.failures[w] >= m.opts.DownAfter:
+	case m.failures[w] >= downAfter:
 		m.states[w] = StateDown
-	case m.failures[w] >= m.opts.SuspectAfter:
+	case m.failures[w] >= suspectAfter:
 		m.states[w] = StateSuspect
 	}
 	return m.states[w]

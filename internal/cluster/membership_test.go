@@ -7,47 +7,46 @@ import (
 	"time"
 )
 
+// TestMembershipEscalation walks one worker through the detector's
+// thresholds: up below suspectAfter consecutive failures, suspect from
+// suspectAfter, down from downAfter, and up again on one success.
 func TestMembershipEscalation(t *testing.T) {
-	m := NewMembership(2, MembershipOptions{SuspectAfter: 2, DownAfter: 4})
+	if suspectAfter != 1 || downAfter != 3 {
+		t.Fatalf("thresholds %d/%d, want 1/3", suspectAfter, downAfter)
+	}
+	m := NewMembership(2, MembershipOptions{})
 	defer m.Stop()
-	if got := m.State(0); got != StateUp {
-		t.Fatalf("initial state %v, want up", got)
-	}
-	m.ReportFailure(0)
-	if got := m.State(0); got != StateUp {
-		t.Fatalf("after 1 failure: %v, want up (SuspectAfter=2)", got)
-	}
-	m.ReportFailure(0)
-	if got := m.State(0); got != StateSuspect {
-		t.Fatalf("after 2 failures: %v, want suspect", got)
-	}
-	m.ReportFailure(0)
-	m.ReportFailure(0)
-	if got := m.State(0); got != StateDown {
-		t.Fatalf("after 4 failures: %v, want down", got)
+	for failures := 0; failures <= downAfter; failures++ {
+		want := StateUp
+		switch {
+		case failures >= downAfter:
+			want = StateDown
+		case failures >= suspectAfter:
+			want = StateSuspect
+		}
+		if got := m.State(0); got != want {
+			t.Fatalf("after %d failures: %v, want %v", failures, got, want)
+		}
+		m.ReportFailure(0)
 	}
 	// Worker 1's counters are independent.
 	if got := m.State(1); got != StateUp {
 		t.Fatalf("worker 1 state %v, want up", got)
 	}
-	// One success fully restores the worker.
+	// One success fully restores the worker, and the streak restarts.
 	m.ReportSuccess(0)
 	if got := m.State(0); got != StateUp {
 		t.Fatalf("after success: %v, want up", got)
 	}
-	// The streak restarts from zero after a success.
-	m.ReportFailure(0)
-	if got := m.State(0); got != StateUp {
-		t.Fatalf("1 failure after recovery: %v, want up", got)
+	if got := m.ReportFailure(0); got != StateSuspect {
+		t.Fatalf("1 failure after recovery: %v, want suspect", got)
 	}
 }
 
 func TestMembershipPingLoopDrivesStates(t *testing.T) {
 	var healthy atomic.Bool
 	m := NewMembership(2, MembershipOptions{
-		SuspectAfter: 1,
-		DownAfter:    2,
-		PingEvery:    2 * time.Millisecond,
+		PingEvery: 2 * time.Millisecond,
 		Ping: func(w int) error {
 			if w == 1 && !healthy.Load() {
 				return errors.New("injected ping failure")

@@ -155,9 +155,8 @@ type WeightUpdateResponse struct {
 type TopologyUpdateRequest struct {
 	Update graph.TopologyUpdate
 	// NumWorkers and Factor let a standalone worker derive ownership of the
-	// subgraphs this batch opens without coordination: new subgraph s is
-	// hosted by workers (s+r) mod NumWorkers for replica ranks r < Factor.
-	// A zero NumWorkers assigns nothing new.
+	// subgraphs this batch opens without coordination, by Owners.  A zero
+	// NumWorkers assigns nothing new.
 	NumWorkers int
 	Factor     int
 }

@@ -3,6 +3,7 @@ package cluster
 import (
 	"maps"
 	"runtime"
+	"slices"
 	"sort"
 	"strconv"
 	"sync/atomic"
@@ -243,10 +244,9 @@ func (w *Worker) HandleWeightUpdate(req WeightUpdateRequest) WeightUpdateRespons
 // in-process cluster installs the derived partition via SetPartition.
 // Standalone workers (see EnableLocalApply) derive the new graph and
 // partition themselves, copy-on-write, and extend their ownership to any
-// subgraphs the batch opened using the deterministic round-robin rule carried
-// by the request: new subgraph s is hosted by workers (s+r) mod NumWorkers for
-// replica ranks r < Factor.  Every process computes the same rule from the
-// same batch, so the fleet's ownership stays consistent without coordination.
+// subgraphs the batch opened by Owners for the request's NumWorkers and
+// Factor — the rule the master routes by, so the fleet's ownership stays
+// consistent without coordination.
 func (w *Worker) HandleTopologyUpdate(req TopologyUpdateRequest) TopologyUpdateResponse {
 	w.topologyBatches.Add(1)
 	if !w.applyLocal {
@@ -276,12 +276,9 @@ func (w *Worker) HandleTopologyUpdate(req TopologyUpdateRequest) TopologyUpdateR
 	}
 	owned := maps.Clone(st.owned)
 	if req.NumWorkers > 0 {
-		factor := min(max(req.Factor, 1), req.NumWorkers)
 		for sg := st.part.NumSubgraphs(); sg < newPart.NumSubgraphs(); sg++ {
-			for r := 0; r < factor; r++ {
-				if (sg+r)%req.NumWorkers == w.id {
-					owned[partition.SubgraphID(sg)] = true
-				}
+			if slices.Contains(Owners(partition.SubgraphID(sg), req.NumWorkers, req.Factor), w.id) {
+				owned[partition.SubgraphID(sg)] = true
 			}
 		}
 	}

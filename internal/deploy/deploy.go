@@ -4,10 +4,11 @@
 // serve layer and, with an HTTP address, the gateway.  StartWorker stands up
 // one standalone TCP worker.  Both return errors instead of exiting.
 //
-// Four decisions every process of a fleet must take alike live here: when a
+// Three decisions every process of a fleet must take alike live here: when a
 // cold-built index gets its bootstrap snapshot (ColdIndex), the drain order
-// (Master.Close), which subgraphs a worker owns (ownedBy), and the weight and
-// topology broadcast loops (Master.broadcast, Master.broadcastTopology).
+// (Master.Close), and the weight and topology broadcast loops
+// (Master.broadcast, Master.broadcastTopology).  Which subgraphs a worker
+// owns is cluster.Owners, the rule the master routes by.
 package deploy
 
 import (
@@ -268,9 +269,9 @@ func partitionDataset(ds *workload.Dataset, z int) (*partition.Partition, error)
 	return partition.PartitionGraph(ds.Graph, z)
 }
 
-// connect dials the workers and builds the refine provider over them:
-// replicated with failover when Replicas > 1, batched otherwise.  Without
-// workers the provider stays nil and serve refines locally.
+// connect dials the workers and builds the refine provider over them at
+// the replication factor Replicas.  Without workers the provider stays nil
+// and serve refines locally.
 func (m *Master) connect(batch rpcbatch.Options) (*cluster.Membership, error) {
 	cfg := m.cfg
 	for _, addr := range addrs(cfg.Connect) {
@@ -281,29 +282,17 @@ func (m *Master) connect(batch rpcbatch.Options) (*cluster.Membership, error) {
 		m.remotes = append(m.remotes, rw)
 		cfg.Logger.Info("connected to worker", "addr", addr)
 	}
-	switch {
-	case len(m.remotes) == 0:
+	if len(m.remotes) == 0 {
 		cfg.Logger.Info("no -connect given, running the refine step locally")
-	case cfg.Replicas > 1:
-		part := m.Index.Partition()
-		table, err := cluster.AssignReplicas(part, len(m.remotes), cfg.Replicas)
-		if err != nil {
-			return nil, err
-		}
-		rp, err := cluster.NewReplicatedRemoteProvider(m.remotes, part, table, cluster.ReplicatedOptions{
-			Batch: batch, HedgeAfter: cfg.HedgeAfter, PingEvery: cfg.PingEvery,
-		})
-		if err != nil {
-			return nil, err
-		}
-		m.provider = rp
-		cfg.Logger.Info("replication enabled", "factor", table.Factor(),
-			"hedge_after", cfg.HedgeAfter, "ping_every", cfg.PingEvery)
-		return rp.Membership(), nil
-	default:
-		m.provider = cluster.NewBatchedRemoteProvider(m.remotes, batch)
+		return nil, nil
 	}
-	return nil, nil
+	p := cluster.NewReplicatedProvider(m.remotes, cfg.Replicas, cluster.ReplicatedOptions{
+		Batch: batch, HedgeAfter: cfg.HedgeAfter, PingEvery: cfg.PingEvery,
+	})
+	m.provider = p
+	cfg.Logger.Info("refine provider", "workers", len(m.remotes), "replicas", cfg.Replicas,
+		"hedge_after", cfg.HedgeAfter, "ping_every", cfg.PingEvery)
+	return p.Membership(), nil
 }
 
 // broadcast sends the whole weight batch to every worker in turn, stopping
@@ -318,14 +307,10 @@ func (m *Master) broadcast(batch []graph.WeightUpdate) error {
 }
 
 // broadcastTopology sends a topology batch to every worker in turn, stopping
-// at the first error.  The replica table is derived once from the starting
-// partition and cannot be extended live yet, so a replicated deployment
-// rejects topology rather than leave new subgraphs unrouted.
+// at the first error.  Each worker places the subgraphs the batch opens by
+// cluster.Owners, the rule the provider routes by.
 func (m *Master) broadcastTopology(up graph.TopologyUpdate) error {
-	if m.cfg.Replicas > 1 {
-		return fmt.Errorf("kspd: topology updates over a replicated transport (-replicas > 1) are not supported; restart the fleet on the new graph instead")
-	}
-	req := cluster.TopologyUpdateRequest{Update: up, NumWorkers: len(m.remotes), Factor: 1}
+	req := cluster.TopologyUpdateRequest{Update: up, NumWorkers: len(m.remotes), Factor: m.cfg.Replicas}
 	for _, rw := range m.remotes {
 		if _, err := rw.ApplyTopology(req); err != nil {
 			return err
@@ -415,10 +400,7 @@ func StartWorker(cfg WorkerConfig) (*cluster.Server, error) {
 			return nil, err
 		}
 	}
-	owned, err := ownedBy(part, cfg.WorkerID, cfg.NumWorkers, cfg.Replicas)
-	if err != nil {
-		return nil, err
-	}
+	owned := cluster.OwnedBy(cfg.WorkerID, part.NumSubgraphs(), cfg.NumWorkers, cfg.Replicas)
 	worker := cluster.NewWorker(cfg.WorkerID, part, owned)
 	worker.EnableLocalApply()
 	srv, err := cluster.Serve(cfg.Listen, worker)
@@ -427,23 +409,4 @@ func StartWorker(cfg WorkerConfig) (*cluster.Server, error) {
 	}
 	cfg.Logger.Info("worker serving", "worker", cfg.WorkerID, "subgraphs", len(owned), "addr", srv.Addr())
 	return srv, nil
-}
-
-// ownedBy lists the subgraphs worker id hosts: round-robin at replication
-// factor 1, the shared replica table above.  Every process derives the same
-// answer from the same flags, so the master's routing and the workers'
-// ownership agree without coordination.
-func ownedBy(part *partition.Partition, id, numWorkers, replicas int) ([]partition.SubgraphID, error) {
-	if replicas > 1 {
-		table, err := cluster.AssignReplicas(part, numWorkers, replicas)
-		if err != nil {
-			return nil, err
-		}
-		return table.OwnedBy(id), nil
-	}
-	var owned []partition.SubgraphID
-	for i := id; i < part.NumSubgraphs(); i += numWorkers {
-		owned = append(owned, partition.SubgraphID(i))
-	}
-	return owned, nil
 }

@@ -54,10 +54,11 @@ type ChaosParams struct {
 // chaosDeployment owns the worker servers so kill/restart events can be
 // mapped onto real processes-with-sockets.
 type chaosDeployment struct {
-	part   *partition.Partition
-	index  *dtlp.Index
-	table  *cluster.ReplicaTable
-	outage time.Duration
+	part    *partition.Partition
+	index   *dtlp.Index
+	workers int
+	factor  int
+	outage  time.Duration
 
 	mu      sync.Mutex
 	servers []*cluster.Server
@@ -87,7 +88,7 @@ func (d *chaosDeployment) apply(ev workload.ChaosEvent) error {
 		// flight (and the ones submitted while we sleep) must be carried by
 		// the replicas, which is the property the lane exists to prove.
 		time.Sleep(d.outage)
-		worker := cluster.NewWorker(w, d.part, d.table.OwnedBy(w))
+		worker := cluster.NewWorker(w, d.part, cluster.OwnedBy(w, d.part.NumSubgraphs(), d.workers, d.factor))
 		worker.SetViewResolver(d.index.ViewAt)
 		// The old port may linger briefly after the close; retry the rebind.
 		var srv *cluster.Server
@@ -153,21 +154,17 @@ func CheckChaos(tb testing.TB, cp ChaosParams) {
 	if err != nil {
 		tb.Fatalf("dtlp build: %v", err)
 	}
-	table, err := cluster.AssignReplicas(part, cp.Workers, cp.Factor)
-	if err != nil {
-		tb.Fatalf("replica table: %v", err)
-	}
-
 	dep := &chaosDeployment{
-		part:   part,
-		index:  x,
-		table:  table,
-		outage: cp.OutageWindow,
-		killed: make([]bool, cp.Workers),
+		part:    part,
+		index:   x,
+		workers: cp.Workers,
+		factor:  cp.Factor,
+		outage:  cp.OutageWindow,
+		killed:  make([]bool, cp.Workers),
 	}
 	var remotes []*cluster.RemoteWorker
 	for w := 0; w < cp.Workers; w++ {
-		worker := cluster.NewWorker(w, part, table.OwnedBy(w))
+		worker := cluster.NewWorker(w, part, cluster.OwnedBy(w, part.NumSubgraphs(), cp.Workers, cp.Factor))
 		worker.SetViewResolver(x.ViewAt)
 		srv, err := cluster.Serve("127.0.0.1:0", worker)
 		if err != nil {
@@ -195,16 +192,11 @@ func CheckChaos(tb testing.TB, cp ChaosParams) {
 
 	// The workers resolve epoch pins against the shared index, so the
 	// epoch-pinned pair memo is sound and replicas answer bit-identically.
-	provider, err := cluster.NewReplicatedRemoteProvider(remotes, part, table, cluster.ReplicatedOptions{
-		Batch:        rpcbatch.Options{CacheCapacity: 4096},
-		SuspectAfter: 1,
-		DownAfter:    3,
-		PingEvery:    5 * time.Millisecond,
-		HedgeAfter:   cp.HedgeAfter,
+	provider := cluster.NewReplicatedProvider(remotes, cp.Factor, cluster.ReplicatedOptions{
+		Batch:      rpcbatch.Options{CacheCapacity: 4096},
+		PingEvery:  5 * time.Millisecond,
+		HedgeAfter: cp.HedgeAfter,
 	})
-	if err != nil {
-		tb.Fatalf("replicated provider: %v", err)
-	}
 	defer provider.Close()
 
 	srv := serve.New(x, provider, serve.Options{

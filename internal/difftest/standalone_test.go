@@ -2,6 +2,7 @@ package difftest
 
 import (
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"strings"
 	"testing"
@@ -13,15 +14,16 @@ import (
 )
 
 // TestStandaloneWorkersMatchYen is the oracle lane for the shipped shape:
-// deploy.Start over two deploy.StartWorker workers at factor 1 — TCP workers
-// that apply every broadcast batch to their own weight copies — on NY tiny,
-// with a data directory and the HTTP API.  Writes go over HTTP one at a
-// time: weight batches (the first names an edge twice), then a topology
-// batch that deletes an edge on a returned path and inserts a shortcut.
-// After each write, unpinned /v1/ksp and /v1/ksp/stream answers must report
-// the write's epoch and equal Yen at it.  The master then drains and
-// restarts with LoadIndex against the same workers: the epoch carries on
-// and the answers still match, before and after one more write.
+// deploy.Start over deploy.StartWorker workers — two at factor 1, three at
+// factor 2 — TCP workers that apply every broadcast batch to their own
+// weight copies, on NY tiny, with a data directory and the HTTP API.
+// Writes go over HTTP one at a time: weight batches (the first names an
+// edge twice), then a topology batch that deletes an edge on a returned
+// path and inserts a shortcut.  After each write, unpinned /v1/ksp and
+// /v1/ksp/stream answers must report the write's epoch and equal Yen at
+// it.  The master then drains and restarts with LoadIndex against the
+// same workers: the epoch carries on and the answers still match, before
+// and after one more write.
 //
 // Reads pinned to older epochs are left out on purpose: standalone workers
 // serve their live weights whatever the pin.
@@ -29,11 +31,21 @@ func TestStandaloneWorkersMatchYen(t *testing.T) {
 	if testing.Short() {
 		t.Skip("the standalone-worker lane runs in the full lane")
 	}
+	for _, tc := range []struct{ workers, factor int }{{2, 1}, {3, 2}} {
+		t.Run(fmt.Sprintf("%d workers factor %d", tc.workers, tc.factor), func(t *testing.T) {
+			checkStandalone(t, tc.workers, tc.factor)
+		})
+	}
+}
+
+// checkStandalone runs the lane over the given number of standalone
+// workers at the given replication factor.
+func checkStandalone(t *testing.T, workers, factor int) {
 	const k = 3
 	var addrs []string
-	for w := 0; w < 2; w++ {
+	for w := 0; w < workers; w++ {
 		srv, err := deploy.StartWorker(deploy.WorkerConfig{
-			Dataset: "NY", Scale: "tiny", WorkerID: w, NumWorkers: 2, Replicas: 1, Listen: "127.0.0.1:0",
+			Dataset: "NY", Scale: "tiny", WorkerID: w, NumWorkers: workers, Replicas: factor, Listen: "127.0.0.1:0",
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -42,7 +54,7 @@ func TestStandaloneWorkersMatchYen(t *testing.T) {
 		addrs = append(addrs, srv.Addr())
 	}
 	cfg := deploy.Config{
-		Dataset: "NY", Scale: "tiny", Xi: 3, Connect: strings.Join(addrs, ","), Pool: 2, Replicas: 1,
+		Dataset: "NY", Scale: "tiny", Xi: 3, Connect: strings.Join(addrs, ","), Pool: 2, Replicas: factor,
 		Concurrency: 2, DataDir: t.TempDir(), HTTPAddr: "127.0.0.1:0", HTTPRate: -1,
 	}
 	m, err := deploy.Start(cfg)

@@ -85,7 +85,7 @@ type Options struct {
 	// creates a private registry.
 	Registry *metrics.Registry
 	// Membership, when set, exports worker health states on /healthz and
-	// /metrics (kspd passes the replicated provider's failure detector).
+	// /metrics (kspd passes the worker provider's failure detector).
 	Membership *cluster.Membership
 	// Tracer, when set, traces every admitted request and serves the retained
 	// traces on GET /debug/traces.  Nil disables tracing entirely (requests
@@ -904,11 +904,11 @@ func (g *Gateway) registerMetrics() {
 		stats(func(s serve.Stats) int64 { return s.DedupHits }))
 	r.CounterFunc("kspd_rpc_pair_memo_hits_total", "Pair requests answered from the epoch-pinned pair memo.",
 		stats(func(s serve.Stats) int64 { return s.PairCacheHits }))
-	r.CounterFunc("kspd_failovers_total", "Partial-KSP batches re-dispatched to replicas after a primary failure.",
+	r.CounterFunc("kspd_failovers_total", "Refine shares (one query's pairs for one worker) re-routed after the worker failed.",
 		stats(func(s serve.Stats) int64 { return s.Failovers }))
-	r.CounterFunc("kspd_hedged_batches_total", "Speculative replica dispatches fired for slow primaries.",
+	r.CounterFunc("kspd_hedged_batches_total", "Refine shares re-routed speculatively because their worker was slow.",
 		stats(func(s serve.Stats) int64 { return s.HedgedBatches }))
-	r.CounterFunc("kspd_hedge_wins_total", "Hedged dispatches whose answer beat the primary.",
+	r.CounterFunc("kspd_hedge_wins_total", "Hedged shares whose re-routed answer beat the first worker's.",
 		stats(func(s serve.Stats) int64 { return s.HedgeWins }))
 	r.CounterFunc("kspd_hedge_drops_total", "Duplicate hedge-race replies discarded.",
 		stats(func(s serve.Stats) int64 { return s.HedgeDrops }))

@@ -597,7 +597,7 @@ func TestUpdatesValidation(t *testing.T) {
 }
 
 func TestHealthzAndMetrics(t *testing.T) {
-	member := cluster.NewMembership(3, cluster.MembershipOptions{SuspectAfter: 1, DownAfter: 3})
+	member := cluster.NewMembership(3, cluster.MembershipOptions{})
 	member.ReportFailure(2) // one suspect worker
 	h := newHarness(t, Options{Rate: -1, Membership: member})
 

@@ -176,9 +176,9 @@ type Stats struct {
 	PairsCoalesced int64
 	DedupHits      int64
 	PairCacheHits  int64
-	// Failovers, HedgedBatches, HedgeWins and HedgeDrops mirror the replica
-	// failover counters (see cluster.FailoverStats) when the refine step runs
-	// on a replicated transport; they stay zero otherwise.
+	// Failovers, HedgedBatches, HedgeWins and HedgeDrops mirror the
+	// provider's re-routing counters (see cluster.FailoverStats) when the
+	// refine step runs on workers; they stay zero otherwise.
 	Failovers     int64
 	HedgedBatches int64
 	HedgeWins     int64
@@ -191,8 +191,9 @@ type batchStatsProvider interface {
 	BatchStats() rpcbatch.Stats
 }
 
-// failoverStatsProvider is implemented by replica-aware refine-step providers
-// (cluster.ReplicatedRemoteProvider) that can report their failover traffic.
+// failoverStatsProvider is implemented by the worker-backed refine-step
+// provider (cluster.BatchedRemoteProvider), which reports its failover
+// traffic.
 type failoverStatsProvider interface {
 	FailoverStats() cluster.FailoverStats
 }

@@ -49,7 +49,7 @@ grep '^|' docs/OPERATIONS.md \
     | sort -u >"$tmp/docs"
 
 # Families only present under specific deployments; absent from the smoke
-# boot (single process, no replication) but still belong in the catalogue.
+# boot (single process, no workers) but still belong in the catalogue.
 cat >"$tmp/conditional" <<'EOF'
 kspd_workers
 EOF
