@@ -86,16 +86,11 @@ func TestAugmentedSkeletonDirected(t *testing.T) {
 }
 
 func TestOptionsDefaults(t *testing.T) {
-	var o Options
-	if got := o.beam(2); got != 6 {
-		t.Errorf("beam(2) = %d, want 6", got)
+	if got := beamWidth(2); got != 6 {
+		t.Errorf("beamWidth(2) = %d, want 6", got)
 	}
-	if got := o.beam(10); got != 20 {
-		t.Errorf("beam(10) = %d, want 20", got)
-	}
-	o.BeamWidth = 3
-	if got := o.beam(10); got != 3 {
-		t.Errorf("explicit beam ignored")
+	if got := beamWidth(10); got != 20 {
+		t.Errorf("beamWidth(10) = %d, want 20", got)
 	}
 	var o2 Options
 	if o2.maxIterations() != 10000 {

@@ -32,10 +32,6 @@ import (
 
 // Options configures query processing.
 type Options struct {
-	// BeamWidth bounds the number of partial combinations kept while joining
-	// partial paths along a reference path.  Zero means max(2k, k+4).  Wider
-	// beams make the join closer to exhaustive at higher cost.
-	BeamWidth int
 	// MaxIterations caps the number of reference paths examined per query as
 	// a hard safety valve behind the adaptive budget.  Zero means 10000.
 	MaxIterations int
@@ -59,16 +55,23 @@ type Options struct {
 	DisablePairCache bool
 }
 
-func (o Options) beam(k int) int {
-	if o.BeamWidth > 0 {
-		return o.BeamWidth
-	}
-	b := 2 * k
-	if b < k+4 {
-		b = k + 4
-	}
-	return b
-}
+// distEps is the tolerance under which two distances count as equal: the
+// Theorem 3 test, the streaming threshold and the join certificate all use it,
+// so tied-distance paths are never held back or fetched for.
+const distEps = 1e-9
+
+// beamWidth is the number of partial combinations a join first keeps per
+// segment of a reference path: max(2k, k+4).  It only sets the join's cost —
+// the certificate doubles a sequence's beam whenever a cut combination could
+// still beat the k-th result.
+func beamWidth(k int) int { return max(2*k, k+4) }
+
+// maxCertifyRounds caps the certificate's deepen-and-join rounds per check.
+// Each round at least doubles the K of a pair or the beam of a sequence, so
+// the cap bounds a check's extra work at 2^maxCertifyRounds times the first
+// fetch; when it fires, the answer carries the certificate's bound as its
+// BoundGap instead of claiming exactness.
+const maxCertifyRounds = 8
 
 func (o Options) maxIterations() int {
 	if o.MaxIterations > 0 {
@@ -103,9 +106,10 @@ type Result struct {
 	// All paths and distances are consistent with that epoch's weights.
 	Epoch uint64
 	// Converged reports whether the search terminated through a principled
-	// bound: the Theorem 3 test or reference-path exhaustion (the result is
-	// exact, BoundGap == 0), or the adaptive iteration budget (the result is
-	// near-exact within BoundGap, see below).  A false value means the
+	// bound: the Theorem 3 test or reference-path exhaustion, each backed by
+	// the join certificate (the result is exact, BoundGap == 0), or the
+	// adaptive iteration budget (the result is near-exact within BoundGap,
+	// see below).  A false value means the
 	// search was cut off while it still had fewer than k proven candidates —
 	// the paths are valid but possibly truncated, and callers that need
 	// completeness must check it.
@@ -115,7 +119,10 @@ type Result struct {
 	// candidate paths, BoundGap is the distance of the k-th result minus the
 	// lower bound of the next unexplored reference path: every unexplored
 	// candidate is at least that lower bound long, so each returned distance
-	// exceeds its exact counterpart by at most BoundGap.
+	// exceeds its exact counterpart by at most BoundGap.  It is also set when
+	// the join certificate hits its round cap: then it is at least the k-th
+	// result's distance minus the certificate's own bound, the shortest any
+	// path the examined reference paths may still hide can be.
 	BoundGap float64
 	// Iterations is the number of reference paths examined (filter steps).
 	Iterations int
@@ -166,9 +173,10 @@ func (e *Engine) QueryViewCtx(ctx context.Context, iv *dtlp.IndexView, s, t grap
 // StreamView answers the query like QueryViewCtx but additionally emits
 // result paths incrementally through yield, in ascending distance order, as
 // the search settles them: a path is yielded as soon as Theorem 3's bound
-// proves no strictly shorter candidate can appear (its distance is at most
-// the next reference path's lower bound, under the same epsilon the
-// termination test uses, so tied-distance paths are not held back), and the
+// and the join certificate prove no strictly shorter candidate can appear
+// (its distance is at most the next reference path's lower bound, under the
+// same epsilon the termination test uses, so tied-distance paths are not held
+// back, and no examined reference path hides a shorter one), and the
 // remainder is flushed on termination.  The union of yielded paths is
 // exactly Result.Paths.  A non-nil error from yield aborts the query with
 // that error — a streaming HTTP handler uses this to stop computing for a
@@ -177,26 +185,79 @@ func (e *Engine) StreamView(ctx context.Context, iv *dtlp.IndexView, s, t graph.
 	return e.queryView(ctx, iv, s, t, k, yield)
 }
 
+// pairList is one pair's partial paths together with the K they were fetched
+// with.  A list shorter than its K holds every path of the pair; a full one
+// holds every path shorter than its last entry, and no more.
+type pairList struct {
+	paths []graph.Path
+	k     int
+}
+
+// missBound is a lower bound on a path that needs one of this pair's paths
+// beyond the list, given firsts, the sum of every pair's first distance along
+// the sequence: the list's last distance stands in for its first.  A list
+// that is not full misses nothing.
+func (pl pairList) missBound(firsts float64) float64 {
+	if len(pl.paths) < pl.k {
+		return math.Inf(1)
+	}
+	return firsts - pl.paths[0].Dist + pl.paths[len(pl.paths)-1].Dist
+}
+
+// segments loads seq's pair lists from the pair cache into sc.segs and
+// returns them with the sum of their first distances.  It returns no lists
+// when some pair has no path, for then no path runs under seq at all.
+func (sc *engineScratch) segments(seq []graph.VertexID) (segs []pairList, firsts float64) {
+	segs = sc.segs[:0]
+	for i := 0; i+1 < len(seq); i++ {
+		pl := sc.pairCache[PairRequest{A: seq[i], B: seq[i+1]}]
+		if len(pl.paths) == 0 {
+			sc.segs = segs
+			return nil, 0
+		}
+		segs = append(segs, pl)
+		firsts += pl.paths[0].Dist
+	}
+	sc.segs = segs
+	return segs, firsts
+}
+
+// examinedSeq is a reference path the query has joined along, kept for the
+// join certificate.  bound is a lower bound on every simple path under seq
+// that its last join could not produce: one that needs a pair's path beyond
+// a full list (at least that list's last entry plus the other pairs' first
+// ones), or one that extends a combination the beam cut (at least beamBound).
+type examinedSeq struct {
+	seq       []graph.VertexID // arena-backed global vertex ids
+	beam      int
+	beamBound float64
+	bound     float64
+}
+
 // engineScratch is the pooled per-query working state: the pair cache, the
-// dedup set, the running top-k list, the join buffers, and the candidate
-// vertex arena.  Pooling it (plus the arena-backed joins) removes nearly all
-// steady-state allocation from the iteration loop.
+// examined sequences, the dedup set, the running top-k list, the join
+// buffers, and the candidate vertex arena.  Pooling it (plus the arena-backed
+// joins) removes nearly all steady-state allocation from the iteration loop.
 type engineScratch struct {
-	pairCache   map[PairRequest][]graph.Path
+	pairCache   map[PairRequest]pairList
+	examined    []examinedSeq
 	resultSet   graph.PathSet
 	list        []graph.Path
 	missing     []PairRequest
 	missingSeen map[PairRequest]struct{}
+	deepen      map[PairRequest]int
 	joinCur     []graph.Path
 	joinNext    []graph.Path
+	segs        []pairList
 	seqBuf      []graph.VertexID
 	arena       vertexArena
 }
 
 var engineScratchPool = sync.Pool{New: func() interface{} {
 	return &engineScratch{
-		pairCache:   make(map[PairRequest][]graph.Path),
+		pairCache:   make(map[PairRequest]pairList),
 		missingSeen: make(map[PairRequest]struct{}),
+		deepen:      make(map[PairRequest]int),
 	}
 }}
 
@@ -204,6 +265,7 @@ func getEngineScratch() *engineScratch {
 	sc := engineScratchPool.Get().(*engineScratch)
 	clear(sc.pairCache)
 	clear(sc.missingSeen)
+	sc.examined = sc.examined[:0]
 	sc.resultSet.Reset()
 	sc.list = sc.list[:0]
 	sc.missing = sc.missing[:0]
@@ -413,7 +475,7 @@ func (e *Engine) queryView(ctx context.Context, iv *dtlp.IndexView, s, t graph.V
 					return res, reply.Err
 				}
 				for _, pr := range missing {
-					sc.pairCache[pr] = reply.Paths[pr]
+					sc.pairCache[pr] = pairList{paths: reply.Paths[pr], k: k}
 				}
 			case <-ctx.Done():
 				rspan.Finish()
@@ -421,13 +483,10 @@ func (e *Engine) queryView(ctx context.Context, iv *dtlp.IndexView, s, t graph.V
 			}
 		}
 
-		candidates := e.joinCandidates(sc, seq, k, &res)
-		for _, c := range candidates {
-			if !sc.resultSet.Add(c) {
-				continue
-			}
-			list, _ = insertTopK(list, c, k, emitted)
-		}
+		ex := examinedSeq{seq: sc.arena.alloc(len(seq)), beam: beamWidth(k)}
+		copy(ex.seq, seq)
+		list = e.join(sc, &ex, list, k, emitted, &res)
+		sc.examined = append(sc.examined, ex)
 
 		if !okNext {
 			// Every reference path was examined: the search space is
@@ -436,7 +495,7 @@ func (e *Engine) queryView(ctx context.Context, iv *dtlp.IndexView, s, t graph.V
 			break
 		}
 		lastBound = next.Dist
-		if len(list) >= k && list[k-1].Dist <= next.Dist+1e-9 {
+		if len(list) >= k && list[k-1].Dist <= next.Dist+distEps {
 			// Theorem 3 termination: the k-th result is at least as short as
 			// the next reference path's lower bound.
 			res.Converged = true
@@ -457,14 +516,21 @@ func (e *Engine) queryView(ctx context.Context, iv *dtlp.IndexView, s, t graph.V
 				break
 			}
 		}
-		if yield != nil {
+		if yield != nil && emitted < len(list) && list[emitted].Dist <= next.Dist+distEps {
 			// Stream the settled prefix: every future candidate joins along a
 			// reference path of lower-bound distance >= next.Dist, so entries
 			// at or below that bound (same epsilon as the Theorem 3 test, so
 			// tied-distance paths are not held back) can no longer be beaten
-			// by a strictly shorter candidate.  insertTopK freezes the
-			// emitted prefix against epsilon-tied reorderings.
-			for emitted < len(list) && list[emitted].Dist <= next.Dist+1e-9 {
+			// by a strictly shorter candidate — once the certificate shows
+			// that no examined reference path hides one below it either.
+			// insertTopK freezes the emitted prefix against epsilon-tied
+			// reorderings.
+			var hidden float64
+			list, hidden, err = e.certify(ctx, iv, sc, list, k, emitted, next.Dist, &res)
+			if err != nil {
+				return res, err
+			}
+			for math.IsInf(hidden, 1) && emitted < len(list) && list[emitted].Dist <= next.Dist+distEps {
 				if err := emit(list[emitted].Clone()); err != nil {
 					return res, err
 				}
@@ -479,6 +545,24 @@ func (e *Engine) queryView(ctx context.Context, iv *dtlp.IndexView, s, t graph.V
 		// would have, instead of a bare truncation.
 		res.Converged = true
 		res.BoundGap = math.Max(list[k-1].Dist-lastBound, 0)
+	}
+	if res.Converged {
+		// Every exit that claims a bound first certifies the examined
+		// reference paths against the k-th result.
+		var hidden float64
+		list, hidden, err = e.certify(ctx, iv, sc, list, k, emitted, math.Inf(1), &res)
+		if err != nil {
+			return res, err
+		}
+		if !math.IsInf(hidden, 1) {
+			// The round cap fired: the answer is only as good as the
+			// certificate's own bound.
+			if len(list) < k {
+				res.Converged = false
+			} else {
+				res.BoundGap = math.Max(res.BoundGap, list[k-1].Dist-hidden)
+			}
+		}
 	}
 	// The working list is arena/scratch-backed; deep-copy the winners so the
 	// scratch can be pooled while the result outlives the query.
@@ -592,59 +676,156 @@ func (e *Engine) missingPairs(sc *engineScratch, seq []graph.VertexID) []PairReq
 	return missing
 }
 
-// joinCandidates implements the join half of Algorithm 4: with every adjacent
-// pair's partial paths already in the scratch pair cache, it joins them
-// segment by segment into complete candidate paths from s to t.  The returned
-// slice and the candidates' vertex sequences are scratch/arena-backed and only
-// valid until the next call.
-func (e *Engine) joinCandidates(sc *engineScratch, seq []graph.VertexID, k int, res *Result) []graph.Path {
-	if len(seq) < 2 {
-		return nil
+// join implements the join half of Algorithm 4 for one examined reference
+// path: with every adjacent pair's partial paths already in the scratch pair
+// cache, it joins them segment by segment into complete candidate paths from
+// s to t, keeping the ex.beam shortest simple combinations per segment, and
+// folds the k shortest into list.  It records in ex the bounds the join
+// certificate needs (see examinedSeq).  A combination that is not simple is
+// dropped for good: every extension of it repeats the same vertex.
+func (e *Engine) join(sc *engineScratch, ex *examinedSeq, list []graph.Path, k, emitted int, res *Result) []graph.Path {
+	ex.beamBound, ex.bound = math.Inf(1), math.Inf(1)
+	segs, firsts := sc.segments(ex.seq)
+	if len(segs) == 0 {
+		return list
 	}
-	beam := e.opts.beam(k)
-	// Join segment by segment, keeping the `beam` shortest simple partial
-	// combinations (Algorithm 4 keeps k; a slightly wider beam compensates
-	// for combinations discarded due to vertex overlaps).  The two join
-	// buffers are reused across segments and across iterations.
-	current := sc.joinCur[:0]
-	first := sc.pairCache[PairRequest{A: seq[0], B: seq[1]}]
-	if len(first) == 0 {
-		return nil
+	for _, pl := range segs {
+		ex.bound = math.Min(ex.bound, pl.missBound(firsts))
 	}
-	current = append(current, first...)
-	for i := 1; i+1 < len(seq); i++ {
-		segs := sc.pairCache[PairRequest{A: seq[i], B: seq[i+1]}]
-		if len(segs) == 0 {
-			sc.joinCur = current[:0]
-			return nil
-		}
+
+	// The two join buffers are reused across segments and across iterations.
+	current := append(sc.joinCur[:0], segs[0].paths...)
+	rest := firsts - segs[0].paths[0].Dist // the later segments' first entries
+	for _, pl := range segs[1:] {
+		rest -= pl.paths[0].Dist
 		next := sc.joinNext[:0]
 		for _, prefix := range current {
-			for _, seg := range segs {
-				joined, ok := joinSimple(&sc.arena, prefix, seg)
-				if !ok {
-					continue
+			for _, seg := range pl.paths {
+				if joined, ok := joinSimple(&sc.arena, prefix, seg); ok {
+					next = append(next, joined)
 				}
-				next = append(next, joined)
 			}
-		}
-		if len(next) == 0 {
-			sc.joinCur, sc.joinNext = current[:0], next
-			return nil
-		}
-		sort.Slice(next, func(a, b int) bool { return graph.ComparePaths(next[a], next[b]) < 0 })
-		if len(next) > beam {
-			next = next[:beam]
 		}
 		// Swap buffers: next becomes current, current's storage is reused
 		// for the following segment's combinations.
 		sc.joinNext = current
 		current = next
+		if len(current) == 0 {
+			break
+		}
+		sort.Slice(current, func(a, b int) bool { return graph.ComparePaths(current[a], current[b]) < 0 })
+		if len(current) > ex.beam {
+			ex.beamBound = math.Min(ex.beamBound, current[ex.beam].Dist+rest)
+			current = current[:ex.beam]
+		}
 	}
 	sc.joinCur = current
+	ex.bound = math.Min(ex.bound, ex.beamBound)
 	res.CandidatesGenerated += len(current)
-	if len(current) > k {
-		current = current[:k]
+	for _, c := range current[:min(len(current), k)] {
+		if sc.resultSet.Add(c) {
+			list, _ = insertTopK(list, c, k, emitted)
+		}
 	}
-	return current
+	return list
+}
+
+// certify is the join certificate: it makes every examined reference path
+// prove that it hides no simple path shorter than the threshold — the k-th
+// result, or ceiling if that is lower (the streaming threshold) — before an
+// answer is claimed exact or a path is streamed.  Theorem 3 covers the
+// reference paths not yet examined; a join along an examined one can still
+// miss a shorter simple path, because fetching K paths per pair does not
+// guarantee a simple combination among them (every fetched path of a pair
+// may cross the rest of the sequence) and the beam cuts combinations.  So
+// while a sequence's bound is below the threshold, certify re-fetches each
+// full pair list whose last entry plus the other pairs' first entries is
+// below it at twice its K, batching the pairs into one provider call per K,
+// doubles the beam if the beam's bound is below it, and joins again.
+// It returns the updated list and +Inf once every sequence is certified, or
+// the smallest bound still below the threshold when maxCertifyRounds ran out.
+func (e *Engine) certify(ctx context.Context, iv *dtlp.IndexView, sc *engineScratch, list []graph.Path, k, emitted int, ceiling float64, res *Result) ([]graph.Path, float64, error) {
+	for round := 0; ; round++ {
+		limit := ceiling
+		if len(list) >= k {
+			limit = math.Min(limit, list[k-1].Dist)
+		}
+		limit -= distEps
+		hidden := math.Inf(1)
+		for _, ex := range sc.examined {
+			if ex.bound < limit {
+				hidden = math.Min(hidden, ex.bound)
+			}
+		}
+		if math.IsInf(hidden, 1) || round == maxCertifyRounds {
+			return list, hidden, nil
+		}
+
+		clear(sc.deepen)
+		var pairs []PairRequest
+		for i := range sc.examined {
+			ex := &sc.examined[i]
+			if ex.bound >= limit {
+				continue
+			}
+			if ex.beamBound < limit {
+				ex.beam *= 2
+			}
+			segs, firsts := sc.segments(ex.seq)
+			for j, pl := range segs {
+				pr := PairRequest{A: ex.seq[j], B: ex.seq[j+1]}
+				if _, dup := sc.deepen[pr]; !dup && pl.missBound(firsts) < limit {
+					sc.deepen[pr] = 2 * pl.k
+					pairs = append(pairs, pr)
+				}
+			}
+		}
+		if len(pairs) > 0 {
+			if err := e.refetch(ctx, iv, sc, pairs, res); err != nil {
+				return list, 0, err
+			}
+		}
+		for i := range sc.examined {
+			if ex := &sc.examined[i]; ex.bound < limit {
+				list = e.join(sc, ex, list, k, emitted, res)
+			}
+		}
+	}
+}
+
+// refetch requests every pair again at the K certify recorded for it in
+// sc.deepen, one provider call per K, and stores the deeper lists in the pair
+// cache.  The wait is a refine span of its own.
+func (e *Engine) refetch(ctx context.Context, iv *dtlp.IndexView, sc *engineScratch, pairs []PairRequest, res *Result) error {
+	rspan := trace.FromContext(ctx).Child("refine")
+	defer rspan.Finish()
+	rspan.SetAttr("certify", "true")
+	rspan.SetAttrInt("pairs", int64(len(pairs)))
+	res.PairsRefined += len(pairs)
+	slices.SortStableFunc(pairs, func(a, b PairRequest) int { return sc.deepen[a] - sc.deepen[b] })
+	var batches [][]PairRequest
+	var pending []<-chan AsyncPartialReply
+	for len(pairs) > 0 {
+		kk, n := sc.deepen[pairs[0]], 1
+		for n < len(pairs) && sc.deepen[pairs[n]] == kk {
+			n++
+		}
+		batches = append(batches, pairs[:n])
+		pending = append(pending, e.provider.PartialKSPAsyncCtx(ctx, iv, pairs[:n], kk))
+		pairs = pairs[n:]
+	}
+	for i, ch := range pending {
+		select {
+		case reply := <-ch:
+			if reply.Err != nil {
+				return reply.Err
+			}
+			for _, pr := range batches[i] {
+				sc.pairCache[pr] = pairList{paths: reply.Paths[pr], k: sc.deepen[pr]}
+			}
+		case <-ctx.Done():
+			return ctx.Err()
+		}
+	}
+	return nil
 }

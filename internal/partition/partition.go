@@ -1,9 +1,10 @@
 // Package partition splits a road network into edge-disjoint subgraphs of
-// bounded size, following Section 3.3 of the paper: starting from an
-// arbitrary vertex the graph is traversed breadth-first and edges are
-// assigned to subgraphs such that every subgraph has at most z vertices,
-// subgraphs may share vertices ("boundary vertices") but never edges, and the
-// union of all subgraphs is the original graph.
+// bounded size, following Section 3.3 of the paper: every subgraph has at
+// most z vertices, subgraphs may share vertices ("boundary vertices") but
+// never edges, and the union of all subgraphs is the original graph.  The
+// subgraphs are grown as regions, each a breadth-first ball of its own (see
+// PartitionGraph), which keeps the boundary — and with it the skeleton and
+// the bounding-path index built over it — small.
 //
 // Each Subgraph materialises its own local graph.Graph over compact local
 // vertex indices so that shortest path searches inside a subgraph cost
@@ -119,85 +120,51 @@ type Partition struct {
 	boundary   []graph.VertexID                // sorted global boundary vertices
 }
 
-// PartitionGraph partitions g into subgraphs with at most z vertices each
-// using breadth-first traversal.  z must be at least 2 (an edge needs two
-// vertices).
+// PartitionGraph partitions g into subgraphs with at most z vertices each by
+// region growing: every subgraph is a breadth-first ball of its own, seeded
+// at the smallest-id vertex that still has an unassigned edge.  An edge that
+// would take the ball past z vertices is skipped, and a later ball picks it
+// up.  A ball is compact, so its boundary — the vertices it shares with other
+// balls — is its rim rather than both long sides of one sweep's wave, and the
+// skeleton, the bounding paths and the EP-Index all scale with the boundary.
+// z must be at least 2 (an edge needs two vertices).
 func PartitionGraph(g *graph.Graph, z int) (*Partition, error) {
 	if z < 2 {
 		return nil, fmt.Errorf("partition: z = %d, need at least 2", z)
 	}
-	n := g.NumVertices()
 	edgeAssigned := make([]bool, g.NumEdges())
-	// builders[i] accumulates the edges of subgraph i before materialisation.
-	type pending struct {
-		vertices []graph.VertexID // insertion order
-		inSet    map[graph.VertexID]bool
-		edges    []graph.EdgeID
-	}
-	var pendings []*pending
-
-	// Breadth-first sweep over all vertices; each sweep grows subgraphs until
-	// every edge is assigned.  Iterating vertices in id order makes the
-	// partitioning deterministic.
-	for start := graph.VertexID(0); int(start) < n; start++ {
-		if !hasUnassignedEdge(g, start, edgeAssigned) {
+	// ball[v] is 1 + the index of the last subgraph v joined, so membership
+	// in the current ball needs no per-ball set.
+	ball := make([]int, g.NumVertices())
+	var subVerts [][]graph.VertexID
+	var subEdges [][]graph.EdgeID
+	for seed := graph.VertexID(0); int(seed) < g.NumVertices(); {
+		if !hasUnassignedEdge(g, seed, edgeAssigned) {
+			seed++
 			continue
 		}
-		// Grow subgraphs seeded at start until all edges reachable from it
-		// are assigned.
-		queue := []graph.VertexID{start}
-		enqueued := map[graph.VertexID]bool{start: true}
-		cur := &pending{inSet: make(map[graph.VertexID]bool)}
-		addVertex := func(v graph.VertexID) {
-			if !cur.inSet[v] {
-				cur.inSet[v] = true
-				cur.vertices = append(cur.vertices, v)
-			}
-		}
-		flush := func() {
-			if len(cur.edges) > 0 {
-				pendings = append(pendings, cur)
-			}
-			cur = &pending{inSet: make(map[graph.VertexID]bool)}
-		}
-		for len(queue) > 0 {
-			u := queue[0]
-			queue = queue[1:]
-			for _, a := range g.Neighbors(u) {
+		mark := len(subVerts) + 1
+		ball[seed] = mark
+		verts := []graph.VertexID{seed}
+		var edges []graph.EdgeID
+		for head := 0; head < len(verts); head++ {
+			for _, a := range g.Neighbors(verts[head]) {
 				if edgeAssigned[a.Edge] {
 					continue
 				}
-				// Number of new vertices this edge would add to the current
-				// subgraph.
-				need := 0
-				if !cur.inSet[u] {
-					need++
+				if ball[a.To] != mark {
+					if len(verts) == z {
+						continue
+					}
+					ball[a.To] = mark
+					verts = append(verts, a.To)
 				}
-				if !cur.inSet[a.To] {
-					need++
-				}
-				if len(cur.vertices)+need > z {
-					// Current subgraph is full; start a new one.
-					flush()
-				}
-				addVertex(u)
-				addVertex(a.To)
-				cur.edges = append(cur.edges, a.Edge)
+				edges = append(edges, a.Edge)
 				edgeAssigned[a.Edge] = true
-				if !enqueued[a.To] {
-					enqueued[a.To] = true
-					queue = append(queue, a.To)
-				}
 			}
 		}
-		flush()
-	}
-
-	subVerts := make([][]graph.VertexID, len(pendings))
-	subEdges := make([][]graph.EdgeID, len(pendings))
-	for i, pend := range pendings {
-		subVerts[i] = pend.vertices
-		subEdges[i] = pend.edges
+		subVerts = append(subVerts, verts)
+		subEdges = append(subEdges, edges)
 	}
 	return assemble(g, z, subVerts, subEdges)
 }
@@ -205,7 +172,7 @@ func PartitionGraph(g *graph.Graph, z int) (*Partition, error) {
 // Assemble reconstructs a Partition from an explicit subgraph assignment:
 // subVerts[i] and subEdges[i] list the global vertex and edge ids of subgraph
 // i.  It materialises the same structures PartitionGraph produces from its
-// breadth-first sweep and validates every structural invariant, so a
+// grown regions and validates every structural invariant, so a
 // serialized assignment (internal/store snapshots) round-trips exactly even
 // if the partitioning heuristic changes between versions.  Local subgraph
 // weights are brought up to the parent's current weights.
@@ -228,7 +195,7 @@ func Assemble(parent *graph.Graph, z int, subVerts [][]graph.VertexID, subEdges 
 
 // assemble materialises subgraphs from per-subgraph vertex/edge id lists and
 // derives the boundary bookkeeping.  It is shared by PartitionGraph (whose
-// sweep guarantees the invariants) and Assemble (which validates them).
+// grower guarantees the invariants) and Assemble (which validates them).
 func assemble(g *graph.Graph, z int, subVerts [][]graph.VertexID, subEdges [][]graph.EdgeID) (*Partition, error) {
 	n := g.NumVertices()
 	p := &Partition{

@@ -344,3 +344,55 @@ func TestPropertyPartitionDeterministic(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestPartitionGrowsRegions pins the region-growing rule: every subgraph is a
+// connected breadth-first ball, seeded at the smallest-id vertex that still
+// had an unassigned edge, so seeds never decrease and the first ball of a
+// grid is the z vertices nearest its corner rather than a band across it.
+func TestPartitionGrowsRegions(t *testing.T) {
+	const w, z = 12, 16
+	g := testutil.GridGraph(w, w, 1)
+	p, err := PartitionGraph(g, z)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := p.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	prevSeed := graph.VertexID(-1)
+	for _, sg := range p.Subgraphs {
+		if seed := sg.Globals[0]; seed < prevSeed {
+			t.Errorf("subgraph %d seeded at %d after a ball seeded at %d", sg.ID, seed, prevSeed)
+		} else {
+			prevSeed = seed
+		}
+		// Connected: a search over the local graph from the seed reaches
+		// every vertex (the grid is undirected, so arcs run both ways).
+		seen := map[graph.VertexID]bool{0: true}
+		queue := []graph.VertexID{0}
+		for len(queue) > 0 {
+			u := queue[0]
+			queue = queue[1:]
+			for _, a := range sg.Local.Neighbors(u) {
+				if !seen[a.To] {
+					seen[a.To] = true
+					queue = append(queue, a.To)
+				}
+			}
+		}
+		if len(seen) != sg.NumVertices() {
+			t.Errorf("subgraph %d: %d of %d vertices reachable from its seed", sg.ID, len(seen), sg.NumVertices())
+		}
+	}
+	first := p.Subgraph(0)
+	if first.Globals[0] != 0 || first.NumVertices() != z {
+		t.Fatalf("first ball seeded at %d with %d vertices, want 0 with %d", first.Globals[0], first.NumVertices(), z)
+	}
+	// The 21 grid vertices within Manhattan distance 5 of the corner hold
+	// every 16-vertex breadth-first ball from it.
+	for _, v := range first.Globals {
+		if x, y := int(v)%w, int(v)/w; x+y > 5 {
+			t.Errorf("first ball holds (%d,%d), %d steps from its seed", x, y, x+y)
+		}
+	}
+}

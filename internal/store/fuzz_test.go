@@ -27,13 +27,35 @@ var seedRecords = []walRecord{
 	}},
 }
 
+// seedSubgraphs is the seed index's partition, spelled out so that the golden
+// bytes do not follow partition.PartitionGraph's heuristic: the vertices and
+// edges of each subgraph, in local-id order.  It is the assignment the
+// breadth-first sweep that partitioned graphs when the golden files were
+// written gave this graph at z = 6.
+var seedSubgraphs = []struct {
+	verts []graph.VertexID
+	edges []graph.EdgeID
+}{
+	{[]graph.VertexID{0, 15, 6, 4, 8, 16}, []graph.EdgeID{16, 15, 6, 7, 13}},
+	{[]graph.VertexID{4, 14, 2, 13, 8, 1}, []graph.EdgeID{0, 2, 11, 10}},
+	{[]graph.VertexID{8, 17, 16, 3, 14, 9}, []graph.EdgeID{20, 14, 1, 4}},
+	{[]graph.VertexID{14, 5, 10, 7, 2, 11}, []graph.EdgeID{8, 9, 21, 3, 18}},
+	{[]graph.VertexID{17, 12, 7, 9, 10, 11}, []graph.EdgeID{5, 19, 22, 17, 12}},
+}
+
 // seedIndex builds the seed index (RandomConnected seed 9, 18 vertices,
-// z = 6, ξ = 2) and applies seedRecords to it.
+// z = 6 as seedSubgraphs, ξ = 2) and applies seedRecords to it.
 func seedIndex(tb testing.TB) *dtlp.Index {
 	tb.Helper()
 	rng := rand.New(rand.NewSource(9))
 	g := testutil.RandomConnected(rng, 18, 6)
-	part, err := partition.PartitionGraph(g, 6)
+	var subVerts [][]graph.VertexID
+	var subEdges [][]graph.EdgeID
+	for _, sg := range seedSubgraphs {
+		subVerts = append(subVerts, sg.verts)
+		subEdges = append(subEdges, sg.edges)
+	}
+	part, err := partition.Assemble(g, 6, subVerts, subEdges)
 	if err != nil {
 		tb.Fatal(err)
 	}
