@@ -356,29 +356,6 @@ func BenchmarkAblationMFPTree(b *testing.B) {
 	})
 }
 
-// BenchmarkAblationPairCache covers the Section 5.2 partial-path reuse
-// ablation.
-func BenchmarkAblationPairCache(b *testing.B) {
-	s := load(b, "COL")
-	qs := workload.NewQueryGenerator(s.ds.Graph.NumVertices(), 5).Batch(64)
-	for _, disable := range []bool{false, true} {
-		name := "with-reuse"
-		if disable {
-			name = "without-reuse"
-		}
-		b.Run(name, func(b *testing.B) {
-			engine := core.NewEngine(s.index, nil, core.Options{DisablePairCache: disable})
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				q := qs[i%len(qs)]
-				if _, err := engine.QueryViewCtx(context.Background(), nil, q.Source, q.Target, 6); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
 // BenchmarkConcurrentQueries measures the serve layer under the mixed regime
 // the paper targets: a pool of concurrent queries answered against immutable
 // index epochs while weight-update batches land in flight, each publishing a

@@ -155,7 +155,6 @@ var registry = []experiment{
 	{"loadbalance", "Per-worker load spread (Section 6.6)", (*Suite).LoadBalance},
 	{"ablation-vfrag", "Ablation: vfrag bound vs edge-count bound", (*Suite).AblationVfrag},
 	{"ablation-mfptree", "Ablation: EP-Index vs MFP-tree compression", (*Suite).AblationMFPTree},
-	{"ablation-paircache", "Ablation: partial-path reuse across reference paths", (*Suite).AblationPairCache},
 }
 
 // Experiments lists the available experiment names in report order.

@@ -83,7 +83,7 @@ func TestTableFormatting(t *testing.T) {
 // cheap cross-section runs; the full list stays in the non-race lane.
 func TestRepresentativeExperiments(t *testing.T) {
 	s := quickSuite()
-	names := []string{"table1", "table3", "fig15", "fig21", "fig24", "fig32", "fig35", "fig40", "fig41", "fig43", "loadbalance", "ablation-vfrag", "ablation-mfptree", "ablation-paircache"}
+	names := []string{"table1", "table3", "fig15", "fig21", "fig24", "fig32", "fig35", "fig40", "fig41", "fig43", "loadbalance", "ablation-vfrag", "ablation-mfptree"}
 	if testing.Short() {
 		names = []string{"table1", "table3", "fig15", "fig35", "fig41"}
 	}

@@ -343,38 +343,3 @@ func (s *Suite) AblationMFPTree() (*Table, error) {
 	}
 	return t, nil
 }
-
-// AblationPairCache measures the Section 5.2 optimisation: reusing partial k
-// shortest paths computed for earlier reference paths of the same query.
-func (s *Suite) AblationPairCache() (*Table, error) {
-	st, err := s.load("COL", 0, 1)
-	if err != nil {
-		return nil, err
-	}
-	batch := s.perturb(st.ds.Graph, 0.4, 0.7, s.Seed)
-	if _, err := st.index.ApplyUpdates(batch); err != nil {
-		return nil, err
-	}
-	queries := s.queries(st.ds.Graph, s.Nq/2)
-	k := 6
-
-	t := &Table{Columns: []string{"variant", "batch time", "pairs refined", "avg iterations"}}
-	for _, disable := range []bool{false, true} {
-		engine := core.NewEngine(st.index, nil, core.Options{DisablePairCache: disable, MaxIterations: 80})
-		elapsed, results, err := runBatch(engine, queries, k, 1)
-		if err != nil {
-			return nil, err
-		}
-		total := 0
-		for _, r := range results {
-			total += r.PairsRefined
-		}
-		label := "with pair reuse (Section 5.2)"
-		if disable {
-			label = "without pair reuse"
-		}
-		t.AddRow(label, elapsed, total, avgIterations(results))
-	}
-	t.Notes = append(t.Notes, "reusing partial paths across neighbouring reference paths reduces the refine work per query")
-	return t, nil
-}

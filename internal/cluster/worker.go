@@ -6,6 +6,7 @@ import (
 	"slices"
 	"sort"
 	"strconv"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -28,8 +29,12 @@ type ViewResolver func(epoch uint64) *dtlp.IndexView
 type Worker struct {
 	id         int
 	state      atomic.Pointer[workerState]
-	views      ViewResolver // nil: serve live weights only
-	applyLocal bool         // standalone worker: apply updates to its own partition copy
+	views      ViewResolver // nil: serve the latest state only
+	applyLocal bool         // standalone worker: apply updates to its own partition copy; guarded by updateMu
+
+	// updateMu runs the update handlers one at a time: each derives the next
+	// state from the current one, so two at once would lose a batch.
+	updateMu sync.Mutex
 
 	// Load counters are atomics: with the parallel executor several request
 	// goroutines bump them concurrently, and a shared mutex would serialize
@@ -41,13 +46,43 @@ type Worker struct {
 	panics          atomic.Int64 // requests failed by a contained panic (see Server.dispatch)
 }
 
-// workerState bundles the partition and the ownership set so a topology
-// update replaces both in one atomic pointer swap: a request handler loads
-// the state once and sees a consistent pair, never a new partition with an
-// old ownership map or vice versa.
+// workerState bundles the partition, the ownership set and, for standalone
+// workers, the weight snapshots of the owned subgraphs, so an update replaces
+// them in one atomic pointer swap: a request handler loads the state once and
+// sees a consistent set — never a new partition with an old ownership map,
+// and never half of a weight batch.
 type workerState struct {
 	part  *partition.Partition
 	owned map[partition.SubgraphID]bool
+	// snaps holds one snapshot per owned subgraph, indexed by SubgraphID and
+	// nil elsewhere.  It is nil for in-process workers, which read the
+	// shared index's views (or, for an evicted pin, the live partition).
+	snaps []*graph.Snapshot
+}
+
+// weights resolves the view a request without a resolvable pin searches.
+func (st *workerState) weights(id partition.SubgraphID) graph.WeightedView {
+	if st.snaps == nil {
+		return st.part.Subgraph(id).Local
+	}
+	return st.snaps[id]
+}
+
+// withSnapshots returns st with a snapshot of every owned subgraph.  prev,
+// when not nil, is the snapshotted state st follows over the same partition
+// and ownership: a subgraph whose local weights did not move since prev's
+// snapshot keeps it, and with it the answers cached on it, copy-on-write.
+func (st *workerState) withSnapshots(prev *workerState) *workerState {
+	st.snaps = make([]*graph.Snapshot, st.part.NumSubgraphs())
+	for id := range st.owned {
+		local := st.part.Subgraph(id).Local
+		if prev != nil && prev.snaps[id].Version() == local.Version() {
+			st.snaps[id] = prev.snaps[id]
+			continue
+		}
+		st.snaps[id] = local.Snapshot()
+	}
+	return st
 }
 
 // NewWorker creates a worker owning the given subgraphs of part.
@@ -169,7 +204,9 @@ func (r *pairSpanRecorder) msgs(w *Worker, req PartialKSPRequest, width int) []t
 // With a resolvable epoch pin the searches read that epoch's frozen weights
 // over the partition of its generation (topology batches replace the
 // partition, so a pin freezes structure as well as weights); otherwise they
-// read the worker's live state.
+// read the worker's latest state: a standalone worker's snapshots of its
+// owned subgraphs, which no update changes while a search runs.  Searches
+// over a snapshot go through its snapshot cache (see graph.Snapshot).
 //
 // The pairs fan out across GOMAXPROCS goroutines (see fanout.Do); each pair's
 // paths land in a result slot indexed by its request position and are
@@ -189,7 +226,10 @@ func (w *Worker) HandlePartialKSP(req PartialKSPRequest) PartialKSPResponse {
 		rec = newPairSpanRecorder(len(req.Pairs))
 	}
 	st := w.state.Load()
-	part, weights := core.RefineSource(st.part, view)
+	part, weights := st.part, st.weights
+	if view != nil {
+		part, weights = core.RefineSource(part, view)
+	}
 	owns := func(id partition.SubgraphID) bool { return st.owned[id] }
 	results := make([][]graph.Path, len(req.Pairs))
 	width := fanout.Do(len(req.Pairs), runtime.GOMAXPROCS(0), func(i int) {
@@ -200,8 +240,8 @@ func (w *Worker) HandlePartialKSP(req PartialKSPRequest) PartialKSPResponse {
 	resp := PartialKSPResponse{
 		Flat: &FlatPaths{Counts: make([]int32, len(req.Pairs))},
 		// A nil view means the pin was absent or could not be honoured
-		// (unknown or evicted epoch): the answer reads live weights and must
-		// not be treated as frozen at the requested epoch.
+		// (unknown or evicted epoch): the answer reads the latest weights
+		// and must not be treated as frozen at the requested epoch.
 		ServedEpoch: view != nil,
 	}
 	for i, paths := range results {
@@ -219,22 +259,40 @@ func (w *Worker) HandlePartialKSP(req PartialKSPRequest) PartialKSPResponse {
 }
 
 // EnableLocalApply makes HandleWeightUpdate apply incoming batches to the
-// worker's own partition copy.  Standalone (TCP) workers need this because no
-// one else maintains their weights; in-process workers must leave it off — the
-// shared dtlp.Index applies each batch exactly once, and applying it early
-// here would zero the deltas its incremental maintenance derives.
-func (w *Worker) EnableLocalApply() { w.applyLocal = true }
+// worker's own partition copy, and makes the worker search snapshots of its
+// owned subgraphs, taken now and after every update.  Standalone (TCP)
+// workers need this because no one else maintains their weights; in-process
+// workers must leave it off — the shared dtlp.Index applies each batch
+// exactly once, and applying it early here would zero the deltas its
+// incremental maintenance derives.
+func (w *Worker) EnableLocalApply() {
+	w.updateMu.Lock()
+	defer w.updateMu.Unlock()
+	w.applyLocal = true
+	st := *w.state.Load()
+	w.state.Store(st.withSnapshots(nil))
+}
 
 // HandleWeightUpdate records that updates for this worker's subgraphs
 // arrived and, for standalone workers (see EnableLocalApply), pushes the new
-// weights into the worker's partition copy.  Workers that share the master's
-// index receive no update messages: the index applies each batch once.
+// weights into the worker's partition copy and publishes fresh snapshots of
+// the owned subgraphs the batch touched.  Requests that loaded the previous
+// state finish on its snapshots.  Workers that share the master's index
+// receive no update messages: the index applies each batch once.
 func (w *Worker) HandleWeightUpdate(req WeightUpdateRequest) WeightUpdateResponse {
 	w.updatesReceived.Add(int64(len(req.Updates)))
-	if w.applyLocal {
-		if _, err := w.state.Load().part.ApplyUpdates(req.Updates); err != nil {
-			return WeightUpdateResponse{Err: err.Error()}
-		}
+	w.updateMu.Lock()
+	defer w.updateMu.Unlock()
+	if !w.applyLocal {
+		return WeightUpdateResponse{}
+	}
+	st := w.state.Load()
+	_, err := st.part.ApplyUpdates(req.Updates)
+	// Publish even on error: a batch can fail after some subgraphs took it,
+	// and the snapshots must match the partition copy the next batch builds on.
+	w.state.Store((&workerState{part: st.part, owned: st.owned}).withSnapshots(st))
+	if err != nil {
+		return WeightUpdateResponse{Err: err.Error()}
 	}
 	return WeightUpdateResponse{}
 }
@@ -249,6 +307,8 @@ func (w *Worker) HandleWeightUpdate(req WeightUpdateRequest) WeightUpdateRespons
 // consistent without coordination.
 func (w *Worker) HandleTopologyUpdate(req TopologyUpdateRequest) TopologyUpdateResponse {
 	w.topologyBatches.Add(1)
+	w.updateMu.Lock()
+	defer w.updateMu.Unlock()
 	if !w.applyLocal {
 		return TopologyUpdateResponse{}
 	}
@@ -282,7 +342,7 @@ func (w *Worker) HandleTopologyUpdate(req TopologyUpdateRequest) TopologyUpdateR
 			}
 		}
 	}
-	w.state.Store(&workerState{part: newPart, owned: owned})
+	w.state.Store((&workerState{part: newPart, owned: owned}).withSnapshots(nil))
 	return TopologyUpdateResponse{InsertedEdges: inserted, DeletedEdges: deleted}
 }
 

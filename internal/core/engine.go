@@ -49,10 +49,6 @@ type Options struct {
 	// StallImprovement is the minimum relative bound-gap improvement the
 	// stall detector counts as progress.  Zero means 1e-3.
 	StallImprovement float64
-	// DisablePairCache turns off the reuse of partial k shortest paths across
-	// consecutive reference paths (the Section 5.2 optimisation).  Only used
-	// by the ablation benchmarks.
-	DisablePairCache bool
 }
 
 // distEps is the tolerance under which two distances count as equal: the
@@ -657,7 +653,7 @@ func (e *Engine) buildAugmentedSkeleton(iv *dtlp.IndexView, s, t graph.VertexID)
 
 // missingPairs returns the adjacent pairs of the reference sequence whose
 // partial k shortest paths are not already in the query-local cache (the
-// Section 5.2 reuse optimisation; DisablePairCache forces a full refetch).
+// Section 5.2 reuse optimisation).
 // The returned slice is scratch-backed and only valid until the next call.
 func (e *Engine) missingPairs(sc *engineScratch, seq []graph.VertexID) []PairRequest {
 	missing := sc.missing[:0]
@@ -667,7 +663,7 @@ func (e *Engine) missingPairs(sc *engineScratch, seq []graph.VertexID) []PairReq
 		if _, dup := sc.missingSeen[pr]; dup {
 			continue
 		}
-		if _, ok := sc.pairCache[pr]; !ok || e.opts.DisablePairCache {
+		if _, ok := sc.pairCache[pr]; !ok {
 			sc.missingSeen[pr] = struct{}{}
 			missing = append(missing, pr)
 		}

@@ -150,16 +150,27 @@ func RefinePair(part *partition.Partition, pr PairRequest, k int, weights func(p
 }
 
 // searchSubgraph runs the pair's Yen search inside one subgraph and returns
-// the paths in global vertex ids.
+// the paths in global vertex ids.  Over a *graph.Snapshot the answer goes
+// through the snapshot cache: a pair asked again on the same snapshot, at the
+// same or a smaller k, is answered without a search.
 func searchSubgraph(sub *partition.Subgraph, pr PairRequest, k int, weights graph.WeightedView) []graph.Path {
 	la, okA := sub.ToLocal(pr.A)
 	lb, okB := sub.ToLocal(pr.B)
 	if !okA || !okB {
 		return nil
 	}
+	snap, _ := weights.(*graph.Snapshot)
+	if snap != nil {
+		if paths, ok := snap.CachedPaths(la, lb, k); ok {
+			return paths
+		}
+	}
 	paths := shortest.Yen(weights, la, lb, k, nil)
 	for i, lp := range paths {
 		paths[i] = sub.GlobalPath(lp)
+	}
+	if snap != nil {
+		snap.CachePaths(la, lb, k, paths)
 	}
 	return paths
 }

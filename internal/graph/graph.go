@@ -307,11 +307,15 @@ func (g *Graph) Edges() []Edge {
 
 // Snapshot is a read-only consistent view of the graph weights at a point in
 // time.  Snapshots share the (immutable) topology with the parent graph and
-// are safe for concurrent use.
+// are safe for concurrent use.  Each snapshot also carries the snapshot
+// cache: k-shortest-path answers computed on it (see CachedPaths).
 type Snapshot struct {
 	g       *Graph
 	weights []float64
 	version uint64
+
+	cacheMu sync.Mutex
+	cache   map[[2]VertexID]cachedPaths // nil until the first CachePaths
 }
 
 // Directed reports whether the underlying graph is directed.

@@ -131,9 +131,10 @@ func checkPaths(t *testing.T, c kernelCase, paths []graph.Path) {
 
 // checkKernelCase holds the kernel to its contract on one case: Yen and a
 // Generator both return valid paths with exactly the reference's Dist
-// sequence (and exactly its paths where weights are real-valued), the
-// Generator yields Yen's paths and then stays exhausted, and its spur searches
-// respect Lawler's bound.  It returns the spur searches the Generator and
+// sequence (and exactly its paths where weights are real-valued), Yen at
+// every smaller k returns a prefix of Yen at c.k, the Generator yields Yen's
+// paths and then stays exhausted, and its spur searches respect Lawler's
+// bound.  It returns the spur searches the Generator and
 // textbook Yen ran, and whether their paths were the same.
 func checkKernelCase(t *testing.T, c kernelCase) (searches, textbook int, samePathsAsTextbook bool) {
 	t.Helper()
@@ -146,6 +147,14 @@ func checkKernelCase(t *testing.T, c kernelCase) (searches, textbook int, samePa
 		t.Fatalf("Yen(%d->%d, k=%d, opts=%+v)\n got %v\nwant %v", c.s, c.t, c.k, c.opts, got, want)
 	}
 	checkPaths(t, c, got)
+	// The snapshot cache answers k from a list computed at a larger k, so the
+	// answer at every smaller k must be a prefix of this one, element for
+	// element and bit for bit.
+	for k := 1; k < c.k; k++ {
+		if short := Yen(c.g, c.s, c.t, k, c.opts); !samePaths(short, got[:min(k, len(got))]) {
+			t.Fatalf("Yen(%d->%d, k=%d, opts=%+v) = %v, not the first %d of k=%d's %v", c.s, c.t, k, c.opts, short, k, c.k, got)
+		}
+	}
 
 	gen := NewGenerator(c.g, c.s, c.t, c.opts)
 	bound := 0 // Σ(len − dev) over the paths deviated so far
