@@ -124,7 +124,7 @@ func BenchmarkFig19to23DTLPMaintenance(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
-		batch := tm.Derive(s.ds.Graph.NumEdges(), s.ds.Graph.Directed(), s.ds.Graph.Weight)
+		batch := tm.Derive(s.ds.Graph.NumEdges(), s.ds.Graph.Directed(), s.ds.Graph.Snapshot().Weight)
 		b.StartTimer()
 		if _, err := s.index.ApplyUpdates(batch); err != nil {
 			b.Fatal(err)
@@ -140,7 +140,7 @@ func BenchmarkFig21UpdateThroughput(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		e := graph.EdgeID(i % g.NumEdges())
-		w := g.Weight(e)*1.1 + 0.1
+		w := g.Snapshot().Weight(e)*1.1 + 0.1
 		if _, err := s.index.ApplyUpdates([]graph.WeightUpdate{{Edge: e, NewWeight: w}}); err != nil {
 			b.Fatal(err)
 		}
@@ -271,7 +271,7 @@ func BenchmarkFig40to41CANDS(b *testing.B) {
 	b.Run("CANDS-maintenance", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			b.StopTimer()
-			batch := tm.Derive(s.ds.Graph.NumEdges(), s.ds.Graph.Directed(), s.ds.Graph.Weight)
+			batch := tm.Derive(s.ds.Graph.NumEdges(), s.ds.Graph.Directed(), s.ds.Graph.Snapshot().Weight)
 			if err := s.ds.Graph.ApplyUpdates(batch); err != nil {
 				b.Fatal(err)
 			}
@@ -284,7 +284,7 @@ func BenchmarkFig40to41CANDS(b *testing.B) {
 	b.Run("KSP-DG-maintenance", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			b.StopTimer()
-			batch := tm.Derive(s.ds.Graph.NumEdges(), s.ds.Graph.Directed(), s.ds.Graph.Weight)
+			batch := tm.Derive(s.ds.Graph.NumEdges(), s.ds.Graph.Directed(), s.ds.Graph.Snapshot().Weight)
 			b.StartTimer()
 			if _, err := s.index.ApplyUpdates(batch); err != nil {
 				b.Fatal(err)
@@ -396,7 +396,7 @@ func BenchmarkConcurrentQueries(b *testing.B) {
 			case <-done:
 				return
 			case <-tick.C:
-				batch := tm.Derive(ds.Graph.NumEdges(), ds.Graph.Directed(), ds.Graph.Weight)
+				batch := tm.Derive(ds.Graph.NumEdges(), ds.Graph.Directed(), ds.Graph.Snapshot().Weight)
 				if _, err := srv.ApplyUpdates(context.Background(), batch); err != nil {
 					b.Error(err)
 					return
@@ -444,12 +444,12 @@ func BenchmarkAblationVfragYen(b *testing.B) {
 	hop := &shortest.Options{Weight: func(graph.EdgeID) float64 { return 1 }}
 	b.Run("vfrag-metric", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			_ = shortest.KShortestDistinctLengths(sub.Local, la, lb, 3, 11, vfrag)
+			_ = shortest.KShortestDistinctLengths(sub.Local.Snapshot(), la, lb, 3, 11, vfrag)
 		}
 	})
 	b.Run("edge-count-metric", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			_ = shortest.KShortestDistinctLengths(sub.Local, la, lb, 3, 11, hop)
+			_ = shortest.KShortestDistinctLengths(sub.Local.Snapshot(), la, lb, 3, 11, hop)
 		}
 	})
 }

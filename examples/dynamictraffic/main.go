@@ -49,7 +49,7 @@ func main() {
 	const k = 2
 
 	for round := 1; round <= 2; round++ {
-		batch := traffic.Derive(g.NumEdges(), g.Directed(), g.Weight)
+		batch := traffic.Derive(g.NumEdges(), g.Directed(), g.Snapshot().Weight)
 		// Index maintenance under the update batch.
 		t0 := time.Now()
 		if _, err := index.ApplyUpdates(batch); err != nil {

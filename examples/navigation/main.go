@@ -57,7 +57,7 @@ func main() {
 	queries := workload.NewQueryGenerator(g.NumVertices(), 99)
 	const k = 3
 	for minute := 1; minute <= 3; minute++ {
-		batch := traffic.Derive(g.NumEdges(), g.Directed(), g.Weight)
+		batch := traffic.Derive(g.NumEdges(), g.Directed(), g.Snapshot().Weight)
 		maintStart := time.Now()
 		if _, err := index.ApplyUpdates(batch); err != nil {
 			log.Fatal(err)

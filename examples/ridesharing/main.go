@@ -98,7 +98,7 @@ func main() {
 	// Traffic changes between dispatch waves; the index absorbs the update
 	// without recomputing any bounding path.
 	traffic := workload.NewTrafficModel(0.35, 0.3, 23)
-	batch := traffic.Derive(g.NumEdges(), g.Directed(), g.Weight)
+	batch := traffic.Derive(g.NumEdges(), g.Directed(), g.Snapshot().Weight)
 	maintStart := time.Now()
 	if _, err := index.ApplyUpdates(batch); err != nil {
 		log.Fatal(err)

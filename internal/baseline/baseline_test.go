@@ -21,7 +21,7 @@ func TestYenBaselineMatchesOracle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := testutil.BruteForceKSP(g, testutil.V4, testutil.V13, 3)
+	want := testutil.BruteForceKSP(g.Snapshot(), testutil.V4, testutil.V13, 3)
 	if len(got) != len(want) {
 		t.Fatalf("got %d paths, want %d", len(got), len(want))
 	}
@@ -52,7 +52,7 @@ func TestFindKSPMatchesYen(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want := shortest.Yen(g, c.s, c.t, c.k, nil)
+		want := shortest.Yen(g.Snapshot(), c.s, c.t, c.k, nil)
 		if len(got) != len(want) {
 			t.Fatalf("FindKSP(%d,%d,%d) returned %d paths, Yen %d", c.s, c.t, c.k, len(got), len(want))
 		}
@@ -60,7 +60,7 @@ func TestFindKSPMatchesYen(t *testing.T) {
 			if math.Abs(got[i].Dist-want[i].Dist) > 1e-9 {
 				t.Errorf("FindKSP(%d,%d,%d) path %d dist %g, Yen %g", c.s, c.t, c.k, i, got[i].Dist, want[i].Dist)
 			}
-			if !got[i].IsSimple() || got[i].Validate(g) != nil {
+			if !got[i].IsSimple() || got[i].Validate(g.Snapshot()) != nil {
 				t.Errorf("FindKSP produced invalid path %v", got[i])
 			}
 		}
@@ -97,7 +97,7 @@ func TestFindKSPDirected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := shortest.Yen(g, 0, 6, 3, nil)
+	want := shortest.Yen(g.Snapshot(), 0, 6, 3, nil)
 	if len(got) != len(want) {
 		t.Fatalf("directed FindKSP returned %d, Yen %d", len(got), len(want))
 	}
@@ -128,7 +128,7 @@ func TestCANDSMatchesDijkstra(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		wantDist := shortest.ShortestDistance(g, s, tt, nil)
+		wantDist := shortest.ShortestDistance(g.Snapshot(), s, tt, nil)
 		if s == tt {
 			if len(got) != 1 || got[0].Len() != 0 {
 				t.Errorf("s==t result wrong: %v", got)
@@ -147,7 +147,7 @@ func TestCANDSMatchesDijkstra(t *testing.T) {
 		if math.Abs(got[0].Dist-wantDist) > 1e-9 {
 			t.Errorf("CANDS(%d,%d) dist = %g, Dijkstra %g", s, tt, got[0].Dist, wantDist)
 		}
-		if math.Abs(got[0].EvalDist(g)-got[0].Dist) > 1e-9 {
+		if math.Abs(got[0].EvalDist(g.Snapshot())-got[0].Dist) > 1e-9 {
 			t.Errorf("CANDS path distance inconsistent with its edges")
 		}
 	}
@@ -177,7 +177,7 @@ func TestCANDSMaintenance(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantDist := shortest.ShortestDistance(g, s, tt, nil)
+	wantDist := shortest.ShortestDistance(g.Snapshot(), s, tt, nil)
 	if len(got) != 1 || math.Abs(got[0].Dist-wantDist) > 1e-9 {
 		t.Errorf("after maintenance: dist = %v, want %g", got, wantDist)
 	}
@@ -235,7 +235,7 @@ func TestPropertyFindKSPEqualsYen(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		want := shortest.Yen(g, s, tt, k, nil)
+		want := shortest.Yen(g.Snapshot(), s, tt, k, nil)
 		if len(got) != len(want) {
 			return false
 		}
@@ -280,7 +280,7 @@ func TestPropertyCANDSEqualsDijkstra(t *testing.T) {
 			if err != nil {
 				return false
 			}
-			want := shortest.ShortestDistance(g, s, tt, nil)
+			want := shortest.ShortestDistance(g.Snapshot(), s, tt, nil)
 			if math.IsInf(want, 1) {
 				if len(got) != 0 {
 					return false

@@ -84,10 +84,11 @@ func (c *CANDS) Partition() *partition.Partition { return c.part }
 // boundary vertices of one subgraph.
 func (c *CANDS) rebuildSubgraph(id partition.SubgraphID) {
 	sub := c.part.Subgraph(id)
+	local := sub.Local.Snapshot()
 	paths := make(map[[2]graph.VertexID]graph.Path)
 	for _, a := range sub.Boundary {
 		la, _ := sub.ToLocal(a)
-		tree := shortest.Dijkstra(sub.Local, la, nil)
+		tree := shortest.Dijkstra(local, la, nil)
 		for _, b := range sub.Boundary {
 			if a == b {
 				continue
@@ -112,8 +113,10 @@ func (c *CANDS) ApplyUpdates(batch []graph.WeightUpdate) error {
 	if err != nil {
 		return err
 	}
-	for id := range perSub {
-		c.rebuildSubgraph(id)
+	for id, ups := range perSub {
+		if len(ups) > 0 {
+			c.rebuildSubgraph(partition.SubgraphID(id))
+		}
 	}
 	return nil
 }
@@ -168,7 +171,7 @@ func (c *CANDS) shortest(s, t graph.VertexID) (graph.Path, bool) {
 		for _, id := range c.part.SubgraphsOf(v) {
 			sub := c.part.Subgraph(id)
 			lv, _ := sub.ToLocal(v)
-			tree := shortest.Dijkstra(sub.Local, lv, nil)
+			tree := shortest.Dijkstra(sub.Local.Snapshot(), lv, nil)
 			for _, b := range sub.Boundary {
 				lb, _ := sub.ToLocal(b)
 				if p, ok := tree.PathTo(lb); ok {
@@ -267,7 +270,7 @@ func segmentPath(part *partition.Partition, a, b graph.VertexID) graph.Path {
 		sub := part.Subgraph(id)
 		la, _ := sub.ToLocal(a)
 		lb, _ := sub.ToLocal(b)
-		if p, ok := shortest.ShortestPath(sub.Local, la, lb, nil); ok && p.Dist < bestDist {
+		if p, ok := shortest.ShortestPath(sub.Local.Snapshot(), la, lb, nil); ok && p.Dist < bestDist {
 			bestDist = p.Dist
 			best = sub.GlobalPath(p)
 		}
@@ -283,7 +286,7 @@ func withinSubgraphDistance(part *partition.Partition, a, b graph.VertexID) floa
 		sub := part.Subgraph(id)
 		la, _ := sub.ToLocal(a)
 		lb, _ := sub.ToLocal(b)
-		if d := shortest.ShortestDistance(sub.Local, la, lb, nil); d < best {
+		if d := shortest.ShortestDistance(sub.Local.Snapshot(), la, lb, nil); d < best {
 			best = d
 		}
 	}

@@ -288,7 +288,7 @@ func avgIterations(results []core.Result) float64 {
 // perturb derives one traffic snapshot from the graph's current weights; the
 // index maintenance the caller runs writes it to the graph.
 func (s *Suite) perturb(g *graph.Graph, alpha, tau float64, seed int64) []graph.WeightUpdate {
-	return workload.NewTrafficModel(alpha, tau, seed).Derive(g.NumEdges(), g.Directed(), g.Weight)
+	return workload.NewTrafficModel(alpha, tau, seed).Derive(g.NumEdges(), g.Directed(), g.Snapshot().Weight)
 }
 
 // spread returns (max-min)/max over a slice of ints, or 0 for empty input.

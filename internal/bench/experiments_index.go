@@ -158,7 +158,7 @@ func (s *Suite) Fig19() (*Table, error) {
 		}
 		tm := workload.NewTrafficModel(0.5, 0.5, s.Seed)
 		tm.MirrorDirected = true
-		batch := tm.Derive(ds.Graph.NumEdges(), ds.Graph.Directed(), ds.Graph.Weight)
+		batch := tm.Derive(ds.Graph.NumEdges(), ds.Graph.Directed(), ds.Graph.Snapshot().Weight)
 		start := time.Now()
 		if _, err := index.ApplyUpdates(batch); err != nil {
 			return nil, err
@@ -236,7 +236,7 @@ func (s *Suite) Fig21() (*Table, error) {
 		totalUpdates := 0
 		var totalTime time.Duration
 		for r := 0; r < rounds; r++ {
-			batch := tm.Derive(ds.Graph.NumEdges(), ds.Graph.Directed(), ds.Graph.Weight)
+			batch := tm.Derive(ds.Graph.NumEdges(), ds.Graph.Directed(), ds.Graph.Snapshot().Weight)
 			start := time.Now()
 			if _, err := index.ApplyUpdates(batch); err != nil {
 				return nil, err

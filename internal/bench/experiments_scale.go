@@ -241,7 +241,7 @@ func (s *Suite) AblationVfrag() (*Table, error) {
 			for j := i + 1; j < len(sg.Boundary); j++ {
 				la, _ := sg.ToLocal(sg.Boundary[i])
 				lb, _ := sg.ToLocal(sg.Boundary[j])
-				trueDist := shortest.ShortestDistance(sg.Local, la, lb, nil)
+				trueDist := shortest.ShortestDistance(sg.Local.Snapshot(), la, lb, nil)
 				if math.IsInf(trueDist, 1) || trueDist == 0 {
 					continue
 				}
@@ -280,14 +280,15 @@ func (s *Suite) AblationVfrag() (*Table, error) {
 // edge weights of the subgraph.
 func edgeCountBound(sg *partition.Subgraph, la, lb graph.VertexID) float64 {
 	hop := &shortest.Options{Weight: func(graph.EdgeID) float64 { return 1 }}
-	p, ok := shortest.ShortestPath(sg.Local, la, lb, hop)
+	local := sg.Local.Snapshot()
+	p, ok := shortest.ShortestPath(local, la, lb, hop)
 	if !ok {
 		return 0
 	}
 	m := p.Len()
-	weights := make([]float64, sg.Local.NumEdges())
-	for e := 0; e < sg.Local.NumEdges(); e++ {
-		weights[e] = sg.Local.Weight(graph.EdgeID(e))
+	weights := make([]float64, local.NumEdges())
+	for e := 0; e < local.NumEdges(); e++ {
+		weights[e] = local.Weight(graph.EdgeID(e))
 	}
 	sort.Float64s(weights)
 	if m > len(weights) {

@@ -150,7 +150,7 @@ type BatchedRemoteProvider struct {
 // an explicit positive value: memoizing an answer under an epoch is only
 // sound when the workers actually resolve epoch pins (Worker.SetViewResolver
 // against the master's index).  Standalone worker processes maintain their
-// own live weights and serve those for any pin, so a memo would freeze a
+// own latest weights and serve those for any pin, so a memo would freeze a
 // transiently stale answer for the epoch's whole lifetime instead of the
 // transient window the eventually consistent transport already has.  Opt in
 // only for deployments whose workers share the master's retained views.

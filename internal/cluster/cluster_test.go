@@ -114,7 +114,7 @@ func TestClusterQueryMatchesOracle(t *testing.T) {
 		if err != nil {
 			t.Fatalf("Query: %v", err)
 		}
-		want := testutil.BruteForceKSP(g, cse.s, cse.t, cse.k)
+		want := testutil.BruteForceKSP(g.Snapshot(), cse.s, cse.t, cse.k)
 		if len(res.Paths) != len(want) {
 			t.Fatalf("query (%d,%d,%d): got %d paths, want %d", cse.s, cse.t, cse.k, len(res.Paths), len(want))
 		}
@@ -175,7 +175,7 @@ func TestClusterApplyUpdates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := testutil.BruteForceKSP(g, testutil.V1, testutil.V19, 2)
+	want := testutil.BruteForceKSP(g.Snapshot(), testutil.V1, testutil.V19, 2)
 	if len(res.Paths) != len(want) || math.Abs(res.Paths[0].Dist-want[0].Dist) > 1e-9 {
 		t.Errorf("post-update query mismatch: %v vs %v", res.Paths, want)
 	}
@@ -274,7 +274,7 @@ func TestRemoteProviderQueryMatchesOracle(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			want := testutil.BruteForceKSP(g, testutil.V1, testutil.V19, 3)
+			want := testutil.BruteForceKSP(g.Snapshot(), testutil.V1, testutil.V19, 3)
 			if len(res.Paths) != len(want) {
 				t.Fatalf("remote query returned %d paths, want %d", len(res.Paths), len(want))
 			}

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"slices"
@@ -230,8 +231,8 @@ func TestWorkerSnapshotsNeverMixBatches(t *testing.T) {
 }
 
 // BenchmarkWorkerPartialKSP times one worker request of 32 boundary pairs at
-// k = 8 on the 30×20 road network at z = 200.  cold takes new snapshots
-// before every request, so every pair runs Yen; warm keeps one set of
+// k = 8 on the 30×20 road network at z = 200.  cold publishes new snapshots,
+// with unchanged weights, before every request, so every pair runs Yen; warm keeps one set of
 // snapshots, so every pair after the first request is a snapshot-cache hit.
 func BenchmarkWorkerPartialKSP(b *testing.B) {
 	p := roadPartition(b, 200)
@@ -241,8 +242,14 @@ func BenchmarkWorkerPartialKSP(b *testing.B) {
 	b.Run("cold", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			b.StopTimer()
+			for _, sg := range p.Subgraphs {
+				same := []graph.WeightUpdate{{Edge: 0, NewWeight: sg.Local.Snapshot().Weight(0)}}
+				if err := sg.Local.ApplyUpdates(same); err != nil {
+					b.Fatal(err)
+				}
+			}
 			st := *w.state.Load()
-			w.state.Store(st.withSnapshots(nil))
+			w.state.Store(st.withSnapshots())
 			b.StartTimer()
 			w.HandlePartialKSP(req)
 		}
@@ -254,4 +261,38 @@ func BenchmarkWorkerPartialKSP(b *testing.B) {
 			w.HandlePartialKSP(req)
 		}
 	})
+}
+
+// BenchmarkWorkerWeightUpdate is the worker hop of the write path: a
+// standalone worker owning half the subgraphs of the 30×20 road network at
+// z = 80 applies a weight batch to its partition copy and publishes the next
+// state.  It cycles through 40 batches, each moving a share alpha of the
+// live edges by up to ±30 % of their initial weight, at the shares the
+// end-to-end benchmark's workloads move (α 0.05 everywhere, 0.2 on
+// rush-mixed).
+func BenchmarkWorkerWeightUpdate(b *testing.B) {
+	for _, alpha := range []float64{0.05, 0.2} {
+		b.Run(fmt.Sprintf("z80/alpha%g", alpha), func(b *testing.B) {
+			p := roadPartition(b, 80)
+			g := p.Parent()
+			w := NewWorker(0, p, OwnedBy(0, p.NumSubgraphs(), 2, 1))
+			w.EnableLocalApply()
+			tm := workload.NewTrafficModel(alpha, 0.3, 3)
+			batches := make([]WeightUpdateRequest, 40)
+			for i := range batches {
+				for _, u := range tm.Derive(g.NumEdges(), false, g.InitialWeight) {
+					if g.EdgeAlive(u.Edge) {
+						batches[i].Updates = append(batches[i].Updates, u)
+					}
+				}
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if resp := w.HandleWeightUpdate(batches[i%len(batches)]); resp.Err != "" {
+					b.Fatal(resp.Err)
+				}
+			}
+		})
+	}
 }

@@ -43,7 +43,7 @@ func TestClusterApplyTopology(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := testutil.BruteForceKSP(cur, testutil.V1, testutil.V19, 2)
+	want := testutil.BruteForceKSP(cur.Snapshot(), testutil.V1, testutil.V19, 2)
 	if len(res.Paths) == 0 || math.Abs(res.Paths[0].Dist-want[0].Dist) > 1e-9 {
 		t.Fatalf("post-topology query mismatch: %v vs %v", res.Paths, want)
 	}
@@ -95,7 +95,7 @@ func TestClusterServesOpenedSubgraph(t *testing.T) {
 		if err != nil {
 			t.Fatalf("query(%d,%d): %v", q.s, q.t, err)
 		}
-		if want := shortest.Yen(cur, q.s, q.t, 3, nil); !sameDists(res.Paths, want) {
+		if want := shortest.Yen(cur.Snapshot(), q.s, q.t, 3, nil); !sameDists(res.Paths, want) {
 			t.Errorf("query(%d,%d): %v, Yen %v", q.s, q.t, res.Paths, want)
 		}
 	}
@@ -128,7 +128,7 @@ func TestClusterQueriesRaceTopology(t *testing.T) {
 				s := graph.VertexID(rng.Intn(cur.NumVertices()))
 				d := graph.VertexID(rng.Intn(cur.NumVertices()))
 				res, err := engine.QueryViewCtx(context.Background(), iv, s, d, 2)
-				want := shortest.Yen(cur, s, d, 2, &shortest.Options{Weight: iv.GlobalWeight})
+				want := shortest.Yen(cur.Snapshot(), s, d, 2, &shortest.Options{Weight: iv.GlobalWeight})
 				if err != nil || !sameDists(res.Paths, want) {
 					t.Errorf("query(%d,%d)@%d: %v (err %v), Yen %v", s, d, iv.Epoch(), res.Paths, err, want)
 				}

@@ -412,7 +412,7 @@ func TestBatchedRemoteProviderMatchesOracle(t *testing.T) {
 					errCh <- err
 					return
 				}
-				want := testutil.BruteForceKSP(g, s, tt, k)
+				want := testutil.BruteForceKSP(g.Snapshot(), s, tt, k)
 				if len(res.Paths) != len(want) {
 					errCh <- fmt.Errorf("query (%d,%d,%d): got %d paths, want %d", s, tt, k, len(res.Paths), len(want))
 					return

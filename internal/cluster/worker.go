@@ -56,31 +56,26 @@ type workerState struct {
 	owned map[partition.SubgraphID]bool
 	// snaps holds one snapshot per owned subgraph, indexed by SubgraphID and
 	// nil elsewhere.  It is nil for in-process workers, which read the
-	// shared index's views (or, for an evicted pin, the live partition).
+	// shared index's views (or, for an evicted pin, the partition's current
+	// snapshots).
 	snaps []*graph.Snapshot
 }
 
-// weights resolves the view a request without a resolvable pin searches.
-func (st *workerState) weights(id partition.SubgraphID) graph.WeightedView {
+// weights resolves the snapshot a request without a resolvable pin searches.
+func (st *workerState) weights(id partition.SubgraphID) *graph.Snapshot {
 	if st.snaps == nil {
-		return st.part.Subgraph(id).Local
+		return st.part.Subgraph(id).Local.Snapshot()
 	}
 	return st.snaps[id]
 }
 
-// withSnapshots returns st with a snapshot of every owned subgraph.  prev,
-// when not nil, is the snapshotted state st follows over the same partition
-// and ownership: a subgraph whose local weights did not move since prev's
-// snapshot keeps it, and with it the answers cached on it, copy-on-write.
-func (st *workerState) withSnapshots(prev *workerState) *workerState {
+// withSnapshots returns st with the current snapshot of every owned
+// subgraph.  A subgraph no batch wrote since the previous state still has
+// the snapshot that state holds, and with it the answers cached on it.
+func (st *workerState) withSnapshots() *workerState {
 	st.snaps = make([]*graph.Snapshot, st.part.NumSubgraphs())
 	for id := range st.owned {
-		local := st.part.Subgraph(id).Local
-		if prev != nil && prev.snaps[id].Version() == local.Version() {
-			st.snaps[id] = prev.snaps[id]
-			continue
-		}
-		st.snaps[id] = local.Snapshot()
+		st.snaps[id] = st.part.Subgraph(id).Local.Snapshot()
 	}
 	return st
 }
@@ -270,7 +265,7 @@ func (w *Worker) EnableLocalApply() {
 	defer w.updateMu.Unlock()
 	w.applyLocal = true
 	st := *w.state.Load()
-	w.state.Store(st.withSnapshots(nil))
+	w.state.Store(st.withSnapshots())
 }
 
 // HandleWeightUpdate records that updates for this worker's subgraphs
@@ -290,7 +285,7 @@ func (w *Worker) HandleWeightUpdate(req WeightUpdateRequest) WeightUpdateRespons
 	_, err := st.part.ApplyUpdates(req.Updates)
 	// Publish even on error: a batch can fail after some subgraphs took it,
 	// and the snapshots must match the partition copy the next batch builds on.
-	w.state.Store((&workerState{part: st.part, owned: st.owned}).withSnapshots(st))
+	w.state.Store((&workerState{part: st.part, owned: st.owned}).withSnapshots())
 	if err != nil {
 		return WeightUpdateResponse{Err: err.Error()}
 	}
@@ -319,8 +314,9 @@ func (w *Worker) HandleTopologyUpdate(req TopologyUpdateRequest) TopologyUpdateR
 	parent := st.part.Parent()
 	var current []graph.WeightUpdate
 	for _, sg := range st.part.Subgraphs {
+		local := sg.Local.Snapshot()
 		for le, ge := range sg.GlobalEdges {
-			current = append(current, graph.WeightUpdate{Edge: ge, NewWeight: sg.Local.Weight(graph.EdgeID(le))})
+			current = append(current, graph.WeightUpdate{Edge: ge, NewWeight: local.Weight(graph.EdgeID(le))})
 		}
 	}
 	if err := parent.ApplyUpdates(current); err != nil {
@@ -342,7 +338,7 @@ func (w *Worker) HandleTopologyUpdate(req TopologyUpdateRequest) TopologyUpdateR
 			}
 		}
 	}
-	w.state.Store((&workerState{part: newPart, owned: owned}).withSnapshots(nil))
+	w.state.Store((&workerState{part: newPart, owned: owned}).withSnapshots())
 	return TopologyUpdateResponse{InsertedEdges: inserted, DeletedEdges: deleted}
 }
 

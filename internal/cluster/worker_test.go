@@ -161,7 +161,7 @@ func TestWorkerWeightUpdateAccounting(t *testing.T) {
 	// Without EnableLocalApply the worker only counts: the weights are the
 	// shared index's to write.
 	loc := p.Locate(0)
-	if p.Subgraph(loc.Subgraph).Local.Weight(loc.LocalEdge) == 123.5 {
+	if p.Subgraph(loc.Subgraph).Local.Snapshot().Weight(loc.LocalEdge) == 123.5 {
 		t.Errorf("a worker without local apply wrote its subgraph's weights")
 	}
 }

@@ -12,7 +12,7 @@ import (
 
 func TestAugmentedSkeletonView(t *testing.T) {
 	base := testutil.LineGraph(t, 4) // vertices 0-1-2-3, unit weights
-	aug := newAugmentedSkeleton(base)
+	aug := newAugmentedSkeleton(base.Snapshot())
 	if aug.NumVertices() != 4 || aug.NumEdges() != 3 {
 		t.Fatalf("augmented view should start identical to base")
 	}
@@ -70,7 +70,7 @@ func TestAugmentedSkeletonDirected(t *testing.T) {
 	b.AddEdge(0, 1, 1)
 	b.AddEdge(1, 2, 1)
 	base := b.Build()
-	aug := newAugmentedSkeleton(base)
+	aug := newAugmentedSkeleton(base.Snapshot())
 	s := aug.addVertex()
 	aug.addEdge(s, 0, 2) // directed: only s -> 0
 	if _, ok := aug.EdgeBetween(0, s); ok {

@@ -36,7 +36,7 @@ func assertMatchesOracle(t *testing.T, g *graph.Graph, e *Engine, s, tt graph.Ve
 	if err != nil {
 		t.Fatalf("Query(%d,%d,%d): %v", s, tt, k, err)
 	}
-	want := testutil.BruteForceKSP(g, s, tt, k)
+	want := testutil.BruteForceKSP(g.Snapshot(), s, tt, k)
 	if len(res.Paths) != len(want) {
 		t.Fatalf("Query(%d,%d,%d) returned %d paths, oracle %d\n got: %v\nwant: %v",
 			s, tt, k, len(res.Paths), len(want), res.Paths, want)
@@ -45,12 +45,12 @@ func assertMatchesOracle(t *testing.T, g *graph.Graph, e *Engine, s, tt graph.Ve
 		if math.Abs(res.Paths[i].Dist-want[i].Dist) > 1e-9 {
 			t.Errorf("Query(%d,%d,%d) path %d dist = %g, oracle %g", s, tt, k, i, res.Paths[i].Dist, want[i].Dist)
 		}
-		if err := res.Paths[i].Validate(g); err != nil {
+		if err := res.Paths[i].Validate(g.Snapshot()); err != nil {
 			t.Errorf("Query(%d,%d,%d) path %d invalid: %v", s, tt, k, i, err)
 		}
-		if math.Abs(res.Paths[i].EvalDist(g)-res.Paths[i].Dist) > 1e-9 {
+		if math.Abs(res.Paths[i].EvalDist(g.Snapshot())-res.Paths[i].Dist) > 1e-9 {
 			t.Errorf("Query(%d,%d,%d) path %d reported dist %g but edges sum to %g",
-				s, tt, k, i, res.Paths[i].Dist, res.Paths[i].EvalDist(g))
+				s, tt, k, i, res.Paths[i].Dist, res.Paths[i].EvalDist(g.Snapshot()))
 		}
 		if res.Paths[i].Source() != s || res.Paths[i].Target() != tt {
 			t.Errorf("Query(%d,%d,%d) path %d endpoints wrong: %v", s, tt, k, i, res.Paths[i])
@@ -236,7 +236,7 @@ func TestQueryDirectedGraph(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := testutil.BruteForceKSP(g, 0, 7, 3)
+	want := testutil.BruteForceKSP(g.Snapshot(), 0, 7, 3)
 	if len(res.Paths) != len(want) {
 		t.Fatalf("directed query returned %d paths, oracle %d", len(res.Paths), len(want))
 	}
@@ -264,7 +264,7 @@ func TestQueryOnGrid(t *testing.T) {
 			t.Errorf("grid path %d dist = %g, want 10", i, p.Dist)
 		}
 	}
-	sp, _ := shortest.ShortestPath(g, 0, graph.VertexID(g.NumVertices()-1), nil)
+	sp, _ := shortest.ShortestPath(g.Snapshot(), 0, graph.VertexID(g.NumVertices()-1), nil)
 	if res.Paths[0].Dist != sp.Dist {
 		t.Errorf("first path should match Dijkstra")
 	}
@@ -304,7 +304,7 @@ func TestPropertyKSPDGMatchesOracle(t *testing.T) {
 			if err != nil {
 				return false
 			}
-			want := testutil.BruteForceKSP(g, s, tt, k)
+			want := testutil.BruteForceKSP(g.Snapshot(), s, tt, k)
 			if len(res.Paths) != len(want) {
 				return false
 			}
@@ -312,7 +312,7 @@ func TestPropertyKSPDGMatchesOracle(t *testing.T) {
 				if math.Abs(res.Paths[i].Dist-want[i].Dist) > 1e-9 {
 					return false
 				}
-				if res.Paths[i].Validate(g) != nil {
+				if res.Paths[i].Validate(g.Snapshot()) != nil {
 					return false
 				}
 			}

@@ -45,12 +45,12 @@ type PartialProvider interface {
 	// next iteration's filter step while the refine is in flight.
 	//
 	// Every subgraph search reads the weights frozen in the epoch view iv,
-	// over the partition of that epoch's generation; a nil view requests the
-	// live weights.  pairs is only valid until the call returns —
-	// implementations that keep working afterwards copy it.  The context is a
-	// trace carrier only (see internal/trace): refine requests may coalesce
-	// with other queries' pairs, so per-query cancellation must not abort a
-	// shipped batch.
+	// over the partition of that epoch's generation; a nil view requests each
+	// subgraph's current snapshot (see RefineSource).  pairs is only valid
+	// until the call returns — implementations that keep working afterwards
+	// copy it.  The context is a trace carrier only (see internal/trace):
+	// refine requests may coalesce with other queries' pairs, so per-query
+	// cancellation must not abort a shipped batch.
 	PartialKSPAsyncCtx(ctx context.Context, iv *dtlp.IndexView, pairs []PairRequest, k int) <-chan AsyncPartialReply
 }
 
@@ -102,15 +102,15 @@ func (lp *LocalProvider) PartialKSPAsyncCtx(_ context.Context, iv *dtlp.IndexVie
 }
 
 // RefineSource resolves what a refine request searches: the partition and
-// frozen subgraph weights of the epoch view, or — for a nil view — the live
-// state of part.  Topology updates replace the partition, so a view's own
-// partition (not the one a provider was built over) is authoritative for its
-// epoch.  Live reads observe concurrent weight updates as they land.
-func RefineSource(part *partition.Partition, iv *dtlp.IndexView) (*partition.Partition, func(partition.SubgraphID) graph.WeightedView) {
+// subgraph snapshots of the epoch view, or — for a nil view — part and each
+// subgraph's current snapshot.  Topology updates replace the partition, so a
+// view's own partition (not the one a provider was built over) is
+// authoritative for its epoch.
+func RefineSource(part *partition.Partition, iv *dtlp.IndexView) (*partition.Partition, func(partition.SubgraphID) *graph.Snapshot) {
 	if iv == nil {
-		return part, func(id partition.SubgraphID) graph.WeightedView { return part.Subgraph(id).Local }
+		return part, func(id partition.SubgraphID) *graph.Snapshot { return part.Subgraph(id).Local.Snapshot() }
 	}
-	return iv.Partition(), func(id partition.SubgraphID) graph.WeightedView { return iv.SubgraphWeights(id) }
+	return iv.Partition(), iv.SubgraphWeights
 }
 
 // RefinePair computes up to k shortest paths between the pair's endpoints:
@@ -123,7 +123,7 @@ func RefineSource(part *partition.Partition, iv *dtlp.IndexView) (*partition.Par
 // The per-subgraph results pass through MergePaths, so the union of per-owner
 // answers merges to the answer of a single owner of everything — which is
 // what lets a master merge replies from workers with any ownership split.
-func RefinePair(part *partition.Partition, pr PairRequest, k int, weights func(partition.SubgraphID) graph.WeightedView, owns func(partition.SubgraphID) bool) []graph.Path {
+func RefinePair(part *partition.Partition, pr PairRequest, k int, weights func(partition.SubgraphID) *graph.Snapshot, owns func(partition.SubgraphID) bool) []graph.Path {
 	if pr.A == pr.B {
 		return []graph.Path{{Vertices: []graph.VertexID{pr.A}}}
 	}
@@ -150,28 +150,23 @@ func RefinePair(part *partition.Partition, pr PairRequest, k int, weights func(p
 }
 
 // searchSubgraph runs the pair's Yen search inside one subgraph and returns
-// the paths in global vertex ids.  Over a *graph.Snapshot the answer goes
-// through the snapshot cache: a pair asked again on the same snapshot, at the
-// same or a smaller k, is answered without a search.
-func searchSubgraph(sub *partition.Subgraph, pr PairRequest, k int, weights graph.WeightedView) []graph.Path {
+// the paths in global vertex ids.  The answer goes through the snapshot
+// cache: a pair asked again on the same snapshot, at the same or a smaller k,
+// is answered without a search.
+func searchSubgraph(sub *partition.Subgraph, pr PairRequest, k int, snap *graph.Snapshot) []graph.Path {
 	la, okA := sub.ToLocal(pr.A)
 	lb, okB := sub.ToLocal(pr.B)
 	if !okA || !okB {
 		return nil
 	}
-	snap, _ := weights.(*graph.Snapshot)
-	if snap != nil {
-		if paths, ok := snap.CachedPaths(la, lb, k); ok {
-			return paths
-		}
+	if paths, ok := snap.CachedPaths(la, lb, k); ok {
+		return paths
 	}
-	paths := shortest.Yen(weights, la, lb, k, nil)
+	paths := shortest.Yen(snap, la, lb, k, nil)
 	for i, lp := range paths {
 		paths[i] = sub.GlobalPath(lp)
 	}
-	if snap != nil {
-		snap.CachePaths(la, lb, k, paths)
-	}
+	snap.CachePaths(la, lb, k, paths)
 	return paths
 }
 

@@ -56,7 +56,7 @@ func TestRefinePair(t *testing.T) {
 		if path.Source() != a || path.Target() != b {
 			t.Errorf("partial path %d endpoints wrong: %v", i, path)
 		}
-		if err := path.Validate(g); err != nil {
+		if err := path.Validate(g.Snapshot()); err != nil {
 			t.Errorf("partial path %d invalid: %v", i, err)
 		}
 		if i > 0 && paths[i-1].Dist > path.Dist+1e-9 {

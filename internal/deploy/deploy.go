@@ -295,28 +295,31 @@ func (m *Master) connect(batch rpcbatch.Options) (*cluster.Membership, error) {
 	return p.Membership(), nil
 }
 
-// broadcast sends the whole weight batch to every worker in turn, stopping
-// at the first error; each applies it to its own weight copy.
+// broadcast sends the whole weight batch to every worker in turn; each
+// applies it to its own weight copy.  A failing worker does not stop the
+// batch reaching the rest: the result joins every worker's error.
 func (m *Master) broadcast(batch []graph.WeightUpdate) error {
+	var errs []error
 	for _, rw := range m.remotes {
 		if _, err := rw.ApplyUpdates(batch); err != nil {
-			return err
+			errs = append(errs, err)
 		}
 	}
-	return nil
+	return errors.Join(errs...)
 }
 
-// broadcastTopology sends a topology batch to every worker in turn, stopping
-// at the first error.  Each worker places the subgraphs the batch opens by
-// cluster.Owners, the rule the provider routes by.
+// broadcastTopology sends a topology batch to every worker in turn, and like
+// broadcast to the rest when one fails.  Each worker places the subgraphs
+// the batch opens by cluster.Owners, the rule the provider routes by.
 func (m *Master) broadcastTopology(up graph.TopologyUpdate) error {
 	req := cluster.TopologyUpdateRequest{Update: up, NumWorkers: len(m.remotes), Factor: m.cfg.Replicas}
+	var errs []error
 	for _, rw := range m.remotes {
 		if _, err := rw.ApplyTopology(req); err != nil {
-			return err
+			errs = append(errs, err)
 		}
 	}
-	return nil
+	return errors.Join(errs...)
 }
 
 // ServeErr delivers the error that stopped the HTTP listener early, if any.

@@ -1,6 +1,7 @@
 package deploy
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -8,6 +9,7 @@ import (
 	"testing"
 
 	"kspdg/internal/cluster"
+	"kspdg/internal/graph"
 	"kspdg/internal/trace"
 )
 
@@ -79,6 +81,42 @@ func TestStartRejectsInvalidConfig(t *testing.T) {
 				t.Fatalf("error %q does not mention %q", err, tc.want)
 			}
 		})
+	}
+}
+
+// TestBroadcastSurvivesDeadWorker pins that one dead worker does not stop a
+// weight batch reaching the others: with worker 0 of three closed, workers 1
+// and 2 still apply the batch, and the write reports worker 0's failure.
+func TestBroadcastSurvivesDeadWorker(t *testing.T) {
+	servers, connect := startWorkers(t, 3, 2)
+	m, err := Start(Config{Dataset: "NY", Scale: "tiny", Xi: 2, Connect: connect, Pool: 1, Replicas: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() {
+		m.Close()
+		for _, srv := range servers[1:] {
+			srv.Close()
+		}
+	})
+	servers[0].Close()
+
+	cur := m.Index.Partition().Parent().Snapshot()
+	batch := []graph.WeightUpdate{{Edge: 0, NewWeight: cur.Weight(0) * 2}, {Edge: 1, NewWeight: cur.Weight(1) + 1}}
+	if _, err := m.Server.ApplyUpdates(context.Background(), batch); err == nil {
+		t.Error("the write did not report the dead worker")
+	}
+	for w, rw := range m.remotes {
+		if w == 0 {
+			continue
+		}
+		st, err := rw.Stats()
+		if err != nil {
+			t.Fatalf("worker %d: %v", w, err)
+		}
+		if st.UpdatesReceived != len(batch) {
+			t.Errorf("worker %d received %d updates, want the batch's %d", w, st.UpdatesReceived, len(batch))
+		}
 	}
 }
 

@@ -247,7 +247,7 @@ func CheckChaos(tb testing.TB, cp ChaosParams) {
 		if view == nil {
 			tb.Fatalf("epoch %d evicted from the retention window", qr.Result.Epoch)
 		}
-		want := shortest.Yen(g, qr.Query.Source, qr.Query.Target, p.K, &shortest.Options{Weight: view.GlobalWeight})
+		want := shortest.Yen(g.Snapshot(), qr.Query.Source, qr.Query.Target, p.K, &shortest.Options{Weight: view.GlobalWeight})
 		gl, wl := lengths(qr.Result.Paths), lengths(want)
 		switch {
 		case sameLengths(gl, wl) && !qr.Result.Converged:

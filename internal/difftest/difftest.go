@@ -201,7 +201,7 @@ func Check(tb testing.TB, p Params) {
 					label, s, t, p.K, gl, wl)
 			}
 			for i, path := range got.Paths {
-				if err := path.Validate(g); err != nil {
+				if err := path.Validate(g.Snapshot()); err != nil {
 					tb.Errorf("%s: query(%d,%d,%d) path %d invalid: %v", label, s, t, p.K, i, err)
 				}
 			}
@@ -312,9 +312,10 @@ func CheckConcurrent(tb testing.TB, cp ConcurrentParams) {
 		<-start
 		for b := 0; b < cp.UpdateBatches; b++ {
 			var batch []graph.WeightUpdate
+			cur := g.Snapshot()
 			for e := 0; e < g.NumEdges(); e++ {
 				if urng.Float64() < 0.3 {
-					w := g.Weight(graph.EdgeID(e)) * (0.55 + urng.Float64()*0.9)
+					w := cur.Weight(graph.EdgeID(e)) * (0.55 + urng.Float64()*0.9)
 					if w < 0.1 {
 						w = 0.1
 					}
@@ -339,7 +340,7 @@ func CheckConcurrent(tb testing.TB, cp ConcurrentParams) {
 		if view == nil {
 			tb.Fatalf("epoch %d evicted from the retention window", o.res.Epoch)
 		}
-		want := shortest.Yen(g, o.s, o.t, o.k, &shortest.Options{Weight: view.GlobalWeight})
+		want := shortest.Yen(g.Snapshot(), o.s, o.t, o.k, &shortest.Options{Weight: view.GlobalWeight})
 		gl, wl := lengths(o.res.Paths), lengths(want)
 		switch {
 		case o.res.Converged && o.res.BoundGap > 0:

@@ -133,7 +133,7 @@ func TestRulerExactness(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if why, capped := checkExact(got, shortest.Yen(g, row.s, row.t, row.cell.k, nil), row.cell.k); why != "" || capped {
+			if why, capped := checkExact(got, shortest.Yen(g.Snapshot(), row.s, row.t, row.cell.k, nil), row.cell.k); why != "" || capped {
 				t.Errorf("query(%d,%d) %v: converged=%v %s", row.s, row.t, row.cell, got.Converged, why)
 			}
 		})
@@ -154,7 +154,7 @@ func TestRulerExactness(t *testing.T) {
 		s, tt := pairs[i][0], pairs[i][1]
 		// One Yen call at the largest k serves every row: the k shortest
 		// distances are a prefix of the K shortest for k <= K.
-		want := shortest.Yen(g, s, tt, 8, nil)
+		want := shortest.Yen(g.Snapshot(), s, tt, 8, nil)
 		for _, c := range rulerCells {
 			got, err := engines[c.z].QueryViewCtx(ctx, nil, s, tt, c.k)
 			why, cut := checkExact(got, want, c.k)
@@ -197,7 +197,7 @@ func TestRulerStreamMatchesQuery(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if why, capped := checkExact(want, shortest.Yen(g, row.s, row.t, row.cell.k, nil), row.cell.k); why != "" || capped {
+			if why, capped := checkExact(want, shortest.Yen(g.Snapshot(), row.s, row.t, row.cell.k, nil), row.cell.k); why != "" || capped {
 				t.Errorf("query: converged=%v %s", want.Converged, why)
 			}
 			var streamed []graph.Path
@@ -259,7 +259,7 @@ func TestStreamCertifiesBeforeEmit(t *testing.T) {
 					if !got.Converged || got.BoundGap != 0 {
 						continue
 					}
-					want := lengths(shortest.Yen(g, s, tt, p.K, nil))
+					want := lengths(shortest.Yen(g.Snapshot(), s, tt, p.K, nil))
 					var order []float64
 					for i, path := range streamed {
 						order = append(order, path.Dist)

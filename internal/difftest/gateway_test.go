@@ -133,7 +133,7 @@ func TestGatewayMatchesYen(t *testing.T) {
 		if view == nil {
 			t.Fatalf("%s query(%d,%d): epoch %d not retained", kind, s, tgt, epoch)
 		}
-		want := shortest.Yen(g, s, tgt, p.K, &shortest.Options{Weight: view.GlobalWeight})
+		want := shortest.Yen(g.Snapshot(), s, tgt, p.K, &shortest.Options{Weight: view.GlobalWeight})
 		if gl, wl := lengths(paths), lengths(want); !sameLengths(gl, wl) {
 			t.Errorf("%s query(%d,%d)@epoch %d: HTTP lengths %v != Yen %v", kind, s, tgt, epoch, gl, wl)
 		}
@@ -148,7 +148,7 @@ func TestGatewayMatchesYen(t *testing.T) {
 		if round > 0 {
 			// The weight updates travel over HTTP too, so the whole dynamic
 			// regime is exercised through the public surface.
-			batch := tm.Derive(g.NumEdges(), g.Directed(), g.Weight)
+			batch := tm.Derive(g.NumEdges(), g.Directed(), g.Snapshot().Weight)
 			if len(batch) == 0 {
 				continue
 			}
@@ -169,7 +169,7 @@ func TestGatewayMatchesYen(t *testing.T) {
 				t.Fatalf("round %d: updates status %d", round, code)
 			}
 			last := ups[len(ups)-1]
-			if got := x.Partition().Parent().Weight(graph.EdgeID(last.Edge)); got != last.Weight {
+			if got := x.Partition().Parent().Snapshot().Weight(graph.EdgeID(last.Edge)); got != last.Weight {
 				t.Fatalf("round %d: master weight of edge %d = %v, last write %v", round, last.Edge, got, last.Weight)
 			}
 			// No oracle-side mirror is needed: serve applies the batch to the
@@ -221,7 +221,7 @@ func TestGatewayMatchesYen(t *testing.T) {
 		if qr.Epoch != pinnedProbe.epoch {
 			t.Fatalf("pinned query answered at epoch %d, want %d", qr.Epoch, pinnedProbe.epoch)
 		}
-		want := shortest.Yen(view.Partition().Parent(), pinnedProbe.s, pinnedProbe.t, p.K,
+		want := shortest.Yen(view.Partition().Parent().Snapshot(), pinnedProbe.s, pinnedProbe.t, p.K,
 			&shortest.Options{Weight: view.GlobalWeight})
 		if gl, wl := lengths(toPaths(qr.Paths)), lengths(want); !sameLengths(gl, wl) {
 			t.Errorf("pinned query(%d,%d)@epoch %d: HTTP lengths %v != Yen %v",

@@ -89,7 +89,7 @@ func checkStandalone(t *testing.T, workers, factor int) {
 			if view == nil {
 				t.Fatalf("%s: epoch %d not retained", label, epoch)
 			}
-			yen := shortest.Yen(view.Partition().Parent(), s, tgt, k, &shortest.Options{Weight: view.GlobalWeight})
+			yen := shortest.Yen(view.Partition().Parent().Snapshot(), s, tgt, k, &shortest.Options{Weight: view.GlobalWeight})
 			// A query the iteration budget cut reports a bound gap and is
 			// held to it instead.
 			gl, wl := lengths(got), lengths(yen)
@@ -122,7 +122,7 @@ func checkStandalone(t *testing.T, workers, factor int) {
 		t.Helper()
 		g := m.Index.Partition().Parent()
 		var ups []updateJSON
-		for _, u := range tm.Derive(g.NumEdges(), g.Directed(), g.Weight) {
+		for _, u := range tm.Derive(g.NumEdges(), g.Directed(), g.Snapshot().Weight) {
 			ups = append(ups, updateJSON{Edge: int64(u.Edge), Weight: u.NewWeight})
 		}
 		if repeat {

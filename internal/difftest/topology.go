@@ -141,7 +141,7 @@ func CheckTopology(tb testing.TB, p TopologyParams) {
 					label, s, t, base.K, gl, wl)
 			}
 			for i, path := range got.Paths {
-				if err := path.Validate(cur); err != nil {
+				if err := path.Validate(cur.Snapshot()); err != nil {
 					tb.Errorf("%s: query(%d,%d,%d) path %d invalid: %v", label, s, t, base.K, i, err)
 				}
 			}

@@ -37,12 +37,13 @@
 //
 // The index supports snapshot-isolated concurrent querying through immutable
 // epoch views (IndexView).  ApplyUpdates and ApplyTopology are the single
-// writer: ApplyUpdates mutates the master graph's and subgraphs' weights,
-// bounding path distances and skeleton weights under an internal write lock
-// and then atomically publishes a new IndexView — a
-// copy-on-write bundle of the skeleton weight snapshot plus one weight
-// snapshot per subgraph, sharing the snapshots of all subgraphs the batch did
-// not touch with the previous epoch.  Queries obtain a view via CurrentView
+// writer: under an internal write lock, ApplyUpdates has the master graph,
+// the touched subgraphs' local graphs and the skeleton graph each publish a
+// new immutable weight snapshot (see graph.Graph.ApplyUpdates), refreshes
+// the bounding path distances, and then atomically publishes a new IndexView
+// — the skeleton's current snapshot plus every subgraph's.  A subgraph the
+// batch did not touch still has the snapshot the previous epoch holds, so
+// consecutive epochs share it.  Queries obtain a view via CurrentView
 // (or resolve a specific epoch with ViewAt) and see a single consistent set
 // of weights for their whole lifetime, no matter how many update batches are
 // applied concurrently.  Bounding paths themselves are immutable by design,
@@ -52,6 +53,7 @@ package dtlp
 
 import (
 	"cmp"
+	"errors"
 	"fmt"
 	"math"
 	"runtime"
@@ -62,7 +64,6 @@ import (
 	"kspdg/internal/fanout"
 	"kspdg/internal/graph"
 	"kspdg/internal/partition"
-	"kspdg/internal/shortest"
 )
 
 // Config controls DTLP construction.
@@ -197,7 +198,7 @@ func Build(part *partition.Partition, cfg Config) (*Index, error) {
 		return nil, err
 	}
 	x.gen.Store(g)
-	x.publishView(nil) // epoch 0: the construction-time weights
+	x.publishView() // epoch 0: the construction-time weights
 	return x, nil
 }
 
@@ -320,90 +321,6 @@ func (g *generation) mbd(a, b graph.VertexID) float64 {
 	return g.mbdOf(i)
 }
 
-// weightsAt resolves the weighted view a subgraph computation runs over: the
-// live local graph (Index methods) or an epoch snapshot (IndexView methods).
-type weightsAt func(partition.SubgraphID) graph.WeightedView
-
-// liveWeights reads each subgraph's live local graph.
-func (g *generation) liveWeights(id partition.SubgraphID) graph.WeightedView {
-	return g.part.Subgraph(id).Local
-}
-
-// BoundaryLowerBounds returns, for an arbitrary (possibly non-boundary)
-// global vertex v, a lower bound on the distance within each containing
-// subgraph from v to every boundary vertex of that subgraph.  This implements
-// the Step 1 handling of non-boundary query endpoints (Section 5.3): the
-// returned map is used to attach v to the skeleton graph.
-//
-// The bound used is the exact shortest distance inside the subgraph, which is
-// a valid (and the tightest possible) lower bound for the first/last segment
-// of any path leaving the subgraph through a boundary vertex.
-func (x *Index) BoundaryLowerBounds(v graph.VertexID) map[graph.VertexID]float64 {
-	g := x.gen.Load()
-	return g.boundaryLowerBounds(v, g.liveWeights)
-}
-
-func (g *generation) boundaryLowerBounds(v graph.VertexID, at weightsAt) map[graph.VertexID]float64 {
-	out := make(map[graph.VertexID]float64)
-	for _, id := range g.part.SubgraphsOf(v) {
-		for bv, d := range g.subs[id].boundaryDistancesFrom(v, at(id)) {
-			if cur, ok := out[bv]; !ok || d < cur {
-				out[bv] = d
-			}
-		}
-	}
-	return out
-}
-
-// BoundaryLowerBoundsTo is the directed counterpart of BoundaryLowerBounds:
-// it returns, per boundary vertex b of the subgraphs containing v, a lower
-// bound on the within-subgraph distance travelling from b to v.  For
-// undirected graphs it equals BoundaryLowerBounds.
-func (x *Index) BoundaryLowerBoundsTo(v graph.VertexID) map[graph.VertexID]float64 {
-	g := x.gen.Load()
-	return g.boundaryLowerBoundsTo(v, g.liveWeights)
-}
-
-func (g *generation) boundaryLowerBoundsTo(v graph.VertexID, at weightsAt) map[graph.VertexID]float64 {
-	if !g.part.Parent().Directed() {
-		return g.boundaryLowerBounds(v, at)
-	}
-	out := make(map[graph.VertexID]float64)
-	for _, id := range g.part.SubgraphsOf(v) {
-		for bv, d := range g.subs[id].boundaryDistancesTo(v, at(id)) {
-			if cur, ok := out[bv]; !ok || d < cur {
-				out[bv] = d
-			}
-		}
-	}
-	return out
-}
-
-// WithinSubgraphDistance returns the smallest shortest-path distance from s
-// to t measured inside any single subgraph containing both, or +Inf if no
-// subgraph contains both vertices.  KSP-DG uses it to attach a direct edge
-// between two non-boundary query endpoints that share a subgraph.
-func (x *Index) WithinSubgraphDistance(s, t graph.VertexID) float64 {
-	g := x.gen.Load()
-	return g.withinSubgraphDistance(s, t, g.liveWeights)
-}
-
-func (g *generation) withinSubgraphDistance(s, t graph.VertexID, at weightsAt) float64 {
-	best := infValue
-	for _, id := range g.part.CommonSubgraphs(s, t) {
-		sub := g.part.Subgraph(id)
-		ls, okS := sub.ToLocal(s)
-		lt, okT := sub.ToLocal(t)
-		if !okS || !okT {
-			continue
-		}
-		if d := shortest.ShortestDistance(at(id), ls, lt, nil); d < best {
-			best = d
-		}
-	}
-	return best
-}
-
 // UpdateStats reports the maintenance work one update batch performed.
 type UpdateStats struct {
 	// Epoch is the epoch published for the batch (or the current epoch for
@@ -439,10 +356,11 @@ type UpdateStats struct {
 //
 // Maintenance is sharded: edge deltas are grouped per subgraph (preserving
 // batch order within each group, so every path distance accumulates its
-// deltas in batch order) and the per-subgraph applyEdgeDelta+refreshBounds
-// work runs on up to GOMAXPROCS goroutines — each subgraph's first-level
-// state is independent, which is what the paper exploits by assigning
-// subgraphs to different SubgraphBolts.  The skeleton is then maintained by
+// deltas in batch order) and the per-subgraph work (one graph.ApplyUpdates
+// of the local graph, applyEdgeDelta, refreshBounds) runs on up to
+// GOMAXPROCS goroutines — each subgraph's first-level state is independent,
+// which is what the paper exploits by assigning subgraphs to different
+// SubgraphBolts.  The skeleton is then maintained by
 // index: the changed local pairs mark their global pairs, and one sweep in
 // pair order recomputes each marked pair's MBD from its LBD slots and writes
 // all new skeleton weights in one graph.ApplyUpdates.  Since every subgraph
@@ -461,44 +379,63 @@ func (x *Index) ApplyUpdates(batch []graph.WeightUpdate) (UpdateStats, error) {
 	if err := g.part.Parent().ApplyUpdates(batch); err != nil {
 		return UpdateStats{}, err
 	}
-	// Write each new weight into its subgraph's local graph, taking the delta
-	// that drives incremental bounding path maintenance from the weight it
-	// replaces, grouped per owning subgraph in batch order.
-	type pendingDelta struct {
-		local graph.EdgeID
-		delta float64
+	// Group the batch per owning subgraph in batch order, with the delta that
+	// drives incremental bounding path maintenance: the new weight less the
+	// one it replaces, read from the pre-batch snapshot or from the previous
+	// update of the same edge in this batch.  An update with a zero delta
+	// rewrites the weight already there and is dropped.  The groups are
+	// carved out of two batch-sized arrays, so grouping allocates the same
+	// few arrays whatever the batch's size.
+	count := make([]int, len(g.subs))
+	for _, u := range batch {
+		count[g.part.Locate(u.Edge).Subgraph]++
 	}
-	perSub := make([][]pendingDelta, len(g.subs))
+	flatW, flatD := make([]graph.WeightUpdate, len(batch)), make([]float64, len(batch))
+	writes, deltas := make([][]graph.WeightUpdate, len(g.subs)), make([][]float64, len(g.subs))
+	off := 0
+	for id, n := range count {
+		writes[id], deltas[id] = flatW[off:off:off+n], flatD[off:off:off+n]
+		off += n
+	}
+	written := make(map[graph.EdgeID]float64, len(batch))
 	for _, u := range batch {
 		loc := g.part.Locate(u.Edge)
-		delta, err := g.part.Subgraph(loc.Subgraph).Local.UpdateWeight(loc.LocalEdge, u.NewWeight)
-		if err != nil {
-			return UpdateStats{}, err
+		prev, ok := written[u.Edge]
+		if !ok {
+			prev = g.part.Subgraph(loc.Subgraph).Local.Snapshot().Weight(loc.LocalEdge)
 		}
-		if delta != 0 {
-			perSub[loc.Subgraph] = append(perSub[loc.Subgraph], pendingDelta{local: loc.LocalEdge, delta: delta})
+		written[u.Edge] = u.NewWeight
+		if delta := u.NewWeight - prev; delta != 0 {
+			writes[loc.Subgraph] = append(writes[loc.Subgraph], graph.WeightUpdate{Edge: loc.LocalEdge, NewWeight: u.NewWeight})
+			deltas[loc.Subgraph] = append(deltas[loc.Subgraph], delta)
 		}
 	}
 	var affectedIDs []partition.SubgraphID
-	for id, ds := range perSub {
-		if len(ds) > 0 {
+	for id, ws := range writes {
+		if len(ws) > 0 {
 			affectedIDs = append(affectedIDs, partition.SubgraphID(id))
 		}
 	}
-	// Shard the EP-Index distance adjustments and bound refreshes across the
-	// affected subgraphs.  Each shard touches only its subgraph's state (and
-	// reads the already-updated local weights), so the shards are disjoint.
+	// Shard the local writes, EP-Index distance adjustments and bound
+	// refreshes across the affected subgraphs.  Each shard touches only its
+	// subgraph's state, so the shards are disjoint.
 	changed := make([][]int32, len(affectedIDs))
 	touchedPer := make([]int, len(affectedIDs))
+	errs := make([]error, len(affectedIDs))
 	fanout.Do(len(affectedIDs), runtime.GOMAXPROCS(0), func(i int) {
-		si := g.subs[affectedIDs[i]]
-		touched := 0
-		for _, d := range perSub[affectedIDs[i]] {
-			touched += si.applyEdgeDelta(d.local, d.delta)
+		id := affectedIDs[i]
+		if errs[i] = g.part.Subgraph(id).Local.ApplyUpdates(writes[id]); errs[i] != nil {
+			return
 		}
-		touchedPer[i] = touched
+		si := g.subs[id]
+		for j, w := range writes[id] {
+			touchedPer[i] += si.applyEdgeDelta(w.Edge, deltas[id][j])
+		}
 		changed[i] = si.refreshBounds()
 	})
+	if err := errors.Join(errs...); err != nil {
+		return UpdateStats{}, err
+	}
 	st := UpdateStats{SubgraphsAffected: len(affectedIDs)}
 	for _, t := range touchedPer {
 		st.PathsTouched += t
@@ -534,13 +471,9 @@ func (x *Index) ApplyUpdates(batch []graph.WeightUpdate) (UpdateStats, error) {
 			return UpdateStats{}, err
 		}
 	}
-	// Publish the next epoch: re-snapshot only the touched subgraphs, share
-	// everything else with the previous view.
-	affected := make(map[partition.SubgraphID]bool, len(affectedIDs))
-	for _, id := range affectedIDs {
-		affected[id] = true
-	}
-	nv := x.publishView(affected)
+	// Publish the next epoch: the touched subgraphs have new snapshots, the
+	// rest keep the ones the previous view holds.
+	nv := x.publishView()
 	st.Epoch = nv.epoch
 	return st, nil
 }

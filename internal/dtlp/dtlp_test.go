@@ -73,7 +73,7 @@ func checkLowerBounds(t *testing.T, p *partition.Partition, x *Index) {
 				a, b := sg.Boundary[i], sg.Boundary[j]
 				la, _ := sg.ToLocal(a)
 				lb, _ := sg.ToLocal(b)
-				trueDist := shortest.ShortestDistance(sg.Local, la, lb, nil)
+				trueDist := shortest.ShortestDistance(sg.Local.Snapshot(), la, lb, nil)
 				lbd := si.LBDLocal(la, lb)
 				if math.IsInf(trueDist, 1) {
 					continue
@@ -103,7 +103,7 @@ func TestInitialLBDEqualsSubgraphShortestDistance(t *testing.T) {
 			for j := i + 1; j < len(sg.Boundary); j++ {
 				la, _ := sg.ToLocal(sg.Boundary[i])
 				lb, _ := sg.ToLocal(sg.Boundary[j])
-				trueDist := shortest.ShortestDistance(sg.Local, la, lb, nil)
+				trueDist := shortest.ShortestDistance(sg.Local.Snapshot(), la, lb, nil)
 				if math.IsInf(trueDist, 1) {
 					continue
 				}
@@ -164,16 +164,9 @@ func TestSkeletonStructure(t *testing.T) {
 	for e := graph.EdgeID(0); int(e) < skel.Graph().NumEdges(); e++ {
 		ends := skel.Graph().EdgeEndpoints(e)
 		a, b := skel.GlobalID(ends.U), skel.GlobalID(ends.V)
-		if math.Abs(skel.Graph().Weight(e)-x.MBD(a, b)) > 1e-9 {
-			t.Errorf("skeleton edge (%d,%d) weight %g != MBD %g", a, b, skel.Graph().Weight(e), x.MBD(a, b))
+		if math.Abs(skel.Graph().Snapshot().Weight(e)-x.MBD(a, b)) > 1e-9 {
+			t.Errorf("skeleton edge (%d,%d) weight %g != MBD %g", a, b, skel.Graph().Snapshot().Weight(e), x.MBD(a, b))
 		}
-		if math.Abs(skel.Weight(a, b)-x.MBD(a, b)) > 1e-9 {
-			t.Errorf("Skeleton.Weight(%d,%d) mismatch", a, b)
-		}
-	}
-	if !math.IsInf(skel.Weight(0, 1), 1) {
-		// vertices 0 and 1 are non-boundary in the paper graph partitioning
-		t.Logf("note: weight(0,1) = %g", skel.Weight(0, 1))
 	}
 }
 
@@ -188,8 +181,8 @@ func TestSkeletonDistanceLowerBoundsTrueDistance(t *testing.T) {
 			a, b := boundary[i], boundary[j]
 			sa, _ := skel.SkelID(a)
 			sb, _ := skel.SkelID(b)
-			skelDist := shortest.ShortestDistance(skel.Graph(), sa, sb, nil)
-			trueDist := shortest.ShortestDistance(g, a, b, nil)
+			skelDist := shortest.ShortestDistance(skel.Graph().Snapshot(), sa, sb, nil)
+			trueDist := shortest.ShortestDistance(g.Snapshot(), a, b, nil)
 			if math.IsInf(trueDist, 1) {
 				continue
 			}
@@ -209,7 +202,7 @@ func TestApplyUpdatesMaintainsInvariants(t *testing.T) {
 		for e := graph.EdgeID(0); int(e) < g.NumEdges(); e++ {
 			if rng.Float64() < 0.4 {
 				factor := 1 + (rng.Float64()*2-1)*0.5
-				w := g.Weight(e) * factor
+				w := g.Snapshot().Weight(e) * factor
 				if w < 0.1 {
 					w = 0.1
 				}
@@ -222,7 +215,7 @@ func TestApplyUpdatesMaintainsInvariants(t *testing.T) {
 		// Subgraph local weights must mirror the parent graph.
 		for e := graph.EdgeID(0); int(e) < g.NumEdges(); e++ {
 			loc := p.Locate(e)
-			if got, want := p.Subgraph(loc.Subgraph).Local.Weight(loc.LocalEdge), g.Weight(e); math.Abs(got-want) > 1e-12 {
+			if got, want := p.Subgraph(loc.Subgraph).Local.Snapshot().Weight(loc.LocalEdge), g.Snapshot().Weight(e); math.Abs(got-want) > 1e-12 {
 				t.Fatalf("round %d: subgraph weight %g != parent %g", round, got, want)
 			}
 		}
@@ -233,9 +226,9 @@ func TestApplyUpdatesMaintainsInvariants(t *testing.T) {
 		for e := graph.EdgeID(0); int(e) < skel.Graph().NumEdges(); e++ {
 			ends := skel.Graph().EdgeEndpoints(e)
 			a, b := skel.GlobalID(ends.U), skel.GlobalID(ends.V)
-			if math.Abs(skel.Graph().Weight(e)-x.MBD(a, b)) > 1e-9 {
+			if math.Abs(skel.Graph().Snapshot().Weight(e)-x.MBD(a, b)) > 1e-9 {
 				t.Fatalf("round %d: skeleton edge (%d,%d) weight %g != MBD %g",
-					round, a, b, skel.Graph().Weight(e), x.MBD(a, b))
+					round, a, b, skel.Graph().Snapshot().Weight(e), x.MBD(a, b))
 			}
 		}
 	}
@@ -262,7 +255,7 @@ func TestApplyUpdatesBoundingPathDistances(t *testing.T) {
 	for _, bp := range si.PathsThroughEdge(loc.LocalEdge) {
 		before[bp.ID] = bp.Dist
 	}
-	old := g.Weight(target)
+	old := g.Snapshot().Weight(target)
 	batch := []graph.WeightUpdate{{Edge: target, NewWeight: old + 5}}
 	if _, err := x.ApplyUpdates(batch); err != nil {
 		t.Fatal(err)
@@ -279,7 +272,7 @@ func TestApplyUpdatesBoundingPathDistances(t *testing.T) {
 		for _, bp := range si.PathsThroughEdge(e) {
 			want := 0.0
 			for _, e := range bp.Edges {
-				want += sub.Local.Weight(e)
+				want += sub.Local.Snapshot().Weight(e)
 			}
 			if math.Abs(bp.Dist-want) > 1e-9 {
 				t.Errorf("path %d incremental dist %g != recomputed %g", bp.ID, bp.Dist, want)
@@ -304,7 +297,7 @@ func TestApplyUpdatesRepeatedEdgeLastWriteWins(t *testing.T) {
 		t.Fatal("fewer than two edges covered by bounding paths")
 	}
 	a, b := crossed[0], crossed[1]
-	wa, wb := g.Weight(a), g.Weight(b)
+	wa, wb := g.Snapshot().Weight(a), g.Snapshot().Weight(b)
 	batch := []graph.WeightUpdate{
 		{Edge: a, NewWeight: wa + 4},    // a: up,
 		{Edge: b, NewWeight: wb * 0.5},  // b: down,
@@ -318,14 +311,14 @@ func TestApplyUpdatesRepeatedEdgeLastWriteWins(t *testing.T) {
 	for _, want := range []graph.WeightUpdate{{Edge: a, NewWeight: wa * 0.25}, {Edge: b, NewWeight: wb + 2}} {
 		l := p.Locate(want.Edge)
 		sub := p.Subgraph(l.Subgraph).Local
-		if g.Weight(want.Edge) != want.NewWeight || sub.Weight(l.LocalEdge) != want.NewWeight {
+		if g.Snapshot().Weight(want.Edge) != want.NewWeight || sub.Snapshot().Weight(l.LocalEdge) != want.NewWeight {
 			t.Errorf("edge %d: master weight %g, subgraph weight %g, want the last write %g",
-				want.Edge, g.Weight(want.Edge), sub.Weight(l.LocalEdge), want.NewWeight)
+				want.Edge, g.Snapshot().Weight(want.Edge), sub.Snapshot().Weight(l.LocalEdge), want.NewWeight)
 		}
 		for _, bp := range x.SubgraphIndex(l.Subgraph).PathsThroughEdge(l.LocalEdge) {
 			sum := 0.0
 			for _, e := range bp.Edges {
-				sum += sub.Weight(e)
+				sum += sub.Snapshot().Weight(e)
 			}
 			if math.Abs(bp.Dist-sum) > 1e-12*sum {
 				t.Errorf("edge %d: bounding path %d Dist %g, its edges sum to %g", want.Edge, bp.ID, bp.Dist, sum)
@@ -352,7 +345,7 @@ func TestBoundaryLowerBounds(t *testing.T) {
 	if p.IsBoundary(v) {
 		t.Skipf("vertex %d unexpectedly boundary; partitioning changed", v)
 	}
-	bounds := x.BoundaryLowerBounds(v)
+	bounds := x.CurrentView().BoundaryLowerBounds(v)
 	if len(bounds) == 0 {
 		t.Fatal("expected lower bounds to boundary vertices")
 	}
@@ -360,7 +353,7 @@ func TestBoundaryLowerBounds(t *testing.T) {
 		if !p.IsBoundary(bv) {
 			t.Errorf("bound reported for non-boundary vertex %d", bv)
 		}
-		trueDist := shortest.ShortestDistance(g, v, bv, nil)
+		trueDist := shortest.ShortestDistance(g.Snapshot(), v, bv, nil)
 		if d < trueDist-1e-9 {
 			// The within-subgraph distance can exceed the global distance but
 			// never undercut it ... actually it must be >= global distance.
@@ -369,7 +362,7 @@ func TestBoundaryLowerBounds(t *testing.T) {
 	}
 	// A boundary vertex gets distance 0 to itself.
 	bv := p.BoundaryVertices()[0]
-	selfBounds := x.BoundaryLowerBounds(bv)
+	selfBounds := x.CurrentView().BoundaryLowerBounds(bv)
 	if d, ok := selfBounds[bv]; !ok || d != 0 {
 		t.Errorf("self distance = %v,%v; want 0,true", d, ok)
 	}
@@ -433,7 +426,7 @@ func TestVfragBoundDistanceExample(t *testing.T) {
 	// Shrink all weights in that subgraph; bounds must stay below distances.
 	var batch []graph.WeightUpdate
 	for _, ge := range si.Subgraph().GlobalEdges {
-		batch = append(batch, graph.WeightUpdate{Edge: ge, NewWeight: g.Weight(ge) / 3})
+		batch = append(batch, graph.WeightUpdate{Edge: ge, NewWeight: g.Snapshot().Weight(ge) / 3})
 	}
 	if _, err := x.ApplyUpdates(batch); err != nil {
 		t.Fatal(err)
@@ -492,7 +485,7 @@ func TestDirectedGraphIndex(t *testing.T) {
 				}
 				la, _ := sg.ToLocal(sg.Boundary[i])
 				lb, _ := sg.ToLocal(sg.Boundary[j])
-				trueDist := shortest.ShortestDistance(sg.Local, la, lb, nil)
+				trueDist := shortest.ShortestDistance(sg.Local.Snapshot(), la, lb, nil)
 				lbd := si.LBDLocal(la, lb)
 				if math.IsInf(trueDist, 1) {
 					continue
@@ -533,7 +526,7 @@ func TestPropertyMaintenanceSoundness(t *testing.T) {
 				for j := i + 1; j < len(sg.Boundary); j++ {
 					la, _ := sg.ToLocal(sg.Boundary[i])
 					lb, _ := sg.ToLocal(sg.Boundary[j])
-					trueDist := shortest.ShortestDistance(sg.Local, la, lb, nil)
+					trueDist := shortest.ShortestDistance(sg.Local.Snapshot(), la, lb, nil)
 					if math.IsInf(trueDist, 1) {
 						continue
 					}

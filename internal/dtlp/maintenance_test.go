@@ -64,7 +64,7 @@ func newRefSub(si *SubgraphIndex) *refSub {
 			for _, bp := range bps {
 				p := &refPath{edges: append([]graph.EdgeID(nil), bp.Edges...), vfrags: bp.Vfrags}
 				for _, e := range p.edges {
-					p.dist += sub.Local.Weight(e)
+					p.dist += sub.Local.Snapshot().Weight(e)
 					rs.ep[e] = append(rs.ep[e], p)
 				}
 				rp.paths = append(rp.paths, p)
@@ -102,7 +102,7 @@ func (rs *refSub) refresh() []PairKey {
 		w0 := local.InitialWeight(graph.EdgeID(e))
 		u := 0.0
 		if w0 > 0 {
-			u = local.Weight(graph.EdgeID(e)) / w0
+			u = local.Snapshot().Weight(graph.EdgeID(e)) / w0
 		}
 		units[e] = unit{unit: u, frags: w0}
 	}
@@ -185,7 +185,7 @@ func (r *refIndex) apply(t *testing.T, batch []graph.WeightUpdate) (want, got Up
 	affected := make(map[partition.SubgraphID]bool)
 	for _, u := range batch {
 		loc := part.Locate(u.Edge)
-		old := part.Subgraph(loc.Subgraph).Local.Weight(loc.LocalEdge)
+		old := part.Subgraph(loc.Subgraph).Local.Snapshot().Weight(loc.LocalEdge)
 		if delta := u.NewWeight - old; delta != 0 {
 			affected[loc.Subgraph] = true
 			for _, p := range r.subs[loc.Subgraph].ep[loc.LocalEdge] {
@@ -255,7 +255,7 @@ func (r *refIndex) check(t *testing.T, label string) {
 		if !ok {
 			t.Fatalf("%s: skeleton edge (%d,%d) has no pair in the model", label, a, b)
 		}
-		if got := sg.Weight(e); math.Float64bits(got) != math.Float64bits(want) {
+		if got := sg.Snapshot().Weight(e); math.Float64bits(got) != math.Float64bits(want) {
 			t.Fatalf("%s: skeleton edge (%d,%d) weight %v, model MBD %v", label, a, b, got, want)
 		}
 		if got := r.x.MBD(a, b); math.Float64bits(got) != math.Float64bits(want) {
@@ -278,7 +278,7 @@ func importCopy(t *testing.T, x *Index, network func() *graph.Graph, z int) *Ind
 	err = x.ExportState(func(st ExportedState) error {
 		var ups []graph.WeightUpdate
 		for e := graph.EdgeID(0); int(e) < g.NumEdges(); e++ {
-			if w := st.View.GlobalWeight(e); w != g.Weight(e) {
+			if w := st.View.GlobalWeight(e); w != g.Snapshot().Weight(e) {
 				ups = append(ups, graph.WeightUpdate{Edge: e, NewWeight: w})
 			}
 		}

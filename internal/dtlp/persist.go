@@ -247,6 +247,6 @@ func (imp *Importer) Finish(epoch uint64) (*Index, error) {
 	x := &Index{cfg: imp.cfg}
 	x.gen.Store(g)
 	x.epochBase = epoch
-	x.publishView(nil)
+	x.publishView()
 	return x, nil
 }

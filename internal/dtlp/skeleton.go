@@ -101,38 +101,3 @@ func (s *Skeleton) GlobalPath(p graph.Path) graph.Path {
 	}
 	return out
 }
-
-// Weight returns the current MBD weight of the skeleton edge between the
-// global boundary vertices a and b, or +Inf if no such edge exists.
-func (s *Skeleton) Weight(a, b graph.VertexID) float64 {
-	sa, okA := s.toSkel[a]
-	sb, okB := s.toSkel[b]
-	if !okA || !okB {
-		return infValue
-	}
-	e, ok := s.g.EdgeBetween(sa, sb)
-	if !ok {
-		return infValue
-	}
-	return s.g.Weight(e)
-}
-
-// Snapshot returns a consistent snapshot of the skeleton graph weights for
-// query processing, along with the id mappings needed to interpret it.
-func (s *Skeleton) Snapshot() *SkeletonView {
-	return &SkeletonView{skel: s, snap: s.g.Snapshot()}
-}
-
-// SkeletonView is an immutable view of the skeleton graph taken at a point in
-// time.  In the distributed deployment each worker holds a replica of the
-// skeleton; a SkeletonView models the worker-local copy a query runs against.
-type SkeletonView struct {
-	skel *Skeleton
-	snap *graph.Snapshot
-}
-
-// View returns the weighted view of the skeleton snapshot.
-func (v *SkeletonView) View() graph.WeightedView { return v.snap }
-
-// Skeleton returns the parent skeleton (for id translation).
-func (v *SkeletonView) Skeleton() *Skeleton { return v.skel }

@@ -83,10 +83,9 @@ type SubgraphIndex struct {
 	vfragVals []float64
 	bounds    []float64
 
-	// Scratch reused by refreshBounds: the subgraph's weights, the (unit
-	// weight, fragment count) table ordered by unit weight, and its running
-	// prefix sums for O(log E) bound distance queries.
-	weights     []float64
+	// Scratch reused by refreshBounds: the (unit weight, fragment count)
+	// table ordered by unit weight, and its running prefix sums for O(log E)
+	// bound distance queries.
 	sortedUnits []unitEntry
 	prefixFrags []float64 // cumulative fragment counts
 	prefixCost  []float64 // cumulative unitWeight*frags
@@ -172,7 +171,7 @@ func (si *SubgraphIndex) finish() {
 // metric, registers them in the EP-Index and derives the pair's LBD.
 func buildSubgraphIndex(sub *partition.Subgraph, cfg Config) (*SubgraphIndex, error) {
 	subgraphBuilds.Add(1)
-	local := sub.Local
+	local := sub.Local.Snapshot()
 	directed := local.Directed()
 	// The vfrag metric ranks paths by their initial weights: an edge with
 	// initial weight w0 contributes w0 vfrags.
@@ -214,7 +213,6 @@ func buildSubgraphIndex(sub *partition.Subgraph, cfg Config) (*SubgraphIndex, er
 	}
 
 	si := newSubgraphIndex(sub, numPairs, numPaths, numVerts)
-	si.weights = local.CopyWeights(si.weights)
 	var pathEdges []graph.EdgeID
 	for i, key := range keys {
 		if len(cands[i]) == 0 {
@@ -231,7 +229,7 @@ func buildSubgraphIndex(sub *partition.Subgraph, cfg Config) (*SubgraphIndex, er
 					continue
 				}
 				pathEdges = append(pathEdges, e)
-				dist += si.weights[e]
+				dist += local.Weight(e)
 			}
 			si.addPath(p.Vertices, pathEdges, p.Dist, dist) // p.Dist is the vfrag count
 		}
@@ -404,15 +402,14 @@ func (si *SubgraphIndex) refreshBounds() []int32 {
 // rebuildUnits rebuilds the sorted unit-weight table and its prefix sums from
 // the subgraph's current weights.
 func (si *SubgraphIndex) rebuildUnits() {
-	g := si.sub.Local
-	si.weights = g.CopyWeights(si.weights)
-	n := len(si.weights)
+	snap := si.sub.Local.Snapshot()
+	n := snap.NumEdges()
 	si.sortedUnits = slices.Grow(si.sortedUnits[:0], n)
-	for e, w := range si.weights {
-		w0 := g.InitialWeight(graph.EdgeID(e))
+	for e := range graph.EdgeID(n) {
+		w0 := snap.InitialWeight(e)
 		unit := 0.0
 		if w0 > 0 {
-			unit = w / w0
+			unit = snap.Weight(e) / w0
 		}
 		si.sortedUnits = append(si.sortedUnits, unitEntry{unit: unit, frags: w0})
 	}
@@ -457,7 +454,7 @@ func (si *SubgraphIndex) sumSmallestUnits(phi float64) float64 {
 
 // boundaryDistancesFrom returns the shortest distance within this subgraph
 // from global vertex v to every boundary vertex of the subgraph, under the
-// given weights (the live local graph or an epoch snapshot of it).  Used
+// given weights (an epoch snapshot of the local graph).  Used
 // when attaching non-boundary query endpoints to the skeleton graph.
 func (si *SubgraphIndex) boundaryDistancesFrom(v graph.VertexID, weights graph.WeightedView) map[graph.VertexID]float64 {
 	lv, ok := si.sub.ToLocal(v)
@@ -504,7 +501,7 @@ func (si *SubgraphIndex) boundaryDistancesTo(v graph.VertexID, weights graph.Wei
 // the construction-cost experiments.
 func (si *SubgraphIndex) approxBytes() int64 {
 	f64 := len(si.lbd) + len(si.dist) + len(si.vfrags) + len(si.vfragVals) + len(si.bounds) +
-		len(si.weights) + len(si.prefixFrags) + len(si.prefixCost)
+		len(si.prefixFrags) + len(si.prefixCost)
 	i32 := len(si.pairOff) + len(si.vfragIdx) + len(si.vertOff) + len(si.verts) + len(si.edgeOff) +
 		len(si.edges) + len(si.epOff) + len(si.epPaths)
 	return int64(f64)*8 + int64(i32)*4 + int64(len(si.pairKeys))*8 + int64(len(si.sortedUnits))*16

@@ -4,7 +4,6 @@ import (
 	"runtime"
 
 	"kspdg/internal/graph"
-	"kspdg/internal/partition"
 )
 
 // TopologyStats reports the maintenance work one topology batch performed.
@@ -95,11 +94,7 @@ func (x *Index) ApplyTopology(up graph.TopologyUpdate) (TopologyStats, error) {
 	// Untouched subgraphs share their weight snapshots with the previous
 	// epoch exactly like a weight batch.
 	x.gen.Store(ng)
-	affected := make(map[partition.SubgraphID]bool, len(touched))
-	for _, id := range touched {
-		affected[id] = true
-	}
-	nv := x.publishView(affected)
+	nv := x.publishView()
 	return TopologyStats{
 		Epoch:            nv.epoch,
 		InsertedEdges:    inserted,

@@ -38,7 +38,7 @@ func TestApplyTopologyInsertDelete(t *testing.T) {
 	if !parent.EdgeAlive(st.InsertedEdges[0]) {
 		t.Errorf("inserted edge %d not alive", st.InsertedEdges[0])
 	}
-	if w := parent.Weight(st.InsertedEdges[0]); w != 2.5 {
+	if w := parent.Snapshot().Weight(st.InsertedEdges[0]); w != 2.5 {
 		t.Errorf("inserted edge weight = %g, want 2.5", w)
 	}
 	if err := np.Validate(); err != nil {

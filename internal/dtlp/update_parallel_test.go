@@ -19,7 +19,7 @@ func TestApplyUpdatesStatsTouchedCount(t *testing.T) {
 	for e := graph.EdgeID(0); int(e) < g.NumEdges(); e++ {
 		// Delta is always nonzero, so every EP-Index entry of every batch
 		// edge is adjusted and PathsCrossing predicts the count exactly.
-		batch = append(batch, graph.WeightUpdate{Edge: e, NewWeight: g.Weight(e) + 1})
+		batch = append(batch, graph.WeightUpdate{Edge: e, NewWeight: g.Snapshot().Weight(e) + 1})
 	}
 	want := x.PathsCrossing(batch)
 	if want <= 0 {

@@ -5,6 +5,7 @@ import (
 
 	"kspdg/internal/graph"
 	"kspdg/internal/partition"
+	"kspdg/internal/shortest"
 )
 
 // viewRetention is the number of recently published IndexViews kept reachable
@@ -70,18 +71,25 @@ func (v *IndexView) GlobalWeight(e graph.EdgeID) float64 {
 	return v.subs[loc.Subgraph].Weight(loc.LocalEdge)
 }
 
-// epochWeights adapts this view's subgraph snapshots to the shared helper
-// signature.
-func (v *IndexView) epochWeights(id partition.SubgraphID) graph.WeightedView {
-	return v.subs[id]
-}
-
 // BoundaryLowerBounds returns, for an arbitrary (possibly non-boundary)
-// global vertex u, the shortest distance at this epoch within each containing
-// subgraph from u to every boundary vertex of that subgraph.  It is the
-// epoch-consistent counterpart of Index.BoundaryLowerBounds.
+// global vertex u, a lower bound on the distance at this epoch within each
+// containing subgraph from u to every boundary vertex of that subgraph.  This
+// implements the Step 1 handling of non-boundary query endpoints (Section
+// 5.3): the returned map is used to attach u to the skeleton graph.
+//
+// The bound used is the exact shortest distance inside the subgraph, which is
+// a valid (and the tightest possible) lower bound for the first/last segment
+// of any path leaving the subgraph through a boundary vertex.
 func (v *IndexView) BoundaryLowerBounds(u graph.VertexID) map[graph.VertexID]float64 {
-	return v.gen.boundaryLowerBounds(u, v.epochWeights)
+	out := make(map[graph.VertexID]float64)
+	for _, id := range v.gen.part.SubgraphsOf(u) {
+		for bv, d := range v.gen.subs[id].boundaryDistancesFrom(u, v.subs[id]) {
+			if cur, ok := out[bv]; !ok || d < cur {
+				out[bv] = d
+			}
+		}
+	}
+	return out
 }
 
 // BoundaryLowerBoundsTo is the directed counterpart of BoundaryLowerBounds:
@@ -89,22 +97,46 @@ func (v *IndexView) BoundaryLowerBounds(u graph.VertexID) map[graph.VertexID]flo
 // distance at this epoch travelling from b to u.  For undirected graphs it
 // equals BoundaryLowerBounds.
 func (v *IndexView) BoundaryLowerBoundsTo(u graph.VertexID) map[graph.VertexID]float64 {
-	return v.gen.boundaryLowerBoundsTo(u, v.epochWeights)
+	if !v.gen.part.Parent().Directed() {
+		return v.BoundaryLowerBounds(u)
+	}
+	out := make(map[graph.VertexID]float64)
+	for _, id := range v.gen.part.SubgraphsOf(u) {
+		for bv, d := range v.gen.subs[id].boundaryDistancesTo(u, v.subs[id]) {
+			if cur, ok := out[bv]; !ok || d < cur {
+				out[bv] = d
+			}
+		}
+	}
+	return out
 }
 
 // WithinSubgraphDistance returns the smallest shortest-path distance from s to
 // t at this epoch measured inside any single subgraph containing both, or
-// +Inf if no subgraph contains both vertices.
+// +Inf if no subgraph contains both vertices.  KSP-DG uses it to attach a
+// direct edge between two non-boundary query endpoints that share a subgraph.
 func (v *IndexView) WithinSubgraphDistance(s, t graph.VertexID) float64 {
-	return v.gen.withinSubgraphDistance(s, t, v.epochWeights)
+	best := infValue
+	for _, id := range v.gen.part.CommonSubgraphs(s, t) {
+		sub := v.gen.part.Subgraph(id)
+		ls, okS := sub.ToLocal(s)
+		lt, okT := sub.ToLocal(t)
+		if !okS || !okT {
+			continue
+		}
+		if d := shortest.ShortestDistance(v.subs[id], ls, lt, nil); d < best {
+			best = d
+		}
+	}
+	return best
 }
 
 // publishView builds and atomically publishes the next epoch view for the
-// current generation.  Only the subgraphs in affected are re-snapshotted;
-// everything else is shared with the previous view (copy-on-write).  When a
-// topology update grew the subgraph list, the new tail is always snapshotted.
-// Callers must hold x.writeMu.
-func (x *Index) publishView(affected map[partition.SubgraphID]bool) *IndexView {
+// current generation from every subgraph's current snapshot.  A subgraph no
+// batch wrote since the previous view still has the snapshot that view
+// holds, so consecutive views share it (copy-on-write) with no bookkeeping
+// here.  Callers must hold x.writeMu.
+func (x *Index) publishView() *IndexView {
 	prev := x.view.Load()
 	gen := x.gen.Load()
 	nv := &IndexView{
@@ -119,12 +151,7 @@ func (x *Index) publishView(affected map[partition.SubgraphID]bool) *IndexView {
 		nv.epoch = x.epochBase
 	}
 	for id := range nv.subs {
-		sid := partition.SubgraphID(id)
-		if prev != nil && id < len(prev.subs) && !affected[sid] {
-			nv.subs[id] = prev.subs[id]
-			continue
-		}
-		nv.subs[id] = gen.part.Subgraph(sid).Local.Snapshot()
+		nv.subs[id] = gen.part.Subgraph(partition.SubgraphID(id)).Local.Snapshot()
 	}
 	x.view.Store(nv)
 

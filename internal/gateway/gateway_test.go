@@ -154,7 +154,7 @@ func TestEpochPinnedReads(t *testing.T) {
 
 	for i := 0; i < 2; i++ {
 		batch := workload.NewTrafficModel(0.4, 0.5, int64(77+i)).Derive(
-			h.g.NumEdges(), h.g.Directed(), h.g.Weight)
+			h.g.NumEdges(), h.g.Directed(), h.g.Snapshot().Weight)
 		var ur updatesRequest
 		for _, u := range batch {
 			ur.Updates = append(ur.Updates, updateJSON{Edge: int64(u.Edge), Weight: u.NewWeight})

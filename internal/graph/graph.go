@@ -5,10 +5,10 @@
 //
 // The topology held by one Graph value is immutable: Snapshots alias its
 // adjacency lists, so vertices and edges are never added or removed in place.
-// Weight updates are applied through UpdateWeight / ApplyUpdates and are safe
-// for concurrent use with readers.  Queries that need a consistent view of
-// the weights take a Snapshot, which corresponds to the buffer G_curr
-// described in Section 2 of the paper.
+// The weights live in one immutable Snapshot at a time, which corresponds to
+// the buffer G_curr described in Section 2 of the paper: ApplyUpdates
+// publishes the next one by pointer swap, and every search reads a Snapshot,
+// never the Graph itself, so no search can see part of a batch.
 //
 // Topology still evolves, copy-on-write: ApplyTopology derives a new Graph
 // with a batch of vertex/edge inserts and deletes applied.  Ids are stable
@@ -20,8 +20,10 @@ package graph
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
+	"sync/atomic"
 )
 
 // VertexID identifies a vertex.  Vertices are numbered 0..NumVertices-1.
@@ -62,8 +64,9 @@ type Edge struct {
 	Weight float64
 }
 
-// Graph is a weighted graph with immutable topology and mutable edge weights.
-// The zero value is not usable; construct with a Builder.
+// Graph is a weighted graph: immutable topology plus a pointer to the
+// Snapshot of its current edge weights.  The zero value is not usable;
+// construct with a Builder.
 type Graph struct {
 	directed bool
 	numV     int
@@ -73,9 +76,8 @@ type Graph struct {
 	alive    []bool      // edge tombstones; nil means every edge is alive
 	numLive  int         // number of live edges
 
-	mu      sync.RWMutex
-	weights []float64 // current weights, guarded by mu
-	version uint64    // incremented on every weight change batch
+	writeMu sync.Mutex               // serialises ApplyUpdates
+	cur     atomic.Pointer[Snapshot] // the current weights
 }
 
 // Builder accumulates vertices and edges and produces an immutable-topology
@@ -135,13 +137,12 @@ func (b *Builder) Build() *Graph {
 		numV:     b.numV,
 		ends:     make([]Endpoints, len(b.edges)),
 		initW:    make([]float64, len(b.edges)),
-		weights:  make([]float64, len(b.edges)),
 	}
 	for i, e := range b.edges {
 		g.ends[i] = Endpoints{U: e.U, V: e.V}
 		g.initW[i] = e.Weight
-		g.weights[i] = e.Weight
 	}
+	g.cur.Store(&Snapshot{g: g, weights: slices.Clone(g.initW)})
 	if len(b.dead) > 0 {
 		g.alive = make([]bool, len(b.edges))
 		for i := range g.alive {
@@ -204,33 +205,6 @@ func (g *Graph) EdgeBetween(u, v VertexID) (EdgeID, bool) {
 // construction time, which defines the number of virtual fragments).
 func (g *Graph) InitialWeight(e EdgeID) float64 { return g.initW[e] }
 
-// Weight returns the current weight of edge e.
-func (g *Graph) Weight(e EdgeID) float64 {
-	g.mu.RLock()
-	w := g.weights[e]
-	g.mu.RUnlock()
-	return w
-}
-
-// CopyWeights copies the current weight of every edge into dst, growing it
-// when it is too short, and returns it: one read lock for the whole array
-// where a loop over Weight would take one per edge.
-func (g *Graph) CopyWeights(dst []float64) []float64 {
-	g.mu.RLock()
-	dst = append(dst[:0], g.weights...)
-	g.mu.RUnlock()
-	return dst
-}
-
-// Version returns the current weight version.  The version increases by one
-// for every successful UpdateWeight or ApplyUpdates call.
-func (g *Graph) Version() uint64 {
-	g.mu.RLock()
-	v := g.version
-	g.mu.RUnlock()
-	return v
-}
-
 // WeightUpdate describes a change of a single edge weight to a new absolute
 // value.
 type WeightUpdate struct {
@@ -238,28 +212,11 @@ type WeightUpdate struct {
 	NewWeight float64
 }
 
-// UpdateWeight sets the weight of edge e to w.  It returns the signed change
-// Δw relative to the previous weight.
-func (g *Graph) UpdateWeight(e EdgeID, w float64) (float64, error) {
-	if w < 0 {
-		return 0, fmt.Errorf("graph: negative weight %g for edge %d", w, e)
-	}
-	if e < 0 || int(e) >= len(g.ends) {
-		return 0, fmt.Errorf("graph: edge %d out of range [0,%d)", e, len(g.ends))
-	}
-	if !g.EdgeAlive(e) {
-		return 0, fmt.Errorf("graph: weight update on edge %d: %w", e, ErrEdgeDeleted)
-	}
-	g.mu.Lock()
-	delta := w - g.weights[e]
-	g.weights[e] = w
-	g.version++
-	g.mu.Unlock()
-	return delta, nil
-}
-
-// ApplyUpdates applies a batch of weight updates atomically with respect to
-// Snapshot: a snapshot observes either all or none of the batch.
+// ApplyUpdates validates a batch of weight updates and, if every update is
+// valid, publishes the next Snapshot: the current weights with the batch
+// applied in order, so an edge named twice takes its last weight.  Readers
+// holding an earlier Snapshot keep it unchanged.  Concurrent calls are
+// serialised; an empty batch publishes nothing.
 func (g *Graph) ApplyUpdates(batch []WeightUpdate) error {
 	for _, u := range batch {
 		if u.NewWeight < 0 {
@@ -272,47 +229,43 @@ func (g *Graph) ApplyUpdates(batch []WeightUpdate) error {
 			return fmt.Errorf("graph: weight update on edge %d: %w", u.Edge, ErrEdgeDeleted)
 		}
 	}
-	g.mu.Lock()
-	for _, u := range batch {
-		g.weights[u.Edge] = u.NewWeight
+	if len(batch) == 0 {
+		return nil
 	}
-	g.version++
-	g.mu.Unlock()
+	g.writeMu.Lock()
+	defer g.writeMu.Unlock()
+	w := slices.Clone(g.cur.Load().weights)
+	for _, u := range batch {
+		w[u.Edge] = u.NewWeight
+	}
+	g.cur.Store(&Snapshot{g: g, weights: w})
 	return nil
 }
 
-// Snapshot returns an immutable, consistent view of the current edge weights
-// together with the graph topology.  This models the buffer G_curr of the
-// paper: queries are answered against the most recent snapshot.
-func (g *Graph) Snapshot() *Snapshot {
-	g.mu.RLock()
-	w := make([]float64, len(g.weights))
-	copy(w, g.weights)
-	v := g.version
-	g.mu.RUnlock()
-	return &Snapshot{g: g, weights: w, version: v}
-}
+// Snapshot returns the current weights together with the graph topology.
+// This models the buffer G_curr of the paper: queries are answered against
+// the most recent snapshot.  It returns the same pointer until the next
+// ApplyUpdates, so answers cached on it are shared by every reader.
+func (g *Graph) Snapshot() *Snapshot { return g.cur.Load() }
 
 // Edges returns a copy of all edges with their current weights, sorted by
 // EdgeID.  Intended for diagnostics and serialization, not hot paths.
 func (g *Graph) Edges() []Edge {
-	g.mu.RLock()
-	defer g.mu.RUnlock()
+	w := g.Snapshot().weights
 	out := make([]Edge, len(g.ends))
 	for i, e := range g.ends {
-		out[i] = Edge{U: e.U, V: e.V, Weight: g.weights[i]}
+		out[i] = Edge{U: e.U, V: e.V, Weight: w[i]}
 	}
 	return out
 }
 
-// Snapshot is a read-only consistent view of the graph weights at a point in
-// time.  Snapshots share the (immutable) topology with the parent graph and
-// are safe for concurrent use.  Each snapshot also carries the snapshot
+// Snapshot is an immutable set of the graph's edge weights, published by
+// ApplyUpdates.  Snapshots share the (immutable) topology with the parent
+// graph and are safe for concurrent use.  Each snapshot also carries the snapshot
 // cache: k-shortest-path answers computed on it (see CachedPaths).
 type Snapshot struct {
 	g       *Graph
 	weights []float64
-	version uint64
 
 	cacheMu sync.Mutex
 	cache   map[[2]VertexID]cachedPaths // nil until the first CachePaths
@@ -326,9 +279,6 @@ func (s *Snapshot) NumVertices() int { return s.g.numV }
 
 // NumEdges returns the number of edges.
 func (s *Snapshot) NumEdges() int { return len(s.weights) }
-
-// Version returns the graph weight version this snapshot was taken at.
-func (s *Snapshot) Version() uint64 { return s.version }
 
 // Neighbors returns the adjacency list of v.
 func (s *Snapshot) Neighbors(v VertexID) []Arc { return s.g.adj[v] }
@@ -351,9 +301,10 @@ func (s *Snapshot) EdgeAlive(e EdgeID) bool { return s.g.EdgeAlive(e) }
 // Graph returns the parent graph of this snapshot.
 func (s *Snapshot) Graph() *Graph { return s.g }
 
-// WeightedView is the read interface shared by Graph and Snapshot; algorithms
-// that only need to read the graph accept a WeightedView so they can operate
-// on either.
+// WeightedView is the read interface of a set of weights over a topology;
+// algorithms that only need to read the graph accept a WeightedView.
+// Snapshot implements it and Graph does not, so every search names the
+// immutable weights it runs over.
 type WeightedView interface {
 	Directed() bool
 	NumVertices() int
@@ -365,10 +316,7 @@ type WeightedView interface {
 	EdgeBetween(u, v VertexID) (EdgeID, bool)
 }
 
-var (
-	_ WeightedView = (*Graph)(nil)
-	_ WeightedView = (*Snapshot)(nil)
-)
+var _ WeightedView = (*Snapshot)(nil)
 
 // SortedArcs returns the arcs of v ordered by destination vertex.  It
 // allocates; use Neighbors on hot paths.

@@ -99,52 +99,67 @@ func TestDirectedAdjacencyOneWay(t *testing.T) {
 	}
 }
 
-func TestWeightUpdateAndVersion(t *testing.T) {
+// TestGraphIsNotAWeightedView pins "no live reads": a search must name a
+// Snapshot, so the Graph itself must not satisfy the read interface.
+func TestGraphIsNotAWeightedView(t *testing.T) {
+	if _, ok := any(buildPaperGraph(t)).(WeightedView); ok {
+		t.Fatal("*Graph implements WeightedView; searches could read live weights")
+	}
+}
+
+func TestApplyUpdatesPublishesSnapshot(t *testing.T) {
 	g := buildPaperGraph(t)
 	e, ok := g.EdgeBetween(0, 1)
 	if !ok {
 		t.Fatal("edge (0,1) missing")
 	}
-	if got := g.Weight(e); got != 3 {
+	s0 := g.Snapshot()
+	if got := s0.Weight(e); got != 3 {
 		t.Fatalf("initial weight = %g, want 3", got)
 	}
-	v0 := g.Version()
-	delta, err := g.UpdateWeight(e, 5)
-	if err != nil {
-		t.Fatalf("UpdateWeight: %v", err)
+	if g.Snapshot() != s0 {
+		t.Fatal("Snapshot must return the same pointer until the next batch")
 	}
-	if delta != 2 {
-		t.Errorf("delta = %g, want 2", delta)
+	if err := g.ApplyUpdates([]WeightUpdate{{Edge: e, NewWeight: 5}}); err != nil {
+		t.Fatalf("ApplyUpdates: %v", err)
 	}
-	if got := g.Weight(e); got != 5 {
+	s1 := g.Snapshot()
+	if s1 == s0 {
+		t.Fatal("a batch must publish a new snapshot")
+	}
+	if got := s1.Weight(e); got != 5 {
 		t.Errorf("weight after update = %g, want 5", got)
 	}
 	if got := g.InitialWeight(e); got != 3 {
 		t.Errorf("initial weight must not change, got %g", got)
 	}
-	if g.Version() != v0+1 {
-		t.Errorf("version should increment by 1")
+	if err := g.ApplyUpdates(nil); err != nil || g.Snapshot() != s1 {
+		t.Errorf("an empty batch must publish nothing (err %v)", err)
 	}
-	if _, err := g.UpdateWeight(e, -1); err == nil {
+	if err := g.ApplyUpdates([]WeightUpdate{{Edge: e, NewWeight: -1}}); err == nil {
 		t.Errorf("expected error for negative weight")
 	}
-	if _, err := g.UpdateWeight(EdgeID(9999), 1); err == nil {
+	if err := g.ApplyUpdates([]WeightUpdate{{Edge: 9999, NewWeight: 1}}); err == nil {
 		t.Errorf("expected error for out-of-range edge")
+	}
+	if g.Snapshot() != s1 {
+		t.Errorf("a rejected batch must publish nothing")
 	}
 }
 
-func TestApplyUpdatesAtomicVersion(t *testing.T) {
+func TestApplyUpdatesAtomic(t *testing.T) {
 	g := buildPaperGraph(t)
 	batch := []WeightUpdate{{Edge: 0, NewWeight: 10}, {Edge: 1, NewWeight: 11}, {Edge: 2, NewWeight: 12}}
-	v0 := g.Version()
+	s0 := g.Snapshot()
 	if err := g.ApplyUpdates(batch); err != nil {
 		t.Fatalf("ApplyUpdates: %v", err)
 	}
-	if g.Version() != v0+1 {
-		t.Errorf("batch should bump version exactly once")
+	s1 := g.Snapshot()
+	if s1 == s0 {
+		t.Errorf("batch should publish a new snapshot")
 	}
 	for _, u := range batch {
-		if got := g.Weight(u.Edge); got != u.NewWeight {
+		if got := s1.Weight(u.Edge); got != u.NewWeight {
 			t.Errorf("edge %d weight = %g, want %g", u.Edge, got, u.NewWeight)
 		}
 	}
@@ -152,7 +167,10 @@ func TestApplyUpdatesAtomicVersion(t *testing.T) {
 	if err := g.ApplyUpdates([]WeightUpdate{{Edge: 0, NewWeight: 1}, {Edge: 9999, NewWeight: 1}}); err == nil {
 		t.Errorf("expected error for invalid batch")
 	}
-	if got := g.Weight(0); got != 10 {
+	if g.Snapshot() != s1 {
+		t.Errorf("rejected batch must not publish a snapshot")
+	}
+	if got := g.Snapshot().Weight(0); got != 10 {
 		t.Errorf("rejected batch must not be partially applied; edge 0 weight = %g, want 10", got)
 	}
 }
@@ -161,7 +179,7 @@ func TestSnapshotIsolation(t *testing.T) {
 	g := buildPaperGraph(t)
 	e, _ := g.EdgeBetween(0, 1)
 	snap := g.Snapshot()
-	if _, err := g.UpdateWeight(e, 100); err != nil {
+	if err := g.ApplyUpdates([]WeightUpdate{{Edge: e, NewWeight: 100}}); err != nil {
 		t.Fatal(err)
 	}
 	if got := snap.Weight(e); got != 3 {
@@ -171,14 +189,17 @@ func TestSnapshotIsolation(t *testing.T) {
 	if got := snap2.Weight(e); got != 100 {
 		t.Errorf("new snapshot weight = %g, want 100", got)
 	}
-	if snap2.Version() <= snap.Version() {
-		t.Errorf("later snapshot should have greater version")
+	if snap2 == snap {
+		t.Errorf("later snapshot should be a different snapshot")
 	}
 	if snap.NumVertices() != g.NumVertices() || snap.NumEdges() != g.NumEdges() {
 		t.Errorf("snapshot topology should match graph")
 	}
 }
 
+// TestConcurrentUpdatesAndSnapshots races writers, each batch setting every
+// edge to one value, against readers that check every snapshot they load
+// holds a single value: a torn publication would mix two batches.
 func TestConcurrentUpdatesAndSnapshots(t *testing.T) {
 	g := buildPaperGraph(t)
 	const workers = 8
@@ -189,22 +210,28 @@ func TestConcurrentUpdatesAndSnapshots(t *testing.T) {
 		go func(seed int64) {
 			defer wg.Done()
 			rng := rand.New(rand.NewSource(seed))
+			batch := make([]WeightUpdate, g.NumEdges())
 			for {
 				select {
 				case <-stop:
 					return
 				default:
 				}
-				e := EdgeID(rng.Intn(g.NumEdges()))
 				if seed%2 == 0 {
-					if _, err := g.UpdateWeight(e, 1+rng.Float64()*10); err != nil {
+					w := 1 + rng.Float64()*10
+					for e := range batch {
+						batch[e] = WeightUpdate{Edge: EdgeID(e), NewWeight: w}
+					}
+					if err := g.ApplyUpdates(batch); err != nil {
 						t.Error(err)
 						return
 					}
-				} else {
-					s := g.Snapshot()
-					if s.Weight(e) < 0 {
-						t.Error("observed negative weight")
+					continue
+				}
+				s := g.Snapshot()
+				for e := EdgeID(1); int(e) < s.NumEdges(); e++ {
+					if s.Weight(e) != s.Weight(0) {
+						t.Errorf("snapshot mixes batches: edge %d weight %g, edge 0 weight %g", e, s.Weight(e), s.Weight(0))
 						return
 					}
 				}
@@ -232,7 +259,7 @@ func TestEdgesAccessor(t *testing.T) {
 
 func TestSortedArcs(t *testing.T) {
 	g := buildPaperGraph(t)
-	arcs := SortedArcs(g, 8)
+	arcs := SortedArcs(g.Snapshot(), 8)
 	for i := 1; i < len(arcs); i++ {
 		if arcs[i-1].To > arcs[i].To {
 			t.Errorf("SortedArcs not sorted: %v", arcs)
@@ -240,22 +267,24 @@ func TestSortedArcs(t *testing.T) {
 	}
 }
 
-// Property: after any sequence of valid updates, Weight(e) equals the last
-// value written and InitialWeight(e) never changes.
+// Property: after any batch of valid updates, an edge's weight is the last
+// value the batch wrote for it and InitialWeight(e) never changes.
 func TestPropertyWeightLastWriteWins(t *testing.T) {
 	g := buildPaperGraph(t)
 	f := func(raw []uint16) bool {
 		last := make(map[EdgeID]float64)
+		var batch []WeightUpdate
 		for _, r := range raw {
 			e := EdgeID(int(r) % g.NumEdges())
 			w := float64(r%1000) + 1
-			if _, err := g.UpdateWeight(e, w); err != nil {
-				return false
-			}
+			batch = append(batch, WeightUpdate{Edge: e, NewWeight: w})
 			last[e] = w
 		}
+		if err := g.ApplyUpdates(batch); err != nil {
+			return false
+		}
 		for e, w := range last {
-			if g.Weight(e) != w {
+			if g.Snapshot().Weight(e) != w {
 				return false
 			}
 		}

@@ -88,21 +88,21 @@ func TestPathConcat(t *testing.T) {
 func TestPathEvalDistAndValidate(t *testing.T) {
 	g := buildPaperGraph(t)
 	p := Path{Vertices: []VertexID{0, 1, 4}}
-	if d := p.EvalDist(g); d != 6 {
+	if d := p.EvalDist(g.Snapshot()); d != 6 {
 		t.Errorf("EvalDist = %g, want 6", d)
 	}
-	if err := p.Validate(g); err != nil {
+	if err := p.Validate(g.Snapshot()); err != nil {
 		t.Errorf("Validate: %v", err)
 	}
 	bad := Path{Vertices: []VertexID{0, 18}}
-	if d := bad.EvalDist(g); !math.IsInf(d, 1) {
+	if d := bad.EvalDist(g.Snapshot()); !math.IsInf(d, 1) {
 		t.Errorf("EvalDist of invalid path = %g, want +Inf", d)
 	}
-	if err := bad.Validate(g); err == nil {
+	if err := bad.Validate(g.Snapshot()); err == nil {
 		t.Errorf("Validate should fail for missing edge")
 	}
 	loop := Path{Vertices: []VertexID{0, 1, 0}}
-	if err := loop.Validate(g); err == nil {
+	if err := loop.Validate(g.Snapshot()); err == nil {
 		t.Errorf("Validate should fail for non-simple path")
 	}
 }

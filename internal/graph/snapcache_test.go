@@ -30,6 +30,12 @@ func TestSnapshotCacheRules(t *testing.T) {
 	if _, ok := s.CachedPaths(2, 1, 1); ok {
 		t.Fatal("the reverse pair answered")
 	}
+	if got, ok := g.Snapshot().CachedPaths(1, 2, 2); !ok || len(got) != 2 {
+		t.Fatalf("the same snapshot, loaded again, did not answer: %v, %v", got, ok)
+	}
+	if err := g.ApplyUpdates([]WeightUpdate{{Edge: 0, NewWeight: 4}}); err != nil {
+		t.Fatal(err)
+	}
 	if _, ok := g.Snapshot().CachedPaths(1, 2, 1); ok {
 		t.Fatal("another snapshot answered")
 	}

@@ -49,8 +49,8 @@ func (up *TopologyUpdate) IsZero() bool {
 // order) and the sorted ids of all edges deleted by the batch, including
 // edges deleted via DeleteVertices expansion.
 //
-// Edge weights current at the time of the call carry over to the new graph;
-// a concurrent ApplyUpdates on g may or may not be visible, so callers that
+// The weights of g's current Snapshot carry over to the new graph; a
+// concurrent ApplyUpdates on g may or may not be visible, so callers that
 // need a strict ordering must serialize topology and weight batches (dtlp's
 // writer lock does).
 func (g *Graph) ApplyTopology(up TopologyUpdate) (ng *Graph, inserted, deleted []EdgeID, err error) {
@@ -94,12 +94,9 @@ func (g *Graph) ApplyTopology(up TopologyUpdate) (ng *Graph, inserted, deleted [
 		}
 	}
 
-	// Freeze the current weights; the new graph starts from this view.
-	g.mu.RLock()
+	// The new graph starts from the current weights.
 	curW := make([]float64, newNumE)
-	copy(curW, g.weights)
-	version := g.version
-	g.mu.RUnlock()
+	copy(curW, g.Snapshot().weights)
 
 	alive := make([]bool, newNumE)
 	if g.alive == nil {
@@ -148,10 +145,9 @@ func (g *Graph) ApplyTopology(up TopologyUpdate) (ng *Graph, inserted, deleted [
 		numV:     newNumV,
 		ends:     ends,
 		initW:    initW,
-		weights:  curW,
 		alive:    alive,
-		version:  version + 1,
 	}
+	ng.cur.Store(&Snapshot{g: ng, weights: curW})
 	ng.rebuildAdjacency()
 	return ng, inserted, deleted, nil
 }

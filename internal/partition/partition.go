@@ -246,9 +246,10 @@ func assemble(g *graph.Graph, z int, subVerts [][]graph.VertexID, subEdges [][]g
 		// Bring subgraph weights up to the parent's current weights (they may
 		// differ from the initial weights if the graph evolved before
 		// partitioning).
+		cur := g.Snapshot()
 		var updates []graph.WeightUpdate
 		for le, ge := range sg.GlobalEdges {
-			if w := g.Weight(ge); w != g.InitialWeight(ge) {
+			if w := cur.Weight(ge); w != g.InitialWeight(ge) {
 				updates = append(updates, graph.WeightUpdate{Edge: graph.EdgeID(le), NewWeight: w})
 			}
 		}
@@ -324,11 +325,12 @@ func (p *Partition) CommonSubgraphs(u, v graph.VertexID) []SubgraphID {
 func (p *Partition) Locate(e graph.EdgeID) EdgeLocation { return p.edgeLoc[e] }
 
 // ApplyUpdates propagates a batch of global weight updates to the owning
-// subgraphs' local graphs, and returns the per-subgraph translated batches.
-// The parent graph itself is not modified (callers typically update the
-// parent first and then propagate).
-func (p *Partition) ApplyUpdates(batch []graph.WeightUpdate) (map[SubgraphID][]graph.WeightUpdate, error) {
-	perSub := make(map[SubgraphID][]graph.WeightUpdate)
+// subgraphs' local graphs, one graph.ApplyUpdates per subgraph the batch
+// names, and returns the translated batches indexed by SubgraphID (nil for
+// the subgraphs it does not name).  The parent graph itself is not modified
+// (callers typically update the parent first and then propagate).
+func (p *Partition) ApplyUpdates(batch []graph.WeightUpdate) ([][]graph.WeightUpdate, error) {
+	perSub := make([][]graph.WeightUpdate, len(p.Subgraphs))
 	for _, u := range batch {
 		if int(u.Edge) < 0 || int(u.Edge) >= len(p.edgeLoc) {
 			return nil, fmt.Errorf("partition: update for unknown edge %d", u.Edge)
@@ -340,6 +342,9 @@ func (p *Partition) ApplyUpdates(batch []graph.WeightUpdate) (map[SubgraphID][]g
 		perSub[loc.Subgraph] = append(perSub[loc.Subgraph], graph.WeightUpdate{Edge: loc.LocalEdge, NewWeight: u.NewWeight})
 	}
 	for id, ups := range perSub {
+		if len(ups) == 0 {
+			continue
+		}
 		if err := p.Subgraphs[id].Local.ApplyUpdates(ups); err != nil {
 			return nil, err
 		}

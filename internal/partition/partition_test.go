@@ -116,7 +116,7 @@ func TestSubgraphLocalEdgeWeightsMatchParent(t *testing.T) {
 	for ge := graph.EdgeID(0); int(ge) < g.NumEdges(); ge++ {
 		loc := p.Locate(ge)
 		sg := p.Subgraph(loc.Subgraph)
-		if got, want := sg.Local.Weight(loc.LocalEdge), g.Weight(ge); got != want {
+		if got, want := sg.Local.Snapshot().Weight(loc.LocalEdge), g.Snapshot().Weight(ge); got != want {
 			t.Errorf("edge %d weight in subgraph = %g, parent = %g", ge, got, want)
 		}
 		ends := g.EdgeEndpoints(ge)
@@ -133,7 +133,7 @@ func TestPartitionBuiltAfterWeightChangesUsesCurrentWeights(t *testing.T) {
 	// the current weight, while the local initial weight matches the parent's
 	// initial weight (used for vfrags).
 	e, _ := g.EdgeBetween(testutil.V1, testutil.V2)
-	if _, err := g.UpdateWeight(e, 42); err != nil {
+	if err := g.ApplyUpdates([]graph.WeightUpdate{{Edge: e, NewWeight: 42}}); err != nil {
 		t.Fatal(err)
 	}
 	p, err := PartitionGraph(g, 6)
@@ -142,7 +142,7 @@ func TestPartitionBuiltAfterWeightChangesUsesCurrentWeights(t *testing.T) {
 	}
 	loc := p.Locate(e)
 	sg := p.Subgraph(loc.Subgraph)
-	if got := sg.Local.Weight(loc.LocalEdge); got != 42 {
+	if got := sg.Local.Snapshot().Weight(loc.LocalEdge); got != 42 {
 		t.Errorf("local current weight = %g, want 42", got)
 	}
 	if got := sg.Local.InitialWeight(loc.LocalEdge); got != 3 {
@@ -158,7 +158,7 @@ func TestApplyUpdatesPropagation(t *testing.T) {
 	}
 	e, _ := g.EdgeBetween(testutil.V4, testutil.V7)
 	batch := []graph.WeightUpdate{{Edge: e, NewWeight: 99}}
-	if _, err := g.UpdateWeight(e, 99); err != nil {
+	if err := g.ApplyUpdates(batch); err != nil {
 		t.Fatal(err)
 	}
 	perSub, err := p.ApplyUpdates(batch)
@@ -169,7 +169,7 @@ func TestApplyUpdatesPropagation(t *testing.T) {
 	if len(perSub[loc.Subgraph]) != 1 {
 		t.Errorf("expected one translated update for owning subgraph")
 	}
-	if got := p.Subgraph(loc.Subgraph).Local.Weight(loc.LocalEdge); got != 99 {
+	if got := p.Subgraph(loc.Subgraph).Local.Snapshot().Weight(loc.LocalEdge); got != 99 {
 		t.Errorf("subgraph weight = %g, want 99", got)
 	}
 	// Invalid edge id must be rejected.
@@ -222,7 +222,7 @@ func TestPathsCrossSubgraphsViaBoundary(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sp, ok := shortest.ShortestPath(g, testutil.V1, testutil.V19, nil)
+	sp, ok := shortest.ShortestPath(g.Snapshot(), testutil.V1, testutil.V19, nil)
 	if !ok {
 		t.Fatal("no path")
 	}
@@ -253,16 +253,16 @@ func TestSubgraphShortestPathsConsistent(t *testing.T) {
 		u, v := sg.Boundary[0], sg.Boundary[1]
 		lu, _ := sg.ToLocal(u)
 		lv, _ := sg.ToLocal(v)
-		lp, ok := shortest.ShortestPath(sg.Local, lu, lv, nil)
+		lp, ok := shortest.ShortestPath(sg.Local.Snapshot(), lu, lv, nil)
 		if !ok {
 			continue
 		}
 		gp := sg.GlobalPath(lp)
-		if err := gp.Validate(g); err != nil {
+		if err := gp.Validate(g.Snapshot()); err != nil {
 			t.Errorf("subgraph %d: global path invalid: %v", sg.ID, err)
 		}
-		if math.Abs(gp.EvalDist(g)-lp.Dist) > 1e-9 {
-			t.Errorf("subgraph %d: local dist %g != parent dist %g", sg.ID, lp.Dist, gp.EvalDist(g))
+		if math.Abs(gp.EvalDist(g.Snapshot())-lp.Dist) > 1e-9 {
+			t.Errorf("subgraph %d: local dist %g != parent dist %g", sg.ID, lp.Dist, gp.EvalDist(g.Snapshot()))
 		}
 	}
 }

@@ -267,8 +267,9 @@ func materializeSubgraph(g *graph.Graph, id SubgraphID, verts []graph.VertexID, 
 	}
 	sg.Local = b.Build()
 	var updates []graph.WeightUpdate
+	cur := g.Snapshot()
 	for le, ge := range sg.GlobalEdges {
-		if w := g.Weight(ge); w != g.InitialWeight(ge) {
+		if w := cur.Weight(ge); w != g.InitialWeight(ge) {
 			updates = append(updates, graph.WeightUpdate{Edge: graph.EdgeID(le), NewWeight: w})
 		}
 	}

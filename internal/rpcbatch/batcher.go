@@ -68,7 +68,7 @@ type Options struct {
 	// result pinned to an epoch is immutable — the epoch's weights are frozen
 	// — so it can be replayed to any later query at the same epoch, extending
 	// the cross-query dedup from concurrently-pending pairs to the whole
-	// lifetime of an epoch.  Requests without an epoch pin (live weights)
+	// lifetime of an epoch.  Requests without an epoch pin (latest weights)
 	// are never cached.  Zero means 4096; negative disables.
 	CacheCapacity int
 	// Observe, when non-nil, is called once per shipped batch with the

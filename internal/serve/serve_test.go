@@ -91,7 +91,7 @@ func TestServerCacheInvalidatedByEpoch(t *testing.T) {
 		if !ok {
 			t.Fatalf("edge (%d,%d) missing", verts[i], verts[i+1])
 		}
-		batch = append(batch, graph.WeightUpdate{Edge: e, NewWeight: g.Weight(e) * 10})
+		batch = append(batch, graph.WeightUpdate{Edge: e, NewWeight: g.Snapshot().Weight(e) * 10})
 	}
 	if _, err := s.ApplyUpdates(context.Background(), batch); err != nil {
 		t.Fatal(err)
@@ -222,7 +222,7 @@ func TestServerConcurrentQueriesSnapshotIsolated(t *testing.T) {
 			var batch []graph.WeightUpdate
 			for e := 0; e < g.NumEdges(); e++ {
 				if urng.Float64() < 0.3 {
-					w := g.Weight(graph.EdgeID(e)) * (0.6 + urng.Float64())
+					w := g.Snapshot().Weight(graph.EdgeID(e)) * (0.6 + urng.Float64())
 					if w < 0.1 {
 						w = 0.1
 					}
@@ -266,7 +266,7 @@ func TestServerConcurrentQueriesSnapshotIsolated(t *testing.T) {
 			}
 		}
 		// And the distances must match exact Yen on the same frozen weights.
-		want := shortest.Yen(g, o.s, o.t, o.k, opts)
+		want := shortest.Yen(g.Snapshot(), o.s, o.t, o.k, opts)
 		if len(o.res.Paths) != len(want) {
 			t.Errorf("query(%d,%d,%d)@epoch %d: %d paths, Yen %d", o.s, o.t, o.k, o.res.Epoch, len(o.res.Paths), len(want))
 			continue
@@ -308,7 +308,7 @@ func TestServerWithClusterProvider(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := testutil.BruteForceKSP(g, testutil.V1, testutil.V19, 3)
+	want := testutil.BruteForceKSP(g.Snapshot(), testutil.V1, testutil.V19, 3)
 	if len(res.Paths) != len(want) {
 		t.Fatalf("cluster-backed server returned %d paths, oracle %d", len(res.Paths), len(want))
 	}
@@ -572,7 +572,7 @@ func TestQueryAtPinnedEpoch(t *testing.T) {
 	// Shift the weights: the current epoch moves past res0's.
 	tm := workload.NewTrafficModel(0.5, 0.5, 5)
 	for i := 0; i < 3; i++ {
-		batch := tm.Derive(g.NumEdges(), g.Directed(), g.Weight)
+		batch := tm.Derive(g.NumEdges(), g.Directed(), g.Snapshot().Weight)
 		if _, err := s.ApplyUpdates(context.Background(), batch); err != nil {
 			t.Fatal(err)
 		}

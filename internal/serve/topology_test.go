@@ -184,9 +184,9 @@ func TestWALFailureLeavesBatchInvisible(t *testing.T) {
 	defer s.Close()
 	view := x.CurrentView()
 	const edge = 1
-	w0 := x.Partition().Parent().Weight(edge)
+	w0 := x.Partition().Parent().Snapshot().Weight(edge)
 	loc := x.Partition().Locate(edge)
-	localWeight := func() float64 { return x.Partition().Subgraph(loc.Subgraph).Local.Weight(loc.LocalEdge) }
+	localWeight := func() float64 { return x.Partition().Subgraph(loc.Subgraph).Local.Snapshot().Weight(loc.LocalEdge) }
 	batch := []graph.WeightUpdate{{Edge: edge, NewWeight: w0 + 4}}
 	topo := graph.TopologyUpdate{DeleteEdges: []graph.EdgeID{0}}
 
@@ -217,7 +217,7 @@ func TestWALFailureLeavesBatchInvisible(t *testing.T) {
 	if x.CurrentView() != view {
 		t.Fatalf("a batch the WAL refused was published: epoch %d", x.CurrentView().Epoch())
 	}
-	if got := x.Partition().Parent().Weight(edge); got != w0 {
+	if got := x.Partition().Parent().Snapshot().Weight(edge); got != w0 {
 		t.Errorf("master weight = %g after a refused batch, want %g", got, w0)
 	}
 	if got := localWeight(); got != w0 {

@@ -45,10 +45,10 @@ import (
 //     it leaves behind the distance to t of every vertex it settled, and
 //     those, truncated at the first path's length, are a consistent
 //     heuristic at the price of one fill.  It is a lower bound only for the
-//     weights it was taken under: on a view whose weights change between
-//     searches (a live graph under updates) the spur searches fall back to
-//     Dijkstra's once its Version moves.  Directed views have no in-arcs to
-//     search from t, so their searches stay Dijkstra's.
+//     weights it was taken under, so the view must not change while the
+//     Generator runs; every graph.WeightedView in the tree is an immutable
+//     graph.Snapshot.  Directed views have no in-arcs to search from t, so
+//     their searches stay Dijkstra's.
 type Generator struct {
 	view   graph.WeightedView
 	s, t   graph.VertexID
@@ -66,16 +66,9 @@ type Generator struct {
 	searches   int // spur searches run so far; read by tests only
 	exhausted  bool
 
-	h        []float64 // A*'s heuristic for the spur searches; nil on directed views
-	hbuf     []float64 // storage of h, kept across pooled reuse
-	live     versioned // the view, if it reports a weight version
-	hVersion uint64    // live's weight version when h was taken
+	h    []float64 // A*'s heuristic for the spur searches; nil on directed views
+	hbuf []float64 // storage of h, kept across pooled reuse
 }
-
-// versioned is a view whose weights can change between searches; Version
-// moves with every change.  graph.Graph is one, and graph.Snapshot one whose
-// Version never moves.
-type versioned interface{ Version() uint64 }
 
 // trieNode stands for one prefix of a produced path: the prefix's last vertex
 // and its length, each hop priced by its cheapest arc under the search metric
@@ -124,13 +117,13 @@ func (g *Generator) reset(v graph.WeightedView, s, t graph.VertexID, opts *Optio
 	g.trie = g.trie[:0]
 	g.prevDev, g.searches = 0, 0
 	g.exhausted = false
-	g.h, g.live = nil, nil
+	g.h = nil
 }
 
 // recycle returns g to the pool, dropping every reference it holds into its
 // last query so that it pins neither the view nor the paths it handed out.
 func (g *Generator) recycle() {
-	g.view, g.opts, g.search, g.h, g.live = nil, nil, nil, nil, nil
+	g.view, g.opts, g.search, g.h = nil, nil, nil, nil
 	clear(g.produced)
 	clear(g.candidates) // pop zeroes the slots it vacates
 	generatorPool.Put(g)
@@ -192,7 +185,7 @@ func (g *Generator) deviate() {
 			g.nextBans = append(g.nextBans, g.trie[c].vertex)
 		}
 		g.searches++
-		sc.run(g.view, prev[j], g.t, g.search, g.heuristic(), g.nextBans)
+		sc.run(g.view, prev[j], g.t, g.search, g.h, g.nextBans)
 		// The root is banned from the spur search, so root + spur path is
 		// simple by construction.
 		var ok bool
@@ -226,9 +219,6 @@ func (g *Generator) first() (graph.Path, bool) {
 	if g.view.Directed() || g.s == g.t {
 		return ShortestPath(g.view, g.s, g.t, g.opts)
 	}
-	if live, ok := g.view.(versioned); ok {
-		g.live, g.hVersion = live, live.Version()
-	}
 	n := g.view.NumVertices()
 	sc := getScratch(n, 2)
 	defer putScratch(sc)
@@ -260,17 +250,6 @@ func (g *Generator) first() (graph.Path, bool) {
 	}
 	g.h = g.hbuf
 	return graph.Path{Vertices: verts, Dist: dist}, true
-}
-
-// heuristic returns h while it is still a lower bound.  Once the view's
-// weights have changed since first took h, a lowered weight may have made
-// some distance to t shorter than h says, and A* over h could miss the
-// shortest spur path, so the remaining spur searches are Dijkstra's.
-func (g *Generator) heuristic() []float64 {
-	if g.h != nil && g.live != nil && g.live.Version() != g.hVersion {
-		g.h = nil
-	}
-	return g.h
 }
 
 // insert adds a produced path to the prefix trie and records in nodeAt the

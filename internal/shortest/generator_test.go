@@ -12,8 +12,8 @@ import (
 
 func TestGeneratorMatchesYen(t *testing.T) {
 	g := testutil.PaperGraph(t)
-	want := Yen(g, testutil.V4, testutil.V13, 6, nil)
-	gen := NewGenerator(g, testutil.V4, testutil.V13, nil)
+	want := Yen(g.Snapshot(), testutil.V4, testutil.V13, 6, nil)
+	gen := NewGenerator(g.Snapshot(), testutil.V4, testutil.V13, nil)
 	for i, w := range want {
 		p, ok := gen.Next()
 		if !ok {
@@ -30,7 +30,7 @@ func TestGeneratorMatchesYen(t *testing.T) {
 
 func TestGeneratorExhaustion(t *testing.T) {
 	g := testutil.LineGraph(t, 4)
-	gen := NewGenerator(g, 0, 3, nil)
+	gen := NewGenerator(g.Snapshot(), 0, 3, nil)
 	if _, ok := gen.Next(); !ok {
 		t.Fatal("expected first path")
 	}
@@ -45,7 +45,7 @@ func TestGeneratorExhaustion(t *testing.T) {
 
 func TestGeneratorSameSourceTarget(t *testing.T) {
 	g := testutil.LineGraph(t, 4)
-	gen := NewGenerator(g, 2, 2, nil)
+	gen := NewGenerator(g.Snapshot(), 2, 2, nil)
 	p, ok := gen.Next()
 	if !ok || p.Len() != 0 {
 		t.Errorf("expected trivial path, got %v,%v", p, ok)
@@ -60,7 +60,7 @@ func TestGeneratorUnreachable(t *testing.T) {
 	b.AddEdge(0, 1, 1)
 	b.AddEdge(2, 3, 1)
 	g := b.Build()
-	gen := NewGenerator(g, 0, 3, nil)
+	gen := NewGenerator(g.Snapshot(), 0, 3, nil)
 	if _, ok := gen.Next(); ok {
 		t.Errorf("expected no path")
 	}
@@ -76,8 +76,8 @@ func TestPropertyGeneratorEquivalentToYen(t *testing.T) {
 		s := graph.VertexID(rng.Intn(n))
 		tt := graph.VertexID(rng.Intn(n))
 		k := 1 + rng.Intn(6)
-		want := Yen(g, s, tt, k, nil)
-		gen := NewGenerator(g, s, tt, nil)
+		want := Yen(g.Snapshot(), s, tt, k, nil)
+		gen := NewGenerator(g.Snapshot(), s, tt, nil)
 		for i := 0; i < len(want); i++ {
 			p, ok := gen.Next()
 			if !ok || math.Abs(p.Dist-want[i].Dist) > 1e-9 {

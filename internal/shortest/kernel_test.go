@@ -118,7 +118,7 @@ func checkPaths(t *testing.T, c kernelCase, paths []graph.Path) {
 			if refVertexForbidden(c.opts, p.Vertices[j]) {
 				t.Fatalf("path #%d %v enters forbidden vertex %d", i, p, p.Vertices[j])
 			}
-			length += refHop(c.g, p.Vertices[j-1], p.Vertices[j], c.opts)
+			length += refHop(c.g.Snapshot(), p.Vertices[j-1], p.Vertices[j], c.opts)
 		}
 		if math.IsInf(length, 1) || math.Abs(length-p.Dist) > 1e-9*max(1, length) {
 			t.Fatalf("path #%d %v: Dist %v, its arcs sum to %v", i, p, p.Dist, length)
@@ -138,11 +138,11 @@ func checkPaths(t *testing.T, c kernelCase, paths []graph.Path) {
 // textbook Yen ran, and whether their paths were the same.
 func checkKernelCase(t *testing.T, c kernelCase) (searches, textbook int, samePathsAsTextbook bool) {
 	t.Helper()
-	want, textbook := refYen(c.g, c.s, c.t, c.k, c.opts)
+	want, textbook := refYen(c.g.Snapshot(), c.s, c.t, c.k, c.opts)
 	matches := func(got []graph.Path) bool {
 		return sameDists(got, want) && (!c.real || samePaths(got, want))
 	}
-	got := Yen(c.g, c.s, c.t, c.k, c.opts)
+	got := Yen(c.g.Snapshot(), c.s, c.t, c.k, c.opts)
 	if !matches(got) {
 		t.Fatalf("Yen(%d->%d, k=%d, opts=%+v)\n got %v\nwant %v", c.s, c.t, c.k, c.opts, got, want)
 	}
@@ -151,12 +151,12 @@ func checkKernelCase(t *testing.T, c kernelCase) (searches, textbook int, samePa
 	// answer at every smaller k must be a prefix of this one, element for
 	// element and bit for bit.
 	for k := 1; k < c.k; k++ {
-		if short := Yen(c.g, c.s, c.t, k, c.opts); !samePaths(short, got[:min(k, len(got))]) {
+		if short := Yen(c.g.Snapshot(), c.s, c.t, k, c.opts); !samePaths(short, got[:min(k, len(got))]) {
 			t.Fatalf("Yen(%d->%d, k=%d, opts=%+v) = %v, not the first %d of k=%d's %v", c.s, c.t, k, c.opts, short, k, c.k, got)
 		}
 	}
 
-	gen := NewGenerator(c.g, c.s, c.t, c.opts)
+	gen := NewGenerator(c.g.Snapshot(), c.s, c.t, c.opts)
 	bound := 0 // Σ(len − dev) over the paths deviated so far
 	for i := 0; i < c.k; i++ {
 		if i > 0 && !gen.exhausted {
@@ -271,8 +271,8 @@ func TestYenBansParallelArcs(t *testing.T) {
 	}
 	c := kernelCase{g: b.Build(), s: 0, t: 4, k: 3}
 	want := []float64{0, 2, 2}
-	ref, _ := refYen(c.g, c.s, c.t, c.k, nil)
-	got := Yen(c.g, c.s, c.t, c.k, nil)
+	ref, _ := refYen(c.g.Snapshot(), c.s, c.t, c.k, nil)
+	got := Yen(c.g.Snapshot(), c.s, c.t, c.k, nil)
 	for name, paths := range map[string][]graph.Path{"refYen": ref, "Yen": got} {
 		if !slices.Equal(lengths(paths), want) {
 			t.Errorf("%s: %v, want lengths %v", name, paths, want)
@@ -297,7 +297,7 @@ func TestGoalDirection(t *testing.T) {
 	g := gridForBench(12, 10) // real-valued weights: no ties to settle
 	n := g.NumVertices()
 	target := graph.VertexID(n - 1)
-	exact := Dijkstra(g, target, nil).Dist
+	exact := Dijkstra(g.Snapshot(), target, nil).Dist
 	settled := func(sc *searchScratch) (c int) {
 		for _, st := range sc.v[:n] {
 			if st.settled == sc.search {
@@ -307,7 +307,7 @@ func TestGoalDirection(t *testing.T) {
 		return c
 	}
 	for _, s := range []graph.VertexID{0, 55, 100, 118} {
-		gen := NewGenerator(g, s, target, nil)
+		gen := NewGenerator(g.Snapshot(), s, target, nil)
 		if _, ok := gen.Next(); !ok || gen.h == nil {
 			t.Fatalf("from %d: no first path or no heuristic", s)
 		}
@@ -317,8 +317,8 @@ func TestGoalDirection(t *testing.T) {
 				t.Fatalf("from %d: h(%d) = %v, distance %v, first path %v", s, u, h[u], exact[u], exact[s])
 			}
 			for _, a := range g.Neighbors(graph.VertexID(u)) {
-				if h[u] > g.Weight(a.Edge)+h[a.To] {
-					t.Fatalf("from %d: h(%d) = %v > %v + h(%d) = %v", s, u, h[u], g.Weight(a.Edge), a.To, h[a.To])
+				if h[u] > g.Snapshot().Weight(a.Edge)+h[a.To] {
+					t.Fatalf("from %d: h(%d) = %v > %v + h(%d) = %v", s, u, h[u], g.Snapshot().Weight(a.Edge), a.To, h[a.To])
 				}
 			}
 		}
@@ -333,7 +333,7 @@ func TestGoalDirection(t *testing.T) {
 				if spur > 0 {
 					sc.ban(spur - 1)
 				}
-				sc.run(g, spur, target, g.Weight, h, []graph.VertexID{g.Neighbors(spur)[0].To})
+				sc.run(g.Snapshot(), spur, target, g.Snapshot().Weight, h, []graph.VertexID{g.Neighbors(spur)[0].To})
 				return sc.distTo(target), settled(sc)
 			}
 			wantDist, wantSettled := run(nil)
@@ -358,17 +358,17 @@ func TestGoalDirectionForbiddenSource(t *testing.T) {
 	opts := &Options{ForbiddenVertices: map[graph.VertexID]bool{0: true, 14: true}}
 	c := kernelCase{g: g, s: 0, t: 35, k: 30, opts: opts, real: true}
 	checkKernelCase(t, c)
-	gen := NewGenerator(g, c.s, c.t, opts)
+	gen := NewGenerator(g.Snapshot(), c.s, c.t, opts)
 	if _, ok := gen.Next(); !ok || gen.h == nil {
 		t.Fatal("a forbidden source left no first path or no heuristic")
 	}
 }
 
-// A live graph's weights can drop between Next calls.  The heuristic taken
-// with the first path then overestimates: h(4) = 20 (capped at the first
-// path's length) while 4 is now 2 from t, so A* would settle t over 0->3->1
-// (21) before it reaches 4.  The Generator must notice the new version and
-// search the way Dijkstra would, finding 0->4->5->1 (4).
+// A graph's weights can drop between Next calls, but the Generator searches
+// the snapshot it was given, so the heuristic taken with the first path stays
+// a lower bound.  Were the drop visible, h(4) = 20 (capped at the first
+// path's length) would overestimate, since 4 would be 2 from t; on the frozen
+// snapshot the second path is 0->3->1 (21).
 func TestGoalDirectionDropsStaleHeuristic(t *testing.T) {
 	b := graph.NewBuilder(6, false)
 	var slow graph.EdgeID
@@ -386,26 +386,16 @@ func TestGoalDirectionDropsStaleHeuristic(t *testing.T) {
 		}
 	}
 	g := b.Build()
-	for _, c := range []struct {
-		view graph.WeightedView
-		want graph.Path
-	}{
-		{g.Snapshot(), graph.Path{Vertices: []graph.VertexID{0, 3, 1}, Dist: 21}}, // frozen before the drop
-		{g, graph.Path{Vertices: []graph.VertexID{0, 4, 5, 1}, Dist: 4}},
-	} {
-		gen := NewGenerator(c.view, 0, 1, nil)
-		if p, ok := gen.Next(); !ok || p.Dist != 20 || gen.h == nil {
-			t.Fatalf("%T: first path %v (ok %v, heuristic %v), want length 20 and a heuristic", c.view, p, ok, gen.h != nil)
-		}
-		if _, err := g.UpdateWeight(slow, 1); err != nil {
-			t.Fatal(err)
-		}
-		if p, ok := gen.Next(); !ok || !samePaths([]graph.Path{p}, []graph.Path{c.want}) {
-			t.Errorf("%T: second path %v (ok %v), want %v", c.view, p, ok, c.want)
-		}
-		if _, err := g.UpdateWeight(slow, 30); err != nil {
-			t.Fatal(err)
-		}
+	gen := NewGenerator(g.Snapshot(), 0, 1, nil)
+	if p, ok := gen.Next(); !ok || p.Dist != 20 || gen.h == nil {
+		t.Fatalf("first path %v (ok %v, heuristic %v), want length 20 and a heuristic", p, ok, gen.h != nil)
+	}
+	if err := g.ApplyUpdates([]graph.WeightUpdate{{Edge: slow, NewWeight: 1}}); err != nil {
+		t.Fatal(err)
+	}
+	want := graph.Path{Vertices: []graph.VertexID{0, 3, 1}, Dist: 21}
+	if p, ok := gen.Next(); !ok || !samePaths([]graph.Path{p}, []graph.Path{want}) {
+		t.Errorf("second path %v (ok %v), want %v", p, ok, want)
 	}
 }
 
@@ -414,8 +404,8 @@ func TestGoalDirectionDropsStaleHeuristic(t *testing.T) {
 func TestKernelSkipsRepeatedSpurSearches(t *testing.T) {
 	g := gridForBench(8, 8)
 	const k = 20
-	_, textbook := refYen(g, 0, 63, k, nil)
-	gen := NewGenerator(g, 0, 63, nil)
+	_, textbook := refYen(g.Snapshot(), 0, 63, k, nil)
+	gen := NewGenerator(g.Snapshot(), 0, 63, nil)
 	for i := 0; i < k; i++ {
 		if _, ok := gen.Next(); !ok {
 			t.Fatalf("grid ran out of paths at %d", i)
@@ -434,7 +424,7 @@ func TestScratchGenerationWrap(t *testing.T) {
 	sc.reserve(g.NumVertices(), 2)
 	sc.newBans()
 	sc.ban(5)
-	sc.run(g, 0, 15, g.Weight, nil, nil)
+	sc.run(g.Snapshot(), 0, 15, g.Snapshot().Weight, nil, nil)
 	want, _ := sc.appendPath(nil, 0, 15)
 
 	// Plant stamps that a wrapped counter would run into.
@@ -445,7 +435,7 @@ func TestScratchGenerationWrap(t *testing.T) {
 	sc.reserve(g.NumVertices(), 2)
 	sc.newBans()
 	sc.ban(5)
-	sc.run(g, 0, 15, g.Weight, nil, nil)
+	sc.run(g.Snapshot(), 0, 15, g.Snapshot().Weight, nil, nil)
 	got, ok := sc.appendPath(nil, 0, 15)
 	if !ok || !slices.Equal(got, want) {
 		t.Errorf("after wrap: path %v ok=%v, want %v", got, ok, want)

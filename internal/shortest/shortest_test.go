@@ -12,7 +12,7 @@ import (
 
 func TestDijkstraLine(t *testing.T) {
 	g := testutil.LineGraph(t, 10)
-	tree := Dijkstra(g, 0, nil)
+	tree := Dijkstra(g.Snapshot(), 0, nil)
 	for v := 0; v < 10; v++ {
 		if tree.Dist[v] != float64(v) {
 			t.Errorf("Dist[%d] = %g, want %d", v, tree.Dist[v], v)
@@ -31,18 +31,18 @@ func TestDijkstraMatchesBruteForce(t *testing.T) {
 		{testutil.V3, testutil.V16}, {testutil.V7, testutil.V17},
 	}
 	for _, c := range cases {
-		p, ok := ShortestPath(g, c.s, c.t, nil)
+		p, ok := ShortestPath(g.Snapshot(), c.s, c.t, nil)
 		if !ok {
 			t.Fatalf("no path %d->%d", c.s, c.t)
 		}
-		want := testutil.BruteForceKSP(g, c.s, c.t, 1)
+		want := testutil.BruteForceKSP(g.Snapshot(), c.s, c.t, 1)
 		if len(want) == 0 {
 			t.Fatalf("brute force found no path %d->%d", c.s, c.t)
 		}
 		if math.Abs(p.Dist-want[0].Dist) > 1e-9 {
 			t.Errorf("ShortestPath(%d,%d) dist = %g, brute force = %g", c.s, c.t, p.Dist, want[0].Dist)
 		}
-		if err := p.Validate(g); err != nil {
+		if err := p.Validate(g.Snapshot()); err != nil {
 			t.Errorf("invalid path: %v", err)
 		}
 	}
@@ -50,11 +50,11 @@ func TestDijkstraMatchesBruteForce(t *testing.T) {
 
 func TestShortestPathSameVertex(t *testing.T) {
 	g := testutil.LineGraph(t, 3)
-	p, ok := ShortestPath(g, 1, 1, nil)
+	p, ok := ShortestPath(g.Snapshot(), 1, 1, nil)
 	if !ok || p.Len() != 0 || p.Dist != 0 {
 		t.Errorf("s==t path = %v, %v", p, ok)
 	}
-	if d := ShortestDistance(g, 2, 2, nil); d != 0 {
+	if d := ShortestDistance(g.Snapshot(), 2, 2, nil); d != 0 {
 		t.Errorf("ShortestDistance(s,s) = %g", d)
 	}
 }
@@ -64,13 +64,13 @@ func TestDijkstraUnreachable(t *testing.T) {
 	b.AddEdge(0, 1, 1)
 	b.AddEdge(2, 3, 1)
 	g := b.Build()
-	if _, ok := ShortestPath(g, 0, 3, nil); ok {
+	if _, ok := ShortestPath(g.Snapshot(), 0, 3, nil); ok {
 		t.Errorf("expected no path between components")
 	}
-	if d := ShortestDistance(g, 0, 3, nil); !math.IsInf(d, 1) {
+	if d := ShortestDistance(g.Snapshot(), 0, 3, nil); !math.IsInf(d, 1) {
 		t.Errorf("distance to unreachable = %g, want +Inf", d)
 	}
-	tree := Dijkstra(g, 0, nil)
+	tree := Dijkstra(g.Snapshot(), 0, nil)
 	if tree.Reachable(3) {
 		t.Errorf("vertex 3 should be unreachable")
 	}
@@ -83,14 +83,14 @@ func TestDijkstraForbiddenVertex(t *testing.T) {
 	g := testutil.PaperGraph(t)
 	// Forbid v9; v4 -> v13 must route around it (e.g. through v10).
 	opts := &Options{ForbiddenVertices: map[graph.VertexID]bool{testutil.V9: true}}
-	p, ok := ShortestPath(g, testutil.V4, testutil.V13, opts)
+	p, ok := ShortestPath(g.Snapshot(), testutil.V4, testutil.V13, opts)
 	if !ok {
 		t.Fatal("expected a path avoiding v9")
 	}
 	if p.Contains(testutil.V9) {
 		t.Errorf("path %v contains forbidden vertex", p)
 	}
-	unrestricted, _ := ShortestPath(g, testutil.V4, testutil.V13, nil)
+	unrestricted, _ := ShortestPath(g.Snapshot(), testutil.V4, testutil.V13, nil)
 	if p.Dist < unrestricted.Dist-1e-9 {
 		t.Errorf("restricted path cannot be shorter than unrestricted")
 	}
@@ -100,7 +100,7 @@ func TestDijkstraForbiddenEdge(t *testing.T) {
 	g := testutil.LineGraph(t, 5)
 	e, _ := g.EdgeBetween(2, 3)
 	opts := &Options{ForbiddenEdges: map[graph.EdgeID]bool{e: true}}
-	if _, ok := ShortestPath(g, 0, 4, opts); ok {
+	if _, ok := ShortestPath(g.Snapshot(), 0, 4, opts); ok {
 		t.Errorf("line graph with cut edge should be disconnected")
 	}
 }
@@ -109,7 +109,7 @@ func TestDijkstraCustomWeight(t *testing.T) {
 	g := testutil.PaperGraph(t)
 	// Hop-count metric: every edge weighs 1.
 	opts := &Options{Weight: func(graph.EdgeID) float64 { return 1 }}
-	p, ok := ShortestPath(g, testutil.V1, testutil.V13, opts)
+	p, ok := ShortestPath(g.Snapshot(), testutil.V1, testutil.V13, opts)
 	if !ok {
 		t.Fatal("no path")
 	}
@@ -123,10 +123,10 @@ func TestDijkstraDirected(t *testing.T) {
 	b.AddEdge(0, 1, 1)
 	b.AddEdge(1, 2, 1)
 	g := b.Build()
-	if _, ok := ShortestPath(g, 2, 0, nil); ok {
+	if _, ok := ShortestPath(g.Snapshot(), 2, 0, nil); ok {
 		t.Errorf("reverse path should not exist in directed graph")
 	}
-	p, ok := ShortestPath(g, 0, 2, nil)
+	p, ok := ShortestPath(g.Snapshot(), 0, 2, nil)
 	if !ok || p.Dist != 2 {
 		t.Errorf("forward path = %v, %v", p, ok)
 	}
@@ -136,14 +136,16 @@ func TestDijkstraRespectsSnapshotWeights(t *testing.T) {
 	g := testutil.LineGraph(t, 4)
 	snap := g.Snapshot()
 	e, _ := g.EdgeBetween(1, 2)
-	g.UpdateWeight(e, 100)
+	if err := g.ApplyUpdates([]graph.WeightUpdate{{Edge: e, NewWeight: 100}}); err != nil {
+		t.Fatal(err)
+	}
 	p, _ := ShortestPath(snap, 0, 3, nil)
 	if p.Dist != 3 {
 		t.Errorf("snapshot search saw later update: dist = %g", p.Dist)
 	}
-	p2, _ := ShortestPath(g, 0, 3, nil)
+	p2, _ := ShortestPath(g.Snapshot(), 0, 3, nil)
 	if p2.Dist != 102 {
-		t.Errorf("live search dist = %g, want 102", p2.Dist)
+		t.Errorf("new snapshot search dist = %g, want 102", p2.Dist)
 	}
 }
 
@@ -157,8 +159,8 @@ func TestYenMatchesBruteForce(t *testing.T) {
 		{testutil.V1, testutil.V19, 4}, {testutil.V3, testutil.V14, 3},
 	}
 	for _, c := range cases {
-		got := Yen(g, c.s, c.t, c.k, nil)
-		want := testutil.BruteForceKSP(g, c.s, c.t, c.k)
+		got := Yen(g.Snapshot(), c.s, c.t, c.k, nil)
+		want := testutil.BruteForceKSP(g.Snapshot(), c.s, c.t, c.k)
 		if len(got) != len(want) {
 			t.Fatalf("Yen(%d,%d,%d) returned %d paths, brute force %d", c.s, c.t, c.k, len(got), len(want))
 		}
@@ -173,11 +175,11 @@ func TestYenMatchesBruteForce(t *testing.T) {
 
 func TestYenProperties(t *testing.T) {
 	g := testutil.PaperGraph(t)
-	paths := Yen(g, testutil.V1, testutil.V19, 8, nil)
+	paths := Yen(g.Snapshot(), testutil.V1, testutil.V19, 8, nil)
 	if len(paths) == 0 {
 		t.Fatal("expected paths")
 	}
-	sp, _ := ShortestPath(g, testutil.V1, testutil.V19, nil)
+	sp, _ := ShortestPath(g.Snapshot(), testutil.V1, testutil.V19, nil)
 	if paths[0].Dist != sp.Dist {
 		t.Errorf("first Yen path (%g) must equal Dijkstra distance (%g)", paths[0].Dist, sp.Dist)
 	}
@@ -186,11 +188,11 @@ func TestYenProperties(t *testing.T) {
 		if !p.IsSimple() {
 			t.Errorf("path %d not simple: %v", i, p)
 		}
-		if err := p.Validate(g); err != nil {
+		if err := p.Validate(g.Snapshot()); err != nil {
 			t.Errorf("path %d invalid: %v", i, err)
 		}
-		if math.Abs(p.EvalDist(g)-p.Dist) > 1e-9 {
-			t.Errorf("path %d reported dist %g but edges sum to %g", i, p.Dist, p.EvalDist(g))
+		if math.Abs(p.EvalDist(g.Snapshot())-p.Dist) > 1e-9 {
+			t.Errorf("path %d reported dist %g but edges sum to %g", i, p.Dist, p.EvalDist(g.Snapshot()))
 		}
 		if i > 0 && paths[i-1].Dist > p.Dist+1e-9 {
 			t.Errorf("paths not sorted: %g > %g", paths[i-1].Dist, p.Dist)
@@ -208,16 +210,16 @@ func TestYenProperties(t *testing.T) {
 
 func TestYenEdgeCases(t *testing.T) {
 	g := testutil.LineGraph(t, 4)
-	if got := Yen(g, 0, 3, 0, nil); got != nil {
+	if got := Yen(g.Snapshot(), 0, 3, 0, nil); got != nil {
 		t.Errorf("k=0 should return nil")
 	}
 	// A line graph has exactly one simple path between endpoints.
-	paths := Yen(g, 0, 3, 5, nil)
+	paths := Yen(g.Snapshot(), 0, 3, 5, nil)
 	if len(paths) != 1 {
 		t.Errorf("line graph should yield 1 path, got %d", len(paths))
 	}
 	// Same source and target.
-	paths = Yen(g, 2, 2, 3, nil)
+	paths = Yen(g.Snapshot(), 2, 2, 3, nil)
 	if len(paths) != 1 || paths[0].Len() != 0 {
 		t.Errorf("s==t should yield the trivial path, got %v", paths)
 	}
@@ -226,7 +228,7 @@ func TestYenEdgeCases(t *testing.T) {
 	b.AddEdge(0, 1, 1)
 	b.AddEdge(2, 3, 1)
 	dg := b.Build()
-	if got := Yen(dg, 0, 3, 3, nil); got != nil {
+	if got := Yen(dg.Snapshot(), 0, 3, 3, nil); got != nil {
 		t.Errorf("disconnected should return nil, got %v", got)
 	}
 }
@@ -240,7 +242,7 @@ func TestYenSquareGraphAllPaths(t *testing.T) {
 	b.AddEdge(2, 3, 2)
 	b.AddEdge(0, 3, 5)
 	g := b.Build()
-	paths := Yen(g, 0, 3, 10, nil)
+	paths := Yen(g.Snapshot(), 0, 3, 10, nil)
 	if len(paths) != 3 {
 		t.Fatalf("got %d paths, want 3: %v", len(paths), paths)
 	}
@@ -255,7 +257,7 @@ func TestYenSquareGraphAllPaths(t *testing.T) {
 func TestYenWithForbiddenVertex(t *testing.T) {
 	g := testutil.PaperGraph(t)
 	opts := &Options{ForbiddenVertices: map[graph.VertexID]bool{testutil.V9: true}}
-	paths := Yen(g, testutil.V4, testutil.V13, 4, opts)
+	paths := Yen(g.Snapshot(), testutil.V4, testutil.V13, 4, opts)
 	for _, p := range paths {
 		if p.Contains(testutil.V9) {
 			t.Errorf("path %v contains forbidden vertex", p)
@@ -266,7 +268,7 @@ func TestYenWithForbiddenVertex(t *testing.T) {
 func TestYenWithCustomWeight(t *testing.T) {
 	g := testutil.PaperGraph(t)
 	hop := &Options{Weight: func(graph.EdgeID) float64 { return 1 }}
-	paths := Yen(g, testutil.V1, testutil.V13, 3, hop)
+	paths := Yen(g.Snapshot(), testutil.V1, testutil.V13, 3, hop)
 	for i := 1; i < len(paths); i++ {
 		if paths[i-1].Dist > paths[i].Dist {
 			t.Errorf("hop-metric paths not sorted")
@@ -288,7 +290,7 @@ func TestKShortestDistinctLengths(t *testing.T) {
 	b.AddEdge(3, 4, 2)
 	g := b.Build()
 	// limit=2 keeps both length-2 paths (ties) and the single length-4 path.
-	paths := KShortestDistinctLengths(g, 0, 4, 2, 10, nil)
+	paths := KShortestDistinctLengths(g.Snapshot(), 0, 4, 2, 10, nil)
 	if len(paths) != 3 {
 		t.Fatalf("got %d paths, want 3 (ties kept): %v", len(paths), paths)
 	}
@@ -296,11 +298,11 @@ func TestKShortestDistinctLengths(t *testing.T) {
 		t.Errorf("lengths = %g,%g,%g; want 2,2,4", paths[0].Dist, paths[1].Dist, paths[2].Dist)
 	}
 	// limit 1 keeps only the smallest length class (both tied paths).
-	one := KShortestDistinctLengths(g, 0, 4, 1, 10, nil)
+	one := KShortestDistinctLengths(g.Snapshot(), 0, 4, 1, 10, nil)
 	if len(one) != 2 || one[0].Dist != 2 || one[1].Dist != 2 {
 		t.Errorf("limit=1 result wrong: %v", one)
 	}
-	if got := KShortestDistinctLengths(g, 0, 4, 0, 10, nil); got != nil {
+	if got := KShortestDistinctLengths(g.Snapshot(), 0, 4, 0, 10, nil); got != nil {
 		t.Errorf("limit=0 should return nil")
 	}
 }
@@ -315,11 +317,11 @@ func TestPropertyYenOnRandomGraphs(t *testing.T) {
 		s := graph.VertexID(rng.Intn(n))
 		tt := graph.VertexID(rng.Intn(n))
 		k := 1 + rng.Intn(5)
-		paths := Yen(g, s, tt, k, nil)
+		paths := Yen(g.Snapshot(), s, tt, k, nil)
 		if s == tt {
 			return len(paths) == 1 && paths[0].Len() == 0
 		}
-		sp, ok := ShortestPath(g, s, tt, nil)
+		sp, ok := ShortestPath(g.Snapshot(), s, tt, nil)
 		if !ok {
 			return len(paths) == 0
 		}
@@ -327,7 +329,7 @@ func TestPropertyYenOnRandomGraphs(t *testing.T) {
 			return false
 		}
 		for i, p := range paths {
-			if !p.IsSimple() || p.Validate(g) != nil {
+			if !p.IsSimple() || p.Validate(g.Snapshot()) != nil {
 				return false
 			}
 			if p.Source() != s || p.Target() != tt {
@@ -356,8 +358,8 @@ func TestPropertyYenMatchesBruteForce(t *testing.T) {
 			return true
 		}
 		k := 1 + rng.Intn(4)
-		got := Yen(g, s, tt, k, nil)
-		want := testutil.BruteForceKSP(g, s, tt, k)
+		got := Yen(g.Snapshot(), s, tt, k, nil)
+		want := testutil.BruteForceKSP(g.Snapshot(), s, tt, k)
 		if len(got) != len(want) {
 			return false
 		}
@@ -381,10 +383,10 @@ func TestPropertyDijkstraRelaxed(t *testing.T) {
 		n := 10 + rng.Intn(30)
 		g := testutil.RandomConnected(rng, n, 2*n)
 		s := graph.VertexID(rng.Intn(n))
-		tree := Dijkstra(g, s, nil)
+		tree := Dijkstra(g.Snapshot(), s, nil)
 		for u := graph.VertexID(0); int(u) < n; u++ {
 			for _, a := range g.Neighbors(u) {
-				if tree.Dist[a.To] > tree.Dist[u]+g.Weight(a.Edge)+1e-9 {
+				if tree.Dist[a.To] > tree.Dist[u]+g.Snapshot().Weight(a.Edge)+1e-9 {
 					return false
 				}
 			}

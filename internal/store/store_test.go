@@ -325,7 +325,7 @@ func TestRecoverTopology(t *testing.T) {
 		t.Fatalf("topology recovery epoch = %d, want 3", epoch)
 	}
 	for e := 0; e < g.NumEdges(); e++ {
-		if math.Float64bits(g.Weight(graph.EdgeID(e))) != math.Float64bits(rg.Weight(graph.EdgeID(e))) {
+		if math.Float64bits(g.Snapshot().Weight(graph.EdgeID(e))) != math.Float64bits(rg.Snapshot().Weight(graph.EdgeID(e))) {
 			t.Fatalf("edge %d weight differs after topology recovery", e)
 		}
 	}
@@ -333,7 +333,7 @@ func TestRecoverTopology(t *testing.T) {
 	for i := 0; i < rp.NumSubgraphs(); i++ {
 		sg := rp.Subgraph(partition.SubgraphID(i))
 		for le, ge := range sg.GlobalEdges {
-			if math.Float64bits(sg.Local.Weight(graph.EdgeID(le))) != math.Float64bits(g.Weight(ge)) {
+			if math.Float64bits(sg.Local.Snapshot().Weight(graph.EdgeID(le))) != math.Float64bits(g.Snapshot().Weight(ge)) {
 				t.Fatalf("subgraph %d local edge %d weight differs", i, le)
 			}
 		}

@@ -180,6 +180,7 @@ func sortPaths(ps []graph.Path) {
 // the batch to g when it applies it (dtlp.Index.ApplyUpdates).
 func PerturbWeights(g *graph.Graph, rng *rand.Rand, alpha, tau, minWeight float64) []graph.WeightUpdate {
 	var batch []graph.WeightUpdate
+	cur := g.Snapshot()
 	for e := graph.EdgeID(0); int(e) < g.NumEdges(); e++ {
 		if rng.Float64() >= alpha {
 			continue
@@ -188,7 +189,7 @@ func PerturbWeights(g *graph.Graph, rng *rand.Rand, alpha, tau, minWeight float6
 			continue // tombstone of a deleted edge: no weight to perturb
 		}
 		factor := 1 + (rng.Float64()*2-1)*tau
-		w := g.Weight(e) * factor
+		w := cur.Weight(e) * factor
 		if w < minWeight {
 			w = minWeight
 		}

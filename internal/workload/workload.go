@@ -572,17 +572,18 @@ func InjectRoadEvents(g *graph.Graph, sc MixedScenario, cfg RoadEventsConfig) Mi
 	// Weight tracking mirrors GenerateMixed so incident spikes compose
 	// with the weight batches already in the scenario.
 	weights := make(map[graph.EdgeID]float64)
+	cur := g.Snapshot()
 	weightOf := func(e graph.EdgeID) float64 {
 		if w, ok := weights[e]; ok {
 			return w
 		}
-		return g.Weight(e)
+		return cur.Weight(e)
 	}
 	deleted := make(map[graph.EdgeID]bool)
 	for i, e := range closures {
 		pos := at(i)
 		ends := g.EdgeEndpoints(e)
-		w := g.Weight(e)
+		w := cur.Weight(e)
 		schedule[pos] = append(schedule[pos],
 			roadEvent{topo: &graph.TopologyUpdate{DeleteEdges: []graph.EdgeID{e}}, spikeAround: -1})
 		reopen := pos + (numQueries-pos)/2
@@ -673,11 +674,12 @@ func GenerateMixed(g *graph.Graph, numQueries, numBatches, k int, alpha, tau flo
 	tm.MirrorDirected = true
 	// Track evolving weights locally so batches compose without touching g.
 	weights := make(map[graph.EdgeID]float64)
+	cur := g.Snapshot()
 	weightOf := func(e graph.EdgeID) float64 {
 		if w, ok := weights[e]; ok {
 			return w
 		}
-		return g.Weight(e)
+		return cur.Weight(e)
 	}
 	makeBatch := func() []graph.WeightUpdate {
 		batch := tm.Derive(g.NumEdges(), g.Directed(), weightOf)

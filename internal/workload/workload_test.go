@@ -39,7 +39,7 @@ func TestLoadDIMACSUndirected(t *testing.T) {
 	if g.NumEdges() != 5 {
 		t.Errorf("edges = %d, want 5 (mirrored arcs merged)", g.NumEdges())
 	}
-	if d := shortest.ShortestDistance(g, 0, 3, nil); d != 10 {
+	if d := shortest.ShortestDistance(g.Snapshot(), 0, 3, nil); d != 10 {
 		t.Errorf("shortest 1->4 = %g, want 10 (direct edge)", d)
 	}
 }
@@ -114,7 +114,7 @@ func TestBuiltinDatasets(t *testing.T) {
 			t.Errorf("%s default z = %d", name, ds.DefaultZ)
 		}
 		// Connectivity: every vertex reachable from vertex 0.
-		tree := shortest.Dijkstra(g, 0, nil)
+		tree := shortest.Dijkstra(g.Snapshot(), 0, nil)
 		for v := 0; v < g.NumVertices(); v++ {
 			if !tree.Reachable(graph.VertexID(v)) {
 				t.Fatalf("%s: vertex %d unreachable; generator must produce connected graphs", name, v)
@@ -144,7 +144,7 @@ func TestBuiltinDatasetDeterministic(t *testing.T) {
 		t.Fatalf("generation not deterministic")
 	}
 	for e := graph.EdgeID(0); int(e) < a.Graph.NumEdges(); e++ {
-		if a.Graph.Weight(e) != b.Graph.Weight(e) {
+		if a.Graph.Snapshot().Weight(e) != b.Graph.Snapshot().Weight(e) {
 			t.Fatalf("weights differ at edge %d", e)
 		}
 	}
@@ -171,10 +171,10 @@ func TestTrafficModelStep(t *testing.T) {
 	g := ds.Graph
 	before := make([]float64, g.NumEdges())
 	for e := 0; e < g.NumEdges(); e++ {
-		before[e] = g.Weight(graph.EdgeID(e))
+		before[e] = g.Snapshot().Weight(graph.EdgeID(e))
 	}
 	tm := NewTrafficModel(0.35, 0.3, 7)
-	batch := tm.Derive(g.NumEdges(), g.Directed(), g.Weight)
+	batch := tm.Derive(g.NumEdges(), g.Directed(), g.Snapshot().Weight)
 	if len(batch) == 0 {
 		t.Fatal("expected some updates")
 	}
@@ -196,7 +196,7 @@ func TestTrafficModelStep(t *testing.T) {
 				t.Errorf("edge %d changed by more than tau: ratio %g", u.Edge, ratio)
 			}
 		}
-		if g.Weight(u.Edge) != before[u.Edge] {
+		if g.Snapshot().Weight(u.Edge) != before[u.Edge] {
 			t.Errorf("deriving a batch changed the graph")
 		}
 	}
@@ -210,11 +210,11 @@ func TestTrafficModelMirrorsDirectedPairs(t *testing.T) {
 	g := ds.Graph
 	tm := NewTrafficModel(0.5, 0.4, 5)
 	tm.MirrorDirected = true
-	if err := g.ApplyUpdates(tm.Derive(g.NumEdges(), g.Directed(), g.Weight)); err != nil {
+	if err := g.ApplyUpdates(tm.Derive(g.NumEdges(), g.Directed(), g.Snapshot().Weight)); err != nil {
 		t.Fatal(err)
 	}
 	for e := 0; e+1 < g.NumEdges(); e += 2 {
-		if math.Abs(g.Weight(graph.EdgeID(e))-g.Weight(graph.EdgeID(e+1))) > 1e-12 {
+		if math.Abs(g.Snapshot().Weight(graph.EdgeID(e))-g.Snapshot().Weight(graph.EdgeID(e+1))) > 1e-12 {
 			t.Fatalf("mirrored pair %d/%d weights differ", e, e+1)
 		}
 	}
@@ -223,7 +223,7 @@ func TestTrafficModelMirrorsDirectedPairs(t *testing.T) {
 func TestTrafficModelAlphaZero(t *testing.T) {
 	ds, _ := BuiltinDataset("NY", ScaleTiny)
 	tm := NewTrafficModel(0, 0.3, 1)
-	if batch := tm.Derive(ds.Graph.NumEdges(), ds.Graph.Directed(), ds.Graph.Weight); batch != nil {
+	if batch := tm.Derive(ds.Graph.NumEdges(), ds.Graph.Directed(), ds.Graph.Snapshot().Weight); batch != nil {
 		t.Errorf("alpha=0 should produce no updates, got %v", batch)
 	}
 }
@@ -264,7 +264,7 @@ func TestPropertyTrafficModelSound(t *testing.T) {
 		alpha := float64(alphaRaw%100) / 100
 		tau := float64(tauRaw%90) / 100
 		tm := NewTrafficModel(alpha, tau, seed)
-		batch := tm.Derive(g.NumEdges(), g.Directed(), g.Weight)
+		batch := tm.Derive(g.NumEdges(), g.Directed(), g.Snapshot().Weight)
 		seen := make(map[graph.EdgeID]bool)
 		for _, u := range batch {
 			if u.NewWeight <= 0 || seen[u.Edge] {
