@@ -81,7 +81,6 @@ func main() {
 	flag.IntVar(&cfg.Replicas, "replicas", 1, "workers hosting each subgraph, placed on workers (subgraph + rank) mod num-workers; >1 lets queries fail over to a subgraph's other hosts (must match between master and workers)")
 	flag.DurationVar(&cfg.HedgeAfter, "hedge-after", 0, "route a partial-KSP share again to its subgraphs' other hosts when its worker is silent this long (master mode, needs -replicas > 1; 0 disables)")
 	flag.DurationVar(&cfg.PingEvery, "ping-every", 500*time.Millisecond, "worker health-check probe interval (master mode with workers, any -replicas; 0 leaves detection to the data path)")
-	flag.IntVar(&cfg.BatchPairs, "batch-pairs", 0, "flush a coalesced partial-KSP batch at this many pairs (0 = default 64; master mode)")
 	flag.StringVar(&cfg.DataDir, "data-dir", "", "persistence directory for index snapshots and the update WAL")
 	flag.BoolVar(&cfg.SaveIndex, "save-index", false, "force a fresh snapshot in -data-dir after a warm start (cold starts with -data-dir always snapshot; master mode)")
 	flag.BoolVar(&cfg.LoadIndex, "load-index", false, "warm-start from the newest snapshot in -data-dir instead of deriving the dataset from flags")
@@ -206,8 +205,7 @@ func runScenario(m *deploy.Master, cfg scenario, replicas int) error {
 			"count", stats.BudgetTerminated, "max_bound_gap", fmt.Sprintf("%.3f", stats.MaxBoundGap))
 	}
 	if stats.RPCBatches > 0 {
-		lg.Info("rpc batching stats", "batches", stats.RPCBatches,
-			"pairs_coalesced", stats.PairsCoalesced, "dedup_hits", stats.DedupHits)
+		lg.Info("rpc batching stats", "batches", stats.RPCBatches, "dedup_hits", stats.DedupHits)
 	}
 	if replicas > 1 {
 		lg.Info("failover stats", "failovers", stats.Failovers,

@@ -100,7 +100,7 @@ type FailoverStats struct {
 
 // ReplicatedOptions configures a provider built by NewReplicatedProvider.
 type ReplicatedOptions struct {
-	// Batch tunes the per-worker cross-query coalescing (see rpcbatch).  The
+	// Batch configures the per-worker queues (see rpcbatch).  The
 	// epoch-pinned pair memo is disabled unless CacheCapacity is explicitly
 	// positive, because it is only sound when the workers resolve epoch pins
 	// (see NewBatchedRemoteProvider).
@@ -120,9 +120,9 @@ type ReplicatedOptions struct {
 // BatchedRemoteProvider is the refine-step provider of every deployment with
 // workers, in-process or over TCP.  Each pair is routed to one owner (see
 // Owners) of each of its common subgraphs in the pinned view's partition, and
-// each worker's share rides that worker's rpcbatch queue, where it coalesces
-// with other queries' pairs (same k and epoch) before travelling as one
-// PartialKSPRequest; the replies are merged per pair.  A health-checked
+// each worker's share rides that worker's rpcbatch queue, which ships it at
+// once as one PartialKSPRequest (sharing any identical pair another query
+// already has on the wire); the replies are merged per pair.  A health-checked
 // Membership tracks which workers are worth sending to.  A share whose
 // worker fails is routed again without that worker (failover), and with
 // hedging so is a share whose worker is slow; both draw on the other owners,
@@ -222,7 +222,7 @@ func (p *BatchedRemoteProvider) BatchStats() rpcbatch.Stats {
 	return st
 }
 
-// Close stops the health-check loop, flushes and stops the per-worker
+// Close stops the health-check loop, drains and stops the per-worker
 // batchers, and waits for any hedge-race losers still in flight.
 func (p *BatchedRemoteProvider) Close() {
 	p.member.Stop()
@@ -241,7 +241,7 @@ func (p *BatchedRemoteProvider) Close() {
 // PartialKSPAsyncCtx implements core.PartialProvider.  The request is pinned
 // to iv, which must not be nil (the engine always passes the view it reads):
 // its partition routes the pairs, and its epoch keys the batches they ride.
-// The context's trace span (if any) owns the coalesce-wait, batch, failover
+// The context's trace span (if any) owns the rpc_wait, rpc_batch, failover
 // and hedge spans the request produces downstream; cancellation is not
 // consumed here — the engine already stops between iterations, and shipped
 // pairs may serve other queries.

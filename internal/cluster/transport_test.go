@@ -382,8 +382,8 @@ func remoteOracleDeployment(t *testing.T, copts ClientOptions) (*dtlp.Index, []*
 }
 
 // TestBatchedRemoteProviderMatchesOracle answers concurrent queries through
-// the full batched pipeline (pool > 1, cross-query coalescing) and checks
-// every result against brute force.
+// the full batched pipeline (pool > 1, concurrent queries' batches on the
+// wire at once) and checks every result against brute force.
 func TestBatchedRemoteProviderMatchesOracle(t *testing.T) {
 	g := testutil.PaperGraph(t)
 	x, remotes, cleanup := remoteOracleDeployment(t, ClientOptions{PoolSize: 3})

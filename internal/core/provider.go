@@ -49,8 +49,8 @@ type PartialProvider interface {
 	// subgraph's current snapshot (see RefineSource).  pairs is only valid
 	// until the call returns — implementations that keep working afterwards
 	// copy it.  The context is a trace carrier only (see internal/trace):
-	// refine requests may coalesce with other queries' pairs, so per-query
-	// cancellation must not abort a shipped batch.
+	// a shipped pair may also serve other queries that asked for it, so
+	// per-query cancellation must not abort a shipped batch.
 	PartialKSPAsyncCtx(ctx context.Context, iv *dtlp.IndexView, pairs []PairRequest, k int) <-chan AsyncPartialReply
 }
 

@@ -44,7 +44,7 @@ type Config struct {
 	Connect                    string        // -connect
 	Concurrency, Pool          int           // -concurrency, -pool
 	MaxIterations, StallWindow int           // -max-iterations, -stall-window
-	Replicas, BatchPairs       int           // -replicas, -batch-pairs
+	Replicas                   int           // -replicas
 	HedgeAfter, PingEvery      time.Duration // -hedge-after, -ping-every
 	DataDir                    string        // -data-dir
 	SaveIndex, LoadIndex       bool          // -save-index, -load-index
@@ -121,18 +121,18 @@ func Start(cfg Config) (_ *Master, err error) {
 		return nil, err
 	}
 
-	// A flushed batch observes its latency once per pair it carried, a trace
+	// A shipped batch observes its latency once per pair it carried, a trace
 	// span its duration under its stage (a family registered even untraced).
 	reg := metrics.NewRegistry()
 	pairLat := reg.Histogram("kspd_rpc_pair_seconds",
 		"Partial-KSP round-trip latency per pair (each shipped pair observes its batch's latency).", nil)
-	batch := rpcbatch.Options{MaxPairs: cfg.BatchPairs, Observe: func(pairs int, d time.Duration) {
+	batch := rpcbatch.Options{Observe: func(pairs int, d time.Duration) {
 		for i := 0; i < pairs; i++ {
 			pairLat.Observe(d.Seconds())
 		}
 	}}
 	stageLat := reg.HistogramVec("kspd_stage_seconds",
-		"Durations of traced pipeline stages (request, admission, queue, execute, filter, refine, rpc_wait, rpc_batch, rpc, worker_exec, rebuild, wal, broadcast, ...).",
+		"Durations of traced pipeline stages (request, admission, queue, execute, filter, refine, rpc_wait: a refine share from submit to reply, rpc_batch: the batch it shipped as, rpc, worker_exec, rebuild, wal, broadcast, ...).",
 		nil, "stage")
 	var tracer *trace.Tracer
 	if cfg.TraceCapacity > 0 {

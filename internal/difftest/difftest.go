@@ -235,8 +235,8 @@ type ConcurrentParams struct {
 	Seed               int64
 	// Provider mirrors Params.Provider: it selects the refine transport the
 	// serve layer fans out on (nil = local).  With a batching transport this
-	// makes the audit cover cross-query coalescing: concurrent queries
-	// pinned to different epochs share the per-worker queues, and every
+	// makes the audit cover the shared per-worker queues: concurrent queries
+	// pinned to different epochs ship through the same queues, and every
 	// result must still match Yen on the exact epoch it reports.
 	Provider func(tb testing.TB, x *dtlp.Index) (core.PartialProvider, func())
 }

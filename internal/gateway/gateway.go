@@ -896,10 +896,8 @@ func (g *Gateway) registerMetrics() {
 		stats(func(s serve.Stats) int64 { return s.SubgraphsRebuilt }))
 	r.CounterFunc("kspd_snapshots_total", "Periodic index snapshots written.",
 		stats(func(s serve.Stats) int64 { return s.Snapshots }))
-	r.CounterFunc("kspd_rpc_batches_total", "Coalesced partial-KSP batches shipped to workers.",
+	r.CounterFunc("kspd_rpc_batches_total", "Partial-KSP batches shipped to workers.",
 		stats(func(s serve.Stats) int64 { return s.RPCBatches }))
-	r.CounterFunc("kspd_rpc_pairs_coalesced_total", "Pair requests that shared a batch with another query.",
-		stats(func(s serve.Stats) int64 { return s.PairsCoalesced }))
 	r.CounterFunc("kspd_rpc_dedup_hits_total", "Pair requests answered by an identical pending pair.",
 		stats(func(s serve.Stats) int64 { return s.DedupHits }))
 	r.CounterFunc("kspd_rpc_pair_memo_hits_total", "Pair requests answered from the epoch-pinned pair memo.",

@@ -637,7 +637,6 @@ func TestHealthzAndMetrics(t *testing.T) {
 		"gateway_request_seconds_bucket",
 		"kspd_queries_served_total 1",
 		"kspd_rpc_batches_total",
-		"kspd_rpc_pairs_coalesced_total",
 		"kspd_failovers_total",
 		"kspd_hedged_batches_total",
 		"kspd_nonconverged_queries_total",

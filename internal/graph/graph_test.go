@@ -3,6 +3,7 @@ package graph
 import (
 	"math/rand"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
 )
@@ -202,13 +203,26 @@ func TestSnapshotIsolation(t *testing.T) {
 // holds a single value: a torn publication would mix two batches.
 func TestConcurrentUpdatesAndSnapshots(t *testing.T) {
 	g := buildPaperGraph(t)
-	const workers = 8
+	// Readers may load the snapshot before any writer's: make it hold a
+	// single value too, as the paper graph's own weights differ by edge.
+	uniform := make([]WeightUpdate, g.NumEdges())
+	for e := range uniform {
+		uniform[e] = WeightUpdate{Edge: EdgeID(e), NewWeight: 1}
+	}
+	if err := g.ApplyUpdates(uniform); err != nil {
+		t.Fatal(err)
+	}
+	const workers, batches = 8, 2000
 	var wg sync.WaitGroup
-	stop := make(chan struct{})
+	var published atomic.Int64
+	stop, enough := make(chan struct{}), make(chan struct{})
+	var once sync.Once
+	race := func() { once.Do(func() { close(enough) }) }
 	for i := 0; i < workers; i++ {
 		wg.Add(1)
 		go func(seed int64) {
 			defer wg.Done()
+			defer race() // a goroutine that gives up must not leave the test waiting
 			rng := rand.New(rand.NewSource(seed))
 			batch := make([]WeightUpdate, g.NumEdges())
 			for {
@@ -226,6 +240,9 @@ func TestConcurrentUpdatesAndSnapshots(t *testing.T) {
 						t.Error(err)
 						return
 					}
+					if published.Add(1) == batches {
+						race()
+					}
 					continue
 				}
 				s := g.Snapshot()
@@ -238,10 +255,8 @@ func TestConcurrentUpdatesAndSnapshots(t *testing.T) {
 			}
 		}(int64(i))
 	}
-	// Let the goroutines race for a short while.
-	for i := 0; i < 1000; i++ {
-		g.Snapshot()
-	}
+	// Race until the writers have published enough batches.
+	<-enough
 	close(stop)
 	wg.Wait()
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"math/rand"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -17,7 +18,7 @@ import (
 // fakeSender answers every pair with one path whose distance encodes the
 // epoch, so tests can tell which epoch served a pair.  When gated, each batch
 // announces itself on arrived and stays "on the wire" until the test releases
-// it, which makes every flush decision observable without a sleep.
+// it, which makes every shipped batch observable without a sleep.
 type fakeSender struct {
 	arrived  chan *wireBatch // nil: batches return at once
 	drain    chan struct{}   // closed when the test ends: held batches return
@@ -41,14 +42,12 @@ func do(b *Batcher, pairs []core.PairRequest, k int, epoch uint64, hasEpoch bool
 	return res.Paths, res.Err
 }
 
-// newGated returns a batcher over a gated sender, with the age cap out of
-// reach so that only the trigger under test can ship a batch.  When the test
-// ends — passed or failed — the gate opens and the batcher is closed, so a
-// failed assertion never leaves a batch on the wire for Close to wait on.
+// newGated returns a batcher over a gated sender.  When the test ends —
+// passed or failed — the gate opens and the batcher is closed, so a failed
+// assertion never leaves a batch on the wire for Close to wait on.
 func newGated(t *testing.T, opts Options) (*fakeSender, *Batcher) {
 	fs := &fakeSender{arrived: make(chan *wireBatch, 64), drain: make(chan struct{})}
 	b := New(fs.send, opts)
-	b.ageCap = time.Hour
 	t.Cleanup(b.Close)
 	t.Cleanup(func() { close(fs.drain) }) // runs first: cleanups are LIFO
 	return fs, b
@@ -105,125 +104,43 @@ func pairsN(n int) []core.PairRequest {
 	return out
 }
 
-// An idle link ships at once, however many callers are mid-query: a closed
-// loop of two clients must not pay an age timer on rounds that find the link
-// free.  The flush decision is made inside DoAsyncCtx, so Stats shows it as soon
-// as the call returns.
-func TestIdleLinkShipsAtOnce(t *testing.T) {
-	fs, b := newGated(t, Options{MaxPairs: 1 << 20, CacheCapacity: -1})
-	// Caller A's round has come back (it is now busy with its filter step);
-	// caller B arrives to a free link, A returns to find B's batch out.
-	a := doAsync(b, pairsN(1), 2, 1, true)
-	fs.next(t).release <- nil
-	if r := await(t, a); r.Err != nil || len(r.Paths) != 1 {
-		t.Fatalf("caller A: %+v", r)
-	}
-	bb := doAsync(b, pairsN(3)[1:], 2, 1, true)
-	if got := b.Stats().Batches; got != 2 {
-		t.Fatalf("second caller found an idle link but %d batches shipped, want 2", got)
-	}
-	held := fs.next(t)
-	a = doAsync(b, pairsN(4)[3:], 2, 1, true)
-	if got := b.Stats().Batches; got != 2 {
-		t.Fatalf("%d batches shipped while B's was out, want 2", got)
-	}
-	held.release <- nil
-	if r := await(t, bb); r.Err != nil || len(r.Paths) != 2 {
-		t.Fatalf("caller B: %+v", r)
-	}
-	fs.next(t).release <- nil
-	if r := await(t, a); r.Err != nil || len(r.Paths) != 1 {
-		t.Fatalf("caller A, second round: %+v", r)
-	}
-}
-
-// Pairs submitted while a batch is in flight wait for it and leave together,
-// as one batch, the moment it returns.
-func TestInFlightReturnShipsOneBatch(t *testing.T) {
-	fs, b := newGated(t, Options{MaxPairs: 1 << 20, CacheCapacity: -1})
-	first := doAsync(b, []core.PairRequest{{A: 100, B: 101}}, 2, 1, true)
+// Every submission ships before DoAsyncCtx returns, whatever is already on
+// the wire: batch 1 stays held at the gate for the whole test, and each later
+// caller's pairs still reach the sender — and come back — on their own batch.
+func TestEverySubmissionShipsAtOnce(t *testing.T) {
+	fs, b := newGated(t, Options{CacheCapacity: -1})
+	first := doAsync(b, pairsN(1), 2, 1, true)
 	held := fs.next(t)
 
-	const callers = 5
-	var waiting []<-chan Result
-	for c := 0; c < callers; c++ {
-		// Caller c asks for pair c and pair c+1: neighbours overlap.
-		waiting = append(waiting, doAsync(b, pairsN(c + 2)[c:], 2, 1, true))
-	}
-	if got := b.Stats().Batches; got != 1 {
-		t.Fatalf("%d batches shipped while the link was busy, want 1", got)
-	}
-	held.release <- nil
-	second := fs.next(t)
-	if len(second.pairs) != callers+1 {
-		t.Fatalf("batch after the return carries %d pairs, want the %d distinct ones", len(second.pairs), callers+1)
-	}
-	second.release <- nil
-	if r := await(t, first); r.Err != nil {
-		t.Fatal(r.Err)
-	}
-	for c, ch := range waiting {
+	const callers = 3
+	for c := 1; c <= callers; c++ {
+		// Caller c asks for pairs 2c and 2c+1, which nobody else asks for.
+		pairs := pairsN(2*c + 2)[2*c:]
+		ch := doAsync(b, pairs, 2, 1, true)
+		if got := b.Stats().Batches; got != int64(c+1) {
+			t.Fatalf("caller %d returned with %d batches shipped, want %d: its pairs wait behind batch 1", c+1, got, c+1)
+		}
+		wb := fs.next(t)
+		if !slices.Equal(wb.pairs, pairs) {
+			t.Fatalf("caller %d's batch carries %v, want %v", c+1, wb.pairs, pairs)
+		}
+		wb.release <- nil
 		if r := await(t, ch); r.Err != nil || len(r.Paths) != 2 {
-			t.Fatalf("caller %d: %+v", c, r)
+			t.Fatalf("caller %d: %+v", c+1, r)
 		}
 	}
-	st := b.Stats()
-	if st.Batches != 2 || st.PairsSent != callers+2 || st.DedupHits != callers-1 || st.Coalesced != callers+1 {
-		t.Errorf("stats %+v", st)
-	}
-}
-
-func TestFlushBySize(t *testing.T) {
-	fs, b := newGated(t, Options{MaxPairs: 4, CacheCapacity: -1})
-	first := doAsync(b, []core.PairRequest{{A: 100, B: 101}}, 2, 1, true)
-	held := fs.next(t)
-	// The link is busy, yet a full bucket does not wait for it.
-	full := doAsync(b, pairsN(4), 2, 1, true)
-	if got := b.Stats().Batches; got != 2 {
-		t.Fatalf("a full bucket must ship by size: %d batches, want 2", got)
-	}
-	if wb := fs.next(t); len(wb.pairs) != 4 {
-		t.Fatalf("size-triggered batch carries %d pairs, want 4", len(wb.pairs))
-	} else {
-		wb.release <- nil
-	}
-	if r := await(t, full); r.Err != nil || len(r.Paths) != 4 {
-		t.Fatalf("full caller: %+v", r)
-	}
 	held.release <- nil
-	if r := await(t, first); r.Err != nil {
-		t.Fatal(r.Err)
+	if r := await(t, first); r.Err != nil || len(r.Paths) != 1 {
+		t.Fatalf("caller 1: %+v", r)
 	}
 	st := b.Stats()
-	if st.Batches != 2 || st.PairsSent != 5 || st.Enqueued != 5 {
+	if st.Batches != callers+1 || st.PairsSent != 2*callers+1 || st.DedupHits != 0 {
 		t.Errorf("stats %+v", st)
-	}
-}
-
-// The age cap is the backstop for a bucket stuck behind a slow batch.
-func TestAgeCapReleasesStuckBucket(t *testing.T) {
-	fs, b := newGated(t, Options{MaxPairs: 1 << 20, CacheCapacity: -1})
-	b.ageCap = maxAge
-	slow := doAsync(b, pairsN(1), 3, 7, true)
-	held := fs.next(t)
-	stuck := doAsync(b, pairsN(2)[1:], 3, 7, true)
-	// The slow batch is never released before this arrives: only the age
-	// timer can have shipped it.
-	fs.next(t).release <- nil
-	if r := await(t, stuck); r.Err != nil || len(r.Paths) != 1 {
-		t.Fatalf("stuck caller: %+v", r)
-	}
-	held.release <- nil
-	if r := await(t, slow); r.Err != nil {
-		t.Fatal(r.Err)
-	}
-	if b.Stats().Batches != 2 {
-		t.Errorf("stats %+v", b.Stats())
 	}
 }
 
 func TestDedupAcrossCallers(t *testing.T) {
-	fs, b := newGated(t, Options{MaxPairs: 8, CacheCapacity: -1})
+	fs, b := newGated(t, Options{CacheCapacity: -1})
 	pr := core.PairRequest{A: 1, B: 2}
 	ch1 := doAsync(b, []core.PairRequest{pr}, 2, 3, true)
 	held := fs.next(t)
@@ -243,12 +160,12 @@ func TestDedupAcrossCallers(t *testing.T) {
 }
 
 func TestEpochsNeverShareABatch(t *testing.T) {
-	fs, b := newGated(t, Options{MaxPairs: 64, CacheCapacity: -1})
+	fs, b := newGated(t, Options{CacheCapacity: -1})
 	pr := core.PairRequest{A: 4, B: 5}
 	ch1 := doAsync(b, []core.PairRequest{pr}, 2, 1, true)
 	held := fs.next(t)
-	// Both form while epoch 1's batch is out, and both leave when it returns
-	// — in two batches, because their keys differ.
+	// Both ship while epoch 1's batch is out, in two batches of their own,
+	// because their keys differ.
 	ch2 := doAsync(b, []core.PairRequest{pr}, 2, 2, true)
 	ch3 := doAsync(b, []core.PairRequest{pr}, 2, 0, false) // live weights
 	held.release <- nil
@@ -274,7 +191,7 @@ func TestEpochsNeverShareABatch(t *testing.T) {
 
 func TestEpochPinnedCache(t *testing.T) {
 	fs := &fakeSender{}
-	b := New(fs.send, Options{MaxPairs: 8})
+	b := New(fs.send, Options{})
 	defer b.Close()
 	pr := core.PairRequest{A: 8, B: 9}
 	if _, err := do(b, []core.PairRequest{pr}, 2, 5, true); err != nil {
@@ -309,7 +226,7 @@ func TestEpochPinnedCache(t *testing.T) {
 }
 
 func TestSenderErrorPropagates(t *testing.T) {
-	fs, b := newGated(t, Options{MaxPairs: 2})
+	fs, b := newGated(t, Options{})
 	ch1 := doAsync(b, pairsN(1), 2, 1, true)
 	held := fs.next(t)
 	ch2 := doAsync(b, pairsN(1), 2, 1, true) // dedups onto the in-flight pair
@@ -359,7 +276,7 @@ func TestUnpinnedAnswersAreNotMemoized(t *testing.T) {
 	// process) reports pinned=false: its answers must never enter the memo,
 	// even with the cache enabled.
 	fs := &fakeSender{unpinned: true}
-	b := New(fs.send, Options{MaxPairs: 8})
+	b := New(fs.send, Options{})
 	defer b.Close()
 	pr := core.PairRequest{A: 30, B: 31}
 	for i := 0; i < 2; i++ {
@@ -373,23 +290,21 @@ func TestUnpinnedAnswersAreNotMemoized(t *testing.T) {
 	}
 }
 
-// Close with one batch on the wire and a bucket still forming behind it must
-// ship the bucket, deliver every waiter, and only then return.
+// Close with two batches on the wire must deliver every waiter, and only then
+// return.
 func TestCloseDeliversEveryWaiter(t *testing.T) {
-	fs, b := newGated(t, Options{MaxPairs: 1 << 20, CacheCapacity: -1})
+	fs, b := newGated(t, Options{CacheCapacity: -1})
 	first := doAsync(b, pairsN(1), 2, 1, true)
 	held := fs.next(t)
-	forming := doAsync(b, pairsN(4)[1:], 2, 1, true)
+	later := doAsync(b, pairsN(4)[1:], 2, 1, true)
 	closed := make(chan struct{})
 	go func() {
 		b.Close()
 		close(closed)
 	}()
-	// Close puts the forming bucket on the wire while the first batch is
-	// still held.
 	second := fs.next(t)
 	if len(second.pairs) != 3 {
-		t.Fatalf("forming bucket shipped %d pairs, want 3", len(second.pairs))
+		t.Fatalf("second batch shipped %d pairs, want 3", len(second.pairs))
 	}
 	select {
 	case <-closed:
@@ -401,8 +316,8 @@ func TestCloseDeliversEveryWaiter(t *testing.T) {
 	if r := await(t, first); r.Err != nil || len(r.Paths) != 1 {
 		t.Fatalf("in-flight waiter: %+v", r)
 	}
-	if r := await(t, forming); r.Err != nil || len(r.Paths) != 3 {
-		t.Fatalf("forming waiter: %+v", r)
+	if r := await(t, later); r.Err != nil || len(r.Paths) != 3 {
+		t.Fatalf("later waiter: %+v", r)
 	}
 	select {
 	case <-closed:
@@ -427,7 +342,7 @@ func TestEmptyRequest(t *testing.T) {
 		t.Fatalf("empty request: %v %v", paths, err)
 	}
 	if b.Stats().Batches != 0 {
-		t.Errorf("empty request must not flush anything")
+		t.Errorf("empty request must not ship anything")
 	}
 }
 
@@ -436,7 +351,7 @@ func TestEmptyRequest(t *testing.T) {
 // either shipped, deduped onto a pending pair, or answered from the memo.
 func TestConcurrentAccounting(t *testing.T) {
 	fs := &fakeSender{}
-	b := New(fs.send, Options{MaxPairs: 16})
+	b := New(fs.send, Options{})
 	defer b.Close()
 	var wg sync.WaitGroup
 	var failures atomic.Int64

@@ -15,7 +15,7 @@ import (
 )
 
 // TestStatsExposeBatchCounters serves concurrent queries over a batching
-// cluster provider and checks the provider's coalescing counters surface in
+// cluster provider and checks the provider's batching counters surface in
 // serve.Stats.
 func TestStatsExposeBatchCounters(t *testing.T) {
 	g := testutil.PaperGraph(t)

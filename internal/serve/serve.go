@@ -169,13 +169,12 @@ type Stats struct {
 	// (rpcbatch.Stats.Panics).  The stack of each is in the process log.
 	Panics int64
 	Epoch  uint64
-	// RPCBatches, PairsCoalesced and DedupHits mirror the provider's
-	// cross-query batching counters (see rpcbatch.Stats) when the refine step
-	// runs on a batching transport; they stay zero for local providers.
-	RPCBatches     int64
-	PairsCoalesced int64
-	DedupHits      int64
-	PairCacheHits  int64
+	// RPCBatches and DedupHits mirror the provider's batching counters (see
+	// rpcbatch.Stats) when the refine step runs on a batching transport; they
+	// stay zero for local providers.
+	RPCBatches    int64
+	DedupHits     int64
+	PairCacheHits int64
 	// Failovers, HedgedBatches, HedgeWins and HedgeDrops mirror the
 	// provider's re-routing counters (see cluster.FailoverStats) when the
 	// refine step runs on workers; they stay zero otherwise.
@@ -186,7 +185,7 @@ type Stats struct {
 }
 
 // batchStatsProvider is implemented by batching refine-step providers (the
-// cluster transports) that can report their coalescing counters.
+// cluster transports) that can report their batching counters.
 type batchStatsProvider interface {
 	BatchStats() rpcbatch.Stats
 }
@@ -809,7 +808,7 @@ func (s *Server) logInStepLocked() error {
 }
 
 // Stats returns the server's scheduling counters, including the refine
-// transport's cross-query batching counters when the provider exposes them.
+// transport's batching counters when the provider exposes them.
 func (s *Server) Stats() Stats {
 	st := Stats{
 		QueriesServed:  s.queries.Load(),
@@ -832,7 +831,6 @@ func (s *Server) Stats() Stats {
 	if bp, ok := s.provider.(batchStatsProvider); ok {
 		bst := bp.BatchStats()
 		st.RPCBatches = bst.Batches
-		st.PairsCoalesced = bst.Coalesced
 		st.DedupHits = bst.DedupHits
 		st.PairCacheHits = bst.CacheHits
 		st.Panics += bst.Panics
