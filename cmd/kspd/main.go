@@ -205,7 +205,7 @@ func runScenario(m *deploy.Master, cfg scenario, replicas int) error {
 			"count", stats.BudgetTerminated, "max_bound_gap", fmt.Sprintf("%.3f", stats.MaxBoundGap))
 	}
 	if stats.RPCBatches > 0 {
-		lg.Info("rpc batching stats", "batches", stats.RPCBatches, "dedup_hits", stats.DedupHits)
+		lg.Info("rpc batching stats", "batches", stats.RPCBatches)
 	}
 	if replicas > 1 {
 		lg.Info("failover stats", "failovers", stats.Failovers,

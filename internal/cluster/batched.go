@@ -2,8 +2,11 @@ package cluster
 
 import (
 	"context"
+	"errors"
 	"fmt"
+	"log"
 	"maps"
+	"runtime/debug"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -42,47 +45,8 @@ func OwnedBy(w, numSubgraphs, numWorkers, factor int) []partition.SubgraphID {
 	return owned
 }
 
-// tracedSender adapts one worker's partial-KSP call to the rpcbatch transport:
-// each batch is stamped with the context's trace identity, runs under an
-// "rpc" span naming worker w, and has the worker's execution spans grafted
-// back under it.  A reply that does not answer exactly the pairs asked about
-// fails the batch.  The returned paths alias the response's decoded arrays
-// (see DecodePaths) and must be treated as immutable.
-func tracedSender(w int, call func(PartialKSPRequest) (PartialKSPResponse, error)) rpcbatch.Sender {
-	return func(ctx context.Context, pairs []core.PairRequest, k int, epoch uint64, hasEpoch bool) (map[core.PairRequest][]graph.Path, bool, error) {
-		req := PartialKSPRequest{Pairs: pairs, K: k, Epoch: epoch, HasEpoch: hasEpoch}
-		s, _ := trace.StartSpan(ctx, "rpc")
-		s.SetAttrInt("worker", int64(w))
-		req.TraceID = s.Trace().ID()
-		resp, err := call(req)
-		if err != nil {
-			s.SetAttr("error", err.Error())
-			s.Finish()
-			return nil, false, err
-		}
-		s.Graft(resp.Spans)
-		// A reply must answer every pair asked about: a missing pair would
-		// read as "no partial paths", which the engine keeps as an answer.
-		if n := resp.NumPairs(); n != len(pairs) {
-			err := fmt.Errorf("cluster: worker %d answered %d pairs of %d", w, n, len(pairs))
-			s.SetAttr("error", err.Error())
-			s.Finish()
-			return nil, false, err
-		}
-		s.Finish()
-		decoded := resp.DecodePaths()
-		out := make(map[core.PairRequest][]graph.Path, len(pairs))
-		for i, pr := range pairs {
-			out[pr] = decoded[i]
-		}
-		return out, resp.ServedEpoch, nil
-	}
-}
-
 // FailoverStats counts the re-routing traffic of a provider.  A share is the
-// pairs one refine call routed to one worker; a batch that fails on the wire
-// fails every share riding it, so one dead batch counts once per query it
-// carried.
+// pairs one refine call routed to one worker, shipped as one worker call.
 type FailoverStats struct {
 	// Failovers is the number of shares routed again without their worker
 	// after its reply failed.
@@ -100,10 +64,7 @@ type FailoverStats struct {
 
 // ReplicatedOptions configures a provider built by NewReplicatedProvider.
 type ReplicatedOptions struct {
-	// Batch configures the per-worker queues (see rpcbatch).  The
-	// epoch-pinned pair memo is disabled unless CacheCapacity is explicitly
-	// positive, because it is only sound when the workers resolve epoch pins
-	// (see NewBatchedRemoteProvider).
+	// Batch carries the per-share Observe hook (see rpcbatch.Options).
 	Batch rpcbatch.Options
 	// HedgeAfter, when positive and the factor is above 1, routes a share
 	// again without its worker once that worker has been silent this long;
@@ -120,9 +81,8 @@ type ReplicatedOptions struct {
 // BatchedRemoteProvider is the refine-step provider of every deployment with
 // workers, in-process or over TCP.  Each pair is routed to one owner (see
 // Owners) of each of its common subgraphs in the pinned view's partition, and
-// each worker's share rides that worker's rpcbatch queue, which ships it at
-// once as one PartialKSPRequest (sharing any identical pair another query
-// already has on the wire); the replies are merged per pair.  A health-checked
+// each worker's share ships at once, on a goroutine of its own, as one
+// PartialKSPRequest; the replies are merged per pair.  A health-checked
 // Membership tracks which workers are worth sending to.  A share whose
 // worker fails is routed again without that worker (failover), and with
 // hedging so is a share whose worker is slow; both draw on the other owners,
@@ -130,11 +90,19 @@ type ReplicatedOptions struct {
 // subgraph keeps one reachable owner.  At factor 1 a subgraph has one owner,
 // the route reads no membership state, and a failed share fails its query.
 type BatchedRemoteProvider struct {
-	batchers   []*rpcbatch.Batcher
+	calls      []func(PartialKSPRequest) (PartialKSPResponse, error)
+	observe    func(pairs int, d time.Duration)
 	factor     int
 	hedgeAfter time.Duration
 	member     *Membership
 
+	mu       sync.Mutex // orders Close against shares starting
+	closed   bool
+	shipping sync.WaitGroup // shares in flight
+
+	shipped   atomic.Int64
+	pairsSent atomic.Int64
+	panics    atomic.Int64
 	failovers atomic.Int64
 	hedged    atomic.Int64
 	hedgeWins atomic.Int64
@@ -142,18 +110,12 @@ type BatchedRemoteProvider struct {
 	drains    sync.WaitGroup
 }
 
+// errClosed fails the shares submitted after Close.
+var errClosed = errors.New("cluster: provider closed")
+
 // NewBatchedRemoteProvider builds the factor-1 provider over the given
 // worker connections: worker w hosts the subgraphs Owners assigns it at
 // factor 1, as `kspd -mode worker -replicas 1` does.
-//
-// The epoch-pinned pair memo is disabled unless opts.CacheCapacity is set to
-// an explicit positive value: memoizing an answer under an epoch is only
-// sound when the workers actually resolve epoch pins (Worker.SetViewResolver
-// against the master's index).  Standalone worker processes maintain their
-// own latest weights and serve those for any pin, so a memo would freeze a
-// transiently stale answer for the epoch's whole lifetime instead of the
-// transient window the eventually consistent transport already has.  Opt in
-// only for deployments whose workers share the master's retained views.
 func NewBatchedRemoteProvider(workers []*RemoteWorker, opts rpcbatch.Options) *BatchedRemoteProvider {
 	return NewReplicatedProvider(workers, 1, ReplicatedOptions{Batch: opts})
 }
@@ -162,9 +124,6 @@ func NewBatchedRemoteProvider(workers []*RemoteWorker, opts rpcbatch.Options) *B
 // given replication factor.  Worker w must have been started with the
 // subgraphs Owners assigns it (OwnedBy) for the same worker count and factor.
 func NewReplicatedProvider(workers []*RemoteWorker, factor int, opts ReplicatedOptions) *BatchedRemoteProvider {
-	if opts.Batch.CacheCapacity == 0 {
-		opts.Batch.CacheCapacity = -1
-	}
 	calls := make([]func(PartialKSPRequest) (PartialKSPResponse, error), len(workers))
 	for i, rw := range workers {
 		calls[i] = rw.PartialKSP
@@ -176,27 +135,15 @@ func NewReplicatedProvider(workers []*RemoteWorker, factor int, opts ReplicatedO
 	return newProvider(calls, factor, opts, ping)
 }
 
-// newProvider is the transport-agnostic core: one batcher per worker call,
-// each call feeding the failure detector.
+// newProvider is the transport-agnostic core over one call per worker.
 func newProvider(calls []func(PartialKSPRequest) (PartialKSPResponse, error), factor int, opts ReplicatedOptions, ping func(int) error) *BatchedRemoteProvider {
-	p := &BatchedRemoteProvider{
+	return &BatchedRemoteProvider{
+		calls:      calls,
+		observe:    opts.Batch.Observe,
 		factor:     min(max(factor, 1), len(calls)),
 		hedgeAfter: opts.HedgeAfter,
 		member:     NewMembership(len(calls), MembershipOptions{PingEvery: opts.PingEvery, Ping: ping}),
 	}
-	for w, call := range calls {
-		send := tracedSender(w, call)
-		p.batchers = append(p.batchers, rpcbatch.New(func(ctx context.Context, pairs []core.PairRequest, k int, epoch uint64, hasEpoch bool) (map[core.PairRequest][]graph.Path, bool, error) {
-			paths, pinned, err := send(ctx, pairs, k, epoch, hasEpoch)
-			if err != nil {
-				p.member.ReportFailure(w)
-			} else {
-				p.member.ReportSuccess(w)
-			}
-			return paths, pinned, err
-		}, opts.Batch))
-	}
-	return p
 }
 
 // Membership exposes the provider's failure detector (for /healthz, stats
@@ -213,86 +160,85 @@ func (p *BatchedRemoteProvider) FailoverStats() FailoverStats {
 	}
 }
 
-// BatchStats aggregates the traffic counters of the per-worker batchers.
+// BatchStats returns the traffic counters: Batches counts the shares
+// shipped, and Enqueued and PairsSent both count their pairs.
 func (p *BatchedRemoteProvider) BatchStats() rpcbatch.Stats {
-	var st rpcbatch.Stats
-	for _, b := range p.batchers {
-		st.Add(b.Stats())
-	}
-	return st
+	pairs := p.pairsSent.Load()
+	return rpcbatch.Stats{Batches: p.shipped.Load(), PairsSent: pairs, Enqueued: pairs, Panics: p.panics.Load()}
 }
 
-// Close stops the health-check loop, drains and stops the per-worker
-// batchers, and waits for any hedge-race losers still in flight.
+// Close stops the health-check loop, waits for the shares in flight and for
+// any hedge-race losers, and fails the shares submitted after it.
 func (p *BatchedRemoteProvider) Close() {
 	p.member.Stop()
-	var wg sync.WaitGroup
-	for _, b := range p.batchers {
-		wg.Add(1)
-		go func(b *rpcbatch.Batcher) {
-			defer wg.Done()
-			b.Close()
-		}(b)
-	}
-	wg.Wait()
+	p.mu.Lock()
+	p.closed = true
+	p.mu.Unlock()
+	p.shipping.Wait()
 	p.drains.Wait()
 }
 
 // PartialKSPAsyncCtx implements core.PartialProvider.  The request is pinned
 // to iv, which must not be nil (the engine always passes the view it reads):
-// its partition routes the pairs, and its epoch keys the batches they ride.
-// The context's trace span (if any) owns the rpc_wait, rpc_batch, failover
-// and hedge spans the request produces downstream; cancellation is not
-// consumed here — the engine already stops between iterations, and shipped
-// pairs may serve other queries.
+// its partition routes the pairs, and every share carries its epoch.  The
+// context's trace span (if any) owns the rpc_wait, failover and hedge spans
+// the request produces downstream; cancellation is not consumed here — the
+// engine already stops between iterations.
 func (p *BatchedRemoteProvider) PartialKSPAsyncCtx(ctx context.Context, iv *dtlp.IndexView, pairs []core.PairRequest, k int) <-chan core.AsyncPartialReply {
 	out := make(chan core.AsyncPartialReply, 1)
 	switch shares, err := p.send(ctx, iv, pairs, k, nil); {
 	case err != nil:
 		out <- core.AsyncPartialReply{Err: err}
 	case len(shares) == 0:
-		out <- core.AsyncPartialReply{Paths: p.collect(ctx, iv, pairs, k, nil, nil).Paths}
+		out <- core.AsyncPartialReply{Paths: p.collect(ctx, iv, pairs, k, nil, nil).paths}
 	default:
 		go func() {
 			res := p.collect(ctx, iv, pairs, k, shares, nil)
-			out <- core.AsyncPartialReply{Paths: res.Paths, Err: res.Err}
+			out <- core.AsyncPartialReply{Paths: res.paths, Err: res.err}
 		}()
 	}
 	return out
 }
 
+// result is the outcome of a share or of a refine call: the partial paths
+// per pair, or the first error that hit one of its shares.
+type result struct {
+	paths map[core.PairRequest][]graph.Path
+	err   error
+}
+
 // share is the pairs of one refine call routed to one worker, and the
-// channel its batcher answers on.
+// channel its answer arrives on.
 type share struct {
 	worker int
 	pairs  []core.PairRequest
-	reply  <-chan rpcbatch.Result
+	reply  <-chan result
 }
 
 // refine routes the pairs around the excluded workers and collects the
 // answers.
-func (p *BatchedRemoteProvider) refine(ctx context.Context, iv *dtlp.IndexView, pairs []core.PairRequest, k int, excluded map[int]bool) rpcbatch.Result {
+func (p *BatchedRemoteProvider) refine(ctx context.Context, iv *dtlp.IndexView, pairs []core.PairRequest, k int, excluded map[int]bool) result {
 	shares, err := p.send(ctx, iv, pairs, k, excluded)
 	if err != nil {
-		return rpcbatch.Result{Err: err}
+		return result{err: err}
 	}
 	return p.collect(ctx, iv, pairs, k, shares, excluded)
 }
 
 // collect waits for every share and merges the answers per pair; every pair
 // has an entry.
-func (p *BatchedRemoteProvider) collect(ctx context.Context, iv *dtlp.IndexView, pairs []core.PairRequest, k int, shares []share, excluded map[int]bool) rpcbatch.Result {
+func (p *BatchedRemoteProvider) collect(ctx context.Context, iv *dtlp.IndexView, pairs []core.PairRequest, k int, shares []share, excluded map[int]bool) result {
 	merged := make(map[core.PairRequest][]graph.Path, len(pairs))
 	for _, pr := range pairs {
 		merged[pr] = nil
 	}
 	for _, sh := range shares {
 		res := p.await(ctx, iv, sh, k, excluded)
-		if res.Err != nil {
+		if res.err != nil {
 			return res
 		}
 		for _, pr := range sh.pairs {
-			merged[pr] = append(merged[pr], res.Paths[pr]...)
+			merged[pr] = append(merged[pr], res.paths[pr]...)
 		}
 	}
 	for pr, paths := range merged {
@@ -300,25 +246,25 @@ func (p *BatchedRemoteProvider) collect(ctx context.Context, iv *dtlp.IndexView,
 			merged[pr] = core.MergePaths(paths, k)
 		}
 	}
-	return rpcbatch.Result{Paths: merged}
+	return result{paths: merged}
 }
 
 // send routes every pair to one owner of each of its common subgraphs in
-// iv's partition and queues each worker's share on its batcher.  An owner is
-// picked in rank order among the workers not excluded: the first Up one,
-// else the first Suspect one, else the first Down one — fresh traffic keeps
-// probing a Down worker, which is how a rebooted worker rejoins even without
-// pings.  A subgraph whose owners are all excluded fails the call.
+// iv's partition and ships each worker's share.  An owner is picked in rank
+// order among the workers not excluded: the first Up one, else the first
+// Suspect one, else the first Down one — fresh traffic keeps probing a Down
+// worker, which is how a rebooted worker rejoins even without pings.  A
+// subgraph whose owners are all excluded fails the call.
 func (p *BatchedRemoteProvider) send(ctx context.Context, iv *dtlp.IndexView, pairs []core.PairRequest, k int, excluded map[int]bool) ([]share, error) {
 	var states []WorkerState
 	if p.factor > 1 {
 		states = p.member.Snapshot()
 	}
 	part := iv.Partition()
-	perWorker := make([][]core.PairRequest, len(p.batchers))
+	perWorker := make([][]core.PairRequest, len(p.calls))
 	for _, pr := range pairs {
 		for _, sg := range part.CommonSubgraphs(pr.A, pr.B) {
-			w := pick(Owners(sg, len(p.batchers), p.factor), states, excluded)
+			w := pick(Owners(sg, len(p.calls), p.factor), states, excluded)
 			if w < 0 {
 				return nil, fmt.Errorf("cluster: all %d replicas of subgraph %d are unreachable", p.factor, sg)
 			}
@@ -332,10 +278,90 @@ func (p *BatchedRemoteProvider) send(ctx context.Context, iv *dtlp.IndexView, pa
 	var shares []share
 	for w, prs := range perWorker {
 		if len(prs) > 0 {
-			shares = append(shares, share{worker: w, pairs: prs, reply: p.batchers[w].DoAsyncCtx(ctx, prs, k, iv.Epoch(), true)})
+			shares = append(shares, share{worker: w, pairs: prs, reply: p.ship(ctx, w, prs, k, iv.Epoch())})
 		}
 	}
 	return shares, nil
+}
+
+// ship puts one share on the wire to worker w, on a goroutine of its own,
+// and returns the buffered channel its result arrives on.  The wait, from
+// here to delivery, is the context span's "rpc_wait" child.  The worker
+// call's outcome feeds the failure detector and Observe.
+func (p *BatchedRemoteProvider) ship(ctx context.Context, w int, pairs []core.PairRequest, k int, epoch uint64) <-chan result {
+	reply := make(chan result, 1)
+	p.mu.Lock()
+	if p.closed {
+		p.mu.Unlock()
+		reply <- result{err: errClosed}
+		return reply
+	}
+	p.shipping.Add(1)
+	p.mu.Unlock()
+	p.shipped.Add(1)
+	p.pairsSent.Add(int64(len(pairs)))
+	span, ctx := trace.StartSpan(ctx, "rpc_wait")
+	span.SetAttrInt("pairs", int64(len(pairs)))
+	go func() {
+		defer p.shipping.Done()
+		start := time.Now()
+		paths, err := p.call(ctx, w, pairs, k, epoch)
+		if p.observe != nil {
+			p.observe(len(pairs), time.Since(start))
+		}
+		if err != nil {
+			p.member.ReportFailure(w)
+			span.SetAttr("error", err.Error())
+		} else {
+			p.member.ReportSuccess(w)
+		}
+		span.Finish()
+		reply <- result{paths: paths, err: err}
+	}()
+	return reply
+}
+
+// call asks worker w for the pairs' partial KSPs pinned to epoch.  The
+// request is stamped with the context's trace identity, runs under an "rpc"
+// span naming w, and has the worker's execution spans grafted back under it.
+// A reply that does not answer exactly the pairs asked about fails the
+// share, and so does a panic in the call: its stack is logged once and
+// counted in BatchStats().Panics.  The returned paths alias the response's
+// decoded arrays (see DecodePaths) and must be treated as immutable.
+func (p *BatchedRemoteProvider) call(ctx context.Context, w int, pairs []core.PairRequest, k int, epoch uint64) (out map[core.PairRequest][]graph.Path, err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			p.panics.Add(1)
+			log.Printf("cluster: panic calling worker %d (%d pairs, k=%d): %v\n%s", w, len(pairs), k, r, debug.Stack())
+			out, err = nil, fmt.Errorf("cluster: worker %d call panicked: %v", w, r)
+		}
+	}()
+	req := PartialKSPRequest{Pairs: pairs, K: k, Epoch: epoch, HasEpoch: true}
+	s, _ := trace.StartSpan(ctx, "rpc")
+	s.SetAttrInt("worker", int64(w))
+	req.TraceID = s.Trace().ID()
+	resp, err := p.calls[w](req)
+	if err != nil {
+		s.SetAttr("error", err.Error())
+		s.Finish()
+		return nil, err
+	}
+	s.Graft(resp.Spans)
+	// A reply must answer every pair asked about: a missing pair would read
+	// as "no partial paths", which the engine keeps as an answer.
+	if n := resp.NumPairs(); n != len(pairs) {
+		err := fmt.Errorf("cluster: worker %d answered %d pairs of %d", w, n, len(pairs))
+		s.SetAttr("error", err.Error())
+		s.Finish()
+		return nil, err
+	}
+	s.Finish()
+	decoded := resp.DecodePaths()
+	out = make(map[core.PairRequest][]graph.Path, len(pairs))
+	for i, pr := range pairs {
+		out[pr] = decoded[i]
+	}
+	return out, nil
 }
 
 // pick returns the first owner, in rank order, not excluded and in the best
@@ -356,20 +382,20 @@ func pick(owners []int, states []WorkerState, excluded map[int]bool) int {
 // answer to the same pairs routed again without the worker (the failover
 // leg).  With hedging, a worker silent past the hedge delay races such a
 // re-route, and the first answer wins.
-func (p *BatchedRemoteProvider) await(ctx context.Context, iv *dtlp.IndexView, sh share, k int, excluded map[int]bool) rpcbatch.Result {
+func (p *BatchedRemoteProvider) await(ctx context.Context, iv *dtlp.IndexView, sh share, k int, excluded map[int]bool) result {
 	res := p.race(ctx, iv, sh, k, excluded)
-	if res.Err == nil {
+	if res.err == nil {
 		return res
 	}
 	p.failovers.Add(1)
 	fspan, fctx := trace.StartSpan(ctx, "failover")
 	fspan.SetAttrInt("failed_worker", int64(sh.worker))
-	fspan.SetAttr("cause", res.Err.Error())
+	fspan.SetAttr("cause", res.err.Error())
 	fspan.Trace().MarkFailedOver()
 	re := p.refine(fctx, iv, sh.pairs, k, without(excluded, sh.worker))
-	if re.Err != nil {
-		fspan.SetAttr("error", re.Err.Error())
-		re.Err = fmt.Errorf("%w (failing over from worker %d: %v)", re.Err, sh.worker, res.Err)
+	if re.err != nil {
+		fspan.SetAttr("error", re.err.Error())
+		re.err = fmt.Errorf("%w (failing over from worker %d: %v)", re.err, sh.worker, res.err)
 	}
 	fspan.Finish()
 	return re
@@ -378,7 +404,7 @@ func (p *BatchedRemoteProvider) await(ctx context.Context, iv *dtlp.IndexView, s
 // race waits for the share's worker, hedging when enabled.  The loser of a
 // decided race is drained in the background, so its late answer is counted
 // and no goroutine leaks.
-func (p *BatchedRemoteProvider) race(ctx context.Context, iv *dtlp.IndexView, sh share, k int, excluded map[int]bool) rpcbatch.Result {
+func (p *BatchedRemoteProvider) race(ctx context.Context, iv *dtlp.IndexView, sh share, k int, excluded map[int]bool) result {
 	if p.hedgeAfter <= 0 || p.factor < 2 {
 		return <-sh.reply
 	}
@@ -390,32 +416,32 @@ func (p *BatchedRemoteProvider) race(ctx context.Context, iv *dtlp.IndexView, sh
 	case <-timer.C:
 	}
 	p.hedged.Add(1)
-	hedge := make(chan rpcbatch.Result, 1)
+	hedge := make(chan result, 1)
 	go func() {
 		hspan, hctx := trace.StartSpan(ctx, "hedge")
 		hspan.SetAttrInt("primary", int64(sh.worker))
 		res := p.refine(hctx, iv, sh.pairs, k, without(excluded, sh.worker))
-		if res.Err != nil {
-			hspan.SetAttr("error", res.Err.Error())
+		if res.err != nil {
+			hspan.SetAttr("error", res.err.Error())
 		}
 		hspan.Finish()
 		hedge <- res
 	}()
 	select {
 	case res := <-sh.reply:
-		if res.Err == nil {
+		if res.err == nil {
 			p.drain(hedge)
 			return res
 		}
 		// The slow worker turned out to be a dead one; the hedge in flight
 		// doubles as the failover attempt.
-		if h := <-hedge; h.Err == nil {
+		if h := <-hedge; h.err == nil {
 			p.hedgeWins.Add(1)
 			return h
 		}
 		return res
 	case h := <-hedge:
-		if h.Err == nil {
+		if h.err == nil {
 			p.hedgeWins.Add(1)
 			p.drain(sh.reply)
 			return h
@@ -426,11 +452,11 @@ func (p *BatchedRemoteProvider) race(ctx context.Context, iv *dtlp.IndexView, sh
 
 // drain consumes the losing side of a decided hedge race, counting its
 // answer as dropped.
-func (p *BatchedRemoteProvider) drain(ch <-chan rpcbatch.Result) {
+func (p *BatchedRemoteProvider) drain(ch <-chan result) {
 	p.drains.Add(1)
 	go func() {
 		defer p.drains.Done()
-		if res := <-ch; res.Err == nil {
+		if res := <-ch; res.err == nil {
 			p.drops.Add(1)
 		}
 	}()

@@ -7,7 +7,6 @@ import (
 	"math"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -15,15 +14,12 @@ import (
 	"kspdg/internal/dtlp"
 	"kspdg/internal/graph"
 	"kspdg/internal/partition"
-	"kspdg/internal/rpcbatch"
 )
 
 // fakeCaller is an in-process stand-in for a RemoteWorker: a real Worker
-// behind an injectable transport (failures, latency, worker replacement),
+// behind an injectable transport (failures, latency),
 // so replica failover and hedging are driven deterministically.
 type fakeCaller struct {
-	calls atomic.Int64
-
 	mu     sync.Mutex
 	worker *Worker
 	fail   bool
@@ -31,7 +27,6 @@ type fakeCaller struct {
 }
 
 func (f *fakeCaller) PartialKSP(req PartialKSPRequest) (PartialKSPResponse, error) {
-	f.calls.Add(1)
 	f.mu.Lock()
 	worker, fail, delay := f.worker, f.fail, f.delay
 	f.mu.Unlock()
@@ -56,16 +51,9 @@ func (f *fakeCaller) setDelay(d time.Duration) {
 	f.mu.Unlock()
 }
 
-func (f *fakeCaller) setWorker(w *Worker) {
-	f.mu.Lock()
-	f.worker = w
-	f.mu.Unlock()
-}
-
 // fakeDeployment builds the provider at the given factor over fake callers
 // backed by real workers, placed by Owners, that resolve epoch pins against
-// the shared index.  The pair memo follows the remote convention: off unless
-// opts.Batch.CacheCapacity is positive.
+// the shared index.
 func fakeDeployment(t *testing.T, workers, factor int, opts ReplicatedOptions) (*dtlp.Index, []*fakeCaller, *BatchedRemoteProvider) {
 	t.Helper()
 	p := paperPartition(t)
@@ -80,9 +68,6 @@ func fakeDeployment(t *testing.T, workers, factor int, opts ReplicatedOptions) (
 		worker.SetViewResolver(x.ViewAt)
 		fakes[w] = &fakeCaller{worker: worker}
 		calls[w] = fakes[w].PartialKSP
-	}
-	if opts.Batch.CacheCapacity == 0 {
-		opts.Batch.CacheCapacity = -1
 	}
 	return x, fakes, newProvider(calls, factor, opts, nil)
 }
@@ -244,65 +229,6 @@ func TestReplicatedProviderHedgedRequestBothAnswer(t *testing.T) {
 	// Membership: slow is not dead — the late successes kept worker 0 up.
 	if got := rp.Membership().State(0); got != StateUp {
 		t.Errorf("slow worker 0 marked %v by hedging, want up", got)
-	}
-}
-
-func TestReplicatedProviderStaleEpochRejoinDoesNotPoisonMemo(t *testing.T) {
-	x, fakes, rp := fakeDeployment(t, 2, 2, ReplicatedOptions{
-		Batch: rpcbatch.Options{CacheCapacity: 64},
-	})
-	defer rp.Close()
-	part := x.Partition()
-	all := somePairs(t, part, 4)
-	p1, p2 := all[:1], all[2:3]
-	iv := x.CurrentView()
-
-	// Healthy phase: pinned answers come from resolving workers and are
-	// memoized — the second identical request never hits the wire.
-	first, err := refine(rp, iv, p1, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wireBefore := fakes[0].calls.Load() + fakes[1].calls.Load()
-	second, err := refine(rp, iv, p1, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	samePaths(t, second, first)
-	if wire := fakes[0].calls.Load() + fakes[1].calls.Load(); wire != wireBefore {
-		t.Fatalf("memoized pinned pair hit the wire again (%d -> %d calls)", wireBefore, wire)
-	}
-	if st := rp.BatchStats(); st.CacheHits == 0 {
-		t.Fatalf("expected a pair memo hit, stats %+v", st)
-	}
-
-	// Worker 1 dies and worker 0 rejoins as a fresh process that no longer
-	// retains the pinned epoch (no view resolver — the stale-epoch rejoin).
-	fakes[1].setFail(true)
-	fakes[0].setWorker(NewWorker(0, part, OwnedBy(0, part.NumSubgraphs(), 2, 2)))
-
-	hitsBefore := rp.BatchStats().CacheHits
-	r1, err := refine(rp, iv, p2, 2)
-	if err != nil {
-		t.Fatalf("pinned request against the rejoined worker: %v", err)
-	}
-	// The rejoined worker serves live weights; no update landed since the
-	// pin, so the answer still matches the reference computation.
-	samePaths(t, r1, referenceAnswers(part, p2, 2))
-
-	// The unpinned fallback answer must NOT have been memoized as if it were
-	// frozen at the epoch: the identical request goes to the wire again.
-	wireBefore = fakes[0].calls.Load()
-	r2, err := refine(rp, iv, p2, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	samePaths(t, r2, r1)
-	if fakes[0].calls.Load() == wireBefore {
-		t.Fatal("stale-epoch answer was served from the memo")
-	}
-	if hits := rp.BatchStats().CacheHits; hits != hitsBefore {
-		t.Fatalf("memo hits grew from %d to %d on unpinned answers", hitsBefore, hits)
 	}
 }
 

@@ -16,9 +16,9 @@
 //     CRC-checked binary frames (wire.go, built on internal/codec), used by
 //     cmd/kspd to run real worker processes on a network.
 //
-// Both serve the refine step through core.PartialProvider behind per-worker
-// rpcbatch queues, so the KSP-DG engine is oblivious to where the subgraphs
-// live.
+// Both serve the refine step through one core.PartialProvider,
+// BatchedRemoteProvider, so the KSP-DG engine is oblivious to where the
+// subgraphs live.
 package cluster
 
 import (
@@ -81,7 +81,7 @@ type PartialKSPResponse struct {
 	// False when the worker cannot resolve epochs (standalone processes),
 	// when the epoch was evicted from the retention window, or when the
 	// request carried no pin.  Consumers must not treat an unpinned answer
-	// as immutable (see rpcbatch's epoch memo).
+	// as immutable.
 	ServedEpoch bool
 	// Spans are the worker-side execution spans recorded when the request
 	// carried a nonzero TraceID: one aggregate span for the whole request

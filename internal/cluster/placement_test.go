@@ -13,7 +13,7 @@ import (
 	"kspdg/internal/testutil"
 )
 
-func paperPartition(t *testing.T) *partition.Partition {
+func paperPartition(t testing.TB) *partition.Partition {
 	t.Helper()
 	g := testutil.PaperGraph(t)
 	p, err := partition.PartitionGraph(g, 6)

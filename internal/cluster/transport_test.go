@@ -437,8 +437,8 @@ func TestBatchedRemoteProviderMatchesOracle(t *testing.T) {
 	}
 }
 
-// TestWorkerReportsEpochResolution covers the pin-honouring contract the
-// epoch memo depends on: a worker answers ServedEpoch=true only when it
+// TestWorkerReportsEpochResolution covers the pin-honouring contract
+// ServedEpoch reports: a worker answers ServedEpoch=true only when it
 // resolved the requested epoch's frozen view — never for unknown/evicted
 // epochs, unpinned requests, or workers without a resolver.
 func TestWorkerReportsEpochResolution(t *testing.T) {

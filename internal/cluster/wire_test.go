@@ -279,16 +279,16 @@ func TestServerDropsWrongPeer(t *testing.T) {
 }
 
 // TestShortReplyFailsTheBatch has a worker answer fewer (or more) pairs than
-// it was asked about.  The batch must fail: filling the missing pairs with
+// it was asked about.  The share must fail: filling the missing pairs with
 // "no paths" would be cached as an answer and could make a wrong result
 // report convergence.
 func TestShortReplyFailsTheBatch(t *testing.T) {
 	pairs := []core.PairRequest{{A: 1, B: 2}, {A: 3, B: 4}}
 	for _, answered := range []int{0, 1, 3} {
-		send := tracedSender(0, func(req PartialKSPRequest) (PartialKSPResponse, error) {
+		p := newProvider([]func(PartialKSPRequest) (PartialKSPResponse, error){func(PartialKSPRequest) (PartialKSPResponse, error) {
 			return PartialKSPResponse{Flat: &FlatPaths{Counts: make([]int32, answered)}}, nil
-		})
-		if _, _, err := send(context.Background(), pairs, 2, 0, false); err == nil {
+		}}, 1, ReplicatedOptions{}, nil)
+		if _, err := p.call(context.Background(), 0, pairs, 2, 0); err == nil {
 			t.Errorf("a reply answering %d of %d pairs was accepted", answered, len(pairs))
 		}
 	}

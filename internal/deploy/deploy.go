@@ -125,14 +125,14 @@ func Start(cfg Config) (_ *Master, err error) {
 	// span its duration under its stage (a family registered even untraced).
 	reg := metrics.NewRegistry()
 	pairLat := reg.Histogram("kspd_rpc_pair_seconds",
-		"Partial-KSP round-trip latency per pair (each shipped pair observes its batch's latency).", nil)
+		"Partial-KSP round-trip latency per pair (each shipped pair observes its share's latency).", nil)
 	batch := rpcbatch.Options{Observe: func(pairs int, d time.Duration) {
 		for i := 0; i < pairs; i++ {
 			pairLat.Observe(d.Seconds())
 		}
 	}}
 	stageLat := reg.HistogramVec("kspd_stage_seconds",
-		"Durations of traced pipeline stages (request, admission, queue, execute, filter, refine, rpc_wait: a refine share from submit to reply, rpc_batch: the batch it shipped as, rpc, worker_exec, rebuild, wal, broadcast, ...).",
+		"Durations of traced pipeline stages (request, admission, queue, execute, filter, refine, rpc_wait: a refine share from submit to reply, rpc, worker_exec, rebuild, wal, broadcast, ...).",
 		nil, "stage")
 	var tracer *trace.Tracer
 	if cfg.TraceCapacity > 0 {

@@ -249,7 +249,6 @@ func TestEndToEndTraceWithFailover(t *testing.T) {
 		"filter",      // DTLP filter step
 		"refine",      // partial-KSP refine iterations
 		"rpc_wait",    // one refine share, submit to reply
-		"rpc_batch",   // the batch the share shipped as
 		"rpc",         // one transport call
 		"failover",    // the replica re-dispatch leg
 		"worker_exec", // grafted from the surviving worker

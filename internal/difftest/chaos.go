@@ -18,7 +18,6 @@ import (
 	"kspdg/internal/cluster"
 	"kspdg/internal/dtlp"
 	"kspdg/internal/partition"
-	"kspdg/internal/rpcbatch"
 	"kspdg/internal/serve"
 	"kspdg/internal/shortest"
 	"kspdg/internal/workload"
@@ -190,10 +189,9 @@ func CheckChaos(tb testing.TB, cp ChaosParams) {
 		}
 	}()
 
-	// The workers resolve epoch pins against the shared index, so the
-	// epoch-pinned pair memo is sound and replicas answer bit-identically.
+	// The workers resolve epoch pins against the shared index, so replicas
+	// answer bit-identically.
 	provider := cluster.NewReplicatedProvider(remotes, cp.Factor, cluster.ReplicatedOptions{
-		Batch:      rpcbatch.Options{CacheCapacity: 4096},
 		PingEvery:  5 * time.Millisecond,
 		HedgeAfter: cp.HedgeAfter,
 	})

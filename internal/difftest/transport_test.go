@@ -57,9 +57,7 @@ func batchedTCPProvider(workers, pool int) func(tb testing.TB, x *dtlp.Index) (c
 			}
 			remotes = append(remotes, rw)
 		}
-		// The workers resolve epoch pins, so the memo is sound: opt in to
-		// cover it under the differential audit.
-		bp := cluster.NewBatchedRemoteProvider(remotes, rpcbatch.Options{CacheCapacity: 4096})
+		bp := cluster.NewBatchedRemoteProvider(remotes, rpcbatch.Options{})
 		cleanup := func() {
 			bp.Close()
 			for _, rw := range remotes {

@@ -896,12 +896,8 @@ func (g *Gateway) registerMetrics() {
 		stats(func(s serve.Stats) int64 { return s.SubgraphsRebuilt }))
 	r.CounterFunc("kspd_snapshots_total", "Periodic index snapshots written.",
 		stats(func(s serve.Stats) int64 { return s.Snapshots }))
-	r.CounterFunc("kspd_rpc_batches_total", "Partial-KSP batches shipped to workers.",
+	r.CounterFunc("kspd_rpc_batches_total", "Partial-KSP requests shipped to workers, one per refine share.",
 		stats(func(s serve.Stats) int64 { return s.RPCBatches }))
-	r.CounterFunc("kspd_rpc_dedup_hits_total", "Pair requests answered by an identical pending pair.",
-		stats(func(s serve.Stats) int64 { return s.DedupHits }))
-	r.CounterFunc("kspd_rpc_pair_memo_hits_total", "Pair requests answered from the epoch-pinned pair memo.",
-		stats(func(s serve.Stats) int64 { return s.PairCacheHits }))
 	r.CounterFunc("kspd_failovers_total", "Refine shares (one query's pairs for one worker) re-routed after the worker failed.",
 		stats(func(s serve.Stats) int64 { return s.Failovers }))
 	r.CounterFunc("kspd_hedged_batches_total", "Refine shares re-routed speculatively because their worker was slow.",

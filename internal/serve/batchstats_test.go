@@ -56,8 +56,9 @@ func TestStatsExposeBatchCounters(t *testing.T) {
 	}
 }
 
-// A panic contained in a batching transport's sender counts in serve.Stats
-// beside those contained on pool workers, so kspd_panics_total sees it.
+// A panic contained in the refine transport's worker call counts in
+// serve.Stats beside those contained on pool workers, so kspd_panics_total
+// sees it.
 func TestStatsCountBatchSenderPanics(t *testing.T) {
 	g := testutil.PaperGraph(t)
 	p, err := partition.PartitionGraph(g, 6)
@@ -75,7 +76,7 @@ func TestStatsCountBatchSenderPanics(t *testing.T) {
 	}
 }
 
-// senderPanicsProvider reports three contained sender panics.
+// senderPanicsProvider reports three contained worker-call panics.
 type senderPanicsProvider struct{ core.PartialProvider }
 
 func (senderPanicsProvider) BatchStats() rpcbatch.Stats { return rpcbatch.Stats{Panics: 3} }

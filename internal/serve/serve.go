@@ -165,16 +165,14 @@ type Stats struct {
 	Canceled int64
 	// Panics counts panics contained without taking the process down: on a
 	// pool worker, which fails one query (see execute), and in the refine
-	// transport's batch sender, which fails the queries waiting on that batch
+	// transport's worker call, which fails the share it was shipping
 	// (rpcbatch.Stats.Panics).  The stack of each is in the process log.
 	Panics int64
 	Epoch  uint64
-	// RPCBatches and DedupHits mirror the provider's batching counters (see
-	// rpcbatch.Stats) when the refine step runs on a batching transport; they
-	// stay zero for local providers.
-	RPCBatches    int64
-	DedupHits     int64
-	PairCacheHits int64
+	// RPCBatches mirrors the provider's count of shipped shares (see
+	// rpcbatch.Stats) when the refine step runs on workers; it stays zero
+	// for local providers.
+	RPCBatches int64
 	// Failovers, HedgedBatches, HedgeWins and HedgeDrops mirror the
 	// provider's re-routing counters (see cluster.FailoverStats) when the
 	// refine step runs on workers; they stay zero otherwise.
@@ -831,8 +829,6 @@ func (s *Server) Stats() Stats {
 	if bp, ok := s.provider.(batchStatsProvider); ok {
 		bst := bp.BatchStats()
 		st.RPCBatches = bst.Batches
-		st.DedupHits = bst.DedupHits
-		st.PairCacheHits = bst.CacheHits
 		st.Panics += bst.Panics
 	}
 	if fp, ok := s.provider.(failoverStatsProvider); ok {
