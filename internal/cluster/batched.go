@@ -82,7 +82,8 @@ type ReplicatedOptions struct {
 // workers, in-process or over TCP.  Each pair is routed to one owner (see
 // Owners) of each of its common subgraphs in the pinned view's partition, and
 // each worker's share ships at once, on a goroutine of its own, as one
-// PartialKSPRequest; the replies are merged per pair.  A health-checked
+// PartialKSPRequest; the replies are filed into one answer slice aligned
+// with the pairs, and the last share to land delivers it.  A health-checked
 // Membership tracks which workers are worth sending to.  A share whose
 // worker fails is routed again without that worker (failover), and with
 // hedging so is a share whose worker is slow; both draw on the other owners,
@@ -107,7 +108,6 @@ type BatchedRemoteProvider struct {
 	hedged    atomic.Int64
 	hedgeWins atomic.Int64
 	drops     atomic.Int64
-	drains    sync.WaitGroup
 }
 
 // errClosed fails the shares submitted after Close.
@@ -175,7 +175,6 @@ func (p *BatchedRemoteProvider) Close() {
 	p.closed = true
 	p.mu.Unlock()
 	p.shipping.Wait()
-	p.drains.Wait()
 }
 
 // PartialKSPAsyncCtx implements core.PartialProvider.  The request is pinned
@@ -185,84 +184,78 @@ func (p *BatchedRemoteProvider) Close() {
 // the request produces downstream; cancellation is not consumed here — the
 // engine already stops between iterations.
 func (p *BatchedRemoteProvider) PartialKSPAsyncCtx(ctx context.Context, iv *dtlp.IndexView, pairs []core.PairRequest, k int) <-chan core.AsyncPartialReply {
-	out := make(chan core.AsyncPartialReply, 1)
-	switch shares, err := p.send(ctx, iv, pairs, k, nil); {
-	case err != nil:
-		out <- core.AsyncPartialReply{Err: err}
-	case len(shares) == 0:
-		out <- core.AsyncPartialReply{Paths: p.collect(ctx, iv, pairs, k, nil, nil).paths}
-	default:
-		go func() {
-			res := p.collect(ctx, iv, pairs, k, shares, nil)
-			out <- core.AsyncPartialReply{Paths: res.paths, Err: res.err}
-		}()
-	}
-	return out
+	return p.start(ctx, iv, pairs, k, nil)
 }
 
-// result is the outcome of a share or of a refine call: the partial paths
-// per pair, or the first error that hit one of its shares.
-type result struct {
-	paths map[core.PairRequest][]graph.Path
-	err   error
+// round is one refine call: the answers, aligned with its pairs, that its
+// shares file as they land.
+type round struct {
+	ctx      context.Context
+	iv       *dtlp.IndexView
+	k        int
+	excluded map[int]bool
+	out      chan core.AsyncPartialReply // buffered for its one send, so a send never blocks
+
+	mu      sync.Mutex
+	paths   [][]graph.Path // nil once an error was delivered
+	pending int            // shares not yet filed
 }
 
-// share is the pairs of one refine call routed to one worker, and the
-// channel its answer arrives on.
+// share is the pairs of one round routed to one worker, copied out of the
+// caller's slice, and their positions in it.
 type share struct {
 	worker int
 	pairs  []core.PairRequest
-	reply  <-chan result
+	pos    []int
 }
 
-// refine routes the pairs around the excluded workers and collects the
-// answers.
-func (p *BatchedRemoteProvider) refine(ctx context.Context, iv *dtlp.IndexView, pairs []core.PairRequest, k int, excluded map[int]bool) result {
-	shares, err := p.send(ctx, iv, pairs, k, excluded)
-	if err != nil {
-		return result{err: err}
+// start routes the pairs around the excluded workers and ships each share
+// on a goroutine of its own.  The returned channel receives the answers
+// aligned with pairs, or the first error a share hit.
+func (p *BatchedRemoteProvider) start(ctx context.Context, iv *dtlp.IndexView, pairs []core.PairRequest, k int, excluded map[int]bool) <-chan core.AsyncPartialReply {
+	r := &round{ctx: ctx, iv: iv, k: k, excluded: excluded, out: make(chan core.AsyncPartialReply, 1), paths: make([][]graph.Path, len(pairs))}
+	shares, err := p.route(iv, pairs, excluded)
+	if err == nil && len(shares) > 0 {
+		p.mu.Lock()
+		if p.closed {
+			err = errClosed
+		} else {
+			p.shipping.Add(len(shares))
+		}
+		p.mu.Unlock()
 	}
-	return p.collect(ctx, iv, pairs, k, shares, excluded)
+	switch {
+	case err != nil:
+		r.out <- core.AsyncPartialReply{Err: err}
+	case len(shares) == 0:
+		r.out <- core.AsyncPartialReply{Paths: r.paths}
+	default:
+		r.pending = len(shares)
+		p.shipped.Add(int64(len(shares)))
+		for _, sh := range shares {
+			p.pairsSent.Add(int64(len(sh.pairs)))
+			span, _ := trace.StartSpan(ctx, "rpc_wait")
+			span.SetAttrInt("pairs", int64(len(sh.pairs)))
+			go p.ship(r, sh, span)
+		}
+	}
+	return r.out
 }
 
-// collect waits for every share and merges the answers per pair; every pair
-// has an entry.
-func (p *BatchedRemoteProvider) collect(ctx context.Context, iv *dtlp.IndexView, pairs []core.PairRequest, k int, shares []share, excluded map[int]bool) result {
-	merged := make(map[core.PairRequest][]graph.Path, len(pairs))
-	for _, pr := range pairs {
-		merged[pr] = nil
-	}
-	for _, sh := range shares {
-		res := p.await(ctx, iv, sh, k, excluded)
-		if res.err != nil {
-			return res
-		}
-		for _, pr := range sh.pairs {
-			merged[pr] = append(merged[pr], res.paths[pr]...)
-		}
-	}
-	for pr, paths := range merged {
-		if len(paths) > 0 {
-			merged[pr] = core.MergePaths(paths, k)
-		}
-	}
-	return result{paths: merged}
-}
-
-// send routes every pair to one owner of each of its common subgraphs in
-// iv's partition and ships each worker's share.  An owner is picked in rank
-// order among the workers not excluded: the first Up one, else the first
-// Suspect one, else the first Down one — fresh traffic keeps probing a Down
-// worker, which is how a rebooted worker rejoins even without pings.  A
-// subgraph whose owners are all excluded fails the call.
-func (p *BatchedRemoteProvider) send(ctx context.Context, iv *dtlp.IndexView, pairs []core.PairRequest, k int, excluded map[int]bool) ([]share, error) {
+// route splits the pairs into one share per worker: every pair goes to one
+// owner of each of its common subgraphs in iv's partition.  An owner is
+// picked in rank order among the workers not excluded: the first Up one,
+// else the first Suspect one, else the first Down one — fresh traffic keeps
+// probing a Down worker, which is how a rebooted worker rejoins even without
+// pings.  A subgraph whose owners are all excluded fails the round.
+func (p *BatchedRemoteProvider) route(iv *dtlp.IndexView, pairs []core.PairRequest, excluded map[int]bool) ([]share, error) {
 	var states []WorkerState
 	if p.factor > 1 {
 		states = p.member.Snapshot()
 	}
 	part := iv.Partition()
-	perWorker := make([][]core.PairRequest, len(p.calls))
-	for _, pr := range pairs {
+	byWorker := make([]share, len(p.calls))
+	for i, pr := range pairs {
 		for _, sg := range part.CommonSubgraphs(pr.A, pr.B) {
 			w := pick(Owners(sg, len(p.calls), p.factor), states, excluded)
 			if w < 0 {
@@ -270,65 +263,58 @@ func (p *BatchedRemoteProvider) send(ctx context.Context, iv *dtlp.IndexView, pa
 			}
 			// A pair's subgraphs are visited together, so a pair already
 			// routed to w is w's last pair.
-			if prs := perWorker[w]; len(prs) == 0 || prs[len(prs)-1] != pr {
-				perWorker[w] = append(prs, pr)
+			if sh := &byWorker[w]; len(sh.pos) == 0 || sh.pos[len(sh.pos)-1] != i {
+				sh.worker = w
+				sh.pairs = append(sh.pairs, pr)
+				sh.pos = append(sh.pos, i)
 			}
 		}
 	}
-	var shares []share
-	for w, prs := range perWorker {
-		if len(prs) > 0 {
-			shares = append(shares, share{worker: w, pairs: prs, reply: p.ship(ctx, w, prs, k, iv.Epoch())})
-		}
-	}
-	return shares, nil
+	return slices.DeleteFunc(byWorker, func(sh share) bool { return len(sh.pos) == 0 }), nil
 }
 
-// ship puts one share on the wire to worker w, on a goroutine of its own,
-// and returns the buffered channel its result arrives on.  The wait, from
-// here to delivery, is the context span's "rpc_wait" child.  The worker
-// call's outcome feeds the failure detector and Observe.
-func (p *BatchedRemoteProvider) ship(ctx context.Context, w int, pairs []core.PairRequest, k int, epoch uint64) <-chan result {
-	reply := make(chan result, 1)
-	p.mu.Lock()
-	if p.closed {
-		p.mu.Unlock()
-		reply <- result{err: errClosed}
-		return reply
+// ship makes one share's worker call and files the answer.  span, the
+// context span's "rpc_wait" child, runs from routing to the call's outcome,
+// which also feeds the failure detector and Observe.  A failed call that
+// decides its share is answered by the failover leg, run here; with hedging,
+// a worker silent past the hedge delay races a re-route of the same pairs
+// (see race).
+func (p *BatchedRemoteProvider) ship(r *round, sh share, span *trace.Span) {
+	defer p.shipping.Done()
+	var h *race
+	if p.hedgeAfter > 0 && p.factor > 1 {
+		h = &race{legs: 1}
+		defer time.AfterFunc(p.hedgeAfter, func() { p.hedge(r, sh, h) }).Stop()
 	}
-	p.shipping.Add(1)
-	p.mu.Unlock()
-	p.shipped.Add(1)
-	p.pairsSent.Add(int64(len(pairs)))
-	span, ctx := trace.StartSpan(ctx, "rpc_wait")
-	span.SetAttrInt("pairs", int64(len(pairs)))
-	go func() {
-		defer p.shipping.Done()
-		start := time.Now()
-		paths, err := p.call(ctx, w, pairs, k, epoch)
-		if p.observe != nil {
-			p.observe(len(pairs), time.Since(start))
-		}
+	start := time.Now()
+	paths, err := p.call(trace.NewContext(r.ctx, span), sh.worker, sh.pairs, r.k, r.iv.Epoch())
+	if p.observe != nil {
+		p.observe(len(sh.pairs), time.Since(start))
+	}
+	if err != nil {
+		p.member.ReportFailure(sh.worker)
+		span.SetAttr("error", err.Error())
+	} else {
+		p.member.ReportSuccess(sh.worker)
+	}
+	span.Finish()
+	if p.decides(r, h, err, false) {
 		if err != nil {
-			p.member.ReportFailure(w)
-			span.SetAttr("error", err.Error())
-		} else {
-			p.member.ReportSuccess(w)
+			paths, err = p.failover(r, sh, err)
 		}
-		span.Finish()
-		reply <- result{paths: paths, err: err}
-	}()
-	return reply
+		r.file(sh.pos, paths, err)
+	}
 }
 
-// call asks worker w for the pairs' partial KSPs pinned to epoch.  The
-// request is stamped with the context's trace identity, runs under an "rpc"
-// span naming w, and has the worker's execution spans grafted back under it.
-// A reply that does not answer exactly the pairs asked about fails the
-// share, and so does a panic in the call: its stack is logged once and
-// counted in BatchStats().Panics.  The returned paths alias the response's
-// decoded arrays (see DecodePaths) and must be treated as immutable.
-func (p *BatchedRemoteProvider) call(ctx context.Context, w int, pairs []core.PairRequest, k int, epoch uint64) (out map[core.PairRequest][]graph.Path, err error) {
+// call asks worker w for the pairs' partial KSPs pinned to epoch, answered
+// in the pairs' order.  The request is stamped with the context's trace
+// identity, runs under an "rpc" span naming w, and has the worker's
+// execution spans grafted back under it.  A reply that does not answer
+// exactly the pairs asked about fails the share, and so does a panic in the
+// call: its stack is logged once and counted in BatchStats().Panics.  The
+// returned paths alias the response's decoded arrays (see DecodePaths) and
+// must be treated as immutable.
+func (p *BatchedRemoteProvider) call(ctx context.Context, w int, pairs []core.PairRequest, k int, epoch uint64) (out [][]graph.Path, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			p.panics.Add(1)
@@ -341,27 +327,21 @@ func (p *BatchedRemoteProvider) call(ctx context.Context, w int, pairs []core.Pa
 	s.SetAttrInt("worker", int64(w))
 	req.TraceID = s.Trace().ID()
 	resp, err := p.calls[w](req)
+	if err == nil {
+		s.Graft(resp.Spans)
+		// A reply must answer every pair asked about: a missing pair would
+		// read as "no partial paths", which the engine keeps as an answer.
+		if n := resp.NumPairs(); n != len(pairs) {
+			err = fmt.Errorf("cluster: worker %d answered %d pairs of %d", w, n, len(pairs))
+		}
+	}
 	if err != nil {
 		s.SetAttr("error", err.Error())
 		s.Finish()
 		return nil, err
 	}
-	s.Graft(resp.Spans)
-	// A reply must answer every pair asked about: a missing pair would read
-	// as "no partial paths", which the engine keeps as an answer.
-	if n := resp.NumPairs(); n != len(pairs) {
-		err := fmt.Errorf("cluster: worker %d answered %d pairs of %d", w, n, len(pairs))
-		s.SetAttr("error", err.Error())
-		s.Finish()
-		return nil, err
-	}
 	s.Finish()
-	decoded := resp.DecodePaths()
-	out = make(map[core.PairRequest][]graph.Path, len(pairs))
-	for i, pr := range pairs {
-		out[pr] = decoded[i]
-	}
-	return out, nil
+	return resp.DecodePaths(), nil
 }
 
 // pick returns the first owner, in rank order, not excluded and in the best
@@ -378,96 +358,116 @@ func pick(owners []int, states []WorkerState, excluded map[int]bool) int {
 	return -1
 }
 
-// await returns a share's answer: its worker's own or, when that fails, the
-// answer to the same pairs routed again without the worker (the failover
-// leg).  With hedging, a worker silent past the hedge delay races such a
-// re-route, and the first answer wins.
-func (p *BatchedRemoteProvider) await(ctx context.Context, iv *dtlp.IndexView, sh share, k int, excluded map[int]bool) result {
-	res := p.race(ctx, iv, sh, k, excluded)
-	if res.err == nil {
-		return res
-	}
+// failover answers the pairs of a share whose worker failed with cause: it
+// waits for a round of the same pairs routed again without that worker.
+func (p *BatchedRemoteProvider) failover(r *round, sh share, cause error) ([][]graph.Path, error) {
 	p.failovers.Add(1)
-	fspan, fctx := trace.StartSpan(ctx, "failover")
+	fspan, _ := trace.StartSpan(r.ctx, "failover")
 	fspan.SetAttrInt("failed_worker", int64(sh.worker))
-	fspan.SetAttr("cause", res.err.Error())
+	fspan.SetAttr("cause", cause.Error())
 	fspan.Trace().MarkFailedOver()
-	re := p.refine(fctx, iv, sh.pairs, k, without(excluded, sh.worker))
-	if re.err != nil {
-		fspan.SetAttr("error", re.err.Error())
-		re.err = fmt.Errorf("%w (failing over from worker %d: %v)", re.err, sh.worker, res.err)
+	re := p.reroute(r, sh, fspan)
+	if re.Err != nil {
+		re.Err = fmt.Errorf("%w (failing over from worker %d: %v)", re.Err, sh.worker, cause)
 	}
-	fspan.Finish()
-	return re
+	return re.Paths, re.Err
 }
 
-// race waits for the share's worker, hedging when enabled.  The loser of a
-// decided race is drained in the background, so its late answer is counted
-// and no goroutine leaks.
-func (p *BatchedRemoteProvider) race(ctx context.Context, iv *dtlp.IndexView, sh share, k int, excluded map[int]bool) result {
-	if p.hedgeAfter <= 0 || p.factor < 2 {
-		return <-sh.reply
+// race is a hedged share's race between its worker's own call (the primary
+// leg) and a round of the same pairs routed again without that worker (the
+// hedge leg), started once the worker has been silent for the hedge delay.
+// The fields are guarded by the round's mutex.
+type race struct {
+	legs     int  // legs still running
+	answered bool // the primary returned: no hedge leg starts after it
+	decided  bool // a leg's outcome is the share's
+}
+
+// hedge runs the hedge leg of a share, unless its primary has already
+// answered.  Close waits for it like for a share.
+func (p *BatchedRemoteProvider) hedge(r *round, sh share, h *race) {
+	r.mu.Lock()
+	if h.answered {
+		r.mu.Unlock()
+		return
 	}
-	timer := time.NewTimer(p.hedgeAfter)
-	defer timer.Stop()
-	select {
-	case res := <-sh.reply:
-		return res
-	case <-timer.C:
-	}
+	h.legs++
+	p.shipping.Add(1) // the primary still holds its count: Close has not returned
+	r.mu.Unlock()
+	defer p.shipping.Done()
 	p.hedged.Add(1)
-	hedge := make(chan result, 1)
-	go func() {
-		hspan, hctx := trace.StartSpan(ctx, "hedge")
-		hspan.SetAttrInt("primary", int64(sh.worker))
-		res := p.refine(hctx, iv, sh.pairs, k, without(excluded, sh.worker))
-		if res.err != nil {
-			hspan.SetAttr("error", res.err.Error())
-		}
-		hspan.Finish()
-		hedge <- res
-	}()
-	select {
-	case res := <-sh.reply:
-		if res.err == nil {
-			p.drain(hedge)
-			return res
-		}
-		// The slow worker turned out to be a dead one; the hedge in flight
-		// doubles as the failover attempt.
-		if h := <-hedge; h.err == nil {
-			p.hedgeWins.Add(1)
-			return h
-		}
-		return res
-	case h := <-hedge:
-		if h.err == nil {
-			p.hedgeWins.Add(1)
-			p.drain(sh.reply)
-			return h
-		}
-		return <-sh.reply
+	hspan, _ := trace.StartSpan(r.ctx, "hedge")
+	hspan.SetAttrInt("primary", int64(sh.worker))
+	re := p.reroute(r, sh, hspan)
+	if p.decides(r, h, re.Err, true) {
+		r.file(sh.pos, re.Paths, re.Err)
 	}
 }
 
-// drain consumes the losing side of a decided hedge race, counting its
-// answer as dropped.
-func (p *BatchedRemoteProvider) drain(ch <-chan result) {
-	p.drains.Add(1)
-	go func() {
-		defer p.drains.Done()
-		if res := <-ch; res.err == nil {
-			p.drops.Add(1)
-		}
-	}()
+// decides ends one leg of a share and reports whether its outcome is the
+// share's: always when the share is not hedged (h nil); otherwise for the
+// first success, or for a failure no other leg can still answer — a primary
+// failing while the hedge leg runs leaves it to stand in as the failover.
+// A success after the share was decided counts as a dropped hedge answer.
+func (p *BatchedRemoteProvider) decides(r *round, h *race, err error, hedgeLeg bool) bool {
+	if h == nil {
+		return true
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	h.legs--
+	h.answered = h.answered || !hedgeLeg
+	if h.decided && err == nil {
+		p.drops.Add(1)
+	}
+	if h.decided || err != nil && h.legs > 0 {
+		return false
+	}
+	h.decided = true
+	if err == nil && hedgeLeg {
+		p.hedgeWins.Add(1)
+	}
+	return true
 }
 
-// without returns a copy of excluded that also excludes worker w.
-func without(excluded map[int]bool, w int) map[int]bool {
-	out := maps.Clone(excluded)
-	if out == nil {
-		out = make(map[int]bool, 1)
+// file records a share's outcome: its answers at the share's positions in
+// the round, merged (MergePaths) with what another share already answered
+// for the same pair, or its error.  The first error delivers the round at
+// once; otherwise the last share to file delivers it.
+func (r *round) file(pos []int, paths [][]graph.Path, err error) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.pending--
+	switch {
+	case r.paths == nil:
+	case err != nil:
+		r.paths = nil
+		r.out <- core.AsyncPartialReply{Err: err}
+	default:
+		for j, i := range pos {
+			switch {
+			case len(paths[j]) == 0:
+			case len(r.paths[i]) == 0:
+				r.paths[i] = paths[j]
+			default:
+				r.paths[i] = core.MergePaths(append(slices.Clip(r.paths[i]), paths[j]...), r.k)
+			}
+		}
+		if r.pending == 0 {
+			r.out <- core.AsyncPartialReply{Paths: r.paths}
+		}
 	}
-	out[w] = true
-	return out
+}
+
+// reroute waits, under span, for a round of a share's pairs routed again
+// without its worker, and finishes span.
+func (p *BatchedRemoteProvider) reroute(r *round, sh share, span *trace.Span) core.AsyncPartialReply {
+	excluded := map[int]bool{sh.worker: true}
+	maps.Copy(excluded, r.excluded)
+	re := <-p.start(trace.NewContext(r.ctx, span), r.iv, sh.pairs, r.k, excluded)
+	if re.Err != nil {
+		span.SetAttr("error", re.Err.Error())
+	}
+	span.Finish()
+	return re
 }

@@ -72,42 +72,49 @@ func fakeDeployment(t *testing.T, workers, factor int, opts ReplicatedOptions) (
 	return x, fakes, newProvider(calls, factor, opts, nil)
 }
 
-// samePaths requires two per-pair path maps to agree on distances.
-func samePaths(t *testing.T, got, want map[core.PairRequest][]graph.Path) {
+// samePaths requires two answers, aligned with pairs, to agree on
+// distances.
+func samePaths(t *testing.T, pairs []core.PairRequest, got, want [][]graph.Path) {
 	t.Helper()
-	if len(got) != len(want) {
-		t.Fatalf("answered %d pairs, want %d", len(got), len(want))
-	}
-	for pr, wantPaths := range want {
-		gotPaths, ok := got[pr]
-		if !ok {
-			t.Fatalf("pair %v missing from answer", pr)
-		}
-		if len(gotPaths) != len(wantPaths) {
-			t.Fatalf("pair %v: %d paths, want %d", pr, len(gotPaths), len(wantPaths))
-		}
-		for i := range wantPaths {
-			if math.Abs(gotPaths[i].Dist-wantPaths[i].Dist) > 1e-9 {
-				t.Fatalf("pair %v path %d dist %g, want %g", pr, i, gotPaths[i].Dist, wantPaths[i].Dist)
-			}
-		}
+	if err := diffPaths(pairs, got, want); err != nil {
+		t.Fatal(err)
 	}
 }
 
-// referenceAnswers computes the expected per-pair answers on the full
-// partition (with 2 workers at factor 2 every worker hosts every subgraph,
-// so the provider's merged answer must equal the local computation).
-func referenceAnswers(part *partition.Partition, pairs []core.PairRequest, k int) map[core.PairRequest][]graph.Path {
-	want := make(map[core.PairRequest][]graph.Path, len(pairs))
+// diffPaths reports the first pair on which two aligned answers disagree on
+// distances.
+func diffPaths(pairs []core.PairRequest, got, want [][]graph.Path) error {
+	if len(got) != len(want) {
+		return fmt.Errorf("answered %d pairs, want %d", len(got), len(want))
+	}
+	for i, pr := range pairs {
+		if len(got[i]) != len(want[i]) {
+			return fmt.Errorf("pair %v: %d paths, want %d", pr, len(got[i]), len(want[i]))
+		}
+		for j := range want[i] {
+			if math.Abs(got[i][j].Dist-want[i][j].Dist) > 1e-9 {
+				return fmt.Errorf("pair %v path %d dist %g, want %g", pr, j, got[i][j].Dist, want[i][j].Dist)
+			}
+		}
+	}
+	return nil
+}
+
+// referenceAnswers computes the expected answers, aligned with pairs, on the
+// full partition (with 2 workers at factor 2 every worker hosts every
+// subgraph, so the provider's merged answer must equal the local
+// computation).
+func referenceAnswers(part *partition.Partition, pairs []core.PairRequest, k int) [][]graph.Path {
+	want := make([][]graph.Path, len(pairs))
 	part, weights := core.RefineSource(part, nil)
-	for _, pr := range pairs {
-		want[pr] = core.RefinePair(part, pr, k, weights, nil)
+	for i, pr := range pairs {
+		want[i] = core.RefinePair(part, pr, k, weights, nil)
 	}
 	return want
 }
 
 // refine issues one refine request pinned to iv and waits for its reply.
-func refine(p core.PartialProvider, iv *dtlp.IndexView, pairs []core.PairRequest, k int) (map[core.PairRequest][]graph.Path, error) {
+func refine(p core.PartialProvider, iv *dtlp.IndexView, pairs []core.PairRequest, k int) ([][]graph.Path, error) {
 	reply := <-p.PartialKSPAsyncCtx(context.Background(), iv, pairs, k)
 	return reply.Paths, reply.Err
 }
@@ -124,7 +131,7 @@ func TestReplicatedProviderFailsOverWhenWorkerDies(t *testing.T) {
 	if err != nil {
 		t.Fatalf("healthy deployment: %v", err)
 	}
-	samePaths(t, got, want)
+	samePaths(t, pairs, got, want)
 
 	// Kill worker 0: every pair must still be answered, via the replica.
 	fakes[0].setFail(true)
@@ -132,7 +139,7 @@ func TestReplicatedProviderFailsOverWhenWorkerDies(t *testing.T) {
 	if err != nil {
 		t.Fatalf("with worker 0 dead: %v", err)
 	}
-	samePaths(t, got, want)
+	samePaths(t, pairs, got, want)
 	if st := rp.FailoverStats(); st.Failovers == 0 {
 		t.Errorf("expected at least one failover, stats %+v", st)
 	}
@@ -146,7 +153,7 @@ func TestReplicatedProviderFailsOverWhenWorkerDies(t *testing.T) {
 	if err != nil {
 		t.Fatalf("steady state with worker 0 dead: %v", err)
 	}
-	samePaths(t, got, want)
+	samePaths(t, pairs, got, want)
 
 	// Worker 0 rejoins; one successful call restores it.
 	fakes[0].setFail(false)
@@ -199,7 +206,7 @@ func TestReplicatedProviderHedgedRequestBothAnswer(t *testing.T) {
 	if err != nil {
 		t.Fatalf("hedged query: %v", err)
 	}
-	samePaths(t, got, want)
+	samePaths(t, pairs, got, want)
 
 	// Accounting stays conserved after the race: a fresh request still gets
 	// exactly one correct answer per pair.
@@ -208,7 +215,7 @@ func TestReplicatedProviderHedgedRequestBothAnswer(t *testing.T) {
 	if err != nil {
 		t.Fatalf("query after hedge race: %v", err)
 	}
-	samePaths(t, got, want)
+	samePaths(t, pairs, got, want)
 
 	// Close waits for the losers; both copies answered, so the drop count
 	// must record the discarded duplicates.
@@ -271,18 +278,9 @@ func TestReplicatedProviderConcurrentChurn(t *testing.T) {
 				if err != nil {
 					continue // clean failure under churn is acceptable
 				}
-				for pr, wantPaths := range want {
-					gotPaths := got[pr]
-					if len(gotPaths) != len(wantPaths) {
-						errCh <- fmt.Errorf("pair %v: %d paths, want %d", pr, len(gotPaths), len(wantPaths))
-						return
-					}
-					for idx := range wantPaths {
-						if math.Abs(gotPaths[idx].Dist-wantPaths[idx].Dist) > 1e-9 {
-							errCh <- fmt.Errorf("pair %v path %d dist mismatch", pr, idx)
-							return
-						}
-					}
+				if err := diffPaths(pairs, got, want); err != nil {
+					errCh <- err
+					return
 				}
 			}
 		}()
@@ -303,5 +301,5 @@ func TestReplicatedProviderConcurrentChurn(t *testing.T) {
 	if err != nil {
 		t.Fatalf("after churn: %v", err)
 	}
-	samePaths(t, got, want)
+	samePaths(t, pairs, got, want)
 }

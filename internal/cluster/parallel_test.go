@@ -104,9 +104,9 @@ func TestLocalProviderParallelMatchesSequential(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, pr := range sub {
-				if !pathsEqual(got[pr], want[pr]) {
-					t.Fatalf("parallelism %d diverges for pair %v:\n got %v\nwant %v", par, pr, got[pr], want[pr])
+			for i, pr := range sub { // sub is a prefix of pairs
+				if !pathsEqual(got[i], want[i]) {
+					t.Fatalf("parallelism %d diverges for pair %v:\n got %v\nwant %v", par, pr, got[i], want[i])
 				}
 			}
 		}

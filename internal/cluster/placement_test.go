@@ -125,7 +125,7 @@ func TestBatchedRemoteProviderRoutesToOwners(t *testing.T) {
 	if reply.Err != nil {
 		t.Fatal(reply.Err)
 	}
-	if len(reply.Paths[pair]) == 0 {
+	if len(reply.Paths[0]) == 0 {
 		t.Errorf("pair %v got no partial paths", pair)
 	}
 	for w, worker := range workers {

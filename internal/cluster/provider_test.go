@@ -112,6 +112,30 @@ func routedPairs(t testing.TB, part *partition.Partition, n int) []core.PairRequ
 	return pairs
 }
 
+// sharedPairs returns n distinct pairs of boundary vertices whose common
+// subgraphs are hosted, at factor 1, by exactly shares of the given workers,
+// so each of them ships in that many shares.
+func sharedPairs(t testing.TB, part *partition.Partition, workers, shares, n int) []core.PairRequest {
+	t.Helper()
+	b := part.BoundaryVertices()
+	var pairs []core.PairRequest
+	for i := range b {
+		for j := i + 1; j < len(b) && len(pairs) < n; j++ {
+			hosts := map[int]bool{}
+			for _, sg := range part.CommonSubgraphs(b[i], b[j]) {
+				hosts[Owners(sg, workers, 1)[0]] = true
+			}
+			if len(hosts) == shares {
+				pairs = append(pairs, core.PairRequest{A: b[i], B: b[j]})
+			}
+		}
+	}
+	if len(pairs) < n {
+		t.Fatalf("found %d pairs in %d shares, want %d", len(pairs), shares, n)
+	}
+	return pairs
+}
+
 // ask submits one untraced refine request pinned to iv.
 func ask(p *BatchedRemoteProvider, iv *dtlp.IndexView, pairs []core.PairRequest) <-chan core.AsyncPartialReply {
 	return p.PartialKSPAsyncCtx(context.Background(), iv, pairs, 2)
@@ -255,7 +279,7 @@ func TestProviderRequestsCarryThePinnedEpoch(t *testing.T) {
 		iv *dtlp.IndexView
 	}{{chOld, old}, {chCur, cur}} {
 		r := answer(t, c.ch)
-		if r.Err != nil || len(r.Paths[pairs[0]]) != 1 || r.Paths[pairs[0]][0].Dist != float64(c.iv.Epoch()) {
+		if r.Err != nil || len(r.Paths[0]) != 1 || r.Paths[0][0].Dist != float64(c.iv.Epoch()) {
 			t.Errorf("request pinned to epoch %d: %+v", c.iv.Epoch(), r)
 		}
 	}
@@ -294,8 +318,8 @@ func TestProviderConcurrentAccounting(t *testing.T) {
 					t.Errorf("request failed: %v", r.Err)
 					return
 				}
-				for _, pr := range pairs {
-					if ps := r.Paths[pr]; len(ps) == 0 || ps[0].Dist != float64(iv.Epoch()) {
+				for i, pr := range pairs {
+					if ps := r.Paths[i]; len(ps) == 0 || ps[0].Dist != float64(iv.Epoch()) {
 						t.Errorf("pair %v at epoch %d answered %v", pr, iv.Epoch(), ps)
 						return
 					}
@@ -313,30 +337,129 @@ func TestProviderConcurrentAccounting(t *testing.T) {
 	}
 }
 
+// The round copies the caller's pairs before PartialKSPAsyncCtx returns:
+// the caller may reuse its slice at once (the engine's comes from pooled
+// scratch), and every answer still matches the pair originally asked at its
+// position.  Two workers, so the round has several shares in flight.
+func TestProviderCopiesCallerPairs(t *testing.T) {
+	f, p, x := fakeProvider(t, 2, true, ReplicatedOptions{})
+	pairs := routedPairs(t, x.Partition(), 8)
+	orig := slices.Clone(pairs)
+	ch := ask(p, x.CurrentView(), pairs)
+	for i, pr := range pairs {
+		pairs[i] = core.PairRequest{A: pr.B, B: pr.A}
+	}
+	var r core.AsyncPartialReply
+	for done := false; !done; {
+		select {
+		case hc := <-f.arrived:
+			hc.release <- nil
+		case r = <-ch:
+			done = true
+		case <-time.After(10 * time.Second):
+			t.Fatal("caller never got its reply")
+		}
+	}
+	if r.Err != nil || len(r.Paths) != len(orig) || f.calls.Load() < 2 {
+		t.Fatalf("reply %+v over %d shares, want %d answers over 2", r, f.calls.Load(), len(orig))
+	}
+	for i, pr := range orig {
+		if ps := r.Paths[i]; len(ps) != 1 || !slices.Equal(ps[0].Vertices, []graph.VertexID{pr.A, pr.B}) {
+			t.Errorf("pair %d %v answered %v", i, pr, ps)
+		}
+	}
+}
+
+// A pair that two shares answer comes back merged: at most k paths, in
+// ComparePaths order, without duplicates.  A pair that one share answers
+// comes back as that share's list, unchanged.  Worker w answers every pair
+// with three unsorted paths, one of them the same on both workers.
+func TestProviderMergesOnlyPairsOfSeveralShares(t *testing.T) {
+	x, err := dtlp.Build(paperPartition(t), dtlp.Config{Xi: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	answers := func(w int, pr core.PairRequest) []graph.Path {
+		return []graph.Path{
+			{Vertices: []graph.VertexID{pr.A, graph.VertexID(1000 + w), pr.B}, Dist: 3},
+			{Vertices: []graph.VertexID{pr.A, pr.B}, Dist: 1},
+			{Vertices: []graph.VertexID{pr.A, graph.VertexID(2000 + w), pr.B}, Dist: 2},
+		}
+	}
+	calls := make([]func(PartialKSPRequest) (PartialKSPResponse, error), 2)
+	for w := range calls {
+		calls[w] = func(req PartialKSPRequest) (PartialKSPResponse, error) {
+			resp := PartialKSPResponse{Flat: &FlatPaths{}}
+			for _, pr := range req.Pairs {
+				for _, path := range answers(w, pr) {
+					resp.Flat.appendPath(path)
+				}
+				resp.Flat.Counts = append(resp.Flat.Counts, 3)
+			}
+			return resp, nil
+		}
+	}
+	p := newProvider(calls, 1, ReplicatedOptions{}, nil)
+	defer p.Close()
+	part := x.Partition()
+	split, single := sharedPairs(t, part, 2, 2, 1)[0], sharedPairs(t, part, 2, 1, 1)[0]
+	r := answer(t, ask(p, x.CurrentView(), []core.PairRequest{split, single}))
+	if r.Err != nil || len(r.Paths) != 2 {
+		t.Fatalf("reply %+v", r)
+	}
+	want := []graph.Path{
+		{Vertices: []graph.VertexID{split.A, split.B}, Dist: 1},
+		{Vertices: []graph.VertexID{split.A, 2000, split.B}, Dist: 2},
+	}
+	if got := r.Paths[0]; !slices.EqualFunc(got, want, graph.Path.Equal) {
+		t.Errorf("pair of two shares %v answered %v, want %v", split, got, want)
+	}
+	hosted := Owners(part.CommonSubgraphs(single.A, single.B)[0], 2, 1)[0]
+	if got, want := r.Paths[1], answers(hosted, single); !slices.EqualFunc(got, want, graph.Path.Equal) {
+		t.Errorf("pair of one share %v answered %v, want worker %d's list %v", single, got, hosted, want)
+	}
+}
+
 // BenchmarkProviderRound is one refine round as a closed loop of two
-// queries pays it: submit a pair, wait for the answer, over an in-process
-// loopback call that answers at once — what remains is the provider's own
-// routing and dispatch.
+// queries pays it: submit a pair, wait for the answer, over in-process
+// loopback calls that answer at once — what remains is the provider's own
+// routing, dispatch and filing.  In one-share the pair goes to the one
+// worker; in two-shares it lies in two subgraphs hosted by different
+// workers, so the round ships two shares and merges their answers.
 func BenchmarkProviderRound(b *testing.B) {
 	x, err := dtlp.Build(paperPartition(b), dtlp.Config{Xi: 2})
 	if err != nil {
 		b.Fatal(err)
 	}
-	f := &fakeCalls{}
-	p := newProvider([]func(PartialKSPRequest) (PartialKSPResponse, error){f.call}, 1, ReplicatedOptions{}, nil)
-	defer p.Close()
 	iv := x.CurrentView()
-	pool := routedPairs(b, x.Partition(), 2)
-	b.ReportAllocs()
-	b.SetParallelism(1)
-	var caller atomic.Int32
-	b.RunParallel(func(pb *testing.PB) {
-		pairs := []core.PairRequest{pool[caller.Add(1)%2]}
-		for pb.Next() {
-			if r := <-ask(p, iv, pairs); r.Err != nil {
-				b.Error(r.Err)
-				return
+	for _, c := range []struct {
+		name    string
+		workers int
+		pool    []core.PairRequest
+	}{
+		{"one-share", 1, routedPairs(b, x.Partition(), 2)},
+		{"two-shares", 2, sharedPairs(b, x.Partition(), 2, 2, 2)},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			f := &fakeCalls{}
+			calls := make([]func(PartialKSPRequest) (PartialKSPResponse, error), c.workers)
+			for w := range calls {
+				calls[w] = f.call
 			}
-		}
-	})
+			p := newProvider(calls, 1, ReplicatedOptions{}, nil)
+			defer p.Close()
+			b.ReportAllocs()
+			b.SetParallelism(1)
+			var caller atomic.Int32
+			b.RunParallel(func(pb *testing.PB) {
+				pairs := []core.PairRequest{c.pool[caller.Add(1)%2]}
+				for pb.Next() {
+					if r := <-ask(p, iv, pairs); r.Err != nil {
+						b.Error(r.Err)
+						return
+					}
+				}
+			})
+		})
+	}
 }

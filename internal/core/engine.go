@@ -470,8 +470,8 @@ func (e *Engine) queryView(ctx context.Context, iv *dtlp.IndexView, s, t graph.V
 				if reply.Err != nil {
 					return res, reply.Err
 				}
-				for _, pr := range missing {
-					sc.pairCache[pr] = pairList{paths: reply.Paths[pr], k: k}
+				for i, pr := range missing {
+					sc.pairCache[pr] = pairList{paths: reply.Paths[i], k: k}
 				}
 			case <-ctx.Done():
 				rspan.Finish()
@@ -816,8 +816,8 @@ func (e *Engine) refetch(ctx context.Context, iv *dtlp.IndexView, sc *engineScra
 			if reply.Err != nil {
 				return reply.Err
 			}
-			for _, pr := range batches[i] {
-				sc.pairCache[pr] = pairList{paths: reply.Paths[pr], k: sc.deepen[pr]}
+			for j, pr := range batches[i] {
+				sc.pairCache[pr] = pairList{paths: reply.Paths[j], k: sc.deepen[pr]}
 			}
 		case <-ctx.Done():
 			return ctx.Err()

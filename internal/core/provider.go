@@ -23,11 +23,11 @@ type PairRequest struct {
 	A, B graph.VertexID
 }
 
-// AsyncPartialReply carries the outcome of a refine request: the partial
-// paths for every requested pair, or the error that failed the batch they
-// travelled in.
+// AsyncPartialReply carries the outcome of a refine round: the partial
+// paths of every requested pair, aligned with the request (Paths[i] answers
+// pairs[i]), or the error that failed the round.
 type AsyncPartialReply struct {
-	Paths map[PairRequest][]graph.Path
+	Paths [][]graph.Path
 	Err   error
 }
 
@@ -35,22 +35,23 @@ type AsyncPartialReply struct {
 // refine step of KSP-DG is expressed against this interface so that the same
 // engine code runs both locally (LocalProvider) and on a cluster where the
 // pairs are fanned out to the workers owning the relevant subgraphs (the
-// cluster package's batched providers).
+// cluster package's providers).
 type PartialProvider interface {
-	// PartialKSPAsyncCtx issues the refine step without blocking the caller:
-	// it returns immediately with a buffered channel that later receives, for
-	// every requested pair, up to k shortest paths between the pair's
-	// endpoints restricted to single subgraphs containing both, in global
-	// vertex ids and ascending distance.  The engine uses the gap to run the
-	// next iteration's filter step while the refine is in flight.
+	// PartialKSPAsyncCtx issues one refine round without blocking the
+	// caller: it returns immediately with a buffered channel that later
+	// receives, for every requested pair and at its position in pairs, up
+	// to k shortest paths between the pair's endpoints restricted to single
+	// subgraphs containing both, in global vertex ids and ascending
+	// distance.  The engine uses the gap to run the next iteration's filter
+	// step while the round is in flight.
 	//
 	// Every subgraph search reads the weights frozen in the epoch view iv,
 	// over the partition of that epoch's generation; a nil view requests each
 	// subgraph's current snapshot (see RefineSource).  pairs is only valid
 	// until the call returns — implementations that keep working afterwards
 	// copy it.  The context is a trace carrier only (see internal/trace):
-	// a shipped pair may also serve other queries that asked for it, so
-	// per-query cancellation must not abort a shipped batch.
+	// the engine stops between iterations, so a round in flight is never
+	// aborted.
 	PartialKSPAsyncCtx(ctx context.Context, iv *dtlp.IndexView, pairs []PairRequest, k int) <-chan AsyncPartialReply
 }
 
@@ -92,11 +93,7 @@ func (lp *LocalProvider) PartialKSPAsyncCtx(_ context.Context, iv *dtlp.IndexVie
 		fanout.Do(len(pairs), lp.width, func(i int) {
 			results[i] = RefinePair(part, pairs[i], k, weights, nil)
 		})
-		paths := make(map[PairRequest][]graph.Path, len(pairs))
-		for i, pr := range pairs {
-			paths[pr] = results[i]
-		}
-		out <- AsyncPartialReply{Paths: paths}
+		out <- AsyncPartialReply{Paths: results}
 	}()
 	return out
 }
