@@ -194,7 +194,7 @@ func runScenario(m *deploy.Master, cfg scenario, replicas int) error {
 			"topology_batches", stats.TopologyBatches)
 	}
 	lg.Info("scheduling stats", "epoch", stats.Epoch,
-		"cache_hits", stats.CacheHits, "coalesced", stats.Coalesced,
+		"cache_hits", stats.CacheHits,
 		"updates_applied", stats.UpdatesApplied, "snapshots", stats.Snapshots)
 	if stats.NonConverged > 0 {
 		lg.Warn("queries cut off with fewer than k proven paths (results may be truncated)",

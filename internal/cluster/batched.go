@@ -28,10 +28,13 @@ import (
 func Owners(sg partition.SubgraphID, numWorkers, factor int) []int {
 	ws := make([]int, min(max(factor, 1), numWorkers))
 	for r := range ws {
-		ws[r] = (int(sg) + r) % numWorkers
+		ws[r] = owner(sg, r, numWorkers)
 	}
 	return ws
 }
+
+// owner is the rank-r owner of subgraph sg under Owners.
+func owner(sg partition.SubgraphID, r, numWorkers int) int { return (int(sg) + r) % numWorkers }
 
 // OwnedBy lists, in ascending order, the subgraphs below numSubgraphs that
 // worker w hosts under Owners.
@@ -256,8 +259,12 @@ func (p *BatchedRemoteProvider) route(iv *dtlp.IndexView, pairs []core.PairReque
 	part := iv.Partition()
 	byWorker := make([]share, len(p.calls))
 	for i, pr := range pairs {
-		for _, sg := range part.CommonSubgraphs(pr.A, pr.B) {
-			w := pick(Owners(sg, len(p.calls), p.factor), states, excluded)
+		inB := part.SubgraphsOf(pr.B)
+		for _, sg := range part.SubgraphsOf(pr.A) {
+			if !slices.Contains(inB, sg) {
+				continue // not one of the pair's common subgraphs
+			}
+			w := p.pick(sg, states, excluded)
 			if w < 0 {
 				return nil, fmt.Errorf("cluster: all %d replicas of subgraph %d are unreachable", p.factor, sg)
 			}
@@ -344,13 +351,13 @@ func (p *BatchedRemoteProvider) call(ctx context.Context, w int, pairs []core.Pa
 	return resp.DecodePaths(), nil
 }
 
-// pick returns the first owner, in rank order, not excluded and in the best
-// state, or -1 when every owner is excluded.  states is nil at factor 1,
-// where the one owner is picked without reading membership.
-func pick(owners []int, states []WorkerState, excluded map[int]bool) int {
+// pick returns the first owner of sg, in rank order, not excluded and in the
+// best state, or -1 when every owner is excluded.  states is nil at factor
+// 1, where the one owner is picked without reading membership.
+func (p *BatchedRemoteProvider) pick(sg partition.SubgraphID, states []WorkerState, excluded map[int]bool) int {
 	for _, want := range [...]WorkerState{StateUp, StateSuspect, StateDown} {
-		for _, w := range owners {
-			if !excluded[w] && (states == nil || states[w] == want) {
+		for r := range p.factor {
+			if w := owner(sg, r, len(p.calls)); !excluded[w] && (states == nil || states[w] == want) {
 				return w
 			}
 		}

@@ -343,8 +343,8 @@ func (m *Master) Close() error {
 		st := m.Server.Stats()
 		m.cfg.Logger.Info("drained", "epoch", st.Epoch,
 			"queries_served", st.QueriesServed, "cache_hits", st.CacheHits,
-			"coalesced", st.Coalesced, "truncated", st.NonConverged,
-			"budget_terminated", st.BudgetTerminated, "canceled", st.Canceled,
+			"truncated", st.NonConverged, "budget_terminated", st.BudgetTerminated,
+			"canceled", st.Canceled,
 			"update_batches", st.UpdateBatches)
 		if m.st != nil {
 			if epoch, serr := m.st.SaveSnapshot(m.Index); serr != nil {

@@ -98,10 +98,10 @@ func TestDifferentialGridBatchedTransport(t *testing.T) {
 }
 
 // TestDifferentialConcurrentBatchedTransport floods the serve layer while
-// update batches land, with the refine step coalescing pairs across the
-// concurrent queries: queries pinned to different epochs share the
-// per-worker batching queues (mixed-epoch concurrent batches), and every
-// result must still match Yen on the frozen weights of the epoch it reports.
+// update batches land, with the refine step on a three-worker cluster:
+// queries pinned to different epochs ship their shares to the same workers
+// at once (mixed-epoch concurrent requests), and every result must still
+// match Yen on the frozen weights of the epoch it reports.
 func TestDifferentialConcurrentBatchedTransport(t *testing.T) {
 	t.Run("cluster/undirected", func(t *testing.T) {
 		CheckConcurrent(t, ConcurrentParams{Seed: 42, Provider: batchedClusterProvider(3)})

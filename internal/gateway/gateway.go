@@ -868,8 +868,6 @@ func (g *Gateway) registerMetrics() {
 		stats(func(s serve.Stats) int64 { return s.QueriesServed }))
 	r.CounterFunc("kspd_cache_hits_total", "Queries answered from the epoch-tagged result cache.",
 		stats(func(s serve.Stats) int64 { return s.CacheHits }))
-	r.CounterFunc("kspd_coalesced_queries_total", "Queries that joined an identical in-flight query.",
-		stats(func(s serve.Stats) int64 { return s.Coalesced }))
 	r.CounterFunc("kspd_nonconverged_queries_total",
 		"Queries cut off with fewer than k proven candidates (possibly truncated results).",
 		stats(func(s serve.Stats) int64 { return s.NonConverged }))

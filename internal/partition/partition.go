@@ -74,13 +74,6 @@ func (s *Subgraph) Contains(v graph.VertexID) bool {
 	return ok
 }
 
-// ContainsBoundary reports whether global vertex v is a boundary vertex of
-// this subgraph.
-func (s *Subgraph) ContainsBoundary(v graph.VertexID) bool {
-	i := sort.Search(len(s.Boundary), func(i int) bool { return s.Boundary[i] >= v })
-	return i < len(s.Boundary) && s.Boundary[i] == v
-}
-
 // GlobalPath translates a path expressed in local vertex ids into global ids.
 func (s *Subgraph) GlobalPath(p graph.Path) graph.Path {
 	out := graph.Path{Vertices: make([]graph.VertexID, len(p.Vertices)), Dist: p.Dist}

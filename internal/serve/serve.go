@@ -7,9 +7,9 @@
 //   - Queries run on a bounded worker pool.  Each query is answered against
 //     one immutable index epoch (dtlp.IndexView), so an in-flight query never
 //     observes a half-applied update batch no matter how many batches land
-//     while it runs.  Identical concurrent queries are coalesced, and results
-//     are cached per (source, target, k) until the epoch they were computed
-//     on is superseded.
+//     while it runs.  Each query is its own computation under its caller's
+//     context, and results are cached per (source, target, k) until the
+//     epoch they were computed on is superseded.
 //   - Weight and topology batches go through one writer that logs each batch
 //     to the write-ahead log, applies it to the index, which writes the master
 //     graph and publishes the next epoch atomically, and then broadcasts it.
@@ -132,7 +132,7 @@ func (o Options) withDefaults() Options {
 type Stats struct {
 	QueriesServed  int64 // completed queries, including cache hits
 	CacheHits      int64 // queries answered from the epoch-tagged cache
-	Coalesced      int64 // queries that joined an identical in-flight query
+	Coalesced      int64 // always zero: each query computes on its own (kept for callers that read it)
 	UpdateBatches  int64 // weight update batches applied
 	UpdatesApplied int64 // individual edge updates applied
 	Snapshots      int64 // periodic snapshots written through Options.Store
@@ -160,8 +160,8 @@ type Stats struct {
 	// distance overshoot any near-exact answer may have had.
 	MaxBoundGap float64
 	// Canceled counts queries abandoned before completion because their
-	// context was canceled or blew its deadline (including queued queries
-	// whose last waiter hung up before a worker picked them up).
+	// context was canceled or blew its deadline, including queries whose
+	// caller hung up while they waited for room in the queue or for a worker.
 	Canceled int64
 	// Panics counts panics contained without taking the process down: on a
 	// pool worker, which fails one query (see execute), and in the refine
@@ -202,14 +202,13 @@ type Server struct {
 	provider core.PartialProvider
 	opts     Options
 
-	tasks   chan *task
+	tasks   chan *call
 	workers sync.WaitGroup
 	senders sync.WaitGroup
 
-	mu       sync.Mutex
-	closed   bool
-	cache    map[queryKey]cacheEntry
-	inflight map[queryKey]*call
+	mu     sync.Mutex
+	closed bool
+	cache  map[queryKey]cacheEntry
 
 	// writeMu serializes the whole writer path (index + WAL + broadcast) so
 	// WAL records land in exactly the epoch order the index
@@ -222,7 +221,6 @@ type Server struct {
 
 	queries          atomic.Int64
 	hits             atomic.Int64
-	coalesced        atomic.Int64
 	batches          atomic.Int64
 	updates          atomic.Int64
 	topoBatches      atomic.Int64
@@ -245,32 +243,23 @@ type cacheEntry struct {
 	res   core.Result
 }
 
-// call is one scheduled computation.  Plain queries are shared: concurrent
-// identical queries join the same call and its result lands in the cache.
-// Epoch-pinned and streaming queries get private calls (pin answers are
-// immutable but rare; stream yields belong to one client).
-//
-// The computation runs under its own context (ctx/cancel), which is canceled
-// once every joined waiter has abandoned the call — that is how a dead
-// client's deadline propagates into the engine loop and stops consuming
-// worker capacity, without a single impatient joiner killing a computation
-// other callers still want.
+// call is one scheduled computation, for one caller.  It runs under the
+// caller's context, so a caller that hangs up stops it: a queued call is
+// failed without touching the engine, a running one is canceled
+// mid-iteration.  Plain queries' answers land in the cache; epoch-pinned and
+// streaming ones do not (pin answers are immutable but rare; stream yields
+// belong to one client).
 type call struct {
-	key    queryKey
-	epoch  uint64 // epoch current at registration; joiners must match
-	shared bool   // registered in inflight + eligible for the cache
+	ctx       context.Context
+	key       queryKey
+	cacheable bool
 
 	view  *dtlp.IndexView        // pinned epoch view; nil = newest at execution
 	yield func(graph.Path) error // streaming observer; runs on the pool worker
 
-	ctx     context.Context
-	cancel  context.CancelFunc
-	waiters atomic.Int32 // callers currently waiting on done
-
-	// reqSpan is the creating caller's request span (nil for untraced
-	// callers).  The computation's queue/execute spans — and everything the
-	// engine and transport hang beneath them — belong to the creator's
-	// trace; joiners only record an annotation naming it (see join).
+	// reqSpan is the caller's request span (nil for untraced callers).  The
+	// queue and execute spans, and everything the engine and transport hang
+	// beneath them, belong to its trace.
 	reqSpan   *trace.Span
 	queueSpan *trace.Span
 
@@ -278,21 +267,6 @@ type call struct {
 	res  core.Result
 	err  error
 }
-
-// newCall registers a computation created by the caller behind ctx.  The
-// call's execution context is detached from the creator's cancellation (a
-// coalesced computation must outlive any single waiter) but inherits its
-// trace span, under which the queue wait starts immediately.
-func newCall(ctx context.Context, key queryKey) *call {
-	cctx, cancel := context.WithCancel(context.Background())
-	c := &call{key: key, ctx: cctx, cancel: cancel, done: make(chan struct{})}
-	c.reqSpan = trace.FromContext(ctx)
-	c.queueSpan = c.reqSpan.Child("queue")
-	c.waiters.Store(1)
-	return c
-}
-
-type task struct{ c *call }
 
 // New creates a server over the given index.  provider selects where the
 // refine step runs: nil uses a serial local provider (queries already run
@@ -307,9 +281,8 @@ func New(index *dtlp.Index, provider core.PartialProvider, opts Options) *Server
 		engine:   core.NewEngine(index, provider, opts.Engine),
 		provider: provider,
 		opts:     opts,
-		tasks:    make(chan *task, opts.QueueDepth),
+		tasks:    make(chan *call, opts.QueueDepth),
 		cache:    make(map[queryKey]cacheEntry),
-		inflight: make(map[queryKey]*call),
 	}
 	s.workers.Add(opts.Workers)
 	for i := 0; i < opts.Workers; i++ {
@@ -321,17 +294,12 @@ func New(index *dtlp.Index, provider core.PartialProvider, opts Options) *Server
 // Index returns the server's DTLP index.
 func (s *Server) Index() *dtlp.Index { return s.index }
 
-// Engine returns the server's underlying engine.  Direct engine queries
-// bypass the scheduler and cache but are still snapshot-isolated.
-func (s *Server) Engine() *core.Engine { return s.engine }
-
 // worker drains the task queue, answering each query against its pinned view
 // or the newest epoch available when the query starts executing.  Calls whose
 // context died while queued are failed without touching the engine.
 func (s *Server) worker() {
 	defer s.workers.Done()
-	for t := range s.tasks {
-		c := t.c
+	for c := range s.tasks {
 		c.queueSpan.Finish()
 		if err := c.ctx.Err(); err != nil {
 			s.finish(c, core.Result{}, err)
@@ -344,17 +312,17 @@ func (s *Server) worker() {
 
 // execute answers one call on the calling pool worker.  A panic anywhere in
 // the query (the engine, a provider called on this goroutine, a stream's
-// yield) fails this call with an error — its waiters and coalesced joiners
-// are released by finish like any other failure — and the worker keeps
-// draining; the stack is logged once and counted in Stats.Panics.
+// yield) fails this call with an error, released by finish like any other
+// failure, and the worker keeps draining; the stack is logged once and counted
+// in Stats.Panics.
 func (s *Server) execute(c *call) (res core.Result, err error) {
 	view := c.view
 	if view == nil {
 		view = s.index.CurrentView()
 	}
-	// The execute span is injected into the call's detached context so the
-	// engine (and the batching transport beneath it) hang their iteration
-	// and rpc spans under the creator's trace.
+	// The execute span is injected into the call's context so the engine
+	// (and the transport beneath it) hang their iteration and rpc spans under
+	// it.
 	exec := c.reqSpan.Child("execute")
 	defer exec.Finish()
 	defer func() {
@@ -371,19 +339,15 @@ func (s *Server) execute(c *call) (res core.Result, err error) {
 	return s.engine.QueryViewCtx(ctx, view, c.key.s, c.key.t, c.key.k)
 }
 
-// finish completes a call: publishes the result to all joined waiters and,
-// for shared calls, installs it in the epoch-tagged cache.
+// finish completes a call: publishes the result to its caller, installs a
+// cacheable answer in the epoch-tagged cache, and counts the outcome.
 func (s *Server) finish(c *call, res core.Result, err error) {
 	c.res, c.err = res, err
-	c.cancel()
-	s.mu.Lock()
-	if c.shared && s.inflight[c.key] == c {
-		delete(s.inflight, c.key)
-	}
-	if err == nil && c.shared && s.opts.CacheCapacity > 0 {
+	if err == nil && c.cacheable && s.opts.CacheCapacity > 0 {
+		s.mu.Lock()
 		s.storeCacheLocked(c.key, cacheEntry{epoch: res.Epoch, res: res})
+		s.mu.Unlock()
 	}
-	s.mu.Unlock()
 	tr := c.reqSpan.Trace()
 	outlier := false
 	switch {
@@ -452,20 +416,6 @@ func (s *Server) logSlowQuery(c *call, res core.Result, err error, outlier bool)
 	lg.Warn("slow query", kv...)
 }
 
-// abandon records that one waiter gave up on c.  The last waiter to leave
-// cancels the computation and unregisters the call, so the next identical
-// query starts fresh instead of joining a corpse.
-func (s *Server) abandon(c *call) {
-	s.mu.Lock()
-	if c.waiters.Add(-1) == 0 {
-		if c.shared && s.inflight[c.key] == c {
-			delete(s.inflight, c.key)
-		}
-		c.cancel()
-	}
-	s.mu.Unlock()
-}
-
 // storeCacheLocked inserts an entry, evicting stale entries (and, if the
 // cache is still full, arbitrary ones) to respect the capacity bound.
 // Callers must hold s.mu.
@@ -508,17 +458,16 @@ type Request struct {
 // the queue depth blocks callers (backpressure) rather than growing an
 // unbounded backlog.
 //
-// A request with neither Epoch nor Yield is shared: a result cached for the
-// current epoch is returned immediately, an identical in-flight query is
-// joined, and the answer lands in the cache.  Any other request is private
-// (pin answers are immutable but rare; stream yields belong to one client)
-// and bypasses the cache and coalescing, but still runs on the pool.
+// A request with neither Epoch nor Yield is cacheable: a result cached for
+// the current epoch is returned immediately, and a computed answer lands in
+// the cache.  Any other request bypasses the cache (pin answers are immutable
+// but rare; stream yields belong to one client) but still runs on the pool.
 //
-// Once ctx is done the caller returns immediately with ctx's error, and —
-// when it was the computation's last remaining waiter — the computation
-// itself is canceled mid-iteration, so a hung-up client stops consuming
-// worker capacity.  A coalesced computation with other live waiters keeps
-// running for them.
+// Every call computes on its own, under ctx.  Once ctx is done the caller
+// returns immediately with ctx's error and the computation stops: a call
+// still waiting for room in the queue is never enqueued, a queued one is
+// failed before it touches the engine, and a running one is canceled
+// mid-iteration, so a hung-up client stops consuming worker capacity.
 func (s *Server) Query(ctx context.Context, r Request) (core.Result, error) {
 	if err := ctx.Err(); err != nil {
 		return core.Result{}, err
@@ -531,20 +480,19 @@ func (s *Server) Query(ctx context.Context, r Request) (core.Result, error) {
 		}
 	}
 	key := queryKey{s: r.Src, t: r.Dst, k: r.K}
-	shared := r.Epoch == nil && r.Yield == nil
+	cacheable := r.Epoch == nil && r.Yield == nil
 
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
 		return core.Result{}, fmt.Errorf("serve: server is closed")
 	}
-	// The epoch is read under s.mu so the cache/in-flight decisions below
-	// are made against a single consistent notion of "current": reading it
-	// earlier could evict an entry that is in fact newer than our reading.
-	epoch := s.index.CurrentView().Epoch()
-	if shared {
+	if cacheable {
+		// The epoch is read under s.mu so the hit test is made against a
+		// single consistent notion of "current": reading it earlier could
+		// evict an entry that is in fact newer than our reading.
 		if e, ok := s.cache[key]; ok {
-			if e.epoch == epoch {
+			if e.epoch == s.index.CurrentView().Epoch() {
 				s.mu.Unlock()
 				s.queries.Add(1)
 				s.hits.Add(1)
@@ -552,75 +500,35 @@ func (s *Server) Query(ctx context.Context, r Request) (core.Result, error) {
 			}
 			delete(s.cache, key) // stale epoch: lazy invalidation
 		}
-		if c, ok := s.inflight[key]; ok && c.epoch == epoch {
-			c.waiters.Add(1)
-			s.mu.Unlock()
-			return s.join(ctx, c)
-		}
-	}
-	c := newCall(ctx, key)
-	c.view, c.yield = view, r.Yield
-	if shared {
-		c.epoch = epoch
-		c.shared = true
-		s.inflight[key] = c
 	}
 	s.senders.Add(1)
 	s.mu.Unlock()
-	return s.await(ctx, c)
+	c := &call{ctx: ctx, key: key, cacheable: cacheable, view: view, yield: r.Yield, done: make(chan struct{})}
+	c.reqSpan = trace.FromContext(ctx)
+	c.queueSpan = c.reqSpan.Child("queue")
+	return s.await(c)
 }
 
-// join waits, as one more waiter, for an identical query for the same epoch
-// that is already running (or queued), sharing its outcome instead of
-// computing it twice.  A traced joiner records which trace owns the
-// computation it attached to, so its own trace explains where the time went.
-func (s *Server) join(ctx context.Context, c *call) (core.Result, error) {
-	var jspan *trace.Span
-	if js := trace.FromContext(ctx); js != nil {
-		jspan = js.Child("coalesced")
-		jspan.SetAttr("owner_trace", trace.IDString(c.reqSpan.Trace().ID()))
-	}
+// await enqueues c and waits for its outcome.  A caller whose context ends
+// while the queue is full finishes its call at once, without enqueuing it.
+// The senders count held since Query keeps Close from closing the queue
+// under a pending send.
+func (s *Server) await(c *call) (core.Result, error) {
 	select {
-	case <-c.done:
-		jspan.Finish()
-		s.queries.Add(1)
-		s.coalesced.Add(1)
-		return c.res, c.err
-	case <-ctx.Done():
-		jspan.Finish()
-		s.abandon(c)
-		return core.Result{}, ctx.Err()
-	}
-}
-
-// await enqueues the freshly created call and waits for its outcome as its
-// first waiter.
-func (s *Server) await(ctx context.Context, c *call) (core.Result, error) {
-	select {
-	case s.tasks <- &task{c: c}:
+	case s.tasks <- c:
 		s.senders.Done()
-	case <-ctx.Done():
-		// The creator's patience ran out while the queue was full, but
-		// joiners with live contexts may share this call: hand the blocking
-		// enqueue off to a detached sender so the call still executes for
-		// them.  If every waiter is gone by then, abandon() has canceled the
-		// call's context and the worker fast-fails it without computing.
-		// The sender holds s.senders, so Close cannot close the task channel
-		// underneath the pending send.
-		go func() {
-			s.tasks <- &task{c: c}
-			s.senders.Done()
-		}()
-		s.abandon(c)
-		return core.Result{}, ctx.Err()
+	case <-c.ctx.Done():
+		s.senders.Done()
+		c.queueSpan.Finish()
+		s.finish(c, core.Result{}, c.ctx.Err())
+		return core.Result{}, c.err
 	}
 	select {
 	case <-c.done:
 		s.queries.Add(1)
 		return c.res, c.err
-	case <-ctx.Done():
-		s.abandon(c)
-		return core.Result{}, ctx.Err()
+	case <-c.ctx.Done():
+		return core.Result{}, c.ctx.Err()
 	}
 }
 
@@ -811,7 +719,6 @@ func (s *Server) Stats() Stats {
 	st := Stats{
 		QueriesServed:  s.queries.Load(),
 		CacheHits:      s.hits.Load(),
-		Coalesced:      s.coalesced.Load(),
 		UpdateBatches:  s.batches.Load(),
 		UpdatesApplied: s.updates.Load(),
 		Snapshots:      s.snapshots.Load(),

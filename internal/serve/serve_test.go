@@ -111,59 +111,6 @@ func TestServerCacheInvalidatedByEpoch(t *testing.T) {
 	}
 }
 
-// slowProvider delays every refine step, giving concurrent identical queries
-// a guaranteed window to find each other in flight.
-type slowProvider struct {
-	inner core.PartialProvider
-	delay time.Duration
-}
-
-func (p slowProvider) PartialKSPAsyncCtx(ctx context.Context, iv *dtlp.IndexView, pairs []core.PairRequest, k int) <-chan core.AsyncPartialReply {
-	pairs = append([]core.PairRequest(nil), pairs...)
-	out := make(chan core.AsyncPartialReply, 1)
-	go func() {
-		time.Sleep(p.delay)
-		out <- <-p.inner.PartialKSPAsyncCtx(ctx, iv, pairs, k)
-	}()
-	return out
-}
-
-func TestServerCoalescesIdenticalQueries(t *testing.T) {
-	g := testutil.PaperGraph(t)
-	p, err := partition.PartitionGraph(g, 6)
-	if err != nil {
-		t.Fatal(err)
-	}
-	x, err := dtlp.Build(p, dtlp.Config{Xi: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// A slow refine step keeps the first query in flight long enough that
-	// the 15 identical followers must join it rather than recompute (the
-	// cache is disabled so joining is the only sharing mechanism).
-	s := New(x, slowProvider{inner: core.NewLocalProvider(p, 0), delay: 20 * time.Millisecond},
-		Options{Workers: 1, CacheCapacity: -1})
-	defer s.Close()
-	var wg sync.WaitGroup
-	for i := 0; i < 16; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			if _, err := s.Query(context.Background(), Request{Src: testutil.V1, Dst: testutil.V19, K: 3}); err != nil {
-				t.Errorf("query: %v", err)
-			}
-		}()
-	}
-	wg.Wait()
-	st := s.Stats()
-	if st.QueriesServed != 16 {
-		t.Errorf("served %d queries, want 16", st.QueriesServed)
-	}
-	if st.Coalesced == 0 {
-		t.Errorf("expected some coalesced queries, got none (stats %+v)", st)
-	}
-}
-
 // TestServerConcurrentQueriesSnapshotIsolated is the acceptance-criteria
 // concurrency test: at least 8 concurrent queriers interleave with at least 3
 // weight-update batches through the snapshot layer (run under -race in CI).
@@ -487,79 +434,6 @@ func TestQueryCtxCancelStopsComputation(t *testing.T) {
 	s.Close()
 }
 
-func TestCoalescedCancelKeepsOtherWaiters(t *testing.T) {
-	g := testutil.PaperGraph(t)
-	p, err := partition.PartitionGraph(g, 6)
-	if err != nil {
-		t.Fatal(err)
-	}
-	x, err := dtlp.Build(p, dtlp.Config{Xi: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	bp := newBlockingProvider(core.NewLocalProvider(p, 0))
-	s := New(x, bp, Options{Workers: 1, CacheCapacity: -1})
-	released := false
-	defer func() {
-		if !released {
-			close(bp.release)
-		}
-		s.Close()
-	}()
-
-	type outcome struct {
-		res core.Result
-		err error
-	}
-	first := make(chan outcome, 1)
-	go func() {
-		res, err := s.Query(context.Background(), Request{Src: 3, Dst: 12, K: 2})
-		first <- outcome{res, err}
-	}()
-	<-bp.entered // the computation is running
-
-	// A second identical query joins it, then hangs up.
-	ctx, cancel := context.WithCancel(context.Background())
-	second := make(chan outcome, 1)
-	go func() {
-		res, err := s.Query(ctx, Request{Src: 3, Dst: 12, K: 2})
-		second <- outcome{res, err}
-	}()
-	deadline := time.Now().Add(5 * time.Second)
-	for s.Stats().Coalesced == 0 {
-		// The joiner registers by bumping the waiter count before blocking;
-		// give it a moment to reach the select.
-		if time.Now().After(deadline) {
-			break
-		}
-		time.Sleep(time.Millisecond)
-		s.mu.Lock()
-		n := len(s.inflight)
-		s.mu.Unlock()
-		if n > 0 {
-			break
-		}
-	}
-	time.Sleep(10 * time.Millisecond) // let the joiner block on the call
-	cancel()
-	o2 := <-second
-	if !errors.Is(o2.err, context.Canceled) {
-		t.Fatalf("canceled joiner returned %v, want context.Canceled", o2.err)
-	}
-
-	// The first waiter still gets a real answer: one abandoning joiner must
-	// not kill a computation someone else is waiting on.
-	released = true
-	close(bp.release)
-	o1 := <-first
-	if o1.err != nil {
-		t.Fatalf("surviving waiter failed: %v", o1.err)
-	}
-	if len(o1.res.Paths) == 0 {
-		t.Fatal("surviving waiter got no paths")
-	}
-}
-
 func TestQueryAtPinnedEpoch(t *testing.T) {
 	g := testutil.PaperGraph(t)
 	_, s := buildServer(t, g, 6, 2, Options{Workers: 2})
@@ -672,7 +546,27 @@ func TestNonConvergedCounter(t *testing.T) {
 	}
 }
 
-func TestAbandonedEnqueueStillServesJoiners(t *testing.T) {
+// doneSignal is a context that reports the first time its Done channel is
+// asked for; Query asks only once it is about to wait on it.
+type doneSignal struct {
+	context.Context
+	asked chan struct{}
+}
+
+func (c doneSignal) Done() <-chan struct{} {
+	select {
+	case c.asked <- struct{}{}:
+	default:
+	}
+	return c.Context.Done()
+}
+
+// TestAbandonedEnqueueFailsOnlyItsCaller fills a one-worker server with a
+// one-deep queue (A runs, B waits in the queue) and lets a third caller, C,
+// hang up while it is blocked on the send.  C must return at once and be
+// counted as canceled before anything is released, without ever reaching the
+// queue; A and B must still be answered and Close must return.
+func TestAbandonedEnqueueFailsOnlyItsCaller(t *testing.T) {
 	g := testutil.PaperGraph(t)
 	p, err := partition.PartitionGraph(g, 6)
 	if err != nil {
@@ -683,8 +577,6 @@ func TestAbandonedEnqueueStillServesJoiners(t *testing.T) {
 		t.Fatal(err)
 	}
 	bp := newBlockingProvider(core.NewLocalProvider(p, 0))
-	// One worker and a one-deep task queue, so a third query's creator
-	// blocks in the enqueue itself.
 	s := New(x, bp, Options{Workers: 1, QueueDepth: 1, CacheCapacity: -1})
 	released := false
 	defer func() {
@@ -705,7 +597,7 @@ func TestAbandonedEnqueueStillServesJoiners(t *testing.T) {
 		a <- outcome{res, err}
 	}()
 	<-bp.entered
-	// B fills the one-slot task buffer.
+	// B fills the one-slot queue.
 	b := make(chan outcome, 1)
 	go func() {
 		res, err := s.Query(context.Background(), Request{Src: 0, Dst: 15, K: 2})
@@ -714,53 +606,41 @@ func TestAbandonedEnqueueStillServesJoiners(t *testing.T) {
 	deadline := time.Now().Add(5 * time.Second)
 	for len(s.tasks) == 0 {
 		if time.Now().After(deadline) {
-			t.Fatal("second query never reached the task buffer")
+			t.Fatal("second query never reached the queue")
 		}
 		time.Sleep(time.Millisecond)
 	}
 
-	// C's creator blocks sending to the full queue...
-	ctxC, cancelC := context.WithCancel(context.Background())
+	// C's caller blocks sending to the full queue, then hangs up.
+	inner, cancelC := context.WithCancel(context.Background())
 	defer cancelC()
+	ctxC := doneSignal{Context: inner, asked: make(chan struct{}, 1)}
 	c := make(chan outcome, 1)
 	go func() {
 		res, err := s.Query(ctxC, Request{Src: 1, Dst: 16, K: 2})
 		c <- outcome{res, err}
 	}()
-	key := queryKey{s: 1, t: 16, k: 2}
-	var call3 *call
-	for call3 == nil {
-		if time.Now().After(deadline) {
-			t.Fatal("third query never registered")
-		}
-		s.mu.Lock()
-		call3 = s.inflight[key]
-		s.mu.Unlock()
-		time.Sleep(time.Millisecond)
+	select {
+	case <-ctxC.asked:
+	case <-time.After(5 * time.Second):
+		t.Fatal("third query never waited on the queue")
 	}
-	// ...and D joins C's in-flight call with no deadline of its own.
-	d := make(chan outcome, 1)
-	go func() {
-		res, err := s.Query(context.Background(), Request{Src: 1, Dst: 16, K: 2})
-		d <- outcome{res, err}
-	}()
-	for call3.waiters.Load() < 2 {
-		if time.Now().After(deadline) {
-			t.Fatalf("joiner never registered (waiters=%d)", call3.waiters.Load())
+	cancelC()
+	select {
+	case oc := <-c:
+		if !errors.Is(oc.err, context.Canceled) {
+			t.Fatalf("canceled caller returned %v, want context.Canceled", oc.err)
 		}
-		time.Sleep(time.Millisecond)
+	case <-time.After(5 * time.Second):
+		t.Fatal("canceled caller did not return while the queue was full")
+	}
+	if st := s.Stats(); st.Canceled != 1 {
+		t.Fatalf("Canceled = %d before the provider was released, want 1", st.Canceled)
 	}
 
-	// C gives up while the enqueue is still blocked.  D's context is live,
-	// so the call must be handed off and answered, not failed.
-	cancelC()
-	oc := <-c
-	if !errors.Is(oc.err, context.Canceled) {
-		t.Fatalf("canceled creator returned %v, want context.Canceled", oc.err)
-	}
 	released = true
 	close(bp.release)
-	for _, ch := range []chan outcome{a, b, d} {
+	for _, ch := range []chan outcome{a, b} {
 		o := <-ch
 		if o.err != nil {
 			t.Fatalf("surviving query failed: %v", o.err)
@@ -768,5 +648,15 @@ func TestAbandonedEnqueueStillServesJoiners(t *testing.T) {
 		if len(o.res.Paths) == 0 {
 			t.Fatal("surviving query got no paths")
 		}
+	}
+	closed := make(chan struct{})
+	go func() { s.Close(); close(closed) }()
+	select {
+	case <-closed:
+	case <-time.After(5 * time.Second):
+		t.Fatal("Close hung")
+	}
+	if st := s.Stats(); st.QueriesServed != 2 || st.Canceled != 1 {
+		t.Errorf("served %d, canceled %d; want 2 and 1", st.QueriesServed, st.Canceled)
 	}
 }

@@ -174,14 +174,6 @@ func (tr *Trace) ID() uint64 {
 	return tr.id
 }
 
-// Root returns the root span.
-func (tr *Trace) Root() *Span {
-	if tr == nil {
-		return nil
-	}
-	return tr.root
-}
-
 // MarkNonConverged flags the trace as an iteration-cap/non-converged outlier.
 func (tr *Trace) MarkNonConverged() { tr.mark(flagNonConverged) }
 
@@ -367,14 +359,6 @@ func (s *Span) SetAttrInt(key string, v int64) {
 		return
 	}
 	s.SetAttr(key, strconv.FormatInt(v, 10))
-}
-
-// SetAttrDuration records a duration attribute in Go's duration syntax.
-func (s *Span) SetAttrDuration(key string, d time.Duration) {
-	if s == nil {
-		return
-	}
-	s.SetAttr(key, d.String())
 }
 
 // Finish closes the span using the monotonic clock.  Double-finish keeps the
