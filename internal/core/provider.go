@@ -127,21 +127,24 @@ func RefinePair(part *partition.Partition, pr PairRequest, k int, weights func(p
 	if k <= 0 {
 		return nil
 	}
-	ids := part.CommonSubgraphs(pr.A, pr.B)
-	if owns != nil {
-		ids = slices.DeleteFunc(ids, func(id partition.SubgraphID) bool { return !owns(id) })
+	inB := part.SubgraphsOf(pr.B)
+	var all []graph.Path
+	found := 0
+	for _, id := range part.SubgraphsOf(pr.A) {
+		if !slices.Contains(inB, id) || owns != nil && !owns(id) {
+			continue // not a common subgraph the caller hosts
+		}
+		paths := searchSubgraph(part.Subgraph(id), pr, k, weights(id))
+		if found++; found == 1 {
+			all = paths // the caller's to keep: the snapshot cache holds its own copy
+		} else {
+			all = append(all, paths...)
+		}
 	}
-	switch len(ids) {
-	case 0:
-		return nil
-	case 1:
+	if found < 2 {
 		// One Yen call already emits sorted, duplicate-free paths; only
 		// results from several subgraphs need the merge.
-		return searchSubgraph(part.Subgraph(ids[0]), pr, k, weights(ids[0]))
-	}
-	var all []graph.Path
-	for _, id := range ids {
-		all = append(all, searchSubgraph(part.Subgraph(id), pr, k, weights(id))...)
+		return all
 	}
 	return MergePaths(all, k)
 }

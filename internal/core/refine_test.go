@@ -76,6 +76,33 @@ func TestRefinePair(t *testing.T) {
 	}
 }
 
+// TestRefinePairAllocs pins the garbage of refining a pair the snapshot
+// cache already holds, in one subgraph the caller owns: the one allocation is
+// the cache's copy of the answer, which the caller keeps.  Finding the pair's
+// common owned subgraphs allocates nothing.
+func TestRefinePairAllocs(t *testing.T) {
+	if testutil.RaceEnabled {
+		t.Skip("the race detector changes allocation counts")
+	}
+	p, err := partition.PartitionGraph(testutil.PaperGraph(t), 6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	part, weights := RefineSource(p, nil)
+	owns := func(partition.SubgraphID) bool { return true }
+	for _, pr := range colocatedPairs(p) {
+		if len(p.CommonSubgraphs(pr.A, pr.B)) != 1 {
+			continue
+		}
+		RefinePair(part, pr, 3, weights, owns) // fills the cache
+		if got := testing.AllocsPerRun(100, func() { RefinePair(part, pr, 3, weights, owns) }); got != 1 {
+			t.Fatalf("pair %v: %v allocations per cached refine, want 1", pr, got)
+		}
+		return
+	}
+	t.Fatal("no pair lies in exactly one subgraph")
+}
+
 // TestRefinePairOwnershipSplit pins the invariant master-side merging relies
 // on: however the subgraphs are split between owners, merging the owners'
 // answers through MergePaths gives exactly the answer of one owner of

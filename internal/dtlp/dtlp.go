@@ -36,17 +36,19 @@
 // # Snapshot / epoch model
 //
 // The index supports snapshot-isolated concurrent querying through immutable
-// epoch views (IndexView).  ApplyUpdates and ApplyTopology are the single
-// writer: under an internal write lock, ApplyUpdates has the master graph,
-// the touched subgraphs' local graphs and the skeleton graph each publish a
-// new immutable weight snapshot (see graph.Graph.ApplyUpdates), refreshes
-// the bounding path distances, and then atomically publishes a new IndexView
-// — the skeleton's current snapshot plus every subgraph's.  A subgraph the
-// batch did not touch still has the snapshot the previous epoch holds, so
-// consecutive epochs share it.  Queries obtain a view via CurrentView
-// (or resolve a specific epoch with ViewAt) and see a single consistent set
-// of weights for their whole lifetime, no matter how many update batches are
-// applied concurrently.  Bounding paths themselves are immutable by design,
+// epoch views (IndexView).  ApplyUpdates, ReplayUpdates and ApplyTopology
+// are the single writer: under an internal write lock, ApplyUpdates has the
+// master graph, the touched subgraphs' local graphs and the skeleton graph
+// each publish a new immutable weight snapshot (see graph.Graph.ApplyUpdates),
+// refreshes the bounding path distances, and then atomically publishes a new
+// IndexView — the skeleton's current snapshot plus every subgraph's.  A WAL
+// replay hands ReplayUpdates a run of batches, which publishes one view for
+// the run's older batches and one per batch only for the epochs ViewAt
+// retains.  A subgraph the batch did not touch still has the snapshot the
+// previous epoch holds, so consecutive epochs share it.  Queries obtain a
+// view via CurrentView (or resolve a specific epoch with ViewAt) and see a
+// single consistent set of weights for their whole lifetime, no matter how
+// many update batches are applied concurrently.  Bounding paths themselves are immutable by design,
 // which is what makes copy-on-write publication cheap: only weight arrays are
 // ever copied, never index structure.
 package dtlp
@@ -155,18 +157,17 @@ type Index struct {
 	// and skeleton that existed at that epoch.
 	gen atomic.Pointer[generation]
 
-	// Epoch view machinery: writeMu serializes ApplyUpdates and ApplyTopology
-	// (the single writer), view holds the most recently published IndexView,
-	// and recent retains a window of past views so queries can be audited
-	// against the exact epoch they ran on.  epochBase is the epoch of the
-	// first published view: 0 for a freshly built index, the snapshot epoch
-	// for a recovered one (see Importer.Finish), so epochs continue across
+	// Epoch view machinery: writeMu serializes ApplyUpdates, ReplayUpdates
+	// and ApplyTopology (the single writer), view holds the most recently
+	// published IndexView, and recent retains a window of past views so
+	// queries can be audited against the exact epoch they ran on.  The first
+	// view is epoch 0 for a freshly built index and the snapshot epoch for a
+	// recovered one (see Importer.Finish), so epochs continue across
 	// restarts.
-	epochBase uint64
-	writeMu   sync.Mutex
-	view      atomic.Pointer[IndexView]
-	viewMu    sync.Mutex
-	recent    []*IndexView
+	writeMu sync.Mutex
+	view    atomic.Pointer[IndexView]
+	viewMu  sync.Mutex
+	recent  []*IndexView
 }
 
 // Build constructs the DTLP index for the given partition.  Subgraphs are
@@ -198,7 +199,7 @@ func Build(part *partition.Partition, cfg Config) (*Index, error) {
 		return nil, err
 	}
 	x.gen.Store(g)
-	x.publishView() // epoch 0: the construction-time weights
+	x.publishView(0) // the construction-time weights
 	return x, nil
 }
 
@@ -348,57 +349,115 @@ type UpdateStats struct {
 // are read and written in batch order, so each delta is taken from the
 // weight the previous update of the same edge left behind.
 //
-// ApplyUpdates is the index's single writer, shared with ApplyTopology:
-// concurrent calls are serialized internally, and once a call returns a new
-// epoch view reflecting the whole batch has been published atomically (see
-// CurrentView).  Queries running against previously obtained views are
-// unaffected.  A batch CheckUpdates rejects changes nothing.
+// ApplyUpdates is the index's single writer, shared with ReplayUpdates and
+// ApplyTopology: concurrent calls are serialized internally, and once a call
+// returns a new epoch view reflecting the whole batch has been published
+// atomically (see CurrentView).  Queries running against previously obtained
+// views are unaffected.  A batch CheckUpdates rejects changes nothing.
 //
-// Maintenance is sharded: edge deltas are grouped per subgraph (preserving
-// batch order within each group, so every path distance accumulates its
-// deltas in batch order) and the per-subgraph work (one graph.ApplyUpdates
-// of the local graph, applyEdgeDelta, refreshBounds) runs on up to
-// GOMAXPROCS goroutines — each subgraph's first-level state is independent,
-// which is what the paper exploits by assigning subgraphs to different
-// SubgraphBolts.  The skeleton is then maintained by
-// index: the changed local pairs mark their global pairs, and one sweep in
-// pair order recomputes each marked pair's MBD from its LBD slots and writes
-// all new skeleton weights in one graph.ApplyUpdates.  Since every subgraph
-// whose LBD changed marks the pair itself, computing MBDs after all
-// refreshes yields the same weights as the serial interleaving.
+// Algorithm 2 runs once per run of consecutive weight batches, and a live
+// batch is the run of one (see applyRun); ReplayUpdates hands it longer runs.
 func (x *Index) ApplyUpdates(batch []graph.WeightUpdate) (UpdateStats, error) {
 	if len(batch) == 0 {
 		return UpdateStats{Epoch: x.CurrentView().Epoch()}, nil
 	}
 	x.writeMu.Lock()
 	defer x.writeMu.Unlock()
+	if err := x.gen.Load().checkUpdates(batch); err != nil {
+		return UpdateStats{}, err
+	}
+	return x.applyRun([][]graph.WeightUpdate{batch})
+}
+
+// ReplayUpdates applies consecutive weight batches, as a WAL replay does:
+// batch i publishes the current epoch plus i+1, and the result is
+// bit-identical to calling ApplyUpdates once per batch.  It checks every
+// batch before applying any, and a batch CheckUpdates rejects fails the call
+// with an error naming the epoch that batch would have published.  Every
+// batch publishes an epoch, an empty one too.
+//
+// Only the last viewRetention epochs can be resolved through ViewAt, so all
+// batches up to the oldest of them are applied as one run, which publishes
+// that oldest epoch, and the rest one at a time: ViewAt answers for exactly
+// the epochs it would after one ApplyUpdates per batch.  It returns the
+// current epoch.
+func (x *Index) ReplayUpdates(batches [][]graph.WeightUpdate) (uint64, error) {
+	x.writeMu.Lock()
+	defer x.writeMu.Unlock()
+	g, epoch := x.gen.Load(), x.view.Load().epoch
+	for i, batch := range batches {
+		if err := g.checkUpdates(batch); err != nil {
+			return 0, fmt.Errorf("batch for epoch %d: %w", epoch+uint64(i)+1, err)
+		}
+	}
+	bulk := max(len(batches)-viewRetention+1, 0)
+	if bulk > 0 {
+		if _, err := x.applyRun(batches[:bulk]); err != nil {
+			return 0, err
+		}
+	}
+	for i := bulk; i < len(batches); i++ {
+		if _, err := x.applyRun(batches[i : i+1]); err != nil {
+			return 0, err
+		}
+	}
+	return x.view.Load().epoch, nil
+}
+
+// applyRun is Algorithm 2 over a run of checked weight batches, and
+// publishes the epoch of the run's last batch.  It splits the work in two.
+//
+// The per-update part runs for every update in run order, exactly as one
+// ApplyUpdates per batch would: each update's delta is the new weight less
+// the one it replaces, read from the pre-run snapshot or from the previous
+// update of the same edge in the run, and every bounding path crossing the
+// edge adds that delta to its distance.  An update with a zero delta rewrites
+// the weight already there and is dropped.
+//
+// The per-state part runs once per run: one weight write per graph, one
+// bound refresh per affected subgraph, the MBDs of the pairs whose LBD
+// changed, one skeleton write and one view.  Bounds, LBDs and MBDs depend
+// only on the current weights and path distances, and the distances take the
+// same deltas in the same order either way, so a run leaves the same bits as
+// its batches applied one by one.
+//
+// Maintenance is sharded: deltas are grouped per subgraph (preserving run
+// order within each group, so every path distance accumulates its deltas in
+// that order) and the per-subgraph work (one graph.ApplyUpdates of the local
+// graph, applyEdgeDelta, refreshBounds) runs on up to GOMAXPROCS goroutines —
+// each subgraph's first-level state is independent, which is what the paper
+// exploits by assigning subgraphs to different SubgraphBolts.  The skeleton
+// is then maintained by index: the changed local pairs mark their global
+// pairs, and one sweep in pair order recomputes each marked pair's MBD from
+// its LBD slots and writes all new skeleton weights in one
+// graph.ApplyUpdates.  Since every subgraph whose LBD changed marks the pair
+// itself, computing MBDs after all refreshes yields the same weights as the
+// serial interleaving.  Callers hold x.writeMu.
+func (x *Index) applyRun(batches [][]graph.WeightUpdate) (UpdateStats, error) {
 	g := x.gen.Load()
-	if err := g.checkUpdates(batch); err != nil {
+	parent, all := g.part.Parent(), batches[0]
+	if len(batches) > 1 {
+		all = slices.Concat(batches...) // the last write of an edge wins
+	}
+	if err := parent.ApplyUpdates(all); err != nil {
 		return UpdateStats{}, err
 	}
-	if err := g.part.Parent().ApplyUpdates(batch); err != nil {
-		return UpdateStats{}, err
-	}
-	// Group the batch per owning subgraph in batch order, with the delta that
-	// drives incremental bounding path maintenance: the new weight less the
-	// one it replaces, read from the pre-batch snapshot or from the previous
-	// update of the same edge in this batch.  An update with a zero delta
-	// rewrites the weight already there and is dropped.  The groups are
-	// carved out of two batch-sized arrays, so grouping allocates the same
-	// few arrays whatever the batch's size.
+	// Group the run per owning subgraph in run order, with each update's
+	// delta.  The groups are carved out of two run-sized arrays, so grouping
+	// allocates the same few arrays whatever the run's size.
 	count := make([]int, len(g.subs))
-	for _, u := range batch {
+	for _, u := range all {
 		count[g.part.Locate(u.Edge).Subgraph]++
 	}
-	flatW, flatD := make([]graph.WeightUpdate, len(batch)), make([]float64, len(batch))
+	flatW, flatD := make([]graph.WeightUpdate, len(all)), make([]float64, len(all))
 	writes, deltas := make([][]graph.WeightUpdate, len(g.subs)), make([][]float64, len(g.subs))
 	off := 0
 	for id, n := range count {
 		writes[id], deltas[id] = flatW[off:off:off+n], flatD[off:off:off+n]
 		off += n
 	}
-	written := make(map[graph.EdgeID]float64, len(batch))
-	for _, u := range batch {
+	written := make(map[graph.EdgeID]float64, min(len(all), parent.NumEdges()))
+	for _, u := range all {
 		loc := g.part.Locate(u.Edge)
 		prev, ok := written[u.Edge]
 		if !ok {
@@ -471,9 +530,9 @@ func (x *Index) ApplyUpdates(batch []graph.WeightUpdate) (UpdateStats, error) {
 			return UpdateStats{}, err
 		}
 	}
-	// Publish the next epoch: the touched subgraphs have new snapshots, the
-	// rest keep the ones the previous view holds.
-	nv := x.publishView()
+	// Publish the run's last epoch: the touched subgraphs have new snapshots,
+	// the rest keep the ones the previous view holds.
+	nv := x.publishView(x.view.Load().epoch + uint64(len(batches)))
 	st.Epoch = nv.epoch
 	return st, nil
 }

@@ -246,7 +246,6 @@ func (imp *Importer) Finish(epoch uint64) (*Index, error) {
 	}
 	x := &Index{cfg: imp.cfg}
 	x.gen.Store(g)
-	x.epochBase = epoch
-	x.publishView()
+	x.publishView(epoch)
 	return x, nil
 }

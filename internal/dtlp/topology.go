@@ -94,7 +94,7 @@ func (x *Index) ApplyTopology(up graph.TopologyUpdate) (TopologyStats, error) {
 	// Untouched subgraphs share their weight snapshots with the previous
 	// epoch exactly like a weight batch.
 	x.gen.Store(ng)
-	nv := x.publishView()
+	nv := x.publishView(x.view.Load().epoch + 1)
 	return TopologyStats{
 		Epoch:            nv.epoch,
 		InsertedEdges:    inserted,

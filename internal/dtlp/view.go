@@ -131,24 +131,19 @@ func (v *IndexView) WithinSubgraphDistance(s, t graph.VertexID) float64 {
 	return best
 }
 
-// publishView builds and atomically publishes the next epoch view for the
-// current generation from every subgraph's current snapshot.  A subgraph no
-// batch wrote since the previous view still has the snapshot that view
-// holds, so consecutive views share it (copy-on-write) with no bookkeeping
-// here.  Callers must hold x.writeMu.
-func (x *Index) publishView() *IndexView {
-	prev := x.view.Load()
+// publishView builds and atomically publishes the view of the given epoch
+// for the current generation from every subgraph's current snapshot.  A
+// subgraph no batch wrote since the previous view still has the snapshot that
+// view holds, so consecutive views share it (copy-on-write) with no
+// bookkeeping here.  Callers must hold x.writeMu.
+func (x *Index) publishView(epoch uint64) *IndexView {
 	gen := x.gen.Load()
 	nv := &IndexView{
-		x:    x,
-		gen:  gen,
-		skel: gen.skeleton.g.Snapshot(),
-		subs: make([]*graph.Snapshot, len(gen.subs)),
-	}
-	if prev != nil {
-		nv.epoch = prev.epoch + 1
-	} else {
-		nv.epoch = x.epochBase
+		x:     x,
+		gen:   gen,
+		epoch: epoch,
+		skel:  gen.skeleton.g.Snapshot(),
+		subs:  make([]*graph.Snapshot, len(gen.subs)),
 	}
 	for id := range nv.subs {
 		nv.subs[id] = gen.part.Subgraph(partition.SubgraphID(id)).Local.Snapshot()

@@ -129,3 +129,42 @@ func BenchmarkWALRead(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkRecover is a master restart at the end-to-end benchmark's size:
+// the ruler index's snapshot plus 300 WAL records, each moving ~5 % of the
+// edges by up to ±30 % of their initial weight, recovered per op.
+func BenchmarkRecover(b *testing.B) {
+	x := rulerIndex(b)
+	st, err := Open(b.TempDir(), Options{SyncEvery: 300})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer st.Close()
+	if _, err := st.SaveSnapshot(x); err != nil {
+		b.Fatal(err)
+	}
+	g := x.Partition().Parent()
+	tm := workload.NewTrafficModel(0.05, 0.3, 1)
+	for epoch := uint64(1); epoch <= 300; epoch++ {
+		batch := tm.Derive(g.NumEdges(), false, g.InitialWeight)
+		if err := st.AppendBatch(epoch, batch); err != nil {
+			b.Fatal(err)
+		}
+		if _, err := x.ApplyUpdates(batch); err != nil {
+			b.Fatal(err)
+		}
+	}
+	if err := st.Sync(); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	for b.Loop() {
+		rec, err := st.Recover()
+		if err != nil {
+			b.Fatal(err)
+		}
+		if rec.ReplayedBatches != 300 {
+			b.Fatalf("replayed %d records, want 300", rec.ReplayedBatches)
+		}
+	}
+}

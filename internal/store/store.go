@@ -60,6 +60,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -354,7 +355,8 @@ func (s *Store) Close() error {
 
 // Recovered is the result of a successful recovery: the reconstructed graph,
 // partition, and index, ready to serve at the epoch the crashed process last
-// published.
+// published.  Its index retains views for the epochs the crashed process's
+// index did (see dtlp.Index.ViewAt).
 type Recovered struct {
 	Graph     *graph.Graph
 	Partition *partition.Partition
@@ -363,17 +365,25 @@ type Recovered struct {
 	SnapshotEpoch uint64
 	// Epoch is the index's current epoch after WAL replay.
 	Epoch uint64
-	// ReplayedBatches counts the WAL batches applied on top of the snapshot.
+	// ReplayedBatches counts the WAL records replayed on top of the
+	// snapshot, one per record, however many a call applied at once.
 	ReplayedBatches int
 }
 
 // Recover loads the newest valid snapshot in the data directory, replays the
 // WAL on top of it, and returns the reconstructed state.  The recovered
 // index's epoch counter continues where the previous process stopped, and
-// its weights and bounding-path distances are bit-identical to that
-// process's published state (the differential recovery tests assert this).
+// its weights, bounding-path distances and skeleton weights, at the current
+// epoch and at every epoch it retains, are bit-identical to that process's
+// published state (the differential recovery tests assert this).
+//
 // Recovery never enumerates bounding paths — restart cost is the snapshot
-// read plus updates-since-snapshot.
+// read plus updates-since-snapshot.  Consecutive weight records replay as
+// one run through dtlp.Index.ReplayUpdates: every update's distance deltas,
+// in log order, but the bound refresh once for the run's older records and
+// once per record only for the epochs the index retains.  A topology record
+// ends a run and replays on its own.  A record the index refuses fails the
+// recovery with an error naming its epoch.
 func (s *Store) Recover() (*Recovered, error) {
 	return recoverState(s.dir, false)
 }
@@ -381,7 +391,8 @@ func (s *Store) Recover() (*Recovered, error) {
 // RecoverTopology is the worker-side recovery: it loads the graph and
 // partition (with WAL-replayed weights) from a data directory without
 // assembling the DTLP index.  Workers hosting subgraphs need exactly this
-// much state; only the master needs the full index.
+// much state; only the master needs the full index.  Each run of
+// consecutive weight records is one graph and one partition write.
 func RecoverTopology(dir string) (*graph.Graph, *partition.Partition, uint64, error) {
 	rec, err := recoverState(dir, true)
 	if err != nil {
@@ -421,8 +432,19 @@ func recoverState(dir string, topologyOnly bool) (*Recovered, error) {
 		SnapshotEpoch: sc.epoch,
 		Epoch:         sc.epoch,
 	}
-	// Replay WAL segments in start-epoch order, skipping batches the
-	// snapshot already covers.
+	// Replay WAL segments in start-epoch order, skipping records the
+	// snapshot already covers.  Consecutive weight records collect into a
+	// run, which is replayed in one call; a topology record ends the run and
+	// is replayed on its own.  run holds the weight batches of epochs
+	// rec.Epoch-len(run)+1 .. rec.Epoch.
+	var run [][]graph.WeightUpdate
+	flush := func() error {
+		if err := rec.replayRun(run); err != nil {
+			return fmt.Errorf("store: replaying epochs %d-%d: %w", rec.Epoch-uint64(len(run))+1, rec.Epoch, err)
+		}
+		run = run[:0]
+		return nil
+	}
 	for _, start := range wals {
 		recs, _, _, err := readWAL(walPathIn(dir, start))
 		if err != nil {
@@ -446,60 +468,74 @@ func recoverState(dir string, topologyOnly bool) (*Recovered, error) {
 					return nil, fmt.Errorf("store: WAL record for epoch %d sets edge %d to weight %g, which the index refuses; the data directory needs a cold start", r.Epoch, u.Edge, u.NewWeight)
 				}
 			}
-			replay := rec.replay
-			if topologyOnly {
-				replay = rec.replayTopologyOnly
-			}
-			if err := replay(r); err != nil {
-				return nil, fmt.Errorf("store: replaying epoch %d: %w", r.Epoch, err)
+			if r.Topo == nil {
+				run = append(run, r.Batch)
+			} else {
+				if err := flush(); err != nil {
+					return nil, err
+				}
+				if err := rec.replayTopology(*r.Topo, r.Epoch); err != nil {
+					return nil, fmt.Errorf("store: replaying epoch %d: %w", r.Epoch, err)
+				}
 			}
 			rec.Epoch = r.Epoch
 			rec.ReplayedBatches++
 		}
 	}
+	if err := flush(); err != nil {
+		return nil, err
+	}
 	return rec, nil
 }
 
-// replay applies one WAL record of either kind to the recovered index, which
-// writes the graph and, for a topology record, derives the new graph and
-// partition copy-on-write; the record must publish exactly its epoch.
-func (rec *Recovered) replay(r walRecord) error {
-	var err error
-	if r.Topo != nil {
-		_, err = rec.Index.ApplyTopology(*r.Topo)
-	} else {
-		_, err = rec.Index.ApplyUpdates(r.Batch)
+// replayRun applies a run of consecutive weight records, the last of which
+// is rec.Epoch, to the recovered state.  The index replays the run through
+// dtlp.Index.ReplayUpdates; a recovery without an index writes the graph and
+// the partition once for the whole run, which leaves the weights one write
+// per record would, since the last write of an edge wins.
+func (rec *Recovered) replayRun(run [][]graph.WeightUpdate) error {
+	if len(run) == 0 {
+		return nil
 	}
-	if err != nil {
+	if rec.Index == nil {
+		all := slices.Concat(run...)
+		if err := rec.Graph.ApplyUpdates(all); err != nil {
+			return err
+		}
+		_, err := rec.Partition.ApplyUpdates(all)
 		return err
 	}
-	if epoch := rec.Index.CurrentView().Epoch(); epoch != r.Epoch {
-		return fmt.Errorf("replay produced epoch %d for WAL record %d", epoch, r.Epoch)
+	epoch, err := rec.Index.ReplayUpdates(run)
+	if err == nil && epoch != rec.Epoch {
+		err = fmt.Errorf("replay produced epoch %d for WAL record %d", epoch, rec.Epoch)
+	}
+	return err
+}
+
+// replayTopology applies one topology record, which must publish epoch, to
+// the recovered state: the index derives the new graph and partition
+// copy-on-write, and a recovery without an index derives them directly.
+func (rec *Recovered) replayTopology(up graph.TopologyUpdate, epoch uint64) error {
+	if rec.Index == nil {
+		ng, inserted, deleted, err := rec.Graph.ApplyTopology(up)
+		if err != nil {
+			return err
+		}
+		np, _, err := rec.Partition.ApplyTopology(ng, up, inserted, deleted)
+		if err != nil {
+			return err
+		}
+		rec.Graph, rec.Partition = ng, np
+		return nil
+	}
+	if _, err := rec.Index.ApplyTopology(up); err != nil {
+		return err
+	}
+	if got := rec.Index.CurrentView().Epoch(); got != epoch {
+		return fmt.Errorf("replay produced epoch %d for WAL record %d", got, epoch)
 	}
 	rec.Partition = rec.Index.Partition()
 	rec.Graph = rec.Partition.Parent()
-	return nil
-}
-
-// replayTopologyOnly applies one WAL record to the recovered graph and
-// partition, for a recovery that assembles no index.
-func (rec *Recovered) replayTopologyOnly(r walRecord) error {
-	if r.Topo == nil {
-		if err := rec.Graph.ApplyUpdates(r.Batch); err != nil {
-			return err
-		}
-		_, err := rec.Partition.ApplyUpdates(r.Batch)
-		return err
-	}
-	ng, inserted, deleted, err := rec.Graph.ApplyTopology(*r.Topo)
-	if err != nil {
-		return err
-	}
-	np, _, err := rec.Partition.ApplyTopology(ng, *r.Topo, inserted, deleted)
-	if err != nil {
-		return err
-	}
-	rec.Graph, rec.Partition = ng, np
 	return nil
 }
 

@@ -2,11 +2,13 @@ package store
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"kspdg/internal/core"
@@ -67,24 +69,11 @@ func exportRecords(tb testing.TB, x *dtlp.Index) []taggedRecord {
 }
 
 // requireIdenticalIndexes asserts two indexes are bit-identical: same epoch,
-// same weights, and the same bounding path state down to the float bits.
+// same global and skeleton weights, and the same bounding path state down to
+// the float bits.
 func requireIdenticalIndexes(tb testing.TB, want, got *dtlp.Index) {
 	tb.Helper()
-	wv, gv := want.CurrentView(), got.CurrentView()
-	if wv.Epoch() != gv.Epoch() {
-		tb.Fatalf("epoch mismatch: want %d, got %d", wv.Epoch(), gv.Epoch())
-	}
-	numE := want.Partition().Parent().NumEdges()
-	if gotE := got.Partition().Parent().NumEdges(); gotE != numE {
-		tb.Fatalf("edge count mismatch: want %d, got %d", numE, gotE)
-	}
-	for e := 0; e < numE; e++ {
-		ww := math.Float64bits(wv.GlobalWeight(graph.EdgeID(e)))
-		gw := math.Float64bits(gv.GlobalWeight(graph.EdgeID(e)))
-		if ww != gw {
-			tb.Fatalf("edge %d weight bits differ: %016x vs %016x", e, ww, gw)
-		}
-	}
+	requireIdenticalViews(tb, want.CurrentView(), got.CurrentView())
 	wr, gr := exportRecords(tb, want), exportRecords(tb, got)
 	if len(wr) != len(gr) {
 		tb.Fatalf("path record count mismatch: want %d, got %d", len(wr), len(gr))
@@ -108,6 +97,36 @@ func requireIdenticalIndexes(tb testing.TB, want, got *dtlp.Index) {
 			if a.Rec.Edges[j] != b.Rec.Edges[j] {
 				tb.Fatalf("record %d edge %d differs", i, j)
 			}
+		}
+	}
+}
+
+// requireIdenticalViews asserts two epoch views are bit-identical: same
+// epoch, global weights and skeleton weights.
+func requireIdenticalViews(tb testing.TB, wv, gv *dtlp.IndexView) {
+	tb.Helper()
+	if wv.Epoch() != gv.Epoch() {
+		tb.Fatalf("epoch mismatch: want %d, got %d", wv.Epoch(), gv.Epoch())
+	}
+	numE := wv.Partition().Parent().NumEdges()
+	if gotE := gv.Partition().Parent().NumEdges(); gotE != numE {
+		tb.Fatalf("epoch %d: edge count mismatch: want %d, got %d", wv.Epoch(), numE, gotE)
+	}
+	for e := 0; e < numE; e++ {
+		ww := math.Float64bits(wv.GlobalWeight(graph.EdgeID(e)))
+		gw := math.Float64bits(gv.GlobalWeight(graph.EdgeID(e)))
+		if ww != gw {
+			tb.Fatalf("epoch %d: edge %d weight bits differ: %016x vs %016x", wv.Epoch(), e, ww, gw)
+		}
+	}
+	ws, gs := wv.SkeletonWeights(), gv.SkeletonWeights()
+	if ws.NumEdges() != gs.NumEdges() {
+		tb.Fatalf("epoch %d: skeleton edge count mismatch: want %d, got %d", wv.Epoch(), ws.NumEdges(), gs.NumEdges())
+	}
+	for e := 0; e < ws.NumEdges(); e++ {
+		ww, gw := math.Float64bits(ws.Weight(graph.EdgeID(e))), math.Float64bits(gs.Weight(graph.EdgeID(e)))
+		if ww != gw {
+			tb.Fatalf("epoch %d: skeleton edge %d weight bits differ: %016x vs %016x", wv.Epoch(), e, ww, gw)
 		}
 	}
 }
@@ -324,19 +343,166 @@ func TestRecoverTopology(t *testing.T) {
 	if epoch != 3 {
 		t.Fatalf("topology recovery epoch = %d, want 3", epoch)
 	}
-	for e := 0; e < g.NumEdges(); e++ {
-		if math.Float64bits(g.Snapshot().Weight(graph.EdgeID(e))) != math.Float64bits(rg.Snapshot().Weight(graph.EdgeID(e))) {
-			t.Fatalf("edge %d weight differs after topology recovery", e)
+	requireRecoveredTopology(t, x, rg, rp)
+
+	// The long log: two runs of weight records around a topology record,
+	// each replayed as one graph and one partition write.
+	dir, x, _ = writeLongLog(t)
+	rg, rp, epoch, err = RecoverTopology(dir)
+	if err != nil {
+		t.Fatalf("RecoverTopology of the long log: %v", err)
+	}
+	if epoch != longLogRecords {
+		t.Fatalf("topology recovery of the long log reached epoch %d, want %d", epoch, longLogRecords)
+	}
+	requireRecoveredTopology(t, x, rg, rp)
+}
+
+// requireRecoveredTopology asserts that a recovery without an index holds
+// the live index's graph: the same edges alive with the same weight bits,
+// the same subgraph count, and subgraph-local weights that track the graph.
+func requireRecoveredTopology(tb testing.TB, live *dtlp.Index, rg *graph.Graph, rp *partition.Partition) {
+	tb.Helper()
+	g := live.Partition().Parent()
+	if rg.NumEdges() != g.NumEdges() || rp.NumSubgraphs() != live.Partition().NumSubgraphs() {
+		tb.Fatalf("recovered %d edges in %d subgraphs, want %d in %d", rg.NumEdges(), rp.NumSubgraphs(), g.NumEdges(), live.Partition().NumSubgraphs())
+	}
+	for e := range graph.EdgeID(g.NumEdges()) {
+		if rg.EdgeAlive(e) != g.EdgeAlive(e) {
+			tb.Fatalf("edge %d: alive %v after topology recovery, want %v", e, rg.EdgeAlive(e), g.EdgeAlive(e))
+		}
+		if math.Float64bits(g.Snapshot().Weight(e)) != math.Float64bits(rg.Snapshot().Weight(e)) {
+			tb.Fatalf("edge %d weight differs after topology recovery", e)
 		}
 	}
-	// Subgraph-local weights must track the parent too.
 	for i := 0; i < rp.NumSubgraphs(); i++ {
 		sg := rp.Subgraph(partition.SubgraphID(i))
 		for le, ge := range sg.GlobalEdges {
 			if math.Float64bits(sg.Local.Snapshot().Weight(graph.EdgeID(le))) != math.Float64bits(g.Snapshot().Weight(ge)) {
-				t.Fatalf("subgraph %d local edge %d weight differs", i, le)
+				tb.Fatalf("subgraph %d local edge %d weight differs", i, le)
 			}
 		}
+	}
+}
+
+// longLogRecords is the length of writeLongLog's log, and longLogTopology
+// the epoch of its one topology record.  Both runs of weight records around
+// it are longer than the window of views an index retains.
+const longLogRecords, longLogTopology = 150, 71
+
+// writeLongLog builds an index, snapshots it at epoch 0 into a new data
+// directory, then logs and applies longLogRecords records one at a time, as
+// serve's writer does.  The topology record wires in a new vertex with two
+// edges and deletes edge 0.  Every weight batch moves about a third of the
+// live edges to non-integral weights, first rewrites one edge's current
+// weight (a zero delta) and last names an edge a second time, so a replay
+// that summed an edge's deltas or took them out of order would show in the
+// last bits.  It returns the directory, the live index and its vertex count.
+func writeLongLog(tb testing.TB) (string, *dtlp.Index, int) {
+	tb.Helper()
+	const seed, n, z, xi = 97, 40, 8, 2
+	_, x := buildIndex(tb, seed, n, z, xi)
+	dir := tb.TempDir()
+	st, err := Open(dir, Options{SyncEvery: longLogRecords})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	defer st.Close()
+	if _, err := st.SaveSnapshot(x); err != nil {
+		tb.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(seed))
+	for epoch := uint64(1); epoch <= longLogRecords; epoch++ {
+		if epoch == longLogTopology {
+			up := graph.TopologyUpdate{
+				AddVertices: 1,
+				InsertEdges: []graph.Edge{{U: 3, V: n, Weight: 2.25}, {U: n, V: 5, Weight: 1.75}},
+				DeleteEdges: []graph.EdgeID{0},
+			}
+			if err := st.AppendTopology(epoch, up); err != nil {
+				tb.Fatal(err)
+			}
+			if _, err := x.ApplyTopology(up); err != nil {
+				tb.Fatal(err)
+			}
+			continue
+		}
+		g, v := x.Partition().Parent(), x.CurrentView()
+		var live []graph.EdgeID
+		for e := range graph.EdgeID(g.NumEdges()) {
+			if g.EdgeAlive(e) {
+				live = append(live, e)
+			}
+		}
+		same := live[rng.Intn(len(live))]
+		batch := []graph.WeightUpdate{{Edge: same, NewWeight: v.GlobalWeight(same)}}
+		for _, e := range live {
+			if rng.Float64() < 0.3 {
+				batch = append(batch, graph.WeightUpdate{Edge: e, NewWeight: 1 + 9*rng.Float64()})
+			}
+		}
+		batch = append(batch, graph.WeightUpdate{Edge: batch[len(batch)-1].Edge, NewWeight: 1 + 9*rng.Float64()})
+		if err := st.AppendBatch(epoch, batch); err != nil {
+			tb.Fatal(err)
+		}
+		if us, err := x.ApplyUpdates(batch); err != nil || us.Epoch != epoch {
+			tb.Fatalf("applying epoch %d published epoch %d: %v", epoch, us.Epoch, err)
+		}
+	}
+	if err := st.Close(); err != nil {
+		tb.Fatal(err)
+	}
+	return dir, x, n + 1
+}
+
+// TestRecoverLongLog recovers a log longer than the window of views an index
+// retains, split into two runs of weight records by a topology record.  The
+// recovered index must hold the live index's state bit for bit, retain views
+// for exactly the epochs the live one does, each bit-identical, and answer
+// queries identically.  A record the index refuses inside a run must fail
+// the recovery, naming that record's epoch.
+func TestRecoverLongLog(t *testing.T) {
+	dir, x, n := writeLongLog(t)
+	st, err := Open(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	rec, err := st.Recover()
+	if err != nil {
+		t.Fatalf("Recover: %v", err)
+	}
+	if rec.SnapshotEpoch != 0 || rec.Epoch != longLogRecords || rec.ReplayedBatches != longLogRecords {
+		t.Fatalf("recovery summary: snapshot %d, epoch %d, replayed %d; want 0, %d, %d",
+			rec.SnapshotEpoch, rec.Epoch, rec.ReplayedBatches, longLogRecords, longLogRecords)
+	}
+	requireIdenticalIndexes(t, x, rec.Index)
+	retained := 0
+	for epoch := uint64(0); epoch <= longLogRecords; epoch++ {
+		wv, gv := x.ViewAt(epoch), rec.Index.ViewAt(epoch)
+		if (wv == nil) != (gv == nil) {
+			t.Fatalf("epoch %d: live index retains it %v, recovered %v", epoch, wv != nil, gv != nil)
+		}
+		if wv != nil {
+			requireIdenticalViews(t, wv, gv)
+			retained++
+		}
+	}
+	if retained == 0 || retained >= longLogRecords-longLogTopology {
+		t.Fatalf("%d epochs retained: the second run of weight records must outgrow the window", retained)
+	}
+	requireIdenticalAnswers(t, x, rec.Index, n, 98, 3)
+
+	// Edge 0 was deleted at epoch longLogTopology.  A weight record on it,
+	// written straight to the log in the middle of a run, is refused.
+	if err := st.AppendBatch(longLogRecords+1, []graph.WeightUpdate{{Edge: 0, NewWeight: 3}}); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.AppendBatch(longLogRecords+2, []graph.WeightUpdate{{Edge: 1, NewWeight: 3}}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := st.Recover(); err == nil || !strings.Contains(err.Error(), fmt.Sprintf("epoch %d:", longLogRecords+1)) {
+		t.Fatalf("Recover of a weight record on a deleted edge: %v, want an error naming epoch %d", err, longLogRecords+1)
 	}
 }
 
