@@ -32,19 +32,19 @@ package main
 import (
 	"flag"
 	"fmt"
+	"log/slog"
 	"os"
 	"os/signal"
 	"syscall"
 	"time"
 
 	"kspdg/internal/deploy"
-	"kspdg/internal/logx"
 	"kspdg/internal/workload"
 )
 
-// lg is the process-wide leveled key=value logger (see internal/logx); main
-// replaces it once -log-level is parsed.
-var lg = logx.New(os.Stdout, logx.LevelInfo)
+// lg is the process-wide key=value logger; main replaces it once -log-level
+// is parsed.
+var lg = slog.New(slog.NewTextHandler(os.Stdout, nil))
 
 // scenario holds the flags of the master's scenario replay.
 type scenario struct {
@@ -75,8 +75,7 @@ func main() {
 	flag.Float64Var(&sc.alpha, "alpha", 0.2, "fraction of edges perturbed per update batch")
 	flag.Float64Var(&sc.tau, "tau", 0.3, "relative weight variation per update batch")
 	flag.IntVar(&cfg.Concurrency, "concurrency", 0, "query worker pool size (0 = GOMAXPROCS)")
-	flag.IntVar(&cfg.MaxIterations, "max-iterations", 0, "hard cap on reference paths examined per query (0 = default 10000; master mode)")
-	flag.IntVar(&cfg.StallWindow, "stall-window", 0, "adaptive iteration budget: terminate a query near-exactly (reporting its bound gap) after this many iterations without bound-gap progress (0 = default 64, negative disables; master mode)")
+	flag.IntVar(&cfg.MaxIterations, "max-iterations", 0, "hard cap on reference paths examined per query; a capped query answers with converged=false (0 = default 10000; master mode)")
 	flag.IntVar(&cfg.Pool, "pool", 2, "TCP connections per worker (master mode)")
 	flag.IntVar(&cfg.Replicas, "replicas", 1, "workers hosting each subgraph, placed on workers (subgraph + rank) mod num-workers; >1 lets queries fail over to a subgraph's other hosts (must match between master and workers)")
 	flag.DurationVar(&cfg.HedgeAfter, "hedge-after", 0, "route a partial-KSP share again to its subgraphs' other hosts when its worker is silent this long (master mode, needs -replicas > 1; 0 disables)")
@@ -93,16 +92,16 @@ func main() {
 	flag.DurationVar(&cfg.HTTPTimeout, "http-timeout", 30*time.Second, "default per-request deadline applied when clients send no Request-Timeout-Ms header (0 = none)")
 	logLevel := flag.String("log-level", "info", "minimum log level: debug, info, warn, or error")
 	flag.BoolVar(&cfg.Pprof, "pprof", false, "mount Go's net/http/pprof profiling handlers under /debug/pprof/ on the -http listener (master mode)")
-	flag.DurationVar(&cfg.SlowQuery, "slow-query", 0, "log every query at least this slow with its trace id and per-stage breakdown; 0 logs only non-converged and budget-terminated outliers (master mode)")
+	flag.DurationVar(&cfg.SlowQuery, "slow-query", 0, "log every query at least this slow with its trace id and per-stage breakdown; 0 logs only non-converged queries (master mode)")
 	flag.IntVar(&cfg.TraceCapacity, "trace-capacity", 256, "retained query traces served on GET /debug/traces; 0 disables tracing (master mode)")
 	flag.Float64Var(&cfg.TraceSample, "trace-sample", 0.05, "probability a normal (fast, converged) query trace is retained; slow/non-converged/failed-over/canceled traces are always kept, negative keeps outliers only (master mode)")
 	flag.Parse()
 
-	lvl, err := logx.ParseLevel(*logLevel)
-	if err != nil {
+	var lvl slog.Level
+	if err := lvl.UnmarshalText([]byte(*logLevel)); err != nil {
 		fatal(err)
 	}
-	lg = logx.New(os.Stdout, lvl)
+	lg = slog.New(slog.NewTextHandler(os.Stdout, &slog.HandlerOptions{Level: lvl}))
 	cfg.Logger, wc.Logger = lg, lg
 	wc.Dataset, wc.Scale, wc.Z, wc.Replicas = cfg.Dataset, cfg.Scale, cfg.Z, cfg.Replicas
 	wc.DataDir, wc.LoadIndex = cfg.DataDir, cfg.LoadIndex
@@ -197,12 +196,8 @@ func runScenario(m *deploy.Master, cfg scenario, replicas int) error {
 		"cache_hits", stats.CacheHits,
 		"updates_applied", stats.UpdatesApplied, "snapshots", stats.Snapshots)
 	if stats.NonConverged > 0 {
-		lg.Warn("queries cut off with fewer than k proven paths (results may be truncated)",
+		lg.Warn("queries cut off by a safety valve (results may not be the k shortest)",
 			"count", stats.NonConverged)
-	}
-	if stats.BudgetTerminated > 0 {
-		lg.Info("budget-terminated queries (near-exact answers)",
-			"count", stats.BudgetTerminated, "max_bound_gap", fmt.Sprintf("%.3f", stats.MaxBoundGap))
 	}
 	if stats.RPCBatches > 0 {
 		lg.Info("rpc batching stats", "batches", stats.RPCBatches)

@@ -16,10 +16,10 @@ package main
 import (
 	"flag"
 	"fmt"
+	"log/slog"
 	"os"
 
 	"kspdg/internal/deploy"
-	"kspdg/internal/logx"
 	"kspdg/internal/store"
 	"kspdg/internal/workload"
 )
@@ -83,7 +83,7 @@ func main() {
 			fmt.Fprintf(os.Stderr, "kspgen: %v\n", err)
 			os.Exit(1)
 		}
-		index, err := deploy.ColdIndex(ds, *z, *xi, st, logx.New(os.Stderr, logx.LevelInfo))
+		index, err := deploy.ColdIndex(ds, *z, *xi, st, slog.New(slog.NewTextHandler(os.Stderr, nil)))
 		if err == nil {
 			err = st.Close()
 		}

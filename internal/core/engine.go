@@ -32,23 +32,9 @@ import (
 
 // Options configures query processing.
 type Options struct {
-	// MaxIterations caps the number of reference paths examined per query as
-	// a hard safety valve behind the adaptive budget.  Zero means 10000.
+	// MaxIterations caps the number of reference paths examined per query.
+	// A query that hits it returns Converged == false.  Zero means 10000.
 	MaxIterations int
-	// StallWindow is the adaptive iteration budget: once the query holds k
-	// results, the search terminates early with a principled near-exact
-	// answer (Result.BoundGap > 0) after StallWindow consecutive iterations
-	// in which the bound gap — the k-th result's distance minus the next
-	// reference path's lower bound — failed to shrink by at least
-	// StallImprovement (relative).  This is what turns the worst-case
-	// convergence tail (thousands of reference paths with barely-rising
-	// lower bounds on loosely-bounded skeletons) into a tunable latency
-	// ceiling.  Zero means 64; negative disables adaptive termination,
-	// leaving only the MaxIterations cap.
-	StallWindow int
-	// StallImprovement is the minimum relative bound-gap improvement the
-	// stall detector counts as progress.  Zero means 1e-3.
-	StallImprovement float64
 }
 
 // distEps is the tolerance under which two distances count as equal: the
@@ -65,8 +51,7 @@ func beamWidth(k int) int { return max(2*k, k+4) }
 // maxCertifyRounds caps the certificate's deepen-and-join rounds per check.
 // Each round at least doubles the K of a pair or the beam of a sequence, so
 // the cap bounds a check's extra work at 2^maxCertifyRounds times the first
-// fetch; when it fires, the answer carries the certificate's bound as its
-// BoundGap instead of claiming exactness.
+// fetch; when it fires, the answer is returned with Converged == false.
 const maxCertifyRounds = 8
 
 func (o Options) maxIterations() int {
@@ -76,24 +61,6 @@ func (o Options) maxIterations() int {
 	return 10000
 }
 
-// stallWindow resolves the adaptive budget window; 0 means disabled.
-func (o Options) stallWindow() int {
-	if o.StallWindow > 0 {
-		return o.StallWindow
-	}
-	if o.StallWindow < 0 {
-		return 0
-	}
-	return 64
-}
-
-func (o Options) stallImprovement() float64 {
-	if o.StallImprovement > 0 {
-		return o.StallImprovement
-	}
-	return 1e-3
-}
-
 // Result is the answer to one KSP query together with execution statistics.
 type Result struct {
 	// Paths holds up to k shortest loopless paths in ascending distance.
@@ -101,25 +68,13 @@ type Result struct {
 	// Epoch is the index epoch the query ran against (see dtlp.IndexView).
 	// All paths and distances are consistent with that epoch's weights.
 	Epoch uint64
-	// Converged reports whether the search terminated through a principled
-	// bound: the Theorem 3 test or reference-path exhaustion, each backed by
-	// the join certificate (the result is exact, BoundGap == 0), or the
-	// adaptive iteration budget (the result is near-exact within BoundGap,
-	// see below).  A false value means the
-	// search was cut off while it still had fewer than k proven candidates —
-	// the paths are valid but possibly truncated, and callers that need
-	// completeness must check it.
+	// Converged reports whether the result is exact: the search stopped on
+	// the Theorem 3 test or on reference-path exhaustion, and the join
+	// certificate passed.  A false value means a safety valve fired (the
+	// MaxIterations cap or the certificate's round cap): the paths are valid
+	// simple s-t paths in ascending distance but possibly not the k shortest,
+	// and callers that need exactness must check it.
 	Converged bool
-	// BoundGap is 0 for exact results.  When the adaptive iteration budget
-	// (or the MaxIterations cap) terminated a search that already held k
-	// candidate paths, BoundGap is the distance of the k-th result minus the
-	// lower bound of the next unexplored reference path: every unexplored
-	// candidate is at least that lower bound long, so each returned distance
-	// exceeds its exact counterpart by at most BoundGap.  It is also set when
-	// the join certificate hits its round cap: then it is at least the k-th
-	// result's distance minus the certificate's own bound, the shortest any
-	// path the examined reference paths may still hide can be.
-	BoundGap float64
 	// Iterations is the number of reference paths examined (filter steps).
 	Iterations int
 	// PairsRefined is the number of distinct adjacent boundary pairs whose
@@ -365,9 +320,6 @@ func (e *Engine) queryView(ctx context.Context, iv *dtlp.IndexView, s, t graph.V
 			qspan.SetAttrInt("iterations", int64(res.Iterations))
 			qspan.SetAttrInt("pairs_refined", int64(res.PairsRefined))
 			qspan.SetAttr("converged", strconv.FormatBool(res.Converged))
-			if res.BoundGap > 0 {
-				qspan.SetAttr("bound_gap", strconv.FormatFloat(res.BoundGap, 'g', -1, 64))
-			}
 		}()
 	}
 	if iv == nil {
@@ -425,12 +377,7 @@ func (e *Engine) queryView(ctx context.Context, iv *dtlp.IndexView, s, t graph.V
 		return res, nil
 	}
 	maxIter := e.opts.maxIterations()
-	stallWindow := e.opts.stallWindow()
-	minImprove := e.opts.stallImprovement()
-	bestGap := math.Inf(1)
-	stall := 0
-	lastBound := math.NaN() // lower bound of the last unexplored reference path
-	emitted := 0            // settled prefix of list already streamed through yield
+	emitted := 0 // settled prefix of list already streamed through yield
 	for iter := 0; iter < maxIter; iter++ {
 		if err := ctx.Err(); err != nil {
 			return res, err
@@ -490,27 +437,11 @@ func (e *Engine) queryView(ctx context.Context, iv *dtlp.IndexView, s, t graph.V
 			res.Converged = true
 			break
 		}
-		lastBound = next.Dist
 		if len(list) >= k && list[k-1].Dist <= next.Dist+distEps {
 			// Theorem 3 termination: the k-th result is at least as short as
 			// the next reference path's lower bound.
 			res.Converged = true
 			break
-		}
-		if stallWindow > 0 && len(list) >= k {
-			// Adaptive iteration budget: every unexplored candidate is at
-			// least next.Dist long, so the k results in hand are within
-			// gap of exact.  When that gap stops shrinking meaningfully for
-			// a whole window, further iterations are near-pure latency —
-			// terminate with the bound instead of spinning toward the cap.
-			gap := list[k-1].Dist - next.Dist
-			if gap < bestGap*(1-minImprove) {
-				bestGap, stall = gap, 0
-			} else if stall++; stall >= stallWindow {
-				res.Converged = true
-				res.BoundGap = gap
-				break
-			}
 		}
 		if yield != nil && emitted < len(list) && list[emitted].Dist <= next.Dist+distEps {
 			// Stream the settled prefix: every future candidate joins along a
@@ -535,30 +466,17 @@ func (e *Engine) queryView(ctx context.Context, iv *dtlp.IndexView, s, t graph.V
 		}
 		ref = next
 	}
-	if !res.Converged && len(list) >= k && !math.IsNaN(lastBound) {
-		// The MaxIterations safety valve fired with k candidates in hand:
-		// report the same principled near-exact bound the adaptive budget
-		// would have, instead of a bare truncation.
-		res.Converged = true
-		res.BoundGap = math.Max(list[k-1].Dist-lastBound, 0)
-	}
 	if res.Converged {
-		// Every exit that claims a bound first certifies the examined
+		// Every exit that claims exactness first certifies the examined
 		// reference paths against the k-th result.
 		var hidden float64
 		list, hidden, err = e.certify(ctx, iv, sc, list, k, emitted, math.Inf(1), &res)
 		if err != nil {
 			return res, err
 		}
-		if !math.IsInf(hidden, 1) {
-			// The round cap fired: the answer is only as good as the
-			// certificate's own bound.
-			if len(list) < k {
-				res.Converged = false
-			} else {
-				res.BoundGap = math.Max(res.BoundGap, list[k-1].Dist-hidden)
-			}
-		}
+		// A finite hidden bound means the round cap fired before the
+		// certificate could rule out a shorter path.
+		res.Converged = math.IsInf(hidden, 1)
 	}
 	// The working list is arena/scratch-backed; deep-copy the winners so the
 	// scratch can be pooled while the result outlives the query.

@@ -15,6 +15,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"log/slog"
 	"net"
 	"net/http"
 	"strings"
@@ -26,7 +27,6 @@ import (
 	"kspdg/internal/dtlp"
 	"kspdg/internal/gateway"
 	"kspdg/internal/graph"
-	"kspdg/internal/logx"
 	"kspdg/internal/metrics"
 	"kspdg/internal/partition"
 	"kspdg/internal/rpcbatch"
@@ -37,26 +37,25 @@ import (
 )
 
 // Config configures the master.  Each field mirrors the kspd flag in its
-// comment (see docs/OPERATIONS.md); Logger may be nil.
+// comment (see docs/OPERATIONS.md); a nil Logger discards.
 type Config struct {
-	Dataset, Scale             string        // -dataset, -scale
-	Z, Xi                      int           // -z, -xi
-	Connect                    string        // -connect
-	Concurrency, Pool          int           // -concurrency, -pool
-	MaxIterations, StallWindow int           // -max-iterations, -stall-window
-	Replicas                   int           // -replicas
-	HedgeAfter, PingEvery      time.Duration // -hedge-after, -ping-every
-	DataDir                    string        // -data-dir
-	SaveIndex, LoadIndex       bool          // -save-index, -load-index
-	SnapshotEvery              int           // -snapshot-every
-	HTTPAddr, TLSCert, TLSKey  string        // -http, -tls-cert, -tls-key
-	HTTPRate                   float64       // -http-rate
-	HTTPBurst                  int           // -http-burst
-	HTTPTimeout, SlowQuery     time.Duration // -http-timeout, -slow-query
-	Pprof                      bool          // -pprof
-	TraceCapacity              int           // -trace-capacity
-	TraceSample                float64       // -trace-sample
-	Logger                     *logx.Logger
+	Dataset, Scale            string        // -dataset, -scale
+	Z, Xi                     int           // -z, -xi
+	Connect                   string        // -connect
+	Concurrency, Pool         int           // -concurrency, -pool
+	MaxIterations, Replicas   int           // -max-iterations, -replicas
+	HedgeAfter, PingEvery     time.Duration // -hedge-after, -ping-every
+	DataDir                   string        // -data-dir
+	SaveIndex, LoadIndex      bool          // -save-index, -load-index
+	SnapshotEvery             int           // -snapshot-every
+	HTTPAddr, TLSCert, TLSKey string        // -http, -tls-cert, -tls-key
+	HTTPRate                  float64       // -http-rate
+	HTTPBurst                 int           // -http-burst
+	HTTPTimeout, SlowQuery    time.Duration // -http-timeout, -slow-query
+	Pprof                     bool          // -pprof
+	TraceCapacity             int           // -trace-capacity
+	TraceSample               float64       // -trace-sample
+	Logger                    *slog.Logger
 }
 
 // WorkerConfig configures one standalone worker, field by kspd flag.
@@ -68,7 +67,7 @@ type WorkerConfig struct {
 	Listen               string // -listen
 	DataDir              string // -data-dir
 	LoadIndex            bool   // -load-index
-	Logger               *logx.Logger
+	Logger               *slog.Logger
 }
 
 // addrs splits a comma-separated address list, dropping empty entries.
@@ -105,6 +104,9 @@ func Start(cfg Config) (_ *Master, err error) {
 		return nil, errors.New("-save-index and -snapshot-every require -data-dir")
 	case cfg.Connect != "" && len(addrs(cfg.Connect)) == 0:
 		return nil, fmt.Errorf("-connect %q contains no worker addresses", cfg.Connect)
+	}
+	if cfg.Logger == nil {
+		cfg.Logger = slog.New(slog.DiscardHandler)
 	}
 	m := &Master{cfg: cfg}
 	defer func() {
@@ -151,7 +153,7 @@ func Start(cfg Config) (_ *Master, err error) {
 	opts := serve.Options{
 		Workers:            cfg.Concurrency,
 		SnapshotEvery:      cfg.SnapshotEvery,
-		Engine:             core.Options{MaxIterations: cfg.MaxIterations, StallWindow: cfg.StallWindow},
+		Engine:             core.Options{MaxIterations: cfg.MaxIterations},
 		Logger:             cfg.Logger,
 		SlowQueryThreshold: cfg.SlowQuery,
 	}
@@ -226,7 +228,7 @@ func (m *Master) openIndex() (*dtlp.Index, error) {
 // default) and builds its DTLP index with xi bounding paths per boundary pair.
 // With a store it always bootstraps a snapshot: WAL records without a base
 // snapshot are unrecoverable and would poison the next cold start there.
-func ColdIndex(ds *workload.Dataset, z, xi int, st *store.Store, lg *logx.Logger) (*dtlp.Index, error) {
+func ColdIndex(ds *workload.Dataset, z, xi int, st *store.Store, lg *slog.Logger) (*dtlp.Index, error) {
 	part, err := partitionDataset(ds, z)
 	if err != nil {
 		return nil, err
@@ -246,7 +248,7 @@ func ColdIndex(ds *workload.Dataset, z, xi int, st *store.Store, lg *logx.Logger
 	return index, err
 }
 
-func saveSnapshot(st *store.Store, index *dtlp.Index, lg *logx.Logger) error {
+func saveSnapshot(st *store.Store, index *dtlp.Index, lg *slog.Logger) error {
 	epoch, err := st.SaveSnapshot(index)
 	if err == nil {
 		lg.Info("snapshot written", "dir", st.Dir(), "epoch", epoch)
@@ -343,8 +345,7 @@ func (m *Master) Close() error {
 		st := m.Server.Stats()
 		m.cfg.Logger.Info("drained", "epoch", st.Epoch,
 			"queries_served", st.QueriesServed, "cache_hits", st.CacheHits,
-			"truncated", st.NonConverged, "budget_terminated", st.BudgetTerminated,
-			"canceled", st.Canceled,
+			"truncated", st.NonConverged, "canceled", st.Canceled,
 			"update_batches", st.UpdateBatches)
 		if m.st != nil {
 			if epoch, serr := m.st.SaveSnapshot(m.Index); serr != nil {
@@ -381,6 +382,9 @@ func StartWorker(cfg WorkerConfig) (*cluster.Server, error) {
 		return nil, errors.New("-load-index requires -data-dir")
 	case cfg.NumWorkers < 1 || cfg.WorkerID < 0 || cfg.WorkerID >= cfg.NumWorkers:
 		return nil, fmt.Errorf("invalid worker id %d of %d", cfg.WorkerID, cfg.NumWorkers)
+	}
+	if cfg.Logger == nil {
+		cfg.Logger = slog.New(slog.DiscardHandler)
 	}
 	var part *partition.Partition
 	if cfg.LoadIndex {

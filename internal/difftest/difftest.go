@@ -59,10 +59,6 @@ type Params struct {
 	// built index — e.g. the batched cluster transport — together with a
 	// cleanup function.  Nil runs the refine step on the local provider.
 	Provider func(tb testing.TB, x *dtlp.Index) (core.PartialProvider, func())
-	// Engine overrides the engine options for the cell — e.g. a tight
-	// adaptive iteration budget, whose near-exact claims the checks then
-	// audit against exact Yen.  The zero value runs the defaults.
-	Engine core.Options
 }
 
 func (p Params) withDefaults() Params {
@@ -120,22 +116,6 @@ func sameLengths(a, b []float64) bool {
 	return true
 }
 
-// withinGap audits a budget-terminated result's near-exactness claim: the
-// sorted returned lengths must pairwise dominate the exact lengths (a k
-// shortest path answer can never beat exact Yen) while exceeding them by at
-// most the reported bound gap.
-func withinGap(got, want []float64, gap float64) bool {
-	if len(got) != len(want) {
-		return false
-	}
-	for i := range got {
-		if got[i] < want[i]-1e-9 || got[i] > want[i]+gap+1e-9 {
-			return false
-		}
-	}
-	return true
-}
-
 // Check runs one differential grid cell: KSP-DG versus exact Yen on the same
 // queries, before and after each randomized weight-update batch.
 func Check(tb testing.TB, p Params) {
@@ -157,7 +137,7 @@ func Check(tb testing.TB, p Params) {
 		provider, cleanup = p.Provider(tb, x)
 		defer cleanup()
 	}
-	engine := core.NewEngine(x, provider, p.Engine)
+	engine := core.NewEngine(x, provider, core.Options{})
 	yen := baseline.NewYen(g)
 
 	round := func(label string) {
@@ -177,28 +157,14 @@ func Check(tb testing.TB, p Params) {
 			}
 			gl, wl := lengths(got.Paths), lengths(want)
 			switch {
-			case got.Converged && got.BoundGap > 0:
-				// The adaptive iteration budget terminated the search early
-				// with a near-exact claim: every returned length must be
-				// within the reported bound gap of its exact counterpart.
-				if !withinGap(gl, wl, got.BoundGap) {
-					tb.Errorf("%s: query(%d,%d,%d) violated its near-exactness claim: KSP-DG lengths %v not within bound gap %g of Yen lengths %v",
-						label, s, t, p.K, gl, got.BoundGap, wl)
-				} else if !sameLengths(gl, wl) {
-					tb.Logf("%s: query(%d,%d,%d) budget-terminated after %d iterations, near-exact within bound gap %g",
-						label, s, t, p.K, got.Iterations, got.BoundGap)
-				}
-			case sameLengths(gl, wl) && !got.Converged:
-				// The MaxIterations safety valve fired before k candidates
-				// existed, yet the answer matched exact Yen anyway.
-				tb.Logf("%s: iteration-cap outlier: query(%d,%d,%d) exact after %d iterations without the Theorem 3 bound",
-					label, s, t, p.K, got.Iterations)
-			case !sameLengths(gl, wl) && !got.Converged:
-				tb.Errorf("%s: query(%d,%d,%d) truncated by the iteration cap: KSP-DG lengths %v != Yen lengths %v",
-					label, s, t, p.K, gl, wl)
 			case !sameLengths(gl, wl):
-				tb.Errorf("%s: query(%d,%d,%d): KSP-DG lengths %v != Yen lengths %v",
-					label, s, t, p.K, gl, wl)
+				tb.Errorf("%s: query(%d,%d,%d) (converged=%v after %d iterations): KSP-DG lengths %v != Yen lengths %v",
+					label, s, t, p.K, got.Converged, got.Iterations, gl, wl)
+			case !got.Converged:
+				// A safety valve cut the search, yet the answer matched
+				// exact Yen anyway.
+				tb.Logf("%s: non-converged outlier: query(%d,%d,%d) exact after %d iterations without the Theorem 3 bound",
+					label, s, t, p.K, got.Iterations)
 			}
 			for i, path := range got.Paths {
 				if err := path.Validate(g.Snapshot()); err != nil {
@@ -343,26 +309,15 @@ func CheckConcurrent(tb testing.TB, cp ConcurrentParams) {
 		want := shortest.Yen(g.Snapshot(), o.s, o.t, o.k, &shortest.Options{Weight: view.GlobalWeight})
 		gl, wl := lengths(o.res.Paths), lengths(want)
 		switch {
-		case o.res.Converged && o.res.BoundGap > 0:
-			if !withinGap(gl, wl, o.res.BoundGap) {
-				tb.Errorf("query(%d,%d,%d)@epoch %d violated its near-exactness claim: KSP-DG lengths %v not within bound gap %g of Yen-at-epoch lengths %v",
-					o.s, o.t, o.k, o.res.Epoch, gl, o.res.BoundGap, wl)
-			} else if !sameLengths(gl, wl) {
-				tb.Logf("query(%d,%d,%d)@epoch %d budget-terminated, near-exact within bound gap %g",
-					o.s, o.t, o.k, o.res.Epoch, o.res.BoundGap)
-			}
-		case sameLengths(gl, wl) && !o.res.Converged:
-			// The iteration cap fired but the answer still matches exact Yen:
-			// a convergence outlier, made visible instead of passing silently
-			// as if the Theorem 3 bound had been reached.
-			tb.Logf("iteration-cap outlier: query(%d,%d,%d)@epoch %d returned exact results without converging (%d iterations)",
-				o.s, o.t, o.k, o.res.Epoch, o.res.Iterations)
-		case !sameLengths(gl, wl) && !o.res.Converged:
-			tb.Errorf("query(%d,%d,%d)@epoch %d truncated by the iteration cap: KSP-DG lengths %v != Yen-at-epoch lengths %v",
-				o.s, o.t, o.k, o.res.Epoch, gl, wl)
 		case !sameLengths(gl, wl):
-			tb.Errorf("query(%d,%d,%d)@epoch %d: KSP-DG lengths %v != Yen-at-epoch lengths %v (snapshot isolation violated)",
-				o.s, o.t, o.k, o.res.Epoch, gl, wl)
+			tb.Errorf("query(%d,%d,%d)@epoch %d (converged=%v after %d iterations): KSP-DG lengths %v != Yen-at-epoch lengths %v",
+				o.s, o.t, o.k, o.res.Epoch, o.res.Converged, o.res.Iterations, gl, wl)
+		case !o.res.Converged:
+			// A safety valve cut the search but the answer still matches
+			// exact Yen: a convergence outlier, made visible instead of
+			// passing silently as if the Theorem 3 bound had been reached.
+			tb.Logf("non-converged outlier: query(%d,%d,%d)@epoch %d returned exact results without converging (%d iterations)",
+				o.s, o.t, o.k, o.res.Epoch, o.res.Iterations)
 		}
 		audited++
 	}

@@ -53,9 +53,8 @@ var rulerNamedRows = []struct {
 func (c rulerCell) String() string { return fmt.Sprintf("z%d/k%d", c.z, c.k) }
 
 // rulerEngines builds the ruler network and one engine per subgraph size,
-// each over the in-process LocalProvider with the adaptive budget off, so
-// every answer is either exact by Theorem 3 and the join certificate or
-// reports why not.
+// each over the in-process LocalProvider, so every answer is either exact by
+// Theorem 3 and the join certificate or reports that it is not.
 func rulerEngines(tb testing.TB) (*graph.Graph, map[int]*core.Engine) {
 	tb.Helper()
 	ds, err := workload.Generate(workload.RoadNetworkSpec{
@@ -79,7 +78,7 @@ func rulerEngines(tb testing.TB) (*graph.Graph, map[int]*core.Engine) {
 		if err != nil {
 			tb.Fatal(err)
 		}
-		engines[c.z] = core.NewEngine(x, nil, core.Options{StallWindow: -1})
+		engines[c.z] = core.NewEngine(x, nil, core.Options{})
 	}
 	return ds.Graph, engines
 }
@@ -99,31 +98,25 @@ func rulerPairs() [][2]graph.VertexID {
 	return out
 }
 
-// checkExact reports why a KSP-DG answer breaks its claim, or "" when it
-// holds; want holds at least k of Yen's paths, or all there are.  A converged
-// answer with a bound gap of 0 claims to be exact: its distances must be
-// Yen's.  One with a positive gap must lie within it of Yen's, as in Check.
-// An answer the iteration cap cut off before it held k paths claims nothing
-// but must still not disagree with Yen; capped reports that it was one.
+// checkExact reports why a KSP-DG answer disagrees with Yen, or "" when it
+// agrees; want holds at least k of Yen's paths, or all there are.  A
+// converged answer is exact: its distances must be Yen's.  An answer a safety
+// valve cut off claims nothing but must still not disagree with Yen; capped
+// reports that it was one.
 func checkExact(got core.Result, want []graph.Path, k int) (why string, capped bool) {
 	gl, wl := lengths(got.Paths), lengths(want[:min(k, len(want))])
-	switch {
-	case got.Converged && got.BoundGap > 0:
-		if !withinGap(gl, wl, got.BoundGap) {
-			return fmt.Sprintf("lengths %v not within gap %g of Yen %v", gl, got.BoundGap, wl), false
-		}
-	case !sameLengths(gl, wl):
-		return fmt.Sprintf("lengths %v, Yen %v", gl, wl), !got.Converged
+	if !sameLengths(gl, wl) {
+		why = fmt.Sprintf("lengths %v, Yen %v", gl, wl)
 	}
-	return "", !got.Converged
+	return why, !got.Converged
 }
 
 // TestRulerExactness is the exactness lane: on the ruler network with static
-// weights, every converged answer with a bound gap of 0 must equal Yen's.  It
-// asks every ordered pair within Chebyshev distance 4 at z ∈ {80, 200} and
-// k ∈ {3, 8} (about 158k queries), or, under -short, the named rows plus a
-// fixed sample of the pairs.  A join that drops the only simple combination
-// of a reference path's partial paths fails it.
+// weights, every converged answer must equal Yen's.  It asks every ordered
+// pair within Chebyshev distance 4 at z ∈ {80, 200} and k ∈ {3, 8} (about
+// 158k queries), or, under -short, the named rows plus a fixed sample of the
+// pairs.  A join that drops the only simple combination of a reference
+// path's partial paths fails it.
 func TestRulerExactness(t *testing.T) {
 	g, engines := rulerEngines(t)
 	ctx := context.Background()
@@ -242,7 +235,7 @@ func TestStreamCertifiesBeforeEmit(t *testing.T) {
 			// A query with fewer than k paths runs into the iteration cap
 			// (see TestRulerExactness); the lower cap keeps those cheap, and
 			// their answers, which claim no exactness, are not checked.
-			e := core.NewEngine(x, nil, core.Options{StallWindow: -1, MaxIterations: 500})
+			e := core.NewEngine(x, nil, core.Options{MaxIterations: 500})
 			for s := graph.VertexID(0); int(s) < p.N; s++ {
 				for tt := graph.VertexID(0); int(tt) < p.N; tt++ {
 					if s == tt {
@@ -256,7 +249,7 @@ func TestStreamCertifiesBeforeEmit(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					if !got.Converged || got.BoundGap != 0 {
+					if !got.Converged {
 						continue
 					}
 					want := lengths(shortest.Yen(g.Snapshot(), s, tt, p.K, nil))

@@ -35,15 +35,13 @@ type httpQueryResponse struct {
 	Paths     []httpPath `json:"paths"`
 	Epoch     uint64     `json:"epoch"`
 	Converged bool       `json:"converged"`
-	BoundGap  float64    `json:"bound_gap"`
 }
 
 type httpStreamLine struct {
-	Path     *httpPath `json:"path"`
-	Done     bool      `json:"done"`
-	Epoch    uint64    `json:"epoch"`
-	BoundGap float64   `json:"bound_gap"`
-	Error    string    `json:"error"`
+	Path  *httpPath `json:"path"`
+	Done  bool      `json:"done"`
+	Epoch uint64    `json:"epoch"`
+	Error string    `json:"error"`
 }
 
 func toPaths(hp []httpPath) []graph.Path {
@@ -75,9 +73,9 @@ func postJSON(t *testing.T, url string, body, out interface{}) int {
 	return resp.StatusCode
 }
 
-// streamKSP reads one /v1/ksp/stream answer: its paths and the epoch and
-// bound gap its final line reports.
-func streamKSP(t *testing.T, base string, s, tgt graph.VertexID, k int) ([]graph.Path, uint64, float64) {
+// streamKSP reads one /v1/ksp/stream answer: its paths and the epoch its
+// final line reports.
+func streamKSP(t *testing.T, base string, s, tgt graph.VertexID, k int) ([]graph.Path, uint64) {
 	t.Helper()
 	resp, err := http.Get(fmt.Sprintf("%s/v1/ksp/stream?source=%d&target=%d&k=%d", base, s, tgt, k))
 	if err != nil {
@@ -98,12 +96,12 @@ func streamKSP(t *testing.T, base string, s, tgt graph.VertexID, k int) ([]graph
 			if line.Error != "" {
 				t.Fatalf("stream query(%d,%d): %s", s, tgt, line.Error)
 			}
-			return paths, line.Epoch, line.BoundGap
+			return paths, line.Epoch
 		}
 		paths = append(paths, graph.Path{Vertices: line.Path.Vertices, Dist: line.Path.Distance})
 	}
 	t.Fatalf("stream query(%d,%d) ended without a done line (%v)", s, tgt, sc.Err())
-	return nil, 0, 0
+	return nil, 0
 }
 
 func TestGatewayMatchesYen(t *testing.T) {
@@ -199,7 +197,7 @@ func TestGatewayMatchesYen(t *testing.T) {
 
 		// One streamed query per round, audited the same way.
 		q := qgen.Batch(1)[0]
-		streamed, epoch, _ := streamKSP(t, ts.URL, q.Source, q.Target, p.K)
+		streamed, epoch := streamKSP(t, ts.URL, q.Source, q.Target, p.K)
 		audit("stream", epoch, streamed, q.Source, q.Target)
 		audited++
 	}

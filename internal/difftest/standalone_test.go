@@ -80,7 +80,7 @@ func checkStandalone(t *testing.T, workers, factor int) {
 		for _, q := range qgen.Batch(5) {
 			pairs = append(pairs, [2]graph.VertexID{q.Source, q.Target})
 		}
-		check := func(kind string, s, tgt graph.VertexID, epoch uint64, gap float64, got []graph.Path) {
+		check := func(kind string, s, tgt graph.VertexID, epoch uint64, got []graph.Path) {
 			t.Helper()
 			if epoch != want {
 				t.Fatalf("%s: %s query(%d,%d) answered at epoch %d, want %d", label, kind, s, tgt, epoch, want)
@@ -90,11 +90,8 @@ func checkStandalone(t *testing.T, workers, factor int) {
 				t.Fatalf("%s: epoch %d not retained", label, epoch)
 			}
 			yen := shortest.Yen(view.Partition().Parent().Snapshot(), s, tgt, k, &shortest.Options{Weight: view.GlobalWeight})
-			// A query the iteration budget cut reports a bound gap and is
-			// held to it instead.
-			gl, wl := lengths(got), lengths(yen)
-			if gap > 0 && !withinGap(gl, wl, gap) || gap == 0 && !sameLengths(gl, wl) {
-				t.Errorf("%s: %s query(%d,%d)@epoch %d: lengths %v (bound gap %g) != Yen %v", label, kind, s, tgt, epoch, gl, gap, wl)
+			if gl, wl := lengths(got), lengths(yen); !sameLengths(gl, wl) {
+				t.Errorf("%s: %s query(%d,%d)@epoch %d: lengths %v != Yen %v", label, kind, s, tgt, epoch, gl, wl)
 			}
 		}
 		var out [][]graph.Path
@@ -104,12 +101,12 @@ func checkStandalone(t *testing.T, workers, factor int) {
 			if code := postJSON(t, m.URL+"/v1/ksp", body, &qr); code != http.StatusOK {
 				t.Fatalf("%s: query(%d,%d) status %d", label, pr[0], pr[1], code)
 			}
-			check("plain", pr[0], pr[1], qr.Epoch, qr.BoundGap, toPaths(qr.Paths))
+			check("plain", pr[0], pr[1], qr.Epoch, toPaths(qr.Paths))
 			out = append(out, toPaths(qr.Paths))
 		}
 		s, tgt := pairs[len(pairs)-1][0], pairs[len(pairs)-1][1]
-		paths, epoch, gap := streamKSP(t, m.URL, s, tgt, k)
-		check("stream", s, tgt, epoch, gap, paths)
+		paths, epoch := streamKSP(t, m.URL, s, tgt, k)
+		check("stream", s, tgt, epoch, paths)
 		return out
 	}
 

@@ -131,14 +131,12 @@ func CheckTopology(tb testing.TB, p TopologyParams) {
 			}
 			gl, wl := lengths(got.Paths), lengths(want)
 			switch {
-			case got.Converged && got.BoundGap > 0:
-				if !withinGap(gl, wl, got.BoundGap) {
-					tb.Errorf("%s: query(%d,%d,%d) violated its near-exactness claim: KSP-DG lengths %v not within bound gap %g of Yen lengths %v",
-						label, s, t, base.K, gl, got.BoundGap, wl)
-				}
 			case !sameLengths(gl, wl):
-				tb.Errorf("%s: query(%d,%d,%d): KSP-DG lengths %v != Yen lengths %v",
-					label, s, t, base.K, gl, wl)
+				tb.Errorf("%s: query(%d,%d,%d) (converged=%v): KSP-DG lengths %v != Yen lengths %v",
+					label, s, t, base.K, got.Converged, gl, wl)
+			case !got.Converged:
+				tb.Logf("%s: non-converged outlier: query(%d,%d,%d) exact after %d iterations",
+					label, s, t, base.K, got.Iterations)
 			}
 			for i, path := range got.Paths {
 				if err := path.Validate(cur.Snapshot()); err != nil {

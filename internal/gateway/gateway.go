@@ -375,15 +375,13 @@ func (q queryRequest) request(yield func(graph.Path) error) serve.Request {
 }
 
 type queryResponse struct {
-	Paths     []pathJSON `json:"paths"`
-	Epoch     uint64     `json:"epoch"`
-	Converged bool       `json:"converged"`
-	// BoundGap is 0 for exact answers; positive when the adaptive iteration
-	// budget terminated the search early, in which case every returned
-	// distance is within BoundGap of its exact counterpart.
-	BoundGap   float64 `json:"bound_gap,omitempty"`
-	Iterations int     `json:"iterations"`
-	ElapsedUs  int64   `json:"elapsed_us"`
+	Paths []pathJSON `json:"paths"`
+	Epoch uint64     `json:"epoch"`
+	// Converged is true exactly when the answer is exact; false means a
+	// safety valve cut the search and the paths may not be the k shortest.
+	Converged  bool  `json:"converged"`
+	Iterations int   `json:"iterations"`
+	ElapsedUs  int64 `json:"elapsed_us"`
 	// Trace is present only for ?debug=1 requests on a tracing gateway: the
 	// request's trace id (look it up on /debug/traces) and its per-stage
 	// duration breakdown so far.
@@ -504,7 +502,6 @@ func toQueryResponse(res core.Result) queryResponse {
 		Paths:      make([]pathJSON, 0, len(res.Paths)),
 		Epoch:      res.Epoch,
 		Converged:  res.Converged,
-		BoundGap:   res.BoundGap,
 		Iterations: res.Iterations,
 		ElapsedUs:  res.Elapsed.Microseconds(),
 	}
@@ -523,7 +520,6 @@ type streamLine struct {
 	Done       bool      `json:"done,omitempty"`
 	Epoch      uint64    `json:"epoch"`
 	Converged  bool      `json:"converged"`
-	BoundGap   float64   `json:"bound_gap,omitempty"`
 	Paths      int       `json:"paths"`
 	Iterations int       `json:"iterations"`
 	Error      string    `json:"error,omitempty"`
@@ -534,13 +530,12 @@ type pathLine struct {
 }
 
 type doneLine struct {
-	Done       bool    `json:"done"`
-	Epoch      uint64  `json:"epoch"`
-	Converged  bool    `json:"converged"`
-	BoundGap   float64 `json:"bound_gap,omitempty"`
-	Paths      int     `json:"paths"`
-	Iterations int     `json:"iterations"`
-	Error      string  `json:"error,omitempty"`
+	Done       bool   `json:"done"`
+	Epoch      uint64 `json:"epoch"`
+	Converged  bool   `json:"converged"`
+	Paths      int    `json:"paths"`
+	Iterations int    `json:"iterations"`
+	Error      string `json:"error,omitempty"`
 }
 
 func (g *Gateway) handleStream(w http.ResponseWriter, r *http.Request) {
@@ -592,7 +587,6 @@ func (g *Gateway) handleStream(w http.ResponseWriter, r *http.Request) {
 		Done:       true,
 		Epoch:      res.Epoch,
 		Converged:  res.Converged,
-		BoundGap:   res.BoundGap,
 		Paths:      len(res.Paths),
 		Iterations: res.Iterations,
 	})
@@ -869,14 +863,8 @@ func (g *Gateway) registerMetrics() {
 	r.CounterFunc("kspd_cache_hits_total", "Queries answered from the epoch-tagged result cache.",
 		stats(func(s serve.Stats) int64 { return s.CacheHits }))
 	r.CounterFunc("kspd_nonconverged_queries_total",
-		"Queries cut off with fewer than k proven candidates (possibly truncated results).",
+		"Queries answered without proof of exactness: a safety valve cut the search (paths valid, possibly not the k shortest).",
 		stats(func(s serve.Stats) int64 { return s.NonConverged }))
-	r.CounterFunc("kspd_budget_terminated_total",
-		"Queries the adaptive iteration budget terminated early with a near-exact answer (k paths within a reported bound gap).",
-		stats(func(s serve.Stats) int64 { return s.BudgetTerminated }))
-	r.GaugeFunc("kspd_max_bound_gap",
-		"Largest bound gap observed across budget-terminated queries since start.",
-		func() float64 { return g.srv.Stats().MaxBoundGap })
 	r.CounterFunc("kspd_canceled_queries_total",
 		"Queries abandoned by cancellation or deadline expiry.",
 		stats(func(s serve.Stats) int64 { return s.Canceled }))

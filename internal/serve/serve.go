@@ -20,11 +20,10 @@ import (
 	"errors"
 	"fmt"
 	"log"
-	"math"
+	"log/slog"
 	"runtime"
 	"runtime/debug"
 	"sort"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -33,7 +32,6 @@ import (
 	"kspdg/internal/core"
 	"kspdg/internal/dtlp"
 	"kspdg/internal/graph"
-	"kspdg/internal/logx"
 	"kspdg/internal/rpcbatch"
 	"kspdg/internal/trace"
 	"kspdg/internal/workload"
@@ -104,14 +102,14 @@ type Options struct {
 	// replayed through RunScenario (kill/restart a worker of the deployment
 	// backing the refine provider).  Nil ignores chaos events.
 	Chaos func(ev workload.ChaosEvent) error
-	// Logger, when set, receives a structured slow-query log line for every
-	// non-converged or budget-terminated query, and for every query slower
-	// than SlowQueryThreshold.  The line carries the trace id and the
-	// per-stage duration breakdown when the query was traced.
-	Logger *logx.Logger
+	// Logger receives a structured slow-query log line for every
+	// non-converged query, and for every query slower than
+	// SlowQueryThreshold.  The line carries the trace id and the per-stage
+	// duration breakdown when the query was traced.  Nil discards them.
+	Logger *slog.Logger
 	// SlowQueryThreshold is the duration above which a successfully answered
-	// query is logged as slow.  Zero disables the duration rule; outliers
-	// (non-converged, budget-terminated) are logged regardless.
+	// query is logged as slow.  Zero disables the duration rule;
+	// non-converged queries are logged regardless.
 	SlowQueryThreshold time.Duration
 }
 
@@ -124,6 +122,9 @@ func (o Options) withDefaults() Options {
 	}
 	if o.CacheCapacity == 0 {
 		o.CacheCapacity = 1024
+	}
+	if o.Logger == nil {
+		o.Logger = slog.New(slog.DiscardHandler)
 	}
 	return o
 }
@@ -142,23 +143,14 @@ type Stats struct {
 	// incremental-maintenance cost of the write path.
 	TopologyBatches  int64
 	SubgraphsRebuilt int64
-	// NonConverged counts successfully answered queries whose search was cut
-	// off while it still held fewer than k proven candidates: their paths may
-	// be silently truncated.  With the adaptive iteration budget in place
-	// this should stay at zero in healthy deployments; a nonzero rate means
-	// the MaxIterations safety valve fired before k candidates existed.
+	// NonConverged counts successfully answered queries that are not exact
+	// (core.Result.Converged == false): a safety valve — the MaxIterations
+	// cap or the join certificate's round cap — stopped the search, so their
+	// paths are valid but may not be the k shortest.
 	NonConverged int64
-	// BudgetTerminated counts successfully answered queries the adaptive
-	// iteration budget (or the MaxIterations cap) terminated early with a
-	// principled near-exact answer: k paths, each within Result.BoundGap of
-	// its exact counterpart.  This is the tunable replacement for the old
-	// iteration-cap tail — the former multi-minute outliers now land here,
-	// bounded by core.Options.StallWindow.
+	// BudgetTerminated is always zero: no query stops early short of exact
+	// (kept for callers that read it).
 	BudgetTerminated int64
-	// MaxBoundGap is the largest Result.BoundGap observed across
-	// budget-terminated queries since the server started, i.e. the worst
-	// distance overshoot any near-exact answer may have had.
-	MaxBoundGap float64
 	// Canceled counts queries abandoned before completion because their
 	// context was canceled or blew its deadline, including queries whose
 	// caller hung up while they waited for room in the queue or for a worker.
@@ -227,8 +219,6 @@ type Server struct {
 	subgraphsRebuilt atomic.Int64
 	snapshots        atomic.Int64
 	nonConverged     atomic.Int64
-	budgetTerminated atomic.Int64
-	maxBoundGap      atomic.Uint64 // math.Float64bits, monotonic max
 	canceled         atomic.Int64
 	panics           atomic.Int64
 }
@@ -355,19 +345,6 @@ func (s *Server) finish(c *call, res core.Result, err error) {
 		s.nonConverged.Add(1)
 		tr.MarkNonConverged()
 		outlier = true
-	case err == nil && res.BoundGap > 0:
-		s.budgetTerminated.Add(1)
-		tr.MarkNonConverged()
-		outlier = true
-		for {
-			cur := s.maxBoundGap.Load()
-			if res.BoundGap <= math.Float64frombits(cur) {
-				break
-			}
-			if s.maxBoundGap.CompareAndSwap(cur, math.Float64bits(res.BoundGap)) {
-				break
-			}
-		}
 	case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
 		s.canceled.Add(1)
 		tr.MarkCanceled()
@@ -378,13 +355,11 @@ func (s *Server) finish(c *call, res core.Result, err error) {
 	close(c.done)
 }
 
-// logSlowQuery emits the structured slow-query log line for outliers
-// (non-converged or budget-terminated answers) and for queries slower than
-// Options.SlowQueryThreshold, carrying the trace id and per-stage breakdown
-// when the query was traced.
+// logSlowQuery emits the structured slow-query log line for non-converged
+// answers and for queries slower than Options.SlowQueryThreshold, carrying
+// the trace id and per-stage breakdown when the query was traced.
 func (s *Server) logSlowQuery(c *call, res core.Result, err error, outlier bool) {
-	lg := s.opts.Logger
-	if lg == nil || err != nil {
+	if err != nil {
 		return
 	}
 	slow := s.opts.SlowQueryThreshold > 0 && res.Elapsed >= s.opts.SlowQueryThreshold
@@ -398,9 +373,6 @@ func (s *Server) logSlowQuery(c *call, res core.Result, err error, outlier bool)
 		"iterations", res.Iterations,
 		"converged", res.Converged,
 	}
-	if res.BoundGap > 0 {
-		kv = append(kv, "bound_gap", strconv.FormatFloat(res.BoundGap, 'g', -1, 64))
-	}
 	if tr := c.reqSpan.Trace(); tr != nil {
 		kv = append(kv, "trace", trace.IDString(tr.ID()))
 		stages := tr.Stages()
@@ -413,7 +385,7 @@ func (s *Server) logSlowQuery(c *call, res core.Result, err error, outlier bool)
 			kv = append(kv, "stage_"+name, stages[name].Round(time.Microsecond).String())
 		}
 	}
-	lg.Warn("slow query", kv...)
+	s.opts.Logger.Warn("slow query", kv...)
 }
 
 // storeCacheLocked inserts an entry, evicting stale entries (and, if the
@@ -729,9 +701,6 @@ func (s *Server) Stats() Stats {
 		Canceled:         s.canceled.Load(),
 		Panics:           s.panics.Load(),
 		Epoch:            s.index.CurrentView().Epoch(),
-
-		BudgetTerminated: s.budgetTerminated.Load(),
-		MaxBoundGap:      math.Float64frombits(s.maxBoundGap.Load()),
 	}
 	if bp, ok := s.provider.(batchStatsProvider); ok {
 		bst := bp.BatchStats()

@@ -2,12 +2,12 @@ package serve
 
 import (
 	"context"
+	"log/slog"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
-	"kspdg/internal/logx"
 	"kspdg/internal/testutil"
 	"kspdg/internal/trace"
 )
@@ -39,7 +39,7 @@ func TestSlowQueryLogCarriesTraceAndStages(t *testing.T) {
 	g := testutil.PaperGraph(t)
 	_, s := buildServer(t, g, 6, 2, Options{
 		Workers:            2,
-		Logger:             logx.New(&buf, logx.LevelInfo),
+		Logger:             slog.New(slog.NewTextHandler(&buf, nil)),
 		SlowQueryThreshold: time.Nanosecond,
 	})
 	defer s.Close()
@@ -58,7 +58,7 @@ func TestSlowQueryLogCarriesTraceAndStages(t *testing.T) {
 		t.Fatalf("no slow-query line emitted:\n%s", got)
 	}
 	for _, want := range []string{
-		"level=warn",
+		"level=WARN",
 		"trace=" + trace.IDString(tr.ID()),
 		"converged=true",
 		"stage_queue=",
@@ -78,7 +78,7 @@ func TestSlowQueryLogSilentUnderThreshold(t *testing.T) {
 	g := testutil.PaperGraph(t)
 	_, s := buildServer(t, g, 6, 2, Options{
 		Workers: 2,
-		Logger:  logx.New(&buf, logx.LevelInfo),
+		Logger:  slog.New(slog.NewTextHandler(&buf, nil)),
 	})
 	defer s.Close()
 	if _, err := s.Query(context.Background(), Request{Src: testutil.V1, Dst: testutil.V19, K: 2}); err != nil {
