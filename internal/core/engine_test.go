@@ -459,7 +459,8 @@ func TestStreamTiedImmediate(t *testing.T) {
 // TestStreamTiedWeightsRandom hammers the streaming contract on a
 // unit-weight random graph, where nearly every pair of path distances ties:
 // for every query the yielded sequence must be exactly Result.Paths in
-// non-decreasing distance order.
+// non-decreasing distance order, and a result with k paths in hand must stay
+// exact.
 func TestStreamTiedWeightsRandom(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	const n = 24
@@ -487,6 +488,9 @@ func TestStreamTiedWeightsRandom(t *testing.T) {
 		})
 		if err != nil {
 			t.Fatalf("StreamView(%d,%d): %v", s, tt, err)
+		}
+		if !res.Converged && len(res.Paths) >= k {
+			t.Errorf("query(%d,%d): not exact with %d paths in hand on a graph the engine solves exactly", s, tt, len(res.Paths))
 		}
 		if len(streamed) != len(res.Paths) {
 			t.Fatalf("query(%d,%d): streamed %d paths, result has %d", s, tt, len(streamed), len(res.Paths))
