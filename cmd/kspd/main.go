@@ -74,7 +74,7 @@ func main() {
 	flag.IntVar(&sc.incidents, "incidents", 0, "road incidents woven into the scenario: an edge is deleted and traffic spikes on the streets around it (master mode)")
 	flag.Float64Var(&sc.alpha, "alpha", 0.2, "fraction of edges perturbed per update batch")
 	flag.Float64Var(&sc.tau, "tau", 0.3, "relative weight variation per update batch")
-	flag.IntVar(&cfg.Concurrency, "concurrency", 0, "query worker pool size (0 = GOMAXPROCS)")
+	flag.IntVar(&cfg.Concurrency, "concurrency", 0, "queries executing at once (0 = GOMAXPROCS)")
 	flag.IntVar(&cfg.MaxIterations, "max-iterations", 0, "hard cap on reference paths examined per query; a capped query answers with converged=false (0 = default 10000; master mode)")
 	flag.IntVar(&cfg.Pool, "pool", 2, "TCP connections per worker (master mode)")
 	flag.IntVar(&cfg.Replicas, "replicas", 1, "workers hosting each subgraph, placed on workers (subgraph + rank) mod num-workers; >1 lets queries fail over to a subgraph's other hosts (must match between master and workers)")
@@ -102,6 +102,9 @@ func main() {
 		fatal(err)
 	}
 	lg = slog.New(slog.NewTextHandler(os.Stdout, &slog.HandlerOptions{Level: lvl}))
+	// Library code without a logger of its own (contained panics, dropped
+	// connections) logs on the default logger.
+	slog.SetDefault(lg)
 	cfg.Logger, wc.Logger = lg, lg
 	wc.Dataset, wc.Scale, wc.Z, wc.Replicas = cfg.Dataset, cfg.Scale, cfg.Z, cfg.Replicas
 	wc.DataDir, wc.LoadIndex = cfg.DataDir, cfg.LoadIndex

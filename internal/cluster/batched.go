@@ -4,7 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"log"
+	"log/slog"
 	"maps"
 	"runtime/debug"
 	"slices"
@@ -325,7 +325,7 @@ func (p *BatchedRemoteProvider) call(ctx context.Context, w int, pairs []core.Pa
 	defer func() {
 		if r := recover(); r != nil {
 			p.panics.Add(1)
-			log.Printf("cluster: panic calling worker %d (%d pairs, k=%d): %v\n%s", w, len(pairs), k, r, debug.Stack())
+			slog.Error("cluster: panic calling worker", "worker", w, "pairs", len(pairs), "k", k, "panic", r, "stack", string(debug.Stack()))
 			out, err = nil, fmt.Errorf("cluster: worker %d call panicked: %v", w, r)
 		}
 	}()

@@ -5,7 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"log"
+	"log/slog"
 	"net"
 	"runtime/debug"
 	"sync"
@@ -135,7 +135,7 @@ func (s *Server) handleConn(conn net.Conn) {
 	}
 	if err != nil {
 		if errors.Is(err, errWrongPeer) {
-			log.Printf("cluster: worker %d: dropping connection from %s: %v", s.worker.id, conn.RemoteAddr(), err)
+			slog.Warn("cluster: dropping connection", "worker", s.worker.id, "remote", conn.RemoteAddr(), "err", err)
 		}
 		return
 	}
@@ -186,7 +186,7 @@ func (s *Server) dispatch(env envelope) (reply replyEnvelope) {
 	defer func() {
 		if r := recover(); r != nil {
 			s.worker.panics.Add(1)
-			log.Printf("cluster: worker %d: panic serving request %d: %v\n%s", s.worker.id, env.ID, r, debug.Stack())
+			slog.Error("cluster: panic serving request", "worker", s.worker.id, "request", env.ID, "panic", r, "stack", string(debug.Stack()))
 			reply = replyEnvelope{Err: fmt.Sprintf("cluster: worker panic: %v", r)}
 		}
 		reply.ID = env.ID

@@ -3,7 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
-	"log"
+	"log/slog"
 	"runtime/debug"
 	"slices"
 	"sort"
@@ -84,7 +84,7 @@ func (lp *LocalProvider) PartialKSPAsyncCtx(_ context.Context, iv *dtlp.IndexVie
 	go func() {
 		defer func() {
 			if r := recover(); r != nil {
-				log.Printf("core: panic in local refine of %d pairs: %v\n%s", len(pairs), r, debug.Stack())
+				slog.Error("core: panic in local refine", "pairs", len(pairs), "panic", r, "stack", string(debug.Stack()))
 				out <- AsyncPartialReply{Err: fmt.Errorf("core: local refine panic: %v", r)}
 			}
 		}()

@@ -328,7 +328,7 @@ func (m *Master) broadcastTopology(up graph.TopologyUpdate) error {
 func (m *Master) ServeErr() <-chan error { return m.serveErr }
 
 // Close drains front to back: the HTTP listener and its in-flight requests,
-// the query pool, then — for the HTTP service over a data directory — a
+// the running queries, then — for the HTTP service over a data directory — a
 // final snapshot, so a rolling restart loses neither queries nor durability;
 // last the provider, the worker clients and the store.  It returns the first
 // error of the snapshot or the store.

@@ -561,8 +561,8 @@ func (g *Gateway) handleStream(w http.ResponseWriter, r *http.Request) {
 	flusher, _ := w.(http.Flusher)
 	enc := json.NewEncoder(w)
 	yield := func(p graph.Path) error {
-		// yield runs on the pool worker executing the query while this
-		// handler goroutine blocks in Query, so writes never race.
+		// yield runs on this handler goroutine, inside Query, so writes
+		// never race.
 		if err := enc.Encode(pathLine{Path: toPathJSON(p)}); err != nil {
 			return fmt.Errorf("gateway: client write failed: %w", err)
 		}
@@ -869,7 +869,7 @@ func (g *Gateway) registerMetrics() {
 		"Queries abandoned by cancellation or deadline expiry.",
 		stats(func(s serve.Stats) int64 { return s.Canceled }))
 	r.CounterFunc("kspd_panics_total",
-		"Panics contained on a query pool worker (one query failed) or in a refine batch sender (that batch's queries failed); stack in the process log.",
+		"Panics contained while executing a query (that query failed) or in a refine share's worker call (that share failed, and at -replicas 1 its query); stack in the process log.",
 		stats(func(s serve.Stats) int64 { return s.Panics }))
 	r.CounterFunc("kspd_update_batches_total", "Weight-update batches applied.",
 		stats(func(s serve.Stats) int64 { return s.UpdateBatches }))

@@ -57,8 +57,8 @@ func TestStatsExposeBatchCounters(t *testing.T) {
 }
 
 // A panic contained in the refine transport's worker call counts in
-// serve.Stats beside those contained on pool workers, so kspd_panics_total
-// sees it.
+// serve.Stats beside those contained while executing queries, so
+// kspd_panics_total sees it.
 func TestStatsCountBatchSenderPanics(t *testing.T) {
 	g := testutil.PaperGraph(t)
 	p, err := partition.PartitionGraph(g, 6)

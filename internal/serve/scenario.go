@@ -43,12 +43,12 @@ func (r ScenarioReport) Errs() []error {
 }
 
 // RunScenario replays a mixed query/update scenario against the server.
-// Queries are submitted asynchronously — each occupies a slot of the
-// server's worker pool and may overlap any number of later events — while
-// update batches are applied inline in event order, so weight changes land
-// while earlier queries are still in flight.  This is the concurrent path a
-// production deployment exercises: RunScenario returns only after every
-// query has completed and every batch has been applied.
+// Queries are submitted asynchronously — each on its own goroutine, holding
+// one of the server's Workers slots while it runs, and may overlap any number
+// of later events — while update batches are applied inline in event order,
+// so weight changes land while earlier queries are still in flight.  This is
+// the concurrent path a production deployment exercises: RunScenario returns
+// only after every query has completed and every batch has been applied.
 func (s *Server) RunScenario(sc workload.MixedScenario) (ScenarioReport, error) {
 	ctx := context.TODO()
 	start := time.Now()

@@ -4,7 +4,8 @@
 // A Server owns the master copy of the road network and its DTLP index and
 // separates the two kinds of traffic the paper's system must absorb:
 //
-//   - Queries run on a bounded worker pool.  Each query is answered against
+//   - Queries run on their callers' goroutines, at most Options.Workers at
+//     once.  Each query is answered against
 //     one immutable index epoch (dtlp.IndexView), so an in-flight query never
 //     observes a half-applied update batch no matter how many batches land
 //     while it runs.  Each query is its own computation under its caller's
@@ -19,7 +20,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"log"
 	"log/slog"
 	"runtime"
 	"runtime/debug"
@@ -67,11 +67,9 @@ type Persister interface {
 
 // Options configures a Server.
 type Options struct {
-	// Workers is the size of the query worker pool.  Zero means GOMAXPROCS.
+	// Workers bounds the number of queries executing at once; callers
+	// beyond it wait for a slot.  Zero means GOMAXPROCS.
 	Workers int
-	// QueueDepth bounds the number of admitted-but-unstarted queries.
-	// Submitting beyond it blocks (backpressure).  Zero means 4*Workers.
-	QueueDepth int
 	// CacheCapacity bounds the number of cached query results.  Zero means
 	// 1024; negative disables caching.
 	CacheCapacity int
@@ -105,7 +103,8 @@ type Options struct {
 	// Logger receives a structured slow-query log line for every
 	// non-converged query, and for every query slower than
 	// SlowQueryThreshold.  The line carries the trace id and the per-stage
-	// duration breakdown when the query was traced.  Nil discards them.
+	// duration breakdown when the query was traced.  A contained query panic
+	// is logged on it too, with its stack.  Nil discards them.
 	Logger *slog.Logger
 	// SlowQueryThreshold is the duration above which a successfully answered
 	// query is logged as slow.  Zero disables the duration rule;
@@ -116,9 +115,6 @@ type Options struct {
 func (o Options) withDefaults() Options {
 	if o.Workers <= 0 {
 		o.Workers = runtime.GOMAXPROCS(0)
-	}
-	if o.QueueDepth <= 0 {
-		o.QueueDepth = 4 * o.Workers
 	}
 	if o.CacheCapacity == 0 {
 		o.CacheCapacity = 1024
@@ -153,11 +149,11 @@ type Stats struct {
 	BudgetTerminated int64
 	// Canceled counts queries abandoned before completion because their
 	// context was canceled or blew its deadline, including queries whose
-	// caller hung up while they waited for room in the queue or for a worker.
+	// caller hung up while they waited for a slot.
 	Canceled int64
-	// Panics counts panics contained without taking the process down: on a
-	// pool worker, which fails one query (see execute), and in the refine
-	// transport's worker call, which fails the share it was shipping
+	// Panics counts panics contained without taking the process down: in a
+	// query's execution, which fails that query (see execute), and in the
+	// refine transport's worker call, which fails the share it was shipping
 	// (rpcbatch.Stats.Panics).  The stack of each is in the process log.
 	Panics int64
 	Epoch  uint64
@@ -194,9 +190,11 @@ type Server struct {
 	provider core.PartialProvider
 	opts     Options
 
-	tasks   chan *call
-	workers sync.WaitGroup
-	senders sync.WaitGroup
+	// slots holds one token per executing query; its capacity is
+	// Options.Workers.
+	slots chan struct{}
+	// admitted counts the queries past the closed check, for Close.
+	admitted sync.WaitGroup
 
 	mu     sync.Mutex
 	closed bool
@@ -233,147 +231,99 @@ type cacheEntry struct {
 	res   core.Result
 }
 
-// call is one scheduled computation, for one caller.  It runs under the
-// caller's context, so a caller that hangs up stops it: a queued call is
-// failed without touching the engine, a running one is canceled
-// mid-iteration.  Plain queries' answers land in the cache; epoch-pinned and
-// streaming ones do not (pin answers are immutable but rare; stream yields
-// belong to one client).
-type call struct {
-	ctx       context.Context
-	key       queryKey
-	cacheable bool
-
-	view  *dtlp.IndexView        // pinned epoch view; nil = newest at execution
-	yield func(graph.Path) error // streaming observer; runs on the pool worker
-
-	// reqSpan is the caller's request span (nil for untraced callers).  The
-	// queue and execute spans, and everything the engine and transport hang
-	// beneath them, belong to its trace.
-	reqSpan   *trace.Span
-	queueSpan *trace.Span
-
-	done chan struct{}
-	res  core.Result
-	err  error
-}
-
-// New creates a server over the given index.  provider selects where the
-// refine step runs: nil uses a serial local provider (queries already run
-// concurrently on the pool), anything else (e.g. a cluster provider) is
-// passed through to the engine.  Every refine request carries the query's
-// epoch view, so the refine step is snapshot-isolated wherever the provider's
-// workers can resolve that epoch.
+// New creates a server over the given index; it starts no goroutines.
+// provider selects where the refine step runs: nil uses a serial local
+// provider (queries already run concurrently, one per caller), anything else
+// (e.g. a cluster provider) is passed through to the engine.  Every refine
+// request carries the query's epoch view, so the refine step is
+// snapshot-isolated wherever the provider's workers can resolve that epoch.
 func New(index *dtlp.Index, provider core.PartialProvider, opts Options) *Server {
 	opts = opts.withDefaults()
-	s := &Server{
+	return &Server{
 		index:    index,
 		engine:   core.NewEngine(index, provider, opts.Engine),
 		provider: provider,
 		opts:     opts,
-		tasks:    make(chan *call, opts.QueueDepth),
+		slots:    make(chan struct{}, opts.Workers),
 		cache:    make(map[queryKey]cacheEntry),
 	}
-	s.workers.Add(opts.Workers)
-	for i := 0; i < opts.Workers; i++ {
-		go s.worker()
-	}
-	return s
 }
 
 // Index returns the server's DTLP index.
 func (s *Server) Index() *dtlp.Index { return s.index }
 
-// worker drains the task queue, answering each query against its pinned view
-// or the newest epoch available when the query starts executing.  Calls whose
-// context died while queued are failed without touching the engine.
-func (s *Server) worker() {
-	defer s.workers.Done()
-	for c := range s.tasks {
-		c.queueSpan.Finish()
-		if err := c.ctx.Err(); err != nil {
-			s.finish(c, core.Result{}, err)
-			continue
-		}
-		res, err := s.execute(c)
-		s.finish(c, res, err)
-	}
-}
-
-// execute answers one call on the calling pool worker.  A panic anywhere in
-// the query (the engine, a provider called on this goroutine, a stream's
-// yield) fails this call with an error, released by finish like any other
-// failure, and the worker keeps draining; the stack is logged once and counted
-// in Stats.Panics.
-func (s *Server) execute(c *call) (res core.Result, err error) {
-	view := c.view
+// execute answers one query on the caller's goroutine, against view or,
+// when view is nil, the newest epoch.  yield, when set, streams the paths.
+// A panic anywhere in the query (the engine, a provider called on this
+// goroutine, a stream's yield) fails this query with an error like any other
+// failure; the stack is logged once and counted in Stats.Panics.
+func (s *Server) execute(ctx context.Context, reqSpan *trace.Span, key queryKey, view *dtlp.IndexView, yield func(graph.Path) error) (res core.Result, err error) {
 	if view == nil {
 		view = s.index.CurrentView()
 	}
-	// The execute span is injected into the call's context so the engine
+	// The execute span is injected into the query's context so the engine
 	// (and the transport beneath it) hang their iteration and rpc spans under
 	// it.
-	exec := c.reqSpan.Child("execute")
+	exec := reqSpan.Child("execute")
 	defer exec.Finish()
 	defer func() {
 		if r := recover(); r != nil {
 			s.panics.Add(1)
-			log.Printf("serve: panic answering query (%d,%d) k=%d: %v\n%s", c.key.s, c.key.t, c.key.k, r, debug.Stack())
+			s.opts.Logger.Error("query panic", "s", uint64(key.s), "t", uint64(key.t), "k", key.k,
+				"panic", r, "stack", string(debug.Stack()))
 			res, err = core.Result{}, fmt.Errorf("serve: query panic: %v", r)
 		}
 	}()
-	ctx := trace.NewContext(c.ctx, exec)
-	if c.yield != nil {
-		return s.engine.StreamView(ctx, view, c.key.s, c.key.t, c.key.k, c.yield)
+	ctx = trace.NewContext(ctx, exec)
+	if yield != nil {
+		return s.engine.StreamView(ctx, view, key.s, key.t, key.k, yield)
 	}
-	return s.engine.QueryViewCtx(ctx, view, c.key.s, c.key.t, c.key.k)
+	return s.engine.QueryViewCtx(ctx, view, key.s, key.t, key.k)
 }
 
-// finish completes a call: publishes the result to its caller, installs a
-// cacheable answer in the epoch-tagged cache, and counts the outcome.
-func (s *Server) finish(c *call, res core.Result, err error) {
-	c.res, c.err = res, err
-	if err == nil && c.cacheable && s.opts.CacheCapacity > 0 {
-		s.mu.Lock()
-		s.storeCacheLocked(c.key, cacheEntry{epoch: res.Epoch, res: res})
-		s.mu.Unlock()
-	}
-	tr := c.reqSpan.Trace()
-	outlier := false
-	switch {
-	case err == nil && !res.Converged:
-		s.nonConverged.Add(1)
-		tr.MarkNonConverged()
-		outlier = true
-	case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
+// finish records a query's outcome: it installs a cacheable answer in the
+// epoch-tagged cache and counts the outcome.  A canceled query is counted
+// as canceled, every other one as served.
+func (s *Server) finish(reqSpan *trace.Span, key queryKey, cacheable bool, res core.Result, err error) {
+	tr := reqSpan.Trace()
+	if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
 		s.canceled.Add(1)
 		tr.MarkCanceled()
-	case err != nil:
-		tr.MarkError()
+		return
 	}
-	s.logSlowQuery(c, res, err, outlier)
-	close(c.done)
+	s.queries.Add(1)
+	if err != nil {
+		tr.MarkError()
+		return
+	}
+	if cacheable && s.opts.CacheCapacity > 0 {
+		s.mu.Lock()
+		s.storeCacheLocked(key, cacheEntry{epoch: res.Epoch, res: res})
+		s.mu.Unlock()
+	}
+	if !res.Converged {
+		s.nonConverged.Add(1)
+		tr.MarkNonConverged()
+	}
+	s.logSlowQuery(tr, key, res)
 }
 
 // logSlowQuery emits the structured slow-query log line for non-converged
 // answers and for queries slower than Options.SlowQueryThreshold, carrying
 // the trace id and per-stage breakdown when the query was traced.
-func (s *Server) logSlowQuery(c *call, res core.Result, err error, outlier bool) {
-	if err != nil {
-		return
-	}
+func (s *Server) logSlowQuery(tr *trace.Trace, key queryKey, res core.Result) {
 	slow := s.opts.SlowQueryThreshold > 0 && res.Elapsed >= s.opts.SlowQueryThreshold
-	if !outlier && !slow {
+	if res.Converged && !slow {
 		return
 	}
 	kv := []any{
-		"s", uint64(c.key.s), "t", uint64(c.key.t), "k", c.key.k,
+		"s", uint64(key.s), "t", uint64(key.t), "k", key.k,
 		"epoch", res.Epoch,
 		"elapsed", res.Elapsed.Round(time.Microsecond).String(),
 		"iterations", res.Iterations,
 		"converged", res.Converged,
 	}
-	if tr := c.reqSpan.Trace(); tr != nil {
+	if tr != nil {
 		kv = append(kv, "trace", trace.IDString(tr.ID()))
 		stages := tr.Stages()
 		names := make([]string, 0, len(stages))
@@ -420,26 +370,26 @@ type Request struct {
 	// epoch available.
 	Epoch *uint64
 	// Yield, when set, receives the result paths incrementally, as the search
-	// settles them (see core.Engine.StreamView), on the pool worker executing
-	// the query; an error from it aborts the computation.
+	// settles them (see core.Engine.StreamView), on the goroutine that called
+	// Query; an error from it aborts the computation.
 	Yield func(graph.Path) error
 }
 
-// Query answers r through the scheduler and blocks until the result is
-// available; it is safe for unbounded concurrent use, and admission beyond
-// the queue depth blocks callers (backpressure) rather than growing an
-// unbounded backlog.
+// Query answers r on the calling goroutine and blocks until the result is
+// available; it is safe for unbounded concurrent use.  At most
+// Options.Workers queries execute at once; further callers wait for a slot
+// rather than growing an unbounded backlog of running searches.
 //
 // A request with neither Epoch nor Yield is cacheable: a result cached for
 // the current epoch is returned immediately, and a computed answer lands in
 // the cache.  Any other request bypasses the cache (pin answers are immutable
-// but rare; stream yields belong to one client) but still runs on the pool.
+// but rare; stream yields belong to one client) but still takes a slot.
 //
-// Every call computes on its own, under ctx.  Once ctx is done the caller
-// returns immediately with ctx's error and the computation stops: a call
-// still waiting for room in the queue is never enqueued, a queued one is
-// failed before it touches the engine, and a running one is canceled
-// mid-iteration, so a hung-up client stops consuming worker capacity.
+// Every call computes on its own, under ctx.  A caller whose ctx ends while
+// it waits for a slot returns at once with ctx's error and never reaches the
+// engine; a running query stops at the engine's next cancellation check (at
+// every iteration and in every refine wait), so a hung-up client stops
+// consuming a slot.
 func (s *Server) Query(ctx context.Context, r Request) (core.Result, error) {
 	if err := ctx.Err(); err != nil {
 		return core.Result{}, err
@@ -473,35 +423,31 @@ func (s *Server) Query(ctx context.Context, r Request) (core.Result, error) {
 			delete(s.cache, key) // stale epoch: lazy invalidation
 		}
 	}
-	s.senders.Add(1)
+	s.admitted.Add(1)
 	s.mu.Unlock()
-	c := &call{ctx: ctx, key: key, cacheable: cacheable, view: view, yield: r.Yield, done: make(chan struct{})}
-	c.reqSpan = trace.FromContext(ctx)
-	c.queueSpan = c.reqSpan.Child("queue")
-	return s.await(c)
-}
+	defer s.admitted.Done()
 
-// await enqueues c and waits for its outcome.  A caller whose context ends
-// while the queue is full finishes its call at once, without enqueuing it.
-// The senders count held since Query keeps Close from closing the queue
-// under a pending send.
-func (s *Server) await(c *call) (core.Result, error) {
+	// The queue and execute spans, and everything the engine and transport
+	// hang beneath them, belong to the caller's request span (nil for
+	// untraced callers).
+	reqSpan := trace.FromContext(ctx)
+	queue := reqSpan.Child("queue")
+	var res core.Result
+	var err error
 	select {
-	case s.tasks <- c:
-		s.senders.Done()
-	case <-c.ctx.Done():
-		s.senders.Done()
-		c.queueSpan.Finish()
-		s.finish(c, core.Result{}, c.ctx.Err())
-		return core.Result{}, c.err
+	case s.slots <- struct{}{}:
+		queue.Finish()
+		// The select may take the slot although ctx has ended too.
+		if err = ctx.Err(); err == nil {
+			res, err = s.execute(ctx, reqSpan, key, view, r.Yield)
+		}
+		<-s.slots
+	case <-ctx.Done():
+		queue.Finish()
+		err = ctx.Err()
 	}
-	select {
-	case <-c.done:
-		s.queries.Add(1)
-		return c.res, c.err
-	case <-c.ctx.Done():
-		return core.Result{}, c.ctx.Err()
-	}
+	s.finish(reqSpan, key, cacheable, res, err)
+	return res, err
 }
 
 // ApplyUpdates applies one batch of edge weight updates and returns the epoch
@@ -717,17 +663,11 @@ func (s *Server) Stats() Stats {
 	return st
 }
 
-// Close drains the worker pool.  Queries submitted after Close fail;
-// queries already admitted complete normally.  Close is idempotent.
+// Close waits for the queries already admitted to complete; queries
+// submitted after Close fail.  Close is idempotent.
 func (s *Server) Close() {
 	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return
-	}
 	s.closed = true
 	s.mu.Unlock()
-	s.senders.Wait() // every admitted task is in the channel now
-	close(s.tasks)
-	s.workers.Wait()
+	s.admitted.Wait()
 }

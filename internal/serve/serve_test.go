@@ -3,8 +3,10 @@ package serve
 import (
 	"context"
 	"errors"
+	"log/slog"
 	"math"
 	"math/rand"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -306,8 +308,8 @@ func TestServerCloseRejectsNewQueries(t *testing.T) {
 	}
 }
 
-// panicOnceProvider panics on the calling (pool worker) goroutine the first
-// time it is asked to refine, then answers normally.
+// panicOnceProvider panics on the goroutine running the query the first time
+// it is asked to refine, then answers normally.
 type panicOnceProvider struct {
 	inner    core.PartialProvider
 	panicked atomic.Bool
@@ -320,10 +322,10 @@ func (p *panicOnceProvider) PartialKSPAsyncCtx(ctx context.Context, iv *dtlp.Ind
 	return p.inner.PartialKSPAsyncCtx(ctx, iv, pairs, k)
 }
 
-// TestPanicFailsOneQueryNotTheServer makes one query panic on its pool
-// worker: that query must come back as an error and be counted, the worker
-// must keep draining (the pool has a single worker, so the next query proves
-// it), and Close must still return.
+// TestPanicFailsOneQueryNotTheServer makes one query panic: that query must
+// come back as an error, be counted and be logged once on the server's
+// Logger, its slot must be released (the server has a single slot, so the
+// next query proves it), and Close must still return.
 func TestPanicFailsOneQueryNotTheServer(t *testing.T) {
 	g := testutil.PaperGraph(t)
 	p, err := partition.PartitionGraph(g, 6)
@@ -334,12 +336,18 @@ func TestPanicFailsOneQueryNotTheServer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := New(x, &panicOnceProvider{inner: core.NewLocalProvider(p, 0)}, Options{Workers: 1})
+	var buf syncBuffer
+	s := New(x, &panicOnceProvider{inner: core.NewLocalProvider(p, 0)},
+		Options{Workers: 1, Logger: slog.New(slog.NewTextHandler(&buf, nil))})
 	if _, err := s.Query(context.Background(), Request{Src: testutil.V1, Dst: testutil.V19, K: 2}); err == nil || !strings.Contains(err.Error(), "provider blew up") {
 		t.Fatalf("panicking query returned %v, want the contained panic as an error", err)
 	}
 	if st := s.Stats(); st.Panics != 1 {
 		t.Errorf("Panics = %d, want 1", st.Panics)
+	}
+	if lines := strings.Split(strings.TrimSpace(buf.String()), "\n"); len(lines) != 1 ||
+		!strings.Contains(lines[0], "level=ERROR") || !strings.Contains(lines[0], "panic") {
+		t.Errorf("want one level=ERROR line naming the panic on the Logger, got:\n%s", buf.String())
 	}
 	got, err := s.Query(context.Background(), Request{Src: testutil.V1, Dst: testutil.V19, K: 2})
 	if err != nil {
@@ -362,18 +370,25 @@ func TestPanicFailsOneQueryNotTheServer(t *testing.T) {
 }
 
 // blockingProvider parks every refine call until released, for cancellation
-// tests.
+// tests.  It counts the calls made under a context tagged with markKey.
 type blockingProvider struct {
 	inner   core.PartialProvider
 	release chan struct{}
 	entered chan struct{}
+	marked  atomic.Int32
 }
+
+// markKey tags a caller's context for blockingProvider.marked.
+type markKey struct{}
 
 func newBlockingProvider(inner core.PartialProvider) *blockingProvider {
 	return &blockingProvider{inner: inner, release: make(chan struct{}), entered: make(chan struct{}, 16)}
 }
 
 func (p *blockingProvider) PartialKSPAsyncCtx(ctx context.Context, iv *dtlp.IndexView, pairs []core.PairRequest, k int) <-chan core.AsyncPartialReply {
+	if ctx.Value(markKey{}) != nil {
+		p.marked.Add(1)
+	}
 	pairs = append([]core.PairRequest(nil), pairs...)
 	out := make(chan core.AsyncPartialReply, 1)
 	go func() {
@@ -547,12 +562,12 @@ func (c doneSignal) Done() <-chan struct{} {
 	return c.Context.Done()
 }
 
-// TestAbandonedEnqueueFailsOnlyItsCaller fills a one-worker server with a
-// one-deep queue (A runs, B waits in the queue) and lets a third caller, C,
-// hang up while it is blocked on the send.  C must return at once and be
-// counted as canceled before anything is released, without ever reaching the
-// queue; A and B must still be answered and Close must return.
-func TestAbandonedEnqueueFailsOnlyItsCaller(t *testing.T) {
+// TestAbandonedWaitFailsOnlyItsCaller fills a one-slot server (A runs,
+// blocked in its refine step) and lets a second caller, C, hang up while it
+// waits for the slot.  C must return at once and be counted as canceled
+// before anything is released, without ever reaching the provider; A must
+// still be answered and Close must return.
+func TestAbandonedWaitFailsOnlyItsCaller(t *testing.T) {
 	g := testutil.PaperGraph(t)
 	p, err := partition.PartitionGraph(g, 6)
 	if err != nil {
@@ -563,7 +578,7 @@ func TestAbandonedEnqueueFailsOnlyItsCaller(t *testing.T) {
 		t.Fatal(err)
 	}
 	bp := newBlockingProvider(core.NewLocalProvider(p, 0))
-	s := New(x, bp, Options{Workers: 1, QueueDepth: 1, CacheCapacity: -1})
+	s := New(x, bp, Options{Workers: 1, CacheCapacity: -1})
 	released := false
 	defer func() {
 		if !released {
@@ -576,31 +591,18 @@ func TestAbandonedEnqueueFailsOnlyItsCaller(t *testing.T) {
 		res core.Result
 		err error
 	}
-	// A occupies the only worker (blocked in its refine step).
+	// A holds the only slot (blocked in its refine step).
 	a := make(chan outcome, 1)
 	go func() {
 		res, err := s.Query(context.Background(), Request{Src: 3, Dst: 12, K: 2})
 		a <- outcome{res, err}
 	}()
 	<-bp.entered
-	// B fills the one-slot queue.
-	b := make(chan outcome, 1)
-	go func() {
-		res, err := s.Query(context.Background(), Request{Src: 0, Dst: 15, K: 2})
-		b <- outcome{res, err}
-	}()
-	deadline := time.Now().Add(5 * time.Second)
-	for len(s.tasks) == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("second query never reached the queue")
-		}
-		time.Sleep(time.Millisecond)
-	}
 
-	// C's caller blocks sending to the full queue, then hangs up.
+	// C's caller waits for the slot, then hangs up.
 	inner, cancelC := context.WithCancel(context.Background())
 	defer cancelC()
-	ctxC := doneSignal{Context: inner, asked: make(chan struct{}, 1)}
+	ctxC := doneSignal{Context: context.WithValue(inner, markKey{}, true), asked: make(chan struct{}, 1)}
 	c := make(chan outcome, 1)
 	go func() {
 		res, err := s.Query(ctxC, Request{Src: 1, Dst: 16, K: 2})
@@ -609,7 +611,7 @@ func TestAbandonedEnqueueFailsOnlyItsCaller(t *testing.T) {
 	select {
 	case <-ctxC.asked:
 	case <-time.After(5 * time.Second):
-		t.Fatal("third query never waited on the queue")
+		t.Fatal("second query never waited for the slot")
 	}
 	cancelC()
 	select {
@@ -618,7 +620,7 @@ func TestAbandonedEnqueueFailsOnlyItsCaller(t *testing.T) {
 			t.Fatalf("canceled caller returned %v, want context.Canceled", oc.err)
 		}
 	case <-time.After(5 * time.Second):
-		t.Fatal("canceled caller did not return while the queue was full")
+		t.Fatal("canceled caller did not return while the slot was held")
 	}
 	if st := s.Stats(); st.Canceled != 1 {
 		t.Fatalf("Canceled = %d before the provider was released, want 1", st.Canceled)
@@ -626,14 +628,12 @@ func TestAbandonedEnqueueFailsOnlyItsCaller(t *testing.T) {
 
 	released = true
 	close(bp.release)
-	for _, ch := range []chan outcome{a, b} {
-		o := <-ch
-		if o.err != nil {
-			t.Fatalf("surviving query failed: %v", o.err)
-		}
-		if len(o.res.Paths) == 0 {
-			t.Fatal("surviving query got no paths")
-		}
+	o := <-a
+	if o.err != nil {
+		t.Fatalf("surviving query failed: %v", o.err)
+	}
+	if len(o.res.Paths) == 0 {
+		t.Fatal("surviving query got no paths")
 	}
 	closed := make(chan struct{})
 	go func() { s.Close(); close(closed) }()
@@ -642,7 +642,66 @@ func TestAbandonedEnqueueFailsOnlyItsCaller(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("Close hung")
 	}
-	if st := s.Stats(); st.QueriesServed != 2 || st.Canceled != 1 {
-		t.Errorf("served %d, canceled %d; want 2 and 1", st.QueriesServed, st.Canceled)
+	if n := bp.marked.Load(); n != 0 {
+		t.Errorf("C reached the provider %d times; a caller that hung up while waiting must never reach it", n)
+	}
+	if st := s.Stats(); st.QueriesServed != 1 || st.Canceled != 1 {
+		t.Errorf("served %d, canceled %d; want 1 and 1", st.QueriesServed, st.Canceled)
+	}
+}
+
+// TestCloseWaitsForRunningQuery calls Close while a query is blocked in its
+// refine step: Close must return only once that query is released and
+// answered, and a query after Close must fail.  New starts no goroutines.
+func TestCloseWaitsForRunningQuery(t *testing.T) {
+	g := testutil.PaperGraph(t)
+	p, err := partition.PartitionGraph(g, 6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	x, err := dtlp.Build(p, dtlp.Config{Xi: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	bp := newBlockingProvider(core.NewLocalProvider(p, 0))
+	before := runtime.NumGoroutine()
+	s := New(x, bp, Options{Workers: 64, CacheCapacity: -1})
+	if d := runtime.NumGoroutine() - before; d >= 64 {
+		t.Errorf("New started %d goroutines; queries run on their callers'", d)
+	}
+
+	type outcome struct {
+		res core.Result
+		err error
+	}
+	a := make(chan outcome, 1)
+	go func() {
+		res, err := s.Query(context.Background(), Request{Src: 3, Dst: 12, K: 2})
+		a <- outcome{res, err}
+	}()
+	<-bp.entered
+	closed := make(chan struct{})
+	go func() { s.Close(); close(closed) }()
+	select {
+	case <-closed:
+		t.Fatal("Close returned while a query was still running")
+	case <-time.After(50 * time.Millisecond):
+	}
+	close(bp.release)
+	select {
+	case <-closed:
+	case <-time.After(5 * time.Second):
+		t.Fatal("Close hung after the running query was released")
+	}
+	select {
+	case o := <-a:
+		if o.err != nil || len(o.res.Paths) == 0 {
+			t.Fatalf("the query running at Close got %v with %d paths, want its answer", o.err, len(o.res.Paths))
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("the query running at Close was never answered")
+	}
+	if _, err := s.Query(context.Background(), Request{Src: 3, Dst: 12, K: 2}); err == nil {
+		t.Fatal("query after Close should fail")
 	}
 }
