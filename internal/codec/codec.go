@@ -9,7 +9,7 @@
 // the count and the body (Encoder.BeginSized/EndSized, ReadSized), so a
 // stream of them needs no other delimiter.
 //
-// Both types keep the first error, as bufio.Scanner does: from then on the
+// Both types keep the first error, as a scanner does: from then on the
 // Encoder writes nothing and the Decoder reads every field as zero and every
 // count as 0, so callers check Err once per structure instead of once per
 // field.  A count field is bounded by the bytes left in the input before
@@ -18,7 +18,6 @@
 package codec
 
 import (
-	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -32,7 +31,7 @@ import (
 
 const (
 	// chunk is the size at which an Encoder with a writer flushes, and the
-	// read-ahead of a stream Decoder.
+	// window a stream Decoder reads through.
 	chunk = 1 << 16
 
 	// maxSized bounds the body of a sized frame.
@@ -155,25 +154,34 @@ func (e *Encoder) Flush() error {
 // memory (NewBytesDecoder), keeping the count of bytes consumed and, for a
 // stream, the CRC-32C of the current frame.  Slices it returns never alias
 // its input, and an empty one is nil.
+//
+// Both read out of buf: the whole input for memory, a 64 KiB window a
+// stream refills for stream input.  A stream Decoder folds the bytes it
+// consumed into the CRC when it refills the window and when a frame ends or
+// begins, not field by field.
 type Decoder struct {
-	r    *bufio.Reader // nil when decoding from src
-	src  []byte
+	r    io.Reader // nil when decoding from memory
+	buf  []byte
+	pos  int    // next unread byte of buf
+	mark int    // start in buf of the consumed bytes not yet in crc
 	size int64  // input length, bounding count fields
 	n    int64  // bytes consumed
-	crc  uint32 // stream input: CRC-32C of the current frame so far
+	crc  uint32 // stream input: CRC-32C of the current frame before mark
 	err  error
 }
 
-// NewDecoder returns a Decoder reading size bytes from r.
+// NewDecoder returns a Decoder reading size bytes from r.  It reads ahead
+// up to 64 KiB, so r must hold nothing after the input that anyone else
+// reads.
 func NewDecoder(r io.Reader, size int64) *Decoder {
-	return &Decoder{r: bufio.NewReaderSize(r, chunk), size: size}
+	return &Decoder{r: r, buf: make([]byte, 0, chunk), size: size}
 }
 
 // NewBytesDecoder returns a Decoder over src, a body whose CRC the caller
 // has already checked (ReadSized does).  It keeps no CRC, so Frame is for
 // stream Decoders only.
 func NewBytesDecoder(src []byte) *Decoder {
-	return &Decoder{src: src, size: int64(len(src))}
+	return &Decoder{buf: src, size: int64(len(src))}
 }
 
 // Err returns the first error.
@@ -196,27 +204,25 @@ func (d *Decoder) Failf(format string, args ...any) {
 // as zeros once an error has been recorded; callers must not modify it.
 func (d *Decoder) read(k int) []byte {
 	if d.err == nil {
+		if k <= len(d.buf)-d.pos {
+			p := d.buf[d.pos : d.pos+k]
+			d.pos += k
+			d.n += int64(k)
+			return p
+		}
 		var p []byte
 		var err error
 		switch {
 		case d.r == nil:
-			if int64(k) <= d.size-d.n {
-				p = d.src[d.n : d.n+int64(k)]
-			} else {
-				err = io.ErrUnexpectedEOF
-			}
+			err = io.ErrUnexpectedEOF
 		case k <= chunk:
-			if p, err = d.r.Peek(k); err == nil {
-				_, _ = d.r.Discard(k)
+			if err = d.fill(k); err == nil {
+				return d.read(k)
 			}
 		default:
-			p = make([]byte, k)
-			_, err = io.ReadFull(d.r, p)
+			p, err = d.readLarge(k)
 		}
 		if err == nil {
-			if d.r != nil {
-				d.crc = crc32.Update(d.crc, crcTable, p)
-			}
 			d.n += int64(k)
 			return p
 		}
@@ -226,6 +232,48 @@ func (d *Decoder) read(k int) []byte {
 		return zeros[:k]
 	}
 	return make([]byte, k)
+}
+
+// fold adds the consumed bytes not yet in the CRC to it.
+func (d *Decoder) fold() {
+	if d.r != nil {
+		d.crc = crc32.Update(d.crc, crcTable, d.buf[d.mark:d.pos])
+	}
+	d.mark = d.pos
+}
+
+// fill moves the window's unread bytes to its front and reads until it holds
+// at least k of them, or fails with the reader's error (io.EOF at the end of
+// the input).
+func (d *Decoder) fill(k int) error {
+	d.fold()
+	d.buf = d.buf[:copy(d.buf[:cap(d.buf)], d.buf[d.pos:])]
+	d.pos, d.mark = 0, 0
+	for len(d.buf) < k {
+		m, err := d.r.Read(d.buf[len(d.buf):cap(d.buf)])
+		d.buf = d.buf[:len(d.buf)+m]
+		if err != nil && len(d.buf) < k {
+			return err
+		}
+	}
+	return nil
+}
+
+// readLarge reads a field larger than the window into a slice of its own:
+// the window's unread bytes, then the rest straight from the reader.
+func (d *Decoder) readLarge(k int) ([]byte, error) {
+	d.fold()
+	p := make([]byte, k)
+	c := copy(p, d.buf[d.pos:])
+	if _, err := io.ReadFull(d.r, p[c:]); err != nil {
+		if err == io.EOF && c > 0 {
+			err = io.ErrUnexpectedEOF
+		}
+		return nil, err
+	}
+	d.buf, d.pos, d.mark = d.buf[:0], 0, 0
+	d.crc = crc32.Update(d.crc, crcTable, p)
+	return p, nil
 }
 
 // zeros is what read returns after an error.
@@ -289,16 +337,22 @@ func GetIDs[T ~int32](d *Decoder, n int) []T {
 	if n == 0 {
 		return nil
 	}
-	ids := make([]T, n)
+	return AppendIDs(d, make([]T, 0, n), n)
+}
+
+// AppendIDs reads n i32s written by PutIDs and appends them to dst, so a
+// caller can decode many id lists into one reused buffer.
+func AppendIDs[T ~int32](d *Decoder, dst []T, n int) []T {
+	dst = slices.Grow(dst, n)
 	for done := 0; done < n; {
 		m := min(n-done, chunk/4)
 		p := d.read(4 * m)
-		for i := range ids[done : done+m] {
-			ids[done+i] = T(binary.LittleEndian.Uint32(p[4*i:]))
+		for i := range m {
+			dst = append(dst, T(binary.LittleEndian.Uint32(p[4*i:])))
 		}
 		done += m
 	}
-	return ids
+	return dst
 }
 
 // GetF64s reads n f64s written by PutF64s into a fresh slice, nil for n = 0.
@@ -320,11 +374,12 @@ func GetF64s(d *Decoder, n int) []float64 {
 
 // BeginFrame starts a frame here, discarding the CRC of the bytes read since
 // the previous frame ended (a header outside any frame, say).
-func (d *Decoder) BeginFrame() { d.crc = 0 }
+func (d *Decoder) BeginFrame() { d.crc, d.mark = 0, d.pos }
 
 // Frame ends a frame: it reads the CRC-32C trailer, checks it against the
 // bytes read since the previous frame ended, and starts the next frame.
 func (d *Decoder) Frame() {
+	d.fold()
 	want := d.crc
 	if got := d.U32(); got != want {
 		d.Failf("checksum mismatch at byte %d: stored %08x, computed %08x", d.n-4, got, want)

@@ -3,9 +3,12 @@ package codec
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"io"
 	"reflect"
+	"strings"
 	"testing"
+	"testing/iotest"
 
 	"kspdg/internal/graph"
 )
@@ -200,4 +203,130 @@ func TestSizedFrames(t *testing.T) {
 	if _, err := ReadSized(bytes.NewReader(huge), nil); !errors.Is(err, errSizedTooBig) {
 		t.Fatalf("a 4 GiB count: %v, want errSizedTooBig", err)
 	}
+}
+
+// windowFrames are the content lengths of the frames TestStreamDecoderWindows
+// streams: with their 4-byte CRCs, the second, fourth and fifth straddle a
+// multiple of 64 KiB, and the fourth is larger than the window.
+var windowFrames = []int{100, 65530, 7, 70000, 65536, 1, 40000}
+
+// windowStream encodes windowFrames, each frame one Raw field of patterned
+// bytes, and returns the stream and each frame's content.
+func windowStream() ([]byte, []string) {
+	var e Encoder
+	var contents []string
+	for i, n := range windowFrames {
+		b := make([]byte, n)
+		for j := range b {
+			b[j] = byte(j*31 + i)
+		}
+		contents = append(contents, string(b))
+		e.Raw(string(b))
+		e.Frame()
+	}
+	return e.Bytes(), contents
+}
+
+// TestStreamDecoderWindows reads frames that straddle the stream Decoder's
+// 64 KiB window edges, and a field larger than the window, through readers
+// that hand over one byte, half the request, or the last bytes with io.EOF.
+// Every reader gives the same fields, offsets and checksums, and a byte
+// flipped on either side of a window edge fails its frame's checksum.
+func TestStreamDecoderWindows(t *testing.T) {
+	data, contents := windowStream()
+	readers := map[string]func(io.Reader) io.Reader{
+		"whole":   func(r io.Reader) io.Reader { return r },
+		"onebyte": iotest.OneByteReader,
+		"half":    iotest.HalfReader,
+		"dataerr": iotest.DataErrReader,
+	}
+	decode := func(wrap func(io.Reader) io.Reader, data []byte) error {
+		d := NewDecoder(wrap(bytes.NewReader(data)), int64(len(data)))
+		off := int64(0)
+		for i, n := range windowFrames {
+			// Two reads, so that the second refills the window, or reads
+			// past it, with bytes of the frame already consumed.
+			head := min(n, 7)
+			got := d.Raw(head) + d.Raw(n-head)
+			d.Frame()
+			if err := d.Err(); err != nil {
+				return err
+			}
+			if got != contents[i] {
+				return fmt.Errorf("frame %d: read other bytes than were written", i)
+			}
+			if off += int64(n + 4); d.Offset() != off {
+				return fmt.Errorf("frame %d: offset %d, want %d", i, d.Offset(), off)
+			}
+		}
+		if d.Left() != 0 {
+			return fmt.Errorf("%d bytes left", d.Left())
+		}
+		return nil
+	}
+	for name, wrap := range readers {
+		if err := decode(wrap, data); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+	}
+	for edge := chunk; edge < len(data); edge += chunk {
+		for _, i := range []int{edge - 1, edge} {
+			bad := bytes.Clone(data)
+			bad[i] ^= 0x10
+			for name, wrap := range readers {
+				if err := decode(wrap, bad); err == nil || !strings.Contains(err.Error(), "checksum mismatch") {
+					t.Fatalf("%s: byte %d flipped: %v, want a checksum mismatch", name, i, err)
+				}
+			}
+		}
+	}
+}
+
+// readOps decodes the fields ops names from d, one per op, and renders what
+// each read and the decoder's offset and error state after it.  An op of 6
+// mod 8 reads op×600 raw bytes, past the 64 KiB window from op 110 on.
+func readOps(d *Decoder, ops []byte) string {
+	var out strings.Builder
+	for _, op := range ops {
+		var v any
+		switch op % 8 {
+		case 0:
+			v = d.U8()
+		case 1:
+			v = d.U32()
+		case 2:
+			v = d.U64()
+		case 3:
+			v = d.Bool()
+		case 4:
+			v = d.Text()
+		case 5:
+			v = GetIDs[graph.VertexID](d, d.Count(4))
+		case 6:
+			v = d.Raw(int(op) * 600)
+		case 7:
+			v = d.Weights()
+		}
+		fmt.Fprintf(&out, "%v@%d:%t ", v, d.Offset(), d.Err() != nil)
+	}
+	return out.String()
+}
+
+// FuzzStreamMatchesMemory reads the same fields from arbitrary bytes with a
+// stream Decoder over iotest.HalfReader and with a memory Decoder: both must
+// read the same values, stop at the same offsets and fail at the same field.
+func FuzzStreamMatchesMemory(f *testing.F) {
+	var e Encoder
+	writeSample(&e)
+	f.Add(e.Bytes(), []byte{0, 1, 2, 3, 4, 5, 7})
+	data, _ := windowStream()
+	f.Add(data, []byte{6, 110, 2, 118, 5, 1})
+	f.Add(data[:70000], []byte{118})
+	f.Fuzz(func(t *testing.T, data, ops []byte) {
+		stream := readOps(NewDecoder(iotest.HalfReader(bytes.NewReader(data)), int64(len(data))), ops)
+		memory := readOps(NewBytesDecoder(data), ops)
+		if stream != memory {
+			t.Fatalf("stream and memory decoders disagree:\n stream %s\n memory %s", stream, memory)
+		}
+	})
 }

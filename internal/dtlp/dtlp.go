@@ -490,7 +490,7 @@ func (x *Index) applyRun(batches [][]graph.WeightUpdate) (UpdateStats, error) {
 		for j, w := range writes[id] {
 			touchedPer[i] += si.applyEdgeDelta(w.Edge, deltas[id][j])
 		}
-		changed[i] = si.refreshBounds()
+		changed[i] = si.refreshBounds(writes[id])
 	})
 	if err := errors.Join(errs...); err != nil {
 		return UpdateStats{}, err

@@ -14,17 +14,19 @@ import (
 // This file holds a reference model of DTLP maintenance as the paper states
 // it and as the index first implemented it: every bounding path keeps its own
 // distance, adjusted edge by edge through an edge -> paths map; every refresh
-// sorts a fresh unit-weight table and takes each path's bound with its own
-// sumSmallestUnits; a pair's LBD is Theorem 1 over its paths; an MBD is the
-// minimum LBD over the subgraphs holding the pair, in subgraph-id order.  The
-// index keeps its state in flat arrays and computes bounds once per distinct
-// vfrag count; TestFlatMaintenanceMatchesPerPathRecompute proves the two give
-// the same bits.
+// sorts a fresh unit-weight table by (unit weight, edge id) and sums each
+// path's bound from it on its own; a pair's LBD is Theorem 1 over its paths;
+// an MBD is the minimum LBD over the subgraphs holding the pair, in
+// subgraph-id order.  The index keeps its state in flat arrays, computes
+// bounds once per distinct vfrag count and merges only the edges a run moved
+// back into its unit order; TestFlatMaintenanceMatchesPerPathRecompute
+// proves the two give the same bits.
 
 type refPath struct {
 	edges  []graph.EdgeID
 	vfrags float64
 	dist   float64
+	bound  float64
 }
 
 type refPair struct {
@@ -81,7 +83,7 @@ func (rs *refSub) clone(si *SubgraphIndex) *refSub {
 	for _, rp := range rs.pairs {
 		cp := &refPair{key: rp.key, lbd: rp.lbd}
 		for _, p := range rp.paths {
-			q := &refPath{edges: p.edges, vfrags: p.vfrags, dist: p.dist}
+			q := &refPath{edges: p.edges, vfrags: p.vfrags, dist: p.dist, bound: p.bound}
 			for _, e := range q.edges {
 				out.ep[e] = append(out.ep[e], q)
 			}
@@ -96,7 +98,10 @@ func (rs *refSub) clone(si *SubgraphIndex) *refSub {
 // returns the local pairs whose LBD changed.
 func (rs *refSub) refresh() []PairKey {
 	local := rs.si.Subgraph().Local
-	type unit struct{ unit, frags float64 }
+	type unit struct {
+		unit, frags float64
+		edge        int
+	}
 	units := make([]unit, local.NumEdges())
 	for e := range units {
 		w0 := local.InitialWeight(graph.EdgeID(e))
@@ -104,9 +109,14 @@ func (rs *refSub) refresh() []PairKey {
 		if w0 > 0 {
 			u = local.Snapshot().Weight(graph.EdgeID(e)) / w0
 		}
-		units[e] = unit{unit: u, frags: w0}
+		units[e] = unit{unit: u, frags: w0, edge: e}
 	}
-	sort.Slice(units, func(i, j int) bool { return units[i].unit < units[j].unit })
+	// Equal unit weights are taken in edge id order, so the table, and every
+	// bound summed from it, is a function of the weights alone.
+	sort.Slice(units, func(i, j int) bool {
+		a, b := units[i], units[j]
+		return a.unit < b.unit || (a.unit == b.unit && a.edge < b.edge)
+	})
 	prefixFrags := make([]float64, len(units)+1)
 	prefixCost := make([]float64, len(units)+1)
 	for i, u := range units {
@@ -131,8 +141,9 @@ func (rs *refSub) refresh() []PairKey {
 			if p.dist < minDist {
 				minDist = p.dist
 			}
-			if b := sumSmallest(p.vfrags); b > maxBound {
-				maxBound = b
+			p.bound = sumSmallest(p.vfrags)
+			if p.bound > maxBound {
+				maxBound = p.bound
 			}
 		}
 		lbd := maxBound
@@ -176,28 +187,46 @@ func (r *refIndex) resync() {
 	r.subs = subs
 }
 
+// adjust adds every update's delta of a run to the model's path distances,
+// in run order, and returns the subgraphs a nonzero delta reached and the
+// number of path adjustments.  Call it before the index applies the run.
+func (r *refIndex) adjust(batches [][]graph.WeightUpdate) (map[partition.SubgraphID]bool, int) {
+	part := r.x.Partition()
+	affected := make(map[partition.SubgraphID]bool)
+	written := make(map[graph.EdgeID]float64)
+	touched := 0
+	for _, batch := range batches {
+		for _, u := range batch {
+			loc := part.Locate(u.Edge)
+			old, ok := written[u.Edge]
+			if !ok {
+				old = part.Subgraph(loc.Subgraph).Local.Snapshot().Weight(loc.LocalEdge)
+			}
+			written[u.Edge] = u.NewWeight
+			if delta := u.NewWeight - old; delta != 0 {
+				affected[loc.Subgraph] = true
+				for _, p := range r.subs[loc.Subgraph].ep[loc.LocalEdge] {
+					p.dist += delta
+					touched++
+				}
+			}
+		}
+	}
+	return affected, touched
+}
+
 // apply runs batch through the index and through the model and returns the
 // statistics the model predicts and the index reported.
 func (r *refIndex) apply(t *testing.T, batch []graph.WeightUpdate) (want, got UpdateStats) {
 	t.Helper()
 	part := r.x.Partition()
 	want.Epoch = r.x.CurrentView().Epoch() + 1
-	affected := make(map[partition.SubgraphID]bool)
-	for _, u := range batch {
-		loc := part.Locate(u.Edge)
-		old := part.Subgraph(loc.Subgraph).Local.Snapshot().Weight(loc.LocalEdge)
-		if delta := u.NewWeight - old; delta != 0 {
-			affected[loc.Subgraph] = true
-			for _, p := range r.subs[loc.Subgraph].ep[loc.LocalEdge] {
-				p.dist += delta
-				want.PathsTouched++
-			}
-		}
-	}
+	affected, touched := r.adjust([][]graph.WeightUpdate{batch})
 	got, err := r.x.ApplyUpdates(batch)
 	if err != nil {
 		t.Fatal(err)
 	}
+	want.PathsTouched = touched
 	want.SubgraphsAffected = len(affected)
 	directed := part.Parent().Directed()
 	pairs := make(map[PairKey]bool)
@@ -209,6 +238,44 @@ func (r *refIndex) apply(t *testing.T, batch []graph.WeightUpdate) (want, got Up
 	}
 	want.PairsChanged = len(pairs)
 	return want, got
+}
+
+// replay runs batches through the index's ReplayUpdates and through the
+// model, which refreshes each affected subgraph once at the end of the run.
+func (r *refIndex) replay(t *testing.T, batches [][]graph.WeightUpdate) {
+	t.Helper()
+	want := r.x.CurrentView().Epoch() + uint64(len(batches))
+	affected, _ := r.adjust(batches)
+	got, err := r.x.ReplayUpdates(batches)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != want {
+		t.Fatalf("ReplayUpdates published epoch %d, want %d", got, want)
+	}
+	for id := range affected {
+		r.subs[id].refresh()
+	}
+}
+
+// tieBatch sets the local edges of subgraph id whose id has the given parity
+// to unit weight u (weight u·w0, where that divides back to u exactly), in
+// descending id order, so that many of its edges share one unit weight and
+// the unit order rests on the edge id tie-break.  A u below the traffic
+// model's 0.7 puts the tied edges first in the order, where every bound sums
+// them, and a u whose products with w0 round makes those sums depend on the
+// order.  Its first edge is written twice, at another weight first.
+func tieBatch(part *partition.Partition, id partition.SubgraphID, u float64, parity int) []graph.WeightUpdate {
+	parent := part.Parent()
+	edges := part.Subgraph(id).GlobalEdges
+	var batch []graph.WeightUpdate
+	for le := len(edges) - 1; le >= 0; le-- {
+		ge := edges[le]
+		if w0 := parent.InitialWeight(ge); le%2 == parity && parent.EdgeAlive(ge) && u*w0/w0 == u {
+			batch = append(batch, graph.WeightUpdate{Edge: ge, NewWeight: u * w0})
+		}
+	}
+	return append([]graph.WeightUpdate{{Edge: batch[0].Edge, NewWeight: 3 * batch[0].NewWeight}}, batch...)
 }
 
 // check compares every pair's LBD, every path's distance and every skeleton
@@ -235,6 +302,9 @@ func (r *refIndex) check(t *testing.T, label string) {
 			for i, bp := range bps {
 				if math.Float64bits(bp.Dist) != math.Float64bits(rp.paths[i].dist) {
 					t.Fatalf("%s: subgraph %d pair %v path %d: Dist %v, model %v", label, id, rp.key, i, bp.Dist, rp.paths[i].dist)
+				}
+				if math.Float64bits(bp.Bound) != math.Float64bits(rp.paths[i].bound) {
+					t.Fatalf("%s: subgraph %d pair %v path %d: Bound %v, model %v", label, id, rp.key, i, bp.Bound, rp.paths[i].bound)
 				}
 			}
 			gk := MakePairKey(sub.ToGlobal(rp.key.A), sub.ToGlobal(rp.key.B), directed)
@@ -307,12 +377,17 @@ func importCopy(t *testing.T, x *Index, network func() *graph.Graph, z int) *Ind
 // TestFlatMaintenanceMatchesPerPathRecompute drives the index through Build,
 // the benchmark's α = 1 warm-up batch and 40 traffic batches (20 at α 0.05,
 // 20 at α 0.2) and holds it, after every step, to the reference model above:
-// every LBD, bounding path distance and skeleton weight bit for bit, and
-// every UpdateStats exactly.  One cell puts a topology batch in the middle
-// (subgraphs it leaves alone are shared with the previous generation, so
-// per-generation tables must not live on them); one exports the index half
-// way and continues on the imported copy beside the original.  -short runs
-// fewer batches and skips the z 200 and import cells.
+// every LBD, bounding path distance and bound and skeleton weight bit for
+// bit, and every UpdateStats exactly.  One cell puts a topology batch in the
+// middle (subgraphs it leaves alone are shared with the previous generation,
+// so per-generation tables must not live on them); one exports the index half
+// way and continues on the imported copy beside the original.  The ties cell
+// first gives many edges of one subgraph one unit weight other than 1, then
+// replays runs through ReplayUpdates that write such ties again, repeat edges
+// within and across batches and move every edge (α = 1), before it exports:
+// the merged unit order must equal a fresh sort by (unit weight, edge id) in
+// the live index, its runs and the imported copy.  -short runs fewer batches
+// and skips the z 200 and plain import cells.
 func TestFlatMaintenanceMatchesPerPathRecompute(t *testing.T) {
 	directedNet := func() *graph.Graph {
 		return testutil.RandomStronglyConnected(rand.New(rand.NewSource(11)), 150, 60)
@@ -324,6 +399,7 @@ func TestFlatMaintenanceMatchesPerPathRecompute(t *testing.T) {
 		z       int
 		topo    bool
 		export  bool
+		ties    bool
 		short   bool
 	}{
 		{name: "ruler/z80", network: ruler, z: 80, short: true},
@@ -332,6 +408,7 @@ func TestFlatMaintenanceMatchesPerPathRecompute(t *testing.T) {
 		{name: "ruler/z80/topology", network: ruler, z: 80, topo: true},
 		{name: "directed/z50/topology", network: directedNet, z: 50, topo: true, short: true},
 		{name: "ruler/z80/import", network: ruler, z: 80, export: true},
+		{name: "ruler/z80/ties", network: ruler, z: 80, ties: true, export: true, short: true},
 	}
 	batchesPerAlpha := 20
 	if testing.Short() {
@@ -365,6 +442,34 @@ func TestFlatMaintenanceMatchesPerPathRecompute(t *testing.T) {
 				}
 			}
 			step("warm", trafficBatches(g, 1, 1, 2)[0])
+			if c.ties {
+				// The odd edges join the even ones' unit weight in a later
+				// refresh, so moved and unmoved edges tie.
+				step("ties", tieBatch(part, 0, 0.6, 0))
+				step("ties", tieBatch(part, 0, 0.6, 1))
+				replay := func(label string, run [][]graph.WeightUpdate) {
+					t.Helper()
+					refs[0].replay(t, run)
+					refs[0].check(t, label)
+				}
+				replay("run", [][]graph.WeightUpdate{
+					tieBatch(part, 1, 0.6, 0),
+					trafficBatches(g, 0.05, 1, 40)[0],
+					tieBatch(part, 0, 0.65, 1),
+					tieBatch(part, 1, 0.6, 1),
+				})
+				replay("run α1", [][]graph.WeightUpdate{
+					trafficBatches(g, 1, 1, 41)[0],
+					tieBatch(part, 0, 0.6, 0),
+				})
+				replay("run", [][]graph.WeightUpdate{tieBatch(part, 0, 0.6, 1), tieBatch(part, 1, 0.65, 0)})
+				var long [][]graph.WeightUpdate // longer than the views ViewAt keeps
+				for i := range viewRetention + 3 {
+					long = append(long, tieBatch(part, partition.SubgraphID(i%3), []float64{0.6, 0.65, 1.5, 0.7}[i%4], i%2))
+					long = append(long, trafficBatches(g, 0.05, 1, int64(50+i))[0])
+				}
+				replay("long run", long)
+			}
 			seed := int64(3)
 			for _, alpha := range []float64{0.05, 0.2} {
 				for i := 0; i < batchesPerAlpha; i++ {
@@ -400,5 +505,43 @@ func TestFlatMaintenanceMatchesPerPathRecompute(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestLBDTakesLargestBoundWhenRoundingBreaksOrder holds the LBD to the
+// largest bound of its pair's paths where rounding makes a larger vfrag count
+// get a smaller bound.  Initial weights 0.1 and 0.2 sum to 0.30000000000000004,
+// and at unit weights 1 and 1.25 that count's bound, 0.3500000000000001,
+// exceeds the bound of the next larger count, 0.35000000000000003: the pair's
+// largest vfrag count does not name its largest bound here.
+func TestLBDTakesLargestBoundWhenRoundingBreaksOrder(t *testing.T) {
+	b := graph.NewBuilder(4, false)
+	for i, w0 := range []float64{0.1, 0.2, 5} {
+		if _, err := b.AddEdge(graph.VertexID(i), graph.VertexID(i+1), w0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	g := b.Build()
+	if err := g.ApplyUpdates([]graph.WeightUpdate{{Edge: 1, NewWeight: 0.25}, {Edge: 2, NewWeight: 6.25}}); err != nil {
+		t.Fatal(err)
+	}
+	part, err := partition.Assemble(g, 4, [][]graph.VertexID{{0, 1, 2, 3}}, [][]graph.EdgeID{{0, 1, 2}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	w0, w1 := 0.1, 0.2
+	phi := w0 + w1 // in float64, not as an exact constant
+	si := newSubgraphIndex(part.Subgraph(0), 1, 2, 8)
+	si.addPair(PairKey{A: 0, B: 3})
+	verts, edges := []graph.VertexID{0, 1, 2, 3}, []graph.EdgeID{0, 1, 2}
+	si.addPath(verts, edges, phi, 100)
+	si.addPath(verts, edges, math.Nextafter(phi, 1), 100)
+	si.finish()
+	bps := si.BoundingPaths(0, 3)
+	if !(bps[0].Bound > bps[1].Bound) {
+		t.Fatalf("bounds %v, %v: the rounding this test relies on did not happen", bps[0].Bound, bps[1].Bound)
+	}
+	if got := si.LBDLocal(0, 3); got != bps[0].Bound {
+		t.Fatalf("LBD %v, want the largest bound %v", got, bps[0].Bound)
 	}
 }

@@ -1,11 +1,9 @@
 package dtlp
 
 import (
-	"errors"
 	"fmt"
 	"math"
 	"runtime"
-	"slices"
 	"sync/atomic"
 
 	"kspdg/internal/fanout"
@@ -92,7 +90,8 @@ func (x *Index) ExportState(fn func(st ExportedState) error) error {
 
 // Importer reassembles an Index from previously exported path records
 // without enumerating bounding paths — the expensive step of Build.  Records
-// are streamed in via Add (in any order) and Finish lays them out and derives
+// are streamed in via Add in the order ExportedState.Paths streams them, and
+// Add appends each straight into its subgraph's flat arrays; Finish derives
 // everything that is a pure function of them: bound distances, LBDs, the
 // global pair tables, and the skeleton graph with its MBD weights.
 //
@@ -101,25 +100,10 @@ func (x *Index) ExportState(fn func(st ExportedState) error) error {
 type Importer struct {
 	part     *partition.Partition
 	cfg      Config
-	staged   []importStage
+	subs     []*SubgraphIndex // nil for a subgraph no record has reached yet
+	last     partition.SubgraphID
+	run      int // paths of the last pair so far
 	finished bool
-}
-
-// importStage holds one subgraph's records in arrival order until Finish
-// lays them out.
-type importStage struct {
-	recs  []stagedPath
-	verts []graph.VertexID
-	edges []graph.EdgeID
-}
-
-// stagedPath is one record; its vertices are verts[vert:vert+n] of its stage
-// and its edges edges[edge:edge+n-1].
-type stagedPath struct {
-	pair         PairKey
-	vert, edge   int32
-	n            int32
-	vfrags, dist float64
 }
 
 // NewImporter prepares an import over the given partition.  cfg must carry
@@ -131,21 +115,27 @@ func NewImporter(part *partition.Partition, cfg Config) (*Importer, error) {
 		return nil, err
 	}
 	return &Importer{
-		part:   part,
-		cfg:    cfg,
-		staged: make([]importStage, part.NumSubgraphs()),
+		part: part,
+		cfg:  cfg,
+		subs: make([]*SubgraphIndex, part.NumSubgraphs()),
 	}, nil
 }
 
-// Add stages one bounding path record for the owning subgraph.  It validates
-// the record against the partition topology so that corrupted snapshots
-// surface as errors, never as silently wrong indexes.
+// Add appends one bounding path record to the owning subgraph's index.
+// Records must come in export order: subgraphs in id order, pairs sorted by
+// (A, B) within a subgraph, and a pair's paths in a row.  It validates the
+// record against the partition topology and that order, so that corrupted
+// snapshots surface as errors, never as silently wrong indexes.  It keeps no
+// reference to rec's slices.
 func (imp *Importer) Add(id partition.SubgraphID, rec PathRecord) error {
 	if imp.finished {
 		return fmt.Errorf("dtlp: import already finished")
 	}
-	if int(id) < 0 || int(id) >= len(imp.staged) {
-		return fmt.Errorf("dtlp: import record for subgraph %d outside [0,%d)", id, len(imp.staged))
+	if int(id) < 0 || int(id) >= len(imp.subs) {
+		return fmt.Errorf("dtlp: import record for subgraph %d outside [0,%d)", id, len(imp.subs))
+	}
+	if id < imp.last {
+		return fmt.Errorf("dtlp: import record for subgraph %d after subgraph %d", id, imp.last)
 	}
 	local := imp.part.Subgraph(id).Local
 	directed := local.Directed()
@@ -180,47 +170,35 @@ func (imp *Importer) Add(id partition.SubgraphID, rec PathRecord) error {
 	if math.IsNaN(rec.Dist) || math.IsInf(rec.Dist, 0) || rec.Dist < 0 {
 		return fmt.Errorf("dtlp: import path with invalid distance %g", rec.Dist)
 	}
-	st := &imp.staged[id]
-	st.recs = append(st.recs, stagedPath{
-		pair:   rec.Pair,
-		vert:   int32(len(st.verts)),
-		edge:   int32(len(st.edges)),
-		n:      int32(len(rec.Vertices)),
-		vfrags: rec.Vfrags,
-		dist:   rec.Dist,
-	})
-	st.verts = append(st.verts, rec.Vertices...)
-	st.edges = append(st.edges, rec.Edges...)
+	si := imp.subs[id]
+	if si == nil {
+		// Size the arrays like the previous subgraph's: the partition makes
+		// subgraphs of a similar size, so most never grow.
+		numPairs, numPaths, numVerts := 0, 0, 0
+		if prev := imp.subs[imp.last]; prev != nil {
+			numPairs, numPaths, numVerts = len(prev.pairKeys), len(prev.dist), len(prev.verts)
+		}
+		si = newSubgraphIndex(imp.part.Subgraph(id), numPairs, numPaths, numVerts)
+		imp.subs[id], imp.last = si, id
+	}
+	c := 1 // the record's pair against the subgraph's last one
+	if n := len(si.pairKeys); n > 0 {
+		prev := si.pairKeys[n-1]
+		if c = comparePairKeys(rec.Pair, prev); c < 0 {
+			return fmt.Errorf("dtlp: import pair (%d,%d) of subgraph %d after pair (%d,%d)", rec.Pair.A, rec.Pair.B, id, prev.A, prev.B)
+		}
+	}
+	if c > 0 {
+		si.addPair(rec.Pair)
+		imp.run = 0
+	}
+	// Construction keeps every enumerated path among the first ξ distinct
+	// vfrag lengths, so MaxEnumerate (not ξ) bounds the per-pair path count.
+	if imp.run++; imp.run > imp.cfg.MaxEnumerate {
+		return fmt.Errorf("dtlp: import pair (%d,%d) has more than %d paths", rec.Pair.A, rec.Pair.B, imp.cfg.MaxEnumerate)
+	}
+	si.addPath(rec.Vertices, rec.Edges, rec.Vfrags, rec.Dist)
 	return nil
-}
-
-// layout builds subgraph id's index from its staged records: pairs in sorted
-// order, each pair's paths in arrival order.
-func (imp *Importer) layout(id partition.SubgraphID) (*SubgraphIndex, error) {
-	st := &imp.staged[id]
-	slices.SortStableFunc(st.recs, func(x, y stagedPath) int { return comparePairKeys(x.pair, y.pair) })
-	numPairs := 0
-	for i, r := range st.recs {
-		if i == 0 || r.pair != st.recs[i-1].pair {
-			numPairs++
-		}
-	}
-	si := newSubgraphIndex(imp.part.Subgraph(id), numPairs, len(st.recs), len(st.verts))
-	run := 0
-	for i, r := range st.recs {
-		if i == 0 || r.pair != st.recs[i-1].pair {
-			si.addPair(r.pair)
-			run = 0
-		}
-		// Construction keeps every enumerated path among the first ξ distinct
-		// vfrag lengths, so MaxEnumerate (not ξ) bounds the per-pair path count.
-		if run++; run > imp.cfg.MaxEnumerate {
-			return nil, fmt.Errorf("dtlp: import pair (%d,%d) has more than %d paths", r.pair.A, r.pair.B, imp.cfg.MaxEnumerate)
-		}
-		si.addPath(st.verts[r.vert:r.vert+r.n], st.edges[r.edge:r.edge+r.n-1], r.vfrags, r.dist)
-	}
-	si.finish()
-	return si, nil
 }
 
 // Finish derives the remaining index state (bounds, LBDs, skeleton) and
@@ -232,15 +210,23 @@ func (imp *Importer) Finish(epoch uint64) (*Index, error) {
 		return nil, fmt.Errorf("dtlp: import already finished")
 	}
 	imp.finished = true
-	g := &generation{part: imp.part, subs: make([]*SubgraphIndex, len(imp.staged))}
-	errs := make([]error, len(g.subs))
+	g := &generation{part: imp.part, subs: imp.subs}
+	imp.subs = nil
 	fanout.Do(len(g.subs), runtime.GOMAXPROCS(0), func(i int) {
-		g.subs[i], errs[i] = imp.layout(partition.SubgraphID(i))
-		imp.staged[i] = importStage{}
+		si := g.subs[i]
+		if si == nil {
+			si = newSubgraphIndex(imp.part.Subgraph(partition.SubgraphID(i)), 0, 0, 0)
+			g.subs[i] = si
+		}
+		si.finish()
+		// Add sized the arrays by guess and let append grow them: copy each
+		// grown one to its length, so a recovered index holds no more memory
+		// than a built one.
+		si.pairKeys, si.pairOff = exact(si.pairKeys), exact(si.pairOff)
+		si.dist, si.vfrags = exact(si.dist), exact(si.vfrags)
+		si.vertOff, si.verts = exact(si.vertOff), exact(si.verts)
+		si.edgeOff, si.edges = exact(si.edgeOff), exact(si.edges)
 	})
-	if err := errors.Join(errs...); err != nil {
-		return nil, err
-	}
 	if err := g.finishStructure(); err != nil {
 		return nil, err
 	}
@@ -248,4 +234,14 @@ func (imp *Importer) Finish(epoch uint64) (*Index, error) {
 	x.gen.Store(g)
 	x.publishView(epoch)
 	return x, nil
+}
+
+// exact returns s in an array of exactly its length, s itself if it is one.
+func exact[S ~[]E, E any](s S) S {
+	if cap(s) == len(s) {
+		return s
+	}
+	t := make(S, len(s)) // slices.Clone would round the capacity up
+	copy(t, s)
+	return t
 }

@@ -1,6 +1,7 @@
 package dtlp
 
 import (
+	"cmp"
 	"math"
 	"slices"
 	"sort"
@@ -83,17 +84,14 @@ type SubgraphIndex struct {
 	vfragVals []float64
 	bounds    []float64
 
-	// Scratch reused by refreshBounds: the (unit weight, fragment count)
-	// table ordered by unit weight, and its running prefix sums for O(log E)
-	// bound distance queries.
-	sortedUnits []unitEntry
-	prefixFrags []float64 // cumulative fragment counts
-	prefixCost  []float64 // cumulative unitWeight*frags
-}
-
-type unitEntry struct {
-	unit  float64
-	frags float64
+	// units[e] is local edge e's current unit weight w/w0, and unitOrder the
+	// local edges sorted by (unit weight, edge id): a function of the weights
+	// alone, which refreshBounds keeps by merging the edges a run moved back
+	// in.  While it does, moved marks those edges and movedIDs lists them.
+	units     []float64
+	unitOrder []int32
+	moved     []bool
+	movedIDs  []int32
 }
 
 // newSubgraphIndex allocates the flat arrays of a subgraph index with exactly
@@ -163,7 +161,7 @@ func (si *SubgraphIndex) finish() {
 	for i := range si.lbd {
 		si.lbd[i] = infValue
 	}
-	si.refreshBounds()
+	si.refreshBounds(nil)
 }
 
 // buildSubgraphIndex indexes a single subgraph: for every pair of its
@@ -365,12 +363,16 @@ func (si *SubgraphIndex) applyEdgeDelta(e graph.EdgeID, delta float64) int {
 
 // refreshBounds recomputes the bound distance of every distinct vfrag count
 // and the LBD of every pair from the current weights, returning the indexes
-// of the pairs whose LBD changed.
-func (si *SubgraphIndex) refreshBounds() []int32 {
-	si.rebuildUnits()
-	for j, phi := range si.vfragVals {
-		si.bounds[j] = si.sumSmallestUnits(phi)
+// of the pairs whose LBD changed.  moved lists the local edges whose weight
+// changed since the last refresh (repeats allowed); nil means any may have,
+// and sorts the unit order afresh.
+func (si *SubgraphIndex) refreshBounds(moved []graph.WeightUpdate) []int32 {
+	if moved == nil {
+		si.sortUnits()
+	} else {
+		si.mergeUnits(moved)
 	}
+	si.sweepBounds()
 	var changed []int32
 	for i := range si.pairKeys {
 		minDist := infValue
@@ -399,57 +401,101 @@ func (si *SubgraphIndex) refreshBounds() []int32 {
 	return changed
 }
 
-// rebuildUnits rebuilds the sorted unit-weight table and its prefix sums from
-// the subgraph's current weights.
-func (si *SubgraphIndex) rebuildUnits() {
-	snap := si.sub.Local.Snapshot()
-	n := snap.NumEdges()
-	si.sortedUnits = slices.Grow(si.sortedUnits[:0], n)
-	for e := range graph.EdgeID(n) {
-		w0 := snap.InitialWeight(e)
-		unit := 0.0
-		if w0 > 0 {
-			unit = snap.Weight(e) / w0
-		}
-		si.sortedUnits = append(si.sortedUnits, unitEntry{unit: unit, frags: w0})
+// unitOf is local edge e's unit weight w/w0 under snap, 0 for an edge with
+// no fragments.
+func unitOf(snap *graph.Snapshot, e graph.EdgeID) float64 {
+	if w0 := snap.InitialWeight(e); w0 > 0 {
+		return snap.Weight(e) / w0
 	}
-	// Equal unit weights keep the order pattern-defeating quicksort leaves
-	// them in, as sort.Slice with the same less function would: the prefix
-	// sums, and so every bound, depend on it in the last bit.
-	slices.SortFunc(si.sortedUnits, func(a, b unitEntry) int {
-		switch {
-		case a.unit < b.unit:
-			return -1
-		case a.unit > b.unit:
-			return 1
-		}
-		return 0
-	})
-	si.prefixFrags = slices.Grow(si.prefixFrags[:0], n+1)[:n+1]
-	si.prefixCost = slices.Grow(si.prefixCost[:0], n+1)[:n+1]
-	si.prefixFrags[0], si.prefixCost[0] = 0, 0
-	for i, u := range si.sortedUnits {
-		si.prefixFrags[i+1] = si.prefixFrags[i] + u.frags
-		si.prefixCost[i+1] = si.prefixCost[i] + u.frags*u.unit
-	}
+	return 0
 }
 
-// sumSmallestUnits returns the total weight of the phi smallest virtual
-// fragments in the subgraph (greedily taking fragments from the edges with
-// the smallest unit weights).  If the subgraph holds fewer than phi
-// fragments, all of them are summed.
-func (si *SubgraphIndex) sumSmallestUnits(phi float64) float64 {
-	n := len(si.sortedUnits)
-	if n == 0 || phi <= 0 {
-		return 0
+// unitCompare orders local edges by (unit weight, edge id).
+func (si *SubgraphIndex) unitCompare(a, b int32) int {
+	if c := cmp.Compare(si.units[a], si.units[b]); c != 0 {
+		return c
 	}
-	// Binary search for the first prefix holding at least phi fragments.
-	i := sort.Search(n, func(i int) bool { return si.prefixFrags[i+1] >= phi })
-	if i == n {
-		return si.prefixCost[n]
+	return cmp.Compare(a, b)
+}
+
+// sortUnits rebuilds units and unitOrder from the subgraph's current
+// weights.
+func (si *SubgraphIndex) sortUnits() {
+	snap := si.sub.Local.Snapshot()
+	n := snap.NumEdges()
+	si.units = make([]float64, n)
+	si.unitOrder = make([]int32, n)
+	si.moved = make([]bool, n)
+	for e := range graph.EdgeID(n) {
+		si.units[e] = unitOf(snap, e)
+		si.unitOrder[e] = int32(e)
 	}
-	remaining := phi - si.prefixFrags[i]
-	return si.prefixCost[i] + remaining*si.sortedUnits[i].unit
+	slices.SortFunc(si.unitOrder, si.unitCompare)
+}
+
+// mergeUnits re-keys the moved edges and merges them back into unitOrder:
+// the rest of the order is still sorted, so taking the moved edges out,
+// sorting them and merging the two runs from the back costs O(n + m log m)
+// for m moved edges out of n.
+func (si *SubgraphIndex) mergeUnits(moved []graph.WeightUpdate) {
+	snap := si.sub.Local.Snapshot()
+	ms := si.movedIDs[:0]
+	for _, w := range moved {
+		if e := w.Edge; !si.moved[e] {
+			si.moved[e] = true
+			si.units[e] = unitOf(snap, e)
+			ms = append(ms, int32(e))
+		}
+	}
+	slices.SortFunc(ms, si.unitCompare)
+	kept := 0
+	for _, e := range si.unitOrder {
+		if !si.moved[e] {
+			si.unitOrder[kept] = e
+			kept++
+		}
+	}
+	for i, j, k := kept-1, len(ms)-1, len(si.unitOrder)-1; j >= 0; k-- {
+		if i >= 0 && si.unitCompare(ms[j], si.unitOrder[i]) < 0 {
+			si.unitOrder[k] = si.unitOrder[i]
+			i--
+		} else {
+			si.unitOrder[k] = ms[j]
+			si.moved[ms[j]] = false
+			j--
+		}
+	}
+	si.movedIDs = ms
+}
+
+// sweepBounds fills bounds in one pass over the edges in unit order: the
+// bound of ϕ vfrags is the total weight of the ϕ smallest virtual fragments
+// (taken greedily from the edges with the smallest unit weights), or of all
+// of them if the subgraph holds fewer.
+func (si *SubgraphIndex) sweepBounds() {
+	snap := si.sub.Local.Snapshot()
+	i, n := 0, len(si.unitOrder)
+	frags, cost := 0.0, 0.0 // of the first i edges in unit order
+	for j, phi := range si.vfragVals {
+		b := 0.0
+		if phi > 0 {
+			for i < n {
+				e := graph.EdgeID(si.unitOrder[i])
+				w0 := snap.InitialWeight(e)
+				if frags+w0 >= phi {
+					break
+				}
+				frags += w0
+				cost += w0 * si.units[e]
+				i++
+			}
+			b = cost
+			if i < n {
+				b = cost + (phi-frags)*si.units[si.unitOrder[i]]
+			}
+		}
+		si.bounds[j] = b
+	}
 }
 
 // boundaryDistancesFrom returns the shortest distance within this subgraph
@@ -500,9 +546,8 @@ func (si *SubgraphIndex) boundaryDistancesTo(v graph.VertexID, weights graph.Wei
 // approxBytes is the memory this subgraph's index holds in its arrays, for
 // the construction-cost experiments.
 func (si *SubgraphIndex) approxBytes() int64 {
-	f64 := len(si.lbd) + len(si.dist) + len(si.vfrags) + len(si.vfragVals) + len(si.bounds) +
-		len(si.prefixFrags) + len(si.prefixCost)
+	f64 := len(si.lbd) + len(si.dist) + len(si.vfrags) + len(si.vfragVals) + len(si.bounds) + len(si.units)
 	i32 := len(si.pairOff) + len(si.vfragIdx) + len(si.vertOff) + len(si.verts) + len(si.edgeOff) +
-		len(si.edges) + len(si.epOff) + len(si.epPaths)
-	return int64(f64)*8 + int64(i32)*4 + int64(len(si.pairKeys))*8 + int64(len(si.sortedUnits))*16
+		len(si.edges) + len(si.epOff) + len(si.epPaths) + len(si.unitOrder)
+	return int64(f64)*8 + int64(i32)*4 + int64(len(si.pairKeys))*8 + int64(len(si.moved)) + int64(cap(si.movedIDs))*4
 }

@@ -209,16 +209,22 @@ func decodeSnapshot(r io.Reader, size int64, topologyOnly bool) (*snapshotConten
 			return nil, err
 		}
 	}
+	// Every record's ids are decoded into the same two buffers: the Importer
+	// copies them into the index and keeps no reference.
+	var verts []graph.VertexID
+	var edges []graph.EdgeID
 	for tag := d.U8(); tag != 0; tag = d.U8() {
 		if tag != 1 {
 			d.Failf("invalid path record tag %d", tag)
 			break
 		}
 		sub, pa, pb := d.U32(), d.I32(), d.I32()
+		verts = codec.AppendIDs(d, verts[:0], d.Count(4))
+		edges = codec.AppendIDs(d, edges[:0], d.Count(4))
 		rec := dtlp.PathRecord{ // read in field order, as in Decoder.Topology
 			Pair:     dtlp.PairKey{A: graph.VertexID(pa), B: graph.VertexID(pb)},
-			Vertices: codec.GetIDs[graph.VertexID](d, d.Count(4)),
-			Edges:    codec.GetIDs[graph.EdgeID](d, d.Count(4)),
+			Vertices: verts,
+			Edges:    edges,
 			Vfrags:   d.F64(),
 			Dist:     d.F64(),
 		}

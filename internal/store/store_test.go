@@ -1,8 +1,10 @@
 package store
 
 import (
+	"bytes"
 	"context"
 	"fmt"
+	"io"
 	"math"
 	"math/rand"
 	"os"
@@ -10,6 +12,7 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+	"testing/iotest"
 
 	"kspdg/internal/core"
 	"kspdg/internal/dtlp"
@@ -564,6 +567,56 @@ func TestWALTornTail(t *testing.T) {
 	}
 	if len(recs) != 3 || recs[2].Epoch != 3 {
 		t.Fatalf("WAL after repair holds %d records, want 3 ending at epoch 3", len(recs))
+	}
+}
+
+// TestWALTornAtWindowEdge cuts a segment of 24 KB records on either side of
+// each multiple of 64 KiB, the edges of the stream decoder's read window, and
+// reads the cut through readers that hand over all they can and half the
+// request: the valid prefix is the records that end at or before the cut,
+// and validLen is where the last of them ends.
+func TestWALTornAtWindowEdge(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "wal-0000000000000000.log")
+	w, err := createWAL(path, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ends := []int64{w.off} // ends[i] is where the first i records end
+	rng := rand.New(rand.NewSource(1))
+	for epoch := uint64(1); epoch <= 12; epoch++ {
+		batch := make([]graph.WeightUpdate, 2000)
+		for i := range batch {
+			batch[i] = graph.WeightUpdate{Edge: graph.EdgeID(rng.Intn(5000)), NewWeight: 1 + rng.Float64()}
+		}
+		if err := w.append(epoch, batch, 12); err != nil {
+			t.Fatal(err)
+		}
+		ends = append(ends, w.off)
+	}
+	if err := w.close(); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for edge := int64(1 << 16); edge < int64(len(data)); edge += 1 << 16 {
+		for _, cut := range []int64{edge - 1, edge, edge + 1} {
+			n := 0
+			for n+1 < len(ends) && ends[n+1] <= cut {
+				n++
+			}
+			for name, wrap := range map[string]func(io.Reader) io.Reader{
+				"whole": func(r io.Reader) io.Reader { return r },
+				"half":  iotest.HalfReader,
+			} {
+				recs, _, validLen, err := decodeWAL(wrap(bytes.NewReader(data[:cut])), cut)
+				if err != nil || len(recs) != n || validLen != ends[n] {
+					t.Fatalf("%s: cut at byte %d: %d records, validLen %d, %v; want %d records, validLen %d",
+						name, cut, len(recs), validLen, err, n, ends[n])
+				}
+			}
+		}
 	}
 }
 
