@@ -95,9 +95,12 @@ func (e *Encoder) Bool(v bool) {
 // PutIDs appends ids as consecutive i32s; the count, if any, is the
 // caller's.
 func PutIDs[T ~int32](e *Encoder, ids []T) {
-	e.buf = slices.Grow(e.buf, 4*len(ids))
+	n := len(e.buf)
+	e.buf = slices.Grow(e.buf, 4*len(ids))[:n+4*len(ids)]
+	b := e.buf[n:]
 	for _, v := range ids {
-		e.buf = binary.LittleEndian.AppendUint32(e.buf, uint32(v))
+		binary.LittleEndian.PutUint32(b, uint32(v))
+		b = b[4:]
 	}
 	e.spill()
 }

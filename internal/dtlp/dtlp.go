@@ -233,7 +233,8 @@ func (g *generation) finishStructure() error {
 	for _, si := range g.subs {
 		g.globalPair[si.sub.ID] = make([]int32, len(si.pairKeys))
 		for j, k := range si.pairKeys {
-			all = append(all, keyed{si.globalPairKey(k, directed), lbdSlot{si.sub.ID, int32(j)}})
+			key := MakePairKey(si.sub.ToGlobal(k.A), si.sub.ToGlobal(k.B), directed)
+			all = append(all, keyed{key, lbdSlot{si.sub.ID, int32(j)}})
 		}
 	}
 	slices.SortFunc(all, func(x, y keyed) int {
@@ -302,7 +303,13 @@ func (x *Index) SubgraphIndex(id partition.SubgraphID) *SubgraphIndex { return x
 // LBD returns the lower bound distance between global boundary vertices a and
 // b within subgraph id, or +Inf if the pair is not indexed there.
 func (x *Index) LBD(id partition.SubgraphID, a, b graph.VertexID) float64 {
-	return x.gen.Load().subs[id].LBDGlobal(a, b)
+	si := x.gen.Load().subs[id]
+	la, okA := si.sub.ToLocal(a)
+	lb, okB := si.sub.ToLocal(b)
+	if !okA || !okB {
+		return infValue
+	}
+	return si.LBDLocal(la, lb)
 }
 
 // MBD returns the minimum lower bound distance between global boundary
@@ -421,12 +428,13 @@ func (x *Index) ReplayUpdates(batches [][]graph.WeightUpdate) (uint64, error) {
 // same deltas in the same order either way, so a run leaves the same bits as
 // its batches applied one by one.
 //
-// Maintenance is sharded: deltas are grouped per subgraph (preserving run
+// Maintenance is sharded: updates are grouped per subgraph (preserving run
 // order within each group, so every path distance accumulates its deltas in
-// that order) and the per-subgraph work (one graph.ApplyUpdates of the local
-// graph, applyEdgeDelta, refreshBounds) runs on up to GOMAXPROCS goroutines —
-// each subgraph's first-level state is independent, which is what the paper
-// exploits by assigning subgraphs to different SubgraphBolts.  The skeleton
+// that order) and the per-subgraph work (SubgraphIndex.applyWrites: the
+// deltas, one graph.ApplyUpdates of the local graph, refreshBounds) runs on
+// up to GOMAXPROCS goroutines — each subgraph's first-level state is
+// independent, which is what the paper exploits by assigning subgraphs to
+// different SubgraphBolts.  The skeleton
 // is then maintained by index: the changed local pairs mark their global
 // pairs, and one sweep in pair order recomputes each marked pair's MBD from
 // its LBD slots and writes all new skeleton weights in one
@@ -442,68 +450,52 @@ func (x *Index) applyRun(batches [][]graph.WeightUpdate) (UpdateStats, error) {
 	if err := parent.ApplyUpdates(all); err != nil {
 		return UpdateStats{}, err
 	}
-	// Group the run per owning subgraph in run order, with each update's
-	// delta.  The groups are carved out of two run-sized arrays, so grouping
-	// allocates the same few arrays whatever the run's size.
+	// Group the run per owning subgraph in run order, in local edge ids.  The
+	// groups are carved out of one run-sized array, so grouping allocates the
+	// same few arrays whatever the run's size.
 	count := make([]int, len(g.subs))
 	for _, u := range all {
 		count[g.part.Locate(u.Edge).Subgraph]++
 	}
-	flatW, flatD := make([]graph.WeightUpdate, len(all)), make([]float64, len(all))
-	writes, deltas := make([][]graph.WeightUpdate, len(g.subs)), make([][]float64, len(g.subs))
+	flat, writes := make([]graph.WeightUpdate, len(all)), make([][]graph.WeightUpdate, len(g.subs))
+	var ids []partition.SubgraphID
 	off := 0
 	for id, n := range count {
-		writes[id], deltas[id] = flatW[off:off:off+n], flatD[off:off:off+n]
+		writes[id] = flat[off : off : off+n]
 		off += n
+		if n > 0 {
+			ids = append(ids, partition.SubgraphID(id))
+		}
 	}
-	written := make(map[graph.EdgeID]float64, min(len(all), parent.NumEdges()))
 	for _, u := range all {
 		loc := g.part.Locate(u.Edge)
-		prev, ok := written[u.Edge]
-		if !ok {
-			prev = g.part.Subgraph(loc.Subgraph).Local.Snapshot().Weight(loc.LocalEdge)
-		}
-		written[u.Edge] = u.NewWeight
-		if delta := u.NewWeight - prev; delta != 0 {
-			writes[loc.Subgraph] = append(writes[loc.Subgraph], graph.WeightUpdate{Edge: loc.LocalEdge, NewWeight: u.NewWeight})
-			deltas[loc.Subgraph] = append(deltas[loc.Subgraph], delta)
-		}
+		writes[loc.Subgraph] = append(writes[loc.Subgraph], graph.WeightUpdate{Edge: loc.LocalEdge, NewWeight: u.NewWeight})
 	}
-	var affectedIDs []partition.SubgraphID
-	for id, ws := range writes {
-		if len(ws) > 0 {
-			affectedIDs = append(affectedIDs, partition.SubgraphID(id))
-		}
-	}
-	// Shard the local writes, EP-Index distance adjustments and bound
-	// refreshes across the affected subgraphs.  Each shard touches only its
+	// Shard the deltas, local writes, EP-Index distance adjustments and bound
+	// refreshes across the written subgraphs.  Each shard touches only its
 	// subgraph's state, so the shards are disjoint.
-	changed := make([][]int32, len(affectedIDs))
-	touchedPer := make([]int, len(affectedIDs))
-	errs := make([]error, len(affectedIDs))
-	fanout.Do(len(affectedIDs), runtime.GOMAXPROCS(0), func(i int) {
-		id := affectedIDs[i]
-		if errs[i] = g.part.Subgraph(id).Local.ApplyUpdates(writes[id]); errs[i] != nil {
-			return
-		}
-		si := g.subs[id]
-		for j, w := range writes[id] {
-			touchedPer[i] += si.applyEdgeDelta(w.Edge, deltas[id][j])
-		}
-		changed[i] = si.refreshBounds(writes[id])
+	affected := make([]bool, len(ids))
+	changed := make([][]int32, len(ids))
+	touchedPer := make([]int, len(ids))
+	errs := make([]error, len(ids))
+	fanout.Do(len(ids), runtime.GOMAXPROCS(0), func(i int) {
+		touchedPer[i], changed[i], affected[i], errs[i] = g.subs[ids[i]].applyWrites(writes[ids[i]])
 	})
 	if err := errors.Join(errs...); err != nil {
 		return UpdateStats{}, err
 	}
-	st := UpdateStats{SubgraphsAffected: len(affectedIDs)}
-	for _, t := range touchedPer {
+	var st UpdateStats
+	for i, t := range touchedPer {
 		st.PathsTouched += t
+		if affected[i] {
+			st.SubgraphsAffected++
+		}
 	}
 	// Recompute the skeleton weight of every global pair whose LBD changed in
 	// some subgraph, in pair order, and validate every new weight before
 	// writing any.
 	marked := make([]bool, len(g.pairs))
-	for i, id := range affectedIDs {
+	for i, id := range ids {
 		globalPair := g.globalPair[id]
 		for _, j := range changed[i] {
 			marked[globalPair[j]] = true

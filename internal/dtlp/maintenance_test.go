@@ -531,11 +531,11 @@ func TestLBDTakesLargestBoundWhenRoundingBreaksOrder(t *testing.T) {
 	}
 	w0, w1 := 0.1, 0.2
 	phi := w0 + w1 // in float64, not as an exact constant
-	si := newSubgraphIndex(part.Subgraph(0), 1, 2, 8)
+	si := newSubgraphIndex(part.Subgraph(0), 1, 2, 6)
 	si.addPair(PairKey{A: 0, B: 3})
-	verts, edges := []graph.VertexID{0, 1, 2, 3}, []graph.EdgeID{0, 1, 2}
-	si.addPath(verts, edges, phi, 100)
-	si.addPath(verts, edges, math.Nextafter(phi, 1), 100)
+	edges := []graph.EdgeID{0, 1, 2}
+	si.addPath(edges, phi, 100)
+	si.addPath(edges, math.Nextafter(phi, 1), 100)
 	si.finish()
 	bps := si.BoundingPaths(0, 3)
 	if !(bps[0].Bound > bps[1].Bound) {

@@ -26,7 +26,9 @@ func SubgraphBuildCount() int64 { return subgraphBuilds.Load() }
 
 // PathRecord is the serializable form of one bounding path: everything the
 // Importer needs to reinstall the path without re-enumerating candidates.
-// Vertex and edge ids are subgraph-local.  Vfrags is immutable by
+// Vertex and edge ids are subgraph-local.  The index stores only the edges:
+// export derives Vertices from them, and import checks Vertices against them
+// and drops them.  Vfrags is immutable by
 // construction; Dist is the path's actual distance at export time, carried
 // verbatim so a recovered index reproduces the exporting index bit for bit
 // (recomputing it from weights could differ in the last ulp from the
@@ -41,8 +43,9 @@ type PathRecord struct {
 
 // ExportedState is a consistent description of an index passed to the
 // callback of ExportState.  It is only valid for the duration of the
-// callback; the slices inside streamed PathRecords are owned by the index
-// and must not be retained or modified.
+// callback.  The slices inside a streamed PathRecord must not be retained or
+// modified: Edges is the index's storage, and Vertices a buffer the stream
+// derives each record's vertices into and reuses for the next.
 type ExportedState struct {
 	// Epoch is the most recently published epoch; Dist values and View
 	// weights are exactly the state of that epoch.
@@ -66,14 +69,16 @@ func (x *Index) ExportState(fn func(st ExportedState) error) error {
 		Epoch: view.Epoch(),
 		View:  view,
 		Paths: func(visit func(sub partition.SubgraphID, rec PathRecord) error) error {
+			var verts []graph.VertexID
 			for id, si := range view.gen.subs {
 				for i, key := range si.pairKeys {
 					for p := si.pairOff[i]; p < si.pairOff[i+1]; p++ {
+						verts = si.appendPathVerts(verts[:0], p, key.A)
 						rec := PathRecord{
 							Pair:     key,
-							Vertices: si.pathVerts(p),
+							Vertices: verts,
 							Edges:    si.pathEdges(p),
-							Vfrags:   si.vfrags[p],
+							Vfrags:   si.vfragVals[si.vfragIdx[p]],
 							Dist:     si.dist[p],
 						}
 						if err := visit(partition.SubgraphID(id), rec); err != nil {
@@ -126,7 +131,7 @@ func NewImporter(part *partition.Partition, cfg Config) (*Importer, error) {
 // (A, B) within a subgraph, and a pair's paths in a row.  It validates the
 // record against the partition topology and that order, so that corrupted
 // snapshots surface as errors, never as silently wrong indexes.  It keeps no
-// reference to rec's slices.
+// reference to rec's slices, and stores the edges but not the vertices.
 func (imp *Importer) Add(id partition.SubgraphID, rec PathRecord) error {
 	if imp.finished {
 		return fmt.Errorf("dtlp: import already finished")
@@ -139,15 +144,11 @@ func (imp *Importer) Add(id partition.SubgraphID, rec PathRecord) error {
 	}
 	local := imp.part.Subgraph(id).Local
 	directed := local.Directed()
-	nv, ne := local.NumVertices(), local.NumEdges()
+	ne := local.NumEdges()
 	if len(rec.Vertices) < 2 || len(rec.Edges) != len(rec.Vertices)-1 {
 		return fmt.Errorf("dtlp: import path with %d vertices / %d edges", len(rec.Vertices), len(rec.Edges))
 	}
-	for _, v := range rec.Vertices {
-		if int(v) < 0 || int(v) >= nv {
-			return fmt.Errorf("dtlp: import path vertex %d outside [0,%d)", v, nv)
-		}
-	}
+	// Each vertex is an end of an edge, so checking the edges checks them.
 	for i, e := range rec.Edges {
 		if int(e) < 0 || int(e) >= ne {
 			return fmt.Errorf("dtlp: import path edge %d outside [0,%d)", e, ne)
@@ -174,11 +175,11 @@ func (imp *Importer) Add(id partition.SubgraphID, rec PathRecord) error {
 	if si == nil {
 		// Size the arrays like the previous subgraph's: the partition makes
 		// subgraphs of a similar size, so most never grow.
-		numPairs, numPaths, numVerts := 0, 0, 0
+		numPairs, numPaths, numEdges := 0, 0, 0
 		if prev := imp.subs[imp.last]; prev != nil {
-			numPairs, numPaths, numVerts = len(prev.pairKeys), len(prev.dist), len(prev.verts)
+			numPairs, numPaths, numEdges = len(prev.pairKeys), len(prev.dist), len(prev.edges)
 		}
-		si = newSubgraphIndex(imp.part.Subgraph(id), numPairs, numPaths, numVerts)
+		si = newSubgraphIndex(imp.part.Subgraph(id), numPairs, numPaths, numEdges)
 		imp.subs[id], imp.last = si, id
 	}
 	c := 1 // the record's pair against the subgraph's last one
@@ -197,7 +198,7 @@ func (imp *Importer) Add(id partition.SubgraphID, rec PathRecord) error {
 	if imp.run++; imp.run > imp.cfg.MaxEnumerate {
 		return fmt.Errorf("dtlp: import pair (%d,%d) has more than %d paths", rec.Pair.A, rec.Pair.B, imp.cfg.MaxEnumerate)
 	}
-	si.addPath(rec.Vertices, rec.Edges, rec.Vfrags, rec.Dist)
+	si.addPath(rec.Edges, rec.Vfrags, rec.Dist)
 	return nil
 }
 
@@ -222,9 +223,7 @@ func (imp *Importer) Finish(epoch uint64) (*Index, error) {
 		// Add sized the arrays by guess and let append grow them: copy each
 		// grown one to its length, so a recovered index holds no more memory
 		// than a built one.
-		si.pairKeys, si.pairOff = exact(si.pairKeys), exact(si.pairOff)
-		si.dist, si.vfrags = exact(si.dist), exact(si.vfrags)
-		si.vertOff, si.verts = exact(si.vertOff), exact(si.verts)
+		si.pairKeys, si.pairOff, si.dist = exact(si.pairKeys), exact(si.pairOff), exact(si.dist)
 		si.edgeOff, si.edges = exact(si.edgeOff), exact(si.edges)
 	})
 	if err := g.finishStructure(); err != nil {

@@ -109,9 +109,6 @@ func TestImportedArraysHaveExactCapacity(t *testing.T) {
 			{"pairKeys", len(si.pairKeys), cap(si.pairKeys)},
 			{"pairOff", len(si.pairOff), cap(si.pairOff)},
 			{"dist", len(si.dist), cap(si.dist)},
-			{"vfrags", len(si.vfrags), cap(si.vfrags)},
-			{"vertOff", len(si.vertOff), cap(si.vertOff)},
-			{"verts", len(si.verts), cap(si.verts)},
 			{"edgeOff", len(si.edgeOff), cap(si.edgeOff)},
 			{"edges", len(si.edges), cap(si.edges)},
 		} {

@@ -2,6 +2,7 @@ package dtlp
 
 import (
 	"cmp"
+	"fmt"
 	"math"
 	"slices"
 	"sort"
@@ -24,8 +25,8 @@ type BoundingPath struct {
 	ID int
 	// Pair is the local boundary pair this path connects.
 	Pair PairKey
-	// Vertices is the path in subgraph-local vertex ids.  It aliases the
-	// index's storage and must not be modified.
+	// Vertices is the path in subgraph-local vertex ids, derived afresh from
+	// Edges walked from Pair.A (the index does not store it).
 	Vertices []graph.VertexID
 	// Edges is the path in subgraph-local edge ids.  It aliases the index's
 	// storage and must not be modified.
@@ -48,9 +49,10 @@ type BoundingPath struct {
 //
 // The layout is flat.  Pairs are sorted by key and bounding paths have dense
 // ids, so every per-pair and per-path field is a slice indexed by that id,
-// and variable-length data (a path's vertices and edges, an edge's paths)
-// sits in one array per kind behind int32 offsets.  The structure is fixed
-// once built; maintenance writes dist, lbd and bounds in place.
+// and variable-length data (a path's edges, an edge's paths) sits in one
+// array per kind behind int32 offsets.  A path's vertices are not stored:
+// they follow from walking its edges from its pair's A.  The structure is
+// fixed once built; maintenance writes dist, lbd and bounds in place.
 type SubgraphIndex struct {
 	sub *partition.Subgraph
 
@@ -60,15 +62,13 @@ type SubgraphIndex struct {
 	pairOff  []int32
 	lbd      []float64
 
-	// Per path id: the actual distance, the vfrag count and the index of
-	// that count in vfragVals; the path's vertices are
-	// verts[vertOff[id]:vertOff[id+1]] and its edges
-	// edges[edgeOff[id]:edgeOff[id+1]].
+	// Per path id: the actual distance, the index of the path's vfrag count
+	// in vfragVals, and the path's edges edges[edgeOff[id]:edgeOff[id+1]].
+	// vfrags holds the counts while addPath stages them; finish turns them
+	// into vfragIdx and drops them.
 	dist     []float64
 	vfrags   []float64
 	vfragIdx []int32
-	vertOff  []int32
-	verts    []graph.VertexID
 	edgeOff  []int32
 	edges    []graph.EdgeID
 
@@ -87,7 +87,8 @@ type SubgraphIndex struct {
 	// units[e] is local edge e's current unit weight w/w0, and unitOrder the
 	// local edges sorted by (unit weight, edge id): a function of the weights
 	// alone, which refreshBounds keeps by merging the edges a run moved back
-	// in.  While it does, moved marks those edges and movedIDs lists them.
+	// in.  From applyWrites to that merge, moved marks those edges, movedIDs
+	// lists them, and units holds a moved edge's last written weight instead.
 	units     []float64
 	unitOrder []int32
 	moved     []bool
@@ -95,19 +96,17 @@ type SubgraphIndex struct {
 }
 
 // newSubgraphIndex allocates the flat arrays of a subgraph index with exactly
-// the capacity its pairs, paths and path vertices need, to be filled by
+// the capacity its pairs, paths and path edges need, to be filled by
 // addPair / addPath and completed by finish.
-func newSubgraphIndex(sub *partition.Subgraph, numPairs, numPaths, numVerts int) *SubgraphIndex {
+func newSubgraphIndex(sub *partition.Subgraph, numPairs, numPaths, numEdges int) *SubgraphIndex {
 	return &SubgraphIndex{
 		sub:      sub,
 		pairKeys: make([]PairKey, 0, numPairs),
 		pairOff:  make([]int32, 0, numPairs+1),
 		dist:     make([]float64, 0, numPaths),
 		vfrags:   make([]float64, 0, numPaths),
-		vertOff:  append(make([]int32, 0, numPaths+1), 0),
-		verts:    make([]graph.VertexID, 0, numVerts),
 		edgeOff:  append(make([]int32, 0, numPaths+1), 0),
-		edges:    make([]graph.EdgeID, 0, numVerts-numPaths),
+		edges:    make([]graph.EdgeID, 0, numEdges),
 	}
 }
 
@@ -117,18 +116,17 @@ func (si *SubgraphIndex) addPair(key PairKey) {
 	si.pairOff = append(si.pairOff, int32(len(si.dist)))
 }
 
-// addPath appends one bounding path to the pair added last.
-func (si *SubgraphIndex) addPath(verts []graph.VertexID, edges []graph.EdgeID, vfrags, dist float64) {
-	si.verts = append(si.verts, verts...)
+// addPath appends one bounding path, its edges from A, to the last pair.
+func (si *SubgraphIndex) addPath(edges []graph.EdgeID, vfrags, dist float64) {
 	si.edges = append(si.edges, edges...)
-	si.vertOff = append(si.vertOff, int32(len(si.verts)))
 	si.edgeOff = append(si.edgeOff, int32(len(si.edges)))
 	si.vfrags = append(si.vfrags, vfrags)
 	si.dist = append(si.dist, dist)
 }
 
 // finish derives everything that is a function of the paths: the EP-Index,
-// the distinct vfrag table, and the bounds and LBDs.
+// the distinct vfrag table, and the bounds and LBDs.  It drops the staged
+// vfrag counts, which vfragVals[vfragIdx[id]] now gives exactly.
 func (si *SubgraphIndex) finish() {
 	si.pairOff = append(si.pairOff, int32(len(si.dist)))
 
@@ -155,13 +153,14 @@ func (si *SubgraphIndex) finish() {
 		j, _ := slices.BinarySearch(si.vfragVals, v)
 		si.vfragIdx[id] = int32(j)
 	}
+	si.vfrags = nil
 	si.bounds = make([]float64, len(si.vfragVals))
 
 	si.lbd = make([]float64, len(si.pairKeys))
 	for i := range si.lbd {
 		si.lbd[i] = infValue
 	}
-	si.refreshBounds(nil)
+	si.refreshBounds()
 }
 
 // buildSubgraphIndex indexes a single subgraph: for every pair of its
@@ -198,7 +197,7 @@ func buildSubgraphIndex(sub *partition.Subgraph, cfg Config) (*SubgraphIndex, er
 	// Enumerate every pair's candidates first, so that the flat arrays are
 	// allocated once at their final size.
 	cands := make([][]graph.Path, len(keys))
-	numPairs, numPaths, numVerts := 0, 0, 0
+	numPairs, numPaths, numEdges := 0, 0, 0
 	for i, key := range keys {
 		cands[i] = shortest.KShortestDistinctLengths(local, key.A, key.B, cfg.Xi, cfg.MaxEnumerate, vfragOpts)
 		if len(cands[i]) > 0 { // else the pair is unreachable inside this subgraph
@@ -206,11 +205,11 @@ func buildSubgraphIndex(sub *partition.Subgraph, cfg Config) (*SubgraphIndex, er
 		}
 		numPaths += len(cands[i])
 		for _, p := range cands[i] {
-			numVerts += len(p.Vertices)
+			numEdges += len(p.Vertices) - 1
 		}
 	}
 
-	si := newSubgraphIndex(sub, numPairs, numPaths, numVerts)
+	si := newSubgraphIndex(sub, numPairs, numPaths, numEdges)
 	var pathEdges []graph.EdgeID
 	for i, key := range keys {
 		if len(cands[i]) == 0 {
@@ -222,18 +221,30 @@ func buildSubgraphIndex(sub *partition.Subgraph, cfg Config) (*SubgraphIndex, er
 			pathEdges = pathEdges[:0]
 			dist := 0.0
 			for j := 0; j+1 < len(p.Vertices); j++ {
-				e, ok := local.EdgeBetween(p.Vertices[j], p.Vertices[j+1])
-				if !ok {
-					continue
+				e := cheapestArc(local, p.Vertices[j], p.Vertices[j+1])
+				if e == graph.NoEdge {
+					return nil, fmt.Errorf("dtlp: subgraph %d: bounding path hop %d-%d has no edge", sub.ID, p.Vertices[j], p.Vertices[j+1])
 				}
 				pathEdges = append(pathEdges, e)
 				dist += local.Weight(e)
 			}
-			si.addPath(p.Vertices, pathEdges, p.Dist, dist) // p.Dist is the vfrag count
+			si.addPath(pathEdges, p.Dist, dist) // p.Dist is the vfrag count
 		}
 	}
 	si.finish()
 	return si, nil
+}
+
+// cheapestArc returns the arc the vfrag search takes from u to v: the one with
+// the fewest vfrags, the first in adjacency order among equals, or NoEdge.
+func cheapestArc(local *graph.Snapshot, u, v graph.VertexID) graph.EdgeID {
+	best, w0 := graph.NoEdge, infValue
+	for _, a := range local.Neighbors(u) {
+		if a.To == v && local.InitialWeight(a.Edge) < w0 {
+			best, w0 = a.Edge, local.InitialWeight(a.Edge)
+		}
+	}
+	return best
 }
 
 // Subgraph returns the indexed subgraph.
@@ -249,16 +260,26 @@ func (si *SubgraphIndex) NumBoundingPaths() int { return len(si.dist) }
 // EP-Index of this subgraph.
 func (si *SubgraphIndex) EPIndexEntries() int { return len(si.epPaths) }
 
-// pathVerts and pathEdges return the vertices and edges of path id, capped so
-// that an append by a caller cannot overwrite the next path.
-func (si *SubgraphIndex) pathVerts(id int32) []graph.VertexID {
-	lo, hi := si.vertOff[id], si.vertOff[id+1]
-	return si.verts[lo:hi:hi]
-}
-
+// pathEdges returns the edges of path id, capped so that an append by a
+// caller cannot overwrite the next path.
 func (si *SubgraphIndex) pathEdges(id int32) []graph.EdgeID {
 	lo, hi := si.edgeOff[id], si.edgeOff[id+1]
 	return si.edges[lo:hi:hi]
+}
+
+// appendPathVerts appends to buf the vertices of path id, walked from a.
+func (si *SubgraphIndex) appendPathVerts(buf []graph.VertexID, id int32, a graph.VertexID) []graph.VertexID {
+	local, edges := si.sub.Local, si.pathEdges(id)
+	buf = append(buf, a)
+	n := len(buf)
+	buf = slices.Grow(buf, len(edges))[:n+len(edges)]
+	next := buf[n:][:len(edges)]
+	for i, e := range edges {
+		ends := local.EdgeEndpoints(e)
+		a ^= ends.U ^ ends.V // a is one end of e, so this is the other
+		next[i] = a
+	}
+	return buf
 }
 
 // pairIndex returns the index of the local pair (la, lb), if it is indexed.
@@ -268,13 +289,13 @@ func (si *SubgraphIndex) pairIndex(la, lb graph.VertexID) (int, bool) {
 
 // boundingPath assembles the read-accessor value of path id.
 func (si *SubgraphIndex) boundingPath(id int32) BoundingPath {
-	pair := sort.Search(len(si.pairKeys), func(i int) bool { return si.pairOff[i+1] > id })
+	pair := si.pairKeys[sort.Search(len(si.pairKeys), func(i int) bool { return si.pairOff[i+1] > id })]
 	return BoundingPath{
 		ID:       int(id),
-		Pair:     si.pairKeys[pair],
-		Vertices: si.pathVerts(id),
+		Pair:     pair,
+		Vertices: si.appendPathVerts(nil, id, pair.A),
 		Edges:    si.pathEdges(id),
-		Vfrags:   si.vfrags[id],
+		Vfrags:   si.vfragVals[si.vfragIdx[id]],
 		Dist:     si.dist[id],
 		Bound:    si.bounds[si.vfragIdx[id]],
 	}
@@ -335,42 +356,52 @@ func (si *SubgraphIndex) LBDLocal(la, lb graph.VertexID) float64 {
 	return infValue
 }
 
-// LBDGlobal is LBDLocal with global vertex ids.
-func (si *SubgraphIndex) LBDGlobal(a, b graph.VertexID) float64 {
-	la, okA := si.sub.ToLocal(a)
-	lb, okB := si.sub.ToLocal(b)
-	if !okA || !okB {
-		return infValue
+// applyWrites is one subgraph's share of applyRun: ws are the run's writes
+// to its edges, in run order and local edge ids.  A write's delta is taken
+// from the edge's weight before the run or its previous write in ws.  It
+// returns the distance adjustments made, the pairs whose LBD changed, and
+// whether any weight changed at all.
+func (si *SubgraphIndex) applyWrites(ws []graph.WeightUpdate) (touched int, changed []int32, affected bool, err error) {
+	snap := si.sub.Local.Snapshot()
+	si.movedIDs = si.movedIDs[:0]
+	for _, w := range ws {
+		e := w.Edge
+		prev := snap.Weight(e)
+		if si.moved[e] {
+			prev = si.units[e] // its previous write, until mergeUnits
+		}
+		delta := w.NewWeight - prev
+		if delta == 0 {
+			continue
+		}
+		if !si.moved[e] {
+			si.moved[e] = true
+			si.movedIDs = append(si.movedIDs, int32(e))
+		}
+		si.units[e] = w.NewWeight
+		for _, id := range si.epPaths[si.epOff[e]:si.epOff[e+1]] {
+			si.dist[id] += delta
+			touched++
+		}
 	}
-	return si.LBDLocal(la, lb)
-}
-
-// globalPairKey translates a local pair key into global vertex ids.
-func (si *SubgraphIndex) globalPairKey(local PairKey, directed bool) PairKey {
-	return MakePairKey(si.sub.ToGlobal(local.A), si.sub.ToGlobal(local.B), directed)
-}
-
-// applyEdgeDelta adjusts the actual distance of every bounding path crossing
-// the local edge e by delta, returning the number of paths touched.  Called
-// by Index.ApplyUpdates after the subgraph's local weight has been updated.
-func (si *SubgraphIndex) applyEdgeDelta(e graph.EdgeID, delta float64) int {
-	ids := si.epPaths[si.epOff[e]:si.epOff[e+1]]
-	for _, id := range ids {
-		si.dist[id] += delta
+	if len(si.movedIDs) == 0 {
+		return 0, nil, false, nil
 	}
-	return len(ids)
+	if err := si.sub.Local.ApplyUpdates(ws); err != nil {
+		return 0, nil, false, err
+	}
+	return touched, si.refreshBounds(), true, nil
 }
 
 // refreshBounds recomputes the bound distance of every distinct vfrag count
 // and the LBD of every pair from the current weights, returning the indexes
-// of the pairs whose LBD changed.  moved lists the local edges whose weight
-// changed since the last refresh (repeats allowed); nil means any may have,
-// and sorts the unit order afresh.
-func (si *SubgraphIndex) refreshBounds(moved []graph.WeightUpdate) []int32 {
-	if moved == nil {
+// of the pairs whose LBD changed.  The first refresh sorts the unit order;
+// every later one merges back the edges applyWrites marked moved.
+func (si *SubgraphIndex) refreshBounds() []int32 {
+	if si.units == nil {
 		si.sortUnits()
 	} else {
-		si.mergeUnits(moved)
+		si.mergeUnits()
 	}
 	si.sweepBounds()
 	var changed []int32
@@ -437,15 +468,11 @@ func (si *SubgraphIndex) sortUnits() {
 // the rest of the order is still sorted, so taking the moved edges out,
 // sorting them and merging the two runs from the back costs O(n + m log m)
 // for m moved edges out of n.
-func (si *SubgraphIndex) mergeUnits(moved []graph.WeightUpdate) {
+func (si *SubgraphIndex) mergeUnits() {
 	snap := si.sub.Local.Snapshot()
-	ms := si.movedIDs[:0]
-	for _, w := range moved {
-		if e := w.Edge; !si.moved[e] {
-			si.moved[e] = true
-			si.units[e] = unitOf(snap, e)
-			ms = append(ms, int32(e))
-		}
+	ms := si.movedIDs
+	for _, e := range ms {
+		si.units[e] = unitOf(snap, graph.EdgeID(e))
 	}
 	slices.SortFunc(ms, si.unitCompare)
 	kept := 0
@@ -465,7 +492,6 @@ func (si *SubgraphIndex) mergeUnits(moved []graph.WeightUpdate) {
 			j--
 		}
 	}
-	si.movedIDs = ms
 }
 
 // sweepBounds fills bounds in one pass over the edges in unit order: the
@@ -498,46 +524,32 @@ func (si *SubgraphIndex) sweepBounds() {
 	}
 }
 
-// boundaryDistancesFrom returns the shortest distance within this subgraph
-// from global vertex v to every boundary vertex of the subgraph, under the
-// given weights (an epoch snapshot of the local graph).  Used
-// when attaching non-boundary query endpoints to the skeleton graph.
-func (si *SubgraphIndex) boundaryDistancesFrom(v graph.VertexID, weights graph.WeightedView) map[graph.VertexID]float64 {
+// boundaryDistances returns the shortest distance within this subgraph,
+// under the given weights (an epoch snapshot of the local graph), from global
+// vertex v to every boundary vertex it reaches, or with to set from every
+// boundary vertex that reaches v to v.  Used when attaching non-boundary query
+// endpoints to the skeleton graph.
+func (si *SubgraphIndex) boundaryDistances(v graph.VertexID, weights graph.WeightedView, to bool) map[graph.VertexID]float64 {
 	lv, ok := si.sub.ToLocal(v)
 	if !ok {
 		return nil
 	}
-	tree := shortest.Dijkstra(weights, lv, nil)
+	var tree *shortest.Tree
+	if !to {
+		tree = shortest.Dijkstra(weights, lv, nil)
+	}
 	out := make(map[graph.VertexID]float64, len(si.sub.Boundary))
 	for _, bv := range si.sub.Boundary {
 		lb, ok := si.sub.ToLocal(bv)
 		if !ok {
 			continue
 		}
-		if tree.Reachable(lb) {
+		if to {
+			if d := shortest.ShortestDistance(weights, lb, lv, nil); !math.IsInf(d, 1) {
+				out[bv] = d
+			}
+		} else if tree.Reachable(lb) {
 			out[bv] = tree.Dist[lb]
-		}
-	}
-	return out
-}
-
-// boundaryDistancesTo returns the shortest distance within this subgraph
-// from every boundary vertex of the subgraph to global vertex v, under the
-// given weights.  Used for directed graphs when attaching a non-boundary
-// destination vertex to the skeleton graph.
-func (si *SubgraphIndex) boundaryDistancesTo(v graph.VertexID, weights graph.WeightedView) map[graph.VertexID]float64 {
-	lv, ok := si.sub.ToLocal(v)
-	if !ok {
-		return nil
-	}
-	out := make(map[graph.VertexID]float64, len(si.sub.Boundary))
-	for _, bv := range si.sub.Boundary {
-		lb, ok := si.sub.ToLocal(bv)
-		if !ok {
-			continue
-		}
-		if d := shortest.ShortestDistance(weights, lb, lv, nil); !math.IsInf(d, 1) {
-			out[bv] = d
 		}
 	}
 	return out
@@ -546,8 +558,8 @@ func (si *SubgraphIndex) boundaryDistancesTo(v graph.VertexID, weights graph.Wei
 // approxBytes is the memory this subgraph's index holds in its arrays, for
 // the construction-cost experiments.
 func (si *SubgraphIndex) approxBytes() int64 {
-	f64 := len(si.lbd) + len(si.dist) + len(si.vfrags) + len(si.vfragVals) + len(si.bounds) + len(si.units)
-	i32 := len(si.pairOff) + len(si.vfragIdx) + len(si.vertOff) + len(si.verts) + len(si.edgeOff) +
-		len(si.edges) + len(si.epOff) + len(si.epPaths) + len(si.unitOrder)
+	f64 := len(si.lbd) + len(si.dist) + len(si.vfragVals) + len(si.bounds) + len(si.units)
+	i32 := len(si.pairOff) + len(si.vfragIdx) + len(si.edgeOff) + len(si.edges) + len(si.epOff) +
+		len(si.epPaths) + len(si.unitOrder)
 	return int64(f64)*8 + int64(i32)*4 + int64(len(si.pairKeys))*8 + int64(len(si.moved)) + int64(cap(si.movedIDs))*4
 }

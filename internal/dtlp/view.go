@@ -81,15 +81,7 @@ func (v *IndexView) GlobalWeight(e graph.EdgeID) float64 {
 // a valid (and the tightest possible) lower bound for the first/last segment
 // of any path leaving the subgraph through a boundary vertex.
 func (v *IndexView) BoundaryLowerBounds(u graph.VertexID) map[graph.VertexID]float64 {
-	out := make(map[graph.VertexID]float64)
-	for _, id := range v.gen.part.SubgraphsOf(u) {
-		for bv, d := range v.gen.subs[id].boundaryDistancesFrom(u, v.subs[id]) {
-			if cur, ok := out[bv]; !ok || d < cur {
-				out[bv] = d
-			}
-		}
-	}
-	return out
+	return v.boundaryLowerBounds(u, false)
 }
 
 // BoundaryLowerBoundsTo is the directed counterpart of BoundaryLowerBounds:
@@ -97,12 +89,15 @@ func (v *IndexView) BoundaryLowerBounds(u graph.VertexID) map[graph.VertexID]flo
 // distance at this epoch travelling from b to u.  For undirected graphs it
 // equals BoundaryLowerBounds.
 func (v *IndexView) BoundaryLowerBoundsTo(u graph.VertexID) map[graph.VertexID]float64 {
-	if !v.gen.part.Parent().Directed() {
-		return v.BoundaryLowerBounds(u)
-	}
+	return v.boundaryLowerBounds(u, v.gen.part.Parent().Directed())
+}
+
+// boundaryLowerBounds takes, per boundary vertex, the smallest of the
+// subgraphs' boundaryDistances.
+func (v *IndexView) boundaryLowerBounds(u graph.VertexID, to bool) map[graph.VertexID]float64 {
 	out := make(map[graph.VertexID]float64)
 	for _, id := range v.gen.part.SubgraphsOf(u) {
-		for bv, d := range v.gen.subs[id].boundaryDistancesTo(u, v.subs[id]) {
+		for bv, d := range v.gen.subs[id].boundaryDistances(u, v.subs[id], to) {
 			if cur, ok := out[bv]; !ok || d < cur {
 				out[bv] = d
 			}
