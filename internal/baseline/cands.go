@@ -4,6 +4,7 @@ import (
 	"container/heap"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"kspdg/internal/graph"
@@ -266,7 +267,11 @@ func (c *CANDS) shortest(s, t graph.VertexID) (graph.Path, bool) {
 func segmentPath(part *partition.Partition, a, b graph.VertexID) graph.Path {
 	best := graph.Path{}
 	bestDist := math.Inf(1)
-	for _, id := range part.CommonSubgraphs(a, b) {
+	inB := part.SubgraphsOf(b)
+	for _, id := range part.SubgraphsOf(a) {
+		if !slices.Contains(inB, id) {
+			continue
+		}
 		sub := part.Subgraph(id)
 		la, _ := sub.ToLocal(a)
 		lb, _ := sub.ToLocal(b)
@@ -282,7 +287,11 @@ func segmentPath(part *partition.Partition, a, b graph.VertexID) graph.Path {
 // between two vertices sharing a subgraph, or +Inf.
 func withinSubgraphDistance(part *partition.Partition, a, b graph.VertexID) float64 {
 	best := math.Inf(1)
-	for _, id := range part.CommonSubgraphs(a, b) {
+	inB := part.SubgraphsOf(b)
+	for _, id := range part.SubgraphsOf(a) {
+		if !slices.Contains(inB, id) {
+			continue
+		}
 		sub := part.Subgraph(id)
 		la, _ := sub.ToLocal(a)
 		lb, _ := sub.ToLocal(b)

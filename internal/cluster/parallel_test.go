@@ -3,6 +3,7 @@ package cluster
 import (
 	"fmt"
 	"reflect"
+	"slices"
 	"testing"
 
 	"kspdg/internal/core"
@@ -11,6 +12,17 @@ import (
 	"kspdg/internal/partition"
 	"kspdg/internal/testutil"
 )
+
+// commonSubgraphs returns the ids of the subgraphs holding both a and b.
+func commonSubgraphs(p *partition.Partition, a, b graph.VertexID) []partition.SubgraphID {
+	var out []partition.SubgraphID
+	for _, id := range p.SubgraphsOf(a) {
+		if slices.Contains(p.SubgraphsOf(b), id) {
+			out = append(out, id)
+		}
+	}
+	return out
+}
 
 // TestWorkerParallelMatchesSequential requires the parallel executor to
 // produce byte-identical responses to the sequential path at every width.
@@ -34,7 +46,7 @@ func TestWorkerParallelMatchesSequential(t *testing.T) {
 	var pairs []core.PairRequest
 	for i, a := range boundary {
 		for _, b := range boundary[i+1:] {
-			if len(p.CommonSubgraphs(a, b)) > 0 {
+			if len(commonSubgraphs(p, a, b)) > 0 {
 				pairs = append(pairs, core.PairRequest{A: a, B: b})
 			}
 		}
@@ -86,7 +98,7 @@ func TestLocalProviderParallelMatchesSequential(t *testing.T) {
 	var pairs []core.PairRequest
 	for i, a := range boundary {
 		for _, b := range boundary[i+1:] {
-			if len(p.CommonSubgraphs(a, b)) > 0 {
+			if len(commonSubgraphs(p, a, b)) > 0 {
 				pairs = append(pairs, core.PairRequest{A: a, B: b})
 			}
 		}

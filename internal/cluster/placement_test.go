@@ -90,7 +90,7 @@ func TestBatchedRemoteProviderRoutesToOwners(t *testing.T) {
 	boundary := p.BoundaryVertices()
 	for _, a := range boundary {
 		for _, b := range boundary {
-			common := p.CommonSubgraphs(a, b)
+			common := commonSubgraphs(p, a, b)
 			if a == b || len(common) == 0 {
 				continue
 			}

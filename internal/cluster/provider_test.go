@@ -101,7 +101,7 @@ func routedPairs(t testing.TB, part *partition.Partition, n int) []core.PairRequ
 	var pairs []core.PairRequest
 	for i := range b {
 		for j := i + 1; j < len(b) && len(pairs) < n; j++ {
-			if len(part.CommonSubgraphs(b[i], b[j])) > 0 {
+			if len(commonSubgraphs(part, b[i], b[j])) > 0 {
 				pairs = append(pairs, core.PairRequest{A: b[i], B: b[j]})
 			}
 		}
@@ -122,7 +122,7 @@ func sharedPairs(t testing.TB, part *partition.Partition, workers, shares, n int
 	for i := range b {
 		for j := i + 1; j < len(b) && len(pairs) < n; j++ {
 			hosts := map[int]bool{}
-			for _, sg := range part.CommonSubgraphs(b[i], b[j]) {
+			for _, sg := range commonSubgraphs(part, b[i], b[j]) {
 				hosts[Owners(sg, workers, 1)[0]] = true
 			}
 			if len(hosts) == shares {
@@ -414,7 +414,7 @@ func TestProviderMergesOnlyPairsOfSeveralShares(t *testing.T) {
 	if got := r.Paths[0]; !slices.EqualFunc(got, want, graph.Path.Equal) {
 		t.Errorf("pair of two shares %v answered %v, want %v", split, got, want)
 	}
-	hosted := Owners(part.CommonSubgraphs(single.A, single.B)[0], 2, 1)[0]
+	hosted := Owners(commonSubgraphs(part, single.A, single.B)[0], 2, 1)[0]
 	if got, want := r.Paths[1], answers(hosted, single); !slices.EqualFunc(got, want, graph.Path.Equal) {
 		t.Errorf("pair of one share %v answered %v, want worker %d's list %v", single, got, hosted, want)
 	}

@@ -45,7 +45,7 @@ func boundaryPairs(p *partition.Partition, n int, seed int64) []core.PairRequest
 	var pairs []core.PairRequest
 	for len(pairs) < n {
 		pr := core.PairRequest{A: boundary[rng.Intn(len(boundary))], B: boundary[rng.Intn(len(boundary))]}
-		if pr.A != pr.B && !seen[pr] && len(p.CommonSubgraphs(pr.A, pr.B)) > 0 {
+		if pr.A != pr.B && !seen[pr] && len(commonSubgraphs(p, pr.A, pr.B)) > 0 {
 			seen[pr] = true
 			pairs = append(pairs, pr)
 		}
@@ -116,7 +116,7 @@ func TestWorkerSnapshotCacheMatchesFreshWorker(t *testing.T) {
 	st := w.state.Load()
 	hits := 0
 	for _, pr := range pairs {
-		for _, id := range p.CommonSubgraphs(pr.A, pr.B) {
+		for _, id := range commonSubgraphs(p, pr.A, pr.B) {
 			if snap := st.snaps[id]; snap != nil {
 				sub := p.Subgraph(id)
 				la, _ := sub.ToLocal(pr.A)

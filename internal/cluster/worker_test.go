@@ -44,7 +44,7 @@ func TestWorkerPartialKSPRestrictedToOwnedSubgraphs(t *testing.T) {
 	var subs []partition.SubgraphID
 	for i := 0; i < len(boundary) && a == graph.NoVertex; i++ {
 		for j := i + 1; j < len(boundary); j++ {
-			if cs := p.CommonSubgraphs(boundary[i], boundary[j]); len(cs) > 0 {
+			if cs := commonSubgraphs(p, boundary[i], boundary[j]); len(cs) > 0 {
 				a, b, subs = boundary[i], boundary[j], cs
 				break
 			}

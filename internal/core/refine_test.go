@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"slices"
 	"strings"
 	"testing"
 
@@ -10,13 +11,24 @@ import (
 	"kspdg/internal/testutil"
 )
 
+// commonSubgraphs returns the ids of the subgraphs holding both a and b.
+func commonSubgraphs(p *partition.Partition, a, b graph.VertexID) []partition.SubgraphID {
+	var out []partition.SubgraphID
+	for _, id := range p.SubgraphsOf(a) {
+		if slices.Contains(p.SubgraphsOf(b), id) {
+			out = append(out, id)
+		}
+	}
+	return out
+}
+
 // colocatedPairs returns every boundary pair of p that shares a subgraph.
 func colocatedPairs(p *partition.Partition) []PairRequest {
 	boundary := p.BoundaryVertices()
 	var pairs []PairRequest
 	for i, a := range boundary {
 		for _, b := range boundary[i+1:] {
-			if len(p.CommonSubgraphs(a, b)) > 0 {
+			if len(commonSubgraphs(p, a, b)) > 0 {
 				pairs = append(pairs, PairRequest{A: a, B: b})
 			}
 		}
@@ -91,7 +103,7 @@ func TestRefinePairAllocs(t *testing.T) {
 	part, weights := RefineSource(p, nil)
 	owns := func(partition.SubgraphID) bool { return true }
 	for _, pr := range colocatedPairs(p) {
-		if len(p.CommonSubgraphs(pr.A, pr.B)) != 1 {
+		if len(commonSubgraphs(p, pr.A, pr.B)) != 1 {
 			continue
 		}
 		RefinePair(part, pr, 3, weights, owns) // fills the cache
@@ -137,7 +149,7 @@ func TestRefinePairOwnershipSplit(t *testing.T) {
 	for _, split := range splits {
 		for _, k := range []int{1, 3} {
 			for _, pr := range pairs {
-				if len(p.CommonSubgraphs(pr.A, pr.B)) > 1 {
+				if len(commonSubgraphs(p, pr.A, pr.B)) > 1 {
 					multi++
 				}
 				want := RefinePair(part, pr, k, weights, nil)

@@ -71,7 +71,7 @@ func TestApplyUpdatesShardedMatchesSerial(t *testing.T) {
 			for i, u := range boundary {
 				for _, v := range boundary[i+1:] {
 					b = append(b, x.MBD(u, v))
-					for _, id := range part.CommonSubgraphs(u, v) {
+					for _, id := range commonSubgraphs(part, u, v) {
 						b = append(b, x.LBD(id, u, v))
 					}
 				}

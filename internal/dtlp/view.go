@@ -2,6 +2,7 @@ package dtlp
 
 import (
 	"math"
+	"slices"
 
 	"kspdg/internal/graph"
 	"kspdg/internal/partition"
@@ -112,13 +113,15 @@ func (v *IndexView) boundaryLowerBounds(u graph.VertexID, to bool) map[graph.Ver
 // direct edge between two non-boundary query endpoints that share a subgraph.
 func (v *IndexView) WithinSubgraphDistance(s, t graph.VertexID) float64 {
 	best := infValue
-	for _, id := range v.gen.part.CommonSubgraphs(s, t) {
-		sub := v.gen.part.Subgraph(id)
-		ls, okS := sub.ToLocal(s)
-		lt, okT := sub.ToLocal(t)
-		if !okS || !okT {
+	part := v.gen.part
+	inT := part.SubgraphsOf(t)
+	for _, id := range part.SubgraphsOf(s) {
+		if !slices.Contains(inT, id) {
 			continue
 		}
+		sub := part.Subgraph(id)
+		ls, _ := sub.ToLocal(s)
+		lt, _ := sub.ToLocal(t)
 		if d := shortest.ShortestDistance(v.subs[id], ls, lt, nil); d < best {
 			best = d
 		}

@@ -5,6 +5,8 @@ import (
 
 	"kspdg/internal/graph"
 	"kspdg/internal/partition"
+	"kspdg/internal/shortest"
+	"kspdg/internal/testutil"
 )
 
 // TestViewsShareUntouchedSnapshots pins copy-on-write publication: a view
@@ -78,4 +80,33 @@ func TestViewsShareUntouchedSnapshots(t *testing.T) {
 	if shared == 0 || shared == p.NumSubgraphs() {
 		t.Fatalf("%d of %d subgraphs shared: the batch must rebuild some and not all", shared, p.NumSubgraphs())
 	}
+}
+
+// TestWithinSubgraphDistanceAllocs pins that finding the subgraphs a query's
+// endpoints share allocates nothing: the call costs what the one
+// within-subgraph search it makes costs.
+func TestWithinSubgraphDistanceAllocs(t *testing.T) {
+	if testutil.RaceEnabled {
+		t.Skip("the race detector changes allocation counts")
+	}
+	g, p, x := buildPaperIndex(t, 2)
+	v := x.CurrentView()
+	for s := graph.VertexID(0); int(s) < g.NumVertices(); s++ {
+		for tv := s + 1; int(tv) < g.NumVertices(); tv++ {
+			common := commonSubgraphs(p, s, tv)
+			if len(common) != 1 {
+				continue
+			}
+			sub := p.Subgraph(common[0])
+			ls, _ := sub.ToLocal(s)
+			lt, _ := sub.ToLocal(tv)
+			snap := v.SubgraphWeights(common[0])
+			search := testing.AllocsPerRun(100, func() { shortest.ShortestDistance(snap, ls, lt, nil) })
+			if got := testing.AllocsPerRun(100, func() { v.WithinSubgraphDistance(s, tv) }); got != search {
+				t.Fatalf("WithinSubgraphDistance(%d,%d): %v allocations, the search alone %v", s, tv, got, search)
+			}
+			return
+		}
+	}
+	t.Fatal("no vertex pair lies in exactly one subgraph")
 }

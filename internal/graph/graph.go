@@ -4,7 +4,7 @@
 // that evolve over time (Definition 1 of the paper).
 //
 // The topology held by one Graph value is immutable: Snapshots alias its
-// adjacency lists, so vertices and edges are never added or removed in place.
+// adjacency, so vertices and edges are never added or removed in place.
 // The weights live in one immutable Snapshot at a time, which corresponds to
 // the buffer G_curr described in Section 2 of the paper: ApplyUpdates
 // publishes the next one by pointer swap, and every search reads a Snapshot,
@@ -70,7 +70,8 @@ type Edge struct {
 type Graph struct {
 	directed bool
 	numV     int
-	adj      [][]Arc     // adjacency lists (live edges only), indexed by vertex
+	arcOff   []int32     // v's arcs are arcs[arcOff[v]:arcOff[v+1]]; length numV+1
+	arcs     []Arc       // every vertex's arcs (live edges only), in edge-id order
 	ends     []Endpoints // edge id -> endpoints
 	initW    []float64   // initial weights w0 (fixed; defines vfrag counts)
 	alive    []bool      // edge tombstones; nil means every edge is alive
@@ -178,14 +179,17 @@ func (g *Graph) EdgeAlive(e EdgeID) bool {
 	return g.alive == nil || g.alive[e]
 }
 
-// Neighbors returns the adjacency list of v.  The returned slice is owned by
-// the graph and must not be modified.
+// Neighbors returns the arcs leaving v, in edge-id order.  The returned slice
+// is a view of the graph's shared arc array and must not be modified; its
+// capacity ends with v's arcs, so an append by the caller copies instead of
+// overwriting the next vertex's.
 func (g *Graph) Neighbors(v VertexID) []Arc {
-	return g.adj[v]
+	lo, hi := g.arcOff[v], g.arcOff[v+1]
+	return g.arcs[lo:hi:hi]
 }
 
 // Degree returns the number of arcs leaving v.
-func (g *Graph) Degree(v VertexID) int { return len(g.adj[v]) }
+func (g *Graph) Degree(v VertexID) int { return int(g.arcOff[v+1] - g.arcOff[v]) }
 
 // EdgeEndpoints returns the endpoints of edge e.
 func (g *Graph) EdgeEndpoints(e EdgeID) Endpoints { return g.ends[e] }
@@ -193,7 +197,7 @@ func (g *Graph) EdgeEndpoints(e EdgeID) Endpoints { return g.ends[e] }
 // EdgeBetween returns the edge connecting u and v, if any.  For directed
 // graphs only the u->v direction is considered.
 func (g *Graph) EdgeBetween(u, v VertexID) (EdgeID, bool) {
-	for _, a := range g.adj[u] {
+	for _, a := range g.Neighbors(u) {
 		if a.To == v {
 			return a.Edge, true
 		}
@@ -280,8 +284,8 @@ func (s *Snapshot) NumVertices() int { return s.g.numV }
 // NumEdges returns the number of edges.
 func (s *Snapshot) NumEdges() int { return len(s.weights) }
 
-// Neighbors returns the adjacency list of v.
-func (s *Snapshot) Neighbors(v VertexID) []Arc { return s.g.adj[v] }
+// Neighbors returns the arcs leaving v (see Graph.Neighbors).
+func (s *Snapshot) Neighbors(v VertexID) []Arc { return s.g.Neighbors(v) }
 
 // Weight returns the weight of edge e in this snapshot.
 func (s *Snapshot) Weight(e EdgeID) float64 { return s.weights[e] }

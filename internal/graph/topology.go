@@ -152,35 +152,43 @@ func (g *Graph) ApplyTopology(up TopologyUpdate) (ng *Graph, inserted, deleted [
 	return ng, inserted, deleted, nil
 }
 
-// rebuildAdjacency recomputes ng.adj and ng.numLive from the live edges.
+// rebuildAdjacency recomputes g.arcOff, g.arcs and g.numLive from the live
+// edges in two passes over the edge list: one counts each vertex's arcs, one
+// places them.  Placing in edge-id order keeps every vertex's arcs in that
+// order, which fixes search order and tie-breaking.
 func (g *Graph) rebuildAdjacency() {
-	deg := make([]int, g.numV)
+	off := make([]int32, g.numV+1)
 	live := 0
 	for e, ends := range g.ends {
 		if g.alive != nil && !g.alive[e] {
 			continue
 		}
 		live++
-		deg[ends.U]++
+		off[ends.U+1]++
 		if !g.directed {
-			deg[ends.V]++
+			off[ends.V+1]++
 		}
 	}
-	g.adj = make([][]Arc, g.numV)
-	for v := range g.adj {
-		if deg[v] > 0 {
-			g.adj[v] = make([]Arc, 0, deg[v])
-		}
+	for v := 0; v < g.numV; v++ {
+		off[v+1] += off[v]
 	}
+	// off[v] serves as v's insertion cursor, which leaves it at v's end,
+	// that is at v+1's start; shifting by one restores the starts.
+	g.arcs = make([]Arc, off[g.numV])
 	for e, ends := range g.ends {
 		if g.alive != nil && !g.alive[e] {
 			continue
 		}
 		id := EdgeID(e)
-		g.adj[ends.U] = append(g.adj[ends.U], Arc{To: ends.V, Edge: id})
+		g.arcs[off[ends.U]] = Arc{To: ends.V, Edge: id}
+		off[ends.U]++
 		if !g.directed {
-			g.adj[ends.V] = append(g.adj[ends.V], Arc{To: ends.U, Edge: id})
+			g.arcs[off[ends.V]] = Arc{To: ends.U, Edge: id}
+			off[ends.V]++
 		}
 	}
+	copy(off[1:], off[:g.numV])
+	off[0] = 0
+	g.arcOff = off
 	g.numLive = live
 }

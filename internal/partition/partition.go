@@ -15,7 +15,7 @@ package partition
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"kspdg/internal/graph"
 )
@@ -107,10 +107,20 @@ type Partition struct {
 	Subgraphs []*Subgraph
 
 	parent     *graph.Graph
-	edgeLoc    []EdgeLocation                  // global edge -> location
-	vertexSubs map[graph.VertexID][]SubgraphID // global vertex -> subgraphs containing it
-	isBoundary []bool                          // global vertex -> boundary flag
-	boundary   []graph.VertexID                // sorted global boundary vertices
+	edgeLoc    []EdgeLocation   // global edge -> location
+	subOff     []int32          // v's subgraphs are subIDs[subOff[v]:subOff[v+1]]
+	subIDs     []SubgraphID     // every vertex's subgraphs, ascending per vertex
+	isBoundary []bool           // global vertex -> boundary flag
+	boundary   []graph.VertexID // sorted global boundary vertices
+}
+
+// newPartition returns an empty partition of g with every edge unassigned.
+func newPartition(g *graph.Graph, z int) *Partition {
+	p := &Partition{Z: z, parent: g, edgeLoc: make([]EdgeLocation, g.NumEdges())}
+	for i := range p.edgeLoc {
+		p.edgeLoc[i] = EdgeLocation{Subgraph: NoSubgraph, LocalEdge: graph.NoEdge}
+	}
+	return p
 }
 
 // PartitionGraph partitions g into subgraphs with at most z vertices each by
@@ -190,87 +200,67 @@ func Assemble(parent *graph.Graph, z int, subVerts [][]graph.VertexID, subEdges 
 // derives the boundary bookkeeping.  It is shared by PartitionGraph (whose
 // grower guarantees the invariants) and Assemble (which validates them).
 func assemble(g *graph.Graph, z int, subVerts [][]graph.VertexID, subEdges [][]graph.EdgeID) (*Partition, error) {
-	n := g.NumVertices()
-	p := &Partition{
-		Z:          z,
-		parent:     g,
-		edgeLoc:    make([]EdgeLocation, g.NumEdges()),
-		vertexSubs: make(map[graph.VertexID][]SubgraphID),
-		isBoundary: make([]bool, n),
-	}
-	for i := range p.edgeLoc {
-		p.edgeLoc[i] = EdgeLocation{Subgraph: NoSubgraph, LocalEdge: graph.NoEdge}
-	}
+	p := newPartition(g, z)
+	p.Subgraphs = make([]*Subgraph, len(subVerts))
 	for i := range subVerts {
-		id := SubgraphID(i)
-		sg := &Subgraph{
-			ID:          id,
-			Globals:     append([]graph.VertexID(nil), subVerts[i]...),
-			GlobalEdges: append([]graph.EdgeID(nil), subEdges[i]...),
-			toLocal:     make(map[graph.VertexID]graph.VertexID, len(subVerts[i])),
+		sg, err := materializeSubgraph(g, SubgraphID(i), subVerts[i], subEdges[i], p.edgeLoc)
+		if err != nil {
+			return nil, err
 		}
-		for li, gv := range sg.Globals {
-			if int(gv) < 0 || int(gv) >= n {
-				return nil, fmt.Errorf("partition: subgraph %d vertex %d outside [0,%d)", id, gv, n)
-			}
-			if _, dup := sg.toLocal[gv]; dup {
-				return nil, fmt.Errorf("partition: subgraph %d lists vertex %d twice", id, gv)
-			}
-			sg.toLocal[gv] = graph.VertexID(li)
-			p.vertexSubs[gv] = append(p.vertexSubs[gv], id)
-		}
-		b := graph.NewBuilder(len(sg.Globals), g.Directed())
-		for le, ge := range sg.GlobalEdges {
-			if int(ge) < 0 || int(ge) >= g.NumEdges() {
-				return nil, fmt.Errorf("partition: subgraph %d edge %d outside [0,%d)", id, ge, g.NumEdges())
-			}
-			ends := g.EdgeEndpoints(ge)
-			lu, okU := sg.toLocal[ends.U]
-			lv, okV := sg.toLocal[ends.V]
-			if !okU || !okV {
-				return nil, fmt.Errorf("partition: subgraph %d owns edge %d but misses an endpoint", id, ge)
-			}
-			if _, err := b.AddEdge(lu, lv, g.InitialWeight(ge)); err != nil {
-				return nil, fmt.Errorf("partition: building subgraph %d: %w", id, err)
-			}
-			p.edgeLoc[ge] = EdgeLocation{Subgraph: id, LocalEdge: graph.EdgeID(le)}
-		}
-		sg.Local = b.Build()
-		// Bring subgraph weights up to the parent's current weights (they may
-		// differ from the initial weights if the graph evolved before
-		// partitioning).
-		cur := g.Snapshot()
-		var updates []graph.WeightUpdate
-		for le, ge := range sg.GlobalEdges {
-			if w := cur.Weight(ge); w != g.InitialWeight(ge) {
-				updates = append(updates, graph.WeightUpdate{Edge: graph.EdgeID(le), NewWeight: w})
-			}
-		}
-		if len(updates) > 0 {
-			if err := sg.Local.ApplyUpdates(updates); err != nil {
-				return nil, err
-			}
-		}
-		p.Subgraphs = append(p.Subgraphs, sg)
+		p.Subgraphs[i] = sg
 	}
-
-	// Boundary vertices: vertices present in more than one subgraph.
-	for v, subs := range p.vertexSubs {
-		if len(subs) > 1 {
-			p.isBoundary[v] = true
-			p.boundary = append(p.boundary, v)
-		}
-	}
-	sort.Slice(p.boundary, func(i, j int) bool { return p.boundary[i] < p.boundary[j] })
+	p.indexVertices(g.NumVertices())
 	for _, sg := range p.Subgraphs {
-		for _, gv := range sg.Globals {
-			if p.isBoundary[gv] {
-				sg.Boundary = append(sg.Boundary, gv)
-			}
-		}
-		sort.Slice(sg.Boundary, func(i, j int) bool { return sg.Boundary[i] < sg.Boundary[j] })
+		sg.Boundary = p.boundaryOf(sg)
 	}
 	return p, nil
+}
+
+// indexVertices derives, over n global vertices, the vertex -> subgraph table
+// and the boundary from p.Subgraphs, in two passes and without a per-vertex
+// allocation.  Subgraphs are walked in id order, so each vertex's list is
+// ascending; the boundary is collected by vertex, so it comes out sorted.
+func (p *Partition) indexVertices(n int) {
+	off := make([]int32, n+1)
+	for _, sg := range p.Subgraphs {
+		for _, v := range sg.Globals {
+			off[v+1]++
+		}
+	}
+	for v := 0; v < n; v++ {
+		off[v+1] += off[v]
+	}
+	// off[v] serves as v's insertion cursor, which leaves it at v+1's start;
+	// shifting by one restores the starts.
+	p.subIDs = make([]SubgraphID, off[n])
+	for _, sg := range p.Subgraphs {
+		for _, v := range sg.Globals {
+			p.subIDs[off[v]] = sg.ID
+			off[v]++
+		}
+	}
+	copy(off[1:], off[:n])
+	off[0] = 0
+	p.subOff = off
+	p.isBoundary = make([]bool, n)
+	for v := 0; v < n; v++ {
+		if off[v+1]-off[v] > 1 {
+			p.isBoundary[v] = true
+			p.boundary = append(p.boundary, graph.VertexID(v))
+		}
+	}
+}
+
+// boundaryOf returns sg's boundary vertices, sorted ascending.
+func (p *Partition) boundaryOf(sg *Subgraph) []graph.VertexID {
+	var bnd []graph.VertexID
+	for _, gv := range sg.Globals {
+		if p.isBoundary[gv] {
+			bnd = append(bnd, gv)
+		}
+	}
+	slices.Sort(bnd)
+	return bnd
 }
 
 func hasUnassignedEdge(g *graph.Graph, v graph.VertexID, assigned []bool) bool {
@@ -298,20 +288,15 @@ func (p *Partition) IsBoundary(v graph.VertexID) bool { return p.isBoundary[v] }
 // returned slice is owned by the partition and must not be modified.
 func (p *Partition) BoundaryVertices() []graph.VertexID { return p.boundary }
 
-// SubgraphsOf returns the ids of the subgraphs containing global vertex v.
-func (p *Partition) SubgraphsOf(v graph.VertexID) []SubgraphID { return p.vertexSubs[v] }
-
-// CommonSubgraphs returns the ids of subgraphs that contain both u and v.
-func (p *Partition) CommonSubgraphs(u, v graph.VertexID) []SubgraphID {
-	var out []SubgraphID
-	for _, a := range p.vertexSubs[u] {
-		for _, b := range p.vertexSubs[v] {
-			if a == b {
-				out = append(out, a)
-			}
-		}
+// SubgraphsOf returns the ids of the subgraphs containing global vertex v,
+// ascending, or nil if v is not a vertex of the parent graph.  The returned
+// slice is owned by the partition and must not be modified.
+func (p *Partition) SubgraphsOf(v graph.VertexID) []SubgraphID {
+	if v < 0 || int(v) >= len(p.subOff)-1 {
+		return nil
 	}
-	return out
+	lo, hi := p.subOff[v], p.subOff[v+1]
+	return p.subIDs[lo:hi:hi]
 }
 
 // Locate returns the owning subgraph and local edge id of global edge e.
@@ -379,10 +364,10 @@ func (p *Partition) Validate() error {
 		}
 	}
 	for v := graph.VertexID(0); int(v) < p.parent.NumVertices(); v++ {
-		want := len(p.vertexSubs[v]) > 1
+		want := len(p.SubgraphsOf(v)) > 1
 		if p.isBoundary[v] != want {
 			return fmt.Errorf("vertex %d boundary flag %v inconsistent with membership count %d",
-				v, p.isBoundary[v], len(p.vertexSubs[v]))
+				v, p.isBoundary[v], len(p.SubgraphsOf(v)))
 		}
 	}
 	return nil

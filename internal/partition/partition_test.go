@@ -3,6 +3,7 @@ package partition
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -184,11 +185,70 @@ func TestCommonSubgraphs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// Each vertex lists exactly the subgraphs that contain it, ascending.
+	for v := graph.VertexID(0); int(v) < g.NumVertices(); v++ {
+		var want []SubgraphID
+		for _, sg := range p.Subgraphs {
+			if sg.Contains(v) {
+				want = append(want, sg.ID)
+			}
+		}
+		if got := p.SubgraphsOf(v); !slices.Equal(got, want) {
+			t.Errorf("SubgraphsOf(%d) = %v, want %v", v, got, want)
+		}
+	}
 	// Two endpoints of any edge must share at least one subgraph.
 	for ge := graph.EdgeID(0); int(ge) < g.NumEdges(); ge++ {
 		ends := g.EdgeEndpoints(ge)
-		if len(p.CommonSubgraphs(ends.U, ends.V)) == 0 {
+		inV := p.SubgraphsOf(ends.V)
+		if !slices.ContainsFunc(p.SubgraphsOf(ends.U), func(id SubgraphID) bool { return slices.Contains(inV, id) }) {
 			t.Errorf("endpoints of edge %d share no subgraph", ge)
+		}
+	}
+}
+
+// TestSubgraphsOfUnknownVertex pins that a vertex id outside the partition's
+// parent graph has no subgraphs rather than a panic: callers hold partitions
+// of several epochs, and a vertex a topology batch added is unknown to the
+// older ones.
+func TestSubgraphsOfUnknownVertex(t *testing.T) {
+	g := testutil.PaperGraph(t)
+	p, err := PartitionGraph(g, 6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	added := graph.VertexID(g.NumVertices())
+	up := graph.TopologyUpdate{AddVertices: 1, InsertEdges: []graph.Edge{{U: 0, V: added, Weight: 1}}}
+	ng, inserted, deleted, err := g.ApplyTopology(up)
+	if err != nil {
+		t.Fatal(err)
+	}
+	np, _, err := p.ApplyTopology(ng, up, inserted, deleted)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name string
+		p    *Partition
+		v    graph.VertexID
+	}{
+		{"old, -1", p, -1},
+		{"old, NumVertices", p, graph.VertexID(g.NumVertices())},
+		{"old, added vertex", p, added},
+		{"new, -1", np, -1},
+		{"new, NumVertices", np, graph.VertexID(ng.NumVertices())},
+	} {
+		if got := c.p.SubgraphsOf(c.v); got != nil {
+			t.Errorf("%s: SubgraphsOf(%d) = %v, want nil", c.name, c.v, got)
+		}
+	}
+	subs := np.SubgraphsOf(added)
+	if len(subs) == 0 {
+		t.Fatalf("the new partition has no subgraph for added vertex %d", added)
+	}
+	for _, id := range subs {
+		if !np.Subgraph(id).Contains(added) {
+			t.Errorf("SubgraphsOf(%d) names subgraph %d, which lacks it", added, id)
 		}
 	}
 }

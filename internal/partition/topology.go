@@ -2,6 +2,7 @@ package partition
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"kspdg/internal/graph"
@@ -147,17 +148,7 @@ func (p *Partition) ApplyTopology(newParent *graph.Graph, up graph.TopologyUpdat
 		st.changed = true
 	}
 
-	np := &Partition{
-		Z:          p.Z,
-		parent:     newParent,
-		edgeLoc:    make([]EdgeLocation, newParent.NumEdges()),
-		vertexSubs: make(map[graph.VertexID][]SubgraphID),
-		isBoundary: make([]bool, newParent.NumVertices()),
-	}
-	for i := range np.edgeLoc {
-		np.edgeLoc[i] = EdgeLocation{Subgraph: NoSubgraph, LocalEdge: graph.NoEdge}
-	}
-
+	np := newPartition(newParent, p.Z)
 	touchedSet := make(map[SubgraphID]bool)
 	np.Subgraphs = make([]*Subgraph, len(states))
 	for i, st := range states {
@@ -177,39 +168,20 @@ func (p *Partition) ApplyTopology(newParent *graph.Graph, up graph.TopologyUpdat
 		}
 		np.Subgraphs[i] = sg
 	}
-
-	// Global vertex bookkeeping over the final membership.
-	for i, sg := range np.Subgraphs {
-		for _, v := range sg.Globals {
-			np.vertexSubs[v] = append(np.vertexSubs[v], SubgraphID(i))
-		}
-	}
-	for v, subs := range np.vertexSubs {
-		if len(subs) > 1 {
-			np.isBoundary[v] = true
-			np.boundary = append(np.boundary, v)
-		}
-	}
-	sort.Slice(np.boundary, func(i, j int) bool { return np.boundary[i] < np.boundary[j] })
+	np.indexVertices(newParent.NumVertices())
 
 	// Per-subgraph boundary lists.  A changed boundary set on an otherwise
 	// unchanged subgraph still invalidates its bounding-path index, so such
 	// subgraphs are shallow-copied (sharing Local and the id mappings) and
 	// reported as touched.
 	for i, sg := range np.Subgraphs {
-		var bnd []graph.VertexID
-		for _, gv := range sg.Globals {
-			if np.isBoundary[gv] {
-				bnd = append(bnd, gv)
-			}
-		}
-		sort.Slice(bnd, func(a, b int) bool { return bnd[a] < bnd[b] })
+		bnd := np.boundaryOf(sg)
 		id := SubgraphID(i)
 		if touchedSet[id] {
 			sg.Boundary = bnd
 			continue
 		}
-		if boundaryEqual(bnd, sg.Boundary) {
+		if slices.Equal(bnd, sg.Boundary) {
 			continue
 		}
 		cp := *sg
@@ -226,23 +198,13 @@ func (p *Partition) ApplyTopology(newParent *graph.Graph, up graph.TopologyUpdat
 	return np, touched, nil
 }
 
-func boundaryEqual(a, b []graph.VertexID) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// materializeSubgraph builds one Subgraph from its global vertex and edge id
-// lists, registering its edges in edgeLoc.  The Local graph is constructed
-// from the parent's initial weights and then brought up to its current
-// weights, exactly as assemble does.  Boundary is left for the caller.
+// materializeSubgraph builds subgraph id from its global vertex and edge id
+// lists, checking both against g, and registers its edges in edgeLoc.  The
+// Local graph is built from the parent's initial weights and then brought up
+// to its current weights (they differ once the graph has evolved).  Boundary
+// is left for the caller.
 func materializeSubgraph(g *graph.Graph, id SubgraphID, verts []graph.VertexID, edges []graph.EdgeID, edgeLoc []EdgeLocation) (*Subgraph, error) {
+	n := g.NumVertices()
 	sg := &Subgraph{
 		ID:          id,
 		Globals:     append([]graph.VertexID(nil), verts...),
@@ -250,10 +212,19 @@ func materializeSubgraph(g *graph.Graph, id SubgraphID, verts []graph.VertexID, 
 		toLocal:     make(map[graph.VertexID]graph.VertexID, len(verts)),
 	}
 	for li, gv := range sg.Globals {
+		if int(gv) < 0 || int(gv) >= n {
+			return nil, fmt.Errorf("partition: subgraph %d vertex %d outside [0,%d)", id, gv, n)
+		}
+		if _, dup := sg.toLocal[gv]; dup {
+			return nil, fmt.Errorf("partition: subgraph %d lists vertex %d twice", id, gv)
+		}
 		sg.toLocal[gv] = graph.VertexID(li)
 	}
 	b := graph.NewBuilder(len(sg.Globals), g.Directed())
 	for le, ge := range sg.GlobalEdges {
+		if int(ge) < 0 || int(ge) >= g.NumEdges() {
+			return nil, fmt.Errorf("partition: subgraph %d edge %d outside [0,%d)", id, ge, g.NumEdges())
+		}
 		ends := g.EdgeEndpoints(ge)
 		lu, okU := sg.toLocal[ends.U]
 		lv, okV := sg.toLocal[ends.V]
@@ -261,7 +232,7 @@ func materializeSubgraph(g *graph.Graph, id SubgraphID, verts []graph.VertexID, 
 			return nil, fmt.Errorf("partition: subgraph %d owns edge %d but misses an endpoint", id, ge)
 		}
 		if _, err := b.AddEdge(lu, lv, g.InitialWeight(ge)); err != nil {
-			return nil, fmt.Errorf("partition: rebuilding subgraph %d: %w", id, err)
+			return nil, fmt.Errorf("partition: building subgraph %d: %w", id, err)
 		}
 		edgeLoc[ge] = EdgeLocation{Subgraph: id, LocalEdge: graph.EdgeID(le)}
 	}
