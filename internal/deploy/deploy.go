@@ -77,7 +77,7 @@ func addrs(list string) []string {
 
 // Master is a started master; Close drains and releases it.
 type Master struct {
-	Server *serve.Server // drives queries and writes, e.g. a scenario replay
+	Server *serve.Server // answers queries and applies writes; the gateway and tests drive it
 	Index  *dtlp.Index
 	URL    string // the gateway's base URL; empty without HTTPAddr
 

@@ -9,6 +9,7 @@
 package difftest
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"sync"
@@ -16,6 +17,7 @@ import (
 	"time"
 
 	"kspdg/internal/cluster"
+	"kspdg/internal/core"
 	"kspdg/internal/dtlp"
 	"kspdg/internal/partition"
 	"kspdg/internal/serve"
@@ -197,10 +199,7 @@ func CheckChaos(tb testing.TB, cp ChaosParams) {
 	})
 	defer provider.Close()
 
-	srv := serve.New(x, provider, serve.Options{
-		Workers: 8,
-		Chaos:   dep.apply,
-	})
+	srv := serve.New(x, provider, serve.Options{Workers: 8})
 	defer srv.Close()
 
 	sc := workload.GenerateMixed(g, cp.Queries, cp.UpdateBatches, p.K, 0.3, 0.45, p.Seed+17)
@@ -211,7 +210,7 @@ func CheckChaos(tb testing.TB, cp ChaosParams) {
 	}
 	sc = workload.InjectChaos(sc, cp.Victim, killAt, restartAt)
 
-	report, err := srv.RunScenario(sc)
+	report, err := replayChaos(srv, dep, sc)
 	if err != nil {
 		tb.Fatalf("chaos scenario: %v", err)
 	}
@@ -219,28 +218,28 @@ func CheckChaos(tb testing.TB, cp ChaosParams) {
 	if cp.Restart {
 		wantChaos = 2
 	}
-	if report.ChaosInjected != wantChaos {
-		tb.Fatalf("injected %d chaos events, want %d", report.ChaosInjected, wantChaos)
+	if report.chaosInjected != wantChaos {
+		tb.Fatalf("injected %d chaos events, want %d", report.chaosInjected, wantChaos)
 	}
-	if report.BatchesApplied != sc.NumUpdateBatches() {
-		tb.Fatalf("applied %d/%d update batches", report.BatchesApplied, sc.NumUpdateBatches())
+	if report.batchesApplied != sc.NumUpdateBatches() {
+		tb.Fatalf("applied %d/%d update batches", report.batchesApplied, sc.NumUpdateBatches())
 	}
 
 	// Zero lost queries: every query of the workload must have an answer.
 	lost := 0
-	for _, qr := range report.Results {
+	for _, qr := range report.results {
 		if qr.Err != nil {
 			lost++
 			tb.Errorf("query %d -> %d failed during chaos: %v", qr.Query.Source, qr.Query.Target, qr.Err)
 		}
 	}
 	if lost > 0 {
-		tb.Fatalf("%d/%d queries lost to the worker kill", lost, len(report.Results))
+		tb.Fatalf("%d/%d queries lost to the worker kill", lost, len(report.results))
 	}
 
 	// Bit-identical to Yen at the exact epoch each query reports.
 	audited := 0
-	for _, qr := range report.Results {
+	for _, qr := range report.results {
 		view := x.ViewAt(qr.Result.Epoch)
 		if view == nil {
 			tb.Fatalf("epoch %d evicted from the retention window", qr.Result.Epoch)
@@ -267,4 +266,56 @@ func CheckChaos(tb testing.TB, cp ChaosParams) {
 		// shrank too much to exercise failover.
 		tb.Logf("chaos run recorded no failovers or hedges (stats %+v); workload may have drained before the kill", st)
 	}
+}
+
+// chaosOutcome pairs one query of a chaos scenario with its answer.
+type chaosOutcome struct {
+	Query  workload.Query
+	Result core.Result
+	Err    error
+}
+
+// chaosReport is what replayChaos did: one outcome per query, in event
+// order, and the update batches and chaos events it executed.
+type chaosReport struct {
+	results        []chaosOutcome
+	batchesApplied int
+	chaosInjected  int
+}
+
+// replayChaos runs sc against srv the way clients and operators would hit a
+// live deployment: each query runs on its own goroutine and may overlap any
+// number of later events, while update batches and worker kills/restarts
+// run inline in event order, so a worker dies while earlier queries are still
+// in flight.  It returns once every query has answered.
+func replayChaos(srv *serve.Server, dep *chaosDeployment, sc workload.MixedScenario) (chaosReport, error) {
+	ctx := context.Background()
+	rep := chaosReport{results: make([]chaosOutcome, sc.NumQueries())}
+	var wg sync.WaitGroup
+	defer wg.Wait()
+	qi := 0
+	for _, ev := range sc.Events {
+		switch {
+		case ev.Query != nil:
+			q, out := *ev.Query, &rep.results[qi]
+			qi++
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				res, err := srv.Query(ctx, serve.Request{Src: q.Source, Dst: q.Target, K: sc.K})
+				*out = chaosOutcome{Query: q, Result: res, Err: err}
+			}()
+		case len(ev.Updates) > 0:
+			if _, err := srv.ApplyUpdates(ctx, ev.Updates); err != nil {
+				return rep, err
+			}
+			rep.batchesApplied++
+		case ev.Chaos != nil:
+			if err := dep.apply(*ev.Chaos); err != nil {
+				return rep, err
+			}
+			rep.chaosInjected++
+		}
+	}
+	return rep, nil
 }

@@ -7,7 +7,6 @@ import (
 	"kspdg/internal/cluster"
 	"kspdg/internal/core"
 	"kspdg/internal/dtlp"
-	"kspdg/internal/partition"
 	"kspdg/internal/rpcbatch"
 )
 
@@ -36,13 +35,7 @@ func batchedTCPProvider(workers, pool int) func(tb testing.TB, x *dtlp.Index) (c
 		var servers []*cluster.Server
 		var remotes []*cluster.RemoteWorker
 		for w := 0; w < workers; w++ {
-			var owned []partition.SubgraphID
-			for i := 0; i < part.NumSubgraphs(); i++ {
-				if i%workers == w {
-					owned = append(owned, partition.SubgraphID(i))
-				}
-			}
-			worker := cluster.NewWorker(w, part, owned)
+			worker := cluster.NewWorker(w, part, cluster.OwnedBy(w, part.NumSubgraphs(), workers, 1))
 			// Epoch pins resolve against the shared index, so even the TCP
 			// transport serves frozen weights for retained epochs.
 			worker.SetViewResolver(x.ViewAt)

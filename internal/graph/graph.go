@@ -143,7 +143,9 @@ func (b *Builder) Build() *Graph {
 		g.ends[i] = Endpoints{U: e.U, V: e.V}
 		g.initW[i] = e.Weight
 	}
-	g.cur.Store(&Snapshot{g: g, weights: slices.Clone(g.initW)})
+	// The first snapshot shares initW: no snapshot's weights are written in
+	// place (ApplyUpdates clones them, ApplyTopology builds a new array).
+	g.cur.Store(&Snapshot{g: g, weights: g.initW})
 	if len(b.dead) > 0 {
 		g.alive = make([]bool, len(b.edges))
 		for i := range g.alive {

@@ -134,6 +134,9 @@ func TestApplyUpdatesPublishesSnapshot(t *testing.T) {
 	if got := g.InitialWeight(e); got != 3 {
 		t.Errorf("initial weight must not change, got %g", got)
 	}
+	if got := s0.Weight(e); got != 3 {
+		t.Errorf("the batch wrote the first snapshot in place: weight %g, want 3", got)
+	}
 	if err := g.ApplyUpdates(nil); err != nil || g.Snapshot() != s1 {
 		t.Errorf("an empty batch must publish nothing (err %v)", err)
 	}

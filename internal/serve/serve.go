@@ -34,7 +34,6 @@ import (
 	"kspdg/internal/graph"
 	"kspdg/internal/rpcbatch"
 	"kspdg/internal/trace"
-	"kspdg/internal/workload"
 )
 
 // ErrEpochEvicted is returned (wrapped) by Query when a request's Epoch has
@@ -96,10 +95,6 @@ type Options struct {
 	// snapshot after every SnapshotEvery applied batches, rotating the WAL
 	// and bounding recovery replay cost.
 	SnapshotEvery int
-	// Chaos, when set, executes the fault-injection events of a scenario
-	// replayed through RunScenario (kill/restart a worker of the deployment
-	// backing the refine provider).  Nil ignores chaos events.
-	Chaos func(ev workload.ChaosEvent) error
 	// Logger receives a structured slow-query log line for every
 	// non-converged query, and for every query slower than
 	// SlowQueryThreshold.  The line carries the trace id and the per-stage

@@ -268,33 +268,6 @@ func TestServerWithClusterProvider(t *testing.T) {
 	}
 }
 
-func TestServerRunScenario(t *testing.T) {
-	g := testutil.PaperGraph(t)
-	_, s := buildServer(t, g, 6, 2, Options{Workers: 4})
-	defer s.Close()
-	sc := workload.GenerateMixed(g, 20, 3, 2, 0.3, 0.4, 11)
-	if sc.NumQueries() != 20 || sc.NumUpdateBatches() == 0 {
-		t.Fatalf("unexpected scenario shape: %d queries, %d batches", sc.NumQueries(), sc.NumUpdateBatches())
-	}
-	report, err := s.RunScenario(sc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if errs := report.Errs(); len(errs) > 0 {
-		t.Fatalf("scenario queries failed: %v", errs)
-	}
-	if report.BatchesApplied != sc.NumUpdateBatches() {
-		t.Errorf("applied %d batches, scenario has %d", report.BatchesApplied, sc.NumUpdateBatches())
-	}
-	for i, qr := range report.Results {
-		for _, p := range qr.Result.Paths {
-			if p.Source() != qr.Query.Source || p.Target() != qr.Query.Target {
-				t.Errorf("result %d endpoints wrong: %v", i, p)
-			}
-		}
-	}
-}
-
 func TestServerCloseRejectsNewQueries(t *testing.T) {
 	g := testutil.PaperGraph(t)
 	_, s := buildServer(t, g, 6, 1, Options{Workers: 2})

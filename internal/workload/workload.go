@@ -11,7 +11,6 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
-	"os"
 	"strconv"
 	"strings"
 
@@ -96,16 +95,6 @@ func LoadDIMACS(r io.Reader, undirected bool) (*graph.Graph, error) {
 		return nil, fmt.Errorf("workload: no problem line found")
 	}
 	return b.Build(), nil
-}
-
-// LoadDIMACSFile is LoadDIMACS over a file path.
-func LoadDIMACSFile(path string, undirected bool) (*graph.Graph, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	return LoadDIMACS(f, undirected)
 }
 
 // WriteDIMACS writes g in the DIMACS ".gr" format (both directions of every
@@ -387,9 +376,8 @@ func (a ChaosAction) String() string {
 	}
 }
 
-// ChaosEvent is one fault injection of a chaos scenario: executors that
-// drive a real deployment (the difftest chaos lane, kspd soak runs) map it
-// onto their worker processes; executors without workers ignore it.
+// ChaosEvent is one fault injection of a chaos scenario: the difftest chaos
+// lane maps it onto the worker servers of its TCP deployment.
 type ChaosEvent struct {
 	Action ChaosAction
 	// Worker is the target worker index.
@@ -397,15 +385,12 @@ type ChaosEvent struct {
 }
 
 // MixedEvent is one step of a mixed query/update scenario: exactly one of
-// Query, Updates, Topology or Chaos is set.
+// Query, Updates or Chaos is set.
 type MixedEvent struct {
 	// Query, when non-nil, is a KSP query to submit.
 	Query *Query
 	// Updates, when non-empty, is a weight-update batch to apply.
 	Updates []graph.WeightUpdate
-	// Topology, when non-nil, is a topology mutation batch (road closures,
-	// reopenings, new construction) to apply at this point of the stream.
-	Topology *graph.TopologyUpdate
 	// Chaos, when non-nil, is a fault to inject at this point of the stream.
 	Chaos *ChaosEvent
 }
@@ -414,7 +399,7 @@ type MixedEvent struct {
 // update batches, the workload shape of the paper's dynamic-traffic regime:
 // queries keep arriving while the road network's travel times change
 // underneath them.  It is generated up front so concurrent executions (the
-// serve layer, benchmarks, differential tests) replay identical traffic.
+// differential chaos lane, the store tests) replay identical traffic.
 type MixedScenario struct {
 	// K is the number of shortest paths per query.
 	K int
@@ -440,17 +425,6 @@ func (sc MixedScenario) NumUpdateBatches() int {
 	n := 0
 	for _, ev := range sc.Events {
 		if len(ev.Updates) > 0 {
-			n++
-		}
-	}
-	return n
-}
-
-// NumTopologyBatches returns the number of topology-mutation events.
-func (sc MixedScenario) NumTopologyBatches() int {
-	n := 0
-	for _, ev := range sc.Events {
-		if ev.Topology != nil {
 			n++
 		}
 	}
@@ -497,165 +471,6 @@ func InjectChaos(sc MixedScenario, worker, killAfter, restartAfter int) MixedSce
 	}
 	if !restarted && restartAfter > killAfter {
 		out.Events = append(out.Events, MixedEvent{Chaos: &ChaosEvent{Action: ChaosRestartWorker, Worker: worker}})
-	}
-	return out
-}
-
-// RoadEventsConfig parameterises the topology-mutation stream InjectRoadEvents
-// weaves into a scenario: road closures that later reopen and incidents that
-// sever a road while congesting the streets around it.
-type RoadEventsConfig struct {
-	// Closures is the number of closure/reopen pairs: an edge is deleted and,
-	// after roughly half the remaining query stream, a new edge between the
-	// same endpoints with the same weight is inserted (the reopened road gets
-	// a fresh edge id; the closed id stays a tombstone).
-	Closures int
-	// Incidents is the number of incident events: an edge is deleted and
-	// every surviving edge incident to its endpoints has its weight
-	// multiplied by SpikeFactor in an accompanying weight batch (traffic
-	// rerouting around the blockage).  Incident edges are never reopened.
-	Incidents int
-	// SpikeFactor scales the weights around an incident (default 3).
-	SpikeFactor float64
-	// Seed makes event selection deterministic.
-	Seed int64
-}
-
-// InjectRoadEvents returns a copy of sc with cfg's topology events woven
-// evenly through the query stream, in the order closures first, then
-// incidents, with each closure's reopening halfway between its closure and
-// the end.  Weight updates of later batches that reference a deleted edge are
-// dropped from the copy (a replayed scenario must never update a tombstone),
-// which is why injection must run after all weight batches are generated.
-// Generation does not mutate g.
-func InjectRoadEvents(g *graph.Graph, sc MixedScenario, cfg RoadEventsConfig) MixedScenario {
-	total := cfg.Closures + cfg.Incidents
-	if total == 0 {
-		return sc
-	}
-	if cfg.SpikeFactor <= 0 {
-		cfg.SpikeFactor = 3
-	}
-	rng := rand.New(rand.NewSource(cfg.Seed))
-
-	// Pick distinct live victim edges from the base graph.
-	victims := make([]graph.EdgeID, 0, total)
-	seen := make(map[graph.EdgeID]bool)
-	for attempts := 0; len(victims) < total && attempts < 64*total+1024; attempts++ {
-		e := graph.EdgeID(rng.Intn(g.NumEdges()))
-		if seen[e] || !g.EdgeAlive(e) {
-			continue
-		}
-		seen[e] = true
-		victims = append(victims, e)
-	}
-	nc := cfg.Closures
-	if nc > len(victims) {
-		nc = len(victims)
-	}
-	closures := victims[:nc]
-	incidents := victims[nc:]
-
-	// Schedule events at evenly spaced query counts; reopenings land halfway
-	// between their closure and the end of the stream.  spikeAround marks an
-	// incident whose weight spike is materialised at emission time, against
-	// the weights current at that point of the stream.
-	type roadEvent struct {
-		topo        *graph.TopologyUpdate
-		spikeAround graph.EdgeID
-	}
-	numQueries := sc.NumQueries()
-	schedule := make(map[int][]roadEvent) // query count -> events to append
-	at := func(i int) int {
-		return (i + 1) * numQueries / (total + 1)
-	}
-	// Weight tracking mirrors GenerateMixed so incident spikes compose
-	// with the weight batches already in the scenario.
-	weights := make(map[graph.EdgeID]float64)
-	cur := g.Snapshot()
-	weightOf := func(e graph.EdgeID) float64 {
-		if w, ok := weights[e]; ok {
-			return w
-		}
-		return cur.Weight(e)
-	}
-	deleted := make(map[graph.EdgeID]bool)
-	for i, e := range closures {
-		pos := at(i)
-		ends := g.EdgeEndpoints(e)
-		w := cur.Weight(e)
-		schedule[pos] = append(schedule[pos],
-			roadEvent{topo: &graph.TopologyUpdate{DeleteEdges: []graph.EdgeID{e}}, spikeAround: -1})
-		reopen := pos + (numQueries-pos)/2
-		schedule[reopen] = append(schedule[reopen],
-			roadEvent{topo: &graph.TopologyUpdate{InsertEdges: []graph.Edge{{U: ends.U, V: ends.V, Weight: w}}}, spikeAround: -1})
-	}
-	for i, e := range incidents {
-		pos := at(len(closures) + i)
-		schedule[pos] = append(schedule[pos],
-			roadEvent{topo: &graph.TopologyUpdate{DeleteEdges: []graph.EdgeID{e}}, spikeAround: e})
-	}
-
-	out := MixedScenario{K: sc.K, Events: make([]MixedEvent, 0, len(sc.Events)+2*total)}
-	queries := 0
-	emit := func(evs []roadEvent) {
-		for _, rev := range evs {
-			for _, d := range rev.topo.DeleteEdges {
-				deleted[d] = true
-			}
-			out.Events = append(out.Events, MixedEvent{Topology: rev.topo})
-			if rev.spikeAround < 0 {
-				continue
-			}
-			ends := g.EdgeEndpoints(rev.spikeAround)
-			var spike []graph.WeightUpdate
-			for id := 0; id < g.NumEdges(); id++ {
-				ee := graph.EdgeID(id)
-				if deleted[ee] || !g.EdgeAlive(ee) {
-					continue
-				}
-				p := g.EdgeEndpoints(ee)
-				if p.U == ends.U || p.U == ends.V || p.V == ends.U || p.V == ends.V {
-					w := weightOf(ee) * cfg.SpikeFactor
-					weights[ee] = w
-					spike = append(spike, graph.WeightUpdate{Edge: ee, NewWeight: w})
-				}
-			}
-			if len(spike) > 0 {
-				out.Events = append(out.Events, MixedEvent{Updates: spike})
-			}
-		}
-	}
-	for _, ev := range sc.Events {
-		if len(ev.Updates) > 0 {
-			kept := ev.Updates[:0:0]
-			for _, u := range ev.Updates {
-				if deleted[u.Edge] {
-					continue
-				}
-				weights[u.Edge] = u.NewWeight
-				kept = append(kept, u)
-			}
-			if len(kept) == 0 {
-				continue
-			}
-			ev.Updates = kept
-		}
-		out.Events = append(out.Events, ev)
-		if ev.Query != nil {
-			queries++
-			if evs, ok := schedule[queries]; ok {
-				emit(evs)
-				delete(schedule, queries)
-			}
-		}
-	}
-	// Anything scheduled at or beyond the stream end lands now, in order.
-	for q := 0; q <= numQueries+total; q++ {
-		if evs, ok := schedule[q]; ok {
-			emit(evs)
-			delete(schedule, q)
-		}
 	}
 	return out
 }

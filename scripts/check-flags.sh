@@ -8,7 +8,7 @@ tmp=$(mktemp -d)
 trap 'rm -rf "$tmp"' EXIT
 
 # `kspd -h` prints usage to stderr and exits 2; that's fine, we only want the
-# flag names.  Flag lines look like "  -closures int".
+# flag names.  Flag lines look like "  -listen string".
 go run ./cmd/kspd -h 2>"$tmp/help" || true
 sed -n 's/^  -\([a-z0-9-]*\).*/\1/p' "$tmp/help" | sort -u >"$tmp/binary"
 
