@@ -302,8 +302,8 @@ func edgeCountBound(sg *partition.Subgraph, la, lb graph.VertexID) float64 {
 }
 
 // AblationMFPTree compares the flat EP-Index against the LSH+MFP-tree
-// compressed representation: storage entries and the cost of enumerating the
-// bounding paths affected by a batch of edge changes.
+// compressed representation: storage entries and the cost of visiting the
+// ids of the bounding paths crossing every edge.
 func (s *Suite) AblationMFPTree() (*Table, error) {
 	st, err := s.load("FLA", 0, s.Xi)
 	if err != nil {
@@ -321,7 +321,7 @@ func (s *Suite) AblationMFPTree() (*Table, error) {
 		totalFlat += si.EPIndexEntries()
 		start := time.Now()
 		for e := range sets {
-			for range si.PathsThroughEdge(e) {
+			for range sets[e] {
 			}
 		}
 		flatTime += time.Since(start)

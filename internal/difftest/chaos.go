@@ -67,7 +67,7 @@ type chaosDeployment struct {
 	killed  []bool
 }
 
-func (d *chaosDeployment) apply(ev workload.ChaosEvent) error {
+func (d *chaosDeployment) apply(ev ChaosEvent) error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	w := ev.Worker
@@ -75,13 +75,13 @@ func (d *chaosDeployment) apply(ev workload.ChaosEvent) error {
 		return fmt.Errorf("chaos: no worker %d", w)
 	}
 	switch ev.Action {
-	case workload.ChaosKillWorker:
+	case ChaosKillWorker:
 		if d.killed[w] {
 			return nil
 		}
 		d.killed[w] = true
 		return d.servers[w].Close()
-	case workload.ChaosRestartWorker:
+	case ChaosRestartWorker:
 		if !d.killed[w] {
 			return nil
 		}
@@ -208,9 +208,7 @@ func CheckChaos(tb testing.TB, cp ChaosParams) {
 	if cp.Restart {
 		restartAt = 2 * cp.Queries / 3
 	}
-	sc = workload.InjectChaos(sc, cp.Victim, killAt, restartAt)
-
-	report, err := replayChaos(srv, dep, sc)
+	report, err := replayChaos(srv, dep, p.K, InjectChaos(sc, cp.Victim, killAt, restartAt))
 	if err != nil {
 		tb.Fatalf("chaos scenario: %v", err)
 	}
@@ -268,6 +266,73 @@ func CheckChaos(tb testing.TB, cp ChaosParams) {
 	}
 }
 
+// ChaosAction is a fault to inject into a running deployment.
+type ChaosAction int
+
+const (
+	// ChaosKillWorker abruptly terminates one worker (its connections drop;
+	// in-flight requests to it fail).
+	ChaosKillWorker ChaosAction = iota
+	// ChaosRestartWorker brings a previously killed worker back on its old
+	// address with its assigned partition set.
+	ChaosRestartWorker
+)
+
+func (a ChaosAction) String() string {
+	switch a {
+	case ChaosKillWorker:
+		return "kill"
+	case ChaosRestartWorker:
+		return "restart"
+	default:
+		return fmt.Sprintf("chaos(%d)", int(a))
+	}
+}
+
+// ChaosEvent is one fault injection of a chaos scenario, which
+// chaosDeployment.apply maps onto its worker servers.
+type ChaosEvent struct {
+	Action ChaosAction
+	// Worker is the target worker index.
+	Worker int
+}
+
+// ChaosStep is one step of a ChaosScenario: an event of the mixed scenario
+// the faults were injected into or, when Chaos is set, a fault to inject.
+type ChaosStep struct {
+	workload.MixedEvent
+	Chaos *ChaosEvent
+}
+
+// ChaosScenario is the events of a mixed scenario with faults woven in.
+type ChaosScenario []ChaosStep
+
+// InjectChaos returns sc with a kill of the given worker inserted after
+// killAfter query events and, when restartAfter > killAfter, a restart of
+// the same worker inserted after restartAfter query events — the canonical
+// kill-worker chaos shape: queries keep flowing while the worker is dead and
+// after it rejoins.  Counts beyond the stream length clamp to the end.
+func InjectChaos(sc workload.MixedScenario, worker, killAfter, restartAfter int) ChaosScenario {
+	faults := []ChaosStep{{Chaos: &ChaosEvent{Action: ChaosKillWorker, Worker: worker}}}
+	at := []int{killAfter} // faults[i] goes in once at[i] queries are in
+	if restartAfter > killAfter {
+		faults = append(faults, ChaosStep{Chaos: &ChaosEvent{Action: ChaosRestartWorker, Worker: worker}})
+		at = append(at, restartAfter)
+	}
+	out := make(ChaosScenario, 0, len(sc.Events)+len(faults))
+	queries := 0
+	for _, ev := range sc.Events {
+		out = append(out, ChaosStep{MixedEvent: ev})
+		if ev.Query != nil {
+			queries++
+		}
+		for len(at) > 0 && queries >= at[0] {
+			out, faults, at = append(out, faults[0]), faults[1:], at[1:]
+		}
+	}
+	return append(out, faults...)
+}
+
 // chaosOutcome pairs one query of a chaos scenario with its answer.
 type chaosOutcome struct {
 	Query  workload.Query
@@ -283,26 +348,27 @@ type chaosReport struct {
 	chaosInjected  int
 }
 
-// replayChaos runs sc against srv the way clients and operators would hit a
-// live deployment: each query runs on its own goroutine and may overlap any
-// number of later events, while update batches and worker kills/restarts
-// run inline in event order, so a worker dies while earlier queries are still
-// in flight.  It returns once every query has answered.
-func replayChaos(srv *serve.Server, dep *chaosDeployment, sc workload.MixedScenario) (chaosReport, error) {
+// replayChaos runs sc, with k paths per query, against srv the way clients
+// and operators would hit a live deployment: each query runs on its own
+// goroutine and may overlap any number of later events, while update batches
+// and worker kills/restarts run inline in event order, so a worker dies while
+// earlier queries are still in flight.  It returns once every query has
+// answered.
+func replayChaos(srv *serve.Server, dep *chaosDeployment, k int, sc ChaosScenario) (chaosReport, error) {
 	ctx := context.Background()
-	rep := chaosReport{results: make([]chaosOutcome, sc.NumQueries())}
+	// Room for every step: no append moves a slot a running query writes.
+	rep := chaosReport{results: make([]chaosOutcome, 0, len(sc))}
 	var wg sync.WaitGroup
 	defer wg.Wait()
-	qi := 0
-	for _, ev := range sc.Events {
+	for _, ev := range sc {
 		switch {
 		case ev.Query != nil:
-			q, out := *ev.Query, &rep.results[qi]
-			qi++
+			rep.results = append(rep.results, chaosOutcome{})
+			q, out := *ev.Query, &rep.results[len(rep.results)-1]
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				res, err := srv.Query(ctx, serve.Request{Src: q.Source, Dst: q.Target, K: sc.K})
+				res, err := srv.Query(ctx, serve.Request{Src: q.Source, Dst: q.Target, K: k})
 				*out = chaosOutcome{Query: q, Result: res, Err: err}
 			}()
 		case len(ev.Updates) > 0:

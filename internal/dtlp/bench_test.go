@@ -2,6 +2,7 @@ package dtlp
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 
 	"kspdg/internal/graph"
@@ -42,7 +43,8 @@ func trafficBatches(g *graph.Graph, alpha float64, n int, seed int64) [][]graph.
 
 // BenchmarkBuild is Build on the end-to-end benchmark's road network at the
 // two subgraph sizes its workloads use, z = 80 and z = 200: the largest term
-// of its setup_s.
+// of its setup_s.  Its retained_B metric is the heap one built index holds,
+// the dtlp layer's share of the benchmark's index_heap_mb.
 func BenchmarkBuild(b *testing.B) {
 	g := rulerNetwork(b)
 	for _, z := range []int{80, 200} {
@@ -57,8 +59,28 @@ func BenchmarkBuild(b *testing.B) {
 					b.Fatal(err)
 				}
 			}
+			b.StopTimer()
+			b.ReportMetric(float64(retainedBytes(b, part)), "retained_B")
 		})
 	}
+}
+
+// retainedBytes is HeapAlloc with one index built over part still live, less
+// HeapAlloc before the build, each read after two collections.
+func retainedBytes(b *testing.B, part *partition.Partition) int64 {
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	x, err := Build(part, Config{Xi: 3})
+	if err != nil {
+		b.Fatal(err)
+	}
+	runtime.GC()
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	runtime.KeepAlive(x)
+	return int64(after.HeapAlloc) - int64(before.HeapAlloc)
 }
 
 // BenchmarkApplyUpdates is the dtlp layer of the write path: ApplyUpdates

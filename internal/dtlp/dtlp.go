@@ -23,15 +23,15 @@
 // # Layout
 //
 // The index is flat.  Within a subgraph, pairs are sorted and bounding paths
-// have dense ids, so distances, vfrag counts and LBDs are plain slices, a
-// path's vertices and edges are ranges of one array each, and the EP-Index
-// is in compressed sparse row form (SubgraphIndex).  Bounds are computed
-// once per distinct vfrag count, not once per path.  Across subgraphs, each
-// generation numbers the global pairs in sorted order and keeps, per pair,
-// its LBD slots and its skeleton edge, so an update batch reaches the
-// skeleton by index, without maps or sorting (generation).  Maintenance over
-// this layout produces the same bits as recomputing every path's bound and
-// every pair's MBD from scratch.
+// have dense ids, so distances, vfrag counts and LBDs are plain slices, and
+// the EP-Index, in compressed sparse row form, is the only (path, edge)
+// table: a path's vertices and edges are walked out of it (SubgraphIndex).
+// Bounds are computed once per distinct vfrag count, not once per path.
+// Across subgraphs, each generation numbers the global pairs in sorted order
+// and keeps, per pair, its LBD slots and its skeleton edge, so an update
+// batch reaches the skeleton by index, without maps or sorting (generation).
+// Maintenance over this layout produces the same bits as recomputing every
+// path's bound and every pair's MBD from scratch.
 //
 // # Snapshot / epoch model
 //

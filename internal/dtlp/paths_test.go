@@ -153,3 +153,44 @@ func TestBoundingPathVerticesMatchEnumeration(t *testing.T) {
 		})
 	}
 }
+
+// TestBoundingPathsBelongToTheCaller reverses, in place, the Vertices and
+// Edges of every bounding path the accessors return on the benchmark's road
+// network at z = 80, and checks that the index did not change with them: its
+// paths are still their edges, and its next export streams the records the
+// first one did.
+func TestBoundingPathsBelongToTheCaller(t *testing.T) {
+	part, err := partition.PartitionGraph(rulerNetwork(t), 80)
+	if err != nil {
+		t.Fatal(err)
+	}
+	x, err := Build(part, Config{Xi: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := exportPaths(t, x)
+	reversed := 0
+	overwrite := func(bps []BoundingPath) {
+		for _, bp := range bps {
+			slices.Reverse(bp.Vertices)
+			slices.Reverse(bp.Edges)
+			reversed++
+		}
+	}
+	for id := range part.NumSubgraphs() {
+		si := x.SubgraphIndex(partition.SubgraphID(id))
+		for _, key := range si.pairKeys {
+			overwrite(si.BoundingPaths(key.A, key.B))
+		}
+		for e := range graph.EdgeID(si.Subgraph().Local.NumEdges()) {
+			overwrite(si.PathsThroughEdge(e))
+		}
+	}
+	if reversed == 0 {
+		t.Fatal("the accessors returned no bounding paths")
+	}
+	checkPathsAreTheirEdges(t, x)
+	if after := exportPaths(t, x); !reflect.DeepEqual(after, before) {
+		t.Fatal("overwriting the accessors' paths changed the exported records")
+	}
+}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"slices"
 	"sync/atomic"
 
 	"kspdg/internal/fanout"
@@ -26,9 +27,9 @@ func SubgraphBuildCount() int64 { return subgraphBuilds.Load() }
 
 // PathRecord is the serializable form of one bounding path: everything the
 // Importer needs to reinstall the path without re-enumerating candidates.
-// Vertex and edge ids are subgraph-local.  The index stores only the edges:
-// export derives Vertices from them, and import checks Vertices against them
-// and drops them.  Vfrags is immutable by
+// Vertex and edge ids are subgraph-local.  The index stores neither: export
+// walks both out of the EP-Index, and import checks Vertices against Edges,
+// builds the EP-Index from Edges and drops both.  Vfrags is immutable by
 // construction; Dist is the path's actual distance at export time, carried
 // verbatim so a recovered index reproduces the exporting index bit for bit
 // (recomputing it from weights could differ in the last ulp from the
@@ -43,9 +44,8 @@ type PathRecord struct {
 
 // ExportedState is a consistent description of an index passed to the
 // callback of ExportState.  It is only valid for the duration of the
-// callback.  The slices inside a streamed PathRecord must not be retained or
-// modified: Edges is the index's storage, and Vertices a buffer the stream
-// derives each record's vertices into and reuses for the next.
+// callback.  The stream walks each record into buffers it reuses for the
+// next, so a PathRecord's slices must not be retained.
 type ExportedState struct {
 	// Epoch is the most recently published epoch; Dist values and View
 	// weights are exactly the state of that epoch.
@@ -69,15 +69,16 @@ func (x *Index) ExportState(fn func(st ExportedState) error) error {
 		Epoch: view.Epoch(),
 		View:  view,
 		Paths: func(visit func(sub partition.SubgraphID, rec PathRecord) error) error {
-			var verts []graph.VertexID
+			verts, edges := []graph.VertexID(nil), []graph.EdgeID(nil)
 			for id, si := range view.gen.subs {
+				pos := slices.Clone(si.epOff[:len(si.epOff)-1])
 				for i, key := range si.pairKeys {
 					for p := si.pairOff[i]; p < si.pairOff[i+1]; p++ {
-						verts = si.appendPathVerts(verts[:0], p, key.A)
+						verts, edges = si.walkPath(verts[:0], edges[:0], p, key, pos)
 						rec := PathRecord{
 							Pair:     key,
 							Vertices: verts,
-							Edges:    si.pathEdges(p),
+							Edges:    edges,
 							Vfrags:   si.vfragVals[si.vfragIdx[p]],
 							Dist:     si.dist[p],
 						}
@@ -107,7 +108,8 @@ type Importer struct {
 	cfg      Config
 	subs     []*SubgraphIndex // nil for a subgraph no record has reached yet
 	last     partition.SubgraphID
-	run      int // paths of the last pair so far
+	run      int     // paths of the last pair so far
+	seen     []int32 // per local vertex, the last record (see Add) it was on
 	finished bool
 }
 
@@ -180,7 +182,14 @@ func (imp *Importer) Add(id partition.SubgraphID, rec PathRecord) error {
 			numPairs, numPaths, numEdges = len(prev.pairKeys), len(prev.dist), len(prev.edges)
 		}
 		si = newSubgraphIndex(imp.part.Subgraph(id), numPairs, numPaths, numEdges)
-		imp.subs[id], imp.last = si, id
+		imp.subs[id], imp.last, imp.seen = si, id, make([]int32, local.NumVertices())
+	}
+	// walkPath needs the path simple.  Records stamp seen with 1 + their id.
+	for _, v := range rec.Vertices {
+		if imp.seen[v] == int32(len(si.dist)+1) {
+			return fmt.Errorf("dtlp: import path %v repeats vertex %d", rec.Vertices, v)
+		}
+		imp.seen[v] = int32(len(si.dist) + 1)
 	}
 	c := 1 // the record's pair against the subgraph's last one
 	if n := len(si.pairKeys); n > 0 {
@@ -224,7 +233,6 @@ func (imp *Importer) Finish(epoch uint64) (*Index, error) {
 		// grown one to its length, so a recovered index holds no more memory
 		// than a built one.
 		si.pairKeys, si.pairOff, si.dist = exact(si.pairKeys), exact(si.pairOff), exact(si.dist)
-		si.edgeOff, si.edges = exact(si.edgeOff), exact(si.edges)
 	})
 	if err := g.finishStructure(); err != nil {
 		return nil, err

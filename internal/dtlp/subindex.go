@@ -25,12 +25,10 @@ type BoundingPath struct {
 	ID int
 	// Pair is the local boundary pair this path connects.
 	Pair PairKey
-	// Vertices is the path in subgraph-local vertex ids, derived afresh from
-	// Edges walked from Pair.A (the index does not store it).
+	// Vertices and Edges are the path in subgraph-local ids, walked out of
+	// the EP-Index from Pair.A for each call; they belong to the caller.
 	Vertices []graph.VertexID
-	// Edges is the path in subgraph-local edge ids.  It aliases the index's
-	// storage and must not be modified.
-	Edges []graph.EdgeID
+	Edges    []graph.EdgeID
 	// Vfrags is ϕ(P): the total number of virtual fragments, i.e. the sum of
 	// initial edge weights along the path.  It never changes.
 	Vfrags float64
@@ -48,11 +46,10 @@ type BoundingPath struct {
 // weight bookkeeping needed to compute bound distances.
 //
 // The layout is flat.  Pairs are sorted by key and bounding paths have dense
-// ids, so every per-pair and per-path field is a slice indexed by that id,
-// and variable-length data (a path's edges, an edge's paths) sits in one
-// array per kind behind int32 offsets.  A path's vertices are not stored:
-// they follow from walking its edges from its pair's A.  The structure is
-// fixed once built; maintenance writes dist, lbd and bounds in place.
+// ids, so every per-pair and per-path field is a slice indexed by that id.
+// The EP-Index is the only (path, edge) table, one array behind int32
+// offsets: a path's vertices and edges are walked out of it (walkPath).  The
+// structure is fixed once built; maintenance writes dist, lbd and bounds.
 type SubgraphIndex struct {
 	sub *partition.Subgraph
 
@@ -62,10 +59,10 @@ type SubgraphIndex struct {
 	pairOff  []int32
 	lbd      []float64
 
-	// Per path id: the actual distance, the index of the path's vfrag count
-	// in vfragVals, and the path's edges edges[edgeOff[id]:edgeOff[id+1]].
-	// vfrags holds the counts while addPath stages them; finish turns them
-	// into vfragIdx and drops them.
+	// Per path id: the actual distance and the index of the path's vfrag
+	// count in vfragVals.  addPath stages the counts in vfrags and the edges
+	// in edges[edgeOff[id]:edgeOff[id+1]]; finish turns them into vfragIdx
+	// and the EP-Index and drops all three.
 	dist     []float64
 	vfrags   []float64
 	vfragIdx []int32
@@ -126,7 +123,7 @@ func (si *SubgraphIndex) addPath(edges []graph.EdgeID, vfrags, dist float64) {
 
 // finish derives everything that is a function of the paths: the EP-Index,
 // the distinct vfrag table, and the bounds and LBDs.  It drops the staged
-// vfrag counts, which vfragVals[vfragIdx[id]] now gives exactly.
+// edges and vfrag counts, which walkPath and vfragVals[vfragIdx] now give.
 func (si *SubgraphIndex) finish() {
 	si.pairOff = append(si.pairOff, int32(len(si.dist)))
 
@@ -141,11 +138,12 @@ func (si *SubgraphIndex) finish() {
 	si.epPaths = make([]int32, len(si.edges))
 	next := slices.Clone(si.epOff[:ne])
 	for id := range si.dist {
-		for _, e := range si.pathEdges(int32(id)) {
+		for _, e := range si.edges[si.edgeOff[id]:si.edgeOff[id+1]] {
 			si.epPaths[next[e]] = int32(id)
 			next[e]++
 		}
 	}
+	si.edgeOff, si.edges = nil, nil
 
 	si.vfragVals = slices.Clone(slices.Compact(slices.Sorted(slices.Values(si.vfrags))))
 	si.vfragIdx = make([]int32, len(si.vfrags))
@@ -260,26 +258,29 @@ func (si *SubgraphIndex) NumBoundingPaths() int { return len(si.dist) }
 // EP-Index of this subgraph.
 func (si *SubgraphIndex) EPIndexEntries() int { return len(si.epPaths) }
 
-// pathEdges returns the edges of path id, capped so that an append by a
-// caller cannot overwrite the next path.
-func (si *SubgraphIndex) pathEdges(id int32) []graph.EdgeID {
-	lo, hi := si.edgeOff[id], si.edgeOff[id+1]
-	return si.edges[lo:hi:hi]
-}
-
-// appendPathVerts appends to buf the vertices of path id, walked from a.
-func (si *SubgraphIndex) appendPathVerts(buf []graph.VertexID, id int32, a graph.VertexID) []graph.VertexID {
-	local, edges := si.sub.Local, si.pathEdges(id)
-	buf = append(buf, a)
-	n := len(buf)
-	buf = slices.Grow(buf, len(edges))[:n+len(edges)]
-	next := buf[n:][:len(edges)]
-	for i, e := range edges {
-		ends := local.EdgeEndpoints(e)
-		a ^= ends.U ^ ends.V // a is one end of e, so this is the other
-		next[i] = a
+// walkPath appends to verts and edges path id's vertices and edges, from
+// key.A to key.B.  The path is simple, so at each vertex one arc not back to
+// the previous vertex carries it: the arc whose EP-Index list holds id.
+// pos[e], a copy of epOff[e] to start, is a cursor into e's list (increasing
+// ids) that the walk moves up to id, so walks sharing pos go in id order.
+func (si *SubgraphIndex) walkPath(verts []graph.VertexID, edges []graph.EdgeID, id int32, key PairKey, pos []int32) ([]graph.VertexID, []graph.EdgeID) {
+	verts = append(verts, key.A)
+	for prev, v := graph.NoVertex, key.A; v != key.B; {
+		next, out := graph.NoVertex, graph.NoEdge // Neighbors panics on NoVertex
+		for _, a := range si.sub.Local.Neighbors(v) {
+			p, end := pos[a.Edge], si.epOff[a.Edge+1]
+			for p < end && si.epPaths[p] < id {
+				p++
+			}
+			if pos[a.Edge] = p; a.To != prev && p < end && si.epPaths[p] == id {
+				next, out = a.To, a.Edge
+				break
+			}
+		}
+		prev, v = v, next
+		verts, edges = append(verts, v), append(edges, out)
 	}
-	return buf
+	return verts, edges
 }
 
 // pairIndex returns the index of the local pair (la, lb), if it is indexed.
@@ -287,14 +288,15 @@ func (si *SubgraphIndex) pairIndex(la, lb graph.VertexID) (int, bool) {
 	return slices.BinarySearchFunc(si.pairKeys, MakePairKey(la, lb, si.sub.Local.Directed()), comparePairKeys)
 }
 
-// boundingPath assembles the read-accessor value of path id.
-func (si *SubgraphIndex) boundingPath(id int32) BoundingPath {
+// boundingPath assembles the read-accessor value of path id (pos: walkPath).
+func (si *SubgraphIndex) boundingPath(id int32, pos []int32) BoundingPath {
 	pair := si.pairKeys[sort.Search(len(si.pairKeys), func(i int) bool { return si.pairOff[i+1] > id })]
+	verts, edges := si.walkPath(nil, nil, id, pair, pos)
 	return BoundingPath{
 		ID:       int(id),
 		Pair:     pair,
-		Vertices: si.appendPathVerts(nil, id, pair.A),
-		Edges:    si.pathEdges(id),
+		Vertices: verts,
+		Edges:    edges,
 		Vfrags:   si.vfragVals[si.vfragIdx[id]],
 		Dist:     si.dist[id],
 		Bound:    si.bounds[si.vfragIdx[id]],
@@ -309,8 +311,9 @@ func (si *SubgraphIndex) BoundingPaths(la, lb graph.VertexID) []BoundingPath {
 		return nil
 	}
 	var out []BoundingPath
+	pos := slices.Clone(si.epOff[:len(si.epOff)-1])
 	for id := si.pairOff[i]; id < si.pairOff[i+1]; id++ {
-		out = append(out, si.boundingPath(id))
+		out = append(out, si.boundingPath(id, pos))
 	}
 	return out
 }
@@ -322,8 +325,9 @@ func (si *SubgraphIndex) PathsThroughEdge(e graph.EdgeID) []BoundingPath {
 		return nil
 	}
 	var out []BoundingPath
+	pos := slices.Clone(si.epOff[:len(si.epOff)-1])
 	for _, id := range si.epPaths[si.epOff[e]:si.epOff[e+1]] {
-		out = append(out, si.boundingPath(id))
+		out = append(out, si.boundingPath(id, pos))
 	}
 	return out
 }
@@ -559,7 +563,6 @@ func (si *SubgraphIndex) boundaryDistances(v graph.VertexID, weights graph.Weigh
 // the construction-cost experiments.
 func (si *SubgraphIndex) approxBytes() int64 {
 	f64 := len(si.lbd) + len(si.dist) + len(si.vfragVals) + len(si.bounds) + len(si.units)
-	i32 := len(si.pairOff) + len(si.vfragIdx) + len(si.edgeOff) + len(si.edges) + len(si.epOff) +
-		len(si.epPaths) + len(si.unitOrder)
+	i32 := len(si.pairOff) + len(si.vfragIdx) + len(si.epOff) + len(si.epPaths) + len(si.unitOrder)
 	return int64(f64)*8 + int64(i32)*4 + int64(len(si.pairKeys))*8 + int64(len(si.moved)) + int64(cap(si.movedIDs))*4
 }

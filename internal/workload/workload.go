@@ -353,46 +353,13 @@ type Query struct {
 	Source, Target graph.VertexID
 }
 
-// ChaosAction is a fault to inject into a running deployment.
-type ChaosAction int
-
-const (
-	// ChaosKillWorker abruptly terminates one worker (its connections drop;
-	// in-flight requests to it fail).
-	ChaosKillWorker ChaosAction = iota
-	// ChaosRestartWorker brings a previously killed worker back on its old
-	// address with its assigned partition set.
-	ChaosRestartWorker
-)
-
-func (a ChaosAction) String() string {
-	switch a {
-	case ChaosKillWorker:
-		return "kill"
-	case ChaosRestartWorker:
-		return "restart"
-	default:
-		return fmt.Sprintf("chaos(%d)", int(a))
-	}
-}
-
-// ChaosEvent is one fault injection of a chaos scenario: the difftest chaos
-// lane maps it onto the worker servers of its TCP deployment.
-type ChaosEvent struct {
-	Action ChaosAction
-	// Worker is the target worker index.
-	Worker int
-}
-
 // MixedEvent is one step of a mixed query/update scenario: exactly one of
-// Query, Updates or Chaos is set.
+// Query or Updates is set.
 type MixedEvent struct {
 	// Query, when non-nil, is a KSP query to submit.
 	Query *Query
 	// Updates, when non-empty, is a weight-update batch to apply.
 	Updates []graph.WeightUpdate
-	// Chaos, when non-nil, is a fault to inject at this point of the stream.
-	Chaos *ChaosEvent
 }
 
 // MixedScenario is a deterministic interleaving of KSP queries and weight
@@ -429,50 +396,6 @@ func (sc MixedScenario) NumUpdateBatches() int {
 		}
 	}
 	return n
-}
-
-// NumChaosEvents returns the number of fault-injection events.
-func (sc MixedScenario) NumChaosEvents() int {
-	n := 0
-	for _, ev := range sc.Events {
-		if ev.Chaos != nil {
-			n++
-		}
-	}
-	return n
-}
-
-// InjectChaos returns a copy of the scenario with a kill of the given worker
-// inserted after killAfter query events and, when restartAfter > killAfter, a
-// restart of the same worker inserted after restartAfter query events — the
-// canonical kill-worker chaos shape: queries keep flowing while the worker is
-// dead and after it rejoins.  Counts beyond the stream length clamp to the
-// end.
-func InjectChaos(sc MixedScenario, worker, killAfter, restartAfter int) MixedScenario {
-	out := MixedScenario{K: sc.K, Events: make([]MixedEvent, 0, len(sc.Events)+2)}
-	queries := 0
-	killed, restarted := false, false
-	for _, ev := range sc.Events {
-		out.Events = append(out.Events, ev)
-		if ev.Query != nil {
-			queries++
-		}
-		if !killed && queries >= killAfter {
-			out.Events = append(out.Events, MixedEvent{Chaos: &ChaosEvent{Action: ChaosKillWorker, Worker: worker}})
-			killed = true
-		}
-		if killed && !restarted && restartAfter > killAfter && queries >= restartAfter {
-			out.Events = append(out.Events, MixedEvent{Chaos: &ChaosEvent{Action: ChaosRestartWorker, Worker: worker}})
-			restarted = true
-		}
-	}
-	if !killed {
-		out.Events = append(out.Events, MixedEvent{Chaos: &ChaosEvent{Action: ChaosKillWorker, Worker: worker}})
-	}
-	if !restarted && restartAfter > killAfter {
-		out.Events = append(out.Events, MixedEvent{Chaos: &ChaosEvent{Action: ChaosRestartWorker, Worker: worker}})
-	}
-	return out
 }
 
 // GenerateMixed builds a mixed scenario over g: numQueries random queries

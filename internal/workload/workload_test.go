@@ -278,74 +278,3 @@ func TestPropertyTrafficModelSound(t *testing.T) {
 		t.Error(err)
 	}
 }
-
-func TestInjectChaos(t *testing.T) {
-	ds, err := BuiltinDataset("NY", ScaleTiny)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sc := GenerateMixed(ds.Graph, 12, 2, 3, 0.2, 0.3, 7)
-
-	chaotic := InjectChaos(sc, 1, 4, 8)
-	if got := chaotic.NumChaosEvents(); got != 2 {
-		t.Fatalf("chaos events %d, want kill + restart", got)
-	}
-	if chaotic.NumQueries() != sc.NumQueries() || chaotic.NumUpdateBatches() != sc.NumUpdateBatches() {
-		t.Fatalf("chaos injection changed the query/update stream")
-	}
-	// The kill precedes the restart, both target worker 1, and they sit at
-	// the requested positions of the query stream.
-	queries, sawKill, sawRestart := 0, 0, 0
-	for _, ev := range chaotic.Events {
-		if ev.Query != nil {
-			queries++
-		}
-		if ev.Chaos == nil {
-			continue
-		}
-		if ev.Chaos.Worker != 1 {
-			t.Errorf("chaos targets worker %d, want 1", ev.Chaos.Worker)
-		}
-		switch ev.Chaos.Action {
-		case ChaosKillWorker:
-			sawKill++
-			if sawRestart > 0 {
-				t.Error("kill after restart")
-			}
-			if queries != 4 {
-				t.Errorf("kill after %d queries, want 4", queries)
-			}
-		case ChaosRestartWorker:
-			sawRestart++
-			if queries != 8 {
-				t.Errorf("restart after %d queries, want 8", queries)
-			}
-		}
-	}
-	if sawKill != 1 || sawRestart != 1 {
-		t.Fatalf("saw %d kills and %d restarts, want 1 and 1", sawKill, sawRestart)
-	}
-
-	// Kill-only (no restart position): exactly one chaos event.
-	killOnly := InjectChaos(sc, 0, 6, 0)
-	if got := killOnly.NumChaosEvents(); got != 1 {
-		t.Fatalf("kill-only chaos events %d, want 1", got)
-	}
-
-	// Positions beyond the stream clamp to the end instead of dropping.
-	clamped := InjectChaos(sc, 0, 1000, 2000)
-	if got := clamped.NumChaosEvents(); got != 2 {
-		t.Fatalf("clamped chaos events %d, want 2", got)
-	}
-
-	// The original scenario is untouched.
-	if sc.NumChaosEvents() != 0 {
-		t.Fatal("InjectChaos mutated its input")
-	}
-}
-
-func TestChaosActionString(t *testing.T) {
-	if ChaosKillWorker.String() != "kill" || ChaosRestartWorker.String() != "restart" {
-		t.Fatalf("chaos action names: %q %q", ChaosKillWorker, ChaosRestartWorker)
-	}
-}
