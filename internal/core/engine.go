@@ -14,6 +14,7 @@
 package core
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"maps"
@@ -199,6 +200,8 @@ type engineScratch struct {
 	deepen      map[PairRequest]int
 	joinCur     []graph.Path
 	joinNext    []graph.Path
+	joinSegs    []graph.Path // a pair list re-sorted by Dist, when it was not
+	frontier    cellHeap
 	segs        []pairList
 	seqBuf      []graph.VertexID
 	arena       vertexArena
@@ -593,10 +596,10 @@ func (e *Engine) missingPairs(sc *engineScratch, seq []graph.VertexID) []PairReq
 // join implements the join half of Algorithm 4 for one examined reference
 // path: with every adjacent pair's partial paths already in the scratch pair
 // cache, it joins them segment by segment into complete candidate paths from
-// s to t, keeping the ex.beam shortest simple combinations per segment, and
-// folds the k shortest into list.  It records in ex the bounds the join
-// certificate needs (see examinedSeq).  A combination that is not simple is
-// dropped for good: every extension of it repeats the same vertex.
+// s to t, keeping the ex.beam shortest simple combinations per segment (see
+// joinStep), and folds the k shortest into list.  It records in ex the bounds
+// the join certificate needs (see examinedSeq).  A combination that is not
+// simple is dropped for good: every extension of it repeats the same vertex.
 func (e *Engine) join(sc *engineScratch, ex *examinedSeq, list []graph.Path, k, emitted int, res *Result) []graph.Path {
 	ex.beamBound, ex.bound = math.Inf(1), math.Inf(1)
 	segs, firsts := sc.segments(ex.seq)
@@ -612,25 +615,16 @@ func (e *Engine) join(sc *engineScratch, ex *examinedSeq, list []graph.Path, k, 
 	rest := firsts - segs[0].paths[0].Dist // the later segments' first entries
 	for _, pl := range segs[1:] {
 		rest -= pl.paths[0].Dist
-		next := sc.joinNext[:0]
-		for _, prefix := range current {
-			for _, seg := range pl.paths {
-				if joined, ok := joinSimple(&sc.arena, prefix, seg); ok {
-					next = append(next, joined)
-				}
-			}
-		}
+		next, cutDist, cut := sc.joinStep(current, pl.paths, ex.beam)
 		// Swap buffers: next becomes current, current's storage is reused
 		// for the following segment's combinations.
 		sc.joinNext = current
 		current = next
+		if cut {
+			ex.beamBound = math.Min(ex.beamBound, cutDist+rest)
+		}
 		if len(current) == 0 {
 			break
-		}
-		sort.Slice(current, func(a, b int) bool { return graph.ComparePaths(current[a], current[b]) < 0 })
-		if len(current) > ex.beam {
-			ex.beamBound = math.Min(ex.beamBound, current[ex.beam].Dist+rest)
-			current = current[:ex.beam]
 		}
 	}
 	sc.joinCur = current
@@ -642,6 +636,114 @@ func (e *Engine) join(sc *engineScratch, ex *examinedSeq, list []graph.Path, k, 
 		}
 	}
 	return list
+}
+
+// joinStep joins every prefix with every path of the next segment (which
+// starts where the prefixes end) and returns, in ComparePaths order, the beam
+// first simple joins, into sc.joinNext's storage.  If there were more, cut is
+// set and cutDist is the Dist of the first one left out.  It is the sorted
+// cross product, truncated, but it builds only the joins it keeps: with both
+// lists in ascending Dist, the join (i, j) is no shorter than (i, j-1), nor
+// (i, 0) than (i-1, 0) — float addition rounds monotonically — so a walk of
+// the grid from (0, 0) along those parent links, frontier in a min-heap keyed
+// by the joined Dist, pops the joins in ascending Dist.  Rounding can tie two
+// sums whose prefixes come in the other order, so each run of equal keys is
+// popped whole and sorted with ComparePaths, and the walk stops at the first
+// run that brings the simple joins past beam.
+func (sc *engineScratch) joinStep(prefixes, segs []graph.Path, beam int) (kept []graph.Path, cutDist float64, cut bool) {
+	if !distSorted(prefixes) {
+		slices.SortStableFunc(prefixes, compareDist) // our own copy
+	}
+	if !distSorted(segs) {
+		sc.joinSegs = append(sc.joinSegs[:0], segs...) // the pair cache's
+		slices.SortStableFunc(sc.joinSegs, compareDist)
+		segs = sc.joinSegs
+	}
+	out := sc.joinNext[:0]
+	h := &sc.frontier
+	h.reset()
+	if len(prefixes) > 0 && len(segs) > 0 {
+		h.push(joinCell{key: prefixes[0].Dist + segs[0].Dist})
+	}
+	for h.len() > 0 && len(out) <= beam {
+		key, run := h.top().key, len(out)
+		for h.len() > 0 && h.top().key == key {
+			c := h.pop()
+			if int(c.j)+1 < len(segs) {
+				h.push(joinCell{key: prefixes[c.i].Dist + segs[c.j+1].Dist, i: c.i, j: c.j + 1})
+			}
+			if c.j == 0 && int(c.i)+1 < len(prefixes) {
+				h.push(joinCell{key: prefixes[c.i+1].Dist + segs[0].Dist, i: c.i + 1})
+			}
+			if joined, ok := joinSimple(&sc.arena, prefixes[c.i], segs[c.j]); ok {
+				out = append(out, joined)
+			}
+		}
+		if len(out)-run > 1 {
+			slices.SortFunc(out[run:], graph.ComparePaths)
+		}
+	}
+	if len(out) > beam {
+		return out[:beam], out[beam].Dist, true
+	}
+	return out, 0, false
+}
+
+func compareDist(a, b graph.Path) int { return cmp.Compare(a.Dist, b.Dist) }
+
+// distSorted reports whether paths are in ascending Dist.  A pair list is,
+// but for rounding: Yen picks its first path by sums taken from the target
+// and reports its Dist summed from the source, so on 0-1 (1.0), 1-2 (1.2),
+// 2-4 (0.6), 1-3 (0.9), 3-4 (0.9) it returns 2.8000000000000003 first and
+// 2.7999999999999998 second.
+func distSorted(paths []graph.Path) bool { return slices.IsSortedFunc(paths, compareDist) }
+
+// joinCell is the join of prefix i with segment path j, keyed by its Dist.
+type joinCell struct {
+	key  float64
+	i, j int32
+}
+
+// cellHeap is the best-first join's frontier: a binary min-heap by key.
+type cellHeap struct{ cells []joinCell }
+
+func (h *cellHeap) len() int      { return len(h.cells) }
+func (h *cellHeap) reset()        { h.cells = h.cells[:0] }
+func (h *cellHeap) top() joinCell { return h.cells[0] }
+func (h *cellHeap) push(c joinCell) {
+	h.cells = append(h.cells, c)
+	s := h.cells
+	for j := len(s) - 1; j > 0; {
+		i := (j - 1) / 2
+		if s[i].key <= s[j].key {
+			break
+		}
+		s[i], s[j] = s[j], s[i]
+		j = i
+	}
+}
+
+func (h *cellHeap) pop() joinCell {
+	s := h.cells
+	c, n := s[0], len(s)-1
+	s[0] = s[n]
+	s = s[:n]
+	for i := 0; ; {
+		j := 2*i + 1
+		if j >= n {
+			break
+		}
+		if j+1 < n && s[j+1].key < s[j].key {
+			j++
+		}
+		if s[i].key <= s[j].key {
+			break
+		}
+		s[i], s[j] = s[j], s[i]
+		i = j
+	}
+	h.cells = s
+	return c
 }
 
 // certify is the join certificate: it makes every examined reference path

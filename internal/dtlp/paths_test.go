@@ -13,6 +13,21 @@ import (
 	"kspdg/internal/testutil"
 )
 
+// PathsThroughEdge returns the bounding paths crossing the local edge e (the
+// EP-Index lookup of Algorithm 2), in id order.  Maintenance walks the
+// EP-Index in place; only tests ask for the paths themselves.
+func (si *SubgraphIndex) PathsThroughEdge(e graph.EdgeID) []BoundingPath {
+	if e < 0 || int(e) >= len(si.epOff)-1 {
+		return nil
+	}
+	var out []BoundingPath
+	pos := slices.Clone(si.epOff[:len(si.epOff)-1])
+	for _, id := range si.epPaths[si.epOff[e]:si.epOff[e+1]] {
+		out = append(out, si.boundingPath(id, pos))
+	}
+	return out
+}
+
 // checkPathsAreTheirEdges holds every bounding path of x to its edges: its
 // derived vertices are a simple walk from Pair.A to Pair.B that the edges
 // take hop by hop, Vfrags is the sum of the edges' initial weights and Dist

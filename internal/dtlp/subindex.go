@@ -318,20 +318,6 @@ func (si *SubgraphIndex) BoundingPaths(la, lb graph.VertexID) []BoundingPath {
 	return out
 }
 
-// PathsThroughEdge returns the bounding paths crossing the local edge e (the
-// EP-Index lookup of Algorithm 2), in id order.
-func (si *SubgraphIndex) PathsThroughEdge(e graph.EdgeID) []BoundingPath {
-	if e < 0 || int(e) >= len(si.epOff)-1 {
-		return nil
-	}
-	var out []BoundingPath
-	pos := slices.Clone(si.epOff[:len(si.epOff)-1])
-	for _, id := range si.epPaths[si.epOff[e]:si.epOff[e+1]] {
-		out = append(out, si.boundingPath(id, pos))
-	}
-	return out
-}
-
 // PathSets returns, per local edge crossed by some bounding path, the ids of
 // the bounding paths crossing it.  This is the raw EP-Index content consumed
 // by the MFP-tree compressor.

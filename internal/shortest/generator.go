@@ -49,6 +49,27 @@ import (
 //     Generator runs; every graph.WeightedView in the tree is an immutable
 //     graph.Snapshot.  Directed views have no in-arcs to search from t, so
 //     their searches stay Dijkstra's.
+//   - Shortcut.  The same search from t leaves a reverse shortest path tree
+//     behind, and a spur search stops at the first vertex u it settles whose
+//     heuristic is exact and whose tree path to t avoids the ban set and the
+//     spur vertex (for u the spur vertex itself, whose first tree hop is not
+//     a banned hop): u's key is then the spur's length, and the search lays
+//     the tree path into its state (see searchScratch.shortcut).  It fires
+//     only when u's key is strictly below the heap's next key: on a tie the
+//     plain search may reach t over another, equally long path, and an
+//     equally long path with more hops costs more spur searches later.  The
+//     laid path's distances are summed forwards from the spur vertex, as the
+//     plain search sums them, so every candidate's Dist keeps its bits.
+//   - Cap.  A caller that takes at most limit paths (Yen's k,
+//     KShortestDistinctLengths' maxEnumerate) never sees a candidate longer
+//     than the m-th shortest one already in the heap, m the paths it has still
+//     to take: those m are popped first, and later candidates only push it
+//     further back.  So once m candidates are in, a spur search gives up when
+//     its smallest key shows that it can only find longer ones — the spur
+//     searches that find no path at all, and used to explore everything
+//     reachable around the root, mostly end this way.  A search that finds a
+//     candidate within the cap pops exactly what it would have without it, so
+//     the first limit paths, and the spur-search count, are unchanged.
 type Generator struct {
 	view   graph.WeightedView
 	s, t   graph.VertexID
@@ -64,10 +85,15 @@ type Generator struct {
 	nextBans   []graph.VertexID
 	buf        []graph.VertexID
 	searches   int // spur searches run so far; read by tests only
+	settled    int // vertices those searches settled; read by tests only
 	exhausted  bool
 
 	h    []float64 // A*'s heuristic for the spur searches; nil on directed views
 	hbuf []float64 // storage of h, kept across pooled reuse
+	tree revTree   // the tree h was taken from; used only while h is set
+
+	limit int       // paths the caller takes at most; 0 for no cap
+	best  []float64 // the smallest candidate Dists, ascending, for the cap
 }
 
 // trieNode stands for one prefix of a produced path: the prefix's last vertex
@@ -99,11 +125,13 @@ func NewGenerator(v graph.WeightedView, s, t graph.VertexID, opts *Options) *Gen
 // two in-flight searches ever share buffers.
 var generatorPool = sync.Pool{New: func() interface{} { return new(Generator) }}
 
-// pooledGenerator is NewGenerator on recycled buffers, for callers that hand
-// the Generator back with recycle when they have copied out what they need.
-func pooledGenerator(v graph.WeightedView, s, t graph.VertexID, opts *Options) *Generator {
+// pooledGenerator is NewGenerator on recycled buffers, for callers that take
+// at most limit paths and hand the Generator back with recycle when they have
+// copied out what they need.
+func pooledGenerator(v graph.WeightedView, s, t graph.VertexID, opts *Options, limit int) *Generator {
 	g := generatorPool.Get().(*Generator)
 	g.reset(v, s, t, opts)
+	g.limit = limit
 	return g
 }
 
@@ -115,7 +143,7 @@ func (g *Generator) reset(v graph.WeightedView, s, t graph.VertexID, opts *Optio
 	g.candidates = g.candidates[:0]
 	g.seen.Reset()
 	g.trie = g.trie[:0]
-	g.prevDev, g.searches = 0, 0
+	g.prevDev, g.searches, g.settled, g.limit = 0, 0, 0, 0
 	g.exhausted = false
 	g.h = nil
 }
@@ -165,15 +193,28 @@ func (g *Generator) Next() (graph.Path, bool) {
 // deviate runs Yen's deviation step on the last produced path: one spur
 // search per vertex from its deviation index on, each avoiding the root
 // before it and the hops produced paths with the same root take out of it,
-// and pushes every new candidate onto the heap.
+// and pushes every new candidate onto the heap.  Under a limit each search
+// is capped at the m-th shortest candidate, m the paths still to be taken.
 func (g *Generator) deviate() {
 	prev := g.produced[len(g.produced)-1].Vertices
 	dev := g.prevDev
 	g.insert(prev)
 	sc := getScratch(g.view.NumVertices(), len(prev))
 	sc.banCaller(g.opts)
+	var tree *revTree
+	if g.h != nil {
+		tree = &g.tree
+	}
 	for _, u := range prev[:dev] {
 		sc.ban(u)
+	}
+	m := 0 // paths still to be taken; 0 for no cap
+	g.best = g.best[:0]
+	if g.limit > 0 {
+		m = g.limit - len(g.produced)
+		for _, c := range g.candidates {
+			g.keepBest(c.path.Dist, m)
+		}
 	}
 	for j := dev; j+1 < len(prev); j++ {
 		if j > dev {
@@ -184,8 +225,15 @@ func (g *Generator) deviate() {
 		for c := root.child; c != 0; c = g.trie[c].sibling {
 			g.nextBans = append(g.nextBans, g.trie[c].vertex)
 		}
+		// The slack keeps rounding from cutting a search that would find a
+		// candidate as long as the m-th, which can still come first on a
+		// tie: 41.8 + 23.8 is 65.6, but 65.6 - 41.8 is 23.799999999999997.
+		bound := math.Inf(1)
+		if m > 0 && len(g.best) == m {
+			bound = g.best[m-1] - root.dist + 1e-9*max(1, g.best[m-1])
+		}
 		g.searches++
-		sc.run(g.view, prev[j], g.t, g.search, g.h, g.nextBans)
+		g.settled += sc.spur(g.view, prev[j], g.t, g.search, g.h, g.nextBans, tree, bound)
 		// The root is banned from the spur search, so root + spur path is
 		// simple by construction.
 		var ok bool
@@ -194,21 +242,32 @@ func (g *Generator) deviate() {
 		if !ok || !g.seen.AddSeq(g.buf) {
 			continue
 		}
+		d := root.dist + sc.distTo(g.t)
+		g.keepBest(d, m)
 		g.candidates.push(candidate{
-			path: graph.Path{
-				Vertices: append([]graph.VertexID(nil), g.buf...),
-				Dist:     root.dist + sc.distTo(g.t),
-			},
-			dev: j,
+			path: graph.Path{Vertices: append([]graph.VertexID(nil), g.buf...), Dist: d},
+			dev:  j,
 		})
 	}
 	putScratch(sc)
 }
 
+// keepBest offers d to g.best, which keeps the m smallest Dists offered in
+// ascending order, so g.best[m-1] is the m-th shortest candidate once it is
+// full.  m is at most the caller's limit, so an insert costs little.
+func (g *Generator) keepBest(d float64, m int) {
+	if m <= 0 || len(g.best) == m && d >= g.best[m-1] {
+		return
+	}
+	i, _ := slices.BinarySearch(g.best, d)
+	g.best = slices.Insert(g.best, i, d)[:min(len(g.best)+1, m)]
+}
+
 // first finds the shortest path.  On an undirected view it searches from t
 // until s settles, which finds the path (read from s along the parents) and
-// leaves behind the distance d to t of every vertex closer to t than s; the
-// rest are at least R, the path's length, away.  h = min(d, R) is then a
+// leaves behind the distance d to t of every vertex closer to t than s, and
+// its next hop towards t (the reverse tree the shortcut reads); the rest are
+// at least R, the path's length, away.  h = min(d, R) is then a
 // consistent lower bound on the distance to t in every spur search: d(u) ≤ w
 // + d(v) on every arc, min(·, R) keeps the inequality, and a spur search bans
 // at least what this search banned, which only lengthens distances.  This
@@ -242,10 +301,15 @@ func (g *Generator) first() (graph.Path, bool) {
 
 	r := sc.v[g.s].dist
 	g.hbuf = slices.Grow(g.hbuf[:0], n)[:n]
+	g.tree.hops = slices.Grow(g.tree.hops[:0], n)[:n] // stale memos hold older stamps
+	g.tree.t = g.t
 	for u := range g.hbuf {
 		g.hbuf[u] = r
+		hop := &g.tree.hops[u]
+		hop.next, hop.edge = graph.NoVertex, graph.NoEdge
 		if st := &sc.v[u]; st.settled == sc.search {
 			g.hbuf[u] = st.dist
+			hop.next, hop.edge = st.parent, st.parentEdge
 		}
 	}
 	g.h = g.hbuf

@@ -444,3 +444,102 @@ func TestScratchGenerationWrap(t *testing.T) {
 		t.Errorf("generation counter %d: reserve did not restart it", sc.gen)
 	}
 }
+
+// A spur search stops at the first settled vertex whose tree path to t is
+// clean.  On this ladder the first path runs along the top rail 0-1-…-8-9 (9)
+// and the bottom rail 0-b1-…-b8-9 (9.9) is the second; the rungs a_i–b_i cost
+// about 5.  Every bottom vertex is closer to t than s, so the search from t
+// that found the first path left its tree path along the bottom rail, clear
+// of every root.  Deviating from the first path at spur a_i (or at s, whose
+// top hop is banned), the search settles the spur, then its bottom neighbour,
+// and lays that neighbour's tree path: two vertices per spur search, where
+// the search run to t settled 62 over the nine.
+func TestSpurSearchStopsOnCleanTreePath(t *testing.T) {
+	const rungs = 8
+	tgt := graph.VertexID(rungs + 1)
+	bottom := func(i int) graph.VertexID { return graph.VertexID(rungs + 1 + i) } // b_i, 1 ≤ i ≤ 8
+	b := graph.NewBuilder(2*rungs+2, false)
+	for i := 0; i <= rungs; i++ {
+		b.AddEdge(graph.VertexID(i), graph.VertexID(i+1), 1) // top rail
+	}
+	b.AddEdge(0, bottom(1), 1.1)
+	for i := 1; i < rungs; i++ {
+		b.AddEdge(bottom(i), bottom(i+1), 1.1)
+	}
+	b.AddEdge(bottom(rungs), tgt, 1.1)
+	for i := 1; i <= rungs; i++ {
+		b.AddEdge(graph.VertexID(i), bottom(i), 5+0.01*float64(i)) // no two detours tie
+	}
+	g := b.Build()
+
+	gen := NewGenerator(g.Snapshot(), 0, tgt, nil)
+	gen.Next()
+	second, ok := gen.Next()
+	if !ok || second.Len() != rungs+1 || second.Vertices[1] != bottom(1) {
+		t.Fatalf("second path %v (ok %v), want the bottom rail", second, ok)
+	}
+	if gen.searches != rungs+1 || gen.settled > 2*gen.searches {
+		t.Errorf("%d spur searches settled %d vertices, want at most 2 each", gen.searches, gen.settled)
+	}
+	checkKernelCase(t, kernelCase{g: g, s: 0, t: tgt, k: 12, real: true})
+}
+
+// A Generator told that its caller takes k paths caps each spur search at the
+// k-th shortest candidate it still needs.  Corner to corner on the benchmark's
+// road network at k = 8 that leaves the paths, their bits and the spur-search
+// count alone, while the searches settle 212 vertices instead of 2,216: most
+// of the difference is searches that find no path at all, which without the
+// cap explore everything reachable around the root.
+func TestCapStopsHopelessSpurSearches(t *testing.T) {
+	ds, err := workload.Generate(workload.RoadNetworkSpec{
+		Width: 30, Height: 20,
+		DiagonalFraction: 0.15, MissingFraction: 0.25,
+		MinWeight: 1, MaxWeight: 10, Seed: 1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := ds.Graph.Snapshot()
+	const k = 8
+	s, tgt := graph.VertexID(0), graph.VertexID(g.NumVertices()-1)
+	capped, free := pooledGenerator(g, s, tgt, nil, k), NewGenerator(g, s, tgt, nil)
+	defer capped.recycle()
+	for i := 0; i < k; i++ {
+		if _, ok := capped.Next(); !ok {
+			t.Fatalf("ran out of paths at %d", i)
+		}
+		free.Next()
+	}
+	if !samePaths(capped.Produced(), free.Produced()) || capped.searches != free.searches {
+		t.Fatalf("capped: %v after %d spur searches\nfree: %v after %d", capped.Produced(), capped.searches, free.Produced(), free.searches)
+	}
+	if capped.settled*4 > free.settled {
+		t.Errorf("capped spur searches settled %d vertices, uncapped %d: expected under a quarter", capped.settled, free.settled)
+	}
+}
+
+// The cap keeps a candidate exactly as long as the m-th: on a tie it can
+// still come first.  The first path is 0-1-2-9 (60).  The spur at 0 finds
+// 0-8-9 (65.6) and the spur at 2 finds 0-1-2-3-9, 41.8 + 23.8 = 65.6 as
+// well, which sorts first; but 65.6 - 41.8 is 23.799999999999997, so a cap
+// without slack would cut that search just short of its target.
+func TestCapKeepsTiesWithTheLastCandidate(t *testing.T) {
+	b := graph.NewBuilder(10, false)
+	for _, e := range []graph.Edge{
+		{U: 0, V: 1, Weight: 20.9}, {U: 1, V: 2, Weight: 20.9}, {U: 2, V: 9, Weight: 18.2},
+		{U: 0, V: 8, Weight: 32.8}, {U: 8, V: 9, Weight: 32.8},
+		{U: 2, V: 3, Weight: 11.9}, {U: 3, V: 9, Weight: 11.9},
+	} {
+		b.AddEdge(e.U, e.V, e.Weight)
+	}
+	g := b.Build().Snapshot()
+	gen := NewGenerator(g, 0, 9, nil)
+	gen.Next()
+	want, _ := gen.Next()
+	if want.Len() != 4 || want.Dist != 65.6 {
+		t.Fatalf("uncapped second path %v, want 0-1-2-3-9 (65.6)", want)
+	}
+	if got := Yen(g, 0, 9, 2, nil); len(got) != 2 || !samePaths(got[1:], []graph.Path{want}) {
+		t.Errorf("Yen's second path %v, want %v", got[1:], want)
+	}
+}

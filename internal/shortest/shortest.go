@@ -245,23 +245,44 @@ func (sc *searchScratch) banCaller(opts *Options) {
 // leave the spur vertex, so they are consulted only while s — the first
 // vertex settled — is expanded, not on every relaxed arc.
 func (sc *searchScratch) run(v graph.WeightedView, s, target graph.VertexID, weight WeightFunc, h []float64, nextBans []graph.VertexID) {
+	sc.spur(v, s, target, weight, h, nextBans, nil, math.Inf(1))
+}
+
+// spur is run with two early stops for Yen's spur searches.  tree, when not
+// nil, is the reverse shortest path tree towards target that h was taken
+// from, and the search stops on a settled vertex whose tree path is usable
+// (see shortcut).  And it gives up, without reaching target, once the
+// smallest key exceeds bound: with h a lower bound, every path it could
+// still find is longer.  It returns the number of vertices it settled.
+func (sc *searchScratch) spur(v graph.WeightedView, s, target graph.VertexID, weight WeightFunc, h []float64, nextBans []graph.VertexID, tree *revTree, bound float64) int {
 	sc.gen++
 	gen, bans := sc.gen, sc.bans
 	sc.search = gen
+	if tree != nil {
+		tree.begin()
+	}
 	inf := math.Inf(1)
 	st := sc.v
 	st[s].dist, st[s].parent, st[s].parentEdge, st[s].reached = 0, graph.NoVertex, graph.NoEdge, gen
 	pq := &sc.heap
 	pq.reset()
 	pq.push(s, 0)
+	settled := 0
 	for pq.len() > 0 {
-		u, _ := pq.pop()
+		u, key := pq.pop()
+		if key > bound {
+			break
+		}
 		su := &st[u]
 		if su.settled == gen {
 			continue
 		}
 		su.settled = gen
+		settled++
 		if u == target {
+			break
+		}
+		if tree != nil && (pq.len() == 0 || key < pq.ps[0]) && sc.shortcut(tree, u, s, weight, nextBans) {
 			break
 		}
 		du := su.dist
@@ -289,6 +310,108 @@ func (sc *searchScratch) run(v graph.WeightedView, s, target graph.VertexID, wei
 		}
 		nextBans = nil
 	}
+	return settled
+}
+
+// revTree is the reverse shortest path tree towards t that a Generator's
+// first search leaves behind (see Generator.first).  hops[u].next is u's
+// next vertex towards t and hops[u].edge the arc to it, for every vertex
+// that search settled — the vertices whose heuristic is exact — and NoVertex
+// elsewhere.  hops[u].memo caches, per spur search, whether u's tree path is
+// clean: it holds the search's stamp shifted left once, the verdict in the
+// low bit.
+type revTree struct {
+	hops  []treeHop
+	t     graph.VertexID
+	stamp uint32
+}
+
+type treeHop struct {
+	next graph.VertexID
+	edge graph.EdgeID
+	memo uint32
+}
+
+// begin starts a spur search's memo: earlier verdicts stop applying.
+func (tr *revTree) begin() {
+	tr.stamp++
+	if tr.stamp == 1<<31 {
+		for i := range tr.hops {
+			tr.hops[i].memo = 0
+		}
+		tr.stamp = 1
+	}
+}
+
+// shortcut ends a goal-directed spur search from s at the settled vertex u
+// when u's tree path to t is a shortest completion, and reports whether it
+// did.  u settled with key dist(u) + h(u); where h(u) is exact and the tree
+// path runs through no banned vertex and not through s (nor, for u = s, over
+// a banned hop), that path is open to the search, so the key is the distance
+// to t and root + chain to u + tree path is a shortest spur.  The caller
+// takes it only when u's key is strictly below every other key in the heap:
+// on a tie the plain search might settle t over another, equally long path,
+// and the kernel would then produce a different path from textbook Yen.
+// The path is laid into the search state — parents and distances summed
+// forwards from u, as the plain search sums them — so appendPath and distTo
+// read it as if the search had run to t.  A tree path through a vertex this
+// search has settled is not taken: with zero-weight arcs it could loop back
+// into the chain from s to u.
+func (sc *searchScratch) shortcut(tree *revTree, u, s graph.VertexID, weight WeightFunc, nextBans []graph.VertexID) bool {
+	hops, t := tree.hops, tree.t
+	first := hops[u].next
+	if first == graph.NoVertex {
+		return false // h(u) is only a lower bound
+	}
+	from := u
+	if u == s {
+		if slices.Contains(nextBans, first) {
+			return false
+		}
+		from = first
+	}
+	if !sc.treeClean(tree, from, s) {
+		return false
+	}
+	st, gen := sc.v, sc.search
+	for w := first; w != t; w = hops[w].next {
+		if st[w].settled == gen {
+			return false
+		}
+	}
+	for w := u; w != t; w = hops[w].next {
+		hw := hops[w]
+		x := &st[hw.next]
+		x.dist, x.parent, x.parentEdge, x.reached = st[w].dist+weight(hw.edge), w, hw.edge, gen
+	}
+	return true
+}
+
+// treeClean reports whether the tree path from u, a tree vertex, to t runs
+// through neither a banned vertex nor s, memoising the verdict for every
+// vertex it walks.
+func (sc *searchScratch) treeClean(tree *revTree, u, s graph.VertexID) bool {
+	hops, t, stamp := tree.hops, tree.t, tree.stamp<<1
+	w, ok := u, true
+	for w != t {
+		if m := hops[w].memo; m&^1 == stamp {
+			ok = m&1 == 1
+			break
+		}
+		if w == s || sc.v[w].banned == sc.bans {
+			ok = false
+			break
+		}
+		w = hops[w].next
+	}
+	verdict := stamp
+	if ok {
+		verdict |= 1
+	}
+	for x := u; x != w; x = hops[x].next {
+		hops[x].memo = verdict
+	}
+	return ok
 }
 
 // distTo returns the latest run's distance to t, +Inf if it never reached t.

@@ -14,7 +14,7 @@ import (
 // vertices/edges are excluded everywhere (in addition to Yen's own deviation
 // bans).
 func Yen(v graph.WeightedView, s, t graph.VertexID, k int, opts *Options) []graph.Path {
-	g := pooledGenerator(v, s, t, opts)
+	g := pooledGenerator(v, s, t, opts, k)
 	for len(g.produced) < k {
 		if _, ok := g.Next(); !ok {
 			break
@@ -43,7 +43,7 @@ func KShortestDistinctLengths(v graph.WeightedView, s, t graph.VertexID, limit, 
 	if maxEnumerate < limit {
 		maxEnumerate = limit
 	}
-	g := pooledGenerator(v, s, t, opts)
+	g := pooledGenerator(v, s, t, opts, maxEnumerate)
 	var out []graph.Path
 	seen := make(map[int64]bool, limit)
 	for len(g.produced) < maxEnumerate {
